@@ -15,6 +15,7 @@ column of Table 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 #: Header and footer sizes of the NSM page layout (see
 #: :mod:`repro.storage.layout`); their sum is the paper's delta_metadata.
@@ -52,19 +53,23 @@ class IpaScheme:
         if not 1 <= self.m_bytes <= MAX_M:
             raise ValueError(f"M must be in [1, {MAX_M}], got {self.m_bytes}")
 
-    @property
+    # The derived sizes are read on every page access.  The scheme is
+    # frozen, so each is computed once per instance: cached_property
+    # stores into the instance __dict__ (which a frozen dataclass still
+    # has), and __eq__/__hash__ stay field-based.
+    @cached_property
     def enabled(self) -> bool:
         """False for the [0 x 0] traditional baseline."""
         return self.n_records > 0
 
-    @property
+    @cached_property
     def record_size(self) -> int:
         """Bytes of one delta-record: 1 + 3M + delta_metadata."""
         if not self.enabled:
             return 0
         return 1 + PAIR_SIZE * self.m_bytes + DELTA_METADATA_SIZE
 
-    @property
+    @cached_property
     def delta_area_size(self) -> int:
         """Bytes reserved at the end of every page: N x record_size."""
         return self.n_records * self.record_size

@@ -24,9 +24,12 @@ operations").
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro.core.config import (
+    MAX_M,
     PAGE_FOOTER_SIZE,
     PAGE_HEADER_SIZE,
     PAIR_SIZE,
@@ -36,10 +39,30 @@ from repro.core.config import (
 #: Control-byte tag: high bits 01, low nibble = pair count.
 CONTROL_TAG = 0x40
 _ERASED = 0xFF
+_ERASED_CHAR = b"\xff"
+#: The erased pair slot ``FF FF FF`` reserves this offset: a pair that
+#: encoded to it would read back as "unused".
+_UNUSED_OFFSET = 0xFFFF
+
+_PAIR = struct.Struct("<HB")
+#: Control byte + ``count`` pairs, one precompiled codec per pair count.
+_RECORD_HEAD = tuple(
+    struct.Struct("<B" + "HB" * count) for count in range(MAX_M + 1)
+)
 
 
 class DeltaFormatError(ValueError):
     """A delta-record buffer does not parse under the given scheme."""
+
+
+def _unencodable_pair(pairs: list[tuple[int, int]]) -> DeltaFormatError:
+    """The error for the first pair that has no wire representation."""
+    for offset, value in pairs:
+        if not 0 <= offset < _UNUSED_OFFSET:
+            return DeltaFormatError(f"offset {offset} not encodable in 16 bits")
+        if not 0 <= value <= 0xFF:
+            return DeltaFormatError(f"value {value} is not a byte")
+    return DeltaFormatError("pairs must be (offset, byte value) integers")
 
 
 @dataclass
@@ -65,10 +88,10 @@ class DeltaRecord:
         """
         if not scheme.enabled:
             raise DeltaFormatError("cannot encode a record for scheme [0x0]")
-        if len(self.pairs) > scheme.m_bytes:
-            raise DeltaFormatError(
-                f"{len(self.pairs)} pairs exceed M={scheme.m_bytes}"
-            )
+        pairs = self.pairs
+        count = len(pairs)
+        if count > scheme.m_bytes:
+            raise DeltaFormatError(f"{count} pairs exceed M={scheme.m_bytes}")
         if len(self.meta_header) != PAGE_HEADER_SIZE:
             raise DeltaFormatError(
                 f"meta_header must be {PAGE_HEADER_SIZE} bytes"
@@ -77,23 +100,24 @@ class DeltaRecord:
             raise DeltaFormatError(
                 f"meta_footer must be {PAGE_FOOTER_SIZE} bytes"
             )
-        out = bytearray([_ERASED]) * scheme.record_size
-        out[0] = CONTROL_TAG | len(self.pairs)
-        for i, (offset, value) in enumerate(self.pairs):
-            if not 0 <= offset < 0xFFFF:
-                raise DeltaFormatError(f"offset {offset} not encodable in 16 bits")
-            if not 0 <= value <= 0xFF:
-                raise DeltaFormatError(f"value {value} is not a byte")
-            base = 1 + i * PAIR_SIZE
-            out[base : base + 2] = offset.to_bytes(2, "little")
-            out[base + 2] = value
-        meta_base = 1 + scheme.m_bytes * PAIR_SIZE
-        out[meta_base : meta_base + PAGE_HEADER_SIZE] = self.meta_header
-        out[
-            meta_base + PAGE_HEADER_SIZE : meta_base + PAGE_HEADER_SIZE
-            + PAGE_FOOTER_SIZE
-        ] = self.meta_footer
-        return bytes(out)
+        # struct range-checks every field (u16 offset, u8 value); the one
+        # value it admits and the format does not is the reserved offset.
+        try:
+            head = _RECORD_HEAD[count].pack(
+                CONTROL_TAG | count, *chain.from_iterable(pairs)
+            )
+        except struct.error:
+            raise _unencodable_pair(pairs) from None
+        if pairs and max(pairs)[0] >= _UNUSED_OFFSET:
+            raise _unencodable_pair(pairs)
+        return b"".join(
+            (
+                head,
+                _ERASED_CHAR * (PAIR_SIZE * (scheme.m_bytes - count)),
+                self.meta_header,
+                self.meta_footer,
+            )
+        )
 
     @classmethod
     def decode(cls, buf: bytes, scheme: IpaScheme) -> "DeltaRecord | None":
@@ -116,21 +140,13 @@ class DeltaRecord:
             raise DeltaFormatError(
                 f"control claims {count} pairs but M={scheme.m_bytes}"
             )
-        pairs = []
-        for i in range(count):
-            base = 1 + i * PAIR_SIZE
-            offset = int.from_bytes(buf[base : base + 2], "little")
-            value = buf[base + 2]
-            pairs.append((offset, value))
         meta_base = 1 + scheme.m_bytes * PAIR_SIZE
-        meta_header = bytes(buf[meta_base : meta_base + PAGE_HEADER_SIZE])
-        meta_footer = bytes(
-            buf[
-                meta_base + PAGE_HEADER_SIZE : meta_base + PAGE_HEADER_SIZE
-                + PAGE_FOOTER_SIZE
-            ]
+        footer_base = meta_base + PAGE_HEADER_SIZE
+        return cls(
+            pairs=list(_PAIR.iter_unpack(buf[1 : 1 + count * PAIR_SIZE])),
+            meta_header=bytes(buf[meta_base:footer_base]),
+            meta_footer=bytes(buf[footer_base : footer_base + PAGE_FOOTER_SIZE]),
         )
-        return cls(pairs=pairs, meta_header=meta_header, meta_footer=meta_footer)
 
 
 def decode_delta_area(
@@ -153,10 +169,10 @@ def decode_delta_area(
     limit = scheme.n_records
     if max_records is not None:
         limit = min(limit, max_records)
+    record_size = scheme.record_size
     records: list[DeltaRecord] = []
-    for i in range(limit):
-        slot = area[i * scheme.record_size : (i + 1) * scheme.record_size]
-        record = DeltaRecord.decode(slot, scheme)
+    for start in range(0, limit * record_size, record_size):
+        record = DeltaRecord.decode(area[start : start + record_size], scheme)
         if record is None:
             break
         records.append(record)

@@ -15,7 +15,10 @@ from repro.core.config import (
     PAGE_HEADER_SIZE,
     IpaScheme,
 )
-from repro.core.delta import DeltaFormatError, DeltaRecord, decode_delta_area
+from repro.core.delta import DeltaRecord, decode_delta_area
+
+_ERASED = 0xFF
+_ERASED_CHAR = b"\xff"
 
 
 class ReconstructionError(Exception):
@@ -45,18 +48,21 @@ def reconstruct(
     page = bytearray(image)
     if not scheme.enabled:
         return page, 0
-    page_size = len(image)
-    footer_start = page_size - PAGE_FOOTER_SIZE
+    footer_start = len(image) - PAGE_FOOTER_SIZE
     delta_start = footer_start - scheme.delta_area_size
-    records = decode_delta_area(
-        image[delta_start:footer_start], scheme, max_records
-    )
-    for index, record in enumerate(records):
-        _apply(page, record, index, delta_start)
+    applied = 0
+    # Records fill the area left to right, so an erased first control
+    # byte means a clean page (the common fetch): nothing to parse.
+    if delta_start < 0 or image[delta_start] != _ERASED:
+        records = decode_delta_area(
+            image[delta_start:footer_start], scheme, max_records
+        )
+        for index, record in enumerate(records):
+            _apply(page, record, index, delta_start)
+        applied = len(records)
     # Scrub the delta area: the in-buffer page is the logical page.
-    for i in range(delta_start, footer_start):
-        page[i] = 0xFF
-    return page, len(records)
+    page[delta_start:footer_start] = _ERASED_CHAR * (footer_start - delta_start)
+    return page, applied
 
 
 def _apply(
@@ -77,10 +83,6 @@ def count_records(image: bytes, scheme: IpaScheme) -> int:
     """How many delta-records a raw page image carries (no application)."""
     if not scheme.enabled:
         return 0
-    page_size = len(image)
-    footer_start = page_size - PAGE_FOOTER_SIZE
+    footer_start = len(image) - PAGE_FOOTER_SIZE
     delta_start = footer_start - scheme.delta_area_size
-    try:
-        return len(decode_delta_area(image[delta_start:footer_start], scheme))
-    except DeltaFormatError:
-        raise
+    return len(decode_delta_area(image[delta_start:footer_start], scheme))

@@ -32,6 +32,24 @@ class ChangeTracker:
         body_end: First byte after the body (start of the delta area).
     """
 
+    __slots__ = (
+        "scheme",
+        "existing_records",
+        "_header_end",
+        "_body_end",
+        "records",
+        "out_of_place",
+        "meta_changed",
+        "_open",
+        "net_changed_offsets",
+        "meta_changed_offsets",
+        "op_sizes",
+        "_open_raw",
+        "_open_meta",
+        "_last_raw",
+        "_last_meta",
+    )
+
     def __init__(
         self,
         scheme: IpaScheme,
@@ -54,11 +72,12 @@ class ChangeTracker:
         #: Changed-byte count of every bracketed op, conformant or not —
         #: the raw material of trace capture (E6) and the N x M ablation.
         self.op_sizes: list[int] = []
-        #: Every changed byte (offset -> new value) of the last closed op,
-        #: INCLUDING header/footer bytes — the WAL's redo payload.
-        self.last_op_changes: dict[int, int] = {}
         self._open_raw: dict[int, int] | None = None
         self._open_meta: dict[int, int] | None = None
+        # Body and metadata changes of the last closed op; merged only
+        # when someone asks (see last_op_changes).
+        self._last_raw: dict[int, int] = {}
+        self._last_meta: dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
     # Operation bracketing
@@ -80,7 +99,8 @@ class ChangeTracker:
             meta, self._open_meta = self._open_meta or {}, None
             if raw:
                 self.op_sizes.append(len(raw))
-            self.last_op_changes = {**raw, **meta}
+            self._last_raw = raw
+            self._last_meta = meta
         if self._open is None:
             return
         changes, self._open = self._open, None
@@ -90,6 +110,12 @@ class ChangeTracker:
             self.mark_out_of_place()
             return
         self.records.append(changes)
+
+    @property
+    def last_op_changes(self) -> dict[int, int]:
+        """Every changed byte (offset -> new value) of the last closed op,
+        INCLUDING header/footer bytes — the WAL's redo payload."""
+        return {**self._last_raw, **self._last_meta}
 
     def mark_out_of_place(self) -> None:
         """Give up on IPA for this residency; stop tracking."""
@@ -102,31 +128,53 @@ class ChangeTracker:
     # ------------------------------------------------------------------ #
 
     def on_write(self, offset: int, old: bytes, new: bytes) -> None:
-        """Observe one page mutation; classify each changed byte."""
-        for i in range(len(new)):
-            if old[i] == new[i]:
-                continue
-            pos = offset + i
-            if pos < self._header_end or pos >= self._body_end:
-                # Header/footer: shipped via delta_metadata, free of charge.
-                self.meta_changed = True
-                self.meta_changed_offsets.add(pos)
-                if self._open_meta is not None:
-                    self._open_meta[pos] = new[i]
-                continue
-            self.net_changed_offsets.add(pos)
-            if self._open_raw is not None:
-                self._open_raw[pos] = new[i]
-            if self.out_of_place:
-                continue
-            if self._open is None:
-                # A body change outside any bracketed operation (bulk load,
-                # page reorganisation): not representable as a delta-record.
-                self.mark_out_of_place()
-                continue
-            self._open[pos] = new[i]
-            if len(self._open) > self.scheme.m_bytes:
-                self.mark_out_of_place()
+        """Observe one page mutation (``old`` -> ``new``, equally long).
+
+        A write lies in one region — header, body, or delta area + footer
+        — and is classified once.  One that straddles a region boundary
+        is split there and its pieces observed in offset order, which is
+        what observing it byte by byte amounts to.
+        """
+        if old == new:
+            return
+        end = offset + len(new)
+        header_end = self._header_end
+        body_end = self._body_end
+        if end <= header_end or offset >= body_end:
+            in_body = False
+        elif offset >= header_end and end <= body_end:
+            in_body = True
+        else:
+            cut = (header_end if offset < header_end else body_end) - offset
+            self.on_write(offset, old[:cut], new[:cut])
+            self.on_write(offset + cut, old[cut:], new[cut:])
+            return
+        changed: dict[int, int] = {}
+        pos = offset
+        for before, after in zip(old, new):
+            if before != after:
+                changed[pos] = after
+            pos += 1
+        if not in_body:
+            # Header/footer: shipped via delta_metadata, free of charge.
+            self.meta_changed = True
+            self.meta_changed_offsets.update(changed)
+            if self._open_meta is not None:
+                self._open_meta.update(changed)
+            return
+        self.net_changed_offsets.update(changed)
+        if self._open_raw is not None:
+            self._open_raw.update(changed)
+        if self.out_of_place:
+            return
+        if self._open is None:
+            # A body change outside any bracketed operation (bulk load,
+            # page reorganisation): not representable as a delta-record.
+            self.mark_out_of_place()
+            return
+        self._open.update(changed)
+        if len(self._open) > self.scheme.m_bytes:
+            self.mark_out_of_place()
 
     # ------------------------------------------------------------------ #
     # Eviction-side queries

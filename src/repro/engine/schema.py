@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable, Mapping
 
 
@@ -46,30 +47,45 @@ class Column:
         elif self.size not in (0, self.width):
             raise ValueError(f"size is only meaningful for CHAR ('{self.name}')")
 
-    @property
+    # Resolved once per (frozen) column rather than on every field access.
+    @cached_property
+    def _codec(self) -> struct.Struct | None:
+        """The value codec; None for CHAR, which is padded bytes."""
+        return _STRUCT.get(self.type)
+
+    @cached_property
     def width(self) -> int:
         """Bytes this column occupies in the record."""
-        if self.type is ColumnType.CHAR:
-            return self.size
-        return _STRUCT[self.type].size
+        codec = self._codec
+        return self.size if codec is None else codec.size
 
     def encode(self, value: Any) -> bytes:
         """Serialize one value to the column's fixed width."""
-        if self.type is ColumnType.CHAR:
-            raw = value.encode("ascii") if isinstance(value, str) else bytes(value)
-            if len(raw) > self.size:
-                raise ValueError(
-                    f"value of {len(raw)} bytes exceeds CHAR({self.size}) "
-                    f"column '{self.name}'"
-                )
-            return raw.ljust(self.size, b" ")
-        return _STRUCT[self.type].pack(value)
+        codec = self._codec
+        if codec is not None:
+            return codec.pack(value)
+        if isinstance(value, str):
+            raw = value.encode("ascii")
+        elif isinstance(value, (bytes, bytearray)):
+            raw = bytes(value)
+        else:
+            raise TypeError(
+                f"CHAR column '{self.name}' takes str or bytes, "
+                f"got {type(value).__name__}"
+            )
+        if len(raw) > self.size:
+            raise ValueError(
+                f"value of {len(raw)} bytes exceeds CHAR({self.size}) "
+                f"column '{self.name}'"
+            )
+        return raw.ljust(self.size, b" ")
 
     def decode(self, raw: bytes) -> Any:
         """Deserialize the column's bytes."""
-        if self.type is ColumnType.CHAR:
-            return raw.rstrip(b" ").decode("ascii")
-        return _STRUCT[self.type].unpack(raw)[0]
+        codec = self._codec
+        if codec is not None:
+            return codec.unpack(raw)[0]
+        return raw.rstrip(b" ").decode("ascii")
 
 
 class Schema:
@@ -82,12 +98,27 @@ class Schema:
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate column names in {names}")
+        self._names = tuple(names)
         self._offsets: dict[str, tuple[int, Column]] = {}
         offset = 0
         for column in self.columns:
             self._offsets[column.name] = (offset, column)
             offset += column.width
         self.record_size = offset
+        # One codec for the whole record.  CHAR columns are raw bytes to
+        # it ("Ns" would pad with NUL and silently truncate, so they are
+        # space-padded and length-checked by Column.encode before packing
+        # and stripped after unpacking).
+        self._record = struct.Struct(
+            "<"
+            + "".join(
+                f"{c.size}s" if c._codec is None else c._codec.format[1:]
+                for c in self.columns
+            )
+        )
+        self._char_columns = tuple(
+            (i, c) for i, c in enumerate(self.columns) if c._codec is None
+        )
 
     def field_span(self, name: str) -> tuple[int, int]:
         """(offset, width) of a column within the record."""
@@ -100,10 +131,14 @@ class Schema:
 
     def encode(self, values: Mapping[str, Any]) -> bytes:
         """Serialize a full record from a column-name mapping."""
-        missing = [c.name for c in self.columns if c.name not in values]
-        if missing:
-            raise ValueError(f"missing columns: {missing}")
-        return b"".join(c.encode(values[c.name]) for c in self.columns)
+        try:
+            fields = [values[name] for name in self._names]
+        except KeyError:
+            missing = [name for name in self._names if name not in values]
+            raise ValueError(f"missing columns: {missing}") from None
+        for i, column in self._char_columns:
+            fields[i] = column.encode(fields[i])
+        return self._record.pack(*fields)
 
     def decode(self, record: bytes) -> dict[str, Any]:
         """Deserialize a full record."""
@@ -111,12 +146,10 @@ class Schema:
             raise ValueError(
                 f"record of {len(record)} bytes, schema needs {self.record_size}"
             )
-        out: dict[str, Any] = {}
-        offset = 0
-        for column in self.columns:
-            out[column.name] = column.decode(record[offset : offset + column.width])
-            offset += column.width
-        return out
+        fields = list(self._record.unpack(record))
+        for i, _column in self._char_columns:
+            fields[i] = fields[i].rstrip(b" ").decode("ascii")
+        return dict(zip(self._names, fields))
 
     def encode_field(self, name: str, value: Any) -> tuple[int, bytes]:
         """(offset, bytes) for an in-place single-field update."""

@@ -38,8 +38,10 @@ exactly what a long-lived instance would.  See ``docs/recovery.md``.
 
 from __future__ import annotations
 
+import struct
 import zlib
 from dataclasses import dataclass
+from itertools import chain
 
 from repro.flash.chip import FlashChip
 from repro.flash.errors import IllegalProgramError
@@ -53,7 +55,23 @@ _ERASED = 0xFF
 _ERASED_CHAR = b"\xff"
 
 #: Commit-frame header: magic (1) + payload length (u32 LE) + CRC32 (u32 LE).
-FRAME_HEADER_SIZE = 9
+_FRAME_HEAD = struct.Struct("<BII")
+FRAME_HEADER_SIZE = _FRAME_HEAD.size
+
+#: Record header: magic (1) + lsn (u64) + lba (u32) + a u16 tail — the
+#: change count of an update record, the file id of a format record.
+_RECORD_HEAD = struct.Struct("<BQIH")
+#: One change of an update record: page offset (u16) + new byte value.
+_CHANGE = struct.Struct("<HB")
+
+
+def _encode_update(lsn: int, lba: int, changes) -> bytes:
+    """Wire form of an update record; ``changes`` is (offset, value) pairs."""
+    count = len(changes)
+    # struct keeps its own cache of compiled formats, one per count here.
+    return _RECORD_HEAD.pack(_MAGIC_UPDATE, lsn, lba, count) + struct.pack(
+        "<" + "HB" * count, *chain.from_iterable(changes)
+    )
 
 
 @dataclass(frozen=True)
@@ -65,15 +83,7 @@ class PageUpdateRecord:
     changes: tuple  # ((offset, value), ...)
 
     def encode(self) -> bytes:
-        out = bytearray()
-        out.append(_MAGIC_UPDATE)
-        out += self.lsn.to_bytes(8, "little")
-        out += self.lba.to_bytes(4, "little")
-        out += len(self.changes).to_bytes(2, "little")
-        for offset, value in self.changes:
-            out += offset.to_bytes(2, "little")
-            out.append(value)
-        return bytes(out)
+        return _encode_update(self.lsn, self.lba, self.changes)
 
 
 @dataclass(frozen=True)
@@ -85,51 +95,47 @@ class FormatRecord:
     file_id: int
 
     def encode(self) -> bytes:
-        out = bytearray()
-        out.append(_MAGIC_FORMAT)
-        out += self.lsn.to_bytes(8, "little")
-        out += self.lba.to_bytes(4, "little")
-        out += self.file_id.to_bytes(2, "little")
-        return bytes(out)
+        return _RECORD_HEAD.pack(_MAGIC_FORMAT, self.lsn, self.lba, self.file_id)
 
 
 def decode_records(data: bytes) -> list:
-    """Parse a log byte stream (stops at erased bytes)."""
+    """Parse a log byte stream (stops at erased bytes).
+
+    Raises:
+        ValueError: a record with an unknown magic, or one cut short by
+            the end of ``data`` (frames are CRC-checked before they get
+            here, so either means corruption).
+    """
     records = []
     pos = 0
-    while pos < len(data):
+    size = len(data)
+    while pos < size:
         magic = data[pos]
         if magic == _ERASED:
             break
-        if magic == _MAGIC_UPDATE:
-            lsn = int.from_bytes(data[pos + 1 : pos + 9], "little")
-            lba = int.from_bytes(data[pos + 9 : pos + 13], "little")
-            count = int.from_bytes(data[pos + 13 : pos + 15], "little")
-            pos += 15
-            changes = []
-            for _ in range(count):
-                offset = int.from_bytes(data[pos : pos + 2], "little")
-                changes.append((offset, data[pos + 2]))
-                pos += 3
-            records.append(PageUpdateRecord(lsn, lba, tuple(changes)))
-        elif magic == _MAGIC_FORMAT:
-            lsn = int.from_bytes(data[pos + 1 : pos + 9], "little")
-            lba = int.from_bytes(data[pos + 9 : pos + 13], "little")
-            file_id = int.from_bytes(data[pos + 13 : pos + 15], "little")
-            pos += 15
-            records.append(FormatRecord(lsn, lba, file_id))
-        else:
+        if magic != _MAGIC_UPDATE and magic != _MAGIC_FORMAT:
             raise ValueError(f"corrupt log record magic 0x{magic:02x}")
+        head_end = pos + _RECORD_HEAD.size
+        if head_end > size:
+            raise ValueError(f"log record at byte {pos} is cut short")
+        _magic, lsn, lba, tail = _RECORD_HEAD.unpack_from(data, pos)
+        if magic == _MAGIC_FORMAT:
+            records.append(FormatRecord(lsn, lba, tail))
+            pos = head_end
+            continue
+        end = head_end + tail * _CHANGE.size
+        if end > size:
+            raise ValueError(f"log record at byte {pos} is cut short")
+        changes = tuple(_CHANGE.iter_unpack(data[head_end:end]))
+        records.append(PageUpdateRecord(lsn, lba, changes))
+        pos = end
     return records
 
 
 def encode_frame(payload: bytes) -> bytes:
     """Wrap one transaction's records in a commit frame."""
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
     return (
-        bytes([_MAGIC_FRAME])
-        + len(payload).to_bytes(4, "little")
-        + crc.to_bytes(4, "little")
+        _FRAME_HEAD.pack(_MAGIC_FRAME, len(payload), zlib.crc32(payload))
         + payload
     )
 
@@ -148,15 +154,14 @@ def decode_frames(stream: bytes) -> list[bytes]:
     pos = 0
     n = len(stream)
     while pos + FRAME_HEADER_SIZE <= n:
-        if stream[pos] != _MAGIC_FRAME:
+        magic, length, crc = _FRAME_HEAD.unpack_from(stream, pos)
+        if magic != _MAGIC_FRAME:
             break
-        length = int.from_bytes(stream[pos + 1 : pos + 5], "little")
-        crc = int.from_bytes(stream[pos + 5 : pos + 9], "little")
         start = pos + FRAME_HEADER_SIZE
         payload = stream[start : start + length]
         if len(payload) < length:
             break
-        if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
+        if zlib.crc32(payload) != crc:
             break
         frames.append(payload)
         pos = start + length
@@ -225,8 +230,7 @@ class WriteAheadLog:
         """Buffer one page-update record (durable only at commit)."""
         if not changes:
             return
-        record = PageUpdateRecord(lsn, lba, tuple(sorted(changes.items())))
-        self._txn_buffer.append(record.encode())
+        self._txn_buffer.append(_encode_update(lsn, lba, sorted(changes.items())))
         self.stats.records_logged += 1
 
     def log_format(self, lsn: int, lba: int, file_id: int) -> None:

@@ -30,6 +30,7 @@ Footer fields (8 bytes):
 
 from __future__ import annotations
 
+import struct
 import zlib
 from typing import Callable, Optional
 
@@ -41,7 +42,17 @@ from repro.core.config import (
 
 MAGIC = 0x4E50  # "NP" — NSM page
 SLOT_SIZE = 4  # offset(2) + length(2)
-_ERASED = 0xFF
+_ERASED_CHAR = b"\xff"
+
+# Fixed-offset codecs (all little-endian), read off the live buffer.
+_HEADER = struct.Struct("<HIQHHHHH")  # the eight header fields, in order
+_SLOT = struct.Struct("<HH")  # offset, length; also slot_count + free_lower
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+assert _HEADER.size == PAGE_HEADER_SIZE and _SLOT.size == SLOT_SIZE
+# Header field offsets.
+_PAGE_ID, _LSN, _SLOT_COUNT, _FREE_LOWER, _FLAGS, _FILE_ID = 2, 6, 14, 16, 18, 20
 
 #: Slot length value marking a deleted record.
 TOMBSTONE = 0
@@ -67,11 +78,17 @@ class SlottedPage:
     """
 
     def __init__(self, buf: bytearray, scheme: IpaScheme) -> None:
-        if len(buf) < PAGE_HEADER_SIZE + PAGE_FOOTER_SIZE + scheme.delta_area_size:
+        page_size = len(buf)
+        if page_size < PAGE_HEADER_SIZE + PAGE_FOOTER_SIZE + scheme.delta_area_size:
             raise ValueError("buffer too small for layout")
         self._buf = buf
         self.scheme = scheme
         self._hook: Optional[WriteHook] = None
+        # Geometry: the buffer never changes length, so these are fixed.
+        self.page_size = page_size
+        self.footer_start = page_size - PAGE_FOOTER_SIZE
+        #: First byte of the delta-record area (== end of the body).
+        self.delta_start = self.footer_start - scheme.delta_area_size
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -86,38 +103,18 @@ class SlottedPage:
         file_id: int = 0,
     ) -> "SlottedPage":
         """Format a brand-new page: erased everywhere except the header."""
-        buf = bytearray([_ERASED]) * page_size
+        buf = bytearray(_ERASED_CHAR) * page_size
         page = cls(buf, scheme)
-        header = bytearray(PAGE_HEADER_SIZE)
-        header[0:2] = MAGIC.to_bytes(2, "little")
-        header[2:6] = page_id.to_bytes(4, "little")
-        header[6:14] = (0).to_bytes(8, "little")  # lsn
-        header[14:16] = (0).to_bytes(2, "little")  # slot_count
-        header[16:18] = PAGE_HEADER_SIZE.to_bytes(2, "little")  # free_lower
-        header[18:20] = (0).to_bytes(2, "little")  # flags
-        header[20:22] = file_id.to_bytes(2, "little")
-        header[22:24] = (0).to_bytes(2, "little")
-        buf[0:PAGE_HEADER_SIZE] = header
-        footer = bytearray(PAGE_FOOTER_SIZE)
-        buf[page_size - PAGE_FOOTER_SIZE :] = footer
+        # magic, page_id, lsn, slot_count, free_lower, flags, file_id, reserved
+        _HEADER.pack_into(
+            buf, 0, MAGIC, page_id, 0, 0, PAGE_HEADER_SIZE, 0, file_id, 0
+        )
+        buf[page.footer_start :] = bytes(PAGE_FOOTER_SIZE)
         return page
 
     # ------------------------------------------------------------------ #
     # Geometry
     # ------------------------------------------------------------------ #
-
-    @property
-    def page_size(self) -> int:
-        return len(self._buf)
-
-    @property
-    def footer_start(self) -> int:
-        return self.page_size - PAGE_FOOTER_SIZE
-
-    @property
-    def delta_start(self) -> int:
-        """First byte of the delta-record area (== end of the body)."""
-        return self.footer_start - self.scheme.delta_area_size
 
     @property
     def body_span(self) -> tuple[int, int]:
@@ -130,9 +127,9 @@ class SlottedPage:
     @property
     def free_space(self) -> int:
         """Contiguous bytes available for one more record (w/o its slot)."""
-        slot_bottom = self.delta_start - SLOT_SIZE * self.slot_count
-        space = slot_bottom - self.free_lower - SLOT_SIZE
-        return max(space, 0)
+        slot_count, free_lower = _SLOT.unpack_from(self._buf, _SLOT_COUNT)
+        space = self.delta_start - SLOT_SIZE * (slot_count + 1) - free_lower
+        return space if space > 0 else 0
 
     # ------------------------------------------------------------------ #
     # Header / footer accessors
@@ -140,42 +137,42 @@ class SlottedPage:
 
     @property
     def magic(self) -> int:
-        return int.from_bytes(self._buf[0:2], "little")
+        return _U16.unpack_from(self._buf, 0)[0]
 
     @property
     def page_id(self) -> int:
-        return int.from_bytes(self._buf[2:6], "little")
+        return _U32.unpack_from(self._buf, _PAGE_ID)[0]
 
     @property
     def lsn(self) -> int:
-        return int.from_bytes(self._buf[6:14], "little")
+        return _U64.unpack_from(self._buf, _LSN)[0]
 
     def set_lsn(self, lsn: int) -> None:
         """Stamp the page LSN (metadata — shipped via delta_metadata)."""
-        self._write(6, lsn.to_bytes(8, "little"))
+        self._write(_LSN, _U64.pack(lsn))
 
     @property
     def slot_count(self) -> int:
-        return int.from_bytes(self._buf[14:16], "little")
+        return _U16.unpack_from(self._buf, _SLOT_COUNT)[0]
 
     @property
     def free_lower(self) -> int:
-        return int.from_bytes(self._buf[16:18], "little")
+        return _U16.unpack_from(self._buf, _FREE_LOWER)[0]
 
     @property
     def flags(self) -> int:
-        return int.from_bytes(self._buf[18:20], "little")
+        return _U16.unpack_from(self._buf, _FLAGS)[0]
 
     def set_flags(self, flags: int) -> None:
-        self._write(18, flags.to_bytes(2, "little"))
+        self._write(_FLAGS, _U16.pack(flags))
 
     @property
     def file_id(self) -> int:
-        return int.from_bytes(self._buf[20:22], "little")
+        return _U16.unpack_from(self._buf, _FILE_ID)[0]
 
     @property
     def checksum(self) -> int:
-        return int.from_bytes(self._buf[self.footer_start : self.footer_start + 4], "little")
+        return _U32.unpack_from(self._buf, self.footer_start)[0]
 
     # ------------------------------------------------------------------ #
     # Record operations
@@ -191,27 +188,22 @@ class SlottedPage:
         """
         if not record:
             raise ValueError("empty records are not supported")
-        if len(record) > self.free_space:
-            raise PageFullError(
-                f"{len(record)} B record, {self.free_space} B free"
-            )
-        slot_no = self.slot_count
-        offset = self.free_lower
+        size = len(record)
+        if size > self.free_space:
+            raise PageFullError(f"{size} B record, {self.free_space} B free")
+        slot_no, offset = _SLOT.unpack_from(self._buf, _SLOT_COUNT)
         self._write(offset, record)
-        slot_pos = self._slot_pos(slot_no)
-        self._write(slot_pos, offset.to_bytes(2, "little") + len(record).to_bytes(2, "little"))
-        self._write(16, (offset + len(record)).to_bytes(2, "little"))  # free_lower
-        self._write(14, (slot_no + 1).to_bytes(2, "little"))  # slot_count
+        self._write(self._slot_pos(slot_no), _SLOT.pack(offset, size))
+        self._write(_FREE_LOWER, _U16.pack(offset + size))
+        self._write(_SLOT_COUNT, _U16.pack(slot_no + 1))
         return slot_no
 
     def slot(self, slot_no: int) -> tuple[int, int]:
         """(offset, length) of a slot; length == TOMBSTONE if deleted."""
-        if not 0 <= slot_no < self.slot_count:
+        buf = self._buf
+        if not 0 <= slot_no < _U16.unpack_from(buf, _SLOT_COUNT)[0]:
             raise IndexError(f"slot {slot_no} of {self.slot_count}")
-        pos = self._slot_pos(slot_no)
-        offset = int.from_bytes(self._buf[pos : pos + 2], "little")
-        length = int.from_bytes(self._buf[pos + 2 : pos + 4], "little")
-        return offset, length
+        return _SLOT.unpack_from(buf, self.delta_start - SLOT_SIZE * (slot_no + 1))
 
     def read(self, slot_no: int) -> bytes:
         """Record bytes of a live slot.
@@ -268,12 +260,9 @@ class SlottedPage:
         for j in range(count - 1, slot_no - 1, -1):
             src = self._slot_pos(j)
             self._write(self._slot_pos(j + 1), bytes(self._buf[src : src + 4]))
-        self._write(
-            self._slot_pos(slot_no),
-            offset.to_bytes(2, "little") + len(record).to_bytes(2, "little"),
-        )
-        self._write(16, (offset + len(record)).to_bytes(2, "little"))
-        self._write(14, (count + 1).to_bytes(2, "little"))
+        self._write(self._slot_pos(slot_no), _SLOT.pack(offset, len(record)))
+        self._write(_FREE_LOWER, _U16.pack(offset + len(record)))
+        self._write(_SLOT_COUNT, _U16.pack(count + 1))
 
     def remove_at(self, slot_no: int) -> None:
         """Remove a slot *position*, shifting later slots up.
@@ -289,7 +278,7 @@ class SlottedPage:
             self._write(self._slot_pos(j - 1), bytes(self._buf[src : src + 4]))
         # Clear the vacated last slot and drop the count.
         self._write(self._slot_pos(count - 1), b"\x00\x00\x00\x00")
-        self._write(14, (count - 1).to_bytes(2, "little"))
+        self._write(_SLOT_COUNT, _U16.pack(count - 1))
 
     def replace(self, slot_no: int, record: bytes) -> None:
         """Overwrite a slot's record with one of the SAME length.
@@ -313,7 +302,7 @@ class SlottedPage:
         if length == TOMBSTONE:
             raise KeyError(f"slot {slot_no} already deleted")
         pos = self._slot_pos(slot_no)
-        self._write(pos + 2, TOMBSTONE.to_bytes(2, "little"))
+        self._write(pos + 2, _U16.pack(TOMBSTONE))
 
     def compact(self) -> int:
         """Rebuild the tuple area, reclaiming tombstoned records' space.
@@ -333,15 +322,12 @@ class SlottedPage:
         cursor = PAGE_HEADER_SIZE
         for slot_no, record in live:
             self._write(cursor, record)
-            self._write(
-                self._slot_pos(slot_no),
-                cursor.to_bytes(2, "little") + len(record).to_bytes(2, "little"),
-            )
+            self._write(self._slot_pos(slot_no), _SLOT.pack(cursor, len(record)))
             cursor += len(record)
         # Erase the tail of the tuple area so it stays Flash-appendable.
         if cursor < old_free_lower:
-            self._write(cursor, bytes([_ERASED]) * (old_free_lower - cursor))
-        self._write(16, cursor.to_bytes(2, "little"))  # free_lower
+            self._write(cursor, _ERASED_CHAR * (old_free_lower - cursor))
+        self._write(_FREE_LOWER, _U16.pack(cursor))
         return old_free_lower - cursor
 
     def has_tombstones(self) -> bool:
@@ -352,11 +338,12 @@ class SlottedPage:
 
     def live_records(self) -> list[tuple[int, bytes]]:
         """(slot_no, bytes) of every non-deleted record."""
+        buf = self._buf
         out = []
         for slot_no in range(self.slot_count):
-            _offset, length = self.slot(slot_no)
+            offset, length = self.slot(slot_no)
             if length != TOMBSTONE:
-                out.append((slot_no, self.read(slot_no)))
+                out.append((slot_no, bytes(buf[offset : offset + length])))
         return out
 
     # ------------------------------------------------------------------ #
@@ -373,8 +360,9 @@ class SlottedPage:
         Bypasses the write hook: resetting the area is part of composing
         the out-image, not a tracked page modification.
         """
-        for i in range(self.delta_start, self.footer_start):
-            self._buf[i] = _ERASED
+        self._buf[self.delta_start : self.footer_start] = (
+            _ERASED_CHAR * self.scheme.delta_area_size
+        )
 
     # ------------------------------------------------------------------ #
     # Integrity
@@ -382,11 +370,14 @@ class SlottedPage:
 
     def compute_checksum(self) -> int:
         """CRC32 over header + body (everything before the delta area)."""
-        return zlib.crc32(bytes(self._buf[0 : self.delta_start])) & 0xFFFFFFFF
+        # No copy — and the views are released at once: a view left
+        # exported would make a later resizing store on the buffer fail.
+        with memoryview(self._buf) as whole, whole[: self.delta_start] as covered:
+            return zlib.crc32(covered)
 
     def store_checksum(self) -> None:
         """Write the current checksum into the footer."""
-        self._write(self.footer_start, self.compute_checksum().to_bytes(4, "little"))
+        self._write(self.footer_start, _U32.pack(self.compute_checksum()))
 
     def verify_checksum(self) -> bool:
         """True iff the stored footer checksum matches the content."""
@@ -418,13 +409,19 @@ class SlottedPage:
         """A copy of the full page image."""
         return bytes(self._buf)
 
+    def metadata(self) -> tuple[bytes, bytes]:
+        """Copies of (header, footer): a delta-record's delta_metadata."""
+        buf = self._buf
+        return bytes(buf[:PAGE_HEADER_SIZE]), bytes(buf[self.footer_start :])
+
     def set_write_hook(self, hook: Optional[WriteHook]) -> None:
         """Attach/detach the change tracker's write observer."""
         self._hook = hook
 
     def _write(self, offset: int, data: bytes) -> None:
         """All mutations go through here so the tracker sees every byte."""
-        old = bytes(self._buf[offset : offset + len(data)])
+        buf = self._buf
+        end = offset + len(data)
         if self._hook is not None:
-            self._hook(offset, old, data)
-        self._buf[offset : offset + len(data)] = data
+            self._hook(offset, bytes(buf[offset:end]), data)
+        buf[offset:end] = data

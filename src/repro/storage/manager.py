@@ -18,9 +18,7 @@ a fresh :class:`~repro.core.tracker.ChangeTracker`.
 from __future__ import annotations
 
 import abc
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, field
 
 from repro.core.config import (
     PAGE_FOOTER_SIZE,
@@ -58,11 +56,7 @@ class ManagerStats:
     torn_repairs: int = 0
     #: Per-file-id changed-byte sizes of update operations — raw material
     #: for the region advisor (repro.analysis.advisor).
-    per_file_op_sizes: dict = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.per_file_op_sizes is None:
-            self.per_file_op_sizes = {}
+    per_file_op_sizes: dict = field(default_factory=dict)
 
 
 def compose_append_image(
@@ -77,16 +71,22 @@ def compose_append_image(
     and the records land in erased slots, the transition is append-legal
     and an IPA-aware device will program it in place.
     """
-    buf = bytearray(flash_image)
-    footer_start = len(buf) - PAGE_FOOTER_SIZE
-    delta_start = footer_start - scheme.delta_area_size
-    for i, record in enumerate(records):
-        slot = start_slot + i
-        if slot >= scheme.n_records:
-            raise ValueError(f"slot {slot} exceeds N={scheme.n_records}")
-        offset = delta_start + slot * scheme.record_size
-        buf[offset : offset + scheme.record_size] = record.encode(scheme)
-    return bytes(buf)
+    if records and start_slot + len(records) > scheme.n_records:
+        raise ValueError(
+            f"slot {max(start_slot, scheme.n_records)} exceeds "
+            f"N={scheme.n_records}"
+        )
+    delta_start = len(flash_image) - PAGE_FOOTER_SIZE - scheme.delta_area_size
+    return _splice(
+        flash_image,
+        delta_start + start_slot * scheme.record_size,
+        b"".join([record.encode(scheme) for record in records]),
+    )
+
+
+def _splice(image: bytes, offset: int, data: bytes) -> bytes:
+    """``image`` with ``data`` laid over it at ``offset``."""
+    return b"".join((image[:offset], data, image[offset + len(data) :]))
 
 
 class WritePolicy(abc.ABC):
@@ -135,20 +135,15 @@ class _IpaPolicyBase(WritePolicy):
             return
         page = frame.page
         page.store_checksum()
-        current = page.to_bytes()
-        records = tracker.build_delta_records(
-            current[:PAGE_HEADER_SIZE], current[page.footer_start :]
-        )
+        records = tracker.build_delta_records(*page.metadata())
         if not records:
             self._write_full_page(manager, frame)
             return
-        if self._flush_records(manager, frame, records):
-            new_image = compose_append_image(
-                frame.flash_image,
-                records,
-                manager.scheme,
-                frame.flash_delta_count,
-            )
+        scheme = manager.scheme
+        payloads = [record.encode(scheme) for record in records]
+        offset = page.delta_start + frame.flash_delta_count * scheme.record_size
+        new_image = _splice(frame.flash_image, offset, b"".join(payloads))
+        if self._ship(manager, frame, offset, payloads, new_image):
             frame.flash_image = new_image
             frame.flash_delta_count += len(records)
             tracker.reset_after_flush(frame.flash_delta_count)
@@ -159,13 +154,17 @@ class _IpaPolicyBase(WritePolicy):
             self._write_full_page(manager, frame)
 
     @abc.abstractmethod
-    def _flush_records(
+    def _ship(
         self,
         manager: "StorageManager",
         frame: Frame,
-        records: list[DeltaRecord],
+        offset: int,
+        payloads: list[bytes],
+        new_image: bytes,
     ) -> bool:
-        """Ship the records; False => caller falls back to a full write."""
+        """Send the encoded records (``payloads``, contiguous from page
+        ``offset``; ``new_image`` is the Flash copy with them in place).
+        False => the caller falls back to a full write."""
 
 
 class IpaNativePolicy(_IpaPolicyBase):
@@ -173,22 +172,19 @@ class IpaNativePolicy(_IpaPolicyBase):
 
     name = "ipa-native"
 
-    def _flush_records(
+    def _ship(
         self,
         manager: "StorageManager",
         frame: Frame,
-        records: list[DeltaRecord],
+        offset: int,
+        payloads: list[bytes],
+        new_image: bytes,
     ) -> bool:
-        scheme = manager.scheme
-        page = frame.page
-        delta_start = page.delta_start
-        for i, record in enumerate(records):
-            slot = frame.flash_delta_count + i
-            offset = delta_start + slot * scheme.record_size
-            payload = record.encode(scheme)
+        for payload in payloads:
             if not manager.device.write_delta(frame.lba, offset, payload):
                 return False
             manager.stats.delta_bytes_written += len(payload)
+            offset += len(payload)
         return True
 
 
@@ -201,21 +197,79 @@ class IpaBlockDevicePolicy(_IpaPolicyBase):
 
     name = "ipa-blockdev"
 
-    def _flush_records(
+    def _ship(
         self,
         manager: "StorageManager",
         frame: Frame,
-        records: list[DeltaRecord],
+        offset: int,
+        payloads: list[bytes],
+        new_image: bytes,
     ) -> bool:
-        image = compose_append_image(
-            frame.flash_image,
-            records,
-            manager.scheme,
-            frame.flash_delta_count,
-        )
-        manager.device.write_page(frame.lba, image)
-        manager.stats.full_page_bytes_written += len(image)
+        manager.device.write_page(frame.lba, new_image)
+        manager.stats.full_page_bytes_written += len(new_image)
         return True
+
+
+class _PageAccess:
+    """``with manager.page(lba)``: the page stays pinned inside the block."""
+
+    __slots__ = ("_manager", "_lba", "_frame")
+
+    def __init__(self, manager: "StorageManager", lba: int) -> None:
+        self._manager = manager
+        self._lba = lba
+
+    def __enter__(self) -> SlottedPage:
+        self._frame = frame = self._manager.fetch(self._lba)
+        return frame.page
+
+    def __exit__(self, *_exc: object) -> None:
+        self._frame.unpin()
+
+
+class _UpdateOp:
+    """``with manager.update(lba)``: one bracketed update operation.
+
+    The exit work runs whether or not the block raised — only the LSN
+    stamp (and with it the WAL record) is skipped then.  ``HeapFile``
+    probes pages with inserts that may raise ``PageFullError``, and each
+    probe is charged and counted like a completed operation.
+    """
+
+    __slots__ = ("_manager", "_lba", "_frame", "_ops_before")
+
+    def __init__(self, manager: "StorageManager", lba: int) -> None:
+        self._manager = manager
+        self._lba = lba
+
+    def __enter__(self) -> SlottedPage:
+        self._frame = frame = self._manager.fetch(self._lba)
+        self._ops_before = len(frame.tracker.op_sizes)
+        frame.tracker.begin_op()
+        return frame.page
+
+    def __exit__(self, exc_type: object, *_exc: object) -> None:
+        manager = self._manager
+        frame = self._frame
+        tracker = frame.tracker
+        lsn = 0
+        try:
+            if exc_type is None:
+                lsn = manager._take_lsn()
+                frame.page.set_lsn(lsn)
+        finally:
+            tracker.end_op()
+            if len(tracker.op_sizes) > self._ops_before:
+                manager.stats.per_file_op_sizes.setdefault(
+                    frame.page.file_id, []
+                ).append(tracker.op_sizes[-1])
+            if manager.wal is not None and lsn:
+                manager.wal.log_update(lsn, self._lba, tracker.last_op_changes)
+                manager._txn_locked_lbas.add(self._lba)
+            frame.mark_dirty()
+            manager.stats.update_ops += 1
+            manager.clock.advance(manager.host_costs.ipa_tracking_us, "host")
+            frame.unpin()
 
 
 class StorageManager:
@@ -333,42 +387,17 @@ class StorageManager:
         """Release a pin taken by :meth:`fetch` / :meth:`format_page`."""
         frame.unpin()
 
-    @contextmanager
-    def page(self, lba: int) -> Iterator[SlottedPage]:
+    def page(self, lba: int) -> "_PageAccess":
         """Read-only access: ``with manager.page(lba) as p: ...``."""
-        frame = self.fetch(lba)
-        try:
-            yield frame.page
-        finally:
-            frame.unpin()
+        return _PageAccess(self, lba)
 
-    @contextmanager
-    def update(self, lba: int) -> Iterator[SlottedPage]:
+    def update(self, lba: int) -> "_UpdateOp":
         """One update operation == one candidate delta-record.
 
-        Stamps a fresh LSN and closes the tracker bracket on exit.
+        ``with manager.update(lba) as p: ...`` stamps a fresh LSN and
+        closes the tracker bracket on exit.
         """
-        frame = self.fetch(lba)
-        ops_before = len(frame.tracker.op_sizes)
-        frame.tracker.begin_op()
-        lsn = 0
-        try:
-            yield frame.page
-            lsn = self._take_lsn()
-            frame.page.set_lsn(lsn)
-        finally:
-            frame.tracker.end_op()
-            if len(frame.tracker.op_sizes) > ops_before:
-                self.stats.per_file_op_sizes.setdefault(
-                    frame.page.file_id, []
-                ).append(frame.tracker.op_sizes[-1])
-            if self.wal is not None and lsn:
-                self.wal.log_update(lsn, lba, frame.tracker.last_op_changes)
-                self._txn_locked_lbas.add(lba)
-            frame.mark_dirty()
-            self.stats.update_ops += 1
-            self.clock.advance(self.host_costs.ipa_tracking_us, "host")
-            frame.unpin()
+        return _UpdateOp(self, lba)
 
     def commit_wal(self) -> None:
         """Group-commit the open transaction and release its pages.

@@ -117,5 +117,6 @@ class YcsbWorkload(Workload):
 
 
 def _value(rng: np.random.Generator, size: int) -> str:
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    return "".join(letters[int(i) % 26] for i in rng.integers(0, 26, size))
+    """``size`` random lowercase letters (one ``rng.integers`` draw)."""
+    letters = rng.integers(0, 26, size) + ord("a")
+    return letters.astype(np.uint8).tobytes().decode("ascii")

@@ -43,6 +43,19 @@ class TestColumn:
         with pytest.raises(ValueError):
             Column("a", ColumnType.CHAR, 4).encode("too long")
 
+    def test_char_accepts_str_and_bytes_only(self):
+        # bytes(5) is five NUL bytes: an int used to be stored as garbage
+        # that decoded far from the cause.
+        col = Column("name", ColumnType.CHAR, 8)
+        assert col.encode(b"hi") == col.encode(bytearray(b"hi")) == b"hi      "
+        for bad in (5, 2.5, None, ["h", "i"]):
+            with pytest.raises(TypeError, match="'name'"):
+                col.encode(bad)
+        with pytest.raises(TypeError, match="'name'"):
+            Schema([col]).encode({"name": 5})
+        with pytest.raises(TypeError, match="'name'"):
+            Schema([col]).encode_field("name", 5)
+
     @given(st.integers(min_value=-(2**31), max_value=2**31 - 1))
     def test_int32_round_trip(self, v):
         col = Column("a", ColumnType.INT32)

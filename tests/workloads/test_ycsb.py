@@ -6,7 +6,7 @@ import pytest
 from repro.bench.harness import ExperimentConfig, build_stack
 from repro.core.config import SCHEME_2X4
 from repro.flash.modes import FlashMode
-from repro.workloads.ycsb import MIXES, YcsbWorkload
+from repro.workloads.ycsb import MIXES, YcsbWorkload, _value
 
 
 def stack_for(workload, buffer_pages=16, scheme=SCHEME_2X4):
@@ -19,6 +19,22 @@ def stack_for(workload, buffer_pages=16, scheme=SCHEME_2X4):
             buffer_pages=buffer_pages,
         )
     )
+
+
+class TestFieldValues:
+    @pytest.mark.parametrize("size", [1, 10, 37])
+    def test_same_letters_and_same_stream_as_the_scalar_walk(self, size):
+        """The field value is built from one array draw; it must spell
+        what the letter-by-letter walk spelled and leave the generator
+        where that walk left it (seeded op streams depend on it)."""
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        rng, reference = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(20):
+            expected = "".join(
+                letters[int(i) % 26] for i in reference.integers(0, 26, size)
+            )
+            assert _value(rng, size) == expected
+        assert rng.random() == reference.random()
 
 
 class TestYcsb:
