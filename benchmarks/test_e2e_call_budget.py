@@ -15,6 +15,9 @@ gates two things:
 * ``ftl`` and ``flash`` ``pycalls_per_op`` must equal the committed
   values: work on the engine side must leave the device side alone,
   and a change below the FTL boundary has to re-record them on purpose.
+  ``ftl_overwrite_trad`` — the device stream straight into the FTL, no
+  engine above it — is gated on these two alone: it is where a
+  device-side change shows undiluted.
 
 The committed values were recorded with CPython 3.11 and numpy 2.4
 (call events are a property of the interpreter: 3.12 inlines
@@ -22,7 +25,7 @@ comprehensions, and numpy's Python-level wrappers are charged to the
 layer that called them), which is why CI's ``perf-smoke`` job pins 3.11
 and why other interpreters skip.  Re-record after an intentional
 change with the command in ``_traced_run``; not part of tier-1
-(``testpaths`` is ``tests``), about 40 s per workload::
+(``testpaths`` is ``tests``), 20-60 s per workload::
 
     PYTHONPATH=src python -m pytest benchmarks/test_e2e_call_budget.py -q
 """
@@ -45,17 +48,24 @@ HEADROOM = 1.05
 
 #: ``pycalls_per_op`` at ``--seed 42 --seconds 1``.  ``hot_path`` is the
 #: sum over HOT_LAYERS (161.76 and 745.16 before the page codecs were
-#: compiled); ``ftl`` and ``flash`` are exact.
+#: compiled, 71.50 and 373.68 before the update bracket closed in one
+#: method); ``ftl`` and ``flash`` are exact (``flash`` was 15.3018,
+#: 79.6776 and 21.4246 with numpy on the 8-byte OOB check and one
+#: ``Generator.binomial`` call per program).
 COMMITTED = {
     "ycsb_b_cold": {
-        "hot_path": 71.4974,
+        "hot_path": 64.4946,
         "ftl": 10.3492,
-        "flash": 15.3018,
+        "flash": 15.1432,
     },
     "tpcb_evict_ipa": {
-        "hot_path": 373.68035464302375,
+        "hot_path": 318.4783014465702,
         "ftl": 26.063695753616425,
-        "flash": 79.67755482967802,
+        "flash": 56.91577228184788,
+    },
+    "ftl_overwrite_trad": {
+        "ftl": 14.4706,
+        "flash": 21.2964,
     },
 }
 
@@ -84,7 +94,7 @@ def test_python_calls_per_op(workload: str) -> None:
     committed = COMMITTED[workload]
     metrics = _traced_run(workload)
     hot_path = sum(metrics[f"{layer}.pycalls_per_op"] for layer in HOT_LAYERS)
-    assert hot_path <= committed["hot_path"] * HEADROOM, (
+    assert hot_path <= committed.get("hot_path", 0.0) * HEADROOM, (
         f"{workload}: engine+storage+core cost {hot_path:.2f} Python calls "
         f"per op, committed {committed['hot_path']:.2f} (+5 % allowed): "
         + ", ".join(

@@ -17,8 +17,22 @@ because they travel wholesale in the record's delta_metadata.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from repro.core.config import IpaScheme
 from repro.core.delta import DeltaRecord
+
+#: Writes longer than this are diffed with one integer XOR instead of a
+#: per-byte loop (which wins below it: LSN, balance and slot writes).
+_LOOP_MAX = 16
+#: Deferred spans a page may pile up before they are merged: bounds the
+#: memory of a page that stays resident under record-sized updates.
+_SPANS_MAX = 64
+
+
+def _pairs(offset: int, diff: bytes, new: bytes) -> dict[int, int]:
+    """Page offset -> new value of the bytes ``diff`` (old XOR new) marks."""
+    return dict(compress(zip(range(offset, offset + len(diff)), new), diff))
 
 
 class ChangeTracker:
@@ -41,13 +55,16 @@ class ChangeTracker:
         "out_of_place",
         "meta_changed",
         "_open",
-        "net_changed_offsets",
+        "_net",
+        "_net_spans",
         "meta_changed_offsets",
         "op_sizes",
         "_open_raw",
         "_open_meta",
+        "_open_span",
         "_last_raw",
         "_last_meta",
+        "_last_span",
     )
 
     def __init__(
@@ -65,8 +82,10 @@ class ChangeTracker:
         self.out_of_place = not scheme.enabled
         self.meta_changed = False
         self._open: dict[int, int] | None = None
-        #: Total distinct body bytes changed (for the E7 analysis).
-        self.net_changed_offsets: set[int] = set()
+        # Distinct body bytes changed: offsets already merged, plus the
+        # (offset, diff) spans net_changed_offsets merges when it is read.
+        self._net: set[int] = set()
+        self._net_spans: list[tuple[int, bytes]] = []
         #: Distinct header/footer bytes changed (IPL logs these too).
         self.meta_changed_offsets: set[int] = set()
         #: Changed-byte count of every bracketed op, conformant or not —
@@ -74,10 +93,15 @@ class ChangeTracker:
         self.op_sizes: list[int] = []
         self._open_raw: dict[int, int] | None = None
         self._open_meta: dict[int, int] | None = None
+        # A record-sized body write that opened the op, kept as
+        # (offset, diff, new) until someone needs its offset -> value
+        # pairs; later writes of the op never overlap it (see on_write).
+        self._open_span: tuple[int, bytes, bytes] | None = None
         # Body and metadata changes of the last closed op; merged only
         # when someone asks (see last_op_changes).
         self._last_raw: dict[int, int] = {}
         self._last_meta: dict[int, int] = {}
+        self._last_span: tuple[int, bytes, bytes] | None = None
 
     # ------------------------------------------------------------------ #
     # Operation bracketing
@@ -92,30 +116,58 @@ class ChangeTracker:
         if not self.out_of_place:
             self._open = {}
 
-    def end_op(self) -> None:
-        """Close the operation; promote its changes to a delta-record."""
-        if self._open_raw is not None:
-            raw, self._open_raw = self._open_raw, None
-            meta, self._open_meta = self._open_meta or {}, None
-            if raw:
-                self.op_sizes.append(len(raw))
+    def end_op(self) -> int:
+        """Close the operation; promote its changes to a delta-record.
+
+        Returns:
+            The distinct body bytes the operation changed — what it just
+            appended to :attr:`op_sizes` — or 0 when it changed none.
+        """
+        size = 0
+        raw = self._open_raw
+        if raw is not None:
+            size = len(raw)
+            span = self._open_span
+            if span is not None:
+                size += len(span[1]) - span[1].count(0)
+            if size:
+                self.op_sizes.append(size)
             self._last_raw = raw
-            self._last_meta = meta
-        if self._open is None:
-            return
-        changes, self._open = self._open, None
+            self._last_meta = self._open_meta or {}
+            self._last_span = span
+            self._open_raw = self._open_meta = self._open_span = None
+        changes = self._open
+        if changes is None:
+            return size
+        self._open = None
         if self.out_of_place or not changes:
-            return
+            return size
         if self.existing_records + len(self.records) + 1 > self.scheme.n_records:
             self.mark_out_of_place()
-            return
-        self.records.append(changes)
+        else:
+            self.records.append(changes)
+        return size
 
     @property
     def last_op_changes(self) -> dict[int, int]:
         """Every changed byte (offset -> new value) of the last closed op,
         INCLUDING header/footer bytes — the WAL's redo payload."""
-        return {**self._last_raw, **self._last_meta}
+        span = self._last_span
+        body = _pairs(*span) if span is not None else {}
+        return {**body, **self._last_raw, **self._last_meta}
+
+    @property
+    def net_changed_offsets(self) -> set[int]:
+        """Total distinct body bytes changed (for the E7 analysis)."""
+        if self._net_spans:
+            self._merge_spans()
+        return self._net
+
+    def _merge_spans(self) -> None:
+        net = self._net
+        for offset, diff in self._net_spans:
+            net.update(compress(range(offset, offset + len(diff)), diff))
+        self._net_spans.clear()
 
     def mark_out_of_place(self) -> None:
         """Give up on IPA for this residency; stop tracking."""
@@ -137,7 +189,8 @@ class ChangeTracker:
         """
         if old == new:
             return
-        end = offset + len(new)
+        size = len(new)
+        end = offset + size
         header_end = self._header_end
         body_end = self._body_end
         if end <= header_end or offset >= body_end:
@@ -149,12 +202,35 @@ class ChangeTracker:
             self.on_write(offset, old[:cut], new[:cut])
             self.on_write(offset + cut, old[cut:], new[cut:])
             return
-        changed: dict[int, int] = {}
-        pos = offset
-        for before, after in zip(old, new):
-            if before != after:
-                changed[pos] = after
-            pos += 1
+        if size > _LOOP_MAX:
+            diff = (
+                int.from_bytes(old, "little") ^ int.from_bytes(new, "little")
+            ).to_bytes(size, "little")
+            if (
+                in_body
+                and size - diff.count(0) > self.scheme.m_bytes
+                and not self._open_raw
+                and self._open_span is None
+            ):
+                # More bytes than a delta-record holds, and nothing this op
+                # wrote before could overlap them: only the count matters
+                # now, the pairs are built if the WAL or E7 asks.
+                self._net_spans.append((offset, diff))
+                if len(self._net_spans) > _SPANS_MAX:
+                    self._merge_spans()
+                if self._open_raw is not None:
+                    self._open_span = (offset, diff, new)
+                if not self.out_of_place:
+                    self.mark_out_of_place()
+                return
+            changed = _pairs(offset, diff, new)
+        else:
+            changed = {}
+            pos = offset
+            for before, after in zip(old, new):
+                if before != after:
+                    changed[pos] = after
+                pos += 1
         if not in_body:
             # Header/footer: shipped via delta_metadata, free of charge.
             self.meta_changed = True
@@ -162,9 +238,15 @@ class ChangeTracker:
             if self._open_meta is not None:
                 self._open_meta.update(changed)
             return
-        self.net_changed_offsets.update(changed)
-        if self._open_raw is not None:
-            self._open_raw.update(changed)
+        self._net.update(changed)
+        raw = self._open_raw
+        if raw is not None:
+            span = self._open_span
+            if span is not None and offset < span[0] + len(span[1]) and span[0] < end:
+                # Overlaps the deferred span, so order matters after all.
+                self._open_raw = raw = {**_pairs(*span), **raw}
+                self._open_span = None
+            raw.update(changed)
         if self.out_of_place:
             return
         if self._open is None:
@@ -194,7 +276,7 @@ class ChangeTracker:
     def dirty(self) -> bool:
         """Any tracked change at all (body or metadata)?"""
         return bool(
-            self.records or self.meta_changed or self.net_changed_offsets
+            self.records or self.meta_changed or self._net or self._net_spans
         )
 
     def build_delta_records(
@@ -230,6 +312,8 @@ class ChangeTracker:
         self._open = None
         self._open_raw = None
         self._open_meta = None
-        self.net_changed_offsets = set()
+        self._open_span = None
+        self._net = set()
+        self._net_spans = []
         self.meta_changed_offsets = set()
         self.op_sizes = []

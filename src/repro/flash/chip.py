@@ -143,8 +143,6 @@ class FlashChip:
         self._usable_offsets = tuple(p for p in range(ppb) if self._usable_mask[p])
         self._usable_capacity = len(self._usable_offsets) * geometry.blocks
         self._pad_tail = bytes([ERASED_BYTE]) * geometry.page_size
-        self._rate_reprogram = self.rules.disturb_rate_reprogram
-        self._rate_program = self.rules.disturb_rate_program
         self._read_us = latency.read_us
         self._program_lsb_us = latency.program_lsb_us
         self._program_msb_us = latency.program_msb_us
@@ -512,8 +510,9 @@ class FlashChip:
     ) -> list[bytes]:
         """Hot batched loop: per-op outcomes, one call's worth of overhead.
 
-        Three techniques, all bit-identical to the per-op path (locked by
-        tests/flash/test_batch_equivalence.py):
+        Two techniques, both bit-identical to the per-op path (locked by
+        tests/flash/test_batch_equivalence.py); program interference is
+        the per-op path's own :meth:`_apply_interference`, op by op:
 
         * **Hoisting + local accounting** — every lookup the per-op path
           repeats per call (mode masks, latency floats, clock/breakdown
@@ -530,15 +529,6 @@ class FlashChip:
           (same validation order, same error messages), with the
           reprogram legality check running through preallocated scratch
           buffers instead of fresh temporaries.
-        * **Deferred, merged disturb draws** — instead of one
-          ``Generator.binomial`` call per op, victim captures queue up
-          and consecutive same-rate runs are drawn in one vectorized
-          call.  NumPy fills element-wise from the same bit stream, so
-          the merged rows are bit-identical to the sequential per-op
-          draws (see :meth:`DisturbModel.draw`).  Draws are flushed
-          before any read (disturb decides ECC outcomes), before any
-          erase (which clears disturb), at batch end, and on the error
-          path — the points where deferral could become observable.
         """
         out: list[bytes] = []
         out_append = out.append
@@ -565,15 +555,12 @@ class FlashChip:
         bus_per = self._bus_us_per_byte
         mode_name = self.mode.value
         check_block = self.geometry.check_block
-        victims_tab = self._victims
-        rate_program = self._rate_program
-        rate_reprogram = self._rate_reprogram
         scratch_data = self._scratch_data
         scratch_oob = self._scratch_oob
         np_frombuffer = np.frombuffer
         np_or = np.bitwise_or
         uint8 = np.uint8
-        dm = self._disturb
+        apply_interference = self._apply_interference
         stats = self.stats
 
         clock = self.clock
@@ -591,57 +578,6 @@ class FlashChip:
         ecc_corr = 0
         ecc_unc = 0
 
-        # Deferred disturb draws: (rate, [victim pages]) in op order.
-        pending: list[tuple[float, list[PhysicalPage]]] = []
-        pending_append = pending.append
-
-        def flush_draws() -> None:
-            """Draw every pending victim row, merging same-rate runs.
-
-            One ``binomial(size=(rows, codewords))`` call per maximal
-            same-rate run consumes the RNG stream exactly like the
-            sequential per-op calls it replaces; per-op totals and the
-            skip-if-zero behaviour are then reconstructed per entry.
-            """
-            binom = dm._binomial
-            bits = dm._bits_per_codeword
-            n_cw = dm._n_codewords
-            n_pending = len(pending)
-            i = 0
-            while i < n_pending:
-                rate = pending[i][0]
-                j = i
-                n_rows = 0
-                while j < n_pending and pending[j][0] == rate:
-                    n_rows += len(pending[j][1])
-                    j += 1
-                counts = binom(bits, rate, size=(n_rows, n_cw))
-                if not counts.any():
-                    # Realistic disturb rates make all-zero draws the
-                    # overwhelmingly common case; one vectorized scan
-                    # replaces per-row Python sums.  Zero draws change
-                    # no victim state and no counter, so skipping the
-                    # entry walk is observationally identical.
-                    i = j
-                    continue
-                row_totals = counts.sum(axis=1).tolist()
-                cursor = 0
-                while i < j:
-                    victims = pending[i][1]
-                    entry_total = 0
-                    for k in range(len(victims)):
-                        entry_total += row_totals[cursor + k]
-                    if entry_total:
-                        dm.total_injected_bits += entry_total
-                        for k, victim in enumerate(victims):
-                            t = row_totals[cursor + k]
-                            if t:
-                                victim.add_disturb(counts[cursor + k])
-                                stats.disturb_bit_flips += t
-                    cursor += len(victims)
-                    i += 1
-            pending.clear()
-
         index = 0
         try:
             for index, (
@@ -655,8 +591,6 @@ class FlashChip:
                 olen,
             ) in enumerate(rows):
                 if kind == OP_READ:
-                    if pending:
-                        flush_draws()
                     if not 0 <= target < total_pages:
                         raise IllegalAddressError(
                             f"ppn {target} out of range [0, {total_pages})"
@@ -764,7 +698,6 @@ class FlashChip:
                         page.program_passes += 1
                         op_us = reprogram_us
                         n_reprogs += 1
-                        rate = rate_reprogram
                     else:
                         # Inlined PhysicalPage.program: state, sizes, mutate.
                         if page.state is not erased:
@@ -790,24 +723,12 @@ class FlashChip:
                         else:
                             op_us = msb_us
                         n_progs += 1
-                        rate = rate_program
                     now += op_us
                     now += nbytes * bus_per
                     prog_t += op_us
                     bus_t += nbytes * bus_per
                     b_prog += nbytes
-                    if rate != 0.0:
-                        block_pages = block.pages
-                        victims: list[PhysicalPage] | None = None
-                        for v in victims_tab[page_idx]:
-                            vp = block_pages[v]
-                            if vp.state is programmed:
-                                if victims is None:
-                                    victims = [vp]
-                                else:
-                                    victims.append(vp)
-                        if victims is not None:
-                            pending_append((rate, victims))
+                    apply_interference(block_idx, page_idx, reprogram)
                 elif kind == OP_PARTIAL:
                     if not 0 <= target < total_pages:
                         raise IllegalAddressError(
@@ -852,10 +773,11 @@ class FlashChip:
                     # Inlined append_range: OOB legality gates everything,
                     # so a failing partial mutates nothing.
                     if oob_arg is not None:
-                        old = page._oob_np[ooff : ooff + olen]
-                        bad = first_illegal_offset(old, oob_arg)
-                        if bad != -1:
-                            off = ooff + bad
+                        old = page._oob[ooff : ooff + olen]
+                        if int.from_bytes(oob_arg, "little") & ~int.from_bytes(
+                            old, "little"
+                        ):
+                            off = ooff + first_illegal_offset(old, oob_arg)
                             raise IllegalProgramError(
                                 f"reprogram needs erase: OOB byte {off} "
                                 f"sets a cleared bit",
@@ -872,22 +794,8 @@ class FlashChip:
                     bus_t += transferred * bus_per
                     n_reprogs += 1
                     b_prog += transferred
-                    if rate_reprogram != 0.0:
-                        block = blocks[block_idx]
-                        block_pages = block.pages
-                        victims = None
-                        for v in victims_tab[page_idx]:
-                            vp = block_pages[v]
-                            if vp.state is programmed:
-                                if victims is None:
-                                    victims = [vp]
-                                else:
-                                    victims.append(vp)
-                        if victims is not None:
-                            pending_append((rate_reprogram, victims))
+                    apply_interference(block_idx, page_idx, True)
                 elif kind == OP_ERASE:
-                    if pending:
-                        flush_draws()
                     check_block(target)
                     blocks[target].erase()
                     now += erase_us
@@ -900,8 +808,6 @@ class FlashChip:
             exc.batch_results = out  # type: ignore[attr-defined]
             raise
         finally:
-            if pending:
-                flush_draws()
             categories: dict[str, float] = {}
             if n_reads:
                 categories["read"] = read_t
@@ -981,12 +887,6 @@ class FlashChip:
     def _apply_interference(
         self, block_idx: int, page_idx: int, reprogram: bool
     ) -> None:
-        rate = self._rate_reprogram if reprogram else self._rate_program
-        if rate == 0.0:
-            # Exact short-circuit: a zero rate draws all-zero counts and
-            # (verified) consumes no RNG state, so skipping the draws is
-            # byte-identical for every subsequent seeded outcome.
-            return
         pages = self.blocks[block_idx].pages
         programmed = PageState.PROGRAMMED
         victims = [
@@ -995,26 +895,11 @@ class FlashChip:
         ]
         if not victims:
             return
-        # One vectorized draw, row-per-victim: stream-identical to the
-        # per-victim draws it replaces (same order, same bit stream).
-        # Open-coded version of DisturbModel.draw(): this is the single
-        # hottest call site, and the draw itself is the irreducible cost —
-        # everything around it must stay call-free.
-        dm = self._disturb
-        counts = dm._binomial(
-            dm._bits_per_codeword,
-            dm._rate_reprogram if reprogram else dm._rate_program,
-            size=(len(victims), dm._n_codewords),
-        )
-        rows = counts.tolist()
-        total = 0
-        for row in rows:
-            total += sum(row)
-        if not total:
-            return
-        dm.total_injected_bits += total
-        for i, victim in enumerate(victims):
-            t = sum(rows[i])
-            if t:
-                victim.add_disturb(counts[i])
-                self.stats.disturb_bit_flips += t
+        rows = self._disturb.draw(reprogram, len(victims))
+        if rows is None:
+            return  # all zero: 99.9 % of draws at realistic rates
+        for victim, row in zip(victims, rows):
+            flips = sum(row)
+            if flips:
+                victim.add_disturb(np.array(row, dtype=np.int64))
+                self.stats.disturb_bit_flips += flips

@@ -10,18 +10,57 @@ reprogram of a victim wordline's neighbour draws a binomial number of
 disturbed bits per ECC codeword at the mode's per-bit disturb rate.  The
 chip accumulates these counts per page; reads compare them against the ECC
 correction capability (:mod:`repro.flash.ecc`).
+
+Every draw in the simulator goes through one kernel,
+:meth:`DisturbModel.draw`.  It is numpy's own binomial sampler for this
+regime (``p <= 0.5`` and ``n * p <= 30``: inversion, one uniform per
+variate, ``X = 0`` iff ``U <= (1 - p) ** n``) replayed over a prefetched
+block of the generator's uniforms, so the stream is bit-identical to
+``Generator.binomial(bits, rate, size=(victims, codewords))`` of numpy 2
+— locked by ``tests/flash/test_interference.py``, down to uniforms forced
+onto every probability boundary — while the overwhelmingly common
+all-zero draw costs one array slice and one ``max``.
 """
 
 from __future__ import annotations
+
+import math
+from array import array
 
 import numpy as np
 
 from repro.flash.ecc import EccConfig
 from repro.flash.modes import ModeRules
 
+#: Uniforms fetched from the generator per refill.
+PREFETCH = 8192
+
+
+class _Sampler:
+    """Constants of numpy's inversion sampler for one ``(n, p)``."""
+
+    __slots__ = ("n", "p", "q", "zero_below", "bound")
+
+    def __init__(self, n: int, p: float) -> None:
+        self.n = n
+        self.p = p
+        self.q = q = 1.0 - p
+        #: ``P(X = 0)``: a uniform at or below it maps to zero disturbed bits.
+        #: ``log1p`` and not ``log(q)``, as in numpy: the two differ in the
+        #: 14th digit at these rates, enough to move a boundary uniform.
+        self.zero_below = math.exp(n * math.log1p(-p))
+        mean = n * p
+        #: The sampler starts over with a fresh uniform beyond this count.
+        self.bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+
 
 class DisturbModel:
-    """Injects disturb errors into pages adjacent to a programmed page."""
+    """Injects disturb errors into pages adjacent to a programmed page.
+
+    Raises:
+        ValueError: a disturb rate outside the inversion regime the kernel
+            replays (``bits_per_codeword * rate > 30``).
+    """
 
     def __init__(
         self,
@@ -30,20 +69,25 @@ class DisturbModel:
         page_size: int,
         seed: int = 0xF1A5,
     ) -> None:
-        self._rules = rules
-        self._ecc = ecc
-        self._page_size = page_size
         self._rng = np.random.default_rng(seed)
-        self._binomial = self._rng.binomial
-        self._bits_per_codeword = ecc.codeword_bytes * 8
         self._n_codewords = ecc.codewords_for(page_size)
-        self._rate_program = rules.disturb_rate_program
-        self._rate_reprogram = rules.disturb_rate_reprogram
+        bits = ecc.codeword_bytes * 8
+        samplers: list[_Sampler | None] = []
+        for rate in (rules.disturb_rate_program, rules.disturb_rate_reprogram):
+            if bits * rate > 30.0:
+                raise ValueError(
+                    f"{rules.mode.value} mode: disturb rate {rate!r} gives "
+                    f"{bits * rate:.3g} expected flips per {bits}-bit "
+                    f"codeword; the disturb kernel covers at most 30"
+                )
+            # A zero rate draws nothing and consumes nothing, as in numpy.
+            samplers.append(_Sampler(bits, rate) if rate else None)
+        self._program, self._reprogram = samplers
+        # Raw doubles, not a list of float objects: a quarter of the
+        # memory per chip, and a refill is one memcpy.
+        self._uniforms = array("d")
+        self._cursor = 0
         self.total_injected_bits = 0
-
-    def rate_for(self, reprogram: bool) -> float:
-        """Per-bit disturb probability of one program/reprogram pulse."""
-        return self._rate_reprogram if reprogram else self._rate_program
 
     def disturb_counts(self, reprogram: bool) -> np.ndarray:
         """Bit-error increments per codeword for one neighbour page.
@@ -55,40 +99,73 @@ class DisturbModel:
         Returns:
             Array of per-codeword disturbed-bit counts (often all zero).
         """
-        return self.draw(reprogram, 1)[0][0]
+        rows = self.draw(reprogram, 1)
+        if rows is None:
+            return np.zeros(self._n_codewords, dtype=np.int64)
+        return np.array(rows[0], dtype=np.int64)
 
-    def disturb_counts_batch(self, reprogram: bool, victims: int) -> np.ndarray:
-        """Bit-error increments for ``victims`` neighbour pages at once."""
-        return self.draw(reprogram, victims)[0]
+    def draw(self, reprogram: bool, victims: int) -> list[list[int]] | None:
+        """Disturbed-bit counts of one pulse, one row per victim page.
 
-    def draw(
-        self, reprogram: bool, victims: int
-    ) -> tuple[np.ndarray, list[int], int]:
-        """Batched draw plus per-victim and grand totals.
-
-        One vectorized draw of shape ``(victims, codewords)``.  NumPy fills
-        element-wise from the same bit stream, so row ``i`` is bit-identical
-        to the ``i``-th of ``victims`` sequential :meth:`disturb_counts`
-        calls — callers can batch the per-victim draws of one program
-        operation without perturbing any seeded outcome.
-
-        The totals are computed at the Python level (``tolist`` + ``sum``):
-        for these few-element arrays that is ~3x cheaper than a ufunc
-        reduction, and the hot caller needs the totals anyway to skip the
-        (overwhelmingly common) all-zero outcome.
+        Variates are drawn victim by victim, codeword by codeword, so row
+        ``i`` is what the ``i``-th of ``victims`` sequential one-page draws
+        would have returned.
 
         Returns:
-            ``(counts, row_totals, grand_total)``.
+            ``victims`` (>= 1) rows of per-codeword counts, or ``None`` when
+            every count is zero — no victim changes then.
         """
-        counts = self._binomial(
-            self._bits_per_codeword,
-            self._rate_reprogram if reprogram else self._rate_program,
-            size=(victims, self._n_codewords),
-        )
-        row_totals = [sum(row) for row in counts.tolist()]
-        total = sum(row_totals)
+        sampler = self._reprogram if reprogram else self._program
+        if sampler is None:
+            return None
+        start = self._cursor
+        end = start + victims * self._n_codewords
+        uniforms = self._uniforms
+        if (
+            end <= len(uniforms)
+            and max(uniforms[start:end]) <= sampler.zero_below
+        ):
+            self._cursor = end
+            return None
+        return self._invert(sampler, victims)
+
+    def _invert(self, sampler: _Sampler, victims: int) -> list[list[int]] | None:
+        """The draw in full: numpy's ``random_binomial_inversion`` loop."""
+        n, p, q = sampler.n, sampler.p, sampler.q
+        zero_below, bound = sampler.zero_below, sampler.bound
+        uniforms = self._uniforms
+        cursor = self._cursor
+        rows: list[list[int]] = []
+        total = 0
+        for _ in range(victims):
+            row: list[int] = []
+            for _ in range(self._n_codewords):
+                x = -1
+                while x < 0:
+                    if cursor == len(uniforms):
+                        uniforms = self._uniforms = array(
+                            "d", self._rng.random(PREFETCH).tobytes()
+                        )
+                        cursor = 0
+                    u = uniforms[cursor]
+                    cursor += 1
+                    x = 0
+                    px = zero_below
+                    while u > px:
+                        x += 1
+                        if x > bound:
+                            x = -1  # start this variate over, fresh uniform
+                            break
+                        u -= px
+                        px = ((n - x + 1) * p * px) / (x * q)
+                row.append(x)
+                total += x
+            rows.append(row)
+        self._cursor = cursor
+        if not total:
+            return None
         self.total_injected_bits += total
-        return counts, row_totals, total
+        return rows
 
 
 def victim_table(

@@ -49,12 +49,24 @@ class ModeRules:
             programmed page being disturbed by one reprogram operation.
         disturb_rate_program: Same for a first program (lower — ISPP with
             inhibit is gentler than re-raising cells next to stored data).
+
+    Raises:
+        ValueError: a disturb rate outside ``[0, 0.5]``.
     """
 
     mode: FlashMode
     capacity_factor: float
     disturb_rate_reprogram: float
     disturb_rate_program: float
+
+    def __post_init__(self) -> None:
+        for name in ("disturb_rate_reprogram", "disturb_rate_program"):
+            rate = getattr(self, name)
+            if not 0.0 <= rate <= 0.5:
+                raise ValueError(
+                    f"{self.mode.value} mode: {name} {rate!r} is not a "
+                    f"per-bit probability in [0, 0.5]"
+                )
 
     def page_usable(self, page_in_block: int) -> bool:
         """May this page hold data at all in this mode?"""

@@ -212,17 +212,20 @@ class PhysicalPage:
             IllegalProgramError: if the OOB range would set a cleared bit.
         """
         if oob_payload is not None and oob_offset is not None:
-            old = self._oob_np[oob_offset : oob_offset + len(oob_payload)]
-            bad = first_illegal_offset(old, oob_payload)
-            if bad != -1:
-                off = oob_offset + bad
+            oob_end = oob_offset + len(oob_payload)
+            old = self._oob[oob_offset:oob_end]
+            # An ECC slot is 8 bytes: one integer AND-NOT, where a numpy
+            # dispatch on so small an operand costs more than the append.
+            if int.from_bytes(oob_payload, "little") & ~int.from_bytes(
+                old, "little"
+            ):
+                off = oob_offset + first_illegal_offset(old, oob_payload)
                 raise IllegalProgramError(
                     f"reprogram needs erase: OOB byte {off} sets a cleared bit",
                     first_bad_offset=off,
                 )
+            self._oob[oob_offset:oob_end] = oob_payload
         self._data[offset : offset + len(payload)] = payload
-        if oob_payload is not None and oob_offset is not None:
-            self._oob[oob_offset : oob_offset + len(oob_payload)] = oob_payload
         self.state = PageState.PROGRAMMED
         self.program_passes += 1
 

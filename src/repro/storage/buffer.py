@@ -219,22 +219,24 @@ class BufferPool:
 
     def _evict_one(self) -> None:
         victim = self._pick_victim()
-        del self._frames[victim.lba]
-        self._referenced.pop(victim.lba, None)
-        self.stats.evictions += 1
         if victim.dirty:
-            self.stats.dirty_evictions += 1
-            self.stats.dirty_eviction_net_bytes.append(
-                len(victim.tracker.net_changed_offsets)
-            )
+            # Flush first, unlink after: a flush that raises (device full,
+            # WAL full, injected fault) must leave the dirty frame resident
+            # or the next fetch would re-read the stale Flash copy.
+            net_bytes = len(victim.tracker.net_changed_offsets)
             tr = self.tracer
             if not tr.enabled:
                 self._flush(victim)
-                return
-            with tr.span("evict", lba=victim.lba, dirty=True):
-                self._flush(victim)
+            else:
+                with tr.span("evict", lba=victim.lba, dirty=True):
+                    self._flush(victim)
+            self.stats.dirty_evictions += 1
+            self.stats.dirty_eviction_net_bytes.append(net_bytes)
         else:
             self.stats.clean_evictions += 1
+        del self._frames[victim.lba]
+        self._referenced.pop(victim.lba, None)
+        self.stats.evictions += 1
 
     def flush_all(self) -> None:
         """Write every dirty frame (checkpoint / shutdown)."""

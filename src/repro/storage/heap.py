@@ -78,52 +78,70 @@ class HeapFile:
         Raises:
             FileFullError: no page in the range can hold the record.
         """
-        start = self._cursor
-        page_index = start
+        manager = self.manager
+        page_index = self._cursor
         while True:
             lba = self._ensure_page(page_index)
+            frame = manager.fetch(lba)
+            frame.tracker.begin_op()
+            slot = None
             try:
-                with self.manager.update(lba) as page:
-                    slot = page.insert(record)
+                slot = frame.page.insert(record)
+            except PageFullError:
+                pass
+            finally:
+                manager.end_update(frame, slot is not None)
+            if slot is not None:
                 self._cursor = page_index
                 self.record_count += 1
                 return RID(lba, slot)
+            page_index += 1
+            if page_index >= self.max_pages:
+                return self._insert_first_fit(record)
+
+    def _insert_first_fit(self, record: bytes) -> RID:
+        """First-fit over all pages, compacting tombstoned pages to
+        reclaim deleted records' space (the cursor ran off the file)."""
+        for earlier in range(0, self._allocated):
+            lba = self._lba(earlier)
+            try:
+                with self.manager.update(lba) as page:
+                    if (
+                        page.free_space < len(record)
+                        and page.has_tombstones()
+                    ):
+                        page.compact()
+                    slot = page.insert(record)
+                self.record_count += 1
+                return RID(lba, slot)
             except PageFullError:
-                page_index += 1
-                if page_index >= self.max_pages:
-                    # Fall back to first-fit over all pages, compacting
-                    # tombstoned pages to reclaim deleted records' space.
-                    for earlier in range(0, self._allocated):
-                        lba = self._lba(earlier)
-                        try:
-                            with self.manager.update(lba) as page:
-                                if (
-                                    page.free_space < len(record)
-                                    and page.has_tombstones()
-                                ):
-                                    page.compact()
-                                slot = page.insert(record)
-                            self.record_count += 1
-                            return RID(lba, slot)
-                        except PageFullError:
-                            continue
-                    raise FileFullError(
-                        f"file {self.file_id}: no page can hold "
-                        f"{len(record)} bytes"
-                    )
+                continue
+        raise FileFullError(
+            f"file {self.file_id}: no page can hold {len(record)} bytes"
+        )
 
     def read(self, rid: RID) -> bytes:
         """Read a record by RID."""
-        with self.manager.page(rid.lba) as page:
-            return page.read(rid.slot)
+        frame = self.manager.fetch(rid.lba)
+        try:
+            return frame.page.read(rid.slot)
+        finally:
+            frame.pin_count -= 1  # fetch()'s pin, paired right here
 
     def update(self, rid: RID, field_offset: int, data: bytes) -> None:
         """In-place update of ``data`` at ``field_offset`` in the record.
 
         One call == one update operation == one candidate delta-record.
         """
-        with self.manager.update(rid.lba) as page:
-            page.update(rid.slot, field_offset, data)
+        manager = self.manager
+        frame = manager.fetch(rid.lba)
+        frame.tracker.begin_op()
+        completed = False
+        try:
+            frame.page.update(rid.slot, field_offset, data)
+            completed = True
+        finally:
+            manager.end_update(frame, completed)
 
     def update_multi(self, rid: RID, writes: list[tuple[int, bytes]]) -> None:
         """Several field writes of ONE record as ONE update operation.

@@ -189,13 +189,14 @@ class SlottedPage:
         if not record:
             raise ValueError("empty records are not supported")
         size = len(record)
-        if size > self.free_space:
-            raise PageFullError(f"{size} B record, {self.free_space} B free")
         slot_no, offset = _SLOT.unpack_from(self._buf, _SLOT_COUNT)
+        slot_pos = self.delta_start - SLOT_SIZE * (slot_no + 1)
+        if size > slot_pos - offset:  # free_space, inlined
+            raise PageFullError(f"{size} B record, {self.free_space} B free")
         self._write(offset, record)
-        self._write(self._slot_pos(slot_no), _SLOT.pack(offset, size))
-        self._write(_FREE_LOWER, _U16.pack(offset + size))
-        self._write(_SLOT_COUNT, _U16.pack(slot_no + 1))
+        self._write(slot_pos, _SLOT.pack(offset, size))
+        # slot_count and free_lower are adjacent: one tracked write.
+        self._write(_SLOT_COUNT, _SLOT.pack(slot_no + 1, offset + size))
         return slot_no
 
     def slot(self, slot_no: int) -> tuple[int, int]:
@@ -211,10 +212,15 @@ class SlottedPage:
         Raises:
             KeyError: if the slot was deleted.
         """
-        offset, length = self.slot(slot_no)
+        buf = self._buf
+        if not 0 <= slot_no < _U16.unpack_from(buf, _SLOT_COUNT)[0]:
+            raise IndexError(f"slot {slot_no} of {self.slot_count}")
+        offset, length = _SLOT.unpack_from(  # slot(), inlined
+            buf, self.delta_start - SLOT_SIZE * (slot_no + 1)
+        )
         if length == TOMBSTONE:
             raise KeyError(f"slot {slot_no} is deleted")
-        return bytes(self._buf[offset : offset + length])
+        return bytes(buf[offset : offset + length])
 
     def update(self, slot_no: int, field_offset: int, data: bytes) -> None:
         """Overwrite ``data`` at ``field_offset`` within the record.
@@ -223,7 +229,12 @@ class SlottedPage:
         byte-identical except for the changed bytes, which the change
         tracker captures for the delta-record.
         """
-        offset, length = self.slot(slot_no)
+        buf = self._buf
+        if not 0 <= slot_no < _U16.unpack_from(buf, _SLOT_COUNT)[0]:
+            raise IndexError(f"slot {slot_no} of {self.slot_count}")
+        offset, length = _SLOT.unpack_from(  # slot(), inlined
+            buf, self.delta_start - SLOT_SIZE * (slot_no + 1)
+        )
         if length == TOMBSTONE:
             raise KeyError(f"slot {slot_no} is deleted")
         if field_offset < 0 or field_offset + len(data) > length:

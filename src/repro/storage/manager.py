@@ -230,13 +230,12 @@ class _PageAccess:
 class _UpdateOp:
     """``with manager.update(lba)``: one bracketed update operation.
 
-    The exit work runs whether or not the block raised — only the LSN
-    stamp (and with it the WAL record) is skipped then.  ``HeapFile``
-    probes pages with inserts that may raise ``PageFullError``, and each
-    probe is charged and counted like a completed operation.
+    A wrapper over :meth:`StorageManager.fetch` and
+    :meth:`StorageManager.end_update`, which hot callers
+    (:class:`~repro.storage.heap.HeapFile`) use directly.
     """
 
-    __slots__ = ("_manager", "_lba", "_frame", "_ops_before")
+    __slots__ = ("_manager", "_lba", "_frame")
 
     def __init__(self, manager: "StorageManager", lba: int) -> None:
         self._manager = manager
@@ -244,32 +243,11 @@ class _UpdateOp:
 
     def __enter__(self) -> SlottedPage:
         self._frame = frame = self._manager.fetch(self._lba)
-        self._ops_before = len(frame.tracker.op_sizes)
         frame.tracker.begin_op()
         return frame.page
 
     def __exit__(self, exc_type: object, *_exc: object) -> None:
-        manager = self._manager
-        frame = self._frame
-        tracker = frame.tracker
-        lsn = 0
-        try:
-            if exc_type is None:
-                lsn = manager._take_lsn()
-                frame.page.set_lsn(lsn)
-        finally:
-            tracker.end_op()
-            if len(tracker.op_sizes) > self._ops_before:
-                manager.stats.per_file_op_sizes.setdefault(
-                    frame.page.file_id, []
-                ).append(tracker.op_sizes[-1])
-            if manager.wal is not None and lsn:
-                manager.wal.log_update(lsn, self._lba, tracker.last_op_changes)
-                manager._txn_locked_lbas.add(self._lba)
-            frame.mark_dirty()
-            manager.stats.update_ops += 1
-            manager.clock.advance(manager.host_costs.ipa_tracking_us, "host")
-            frame.unpin()
+        self._manager.end_update(self._frame, exc_type is None)
 
 
 class StorageManager:
@@ -307,6 +285,12 @@ class StorageManager:
         self.scheme = scheme
         self.policy = policy
         self.host_costs = host_costs or HostCostModel()
+        if self.host_costs.per_buffer_hit_us < 0:
+            # fetch() charges a hit without SimClock.advance's own check.
+            raise ValueError(
+                f"per_buffer_hit_us must be >= 0, got "
+                f"{self.host_costs.per_buffer_hit_us}"
+            )
         self.verify_checksums = verify_checksums
         self.clock = device.chip.clock
         self.stats = ManagerStats()
@@ -359,14 +343,26 @@ class StorageManager:
 
     def fetch(self, lba: int) -> Frame:
         """Pin and return the frame for ``lba``, reading it if absent."""
-        self.pool.stats.fetches += 1
-        frame = self.pool.get(lba)
+        pool = self.pool
+        stats = pool.stats
+        stats.fetches += 1
+        frame = pool._frames.get(lba)
         if frame is not None:
-            self.pool.stats.hits += 1
-            self.clock.advance(self.host_costs.per_buffer_hit_us, "host")
-            frame.pin()
+            # A hit is one Python frame: BufferPool.get, SimClock.advance
+            # and Frame.pin, statement for statement.
+            if pool.replacement == "lru":
+                pool._frames.move_to_end(lba)
+            else:
+                pool._referenced[lba] = True
+            stats.hits += 1
+            cost = self.host_costs.per_buffer_hit_us
+            clock = self.clock
+            clock._now_us += cost
+            breakdown = clock.breakdown_us
+            breakdown["host"] = breakdown.get("host", 0.0) + cost
+            frame.pin_count += 1
             return frame
-        self.pool.stats.misses += 1
+        stats.misses += 1
         tr = self.tracer
         if not tr.enabled:
             image = self.device.read_page(lba)
@@ -379,9 +375,42 @@ class StorageManager:
         )
         page.set_write_hook(tracker.on_write)
         frame = Frame(lba, page, tracker, flash_image=image, flash_delta_count=k)
-        self.pool.insert(frame)
+        pool.insert(frame)
         frame.pin()
         return frame
+
+    def end_update(self, frame: Frame, completed: bool) -> None:
+        """Close the update operation opened on a fetched ``frame``.
+
+        The other half of ``frame = fetch(lba); frame.tracker.begin_op()``:
+        stamps a fresh LSN (logging the operation when a WAL is attached),
+        closes the tracker bracket, does the accounting and unpins.  All of
+        it runs whether or not the operation completed — only the LSN stamp
+        (and with it the WAL record) is skipped when it did not.
+        ``HeapFile`` probes pages with inserts that may raise
+        ``PageFullError``, and each probe is charged and counted like a
+        completed operation.
+        """
+        tracker = frame.tracker
+        lsn = 0
+        try:
+            if completed:
+                lsn = self._next_lsn
+                self._next_lsn = lsn + 1
+                frame.page.set_lsn(lsn)
+        finally:
+            size = tracker.end_op()
+            if size:
+                self.stats.per_file_op_sizes.setdefault(
+                    frame.page.file_id, []
+                ).append(size)
+            if self.wal is not None and lsn:
+                self.wal.log_update(lsn, frame.lba, tracker.last_op_changes)
+                self._txn_locked_lbas.add(frame.lba)
+            frame.dirty = True
+            self.stats.update_ops += 1
+            self.clock.advance(self.host_costs.ipa_tracking_us, "host")
+            frame.unpin()
 
     def unpin(self, frame: Frame) -> None:
         """Release a pin taken by :meth:`fetch` / :meth:`format_page`."""
@@ -395,7 +424,7 @@ class StorageManager:
         """One update operation == one candidate delta-record.
 
         ``with manager.update(lba) as p: ...`` stamps a fresh LSN and
-        closes the tracker bracket on exit.
+        closes the tracker bracket on exit (see :meth:`end_update`).
         """
         return _UpdateOp(self, lba)
 

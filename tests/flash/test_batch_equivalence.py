@@ -297,6 +297,32 @@ def test_batched_path_is_bit_identical(mode, as_arrays):
     assert batch_reads == ref_reads
 
 
+@pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
+def test_interleaving_per_op_calls_and_batches_on_one_chip(mode):
+    """Per-op calls and ``execute_batch`` alternate on ONE chip, so both
+    draw from one disturb stream: a draw site that bypassed the shared
+    :meth:`DisturbModel.draw` kernel (its prefetched uniforms) would pull
+    the two out of step with the all-per-op chip."""
+    stream = _record_op_stream(mode)
+    ref_chip = FlashChip(GEO, mode=mode, seed=SEED)
+    ref_reads = _replay_per_op(ref_chip, stream)
+    mixed_chip = FlashChip(GEO, mode=mode, seed=SEED)
+    mixed_reads: list[bytes] = []
+    rng = np.random.default_rng(SEED ^ 0x317E)
+    batched = False
+    i = 0
+    while i < len(stream):
+        chunk = stream[i : i + int(rng.integers(1, 40))]
+        i += len(chunk)
+        if batched:
+            mixed_reads += _replay_batched(mixed_chip, chunk, SEED + i, False, 15)
+        else:
+            mixed_reads += _replay_per_op(mixed_chip, chunk)
+        batched = not batched
+    assert _fingerprint(mixed_chip) == _fingerprint(ref_chip)
+    assert mixed_reads == ref_reads
+
+
 @pytest.mark.parametrize("mode", [FlashMode.SLC, FlashMode.MLC])
 def test_batched_path_matches_under_ledger_and_sanitizer(mode):
     """Instrumentation forces the compat path; attribution must match too."""

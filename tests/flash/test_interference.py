@@ -1,10 +1,17 @@
 """Disturb model and wordline adjacency."""
 
-import numpy as np
+import math
+from unittest import mock
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.flash import interference
 from repro.flash.ecc import EccConfig
 from repro.flash.interference import DisturbModel, neighbour_pages
-from repro.flash.modes import FlashMode, rules_for
+from repro.flash.modes import FlashMode, ModeRules, rules_for
 
 
 class TestNeighbourPages:
@@ -66,3 +73,187 @@ class TestDisturbModel:
         b = DisturbModel(rules_for(FlashMode.MLC), ecc, 4096, seed=9)
         for _ in range(50):
             assert np.array_equal(a.disturb_counts(True), b.disturb_counts(True))
+
+
+# ---------------------------------------------------------------------- #
+# The draw kernel against numpy's own sampler
+# ---------------------------------------------------------------------- #
+
+PAGE_SIZE = 4096
+MODES = list(FlashMode)
+CODEWORD_BYTES = [512, 1024, 2048]
+#: x1 is every mode's real rate; x3000 makes non-zero draws the rule.
+SCALES = [1, 3000]
+#: The largest double ``Generator.random`` returns.
+U_MAX = (2**53 - 1) / 2**53
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _scaled_rules(mode: FlashMode, scale: int, codeword_bytes: int) -> ModeRules:
+    """``mode``'s rates times ``scale``, kept inside the kernel's regime."""
+    base = rules_for(mode)
+    cap = min(3e-3, 30.0 / (codeword_bytes * 8))
+    return ModeRules(
+        mode=mode,
+        capacity_factor=base.capacity_factor,
+        disturb_rate_reprogram=min(base.disturb_rate_reprogram * scale, cap),
+        disturb_rate_program=min(base.disturb_rate_program * scale, cap),
+    )
+
+
+def _force_next_uniform(rng: np.random.Generator, uniform: float) -> None:
+    """Set a PCG64 generator's state so that its next double is ``uniform``.
+
+    PCG64 steps ``state = state * MULT + inc`` and outputs
+    ``rotr64(high ^ low, high >> 58)`` of the new state; a new state with
+    ``high == 0`` outputs ``low`` unrotated, and the step is inverted with
+    the multiplier's inverse modulo 2**128.
+    """
+    state = rng.bit_generator.state
+    assert state["bit_generator"] == "PCG64"
+    wanted = int(uniform * 2**53) << 11
+    inverse = pow(_PCG64_MULTIPLIER, -1, 2**128)
+    state["state"]["state"] = (
+        (wanted - state["state"]["inc"]) * inverse
+    ) % 2**128
+    rng.bit_generator.state = state
+
+
+class _Pair:
+    """A kernel and the plain ``Generator.binomial`` it must reproduce."""
+
+    def __init__(self, rules: ModeRules, codeword_bytes: int, seed: int) -> None:
+        ecc = EccConfig(codeword_bytes=codeword_bytes)
+        self.rules = rules
+        self.bits = codeword_bytes * 8
+        self.codewords = ecc.codewords_for(PAGE_SIZE)
+        self.model = DisturbModel(rules, ecc, PAGE_SIZE, seed=seed)
+        self.reference = np.random.default_rng(seed)
+        self.injected = 0
+
+    def check_draw(self, reprogram: bool, victims: int) -> None:
+        rate = (
+            self.rules.disturb_rate_reprogram
+            if reprogram
+            else self.rules.disturb_rate_program
+        )
+        expected = self.reference.binomial(
+            self.bits, rate, size=(victims, self.codewords)
+        )
+        rows = self.model.draw(reprogram, victims)
+        if rows is None:
+            assert not expected.any()
+        else:
+            assert rows == expected.tolist()
+            assert expected.any()  # None is the only all-zero answer
+        self.injected += int(expected.sum())
+        assert self.model.total_injected_bits == self.injected
+
+
+class TestDisturbKernel:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        mode=st.sampled_from(MODES),
+        scale=st.sampled_from(SCALES),
+        codeword_bytes=st.sampled_from(CODEWORD_BYTES),
+        prefetch=st.sampled_from([1, 7, 64, interference.PREFETCH]),
+        pulses=st.lists(
+            st.tuples(st.booleans(), st.integers(min_value=1, max_value=5)),
+            min_size=1,
+            max_size=60,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_stream_identical_to_generator_binomial(
+        self, seed, mode, scale, codeword_bytes, prefetch, pulses
+    ):
+        """Interleaved program/reprogram pulses with 1-5 victims; a small
+        prefetch block makes draws straddle a refill all the time."""
+        pair = _Pair(_scaled_rules(mode, scale, codeword_bytes), codeword_bytes, seed)
+        with mock.patch.object(interference, "PREFETCH", prefetch):
+            for reprogram, victims in pulses:
+                pair.check_draw(reprogram, victims)
+
+    def test_a_draw_straddling_the_real_prefetch_block(self):
+        pair = _Pair(_scaled_rules(FlashMode.MLC, 3000, 1024), 1024, seed=11)
+        per_draw = 5 * pair.codewords
+        for _ in range(interference.PREFETCH // per_draw + 3):
+            pair.check_draw(True, 5)
+        # 20 does not divide 8192: one of the draws above crossed a refill.
+        assert interference.PREFETCH % per_draw
+
+    @pytest.mark.parametrize("codeword_bytes", CODEWORD_BYTES)
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
+    @pytest.mark.parametrize("reprogram", [False, True])
+    def test_uniforms_forced_onto_every_probability_boundary(
+        self, reprogram, mode, scale, codeword_bytes
+    ):
+        """A random stream never lands within 1e-13 of a boundary between
+        two outcomes, which is where a sampler that is almost numpy's
+        (``log(1 - p)`` for ``log1p(-p)``, say) differs.  So the generators
+        are made to return the doubles next to each cumulative probability,
+        and the largest double of all, which walks the whole loop."""
+        rules = _scaled_rules(mode, scale, codeword_bytes)
+        bits = codeword_bytes * 8
+        rate = rules.disturb_rate_reprogram if reprogram else rules.disturb_rate_program
+        forced = {0.0, U_MAX}
+        cumulative, px, x = 0.0, math.exp(bits * math.log1p(-rate)), 0
+        while px > 0.0 and cumulative < 1.0 and x <= 80:
+            cumulative += px
+            nearest = min(int(cumulative * 2**53), 2**53 - 2)
+            forced.update((nearest + step) / 2**53 for step in (-1, 0, 1))
+            x += 1
+            px = ((bits - x + 1) * rate * px) / (x * (1.0 - rate))
+        with mock.patch.object(interference, "PREFETCH", 16):
+            for uniform in sorted(forced):
+                pair = _Pair(rules, codeword_bytes, seed=5)
+                _force_next_uniform(pair.model._rng, uniform)
+                _force_next_uniform(pair.reference, uniform)
+                pair.check_draw(reprogram, 1)
+                pair.check_draw(reprogram, 2)  # both streams go on in step
+
+    def test_the_restart_consumes_a_second_uniform(self):
+        """MLC reprogram on the default 1 KB codewords: rounding leaves the
+        summed probabilities just short of ``U_MAX``, so the sampler counts
+        past ``bound`` and starts the variate over on a fresh uniform."""
+        pair = _Pair(rules_for(FlashMode.MLC), 1024, seed=5)
+        _force_next_uniform(pair.model._rng, U_MAX)
+        _force_next_uniform(pair.reference, U_MAX)
+        pair.check_draw(True, 1)
+        assert pair.model._cursor == pair.codewords + 1
+        pair.check_draw(True, 3)
+
+    def test_zero_rate_draws_nothing_and_consumes_nothing(self):
+        rules = ModeRules(FlashMode.SLC, 1.0, 0.0, 0.0)
+        model = DisturbModel(rules, EccConfig(), PAGE_SIZE, seed=1)
+        before = model._rng.bit_generator.state
+        assert model.draw(True, 3) is None and model.draw(False, 1) is None
+        assert not model.disturb_counts(True).any()
+        assert model._rng.bit_generator.state == before
+
+
+class TestRateValidation:
+    @pytest.mark.parametrize("rate", [-1e-9, 0.5000001, 2.0, float("nan")])
+    @pytest.mark.parametrize("field", ["disturb_rate_reprogram", "disturb_rate_program"])
+    def test_mode_rules_reject_a_rate_that_is_no_probability(self, field, rate):
+        rates = {"disturb_rate_reprogram": 1e-9, "disturb_rate_program": 1e-9}
+        rates[field] = rate
+        with pytest.raises(ValueError, match=rf"mlc mode: {field} "):
+            ModeRules(mode=FlashMode.MLC, capacity_factor=1.0, **rates)
+
+    def test_model_rejects_a_rate_outside_the_inversion_regime(self):
+        # 8192 bits x 4e-3 = 32.8 expected flips: numpy would switch to BTPE.
+        rules = ModeRules(FlashMode.MLC, 1.0, 4e-3, 1e-7)
+        with pytest.raises(ValueError, match=r"mlc mode: disturb rate 0\.004 "):
+            DisturbModel(rules, EccConfig(codeword_bytes=1024), PAGE_SIZE)
+        DisturbModel(rules, EccConfig(codeword_bytes=512), PAGE_SIZE)  # 16.4: fine
+
+    def test_every_built_in_mode_is_valid_for_the_supported_codewords(self):
+        for mode in FlashMode:
+            for codeword_bytes in CODEWORD_BYTES:
+                DisturbModel(
+                    rules_for(mode),
+                    EccConfig(codeword_bytes=codeword_bytes),
+                    PAGE_SIZE,
+                )

@@ -8,11 +8,20 @@ the specification.  Every test feeds the same random input to the
 reference and to the live code and requires the same bytes, the same
 decoded values, the same tracker state after every call, and the same
 exception on input both must reject.
+
+``ParentChangeTracker``, ``ParentUpdateOp`` and ``ParentHeapFile`` are
+one generation younger: the tracker (per-byte loop at every length) and
+the update bracket (``_UpdateOp.__exit__``, ``HeapFile`` on two context
+managers, four header writes per insert) as they ran before the
+right-sized primitives replaced them, again verbatim.
 """
 
+import hashlib
 import struct
 import zlib
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
+from dataclasses import asdict
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +42,7 @@ from repro.engine.wal import (
     FRAME_HEADER_SIZE,
     FormatRecord,
     PageUpdateRecord,
+    WriteAheadLog,
     decode_frames,
     decode_records,
     encode_frame,
@@ -40,8 +50,23 @@ from repro.engine.wal import (
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
-from repro.storage.layout import PageFullError
-from repro.storage.manager import IpaNativePolicy, StorageManager
+from repro.core.config import IPA_DISABLED
+from repro.storage import manager as manager_module
+from repro.storage.buffer import Frame
+from repro.storage.heap import RID, FileFullError, HeapFile
+from repro.storage.layout import (
+    _FREE_LOWER,
+    _SLOT,
+    _SLOT_COUNT,
+    _U16,
+    PageFullError,
+    SlottedPage,
+)
+from repro.storage.manager import (
+    IpaNativePolicy,
+    StorageManager,
+    TraditionalPolicy,
+)
 
 # ---------------------------------------------------------------------- #
 # Reference: ChangeTracker (byte-by-byte classification)
@@ -264,6 +289,349 @@ class TestChangeTracker:
         tracker.on_write(HEADER_END - 2, b"same", b"same")  # straddling
         tracker.on_write(HEADER_END, b"same", b"same")  # unbracketed body
         assert not tracker.dirty and not tracker.out_of_place
+
+
+# ---------------------------------------------------------------------- #
+# Reference: the parent's ChangeTracker (per-byte loop at every length)
+# ---------------------------------------------------------------------- #
+
+
+class ParentChangeTracker:
+    """Tracks one buffer-resident page's updates against an N x M scheme.
+
+    Args:
+        scheme: The page's IPA configuration.
+        existing_records: Delta-records already present on the Flash copy
+            of the page (they count against N).
+        header_end: First byte after the page header.
+        body_end: First byte after the body (start of the delta area).
+    """
+
+    __slots__ = (
+        "scheme",
+        "existing_records",
+        "_header_end",
+        "_body_end",
+        "records",
+        "out_of_place",
+        "meta_changed",
+        "_open",
+        "net_changed_offsets",
+        "meta_changed_offsets",
+        "op_sizes",
+        "_open_raw",
+        "_open_meta",
+        "_last_raw",
+        "_last_meta",
+    )
+
+    def __init__(
+        self,
+        scheme: IpaScheme,
+        existing_records: int,
+        header_end: int,
+        body_end: int,
+    ) -> None:
+        self.scheme = scheme
+        self.existing_records = existing_records
+        self._header_end = header_end
+        self._body_end = body_end
+        self.records: list[dict[int, int]] = []
+        self.out_of_place = not scheme.enabled
+        self.meta_changed = False
+        self._open: dict[int, int] | None = None
+        #: Total distinct body bytes changed (for the E7 analysis).
+        self.net_changed_offsets: set[int] = set()
+        #: Distinct header/footer bytes changed (IPL logs these too).
+        self.meta_changed_offsets: set[int] = set()
+        #: Changed-byte count of every bracketed op, conformant or not —
+        #: the raw material of trace capture (E6) and the N x M ablation.
+        self.op_sizes: list[int] = []
+        self._open_raw: dict[int, int] | None = None
+        self._open_meta: dict[int, int] | None = None
+        # Body and metadata changes of the last closed op; merged only
+        # when someone asks (see last_op_changes).
+        self._last_raw: dict[int, int] = {}
+        self._last_meta: dict[int, int] = {}
+
+    # ------------------------------------------------------------------ #
+    # Operation bracketing
+    # ------------------------------------------------------------------ #
+
+    def begin_op(self) -> None:
+        """Start one update operation (one candidate delta-record)."""
+        if self._open_raw is not None:
+            raise RuntimeError("nested update operations are not supported")
+        self._open_raw = {}
+        self._open_meta = {}
+        if not self.out_of_place:
+            self._open = {}
+
+    def end_op(self) -> None:
+        """Close the operation; promote its changes to a delta-record."""
+        if self._open_raw is not None:
+            raw, self._open_raw = self._open_raw, None
+            meta, self._open_meta = self._open_meta or {}, None
+            if raw:
+                self.op_sizes.append(len(raw))
+            self._last_raw = raw
+            self._last_meta = meta
+        if self._open is None:
+            return
+        changes, self._open = self._open, None
+        if self.out_of_place or not changes:
+            return
+        if self.existing_records + len(self.records) + 1 > self.scheme.n_records:
+            self.mark_out_of_place()
+            return
+        self.records.append(changes)
+
+    @property
+    def last_op_changes(self) -> dict[int, int]:
+        """Every changed byte (offset -> new value) of the last closed op,
+        INCLUDING header/footer bytes — the WAL's redo payload."""
+        return {**self._last_raw, **self._last_meta}
+
+    def mark_out_of_place(self) -> None:
+        """Give up on IPA for this residency; stop tracking."""
+        self.out_of_place = True
+        self.records.clear()
+        self._open = None
+
+    # ------------------------------------------------------------------ #
+    # Write observation (SlottedPage hook)
+    # ------------------------------------------------------------------ #
+
+    def on_write(self, offset: int, old: bytes, new: bytes) -> None:
+        """Observe one page mutation (``old`` -> ``new``, equally long).
+
+        A write lies in one region — header, body, or delta area + footer
+        — and is classified once.  One that straddles a region boundary
+        is split there and its pieces observed in offset order, which is
+        what observing it byte by byte amounts to.
+        """
+        if old == new:
+            return
+        end = offset + len(new)
+        header_end = self._header_end
+        body_end = self._body_end
+        if end <= header_end or offset >= body_end:
+            in_body = False
+        elif offset >= header_end and end <= body_end:
+            in_body = True
+        else:
+            cut = (header_end if offset < header_end else body_end) - offset
+            self.on_write(offset, old[:cut], new[:cut])
+            self.on_write(offset + cut, old[cut:], new[cut:])
+            return
+        changed: dict[int, int] = {}
+        pos = offset
+        for before, after in zip(old, new):
+            if before != after:
+                changed[pos] = after
+            pos += 1
+        if not in_body:
+            # Header/footer: shipped via delta_metadata, free of charge.
+            self.meta_changed = True
+            self.meta_changed_offsets.update(changed)
+            if self._open_meta is not None:
+                self._open_meta.update(changed)
+            return
+        self.net_changed_offsets.update(changed)
+        if self._open_raw is not None:
+            self._open_raw.update(changed)
+        if self.out_of_place:
+            return
+        if self._open is None:
+            # A body change outside any bracketed operation (bulk load,
+            # page reorganisation): not representable as a delta-record.
+            self.mark_out_of_place()
+            return
+        self._open.update(changed)
+        if len(self._open) > self.scheme.m_bytes:
+            self.mark_out_of_place()
+
+    # ------------------------------------------------------------------ #
+    # Eviction-side queries
+    # ------------------------------------------------------------------ #
+
+    @property
+    def ipa_eligible(self) -> bool:
+        """Can this page be evicted via in-place appends right now?"""
+        if self.out_of_place or not self.scheme.enabled:
+            return False
+        pending = len(self.records) if self.records else (
+            1 if self.meta_changed else 0
+        )
+        return self.existing_records + pending <= self.scheme.n_records
+
+    @property
+    def dirty(self) -> bool:
+        """Any tracked change at all (body or metadata)?"""
+        return bool(
+            self.records or self.meta_changed or self.net_changed_offsets
+        )
+
+    def build_delta_records(
+        self, meta_header: bytes, meta_footer: bytes
+    ) -> list[DeltaRecord]:
+        """Materialize the pending delta-records for eviction.
+
+        Every record carries the *final* metadata snapshot — records are
+        applied in order on fetch, so the last overlay wins and equals the
+        page state at eviction.
+
+        A metadata-only change (LSN bump without body bytes) produces one
+        pair-less record.
+        """
+        if self.out_of_place:
+            raise RuntimeError("page is flagged out-of-place")
+        groups = self.records if self.records else ([{}] if self.meta_changed else [])
+        return [
+            DeltaRecord(
+                pairs=sorted(group.items()),
+                meta_header=meta_header,
+                meta_footer=meta_footer,
+            )
+            for group in groups
+        ]
+
+    def reset_after_flush(self, new_existing_records: int) -> None:
+        """Re-arm the tracker after the page reached Flash."""
+        self.existing_records = new_existing_records
+        self.records = []
+        self.out_of_place = not self.scheme.enabled
+        self.meta_changed = False
+        self._open = None
+        self._open_raw = None
+        self._open_meta = None
+        self.net_changed_offsets = set()
+        self.meta_changed_offsets = set()
+        self.op_sizes = []
+
+
+# A page with room for record-sized writes: header [0, 24), body
+# [24, 300), delta area + footer [300, 340).
+BIG_BODY_END = 300
+BIG_PAGE_END = 340
+
+# Erased bytes, zeros and a few values in between: 0xFF on either side of
+# a write, equal bytes inside a changed span, wholly equal spans.
+_span_bytes = st.sampled_from([0xFF, 0xFF, 0x00, 0x01, 0x7F, 0xFE])
+
+
+@st.composite
+def _span_writes(draw):
+    size = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=16),
+            st.integers(min_value=17, max_value=200),
+            st.integers(min_value=17, max_value=200),
+        )
+    )
+    # A few anchors (the region boundaries among them) plus a small shift
+    # make writes of one op overlap and straddle all the time.
+    anchor = draw(st.sampled_from([0, HEADER_END, 60, 150, BIG_BODY_END]))
+    offset = anchor + draw(st.integers(min_value=-20, max_value=20))
+    offset = max(0, min(offset, BIG_PAGE_END - size))
+    old = bytes(draw(st.lists(_span_bytes, min_size=size, max_size=size)))
+    kind = draw(st.sampled_from(["any", "few", "erased", "equal"]))
+    if kind == "any":
+        new = bytes(draw(st.lists(_span_bytes, min_size=size, max_size=size)))
+    elif kind == "few":  # a long span that changes at most M-ish bytes
+        new = bytearray(old)
+        for _ in range(draw(st.integers(min_value=1, max_value=5))):
+            new[draw(st.integers(min_value=0, max_value=size - 1))] ^= 0x81
+        new = bytes(new)
+    elif kind == "erased":  # the insert: a record over erased free space
+        old = b"\xff" * size
+        new = bytes(draw(st.lists(_span_bytes, min_size=size, max_size=size)))
+    else:
+        new = old
+    return ("write", offset, old, new)
+
+
+_span_actions = st.lists(
+    st.one_of(
+        _span_writes(),
+        _span_writes(),
+        _span_writes(),
+        _span_writes(),
+        st.just(("begin",)),
+        st.just(("end",)),
+        st.tuples(st.just("flushed"), st.integers(min_value=0, max_value=2)),
+    ),
+    max_size=25,
+)
+
+
+class TestChangeTrackerAgainstParent:
+    @given(
+        scheme=_schemes,
+        existing=st.integers(min_value=0, max_value=2),
+        actions=_span_actions,
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_same_state_after_every_call(self, scheme, existing, actions):
+        """``watched`` is compared after every call; ``unwatched`` only at
+        the end, so whatever it defers stays deferred across calls."""
+        ref = ParentChangeTracker(scheme, existing, HEADER_END, BIG_BODY_END)
+        watched = ChangeTracker(scheme, existing, HEADER_END, BIG_BODY_END)
+        unwatched = ChangeTracker(scheme, existing, HEADER_END, BIG_BODY_END)
+        for action in actions:
+            outcome = _apply_action(ref, action)
+            assert _apply_action(watched, action) == outcome
+            assert _apply_action(unwatched, action) == outcome
+            assert _observable(watched) == _observable(ref), action
+        assert _observable(unwatched) == _observable(ref)
+
+    def test_end_op_returns_the_op_size_it_recorded(self):
+        tracker = ChangeTracker(SCHEME_2X4, 0, HEADER_END, BIG_BODY_END)
+        assert tracker.end_op() == 0  # no operation open
+        tracker.begin_op()
+        assert tracker.end_op() == 0 and tracker.op_sizes == []
+        tracker.begin_op()
+        tracker.on_write(30, b"\xff" * 50, b"r" * 49 + b"\xff")  # deferred
+        tracker.on_write(100, b"\x00\x00", b"\x01\x00")
+        tracker.on_write(4, b"\x00", b"\x09")  # header: free of charge
+        assert tracker.end_op() == 50 and tracker.op_sizes == [50]
+
+    def test_deferred_spans_do_not_pile_up_on_a_resident_page(self):
+        ref = ParentChangeTracker(SCHEME_2X4, 0, HEADER_END, BIG_BODY_END)
+        new = ChangeTracker(SCHEME_2X4, 0, HEADER_END, BIG_BODY_END)
+        for i in range(500):
+            old = bytes([i % 251]) * 100
+            span = bytes([(i + 1) % 251]) * 50 + old[50:]
+            for tracker in (ref, new):
+                tracker.begin_op()
+                tracker.on_write(30 + i % 100, old, span)
+                tracker.end_op()
+            assert len(new._net_spans) <= 65
+        assert _observable(new) == _observable(ref)
+
+    @pytest.mark.parametrize(
+        "second_offset, second_old, second_new",
+        [
+            (40, b"rrrr", b"r\xffzr"),  # overlaps: one byte back to erased
+            (28, b"\xffrrr" , b"zzzz"),  # overlaps the front edge
+            (79, b"r\xff", b"qq"),  # overlaps the back edge
+            (80, b"\xff" * 4, b"abcd"),  # adjacent, no overlap
+            (40, b"r" * 30, b"s" * 30),  # a second record-sized span inside
+        ],
+    )
+    def test_a_later_write_of_the_op_over_the_deferred_span(
+        self, second_offset, second_old, second_new
+    ):
+        trackers = [
+            cls(IpaScheme(0, 0), 0, HEADER_END, BIG_BODY_END)
+            for cls in (ParentChangeTracker, ChangeTracker)
+        ]
+        for tracker in trackers:
+            tracker.begin_op()
+            tracker.on_write(30, b"\xff" * 50, b"r" * 50)
+            tracker.on_write(second_offset, second_old, second_new)
+            tracker.end_op()
+        assert _observable(trackers[1]) == _observable(trackers[0])
 
 
 # ---------------------------------------------------------------------- #
@@ -929,3 +1297,274 @@ class TestUpdateContextManager:
             with manager.page(0) as page:
                 page.read(0)  # the fresh page has no slot 0
         assert manager.pool.get(0).pin_count == 0
+
+
+# ---------------------------------------------------------------------- #
+# Reference: the parent's update bracket, fetch, HeapFile and page insert
+# ---------------------------------------------------------------------- #
+
+
+class ParentUpdateOp:
+    """``StorageManager.update()``'s context manager before
+    ``StorageManager.end_update`` took its exit work over."""
+
+    __slots__ = ("_manager", "_lba", "_frame", "_ops_before")
+
+    def __init__(self, manager, lba):
+        self._manager = manager
+        self._lba = lba
+
+    def __enter__(self):
+        self._frame = frame = self._manager.fetch(self._lba)
+        self._ops_before = len(frame.tracker.op_sizes)
+        frame.tracker.begin_op()
+        return frame.page
+
+    def __exit__(self, exc_type, *_exc):
+        manager = self._manager
+        frame = self._frame
+        tracker = frame.tracker
+        lsn = 0
+        try:
+            if exc_type is None:
+                lsn = manager._take_lsn()
+                frame.page.set_lsn(lsn)
+        finally:
+            tracker.end_op()
+            if len(tracker.op_sizes) > self._ops_before:
+                manager.stats.per_file_op_sizes.setdefault(
+                    frame.page.file_id, []
+                ).append(tracker.op_sizes[-1])
+            if manager.wal is not None and lsn:
+                manager.wal.log_update(lsn, self._lba, tracker.last_op_changes)
+                manager._txn_locked_lbas.add(self._lba)
+            frame.mark_dirty()
+            manager.stats.update_ops += 1
+            manager.clock.advance(manager.host_costs.ipa_tracking_us, "host")
+            frame.unpin()
+
+
+def parent_update(self, lba):
+    return ParentUpdateOp(self, lba)
+
+
+def parent_fetch(self, lba):
+    self.pool.stats.fetches += 1
+    frame = self.pool.get(lba)
+    if frame is not None:
+        self.pool.stats.hits += 1
+        self.clock.advance(self.host_costs.per_buffer_hit_us, "host")
+        frame.pin()
+        return frame
+    self.pool.stats.misses += 1
+    tr = self.tracer
+    if not tr.enabled:
+        image = self.device.read_page(lba)
+    else:
+        with tr.span("page_fetch", lba=lba):
+            image = self.device.read_page(lba)
+    page, k = self._load_page(image, lba)
+    tracker = manager_module.ChangeTracker(
+        self.scheme, k, PAGE_HEADER_SIZE, page.delta_start
+    )
+    page.set_write_hook(tracker.on_write)
+    frame = Frame(lba, page, tracker, flash_image=image, flash_delta_count=k)
+    self.pool.insert(frame)
+    frame.pin()
+    return frame
+
+
+def parent_page_insert(self, record):
+    if not record:
+        raise ValueError("empty records are not supported")
+    size = len(record)
+    if size > self.free_space:
+        raise PageFullError(f"{size} B record, {self.free_space} B free")
+    slot_no, offset = _SLOT.unpack_from(self._buf, _SLOT_COUNT)
+    self._write(offset, record)
+    self._write(self._slot_pos(slot_no), _SLOT.pack(offset, size))
+    self._write(_FREE_LOWER, _U16.pack(offset + size))
+    self._write(_SLOT_COUNT, _U16.pack(slot_no + 1))
+    return slot_no
+
+
+def parent_heap_insert(self, record):
+    start = self._cursor
+    page_index = start
+    while True:
+        lba = self._ensure_page(page_index)
+        try:
+            with self.manager.update(lba) as page:
+                slot = page.insert(record)
+            self._cursor = page_index
+            self.record_count += 1
+            return RID(lba, slot)
+        except PageFullError:
+            page_index += 1
+            if page_index >= self.max_pages:
+                # Fall back to first-fit over all pages, compacting
+                # tombstoned pages to reclaim deleted records' space.
+                for earlier in range(0, self._allocated):
+                    lba = self._lba(earlier)
+                    try:
+                        with self.manager.update(lba) as page:
+                            if (
+                                page.free_space < len(record)
+                                and page.has_tombstones()
+                            ):
+                                page.compact()
+                            slot = page.insert(record)
+                        self.record_count += 1
+                        return RID(lba, slot)
+                    except PageFullError:
+                        continue
+                raise FileFullError(
+                    f"file {self.file_id}: no page can hold "
+                    f"{len(record)} bytes"
+                )
+
+
+def parent_heap_read(self, rid):
+    with self.manager.page(rid.lba) as page:
+        return page.read(rid.slot)
+
+
+def parent_heap_update(self, rid, field_offset, data):
+    with self.manager.update(rid.lba) as page:
+        page.update(rid.slot, field_offset, data)
+
+
+@contextmanager
+def parent_code():
+    """Every body this file keeps of the parent, put back in place."""
+    with ExitStack() as stack:
+        for owner, name, body in (
+            (manager_module, "ChangeTracker", ParentChangeTracker),
+            (StorageManager, "fetch", parent_fetch),
+            (StorageManager, "update", parent_update),
+            (SlottedPage, "insert", parent_page_insert),
+            (HeapFile, "insert", parent_heap_insert),
+            (HeapFile, "read", parent_heap_read),
+            (HeapFile, "update", parent_heap_update),
+        ):
+            stack.enter_context(mock.patch.object(owner, name, body))
+        yield
+
+
+def _media_digest(chip):
+    digest = hashlib.sha256()
+    for block in chip.blocks:
+        for page in block.pages:
+            digest.update(page.raw_data())
+            digest.update(page.raw_oob())
+    return digest.hexdigest()
+
+
+#: 1 KB pages fill after a handful of records, so inserts probe full
+#: pages (``PageFullError`` inside the bracket) and run off the file.
+HEAP_PAGES = 5
+
+_heap_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("insert"),
+            st.sampled_from([1, 30, 120, 350, 900]),
+            st.integers(min_value=0, max_value=255),
+        ),
+        st.tuples(st.just("insert"), st.just(0), st.just(0)),  # ValueError
+        st.tuples(
+            st.just("update"),
+            st.integers(min_value=0, max_value=40),
+            st.integers(min_value=0, max_value=40),
+            st.binary(min_size=1, max_size=20),
+        ),
+        st.tuples(st.just("read"), st.integers(min_value=0, max_value=40)),
+        st.tuples(st.just("commit")),
+        st.tuples(st.just("flush")),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _run_heap_ops(ops, with_wal, ipa):
+    """Drive one fresh stack; returns what is observable after every op."""
+    device = NoFtlDevice(FlashChip(GEO), over_provisioning=0.2)
+    if ipa:
+        scheme, policy = SCHEME_2X4, IpaNativePolicy()
+        region = IpaRegionConfig(scheme.n_records, scheme.m_bytes)
+    else:
+        scheme, policy, region = IPA_DISABLED, TraditionalPolicy(), None
+    device.create_region("data", blocks=32, ipa=region)
+    manager = StorageManager(device, scheme, policy, buffer_capacity=3)
+    if with_wal:
+        manager.wal = WriteAheadLog(FlashChip(GEO, seed=7))
+    heap = HeapFile(manager, file_id=3, base_lba=0, max_pages=HEAP_PAGES)
+    rids = []
+    history = []
+    for op in ops:
+        outcome = None
+        try:
+            if op[0] == "insert":
+                rids.append(heap.insert(bytes([op[2]]) * op[1]))
+                outcome = rids[-1]
+            elif op[0] == "update" and rids:
+                heap.update(rids[op[1] % len(rids)], op[2], op[3])
+            elif op[0] == "read" and rids:
+                outcome = heap.read(rids[op[1] % len(rids)])
+            elif op[0] == "commit":
+                manager.commit_wal()
+            elif op[0] == "flush":
+                manager.flush_all()
+        except (ValueError, FileFullError) as error:
+            outcome = (type(error), str(error))
+        history.append(
+            {
+                "op": op,
+                "outcome": outcome,
+                "manager": asdict(manager.stats),
+                "pool": asdict(manager.pool.stats),
+                "resident": [
+                    (f.lba, f.dirty, f.pin_count, f.page.lsn, f.page.to_bytes())
+                    for f in manager.pool.frames()
+                ],
+                "now_us": repr(manager.clock.now_us),
+                "breakdown": {
+                    k: repr(v) for k, v in manager.clock.breakdown_us.items()
+                },
+                "next_lsn": manager._next_lsn,
+                "no_steal": sorted(manager._txn_locked_lbas),
+                "records": heap.record_count,
+                "media": _media_digest(device.chip),
+                "wal": (
+                    asdict(manager.wal.stats),
+                    repr(manager.wal.chip.clock.now_us),
+                    _media_digest(manager.wal.chip),
+                )
+                if with_wal
+                else None,
+            }
+        )
+    return history
+
+
+class TestUpdateBracketAgainstParent:
+    @pytest.mark.parametrize("ipa", [True, False], ids=["ipa-native", "traditional"])
+    @pytest.mark.parametrize("with_wal", [False, True], ids=["no-wal", "wal"])
+    @given(ops=_heap_ops)
+    @settings(max_examples=60, deadline=None)
+    def test_heap_sequences(self, with_wal, ipa, ops):
+        with parent_code():
+            expected = _run_heap_ops(ops, with_wal, ipa)
+        history = _run_heap_ops(ops, with_wal, ipa)
+        for step, reference in zip(history, expected):
+            assert step == reference, step["op"]
+
+    def test_the_sequences_reach_full_pages_evictions_and_the_wal(self):
+        """The strategy above is only worth its name if its ops get there."""
+        ops = [("insert", 350, 1)] * 12 + [("update", 0, 3, b"zz"), ("commit",)]
+        last = _run_heap_ops(ops + [("insert", 900, 2)] * 5, True, True)[-1]
+        assert last["outcome"][0] is FileFullError
+        assert last["manager"]["update_ops"] > 13 + 5  # failed probes count
+        assert last["manager"]["ipa_flushes"] and last["pool"]["dirty_evictions"]
+        assert last["wal"][0]["records_logged"] > 13

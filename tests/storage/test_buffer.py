@@ -99,6 +99,33 @@ class TestEviction:
         assert pool.stats.dirty_eviction_net_bytes == [3]
 
 
+    @pytest.mark.parametrize("replacement", ["lru", "clock"])
+    def test_a_raising_flush_keeps_the_dirty_frame(self, replacement):
+        """Device full, WAL full, an injected fault: the victim must stay
+        resident and dirty (dropping it would make the next fetch re-read
+        the stale Flash copy), nothing is counted, and a retry evicts it."""
+        attempts = []
+
+        def flush(frame):
+            attempts.append(frame.lba)
+            if len(attempts) == 1:
+                raise OSError("device full")
+            frame.dirty = False
+
+        pool = BufferPool(1, flush=flush, replacement=replacement)
+        victim = make_frame(1, dirty=True)
+        pool.insert(victim)
+        with pytest.raises(OSError):
+            pool.insert(make_frame(2))
+        assert pool.get(1) is victim and victim.dirty and 2 not in pool
+        assert pool.stats.evictions == pool.stats.dirty_evictions == 0
+        assert pool.stats.dirty_eviction_net_bytes == []
+        pool.insert(make_frame(2))  # the retry flushes and evicts it
+        assert attempts == [1, 1] and 1 not in pool and 2 in pool
+        assert pool.stats.evictions == pool.stats.dirty_evictions == 1
+        assert pool.stats.dirty_eviction_net_bytes == [0]
+
+
 class TestFlushAll:
     def test_flush_all_only_dirty(self):
         flushed = []
