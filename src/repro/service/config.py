@@ -111,3 +111,13 @@ class ServiceConfig:
             )
         if self.repl_latency_us < 0:
             raise ValueError("repl_latency_us must be >= 0")
+        # A negative delay would schedule a session's next issue before
+        # the completion (or shed) that triggers it.
+        if self.think_time_us < 0:
+            raise ValueError(
+                f"think_time_us must be >= 0, got {self.think_time_us}"
+            )
+        if self.shed_backoff_us < 0:
+            raise ValueError(
+                f"shed_backoff_us must be >= 0, got {self.shed_backoff_us}"
+            )

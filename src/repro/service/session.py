@@ -17,6 +17,11 @@ class Session:
     is spent.  Its RNG stream is derived from the master seed and is the
     *only* source of randomness in its transactions, which is what makes
     the dispatch log sufficient to replay a shard's media bytes.
+
+    ``rng`` belongs to the workload from the session's first transaction
+    on: the draw kernel adopts it and prefetches from it, so nothing else
+    may draw from it until :func:`repro.workloads.base.release` has handed
+    it back.
     """
 
     tenant: int

@@ -14,13 +14,16 @@ Operation mix (LinkBench paper, rounded):
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.engine.database import Database
 from repro.engine.index import DuplicateKeyError
 from repro.engine.schema import Column, ColumnType, Schema
 from repro.storage.heap import FileFullError
-from repro.workloads.base import Workload, pages_for_rows, zipf_index
+from repro.workloads.base import DrawStream, Workload, draws, pages_for_rows
+
+if TYPE_CHECKING:
+    import numpy as np
 
 NODE_SCHEMA = Schema(
     [
@@ -101,10 +104,11 @@ class LinkBenchWorkload(Workload):
             )
             self._adjacency[node_id] = []
         self._next_node_id = self.nodes
+        integers = draws(rng).integers
         for id1 in range(self.nodes):
             for _ in range(self.links_per_node):
-                id2 = int(rng.integers(0, self.nodes))
-                link_type = int(rng.integers(0, LINK_TYPES))
+                id2 = integers(0, self.nodes)
+                link_type = integers(0, LINK_TYPES)
                 try:
                     link.insert(
                         {
@@ -127,67 +131,68 @@ class LinkBenchWorkload(Workload):
     # ------------------------------------------------------------------ #
 
     def transaction(self, db: Database, rng: np.random.Generator) -> str:
-        roll = rng.random()
+        draw = draws(rng)
+        roll = draw.random()
         if roll < 0.50:
-            return self._get_link_list(db, rng)
+            return self._get_link_list(db, draw)
         if roll < 0.63:
-            return self._get_node(db, rng)
+            return self._get_node(db, draw)
         if roll < 0.68:
-            return self._count_links(db, rng)
+            return self._count_links(db, draw)
         if roll < 0.76:
-            return self._update_link(db, rng)
+            return self._update_link(db, draw)
         if roll < 0.85:
-            return self._add_link(db, rng)
+            return self._add_link(db, draw)
         if roll < 0.88:
-            return self._delete_link(db, rng)
+            return self._delete_link(db, draw)
         if roll < 0.95:
-            return self._update_node(db, rng)
+            return self._update_node(db, draw)
         if roll < 0.98:
-            return self._add_node(db, rng)
-        return self._get_link(db, rng)
+            return self._add_node(db, draw)
+        return self._get_link(db, draw)
 
-    def _hot_node(self, rng) -> int:
-        return zipf_index(rng, self.nodes)
+    def _hot_node(self, draw: DrawStream) -> int:
+        return draw.zipf(self.nodes)
 
-    def _get_link_list(self, db, rng) -> str:
+    def _get_link_list(self, db: Database, draw: DrawStream) -> str:
         link = db.table("link")
         with db.begin("get_link_list"):
-            id1 = self._hot_node(rng)
+            id1 = self._hot_node(draw)
             for link_type, id2 in self._adjacency.get(id1, [])[:10]:
                 key = (id1, link_type, id2)
                 if link.pk_index is not None and key in link.pk_index:
                     link.get(key)
         return "get_link_list"
 
-    def _get_node(self, db, rng) -> str:
+    def _get_node(self, db: Database, draw: DrawStream) -> str:
         with db.begin("get_node"):
-            db.table("node").get(self._hot_node(rng))
+            db.table("node").get(self._hot_node(draw))
         return "get_node"
 
-    def _count_links(self, db, rng) -> str:
+    def _count_links(self, db: Database, draw: DrawStream) -> str:
         with db.begin("count_links"):
-            _ = len(self._adjacency.get(self._hot_node(rng), []))
+            _ = len(self._adjacency.get(self._hot_node(draw), []))
         return "count_links"
 
-    def _update_link(self, db, rng) -> str:
+    def _update_link(self, db: Database, draw: DrawStream) -> str:
         link = db.table("link")
         with db.begin("update_link"):
-            id1 = self._hot_node(rng)
+            id1 = self._hot_node(draw)
             adj = self._adjacency.get(id1, [])
             if adj:
-                link_type, id2 = adj[int(rng.integers(0, len(adj)))]
+                link_type, id2 = adj[draw.integers(0, len(adj))]
                 key = (id1, link_type, id2)
                 if link.pk_index is not None and key in link.pk_index:
                     row = link.get(key)
                     link.update_field(key, "version", row["version"] + 1)
         return "update_link"
 
-    def _add_link(self, db, rng) -> str:
+    def _add_link(self, db: Database, draw: DrawStream) -> str:
         link = db.table("link")
         with db.begin("add_link"):
-            id1 = self._hot_node(rng)
-            id2 = int(rng.integers(0, self._next_node_id))
-            link_type = int(rng.integers(0, LINK_TYPES))
+            id1 = self._hot_node(draw)
+            id2 = draw.integers(0, self._next_node_id)
+            link_type = draw.integers(0, LINK_TYPES)
             try:
                 link.insert(
                     {
@@ -205,28 +210,28 @@ class LinkBenchWorkload(Workload):
                 pass
         return "add_link"
 
-    def _delete_link(self, db, rng) -> str:
+    def _delete_link(self, db: Database, draw: DrawStream) -> str:
         link = db.table("link")
         with db.begin("delete_link"):
-            id1 = self._hot_node(rng)
+            id1 = self._hot_node(draw)
             adj = self._adjacency.get(id1, [])
             if adj:
-                link_type, id2 = adj.pop(int(rng.integers(0, len(adj))))
+                link_type, id2 = adj.pop(draw.integers(0, len(adj)))
                 key = (id1, link_type, id2)
                 if link.pk_index is not None and key in link.pk_index:
                     link.delete(key)
         return "delete_link"
 
-    def _update_node(self, db, rng) -> str:
+    def _update_node(self, db: Database, draw: DrawStream) -> str:
         node = db.table("node")
         with db.begin("update_node"):
-            node_id = self._hot_node(rng)
+            node_id = self._hot_node(draw)
             row = node.get(node_id)
             node.update_field(node_id, "version", row["version"] + 1)
             node.update_field(node_id, "time", row["time"] + 1)
         return "update_node"
 
-    def _add_node(self, db, rng) -> str:
+    def _add_node(self, db: Database, draw: DrawStream) -> str:
         node = db.table("node")
         with db.begin("add_node"):
             try:
@@ -244,10 +249,10 @@ class LinkBenchWorkload(Workload):
                 pass
         return "add_node"
 
-    def _get_link(self, db, rng) -> str:
+    def _get_link(self, db: Database, draw: DrawStream) -> str:
         link = db.table("link")
         with db.begin("get_link"):
-            id1 = self._hot_node(rng)
+            id1 = self._hot_node(draw)
             adj = self._adjacency.get(id1, [])
             if adj:
                 link_type, id2 = adj[0]

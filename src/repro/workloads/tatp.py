@@ -12,13 +12,16 @@ Standard mix (TATP specification):
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.engine.database import Database
 from repro.engine.index import DuplicateKeyError
 from repro.engine.schema import Column, ColumnType, Schema
 from repro.storage.heap import FileFullError
-from repro.workloads.base import Workload, pages_for_rows
+from repro.workloads.base import DrawStream, Workload, draws, pages_for_rows
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SUBSCRIBER_SCHEMA = Schema(
     [
@@ -115,38 +118,39 @@ class TatpWorkload(Workload):
             pk=("s_id", "sf_type", "start_time"),
         )
 
+        integers = draws(rng).integers
         for s_id in range(self.subscribers):
             sub.insert(
                 {
                     "s_id": s_id,
-                    "bit_1": int(rng.integers(0, 2)),
-                    "hex_1": int(rng.integers(0, 16)),
-                    "byte2_1": int(rng.integers(0, 256)),
-                    "vlr_location": int(rng.integers(0, 2**31)),
-                    "msc_location": int(rng.integers(0, 2**31)),
+                    "bit_1": integers(0, 2),
+                    "hex_1": integers(0, 16),
+                    "byte2_1": integers(0, 256),
+                    "vlr_location": integers(0, 2**31),
+                    "msc_location": integers(0, 2**31),
                     "sub_nbr": f"{s_id:015d}",
                     "s_pad": "s",
                 }
             )
-            for ai_type in range(int(rng.integers(1, 5))):
+            for ai_type in range(integers(1, 5)):
                 ai.insert(
                     {
                         "s_id": s_id,
                         "ai_type": ai_type,
-                        "data1": int(rng.integers(0, 256)),
-                        "data2": int(rng.integers(0, 256)),
+                        "data1": integers(0, 256),
+                        "data2": integers(0, 256),
                         "data3": "abc",
                         "data4": "defgh",
                     }
                 )
-            for sf_type in range(int(rng.integers(1, 5))):
+            for sf_type in range(integers(1, 5)):
                 sf.insert(
                     {
                         "s_id": s_id,
                         "sf_type": sf_type,
-                        "is_active": int(rng.integers(0, 2)),
+                        "is_active": integers(0, 2),
                         "error_cntrl": 0,
-                        "data_a": int(rng.integers(0, 256)),
+                        "data_a": integers(0, 256),
                         "data_b": "xyzzy",
                     }
                 )
@@ -157,73 +161,74 @@ class TatpWorkload(Workload):
     # ------------------------------------------------------------------ #
 
     def transaction(self, db: Database, rng: np.random.Generator) -> str:
-        roll = rng.random()
+        draw = draws(rng)
+        roll = draw.random()
         if roll < 0.35:
-            return self._get_subscriber_data(db, rng)
+            return self._get_subscriber_data(db, draw)
         if roll < 0.45:
-            return self._get_new_destination(db, rng)
+            return self._get_new_destination(db, draw)
         if roll < 0.80:
-            return self._get_access_data(db, rng)
+            return self._get_access_data(db, draw)
         if roll < 0.82:
-            return self._update_subscriber_data(db, rng)
+            return self._update_subscriber_data(db, draw)
         if roll < 0.96:
-            return self._update_location(db, rng)
+            return self._update_location(db, draw)
         if roll < 0.98:
-            return self._insert_call_forwarding(db, rng)
-        return self._delete_call_forwarding(db, rng)
+            return self._insert_call_forwarding(db, draw)
+        return self._delete_call_forwarding(db, draw)
 
-    def _random_s_id(self, rng) -> int:
-        return int(rng.integers(0, self.subscribers))
+    def _random_s_id(self, draw: DrawStream) -> int:
+        return draw.integers(0, self.subscribers)
 
-    def _get_subscriber_data(self, db, rng) -> str:
+    def _get_subscriber_data(self, db: Database, draw: DrawStream) -> str:
         with db.begin("GET_SUBSCRIBER_DATA"):
-            db.table("subscriber").get(self._random_s_id(rng))
+            db.table("subscriber").get(self._random_s_id(draw))
         return "GET_SUBSCRIBER_DATA"
 
-    def _get_new_destination(self, db, rng) -> str:
+    def _get_new_destination(self, db: Database, draw: DrawStream) -> str:
         cf = db.table("call_forwarding")
         with db.begin("GET_NEW_DESTINATION"):
-            key = (self._random_s_id(rng), int(rng.integers(0, 4)), 0)
+            key = (self._random_s_id(draw), draw.integers(0, 4), 0)
             if cf.pk_index is not None and key in cf.pk_index:
                 cf.get(key)
         return "GET_NEW_DESTINATION"
 
-    def _get_access_data(self, db, rng) -> str:
+    def _get_access_data(self, db: Database, draw: DrawStream) -> str:
         ai = db.table("access_info")
         with db.begin("GET_ACCESS_DATA"):
-            key = (self._random_s_id(rng), int(rng.integers(0, 4)))
+            key = (self._random_s_id(draw), draw.integers(0, 4))
             if ai.pk_index is not None and key in ai.pk_index:
                 ai.get(key)
         return "GET_ACCESS_DATA"
 
-    def _update_subscriber_data(self, db, rng) -> str:
+    def _update_subscriber_data(self, db: Database, draw: DrawStream) -> str:
         sub = db.table("subscriber")
         sf = db.table("special_facility")
         with db.begin("UPDATE_SUBSCRIBER_DATA"):
-            s_id = self._random_s_id(rng)
-            sub.update_field(s_id, "bit_1", int(rng.integers(0, 2)))
+            s_id = self._random_s_id(draw)
+            sub.update_field(s_id, "bit_1", draw.integers(0, 2))
             key = (s_id, 0)
             if sf.pk_index is not None and key in sf.pk_index:
-                sf.update_field(key, "data_a", int(rng.integers(0, 256)))
+                sf.update_field(key, "data_a", draw.integers(0, 256))
         return "UPDATE_SUBSCRIBER_DATA"
 
-    def _update_location(self, db, rng) -> str:
+    def _update_location(self, db: Database, draw: DrawStream) -> str:
         with db.begin("UPDATE_LOCATION"):
             db.table("subscriber").update_field(
-                self._random_s_id(rng),
+                self._random_s_id(draw),
                 "vlr_location",
-                int(rng.integers(0, 2**31)),
+                draw.integers(0, 2**31),
             )
         return "UPDATE_LOCATION"
 
-    def _insert_call_forwarding(self, db, rng) -> str:
+    def _insert_call_forwarding(self, db: Database, draw: DrawStream) -> str:
         cf = db.table("call_forwarding")
         with db.begin("INSERT_CALL_FORWARDING"):
             row = {
-                "s_id": self._random_s_id(rng),
-                "sf_type": int(rng.integers(0, 4)),
-                "start_time": int(rng.integers(0, 24)),
-                "end_time": int(rng.integers(0, 24)),
+                "s_id": self._random_s_id(draw),
+                "sf_type": draw.integers(0, 4),
+                "start_time": draw.integers(0, 24),
+                "end_time": draw.integers(0, 24),
                 "numberx": "555000111222333",
             }
             try:
@@ -232,13 +237,13 @@ class TatpWorkload(Workload):
                 pass  # spec: failed inserts are allowed and counted
         return "INSERT_CALL_FORWARDING"
 
-    def _delete_call_forwarding(self, db, rng) -> str:
+    def _delete_call_forwarding(self, db: Database, draw: DrawStream) -> str:
         cf = db.table("call_forwarding")
         with db.begin("DELETE_CALL_FORWARDING"):
             key = (
-                self._random_s_id(rng),
-                int(rng.integers(0, 4)),
-                int(rng.integers(0, 24)),
+                self._random_s_id(draw),
+                draw.integers(0, 4),
+                draw.integers(0, 24),
             )
             if cf.pk_index is not None and key in cf.pk_index:
                 cf.delete(key)

@@ -14,11 +14,14 @@ from TPC-B's 100 000 so experiments run in seconds (the paper itself ran
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.engine.database import Database
 from repro.engine.schema import Column, ColumnType, Schema
-from repro.workloads.base import Workload, pages_for_rows
+from repro.workloads.base import Workload, draws, pages_for_rows
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BRANCH_SCHEMA = Schema(
     [
@@ -81,6 +84,12 @@ class TpcbWorkload(Workload):
     ) -> None:
         if scale < 1:
             raise ValueError("scale must be >= 1")
+        if accounts_per_branch < 1:
+            raise ValueError(
+                f"accounts_per_branch must be >= 1, got {accounts_per_branch}"
+            )
+        if history_pages < 1:
+            raise ValueError(f"history_pages must be >= 1, got {history_pages}")
         self.scale = scale
         self.accounts_per_branch = accounts_per_branch
         self.history_pages = history_pages
@@ -147,10 +156,11 @@ class TpcbWorkload(Workload):
 
     def transaction(self, db: Database, rng: np.random.Generator) -> str:
         """The TPC-B transaction profile."""
-        a_id = int(rng.integers(0, self.n_accounts))
-        t_id = int(rng.integers(0, self.n_tellers))
+        integers = draws(rng).integers
+        a_id = integers(0, self.n_accounts)
+        t_id = integers(0, self.n_tellers)
         b_id = t_id // TELLERS_PER_BRANCH
-        delta = int(rng.integers(-99999, 100000))
+        delta = integers(-99999, 100000)
 
         accounts = db.table("account")
         tellers = db.table("teller")

@@ -15,12 +15,15 @@ pattern* — the thing that matters for IPA — follows the spec:
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.engine.database import Database
 from repro.engine.schema import Column, ColumnType, Schema
 from repro.storage.heap import FileFullError
-from repro.workloads.base import Workload, nurand, pages_for_rows
+from repro.workloads.base import DrawStream, Workload, draws, pages_for_rows
+
+if TYPE_CHECKING:
+    import numpy as np
 
 WAREHOUSE_SCHEMA = Schema(
     [
@@ -185,6 +188,7 @@ class TpccWorkload(Workload):
         )
         db.create_table("history", HISTORY_SCHEMA, self.order_pages, pk="h_id")
 
+        integers = draws(rng).integers
         for w_id in range(self.warehouses):
             w.insert({"w_id": w_id, "w_ytd": 0, "w_tax": 0.05, "w_pad": "w"})
             for d_id in range(DISTRICTS_PER_WAREHOUSE):
@@ -218,7 +222,7 @@ class TpccWorkload(Workload):
                     {
                         "s_w_id": w_id,
                         "s_i_id": i_id,
-                        "s_quantity": int(rng.integers(10, 101)),
+                        "s_quantity": integers(10, 101),
                         "s_ytd": 0,
                         "s_order_cnt": 0,
                         "s_pad": "s",
@@ -232,27 +236,28 @@ class TpccWorkload(Workload):
     # ------------------------------------------------------------------ #
 
     def transaction(self, db: Database, rng: np.random.Generator) -> str:
-        roll = rng.random()
+        draw = draws(rng)
+        roll = draw.random()
         if roll < 0.45:
-            return self._new_order(db, rng)
+            return self._new_order(db, draw)
         if roll < 0.88:
-            return self._payment(db, rng)
+            return self._payment(db, draw)
         if roll < 0.92:
-            return self._order_status(db, rng)
+            return self._order_status(db, draw)
         if roll < 0.96:
-            return self._delivery(db, rng)
-        return self._stock_level(db, rng)
+            return self._delivery(db, draw)
+        return self._stock_level(db, draw)
 
-    def _pick_wd(self, rng) -> tuple[int, int]:
+    def _pick_wd(self, draw: DrawStream) -> tuple[int, int]:
         return (
-            int(rng.integers(0, self.warehouses)),
-            int(rng.integers(0, DISTRICTS_PER_WAREHOUSE)),
+            draw.integers(0, self.warehouses),
+            draw.integers(0, DISTRICTS_PER_WAREHOUSE),
         )
 
-    def _new_order(self, db, rng) -> str:
-        w_id, d_id = self._pick_wd(rng)
-        c_id = nurand(rng, 255, 0, self.customers_per_district - 1)
-        n_lines = int(rng.integers(5, 16))
+    def _new_order(self, db: Database, draw: DrawStream) -> str:
+        w_id, d_id = self._pick_wd(draw)
+        c_id = draw.nurand(255, 0, self.customers_per_district - 1)
+        n_lines = draw.integers(5, 16)
         district = db.table("district")
         stock = db.table("stock")
         orders = db.table("orders")
@@ -273,7 +278,7 @@ class TpccWorkload(Workload):
                     }
                 )
                 for number in range(n_lines):
-                    i_id = nurand(rng, 8191, 0, self.items - 1)
+                    i_id = draw.nurand(8191, 0, self.items - 1)
                     row = stock.get((w_id, i_id))
                     quantity = row["s_quantity"]
                     new_quantity = (
@@ -295,17 +300,17 @@ class TpccWorkload(Workload):
                             "ol_number": number,
                             "ol_i_id": i_id,
                             "ol_quantity": 5,
-                            "ol_amount": int(rng.integers(1, 10000)),
+                            "ol_amount": draw.integers(1, 10000),
                         }
                     )
             except FileFullError:
                 pass  # order file exhausted: treat as rolled-back order
         return "NewOrder"
 
-    def _payment(self, db, rng) -> str:
-        w_id, d_id = self._pick_wd(rng)
-        c_id = nurand(rng, 255, 0, self.customers_per_district - 1)
-        amount = int(rng.integers(100, 500000))
+    def _payment(self, db: Database, draw: DrawStream) -> str:
+        w_id, d_id = self._pick_wd(draw)
+        c_id = draw.nurand(255, 0, self.customers_per_district - 1)
+        amount = draw.integers(100, 500000)
         warehouse = db.table("warehouse")
         district = db.table("district")
         customer = db.table("customer")
@@ -341,9 +346,9 @@ class TpccWorkload(Workload):
                 pass
         return "Payment"
 
-    def _order_status(self, db, rng) -> str:
-        w_id, d_id = self._pick_wd(rng)
-        c_id = nurand(rng, 255, 0, self.customers_per_district - 1)
+    def _order_status(self, db: Database, draw: DrawStream) -> str:
+        w_id, d_id = self._pick_wd(draw)
+        c_id = draw.nurand(255, 0, self.customers_per_district - 1)
         customer = db.table("customer")
         orders = db.table("orders")
         with db.begin("OrderStatus"):
@@ -355,8 +360,8 @@ class TpccWorkload(Workload):
                     orders.get(key)
         return "OrderStatus"
 
-    def _delivery(self, db, rng) -> str:
-        w_id = int(rng.integers(0, self.warehouses))
+    def _delivery(self, db: Database, draw: DrawStream) -> str:
+        w_id = draw.integers(0, self.warehouses)
         orders = db.table("orders")
         customer = db.table("customer")
         with db.begin("Delivery"):
@@ -366,7 +371,7 @@ class TpccWorkload(Workload):
                 if orders.pk_index is None or key not in orders.pk_index:
                     continue
                 order = orders.get(key)
-                orders.update_field(key, "o_carrier_id", int(rng.integers(1, 11)))
+                orders.update_field(key, "o_carrier_id", draw.integers(1, 11))
                 c_key = (w_id, d_id, order["o_c_id"])
                 row = customer.get(c_key)
                 customer.update_fields(
@@ -379,13 +384,13 @@ class TpccWorkload(Workload):
                 self._oldest_undelivered[(w_id, d_id)] = o_id + 1
         return "Delivery"
 
-    def _stock_level(self, db, rng) -> str:
-        w_id = int(rng.integers(0, self.warehouses))
+    def _stock_level(self, db: Database, draw: DrawStream) -> str:
+        w_id = draw.integers(0, self.warehouses)
         stock = db.table("stock")
         with db.begin("StockLevel"):
             # Inspect 20 recent items' stock (point reads stand in for the
             # order-line join; the read volume is what matters here).
             for _ in range(20):
-                i_id = int(rng.integers(0, self.items))
+                i_id = draw.integers(0, self.items)
                 stock.get((w_id, i_id))
         return "StockLevel"

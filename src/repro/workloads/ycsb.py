@@ -17,11 +17,14 @@ Access is Zipfian (the YCSB default).
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.engine.database import Database
 from repro.engine.schema import Column, ColumnType, Schema
-from repro.workloads.base import Workload, pages_for_rows, zipf_index
+from repro.workloads.base import Workload, draws, pages_for_rows
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MIXES = {
     "a": {"read": 0.50, "update": 0.50, "rmw": 0.0},
@@ -56,18 +59,18 @@ class YcsbWorkload(Workload):
             raise ValueError("need at least 10 records")
         if mix not in MIXES:
             raise ValueError(f"mix must be one of {sorted(MIXES)}")
+        if field_count < 1:
+            raise ValueError(f"field_count must be >= 1, got {field_count}")
         self.records = records
         self.mix = mix
         self.field_count = field_count
         self.field_size = field_size
         self.zipfian = zipfian
         self.name = f"ycsb-{mix}"
+        self._fields = [f"field{i}" for i in range(field_count)]
         self._schema = Schema(
             [Column("key", ColumnType.INT64)]
-            + [
-                Column(f"field{i}", ColumnType.CHAR, field_size)
-                for i in range(field_count)
-            ]
+            + [Column(name, ColumnType.CHAR, field_size) for name in self._fields]
         )
 
     def estimate_pages(self, page_size: int) -> int:
@@ -81,35 +84,35 @@ class YcsbWorkload(Workload):
             pages_for_rows(db, self.records, self._schema.record_size),
             pk="key",
         )
+        letters, size = draws(rng).letters, self.field_size
         for key in range(self.records):
             row = {"key": key}
-            for i in range(self.field_count):
-                row[f"field{i}"] = _value(rng, self.field_size)
+            for field in self._fields:
+                row[field] = letters(size)
             table.insert(row)
         db.checkpoint()
 
-    def _pick_key(self, rng: np.random.Generator) -> int:
-        if self.zipfian:
-            return zipf_index(rng, self.records)
-        return int(rng.integers(0, self.records))
-
     def transaction(self, db: Database, rng: np.random.Generator) -> str:
         probabilities = MIXES[self.mix]
-        roll = rng.random()
+        draw = draws(rng)
+        roll = draw.random()
         table = db.table("usertable")
-        key = self._pick_key(rng)
+        if self.zipfian:
+            key = draw.zipf(self.records)
+        else:
+            key = draw.integers(0, self.records)
         if roll < probabilities["read"]:
             with db.begin("read"):
                 table.get(key)
             return "read"
         if roll < probabilities["read"] + probabilities["update"]:
             with db.begin("update"):
-                field = f"field{int(rng.integers(0, self.field_count))}"
-                table.update_field(key, field, _value(rng, self.field_size))
+                field = self._fields[draw.integers(0, self.field_count)]
+                table.update_field(key, field, draw.letters(self.field_size))
             return "update"
         with db.begin("rmw"):
             row = table.get(key)
-            field = f"field{int(rng.integers(0, self.field_count))}"
+            field = self._fields[draw.integers(0, self.field_count)]
             current = row[field]
             mutated = (current[:-1] + "z") if current else "z"
             table.update_field(key, field, mutated[: self.field_size])
@@ -117,6 +120,6 @@ class YcsbWorkload(Workload):
 
 
 def _value(rng: np.random.Generator, size: int) -> str:
-    """``size`` random lowercase letters (one ``rng.integers`` draw)."""
-    letters = rng.integers(0, 26, size) + ord("a")
-    return letters.astype(np.uint8).tobytes().decode("ascii")
+    """``size`` random lowercase letters, as one ``rng.integers(0, 26,
+    size)`` draw spells them."""
+    return draws(rng).letters(size)

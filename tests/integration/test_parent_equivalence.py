@@ -14,6 +14,12 @@ one generation younger: the tracker (per-byte loop at every length) and
 the update bracket (``_UpdateOp.__exit__``, ``HeapFile`` on two context
 managers, four header writes per insert) as they ran before the
 right-sized primitives replaced them, again verbatim.
+
+``parent_nurand``, ``parent_zipf_index`` and ``parent_value`` are the
+workload generators' random helpers as they ran while every draw was a
+numpy call on a scalar or a ten-letter array, verbatim; the draw kernel
+that replaced them (``repro.workloads.base.DrawStream``) must return
+what they return and leave the generator where they leave it.
 """
 
 import hashlib
@@ -23,6 +29,7 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import asdict
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,6 +69,8 @@ from repro.storage.layout import (
     PageFullError,
     SlottedPage,
 )
+from repro.workloads.base import draws, nurand, release, zipf_index
+from repro.workloads.ycsb import _value
 from repro.storage.manager import (
     IpaNativePolicy,
     StorageManager,
@@ -1568,3 +1577,93 @@ class TestUpdateBracketAgainstParent:
         assert last["manager"]["update_ops"] > 13 + 5  # failed probes count
         assert last["manager"]["ipa_flushes"] and last["pool"]["dirty_evictions"]
         assert last["wal"][0]["records_logged"] > 13
+
+
+# ---------------------------------------------------------------------- #
+# The generators' random helpers before the draw kernel (verbatim)
+# ---------------------------------------------------------------------- #
+
+
+def parent_nurand(rng, a, x, y):
+    """TPC-C NURand(A, x, y) non-uniform random (C = 0)."""
+    if y < x:
+        raise ValueError(f"empty NURand range [{x}, {y}]")
+    if a < 0:
+        raise ValueError(f"NURand A must be >= 0, got {a}")
+    return (
+        (int(rng.integers(0, a + 1)) | int(rng.integers(x, y + 1)))
+        % (y - x + 1)
+    ) + x
+
+
+_PARENT_ZIPF_CDF_CACHE = {}
+
+
+def _parent_zipf_cdf(n, theta):
+    key = (n, theta)
+    cdf = _PARENT_ZIPF_CDF_CACHE.get(key)
+    if cdf is None:
+        weights = np.arange(1, n + 1, dtype=np.float64) ** -theta
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        cdf[-1] = 1.0  # guard fp round-down so a draw of ~1.0 maps in-range
+        _PARENT_ZIPF_CDF_CACHE[key] = cdf
+    return cdf
+
+
+def parent_zipf_index(rng, n, theta=1.2):
+    if n <= 0:
+        raise ValueError(f"zipf_index needs n >= 1, got {n}")
+    if theta < 0:
+        raise ValueError(f"zipf_index needs theta >= 0, got {theta}")
+    if n == 1:
+        return 0
+    cdf = _parent_zipf_cdf(n, theta)
+    return min(int(np.searchsorted(cdf, rng.random(), side="right")), n - 1)
+
+
+def parent_value(rng, size):
+    """``size`` random lowercase letters (one ``rng.integers`` draw)."""
+    letters = rng.integers(0, 26, size) + ord("a")
+    return letters.astype(np.uint8).tobytes().decode("ascii")
+
+
+_helper_calls = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("nurand"),
+            st.sampled_from([-1, 0, 255, 1023, 8191]),
+            st.integers(min_value=0, max_value=20),
+            st.integers(min_value=0, max_value=3000),
+        ),
+        st.tuples(
+            st.just("zipf_index"),
+            st.sampled_from([-3, 0, 1, 2, 7, 300, 6000]),
+            st.sampled_from([-0.1, 0.0, 0.5, 1.0, 1.2, 3.0]),
+        ),
+        st.tuples(st.just("value"), st.sampled_from([0, 1, 9, 10, 37])),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+_HELPERS = {
+    "nurand": (nurand, parent_nurand),
+    "zipf_index": (zipf_index, parent_zipf_index),
+    "value": (_value, parent_value),
+}
+
+
+class TestRandomHelpersAgainstParent:
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), calls=_helper_calls)
+    @settings(max_examples=150, deadline=None)
+    def test_same_values_same_errors_same_stream(self, seed, calls):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for name, *args in calls:
+            live, parent = _HELPERS[name]
+            assert _outcome(live, rng, *args) == _outcome(parent, reference, *args)
+        # The follow-up draw, read through the stream and after a release.
+        assert draws(rng).random() == reference.random()
+        release(rng)
+        assert rng.integers(0, 1000) == reference.integers(0, 1000)
+        assert rng.random() == reference.random()

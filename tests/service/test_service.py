@@ -224,3 +224,13 @@ class TestConfigValidation:
             ServiceConfig(queue_depth=0)
         with pytest.raises(ValueError):
             ServiceConfig(group_commit_size=0)
+
+    @pytest.mark.parametrize(
+        "field, value", [("think_time_us", -5.0), ("shed_backoff_us", -1.0)]
+    )
+    def test_negative_delays_rejected(self, field, value):
+        """A negative delay would issue a session's next request before
+        the completion that triggers it."""
+        with pytest.raises(ValueError, match=rf"{field} must be >= 0, got {value}"):
+            ServiceConfig(**{field: value})
+        ServiceConfig(**{field: 0.0})

@@ -7,10 +7,19 @@ rejects.  The inverse-CDF rewrite must keep the distribution's shape
 while fixing those corners — which is what these properties pin down.
 """
 
+from array import array
+
 import numpy as np
 import pytest
 
-from repro.workloads.base import _ZIPF_CDF_CACHE, _zipf_cdf, nurand, zipf_index
+from repro.workloads.base import (
+    _ZIPF_CDF_CACHE,
+    _zipf_cdf,
+    draws,
+    nurand,
+    release,
+    zipf_index,
+)
 
 
 def rng(seed=0):
@@ -74,6 +83,28 @@ class TestZipfIndex:
             zipf_index(r, 123, 1.2)
         assert list(_ZIPF_CDF_CACHE) == [(123, 1.2)]
         assert _zipf_cdf(123, 1.2) is _ZIPF_CDF_CACHE[(123, 1.2)]
+        # One form per table: the raw doubles the kernel bisects.
+        table = _ZIPF_CDF_CACHE[(123, 1.2)]
+        assert type(table) is array and table.typecode == "d" and len(table) == 123
+
+    def test_invalid_args_are_not_cached(self):
+        _ZIPF_CDF_CACHE.clear()
+        for n, theta in ((0, 1.2), (10, -0.1)):
+            with pytest.raises(ValueError):
+                zipf_index(rng(), n, theta)
+        assert not _ZIPF_CDF_CACHE
+
+    def test_one_uniform_per_draw(self):
+        """A draw costs one ``random()`` of the generator and nothing else,
+        read through the stream and, after a release, from the generator;
+        ``n == 1`` costs nothing."""
+        r, reference = rng(5), rng(5)
+        zipf_index(r, 50, 1.2)
+        zipf_index(r, 1, 1.2)
+        reference.random()
+        assert draws(r).random() == reference.random()
+        release(r)
+        assert r.random() == reference.random()
 
     def test_cdf_terminates_at_one(self):
         for n, theta in ((2, 0.0), (1000, 1.2), (17, 5.0)):
@@ -96,6 +127,16 @@ class TestNurand:
 
     def test_degenerate_single_value_range(self):
         assert nurand(rng(), 255, 42, 42) == 42
+
+    def test_two_bounded_draws_per_call(self):
+        r, reference = rng(6), rng(6)
+        drawn = nurand(r, 255, 0, 99)
+        assert drawn == (
+            int(reference.integers(0, 256)) | int(reference.integers(0, 100))
+        ) % 100
+        assert draws(r).integers(0, 1000) == reference.integers(0, 1000)
+        release(r)
+        assert r.integers(0, 1000) == reference.integers(0, 1000)
 
     def test_invalid_ranges_raise(self):
         with pytest.raises(ValueError):

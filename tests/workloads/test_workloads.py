@@ -1,26 +1,31 @@
 """Workload generators: build, run, and verify invariants."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.bench.harness import ExperimentConfig, build_stack
 from repro.core.config import SCHEME_2X4
+from repro.fault.failover import media_digest
 from repro.flash.modes import FlashMode
 from repro.workloads import WORKLOADS
-from repro.workloads.base import nurand, zipf_index
+from repro.workloads.base import draws, nurand, zipf_index
 from repro.workloads.linkbench import LinkBenchWorkload
 from repro.workloads.tatp import TatpWorkload
 from repro.workloads.tpcb import TpcbWorkload
 from repro.workloads.tpcc import TpccWorkload
+from repro.workloads.ycsb import YcsbWorkload
 
 
-def stack_for(workload, buffer_pages=64):
+def stack_for(workload, buffer_pages=64, **overrides):
     config = ExperimentConfig(
         workload=workload,
         architecture="ipa-native",
         mode=FlashMode.SLC,
         scheme=SCHEME_2X4,
         buffer_pages=buffer_pages,
+        **overrides,
     )
     return build_stack(config)
 
@@ -94,6 +99,16 @@ class TestTpcb:
         with pytest.raises(ValueError):
             TpcbWorkload(scale=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("accounts_per_branch", 0), ("accounts_per_branch", -3), ("history_pages", 0)],
+    )
+    def test_empty_tables_rejected_at_construction(self, field, value):
+        """Used to construct and then die inside the first transaction
+        with numpy's bare ``low >= high``."""
+        with pytest.raises(ValueError, match=rf"{field} must be >= 1, got {value}"):
+            TpcbWorkload(**{field: value})
+
 
 class TestTpcc:
     def test_build_and_run(self):
@@ -127,7 +142,7 @@ class TestTpcc:
         rng = np.random.default_rng(4)
         wl.build(db, rng)
         ops_before = mgr.stats.update_ops
-        wl._new_order(db, rng)
+        wl._new_order(db, draws(rng))
         ops = mgr.stats.update_ops - ops_before
         # 1 district + 1 per order line (5..15 lines): <= 16 ops total.
         assert ops <= 16
@@ -158,7 +173,7 @@ class TestTatp:
         wl.build(db, rng)
         before = {r["s_id"]: r["vlr_location"] for r in db.table("subscriber").scan()}
         for _ in range(60):
-            wl._update_location(db, rng)
+            wl._update_location(db, draws(rng))
         after = {r["s_id"]: r["vlr_location"] for r in db.table("subscriber").scan()}
         assert before != after
 
@@ -178,3 +193,73 @@ class TestLinkBench:
 
     def test_registry(self):
         assert set(WORKLOADS) == {"tpcb", "tpcc", "tatp", "linkbench", "ycsb"}
+
+
+# ---------------------------------------------------------------------- #
+# Seeded streams: no draw outside the kernel, no draw out of order
+# ---------------------------------------------------------------------- #
+
+
+class KernelOnlyGenerator(np.random.Generator):
+    """A generator whose own samplers refuse to run: whatever a workload
+    draws has to come through the draw kernel's raw-word prefetch."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("a workload drew from its generator directly")
+
+    random = integers = choice = bytes = _refuse
+
+
+SEEDED_WORKLOADS = {
+    "tpcb": lambda: TpcbWorkload(scale=2, accounts_per_branch=150, history_pages=40),
+    "tpcc": lambda: TpccWorkload(
+        warehouses=2, customers_per_district=12, items=150, order_pages=60
+    ),
+    "tatp": lambda: TatpWorkload(subscribers=300),
+    "linkbench": lambda: LinkBenchWorkload(nodes=300, links_per_node=3),
+    "ycsb-a": lambda: YcsbWorkload(records=300, mix="a"),
+    "ycsb-f-uniform": lambda: YcsbWorkload(records=300, mix="f", zipfian=False),
+}
+
+#: (workload, seed) -> (sha256 of the 2 000 transaction types in order,
+#: sha256 of data + WAL media after the final checkpoint), first 16 hex
+#: digits each, recorded at commit 0870827 — when every draw was a plain
+#: ``rng.integers`` / ``rng.random`` / ``np.searchsorted`` call.
+PARENT_STREAMS = {
+    ("tpcb", 7): ("b894214f2de3718e", "8149f8179c1f0c25"),
+    ("tpcb", 2017): ("b894214f2de3718e", "ba12d2aee5bf5f28"),
+    ("tpcc", 7): ("ddbfa4fde2973a77", "54258d860a2dc047"),
+    ("tpcc", 2017): ("fcb6dc2a02875c74", "bbb8ea0c479324b3"),
+    ("tatp", 7): ("96352b09eb03a879", "5c5ad2347b953ed7"),
+    ("tatp", 2017): ("069fd2f4bd9e5208", "3ba8b535983f7dc4"),
+    ("linkbench", 7): ("0e04e80884e61762", "ec396e6e607e827f"),
+    ("linkbench", 2017): ("8ad0d5d597fca9cf", "594739113bee3c27"),
+    ("ycsb-a", 7): ("064e648f7367ff7b", "387d3d60df93207b"),
+    ("ycsb-a", 2017): ("6186c5a3dcd6e700", "efc2d40aae7e2d71"),
+    ("ycsb-f-uniform", 7): ("2643258cc065ad22", "1bcae3daa4dd8d78"),
+    ("ycsb-f-uniform", 2017): ("d0efc1544b4f3759", "cd40af5e9f301b8c"),
+}
+
+
+class TestSeededStreams:
+    @pytest.mark.parametrize("name, seed", sorted(PARENT_STREAMS))
+    def test_same_transactions_and_media_as_the_parent_commit(self, name, seed):
+        """2 000 transactions on a generator that can only be read through
+        the kernel: a draw that bypasses it raises, a draw made in another
+        order (or with another bound) changes the type sequence or the
+        media bytes."""
+        workload = SEEDED_WORKLOADS[name]()
+        db, manager = stack_for(workload, buffer_pages=16, with_wal=True, seed=seed)
+        rng = KernelOnlyGenerator(np.random.PCG64(seed))
+        workload.build(db, rng)
+        kinds = [workload.transaction(db, rng) for _ in range(2000)]
+        db.checkpoint()
+        sequence = hashlib.sha256("\n".join(kinds).encode()).hexdigest()[:16]
+        media = media_digest(manager.device.chip, manager.wal.chip)[:16]
+        assert (sequence, media) == PARENT_STREAMS[name, seed]
+
+    def test_the_refusing_generator_refuses(self):
+        rng = KernelOnlyGenerator(np.random.PCG64(1))
+        for sampler in (rng.random, rng.integers, rng.choice, rng.bytes):
+            with pytest.raises(AssertionError):
+                sampler(10)

@@ -6,6 +6,7 @@ import pytest
 from repro.bench.harness import ExperimentConfig, build_stack
 from repro.core.config import SCHEME_2X4
 from repro.flash.modes import FlashMode
+from repro.workloads.base import draws, release
 from repro.workloads.ycsb import MIXES, YcsbWorkload, _value
 
 
@@ -24,16 +25,19 @@ def stack_for(workload, buffer_pages=16, scheme=SCHEME_2X4):
 class TestFieldValues:
     @pytest.mark.parametrize("size", [1, 10, 37])
     def test_same_letters_and_same_stream_as_the_scalar_walk(self, size):
-        """The field value is built from one array draw; it must spell
-        what the letter-by-letter walk spelled and leave the generator
-        where that walk left it (seeded op streams depend on it)."""
+        """The field value is a slice of the kernel's letter table; it
+        must spell what the letter-by-letter walk spelled and leave the
+        stream — and, once released, the generator — where that walk
+        left it (seeded op streams depend on it)."""
         letters = "abcdefghijklmnopqrstuvwxyz"
         rng, reference = np.random.default_rng(7), np.random.default_rng(7)
         for _ in range(20):
             expected = "".join(
-                letters[int(i) % 26] for i in reference.integers(0, 26, size)
+                letters[int(reference.integers(0, 26))] for _ in range(size)
             )
             assert _value(rng, size) == expected
+        assert draws(rng).random() == reference.random()
+        release(rng)
         assert rng.random() == reference.random()
 
 
@@ -41,6 +45,15 @@ class TestYcsb:
     def test_bad_mix_rejected(self):
         with pytest.raises(ValueError):
             YcsbWorkload(mix="z")
+
+    @pytest.mark.parametrize("field_count", [0, -2])
+    def test_no_fields_rejected_at_construction(self, field_count):
+        """Used to construct and then die inside the first update with
+        numpy's bare ``low >= high``."""
+        with pytest.raises(
+            ValueError, match=f"field_count must be >= 1, got {field_count}"
+        ):
+            YcsbWorkload(field_count=field_count)
 
     def test_build(self):
         wl = YcsbWorkload(records=200, mix="a")
