@@ -16,6 +16,15 @@ contiguous payload heap; each row addresses its data / OOB bytes as
 like the per-op path does).  :class:`OpBatch` is the cheap append-only
 builder the FTLs and workload generators use; callers that already have
 the arrays can pass them directly.
+
+Besides the five host operations there is one device-internal command,
+:data:`OP_COPY` (:meth:`OpBatch.copy`): move one page, data and OOB, to
+an erased page of the same chip.  It is by definition
+``read_page_with_oob(src)`` followed by ``program_page(dst, data, oob)``
+— both are charged, counted and validated exactly as those two calls —
+and carries no payload: the image goes from cell buffer to cell buffer.
+Garbage collection relocates a victim's valid pages as one batch of
+these rows (:mod:`repro.ftl.gc`).
 """
 
 from __future__ import annotations
@@ -28,13 +37,16 @@ OP_PROGRAM = 1
 OP_REPROGRAM = 2
 OP_PARTIAL = 3
 OP_ERASE = 4
+OP_COPY = 5
 
 #: One encoded Flash operation.  ``target`` is a physical page number
 #: (or a block index for :data:`OP_ERASE`); ``offset`` is the in-page
 #: byte offset of a partial program; ``data_pos``/``data_len`` and
 #: ``oob_pos``/``oob_len`` are payload-heap slices (``len == -1`` =
 #: absent); ``oob_offset`` is the in-OOB offset of a partial program's
-#: ECC-slot write.
+#: ECC-slot write.  An :data:`OP_COPY` row programs ``target`` from the
+#: page whose physical page number is in ``data_pos`` — its data lives
+#: on the chip, not in the heap — with both lengths absent.
 OP_DTYPE = np.dtype(
     [
         ("op", np.uint8),
@@ -117,6 +129,11 @@ class OpBatch:
     def erase(self, block_idx: int) -> None:
         """Stage a block erase (``target`` is the block index)."""
         self._rows.append((OP_ERASE, block_idx, 0, 0, -1, 0, 0, -1))
+
+    def copy(self, src_ppn: int, dst_ppn: int) -> None:
+        """Stage a page move: read ``src_ppn`` (data + OOB), program it to
+        the erased page ``dst_ppn``."""
+        self._rows.append((OP_COPY, dst_ppn, 0, src_ppn, -1, 0, 0, -1))
 
     def arrays(self) -> tuple[np.ndarray, bytes]:
         """Materialize the ``(ops, payload)`` pair ``execute_batch`` takes."""

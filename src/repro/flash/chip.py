@@ -20,7 +20,9 @@ neighbouring wordlines.
 :meth:`FlashChip.execute_batch` executes a whole encoded run of these
 operations (see :mod:`repro.flash.batch`) in one Python call with
 bit-identical simulated outcomes — the speed-round-2 op-level batching
-layer.
+layer.  Its ``OP_COPY`` row (read a page with its OOB, program the image
+to an erased page) is how garbage collection relocates a victim's valid
+pages: one call per victim, no page image materialized in between.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.flash.batch import (
+    OP_COPY,
     OP_DTYPE,
     OP_ERASE,
     OP_PARTIAL,
@@ -480,6 +483,9 @@ class FlashChip:
                     out.append(self.read_page(target))
                 elif kind == OP_ERASE:
                     self.erase_block(target)
+                elif kind == OP_COPY:
+                    data, oob = self.read_page_with_oob(dpos)
+                    self.program_page(target, data, oob)
                 else:
                     data = bytes(heap[dpos : dpos + dlen]) if dlen >= 0 else b""
                     oob = bytes(heap[opos : opos + olen]) if olen >= 0 else None
@@ -590,14 +596,19 @@ class FlashChip:
                 opos,
                 olen,
             ) in enumerate(rows):
-                if kind == OP_READ:
-                    if not 0 <= target < total_pages:
+                if kind == OP_READ or kind == OP_COPY:
+                    # A copy row is read_page_with_oob(data_pos) followed
+                    # by program_page(target, data, oob), check for check
+                    # and charge for charge: it shares the sense with the
+                    # read row, then stores buffer to buffer.
+                    ppn = target if kind == OP_READ else dpos
+                    if not 0 <= ppn < total_pages:
                         raise IllegalAddressError(
-                            f"ppn {target} out of range [0, {total_pages})"
+                            f"ppn {ppn} out of range [0, {total_pages})"
                         )
-                    page = pages_flat[target]
-                    if page.state is programmed:
-                        worst = page._disturb_worst
+                    source = pages_flat[ppn]
+                    if source.state is programmed:
+                        worst = source._disturb_worst
                         if worst > ecc_t:
                             # The sense happened: charge it, count the
                             # event, then fail — mirrors FlashChip._read.
@@ -610,14 +621,47 @@ class FlashChip:
                                 f"t={ecc_t}",
                                 bit_errors=worst,
                             )
-                        ecc_corr += page._disturb_total
-                    out_append(bytes(page._data))
+                        ecc_corr += source._disturb_total
                     now += read_us
                     now += read_bus_us
                     read_t += read_us
                     bus_t += read_bus_us
                     n_reads += 1
                     b_read += read_nbytes
+                    if kind == OP_READ:
+                        out_append(bytes(source._data))
+                        continue
+                    if not 0 <= target < total_pages:
+                        raise IllegalAddressError(
+                            f"ppn {target} out of range [0, {total_pages})"
+                        )
+                    block_idx = target // ppb
+                    page_idx = target - block_idx * ppb
+                    if blocks[block_idx].is_bad:
+                        raise BadBlockError(f"block {block_idx} is retired")
+                    if not usable[page_idx]:
+                        raise ModeViolationError(
+                            f"page {page_idx} in block {block_idx} is not "
+                            f"usable in {mode_name} mode"
+                        )
+                    page = pages_flat[target]
+                    if page.state is not erased:
+                        raise WriteToProgrammedPageError(
+                            "plain program of a programmed page; "
+                            "reprogram() is explicit"
+                        )
+                    page._data[:] = source._data
+                    page._oob[:] = source._oob
+                    page.state = programmed
+                    page.program_passes = 1
+                    op_us = lsb_us if lsb[page_idx] else msb_us
+                    n_progs += 1
+                    now += op_us
+                    now += read_bus_us
+                    prog_t += op_us
+                    bus_t += read_bus_us
+                    b_prog += read_nbytes
+                    apply_interference(block_idx, page_idx, False)
                 elif kind == OP_PROGRAM or kind == OP_REPROGRAM:
                     if not 0 <= target < total_pages:
                         raise IllegalAddressError(
@@ -858,19 +902,26 @@ class FlashChip:
         charged here — the single site that increments the program
         counters — so per-cause attribution stays conservation-exact.
         """
+        stats = self.stats
         if reprogram:
             op_us = self._reprogram_us
-            self.stats.page_reprograms += 1
+            stats.page_reprograms += 1
         elif self._lsb_mask[page_idx]:
             op_us = self._program_lsb_us
-            self.stats.page_programs += 1
+            stats.page_programs += 1
         else:
             op_us = self._program_msb_us
-            self.stats.page_programs += 1
-        self.clock.advance_pair(
-            op_us, "program", nbytes * self._bus_us_per_byte, "bus"
-        )
-        self.stats.bytes_programmed += nbytes
+            stats.page_programs += 1
+        stats.bytes_programmed += nbytes
+        # SimClock.advance_pair(op_us, "program", bus_us, "bus"), same
+        # additions in the same order, without the frame.
+        bus_us = nbytes * self._bus_us_per_byte
+        clock = self.clock
+        clock._now_us += op_us
+        clock._now_us += bus_us
+        breakdown = clock.breakdown_us
+        breakdown["program"] = breakdown.get("program", 0.0) + op_us
+        breakdown["bus"] = breakdown.get("bus", 0.0) + bus_us
         lg = self.ledger
         if lg.enabled:
             lg.on_program(nbytes, reprogram, partial)

@@ -54,6 +54,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 import numpy as np
 
 from repro.flash.batch import (
+    OP_COPY,
     OP_DTYPE,
     OP_ERASE,
     OP_PARTIAL,
@@ -560,6 +561,13 @@ class FlashDevice:
                     continue
                 if kind == OP_ERASE:
                     self.erase_block(target)
+                    continue
+                if kind == OP_COPY:
+                    # Source and destination may sit on different
+                    # channels: the sense goes through one scheduler,
+                    # the program pulse through the other.
+                    data, oob = self.read_page_with_oob(dpos)
+                    self.program_page(target, data, oob)
                     continue
                 data = bytes(heap[dpos : dpos + dlen]) if dlen >= 0 else b""
                 oob = bytes(heap[opos : opos + olen]) if olen >= 0 else None

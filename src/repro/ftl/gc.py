@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro.flash.batch import OpBatch
 from repro.flash.chip import FlashChip
-from repro.flash.errors import BadBlockError
+from repro.flash.errors import BadBlockError, EccUncorrectableError
 from repro.flash.page import PageState
 from repro.flash.sanitize import NULL_SANITIZER, sanitizer_from_env
 from repro.flash.stats import DeviceStats
@@ -33,7 +34,9 @@ class BlockManager:
     """Mapping, allocation and GC over a set of owned blocks.
 
     Args:
-        chip: The chip the blocks live on.
+        chip: The chip the blocks live on: a :class:`FlashChip` or a
+            chip-shaped :class:`~repro.flash.device.FlashDevice`.  Both
+            have ``execute_batch``, which relocation calls unconditionally.
         block_ids: Erase blocks this manager owns (disjoint between
             managers — NoFTL regions partition the chip).
         stats: Device-level counters to account GC work against.
@@ -116,6 +119,9 @@ class BlockManager:
             raise ValueError(
                 f"need more than {gc_spare_blocks + 1} blocks, got {len(block_ids)}"
             )
+        for block_id in block_ids:
+            # Allocation composes ppns from these without re-checking.
+            chip.geometry.check_block(block_id)
         self.chip = chip
         self.stats = stats
         self.sanitizer = sanitizer_from_env()
@@ -178,7 +184,12 @@ class BlockManager:
         self._oob_meta_enabled = oob_size >= OOB_META_SIZE
         self._meta_off = oob_size - OOB_META_SIZE
         self._oob_size = oob_size
+        #: What ``_stamp_meta`` puts in front of the record when the
+        #: caller sends no OOB of its own.
+        self._erased_oob_head = b"\xff" * max(self._meta_off, 0)
         self._seq = 0
+        self._ppb = chip.geometry.pages_per_block
+        self._page_size = chip.geometry.page_size
 
         usable_total = len(self._usable_offsets) * len(self.block_ids)
         self.logical_pages = int(usable_total * (1.0 - over_provisioning))
@@ -216,8 +227,13 @@ class BlockManager:
         Invalidates the previous physical page (if any) and returns the
         new ppn.  The caller is responsible for host-level accounting;
         this method updates invalidation and placement state only.
+
+        Raises:
+            KeyError / TypeError / ValueError: a write the device must
+                refuse (see :meth:`check_write`), before any state —
+                page, sequence number, counter — is touched.
         """
-        self._check_lba(lba)
+        self.check_write(lba, data, oob)
         ppn = self._allocate()
         if self._oob_meta_enabled:
             oob = self._stamp_meta(oob, lba)
@@ -229,12 +245,20 @@ class BlockManager:
             lg.shift_bytes("oob_meta", OOB_META_SIZE)
         # Read the mapping only now: GC inside _allocate() may just have
         # migrated this very LBA, and the pre-allocation ppn would be stale.
-        old_ppn = self.mapping.get(lba)
+        mapping = self.mapping
+        valid = self._valid
+        ppb = self._ppb
+        appends_done = self.appends_done
+        old_ppn = mapping.get(lba)
         if old_ppn is not None:
-            self._invalidate_ppn(old_ppn)
+            del self._rmap[old_ppn]
+            valid[old_ppn // ppb] -= 1
+            appends_done.pop(old_ppn, None)
             self.stats.page_invalidations += 1
-        self._map(lba, ppn)
-        self.appends_done[ppn] = 0
+        mapping[lba] = ppn
+        self._rmap[ppn] = lba
+        valid[ppn // ppb] += 1
+        appends_done[ppn] = 0
         lt = self.lifetimes
         if lt.enabled:
             lt.on_write(self, lba, lg.current_cause)
@@ -243,25 +267,12 @@ class BlockManager:
             sz.check_mapping_pair(self, lba, ppn)
         return ppn
 
-    def replace_in_place(self, lba: int) -> int:
-        """Book-keeping for an in-place overwrite: mapping is unchanged.
-
-        Returns the ppn so the caller can reprogram it.  No invalidation
-        occurs — that is the entire point of IPA.
-        """
-        self._check_lba(lba)
-        ppn = self.mapping.get(lba)
-        if ppn is None:
-            raise KeyError(f"lba {lba} is unmapped")
-        return ppn
-
     def trim(self, lba: int) -> None:
         """Drop the mapping for ``lba`` and invalidate its page."""
         ppn = self.mapping.pop(lba, None)
         if ppn is not None:
             del self._rmap[ppn]
-            block_id = ppn // self.chip.geometry.pages_per_block
-            self._valid[block_id] -= 1
+            self._valid[ppn // self._ppb] -= 1
             self.appends_done.pop(ppn, None)
             self.stats.page_invalidations += 1
             self.stats.trims += 1
@@ -339,32 +350,40 @@ class BlockManager:
 
     def _stamp_meta(self, oob: bytes | None, lba: int) -> bytes:
         """Merge the durable mapping record into an outgoing OOB image."""
-        buf = (
-            bytearray(b"\xff" * self._oob_size)
-            if oob is None
-            else bytearray(oob)
-        )
-        buf[self._meta_off :] = pack_oob_meta(lba, self._seq)
+        record = pack_oob_meta(lba, self._seq)
         self._seq += 1
-        return bytes(buf)
+        if oob is None:
+            return self._erased_oob_head + record
+        return bytes(oob[: self._meta_off]) + record
 
-    def _check_lba(self, lba: int) -> None:
+    def check_write(
+        self, lba: int, data: bytes, oob: bytes | None = None
+    ) -> None:
+        """Refuse a write no page can take, before anything is spent on it.
+
+        Raises:
+            KeyError: ``lba`` outside the logical range.
+            TypeError: ``data`` is not bytes-like.
+            ValueError: ``data`` longer than a page (a shorter image is
+                padded with erased bytes by the chip), or ``oob`` not
+                exactly the chip's OOB size.
+        """
         if not 0 <= lba < self.logical_pages:
             raise KeyError(
                 f"lba {lba} outside logical range [0, {self.logical_pages})"
             )
-
-    def _map(self, lba: int, ppn: int) -> None:
-        self.mapping[lba] = ppn
-        self._rmap[ppn] = lba
-        block_id = ppn // self.chip.geometry.pages_per_block
-        self._valid[block_id] += 1
-
-    def _invalidate_ppn(self, ppn: int) -> None:
-        self._rmap.pop(ppn, None)
-        block_id = ppn // self.chip.geometry.pages_per_block
-        self._valid[block_id] -= 1
-        self.appends_done.pop(ppn, None)
+        if not isinstance(data, (bytes, bytearray, memoryview)):
+            raise TypeError(
+                f"page payload must be bytes-like, got {type(data).__name__}"
+            )
+        if len(data) > self._page_size:
+            raise ValueError(
+                f"payload of {len(data)} B exceeds page size {self._page_size}"
+            )
+        if oob is not None and len(oob) != self._oob_size:
+            raise ValueError(
+                f"oob must be exactly {self._oob_size} bytes, got {len(oob)}"
+            )
 
     def _allocate(self) -> int:
         """Next erased ppn for a host write; may trigger GC first."""
@@ -394,7 +413,7 @@ class BlockManager:
         foreground traffic on other channels.
         """
         budget = self.gc_migration_budget
-        offsets = self._usable_offsets
+        scan_end = len(self._usable_offsets)
         while budget > 0:
             if self._bg_victim is None:
                 if len(self._free) > self.gc_low_watermark:
@@ -404,14 +423,8 @@ class BlockManager:
                     return  # nothing reclaimable; emergency path decides
                 self._bg_victim = victim
                 self._bg_cursor = 0
-            victim = self._bg_victim
-            while budget > 0 and self._bg_cursor < len(offsets):
-                page_offset = offsets[self._bg_cursor]
-                self._bg_cursor += 1
-                if self._migrate_page(victim, page_offset):
-                    budget -= 1
-                    self._m_bg_migrations.inc()
-            if self._bg_cursor < len(offsets):
+            budget -= self._relocate(self._bg_victim, budget, background=True)
+            if self._bg_cursor < scan_end:
                 return  # budget exhausted mid-victim; resume next op
             self._finish_bg_victim()
 
@@ -420,12 +433,7 @@ class BlockManager:
         victim = self._bg_victim
         if victim is None:
             return
-        offsets = self._usable_offsets
-        while self._bg_cursor < len(offsets):
-            page_offset = offsets[self._bg_cursor]
-            self._bg_cursor += 1
-            if self._migrate_page(victim, page_offset):
-                self._m_bg_migrations.inc()
+        self._relocate(victim, background=True)
         self._bg_victim = None
         self._bg_cursor = 0
         tr = self.tracer
@@ -441,16 +449,18 @@ class BlockManager:
         GC migrations allocate through the same active-block cursor as
         host writes; the spare pool guarantees destinations exist.
         """
+        offsets = self._usable_offsets
         while True:
-            if self._active is None:
+            active = self._active
+            if active is None:
                 if not self._free:
                     raise DeviceFullError("free-block pool exhausted")
-                self._active = self._free.popleft()
+                active = self._active = self._free.popleft()
                 self._cursor = 0
-            if self._cursor < len(self._usable_offsets):
-                page_offset = self._usable_offsets[self._cursor]
-                self._cursor += 1
-                return self.chip.geometry.make_ppn(self._active, page_offset)
+            cursor = self._cursor
+            if cursor < len(offsets):
+                self._cursor = cursor + 1
+                return active * self._ppb + offsets[cursor]
             self._active = None  # block exhausted; open another
 
     def _collect(self) -> None:
@@ -492,8 +502,9 @@ class BlockManager:
             worn = self._wear_leveling_victim(candidates)
             if worn is not None:
                 return worn
-        victim = min(candidates, key=lambda b: self._valid[b])
-        if self._valid[victim] >= len(self._usable_offsets):
+        valid = self._valid
+        victim = min(candidates, key=valid.__getitem__)
+        if valid[victim] >= len(self._usable_offsets):
             return None  # nothing reclaimable
         return victim
 
@@ -530,32 +541,10 @@ class BlockManager:
             self._reclaim_inner(victim, span)
 
     def _reclaim_inner(self, victim: int, span: Span | None) -> None:
-        migrated = 0
-        for page_offset in self._usable_offsets:
-            if self._migrate_page(victim, page_offset):
-                migrated += 1
+        migrated = self._relocate(victim)
         if span is not None:
             span.set(migrated=migrated)
         self._erase_victim(victim, span)
-
-    def _migrate_page(self, victim: int, page_offset: int) -> bool:
-        """Move one valid page off the victim; True if a copy happened.
-
-        Shared by the synchronous reclaim and the incremental background
-        collector.  The copied OOB carries the original mapping record
-        (same LBA, same sequence number), so a crash between copy and
-        erase leaves two byte-identical candidates — either one is a
-        correct remount choice.
-        """
-        ppn = self.chip.geometry.make_ppn(victim, page_offset)
-        lba = self._rmap.get(ppn)
-        if lba is None:
-            return False
-        lg = self.ledger
-        if not lg.enabled:
-            return self._migrate_page_inner(victim, ppn, lba)
-        with lg.cause(self._gc_cause(victim)):
-            return self._migrate_page_inner(victim, ppn, lba)
 
     def _gc_cause(self, victim: int) -> str:
         """Attribution cause of reclaiming ``victim``."""
@@ -563,26 +552,132 @@ class BlockManager:
             "wear_leveling" if victim == self._wear_victim else "gc_migration"
         )
 
-    def _migrate_page_inner(self, victim: int, ppn: int, lba: int) -> bool:
-        data, oob = self.chip.read_page_with_oob(ppn)
-        new_ppn = self._allocate_no_gc()
-        self.chip.program_page(new_ppn, data, oob)
+    def _relocate(
+        self, victim: int, limit: int | None = None, background: bool = False
+    ) -> int:
+        """Move valid pages off ``victim`` as one chip batch; returns how many.
+
+        Shared by the synchronous reclaim (the whole victim) and the
+        incremental background collector (``background``: the scan
+        resumes at ``_bg_cursor``, stops after ``limit`` copies and leaves
+        the cursor where it stopped).  Each valid page becomes one
+        ``OP_COPY`` row — read with OOB, program to the next page of the
+        active-block stream — so the copied OOB carries the original
+        mapping record (same LBA, same sequence number): a crash between
+        copy and erase leaves two byte-identical candidates, and either
+        one is a correct remount choice.
+
+        The maps are updated after the batch, in row order.  If the batch
+        fails part-way the rows it completed are booked, the destinations
+        it never programmed go back to the allocation stream, and the
+        error propagates: the manager is where a page-at-a-time loop
+        would have stopped.
+        """
+        offsets = self._usable_offsets
+        scan_end = len(offsets)
+        room = scan_end if limit is None else limit
+        index = self._bg_cursor if background else 0
+        base = victim * self._ppb
+        rmap_get = self._rmap.get
+        stream = (self._active, self._cursor, tuple(self._free))
+        batch = OpBatch()
+        # (lba, source, destination) of every copy row, in row order.
+        moves: list[tuple[int, int, int]] = []
+        full: DeviceFullError | None = None
+        while room and index < scan_end:
+            src = base + offsets[index]
+            index += 1
+            lba = rmap_get(src)
+            if lba is None:
+                continue
+            try:
+                dst = self._allocate_no_gc()
+            except DeviceFullError as exc:
+                # A page-at-a-time move senses the page before it asks
+                # for a destination, so that sense still happens; the
+                # pages that did get one move first.
+                batch.read(src)
+                full = exc
+                break
+            batch.copy(src, dst)
+            moves.append((lba, src, dst))
+            room -= 1
+        if background:
+            self._bg_cursor = index
+        if len(batch):
+            lg = self.ledger
+            if not lg.enabled:
+                self._run_moves(victim, batch, moves, stream, background)
+            else:
+                with lg.cause(self._gc_cause(victim)):
+                    self._run_moves(victim, batch, moves, stream, background)
+        if full is not None:
+            raise full
+        return len(moves)
+
+    def _run_moves(
+        self,
+        victim: int,
+        batch: OpBatch,
+        moves: list[tuple[int, int, int]],
+        stream: tuple[int | None, int, tuple[int, ...]],
+        background: bool,
+    ) -> None:
+        """Execute one relocation batch and book what it completed."""
+        try:
+            self.chip.execute_batch(batch)
+        except Exception as exc:
+            done: int = exc.batch_ops_completed  # type: ignore[attr-defined]
+            self._book_moves(victim, moves[:done], background)
+            if background and done < len(moves):
+                # The scan stops just past the page whose move failed.
+                self._bg_cursor = 1 + self._usable_offsets.index(
+                    moves[done][1] - victim * self._ppb
+                )
+            # Rewind the allocation stream to where it was on entry and
+            # take again what was spent: the completed rows' destinations
+            # and the failing row's — unless it was its sense that
+            # failed, which had not asked for a destination yet.
+            self._active, self._cursor, free = stream
+            self._free = deque(free)
+            spent = done if isinstance(exc, EccUncorrectableError) else done + 1
+            for _ in range(spent):
+                self._allocate_no_gc()
+            raise
+        self._book_moves(victim, moves, background)
+
+    def _book_moves(
+        self, victim: int, moves: list[tuple[int, int, int]], background: bool
+    ) -> None:
+        """Apply completed copies to the maps and counters, in row order."""
+        mapping = self.mapping
+        rmap = self._rmap
+        valid = self._valid
+        appends_done = self.appends_done
+        ppb = self._ppb
+        for lba, src, dst in moves:
+            appends_done[dst] = appends_done.pop(src, 0)
+            del rmap[src]
+            mapping[lba] = dst
+            rmap[dst] = lba
+            valid[dst // ppb] += 1
+        valid[victim] -= len(moves)
+        self.stats.gc_page_migrations += len(moves)
+        if background:
+            self._m_bg_migrations.inc(len(moves))
         lg = self.ledger
-        if lg.enabled and self._oob_meta_enabled and has_oob_meta(
-            oob[self._meta_off:]
-        ):
-            # The copied page carried its durable mapping record along.
-            lg.shift_bytes("oob_meta", OOB_META_SIZE)
-        appends = self.appends_done.pop(ppn, 0)
-        self.appends_done[new_ppn] = appends
-        del self._rmap[ppn]
-        self._valid[victim] -= 1
-        self._map(lba, new_ppn)
-        self.stats.gc_page_migrations += 1
+        if lg.enabled and self._oob_meta_enabled:
+            page_at = self.chip.page_at
+            meta_off = self._meta_off
+            for _lba, _src, dst in moves:
+                if has_oob_meta(page_at(dst).raw_oob()[meta_off:]):
+                    # The copied page carried its durable mapping record
+                    # along.
+                    lg.shift_bytes("oob_meta", OOB_META_SIZE)
         sz = self.sanitizer
         if sz.enabled:
-            sz.check_mapping_pair(self, lba, new_ppn)
-        return True
+            for lba, _src, dst in moves:
+                sz.check_mapping_pair(self, lba, dst)
 
     def _erase_victim(
         self, victim: int, span: Span | None, background: bool = False

@@ -93,15 +93,21 @@ class IpaFtl:
 
     def _write_page_inner(self, lba: int, data: bytes) -> bool:
         """Returns True when the write landed in place (no invalidation)."""
-        self.stats.host_writes += 1
-        self.stats.host_bytes_written += len(data)
-        ppn = self._blocks.ppn_of(lba)
-        if ppn is not None and self._try_in_place(ppn, data):
-            self.stats.in_place_appends += 1
-            return True
-        self._blocks.write(lba, data)
-        self.stats.out_of_place_writes += 1
-        return False
+        blocks = self._blocks
+        # Before the compare read: a refused write costs nothing.
+        blocks.check_write(lba, data)
+        ppn = blocks.ppn_of(lba)
+        in_place = ppn is not None and self._try_in_place(ppn, data)
+        stats = self.stats
+        if in_place:
+            stats.in_place_appends += 1
+        else:
+            blocks.write(lba, data)
+            stats.out_of_place_writes += 1
+        # Counted once it has landed: a refused write is not a host write.
+        stats.host_writes += 1
+        stats.host_bytes_written += len(data)
+        return in_place
 
     def _try_in_place(self, ppn: int, data: bytes) -> bool:
         """Device-internal compare + reprogram; False if not applicable."""

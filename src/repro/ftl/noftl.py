@@ -152,8 +152,6 @@ class Region:
             self._write_page_inner(lba, data)
 
     def _write_page_inner(self, lba: int, data: bytes) -> None:
-        self.stats.host_writes += 1
-        self.stats.host_bytes_written += len(data)
         oob = None
         if self._oob_layout is not None:
             # Fresh page image: program slot 0 (initial-data ECC) now;
@@ -162,7 +160,11 @@ class Region:
             self._oob_layout.write_slot(oob_buf, 0, crc_slot(data))
             oob = bytes(oob_buf)
         self._blocks.write(self._local(lba), data, oob)
-        self.stats.out_of_place_writes += 1
+        # Counted once it has landed: a refused write is not a host write.
+        stats = self.stats
+        stats.host_writes += 1
+        stats.host_bytes_written += len(data)
+        stats.out_of_place_writes += 1
 
     def read_many(self, lbas: Sequence[int]) -> list[bytes]:
         """Read a run of this region's pages as one chip batch.

@@ -89,10 +89,12 @@ class PageMappingFtl:
             self._write_page_inner(lba, data)
 
     def _write_page_inner(self, lba: int, data: bytes) -> None:
-        self.stats.host_writes += 1
-        self.stats.host_bytes_written += len(data)
         self._blocks.write(lba, data)
-        self.stats.out_of_place_writes += 1
+        # Counted once it has landed: a refused write is not a host write.
+        stats = self.stats
+        stats.host_writes += 1
+        stats.host_bytes_written += len(data)
+        stats.out_of_place_writes += 1
 
     def read_many(self, lbas: Sequence[int]) -> list[bytes]:
         """Read a run of logical pages in one call.

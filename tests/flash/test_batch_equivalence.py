@@ -10,30 +10,41 @@ page images, OOB, disturb ledgers, :class:`FlashStats`, the simulated
 clock (value and per-category breakdown, compared as ``repr`` so a single
 ulp diverges the test), error points, and read results.
 
-Also covered: the instrumented compat path (write ledger / sanitizer
-attached) and mid-batch error accounting (``batch_ops_completed``, charges
-of completed ops committed before the raise).
+``OP_COPY`` rows ride in the same stream, expanded on the per-op side as
+``read_page_with_oob`` + ``program_page`` — the row's definition.
+
+Also covered: the instrumented compat path (write ledger / sanitizer /
+armed fault injector attached), a 4-channel overlapped
+:class:`FlashDevice`, and mid-batch error accounting
+(``batch_ops_completed``, charges of completed ops committed before the
+raise), with one directed case per point at which a copy can fail.
 """
 
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from repro.fault.injector import FaultInjector
 from repro.flash.batch import OP_DTYPE, OpBatch
 from repro.flash.chip import FlashChip
+from repro.flash.device import FlashDevice
 from repro.flash.errors import (
+    BadBlockError,
     EccUncorrectableError,
     FlashError,
+    IllegalAddressError,
     IllegalProgramError,
     ModeViolationError,
     WriteToProgrammedPageError,
 )
 from repro.flash.geometry import FlashGeometry
 from repro.flash.modes import FlashMode
+from repro.flash.page import PageState
 from repro.flash.sanitize import Sanitizer
 from repro.flash.stats import FlashStats
 from repro.obs.ledger import WriteLedger
@@ -73,7 +84,23 @@ def _fingerprint(chip: FlashChip) -> dict:
     }
 
 
-def _record_op_stream(mode: FlashMode, seed: int = SEED) -> list[tuple]:
+def _bare_chip(mode: FlashMode, seed: int) -> FlashChip:
+    return FlashChip(GEO, mode=mode, seed=seed)
+
+
+def _four_channels(mode: FlashMode, seed: int) -> FlashDevice:
+    return FlashDevice(GEO, channels=4, mode=mode, seed=seed)
+
+
+def _copy(chip, src: int, dst: int) -> None:
+    """What an ``OP_COPY`` row is, spelled with the per-op API."""
+    data, oob = chip.read_page_with_oob(src)
+    chip.program_page(dst, data, oob)
+
+
+def _record_op_stream(
+    mode: FlashMode, seed: int = SEED, factory=_bare_chip
+) -> list[tuple]:
     """The golden workload as a concrete, replayable op-descriptor list.
 
     Each entry is ``(kind, args...)`` with fully materialized payloads, so
@@ -82,7 +109,7 @@ def _record_op_stream(mode: FlashMode, seed: int = SEED) -> list[tuple]:
     rides along for the replay driver to assert on).
     """
     rng = np.random.default_rng(seed ^ 0xA5A5)
-    chip = FlashChip(GEO, mode=mode, seed=seed)  # scratch: drives generation
+    chip = factory(mode, seed)  # scratch: drives generation
     usable = list(chip.usable_pages_in_block())
     append_cursor: dict[int, int] = {}
     oob_cursor: dict[int, int] = {}
@@ -167,13 +194,34 @@ def _record_op_stream(mode: FlashMode, seed: int = SEED) -> list[tuple]:
                 append_cursor.pop(base + p, None)
                 oob_cursor.pop(base + p, None)
             stream.append(("erase", block))
-        else:
+        elif op < 90:
             try:
                 chip.read_page(ppn)
                 err = None
             except EccUncorrectableError as exc:
                 err = type(exc)
             stream.append(("read", ppn, err))
+        else:
+            # A page move.  Every other one aims at an erased page of a
+            # random block (if it has one), so that copies land as well
+            # as bounce off programmed destinations.
+            dst = random_ppn()
+            if op % 2:
+                base = dst - dst % GEO.pages_per_block
+                erased = [
+                    base + p
+                    for p in usable
+                    if chip.page_state(base + p) is PageState.ERASED
+                ]
+                dst = erased[0] if erased else dst
+            try:
+                _copy(chip, ppn, dst)
+                append_cursor[dst] = append_cursor.get(ppn, GEO.page_size)
+                oob_cursor[dst] = oob_cursor.get(ppn, 0)
+                err = None
+            except (EccUncorrectableError, WriteToProgrammedPageError) as exc:
+                err = type(exc)
+            stream.append(("copy", ppn, dst, err))
     return stream
 
 
@@ -191,6 +239,13 @@ def _replay_per_op(chip: FlashChip, stream: list[tuple]) -> list[bytes]:
                     chip.read_page(ppn)
         elif kind == "erase":
             chip.erase_block(entry[1])
+        elif kind == "copy":
+            _, src, dst, err = entry
+            if err is None:
+                _copy(chip, src, dst)
+            else:
+                with pytest.raises(err):
+                    _copy(chip, src, dst)
         elif kind == "program":
             _, ppn, data, oob, err = entry
             if err is None:
@@ -225,6 +280,8 @@ def _stage(batch: OpBatch, entry: tuple) -> None:
         batch.read(entry[1])
     elif kind == "erase":
         batch.erase(entry[1])
+    elif kind == "copy":
+        batch.copy(entry[1], entry[2])
     elif kind == "program":
         batch.program(entry[1], entry[2], entry[3])
     elif kind == "reprogram":
@@ -323,27 +380,58 @@ def test_interleaving_per_op_calls_and_batches_on_one_chip(mode):
     assert mixed_reads == ref_reads
 
 
-@pytest.mark.parametrize("mode", [FlashMode.SLC, FlashMode.MLC])
+def _instrument(chip: FlashChip) -> tuple[WriteLedger, FaultInjector]:
+    """Sanitizer on, ledger on, a counting fault injector armed."""
+    chip.sanitizer = Sanitizer()
+    ledger = WriteLedger()
+    ledger.watch_chip(chip)
+    chip.ledger = ledger
+    return ledger, FaultInjector(crash_after_ops=None).attach(chip)
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_batched_path_matches_under_ledger_and_sanitizer(mode):
-    """Instrumentation forces the compat path; attribution must match too."""
+    """Instrumentation (an armed fault injector included) forces the compat
+    path; attribution and the injector's op count must match too."""
     stream = _record_op_stream(mode, seed=SEED ^ 0x77)
-
-    def instrumented_chip() -> tuple[FlashChip, WriteLedger]:
-        chip = FlashChip(GEO, mode=mode, seed=SEED ^ 0x77)
-        chip.sanitizer = Sanitizer()
-        ledger = WriteLedger()
-        ledger.watch_chip(chip)
-        chip.ledger = ledger
-        return chip, ledger
-
-    ref_chip, ref_ledger = instrumented_chip()
+    ref_chip = FlashChip(GEO, mode=mode, seed=SEED ^ 0x77)
+    ref_ledger, ref_injector = _instrument(ref_chip)
     ref_reads = _replay_per_op(ref_chip, stream)
-    batch_chip, batch_ledger = instrumented_chip()
+    batch_chip = FlashChip(GEO, mode=mode, seed=SEED ^ 0x77)
+    batch_ledger, batch_injector = _instrument(batch_chip)
     batch_reads = _replay_batched(batch_chip, stream, SEED ^ 0x77, False)
     assert _fingerprint(batch_chip) == _fingerprint(ref_chip)
     assert batch_reads == ref_reads
     assert batch_ledger.totals() == ref_ledger.totals()
     assert batch_ledger.conservation_errors() == []
+    assert batch_injector.ops_seen == ref_injector.ops_seen > 0
+
+
+def _device_fingerprint(device: FlashDevice) -> dict:
+    return {
+        "chips": [_fingerprint(chip) for chip in device.chips],
+        "clock_us": repr(device.clock.now_us),
+        "breakdown_us": {
+            k: repr(v) for k, v in sorted(device.clock.breakdown_us.items())
+        },
+        "channels": device.channel_stats(),
+    }
+
+
+@pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
+@pytest.mark.parametrize("as_arrays", [False, True], ids=["opbatch", "ndarray"])
+def test_four_channel_device_is_bit_identical(mode, as_arrays):
+    """The multi-channel loop: every op, copies included, goes through the
+    channel schedulers exactly as the per-op calls do (stalls, pushback,
+    per-channel busy time)."""
+    stream = _record_op_stream(mode, factory=_four_channels)
+    ref = _four_channels(mode, SEED)
+    ref_reads = _replay_per_op(ref, stream)
+    batched = _four_channels(mode, SEED)
+    batch_reads = _replay_batched(batched, stream, SEED, as_arrays)
+    assert _device_fingerprint(batched) == _device_fingerprint(ref)
+    assert batch_reads == ref_reads
+    assert ref.clock.breakdown_us.get("channel_wait", 0.0) > 0.0
 
 
 def test_mid_batch_error_commits_completed_accounting():
@@ -405,3 +493,158 @@ def test_empty_batch_is_a_no_op():
     empty = np.empty(0, dtype=OP_DTYPE)
     assert chip.execute_batch(empty, b"") == []
     assert _fingerprint(chip) == before
+
+
+# ---------------------------------------------------------------------- #
+# OP_COPY: one directed case per point at which a copy can fail
+# ---------------------------------------------------------------------- #
+
+IMAGE = bytes(range(256)) * (GEO.page_size // 256)
+#: Page-in-block 1 is an MSB page: unusable in pSLC mode.
+MSB_PAGE = 1
+
+
+def _copy_chip(mode: FlashMode, instrumented: bool) -> FlashChip:
+    """Pages 0 and 2 programmed (2 with an OOB of its own), the rest erased."""
+    chip = FlashChip(GEO, mode=mode, seed=3)
+    if instrumented:
+        _instrument(chip)
+    chip.program_page(0, IMAGE)
+    chip.program_page(2, IMAGE[::-1], bytes(range(GEO.oob_size)))
+    return chip
+
+
+def _break_ecc(chip: FlashChip, ppn: int) -> None:
+    counts = np.zeros(chip.ecc.codewords_for(GEO.page_size), dtype=np.int64)
+    counts[0] = chip.ecc.correctable_bits + 1
+    chip.page_at(ppn).add_disturb(counts)
+
+
+def _retire_block_1(chip: FlashChip) -> None:
+    chip.blocks[1].is_bad = True
+
+
+#: name -> (mode, failing (src, dst), error, set-up on the chip)
+COPY_FAILURES = {
+    "source-out-of-range": (
+        FlashMode.MLC, (GEO.total_pages, 6), IllegalAddressError, None,
+    ),
+    "source-ecc-uncorrectable": (
+        FlashMode.MLC, (2, 6), EccUncorrectableError,
+        lambda chip: _break_ecc(chip, 2),
+    ),
+    "destination-out-of-range": (
+        FlashMode.MLC, (2, -1), IllegalAddressError, None,
+    ),
+    "destination-programmed": (
+        FlashMode.MLC, (2, 0), WriteToProgrammedPageError, None,
+    ),
+    "destination-is-the-source": (
+        FlashMode.MLC, (2, 2), WriteToProgrammedPageError, None,
+    ),
+    "destination-in-bad-block": (
+        FlashMode.MLC, (2, GEO.pages_per_block), BadBlockError, _retire_block_1,
+    ),
+    "destination-msb-page-in-pslc": (
+        FlashMode.PSLC, (2, GEO.pages_per_block + MSB_PAGE),
+        ModeViolationError, None,
+    ),
+}
+
+
+@pytest.mark.parametrize("instrumented", [False, True], ids=["fast", "compat"])
+@pytest.mark.parametrize("case", sorted(COPY_FAILURES))
+def test_copy_fails_where_the_two_per_op_calls_fail(case, instrumented):
+    """A good copy, the failing one, one never reached: same error, same
+    charges (the source's sense is charged whenever it happened), same
+    media, and ``batch_ops_completed`` names the failing row."""
+    mode, (src, dst), error, prepare = COPY_FAILURES[case]
+    ref = _copy_chip(mode, instrumented)
+    chip = _copy_chip(mode, instrumented)
+    for each in (ref, chip):
+        if prepare is not None:
+            prepare(each)
+    _copy(ref, 0, 4)
+    with pytest.raises(error) as expected:
+        _copy(ref, src, dst)
+
+    batch = OpBatch()
+    batch.copy(0, 4)
+    batch.copy(src, dst)
+    batch.copy(0, 8)  # never reached
+    with pytest.raises(error) as raised:
+        chip.execute_batch(batch)
+    assert raised.value.batch_ops_completed == 1
+    assert raised.value.batch_results == []
+    assert str(raised.value) == str(expected.value)
+    assert _fingerprint(chip) == _fingerprint(ref)
+    assert chip.page_state(8) is PageState.ERASED
+    sensed = 1 if error is IllegalAddressError and src >= GEO.total_pages else 2
+    assert chip.stats.page_reads == sensed
+    assert chip.stats.ecc_uncorrectable_events == (
+        1 if error is EccUncorrectableError else 0
+    )
+    if instrumented:
+        assert chip.ledger.conservation_errors() == []
+        assert chip.fault_injector.ops_seen == ref.fault_injector.ops_seen
+
+
+@pytest.mark.parametrize("instrumented", [False, True], ids=["fast", "compat"])
+def test_copy_moves_data_and_oob_and_nothing_else(instrumented):
+    chip = _copy_chip(FlashMode.MLC, instrumented)
+    batch = OpBatch()
+    batch.copy(2, 6)
+    assert chip.execute_batch(batch) == []  # a copy returns no image
+    data, oob = chip.read_page_with_oob(6)
+    assert data == IMAGE[::-1] and oob == bytes(range(GEO.oob_size))
+    assert chip.page_at(2).raw_data() == IMAGE[::-1]  # the source stays
+    assert chip.stats.page_programs == 3 and chip.stats.page_reads == 2
+
+
+def test_copy_of_an_erased_page_is_what_the_per_op_calls_do():
+    """No special case: the erased image is read, charged and programmed."""
+    ref = _copy_chip(FlashMode.SLC, False)
+    chip = _copy_chip(FlashMode.SLC, False)
+    _copy(ref, 5, 6)
+    batch = OpBatch()
+    batch.copy(5, 6)
+    chip.execute_batch(batch)
+    assert _fingerprint(chip) == _fingerprint(ref)
+    assert chip.page_state(6) is PageState.PROGRAMMED
+
+
+@pytest.mark.parametrize("instrumented", [False, True], ids=["fast", "compat"])
+def test_copy_disturbs_the_destinations_neighbours(instrumented):
+    """The destination's wordline neighbours are programmed, and the disturb
+    stream is forged so that the copy's draw is not all-zero: the same
+    victim takes the same flips as under the two per-op calls."""
+
+    def prepared() -> FlashChip:
+        chip = _copy_chip(FlashMode.MLC, instrumented)
+        # MLC page 4 couples to its pair 5 and wordlines 1 and 3.
+        for neighbour in (3, 5, 6):
+            chip.program_page(neighbour, IMAGE)
+        model = chip._disturb
+        # One uniform above P(X = 0) for the first victim's first
+        # codeword, zeros (no flips) for everything after it.
+        model._uniforms = array("d", [1.0 - 1e-12] + [0.0] * 64)
+        model._cursor = 0
+        return chip
+
+    ref = prepared()
+    _copy(ref, 0, 4)
+    chip = prepared()
+    batch = OpBatch()
+    batch.copy(0, 4)
+    chip.execute_batch(batch)
+    assert ref.stats.disturb_bit_flips > 0
+    assert _fingerprint(chip) == _fingerprint(ref)
+    flipped = [
+        ppn for ppn in range(GEO.pages_per_block)
+        if chip.page_at(ppn).disturb_bits
+    ]
+    assert flipped == [
+        ppn for ppn in range(GEO.pages_per_block)
+        if ref.page_at(ppn).disturb_bits
+    ]
+    assert len(flipped) == 1 and flipped[0] in (2, 3, 5, 6)

@@ -19,9 +19,14 @@ import numpy as np
 import pytest
 
 from repro.fault import FaultInjector, PowerLossError
+from repro.flash.batch import OpBatch
 from repro.flash.chip import FlashChip
 from repro.flash.device import FlashDevice
-from repro.flash.errors import IllegalAddressError, IllegalProgramError
+from repro.flash.errors import (
+    IllegalAddressError,
+    IllegalProgramError,
+    WriteToProgrammedPageError,
+)
 from repro.flash.geometry import FlashGeometry
 from repro.flash.modes import FlashMode
 from repro.flash.page import PageState
@@ -255,3 +260,90 @@ class TestPowerLoss:
         dev.power_loss()  # harness contract: teardown after the trip
         for ch in dev._channels:
             assert not ch.inflight
+
+
+class TestCopyAcrossChannels:
+    """An ``OP_COPY`` row on an overlapped device is the two per-op calls:
+    the sense is scheduled on the source's channel, the program pulse on
+    the destination's."""
+
+    PPB = GEO.pages_per_block
+    SRC = 0  # block 0 -> channel 0
+    DST = 1 * GEO.pages_per_block + 1  # block 1 -> channel 1
+
+    def loaded(self):
+        """Source programmed and settled; channel 1's queue full; a pulse
+        queued but not started on channel 0, for the sense to jump."""
+        dev = FlashDevice(GEO, channels=4, queue_depth=2)
+        injector = FaultInjector(crash_after_ops=1000, seed=5).attach(dev)
+        dev.program_page(self.SRC, b"s" * GEO.page_size, b"o" * GEO.oob_size)
+        dev.clock.advance(1_000.0, "host")
+        dev.program_page(1 * self.PPB, b"1" * 64)
+        dev.program_page(5 * self.PPB, b"5" * 64)
+        dev.program_page(4 * self.PPB, b"4" * 64)
+        assert len(dev._channels[1].inflight) == dev.queue_depth
+        return dev, injector
+
+    @staticmethod
+    def observed(dev, injector):
+        return {
+            "now_us": repr(dev.clock.now_us),
+            "breakdown": {k: repr(v) for k, v in dev.clock.breakdown_us.items()},
+            "channels": dev.channel_stats(),
+            "inflight": [
+                [(op.start_us, op.end_us, op.undo[0]) for op in ch.inflight]
+                for ch in dev._channels
+            ],
+            "busy_until": [ch.busy_until_us for ch in dev._channels],
+            "stats": [vars(chip.stats) for chip in dev.chips],
+            "injector_ops": injector.ops_seen,
+            "media": media_digest(dev),
+        }
+
+    def test_copy_is_scheduled_like_the_two_per_op_calls(self):
+        ref, ref_injector = self.loaded()
+        data, oob = ref.read_page_with_oob(self.SRC)
+        ref.program_page(self.DST, data, oob)
+
+        dev, injector = self.loaded()
+        queued_end = dev._channels[0].inflight[-1].end_us
+        batch = OpBatch()
+        batch.copy(self.SRC, self.DST)
+        assert dev.execute_batch(batch) == []
+        assert self.observed(dev, injector) == self.observed(ref, ref_injector)
+        # Channel 0 saw the sense: its queued pulse slipped by it.
+        assert dev._channels[0].inflight[-1].end_us > queued_end
+        assert dev.chips[0].stats.page_reads == 1
+        # Channel 1 saw the pulse, after stalling the host on a full queue.
+        assert dev.chips[1].stats.page_programs == 3
+        assert dev._channels[1].wait_us > 0
+        assert dev.clock.breakdown_us["channel_wait"] == dev._channels[1].wait_us
+        assert dev.page_at(self.DST).raw_oob() == b"o" * GEO.oob_size
+
+        # Power loss reverts the same in-flight window in the same order:
+        # same media, and the injector's tear stream left at the same point.
+        ref.power_loss()
+        dev.power_loss()
+        assert media_digest(dev) == media_digest(ref)
+        assert injector._rng.getstate() == ref_injector._rng.getstate()
+        assert dev.page_at(self.DST).raw_data() != b"s" * GEO.page_size
+
+    @pytest.mark.parametrize("channels", [1, 4])
+    def test_copy_onto_itself_needs_no_special_case(self, channels):
+        """It is whatever the two calls do: a programmed page cannot be
+        programmed again, and the sense before that is charged."""
+        dev = FlashDevice(GEO, channels=channels)
+        ref = FlashDevice(GEO, channels=channels)
+        for each in (dev, ref):
+            each.program_page(3, b"x" * 32)
+        with pytest.raises(WriteToProgrammedPageError):
+            ref.program_page(3, *ref.read_page_with_oob(3))
+        batch = OpBatch()
+        batch.copy(3, 3)
+        with pytest.raises(WriteToProgrammedPageError) as raised:
+            dev.execute_batch(batch)
+        assert raised.value.batch_ops_completed == 0
+        assert repr(dev.clock.now_us) == repr(ref.clock.now_us)
+        assert dev.clock.breakdown_us == ref.clock.breakdown_us
+        assert vars(dev.stats) == vars(ref.stats)
+        assert dev.stats.page_reads == 1 and dev.stats.page_programs == 1

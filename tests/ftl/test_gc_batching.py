@@ -1,0 +1,147 @@
+"""Garbage collection talks to the chip in batches: one call per victim.
+
+The exact call-count gate (``benchmarks/test_e2e_call_budget.py``) counts
+the first 5 000 ops of ``ftl_overwrite_trad``, and at that workload's fill
+the first reclaim comes after about 7 000: the gate never sees the code
+that relocates pages.  This file does, at the same geometry, mode,
+over-provisioning and fill, from behind a proxy that counts what reaches
+the chip's public methods: a reclaimed victim with ``k > 0`` valid pages
+costs exactly one ``execute_batch`` of ``k`` copy rows and not one
+``read_page_with_oob`` or ``program_page`` of its own, a victim with
+nothing valid costs none, and the budgeted background collector never
+puts more copies in front of an allocation than its budget.
+"""
+
+import random
+
+import pytest
+
+from repro.flash.batch import OP_COPY
+from repro.flash.chip import FlashChip
+from repro.flash.geometry import FlashGeometry
+from repro.flash.modes import FlashMode
+from repro.ftl.page_mapping import PageMappingFtl
+
+#: ``benchmarks/e2e/workloads.py``: ``FtlOverwriteTrad.setup``.
+WORKLOAD_GEO = FlashGeometry(4096, 128, 64, 256)
+OVER_PROVISIONING = 0.15
+FILL_SHARE = 0.80
+#: Host writes after the fill: the free pool (82 blocks) lasts ~5 100.
+WRITES = 9_000
+
+SMALL_GEO = FlashGeometry(page_size=256, oob_size=128, pages_per_block=8, blocks=16)
+
+
+class CountingChip:
+    """Forwards everything to ``chip``; logs the public operations."""
+
+    def __init__(self, chip: FlashChip) -> None:
+        self._chip = chip
+        #: ("program", ppn) | ("read_with_oob", ppn) | ("erase", block)
+        #: | ("batch", rows) in call order.
+        self.events: list[tuple] = []
+
+    def __getattr__(self, name: str):
+        return getattr(self._chip, name)
+
+    def program_page(self, ppn, data, oob=None):
+        self.events.append(("program", ppn))
+        return self._chip.program_page(ppn, data, oob)
+
+    def read_page_with_oob(self, ppn, check_ecc=True):
+        self.events.append(("read_with_oob", ppn))
+        return self._chip.read_page_with_oob(ppn, check_ecc)
+
+    def erase_block(self, block_idx):
+        self.events.append(("erase", block_idx))
+        return self._chip.erase_block(block_idx)
+
+    def execute_batch(self, ops, payload=None):
+        self.events.append(("batch", list(ops._rows)))
+        return self._chip.execute_batch(ops, payload)
+
+    def take(self) -> list[tuple]:
+        events, self.events = self.events, []
+        return events
+
+
+def _filled_ftl(geo: FlashGeometry, **gc_options):
+    chip = CountingChip(FlashChip(geo, mode=FlashMode.MLC))
+    ftl = PageMappingFtl(chip, over_provisioning=OVER_PROVISIONING, **gc_options)
+    lbas = int(ftl.logical_pages * FILL_SHARE)
+    for lba in range(lbas):
+        ftl.write_page(lba, lba.to_bytes(4, "little"))
+    assert chip.take() == [("program", ppn) for ppn in range(lbas)]
+    return chip, ftl, lbas
+
+
+def test_one_batch_per_victim_at_the_workloads_geometry_and_fill():
+    chip, ftl, lbas = _filled_ftl(WORKLOAD_GEO)
+    blocks = ftl._blocks
+    ppb = WORKLOAD_GEO.pages_per_block
+    rng = random.Random(42)
+    victims = copies = 0
+    for _ in range(WRITES):
+        valid_before = dict(blocks._valid)
+        lba = rng.randrange(lbas)
+        ftl.write_page(lba, lba.to_bytes(4, "little"))
+        events = chip.take()
+        # The host write's own program comes last, after any reclaim.
+        assert events.pop()[0] == "program"
+        while events:
+            kind, arg = events.pop(0)
+            rows = []
+            if kind == "batch":
+                rows = arg
+                kind, arg = events.pop(0)
+            assert kind == "erase", "GC reached the chip outside a batch"
+            victim = arg
+            assert len(rows) == valid_before[victim]
+            assert all(row[0] == OP_COPY for row in rows)
+            # target is the destination, data_pos the source page.
+            assert {row[3] // ppb for row in rows} <= {victim}
+            assert victim not in {row[1] // ppb for row in rows}
+            victims += 1
+            copies += len(rows)
+    assert victims == ftl.stats.gc_erases > 40
+    assert copies == ftl.stats.gc_page_migrations > 20 * victims
+    assert ftl.chip.stats.page_reads == copies  # GC's senses, and only them
+
+
+def test_a_victim_with_nothing_valid_costs_no_batch():
+    """Sequential overwrites: every victim is fully invalid when picked."""
+    chip, ftl, lbas = _filled_ftl(SMALL_GEO)
+    for _round in range(4):
+        for lba in range(lbas):
+            ftl.write_page(lba, b"again")
+    events = chip.take()
+    assert ftl.stats.gc_erases >= 8 and ftl.stats.gc_page_migrations == 0
+    assert {kind for kind, _ in events} == {"program", "erase"}
+
+
+@pytest.mark.parametrize("budget", [1, 8])
+def test_background_collector_batches_within_its_budget(budget):
+    chip, ftl, lbas = _filled_ftl(
+        SMALL_GEO, background_gc=True, gc_migration_budget=budget
+    )
+    rng = random.Random(7)
+    copies = 0
+    for _ in range(1500):
+        lba = rng.randrange(lbas)
+        emergencies = ftl.stats.extra["gc_emergency_syncs"]
+        ftl.write_page(lba, lba.to_bytes(4, "little"))
+        events = chip.take()
+        assert events.pop()[0] == "program"
+        assert {kind for kind, _ in events} <= {"batch", "erase"}
+        moved = sum(len(rows) for kind, rows in events if kind == "batch")
+        if ftl.stats.extra["gc_emergency_syncs"] == emergencies:
+            assert moved <= budget
+            # One batch per step on a victim; a step that drains one
+            # victim may go on to open the next.
+            assert sum(kind == "batch" for kind, _ in events) <= 1 + sum(
+                kind == "erase" for kind, _ in events
+            )
+        copies += moved
+    assert copies == ftl.stats.gc_page_migrations > 200
+    # An emergency reclaim's copies are foreground ones.
+    assert 200 < ftl.stats.extra["background_gc_migrations"] <= copies

@@ -20,13 +20,22 @@ workload generators' random helpers as they ran while every draw was a
 numpy call on a scalar or a ten-letter array, verbatim; the draw kernel
 that replaced them (``repro.workloads.base.DrawStream``) must return
 what they return and leave the generator where they leave it.
+
+``ParentBlockManager`` is the garbage collector and the out-of-place
+write path as they ran while relocation was a page-at-a-time loop
+(``_migrate_page`` / ``_migrate_page_inner``: one ``read_page_with_oob``
+and one ``program_page`` per valid page), verbatim; the shipped
+``BlockManager`` relocates a victim's valid pages as one
+``execute_batch`` of ``OP_COPY`` rows and must leave clock, counters,
+maps, free pool and media exactly where the loop leaves them, on every
+backend, GC mode and channel count, error paths included.
 """
 
 import hashlib
 import struct
 import zlib
 from contextlib import ExitStack, contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from unittest import mock
 
 import numpy as np
@@ -55,8 +64,21 @@ from repro.engine.wal import (
     encode_frame,
 )
 from repro.flash.chip import FlashChip
+from repro.flash.device import FlashDevice
+from repro.flash.errors import EccUncorrectableError, FlashError
 from repro.flash.geometry import FlashGeometry
+from repro.flash.modes import FlashMode
+from repro.flash.page import PageState
+from repro.ftl import ipa_ftl as ipa_ftl_module
+from repro.ftl import noftl as noftl_module
+from repro.ftl import page_mapping as page_mapping_module
+from repro.ftl.gc import BlockManager
+from repro.ftl.interface import DeviceFullError
+from repro.ftl.ipa_ftl import IpaFtl
 from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
+from repro.ftl.oob_meta import OOB_META_SIZE, has_oob_meta, pack_oob_meta
+from repro.ftl.page_mapping import PageMappingFtl
+from repro.obs.ledger import WriteLedger
 from repro.core.config import IPA_DISABLED
 from repro.storage import manager as manager_module
 from repro.storage.buffer import Frame
@@ -1667,3 +1689,494 @@ class TestRandomHelpersAgainstParent:
         release(rng)
         assert rng.integers(0, 1000) == reference.integers(0, 1000)
         assert rng.random() == reference.random()
+
+
+# ---------------------------------------------------------------------- #
+# Reference: the parent's page-at-a-time garbage collector and write path
+# ---------------------------------------------------------------------- #
+
+
+class ParentBlockManager(BlockManager):
+    """``BlockManager`` with the bodies it ran before relocation became one
+    ``execute_batch`` call per victim and the host-write path was
+    right-sized, verbatim: one ``read_page_with_oob`` + ``program_page``
+    per valid page, ``make_ppn`` per allocation, a fresh ``bytearray`` per
+    OOB stamp, ``_map`` / ``_invalidate_ppn`` per write."""
+
+    def write(self, lba, data, oob=None):
+        self._check_lba(lba)
+        ppn = self._allocate()
+        if self._oob_meta_enabled:
+            oob = self._stamp_meta(oob, lba)
+        self.chip.program_page(ppn, data, oob)
+        lg = self.ledger
+        if lg.enabled and self._oob_meta_enabled:
+            # The 17-byte mapping record rode along in the same program;
+            # attribute its bytes to metadata, not the host payload.
+            lg.shift_bytes("oob_meta", OOB_META_SIZE)
+        # Read the mapping only now: GC inside _allocate() may just have
+        # migrated this very LBA, and the pre-allocation ppn would be stale.
+        old_ppn = self.mapping.get(lba)
+        if old_ppn is not None:
+            self._invalidate_ppn(old_ppn)
+            self.stats.page_invalidations += 1
+        self._map(lba, ppn)
+        self.appends_done[ppn] = 0
+        lt = self.lifetimes
+        if lt.enabled:
+            lt.on_write(self, lba, lg.current_cause)
+        sz = self.sanitizer
+        if sz.enabled:
+            sz.check_mapping_pair(self, lba, ppn)
+        return ppn
+
+    def _stamp_meta(self, oob, lba):
+        """Merge the durable mapping record into an outgoing OOB image."""
+        buf = (
+            bytearray(b"\xff" * self._oob_size)
+            if oob is None
+            else bytearray(oob)
+        )
+        buf[self._meta_off :] = pack_oob_meta(lba, self._seq)
+        self._seq += 1
+        return bytes(buf)
+
+    def _check_lba(self, lba):
+        if not 0 <= lba < self.logical_pages:
+            raise KeyError(
+                f"lba {lba} outside logical range [0, {self.logical_pages})"
+            )
+
+    def _map(self, lba, ppn):
+        self.mapping[lba] = ppn
+        self._rmap[ppn] = lba
+        block_id = ppn // self.chip.geometry.pages_per_block
+        self._valid[block_id] += 1
+
+    def _invalidate_ppn(self, ppn):
+        self._rmap.pop(ppn, None)
+        block_id = ppn // self.chip.geometry.pages_per_block
+        self._valid[block_id] -= 1
+        self.appends_done.pop(ppn, None)
+
+    def _background_step(self):
+        budget = self.gc_migration_budget
+        offsets = self._usable_offsets
+        while budget > 0:
+            if self._bg_victim is None:
+                if len(self._free) > self.gc_low_watermark:
+                    return
+                victim = self._pick_victim()
+                if victim is None:
+                    return  # nothing reclaimable; emergency path decides
+                self._bg_victim = victim
+                self._bg_cursor = 0
+            victim = self._bg_victim
+            while budget > 0 and self._bg_cursor < len(offsets):
+                page_offset = offsets[self._bg_cursor]
+                self._bg_cursor += 1
+                if self._migrate_page(victim, page_offset):
+                    budget -= 1
+                    self._m_bg_migrations.inc()
+            if self._bg_cursor < len(offsets):
+                return  # budget exhausted mid-victim; resume next op
+            self._finish_bg_victim()
+
+    def _finish_bg_victim(self):
+        """Drain and erase the open background victim (if any)."""
+        victim = self._bg_victim
+        if victim is None:
+            return
+        offsets = self._usable_offsets
+        while self._bg_cursor < len(offsets):
+            page_offset = offsets[self._bg_cursor]
+            self._bg_cursor += 1
+            if self._migrate_page(victim, page_offset):
+                self._m_bg_migrations.inc()
+        self._bg_victim = None
+        self._bg_cursor = 0
+        tr = self.tracer
+        if not tr.enabled:
+            self._erase_victim(victim, None, background=True)
+            return
+        with tr.span("gc_erase", victim=victim, background=True) as span:
+            self._erase_victim(victim, span, background=True)
+
+    def _allocate_no_gc(self):
+        while True:
+            if self._active is None:
+                if not self._free:
+                    raise DeviceFullError("free-block pool exhausted")
+                self._active = self._free.popleft()
+                self._cursor = 0
+            if self._cursor < len(self._usable_offsets):
+                page_offset = self._usable_offsets[self._cursor]
+                self._cursor += 1
+                return self.chip.geometry.make_ppn(self._active, page_offset)
+            self._active = None  # block exhausted; open another
+
+    def _pick_victim(self):
+        active = self._active
+        free = set(self._free)
+        candidates = [
+            b for b in self.block_ids if b != active and b not in free
+        ]
+        if not candidates:
+            return None
+        if self.wear_leveling_gap is not None:
+            worn = self._wear_leveling_victim(candidates)
+            if worn is not None:
+                return worn
+        victim = min(candidates, key=lambda b: self._valid[b])
+        if self._valid[victim] >= len(self._usable_offsets):
+            return None  # nothing reclaimable
+        return victim
+
+    def _reclaim_inner(self, victim, span):
+        migrated = 0
+        for page_offset in self._usable_offsets:
+            if self._migrate_page(victim, page_offset):
+                migrated += 1
+        if span is not None:
+            span.set(migrated=migrated)
+        self._erase_victim(victim, span)
+
+    def _migrate_page(self, victim, page_offset):
+        """Move one valid page off the victim; True if a copy happened."""
+        ppn = self.chip.geometry.make_ppn(victim, page_offset)
+        lba = self._rmap.get(ppn)
+        if lba is None:
+            return False
+        lg = self.ledger
+        if not lg.enabled:
+            return self._migrate_page_inner(victim, ppn, lba)
+        with lg.cause(self._gc_cause(victim)):
+            return self._migrate_page_inner(victim, ppn, lba)
+
+    def _migrate_page_inner(self, victim, ppn, lba):
+        data, oob = self.chip.read_page_with_oob(ppn)
+        new_ppn = self._allocate_no_gc()
+        self.chip.program_page(new_ppn, data, oob)
+        lg = self.ledger
+        if lg.enabled and self._oob_meta_enabled and has_oob_meta(
+            oob[self._meta_off:]
+        ):
+            # The copied page carried its durable mapping record along.
+            lg.shift_bytes("oob_meta", OOB_META_SIZE)
+        appends = self.appends_done.pop(ppn, 0)
+        self.appends_done[new_ppn] = appends
+        del self._rmap[ppn]
+        self._valid[victim] -= 1
+        self._map(lba, new_ppn)
+        self.stats.gc_page_migrations += 1
+        sz = self.sanitizer
+        if sz.enabled:
+            sz.check_mapping_pair(self, lba, new_ppn)
+        return True
+
+
+#: 32 blocks stripe over 4 channels; 8 pages a block keep reclaims frequent.
+GC_GEO = FlashGeometry(page_size=256, oob_size=128, pages_per_block=8, blocks=32)
+GC_BACKENDS = ("page-mapping", "ipa-ftl", "noftl-2-regions")
+#: name -> BlockManager options of the device under test.
+GC_MODES = {
+    "foreground": {},
+    "background-1": {"background_gc": True, "gc_migration_budget": 1},
+    "background-8": {"background_gc": True, "gc_migration_budget": 8},
+}
+
+
+def _gc_stack(backend, parent, channels, gc_options, ledger, **chip_options):
+    """One device (+ its block managers and ledger), shipped or parent."""
+    mode = FlashMode.MLC if backend == "page-mapping" else FlashMode.PSLC
+    if channels == 1:
+        chip = FlashChip(GC_GEO, mode=mode, **chip_options)
+        leaves = [chip]
+    else:
+        chip = FlashDevice(GC_GEO, channels=channels, mode=mode, **chip_options)
+        leaves = chip.chips
+        assert chip._overlap
+    with ExitStack() as stack:
+        if parent:
+            for module in (page_mapping_module, ipa_ftl_module, noftl_module):
+                stack.enter_context(
+                    mock.patch.object(module, "BlockManager", ParentBlockManager)
+                )
+        if backend == "page-mapping":
+            device = PageMappingFtl(chip, over_provisioning=0.2, **gc_options)
+            managers = [device._blocks]
+        elif backend == "ipa-ftl":
+            device = IpaFtl(chip, over_provisioning=0.2, **gc_options)
+            managers = [device._blocks]
+        else:
+            device = NoFtlDevice(chip, over_provisioning=0.2, **gc_options)
+            hot = device.create_region("hot", blocks=20, ipa=IpaRegionConfig(2, 4))
+            cold = device.create_region("cold", blocks=12, ipa=None)
+            managers = [hot._blocks, cold._blocks]
+    assert all(type(m) is (ParentBlockManager if parent else BlockManager)
+               for m in managers)
+    book = None
+    if ledger:
+        book = WriteLedger()
+        for target in [device, chip, *leaves, *managers]:
+            target.ledger = book
+        for leaf in leaves:
+            book.watch_chip(leaf)
+    return device, chip, managers, book
+
+
+def _gc_media_digest(chip):
+    digest = hashlib.sha256()
+    for block in chip.blocks:
+        digest.update(block.erase_count.to_bytes(4, "little"))
+        digest.update(bytes([block.is_bad]))
+        for page in block.pages:
+            digest.update(page.data_view())
+            digest.update(page.oob_view())
+            digest.update(
+                b"%d %d " % (page.state is PageState.PROGRAMMED, page.program_passes)
+            )
+            digest.update(page._disturb.tobytes())
+    return digest.hexdigest()
+
+
+def _counters(stats):
+    return {f.name: getattr(stats, f.name) for f in fields(stats)}
+
+
+def _gc_state(device, chip, managers, book, full):
+    """What the two collectors must agree on: clock and counters after
+    every operation, and after one that reclaimed a block (``full``) the
+    managers' whole state, the ledger and the media as well."""
+    state = {
+        "now_us": repr(chip.clock.now_us),
+        "breakdown": {k: repr(v) for k, v in chip.clock.breakdown_us.items()},
+        "flash": _counters(chip.stats),
+        "device": _counters(device.stats),
+    }
+    if not full:
+        return state
+    state.update({
+        "managers": [
+            {
+                # Item lists, not dicts: insertion order is compared too.
+                "mapping": list(m.mapping.items()),
+                "rmap": list(m._rmap.items()),
+                "valid": list(m._valid.items()),
+                "appends_done": list(m.appends_done.items()),
+                "free": list(m._free),
+                "active": m._active,
+                "cursor": m._cursor,
+                "seq": m._seq,
+                "bg": (m._bg_victim, m._bg_cursor),
+                "wear_victim": m._wear_victim,
+                "blocks": list(m.block_ids),
+            }
+            for m in managers
+        ],
+        "media": _gc_media_digest(chip),
+    })
+    if isinstance(chip, FlashDevice):
+        state["channels"] = chip.channel_stats()
+        state["chips"] = [_counters(c.stats) for c in chip.chips]
+    if book is not None:
+        state["ledger"] = {r.cause: r.as_dict() for r in book.records()}
+        state["conservation"] = book.conservation_errors()
+    return state
+
+
+def _gc_ops(backend, seed, count, lbas):
+    """A seeded overwrite stream over ``lbas``: mostly page writes, half of
+    them on a hot quarter, with the backend's in-place forms, a few reads
+    and a few trims."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        hot = rng.random() < 0.5
+        lba = lbas[int(rng.integers(0, len(lbas) // 4 if hot else len(lbas)))]
+        roll = rng.random()
+        fill = int(rng.integers(0, 256))
+        if roll < 0.03:
+            yield ("trim", lba, 0)
+        elif roll < 0.10:
+            yield ("read", lba, 0)
+        elif roll < 0.35 and backend != "page-mapping":
+            yield ("in-place", lba, fill)
+        else:
+            yield ("write", lba, fill)
+
+
+def _gc_apply(backend, device, op):
+    """Run one op; returns its outcome (or the error it raised)."""
+    kind, lba, fill = op
+    try:
+        if kind == "trim":
+            return device.trim(lba)
+        if kind == "read":
+            return device.read_page(lba)
+        if kind == "in-place" and backend == "ipa-ftl":
+            # Clearing bits of the current image lands in place.
+            old = device.read_page(lba)
+            return device.write_page(lba, bytes(b & fill for b in old))
+        if kind == "in-place":
+            # write_delta into the erased tail of a 100-byte page.
+            region = device.region_of(lba)
+            used = region.appends_on(lba)
+            return device.write_delta(lba, 128 + 16 * used, bytes([fill & 0x7F]) * 8)
+        return device.write_page(lba, bytes([fill]) * 100)
+    except (KeyError, FlashError) as error:
+        return (type(error), str(error))
+
+
+def _gc_lockstep(backend, channels, gc_options, ledger=False, seed=11, ops=800,
+                 prepare=None, stop_at=None, **chip_options):
+    """Drive parent and shipped stacks together, comparing as ``_gc_state``
+    says; four LBAs in five are in use (of every region).  ``prepare`` is
+    applied to both filled stacks and returns the LBAs the stream must
+    leave alone; ``stop_at`` ends the run at the first op that raises it."""
+    live = _gc_stack(backend, False, channels, gc_options, ledger, **chip_options)
+    ref = _gc_stack(backend, True, channels, gc_options, ledger, **chip_options)
+    assert live[0].logical_pages == ref[0].logical_pages
+    lbas = [lba for lba in range(live[0].logical_pages) if lba % 5]
+    for lba in lbas:
+        for device in (live[0], ref[0]):
+            device.write_page(lba, bytes([lba % 251]) * 100)
+    if prepare is not None:
+        spared = prepare(live)
+        assert prepare(ref) == spared
+        lbas = [lba for lba in lbas if lba not in spared]
+    reclaims = 0
+    for step, op in enumerate(_gc_ops(backend, seed, ops, lbas)):
+        erases = live[0].stats.gc_erases
+        outcome = _gc_apply(backend, live[0], op)
+        expected = _gc_apply(backend, ref[0], op)
+        assert outcome == expected, (step, op)
+        # An op that reclaimed a block, or one the device failed.
+        full = live[0].stats.gc_erases != erases or isinstance(outcome, tuple)
+        reclaims += live[0].stats.gc_erases != erases
+        assert _gc_state(*live, full=full) == _gc_state(*ref, full=full), (step, op)
+        if stop_at is not None and isinstance(outcome, tuple):
+            if outcome[0] is stop_at:
+                break
+    assert _gc_state(*live, full=True) == _gc_state(*ref, full=True)
+    return live, ref, reclaims
+
+
+class TestGarbageCollectorAgainstParent:
+    @pytest.mark.parametrize("channels", [1, 4], ids=["1-channel", "4-channels"])
+    @pytest.mark.parametrize("gc_mode", sorted(GC_MODES))
+    @pytest.mark.parametrize("backend", GC_BACKENDS)
+    def test_lockstep_over_a_seeded_overwrite_stream(
+        self, backend, gc_mode, channels
+    ):
+        live, _ref, reclaims = _gc_lockstep(backend, channels, GC_MODES[gc_mode])
+        stats = live[0].stats
+        assert reclaims > 30 and stats.gc_page_migrations > 100
+        if backend != "page-mapping":
+            assert stats.in_place_appends > 50
+        if backend == "noftl-2-regions":
+            # Delta slots in use travelled with relocated pages.
+            assert any(live[2][0].appends_done.values())
+        if gc_mode != "foreground":
+            assert stats.extra["background_gc_migrations"] > 100
+        if channels > 1:
+            assert live[1].clock.breakdown_us["channel_wait"] > 0
+
+    @pytest.mark.parametrize("channels", [1, 4], ids=["1-channel", "4-channels"])
+    @pytest.mark.parametrize("gc_mode", ["foreground", "background-8"])
+    def test_wear_leveling_victims(self, gc_mode, channels):
+        options = dict(GC_MODES[gc_mode], wear_leveling_gap=3)
+        live, _ref, _ = _gc_lockstep(
+            "page-mapping", channels, options, ledger=True, ops=2500
+        )
+        assert live[0].stats.extra["wear_leveling_moves"] > 5
+        assert live[3].by_cause["wear_leveling"].programs > 5
+
+    @pytest.mark.parametrize("gc_mode", sorted(GC_MODES))
+    @pytest.mark.parametrize("backend", GC_BACKENDS)
+    def test_ledger_attribution_is_conserved(self, backend, gc_mode):
+        live, ref, _ = _gc_lockstep(
+            backend, 1, GC_MODES[gc_mode], ledger=True, ops=900
+        )
+        book = live[3]
+        assert book.conservation_errors() == []
+        assert book.by_cause["gc_migration"].programs == (
+            live[0].stats.gc_page_migrations
+        )
+        moved = book.by_cause["gc_migration"]
+        # Every relocated page carried its mapping record: its 17 bytes
+        # were shifted to ``oob_meta``, once per copy.
+        assert moved.bytes == moved.programs * (
+            GC_GEO.page_size + GC_GEO.oob_size - OOB_META_SIZE
+        )
+        assert {r.cause: r.as_dict() for r in book.records()} == {
+            r.cause: r.as_dict() for r in ref[3].records()
+        }
+
+    @pytest.mark.parametrize("channels", [1, 4], ids=["1-channel", "4-channels"])
+    @pytest.mark.parametrize("gc_mode", sorted(GC_MODES))
+    def test_an_unreadable_source_stops_both_collectors_at_the_same_place(
+        self, gc_mode, channels
+    ):
+        """A valid page that is not its block's first goes uncorrectable.
+        When its block is collected the batch fails at that row: the rows
+        before it are booked, the failed sense is charged, the destination
+        it never reached goes back to the allocation stream — cursor, free
+        pool, maps and media are the page-at-a-time loop's."""
+
+        def break_a_page(stack):
+            _device, chip, (manager,), _book = stack
+            ppb = GC_GEO.pages_per_block
+            block = 2  # filled in LBA order: every page of it is valid
+            assert manager._valid[block] == len(manager._usable_offsets)
+            ppn = block * ppb + manager._usable_offsets[3]
+            counts = np.zeros(chip.page_at(ppn)._disturb.shape, dtype=np.int64)
+            counts[0] = 1_000
+            chip.page_at(ppn).add_disturb(counts)
+            return {manager._rmap[ppn]}  # never rewritten: it stays valid
+
+        live, _ref, _ = _gc_lockstep(
+            "page-mapping", channels, GC_MODES[gc_mode], ops=3000,
+            prepare=break_a_page, stop_at=EccUncorrectableError,
+        )
+        device, chip, (manager,), _book = live
+        assert chip.stats.ecc_uncorrectable_events == 1
+        # Senses that moved nothing: the failed one only.
+        assert chip.stats.page_reads == (
+            device.stats.host_reads + device.stats.gc_page_migrations + 1
+        )
+        # Block 2 is still there with the broken page valid in it ...
+        assert manager._valid[2] >= 1 and 2 not in manager._free
+        # ... and no page was allocated that nothing was programmed to.
+        ppb = GC_GEO.pages_per_block
+        assert manager._active is not None
+        for position, offset in enumerate(manager._usable_offsets):
+            state = chip.page_at(manager._active * ppb + offset).state
+            assert (state is PageState.PROGRAMMED) == (position < manager._cursor)
+
+    @pytest.mark.parametrize("gc_mode", sorted(GC_MODES))
+    def test_running_out_of_blocks_in_the_middle_of_a_victim(self, gc_mode):
+        """Blocks retire after three erases until a relocation finds the
+        free pool empty: the pages that got a destination have moved, the
+        page that did not was sensed (the loop reads before it allocates),
+        and ``DeviceFullError`` comes out of the same op with the same
+        state — in the foreground, again from every write after it.
+
+        The background runs stop at the first failure: the incremental
+        collector's scan cursor is left *past* a page whose move failed
+        (by the parent's loop and, to match it, by the batch), so its
+        next steps go on to erase the victim with that page still valid.
+        That is the parent's behaviour, kept bit for bit here and flagged
+        by ``REPRO_SANITIZE=1`` (page conservation); see ROADMAP.
+        """
+        foreground = gc_mode == "foreground"
+        live, _ref, _ = _gc_lockstep(
+            "page-mapping", 1, GC_MODES[gc_mode], ops=700, endurance_limit=3,
+            stop_at=None if foreground else DeviceFullError,
+        )
+        device, chip, _managers, _book = live
+        assert device.stats.extra["retired_blocks"] >= 8
+        # Senses that moved nothing: one per relocation that ran dry.
+        orphans = chip.stats.page_reads - (
+            device.stats.host_reads + device.stats.gc_page_migrations
+        )
+        assert orphans >= 2 if foreground else orphans == 1
