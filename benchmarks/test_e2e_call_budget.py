@@ -71,7 +71,11 @@ HEADROOM = 1.05
 #: ``flash`` were re-recorded on purpose when GC relocation became one
 #: ``execute_batch`` per victim and the host-write path was right-sized
 #: (in the order below: ``ftl`` from 10.3492, 26.0637, 14.4706, 3.103;
-#: ``flash`` from 15.1432, 56.9158, 21.2964, 14.805).  On
+#: ``flash`` from 15.1432, 56.9158, 21.2964, 14.805), and again when the
+#: flash chip became one kernel — one body per op kind sharing one
+#: post-pulse tail, the batch loop a dispatch over it, the OOB mapping
+#: record stamped inline (``ftl`` from 10.3092, 25.6790, 13.7740,
+#: 3.0744; ``flash`` from 14.7648, 54.6790, 19.9032, 14.3004).  On
 #: ``ftl_overwrite_trad`` that is the write path only — its counted
 #: prefix performs no reclaim; ``tests/ftl/test_gc_batching.py`` is the
 #: gate on what GC costs the chip.
@@ -79,25 +83,25 @@ COMMITTED = {
     "ycsb_b_cold": {
         "hot_path": 64.4946,
         "workloads": 6.2022,
-        "ftl": 10.3092,
-        "flash": 14.7648,
+        "ftl": 10.2564,
+        "flash": 8.6098,
     },
     "tpcb_evict_ipa": {
         "hot_path": 318.4783014465702,
         "workloads": 9.005832944470368,
-        "ftl": 25.67895473635091,
-        "flash": 54.67895473635091,
+        "ftl": 25.361642557162856,
+        "flash": 32.06299580027998,
     },
     "ftl_overwrite_trad": {
-        "ftl": 13.774,
-        "flash": 19.9032,
+        "ftl": 13.0774,
+        "flash": 8.4126,
     },
     "svc_ycsb_a_2shard": {
         "hot_path": 63.9792,
         "workloads": 10.8656,
         "service": 19.3382,
-        "ftl": 3.0744,
-        "flash": 14.3004,
+        "ftl": 3.0048,
+        "flash": 8.092,
     },
 }
 

@@ -1,13 +1,14 @@
 """Batched op-level execution: many Flash operations per Python call.
 
-PR 2 made each primitive cheap; what remains in end-to-end profiles is the
-*per-operation* interpreter cost — argument packing, method dispatch, dict
-lookups on the clock — paid once per page op.  This module defines the
-batch encoding consumed by :meth:`repro.flash.chip.FlashChip.execute_batch`
-(and :meth:`repro.flash.device.FlashDevice.execute_batch`), which executes
-a whole run of operations inside one call while keeping every simulated
-outcome — counters, latencies, disturb draws, error points — bit-identical
-to the per-op path (tests/flash/test_batch_equivalence.py).
+This module defines the batch encoding and the one loop that runs it:
+:func:`execute`, which is :meth:`repro.flash.chip.FlashChip.execute_batch`
+and, over the channel schedulers,
+:meth:`repro.flash.device.FlashDevice.execute_batch`.  The loop decodes a
+row and calls the chip kernel's body for its kind — the same body a
+per-op call runs — so every simulated outcome (counters, latencies,
+disturb draws, error points, observer events) is that of the per-op
+sequence by construction (tests/flash/test_batch_equivalence.py), and
+only the caller's dispatch is saved.
 
 A batch is a numpy structured array of :data:`OP_DTYPE` rows plus one
 contiguous payload heap; each row addresses its data / OOB bytes as
@@ -28,6 +29,8 @@ these rows (:mod:`repro.ftl.gc`).
 """
 
 from __future__ import annotations
+
+from typing import Any
 
 import numpy as np
 
@@ -139,3 +142,83 @@ class OpBatch:
         """Materialize the ``(ops, payload)`` pair ``execute_batch`` takes."""
         ops = np.array(self._rows, dtype=OP_DTYPE)
         return ops, bytes(self._payload)
+
+
+def execute(
+    kernel: Any,
+    ops: np.ndarray | OpBatch,
+    payload: bytes | bytearray | memoryview | None = None,
+) -> list[bytes]:
+    """Execute an encoded run of operations through ``kernel``'s bodies.
+
+    ``ops`` is either an :class:`OpBatch` builder or a numpy structured
+    array of :data:`OP_DTYPE` rows with ``payload`` as its data heap.  Rows
+    run strictly in order, each through the kernel's private body for its
+    kind (``_sense``, ``_program``, ``_reprogram``, ``_partial``,
+    ``_erase``): validation order, error types and messages, latency
+    charges, stats counters, disturb draws and observer calls are those of
+    the equivalent sequence of per-op calls.  Reads check ECC.  A copy row
+    senses its source and programs the source page's own cell buffers to
+    the destination.
+
+    Returns:
+        Data images of the ``OP_READ`` rows, in batch order.
+
+    Raises:
+        Exactly what the per-op sequence would raise, at the same
+        operation.  Every *completed* operation (and, for an
+        ECC-uncorrectable sense, the failed sense itself) has been charged
+        when the error propagates, and the raised exception carries
+        ``batch_ops_completed`` — the number of fully executed leading
+        operations — and ``batch_results`` — the read results those
+        completed operations produced.
+    """
+    heap: bytes | bytearray | memoryview
+    if isinstance(ops, OpBatch):
+        if payload is not None:
+            raise ValueError("payload is implicit when passing an OpBatch")
+        rows = ops._rows
+        heap = memoryview(ops._payload)
+    else:
+        if ops.dtype.names != OP_DTYPE.names:
+            raise ValueError(
+                f"ops must be a structured array of OP_DTYPE rows, got "
+                f"dtype {ops.dtype}"
+            )
+        # tolist() decodes every row to a plain tuple of Python ints in
+        # one call; iterating np.void rows would box every field access.
+        rows = ops.tolist()
+        heap = memoryview(payload if payload is not None else b"")
+    out: list[bytes] = []
+    sense = kernel._sense
+    program = kernel._program
+    index = 0
+    try:
+        for index, (
+            kind, target, offset, dpos, dlen, ooff, opos, olen,
+        ) in enumerate(rows):
+            if kind == OP_COPY:
+                source = sense(dpos)
+                program(target, source._data, source._oob)
+            elif kind == OP_READ:
+                out.append(bytes(sense(target)._data))
+            elif kind == OP_ERASE:
+                kernel._erase(target)
+            else:
+                data = heap[dpos : dpos + dlen] if dlen >= 0 else b""
+                oob = heap[opos : opos + olen] if olen >= 0 else None
+                if kind == OP_PROGRAM:
+                    program(target, data, oob)
+                elif kind == OP_REPROGRAM:
+                    kernel._reprogram(target, data, oob)
+                elif kind == OP_PARTIAL:
+                    kernel._partial(
+                        target, offset, data, None if ooff < 0 else ooff, oob
+                    )
+                else:
+                    raise ValueError(f"unknown op code {kind}")
+    except Exception as exc:
+        exc.batch_ops_completed = index  # type: ignore[attr-defined]
+        exc.batch_results = out  # type: ignore[attr-defined]
+        raise
+    return out

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.flash.ecc import EccConfig
 from repro.flash.errors import BadBlockError
-from repro.flash.page import PhysicalPage
+from repro.flash.page import PageState, PhysicalPage, erased_image
 
 
 class EraseBlock:
@@ -15,7 +15,10 @@ class EraseBlock:
     claim) reads ``erase_count`` off every block.
     """
 
-    __slots__ = ("pages", "erase_count", "endurance_limit", "is_bad")
+    __slots__ = (
+        "pages", "erase_count", "endurance_limit", "is_bad",
+        "_erased_data", "_erased_oob",
+    )
 
     def __init__(
         self,
@@ -34,9 +37,14 @@ class EraseBlock:
         #: running chips to death).
         self.endurance_limit = endurance_limit
         self.is_bad = False
+        self._erased_data = erased_image(page_size)
+        self._erased_oob = erased_image(oob_size)
 
     def erase(self) -> None:
         """Erase every page and advance the wear counter.
+
+        Each page's buffers take the constant erased images (a memcpy
+        each); its disturb counts are cleared only if it has any.
 
         Raises:
             BadBlockError: if the block was already retired, or this erase
@@ -50,5 +58,16 @@ class EraseBlock:
             raise BadBlockError(
                 f"block exceeded endurance of {self.endurance_limit} P/E cycles"
             )
+        data = self._erased_data
+        oob = self._erased_oob
+        erased = PageState.ERASED
         for page in self.pages:
-            page.erase()
+            page._data[:] = data
+            page._oob[:] = oob
+            page.state = erased
+            page.program_passes = 0
+            if page._disturb_total:
+                # counts are non-negative, so total == 0 implies all-zero.
+                page._disturb[:] = 0
+                page._disturb_total = 0
+                page._disturb_worst = 0

@@ -53,16 +53,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from repro.flash.batch import (
-    OP_COPY,
-    OP_DTYPE,
-    OP_ERASE,
-    OP_PARTIAL,
-    OP_PROGRAM,
-    OP_READ,
-    OP_REPROGRAM,
-    OpBatch,
-)
+from repro.flash.batch import OpBatch, execute
 from repro.flash.chip import FlashChip
 from repro.flash.ecc import DEFAULT_ECC, EccConfig
 from repro.flash.errors import IllegalAddressError
@@ -417,56 +408,55 @@ class FlashDevice:
 
     def read_page(self, ppn: int, check_ecc: bool = True) -> bytes:
         """Read a page (jumps queued pulses; waits out an executing one)."""
-        channel, local_ppn = self._route_ppn(ppn)
-        if not self._overlap:
-            return channel.chip.read_page(local_ppn, check_ecc)
-        self._wait_for_sense(channel)
-        clk = channel.chip.clock
-        clk.reset()
-        try:
-            return channel.chip.read_page(local_ppn, check_ecc)
-        finally:
-            self._charge_read(channel, clk)
+        return bytes(self._sense(ppn, check_ecc)._data)
 
     def read_page_with_oob(
         self, ppn: int, check_ecc: bool = True
     ) -> tuple[bytes, bytes]:
         """Read a page's data and OOB areas."""
+        page = self._sense(ppn, check_ecc)
+        return bytes(page._data), bytes(page._oob)
+
+    def _sense(self, ppn: int, check_ecc: bool = True) -> PhysicalPage:
+        """The chip's sense body, scheduled on the page's channel."""
         channel, local_ppn = self._route_ppn(ppn)
+        chip = channel.chip
         if not self._overlap:
-            return channel.chip.read_page_with_oob(local_ppn, check_ecc)
+            return chip._sense(local_ppn, check_ecc)
         self._wait_for_sense(channel)
-        clk = channel.chip.clock
+        clk = chip.clock
         clk.reset()
         try:
-            return channel.chip.read_page_with_oob(local_ppn, check_ecc)
+            return chip._sense(local_ppn, check_ecc)
         finally:
             self._charge_read(channel, clk)
 
     def program_page(self, ppn: int, data: bytes, oob: bytes | None = None) -> None:
         """First-time program; the array pulse overlaps with the host."""
         channel, local_ppn = self._route_ppn(ppn)
+        chip = channel.chip
         if not self._overlap:
-            channel.chip.program_page(local_ppn, data, oob)
+            chip._program(local_ppn, data, oob)
             return
         self._issue_array_op(
             channel,
             "program",
-            lambda: channel.chip.program_page(local_ppn, data, oob),
-            lambda: self._program_undo(channel.chip, local_ppn, data, oob),
+            lambda: chip._program(local_ppn, data, oob),
+            lambda: self._program_undo(chip, local_ppn, data, oob),
         )
 
     def reprogram_page(self, ppn: int, data: bytes, oob: bytes | None = None) -> None:
         """In-place overwrite; the array pulse overlaps with the host."""
         channel, local_ppn = self._route_ppn(ppn)
+        chip = channel.chip
         if not self._overlap:
-            channel.chip.reprogram_page(local_ppn, data, oob)
+            chip._reprogram(local_ppn, data, oob)
             return
         self._issue_array_op(
             channel,
             "reprogram",
-            lambda: channel.chip.reprogram_page(local_ppn, data, oob),
-            lambda: self._program_undo(channel.chip, local_ppn, data, oob),
+            lambda: chip._reprogram(local_ppn, data, oob),
+            lambda: self._program_undo(chip, local_ppn, data, oob),
         )
 
     def partial_program(
@@ -479,117 +469,63 @@ class FlashDevice:
     ) -> None:
         """Program a byte range (write_delta's device half)."""
         channel, local_ppn = self._route_ppn(ppn)
+        chip = channel.chip
         if not self._overlap:
-            channel.chip.partial_program(
-                local_ppn, offset, payload, oob_offset, oob_payload
-            )
+            chip._partial(local_ppn, offset, payload, oob_offset, oob_payload)
             return
         self._issue_array_op(
             channel,
             "partial_program",
-            lambda: channel.chip.partial_program(
+            lambda: chip._partial(
                 local_ppn, offset, payload, oob_offset, oob_payload
             ),
             lambda: (
                 "partial",
-                channel.chip.page_at(local_ppn),
-                channel.chip.page_at(local_ppn).snapshot_image(),
-                offset, payload, oob_offset, oob_payload,
+                chip.page_at(local_ppn),
+                chip.page_at(local_ppn).snapshot_image(),
+                offset,
+                bytes(payload),
+                oob_offset,
+                None if oob_payload is None else bytes(oob_payload),
             ),
         )
 
     def erase_block(self, block_idx: int) -> None:
         """Erase one global block; the pulse never blocks the host."""
         channel, local_block = self._route_block(block_idx)
+        chip = channel.chip
         if not self._overlap:
-            channel.chip.erase_block(local_block)
+            chip._erase(local_block)
             return
         self._issue_array_op(
             channel,
             "erase",
-            lambda: channel.chip.erase_block(local_block),
-            lambda: self._erase_undo(channel.chip, local_block),
+            lambda: chip._erase(local_block),
+            lambda: self._erase_undo(chip, local_block),
             barrier=True,
         )
+
+    # The bodies as the batch loop reaches them, as on the chip.
+    _program = program_page
+    _reprogram = reprogram_page
+    _partial = partial_program
+    _erase = erase_block
 
     def execute_batch(
         self, ops: np.ndarray | OpBatch, payload: bytes | None = None
     ) -> list[bytes]:
-        """Execute a whole op batch; see :meth:`FlashChip.execute_batch`.
+        """Execute a whole op batch; see :func:`repro.flash.batch.execute`.
 
-        A single-channel non-overlapped device is bit-identical to a
-        bare chip (same clock, identity page numbering), so the batch
-        passes straight through to the chip's fast path.  A multi-channel
-        (or overlapped) device must route every op through the channel
-        scheduler to keep stall/pushback accounting exact, so it runs the
-        batch as a per-op loop — same semantics, one Python call for the
-        caller either way.
-
-        Failures carry ``batch_ops_completed`` / ``batch_results`` exactly
-        like the chip-level batch API.
+        The rows run through this device's bodies, so each sense and each
+        pulse — both halves of a copy row included, on their own channels
+        — goes through the channel scheduler exactly as the per-op calls
+        do.  A single-channel non-overlapped device is a bare chip (same
+        clock, identity page numbering): the batch runs on the chip's
+        bodies directly.
         """
         if len(self._channels) == 1 and not self._overlap:
-            # Global ppn == local ppn when one chip holds every block.
             return self.chips[0].execute_batch(ops, payload)
-        if isinstance(ops, OpBatch):
-            if payload is not None:
-                raise ValueError("payload must be None when passing an OpBatch")
-            rows = ops._rows
-            heap: memoryview = memoryview(ops._payload)
-        else:
-            if ops.dtype.names != OP_DTYPE.names:
-                raise ValueError(
-                    f"ops must be an OP_DTYPE structured array, got {ops.dtype}"
-                )
-            rows = ops.tolist()
-            heap = memoryview(payload if payload is not None else b"")
-        out: list[bytes] = []
-        index = 0
-        try:
-            for index, (
-                kind,
-                target,
-                offset,
-                dpos,
-                dlen,
-                ooff,
-                opos,
-                olen,
-            ) in enumerate(rows):
-                if kind == OP_READ:
-                    out.append(self.read_page(target))
-                    continue
-                if kind == OP_ERASE:
-                    self.erase_block(target)
-                    continue
-                if kind == OP_COPY:
-                    # Source and destination may sit on different
-                    # channels: the sense goes through one scheduler,
-                    # the program pulse through the other.
-                    data, oob = self.read_page_with_oob(dpos)
-                    self.program_page(target, data, oob)
-                    continue
-                data = bytes(heap[dpos : dpos + dlen]) if dlen >= 0 else b""
-                oob = bytes(heap[opos : opos + olen]) if olen >= 0 else None
-                if kind == OP_PROGRAM:
-                    self.program_page(target, data, oob)
-                elif kind == OP_REPROGRAM:
-                    self.reprogram_page(target, data, oob)
-                elif kind == OP_PARTIAL:
-                    self.partial_program(
-                        target,
-                        offset,
-                        data,
-                        None if ooff < 0 else ooff,
-                        oob,
-                    )
-                else:
-                    raise ValueError(f"unknown op code {kind}")
-        except Exception as exc:
-            exc.batch_ops_completed = index  # type: ignore[attr-defined]
-            exc.batch_results = out  # type: ignore[attr-defined]
-            raise
-        return out
+        return execute(self, ops, payload)
 
     def sync(self) -> None:
         """Flush barrier: block the host until every in-flight pulse ends.
@@ -723,7 +659,7 @@ class FlashDevice:
             channel.inflight.pushback(array_us)
             channel.busy_until_us += array_us
         tr = self.tracer
-        if array_us and tr.enabled and getattr(tr, "trace_channel_ops", False):
+        if array_us and tr.enabled and tr.trace_channel_ops:
             # The sense ends *now* on the host clock (the host blocked on it).
             tr.record(
                 "channel_read", dur_us=array_us,
@@ -784,7 +720,7 @@ class FlashDevice:
         channel.ops += 1
         channel.busy_us += op_us
         tr = self.tracer
-        if tr.enabled and getattr(tr, "trace_channel_ops", False):
+        if tr.enabled and tr.trace_channel_ops:
             if bus_us:
                 tr.record("bus_xfer", dur_us=bus_us,
                           channel=channel.index, op=kind)
@@ -800,10 +736,13 @@ class FlashDevice:
         self, chip: FlashChip, local_ppn: int, data: bytes, oob: bytes | None
     ) -> tuple:
         page = chip.page_at(local_ppn)
-        size = page.page_size
-        if len(data) != size:  # chip pads short images; tear what it programs
-            data = bytes(data) + b"\xff" * (size - len(data))
-        return ("program", page, page.snapshot_image(), data, oob)
+        # Copies: a batch row's image is a view of its heap or of a copy
+        # source's cells.  The chip pads short images; tear what it programs.
+        data = bytes(data) + b"\xff" * (page.page_size - len(data))
+        return (
+            "program", page, page.snapshot_image(), data,
+            None if oob is None else bytes(oob),
+        )
 
     def _erase_undo(self, chip: FlashChip, local_block: int) -> tuple:
         block = chip.blocks[local_block]

@@ -18,8 +18,12 @@ variate, ``X = 0`` iff ``U <= (1 - p) ** n``) replayed over a prefetched
 block of the generator's uniforms, so the stream is bit-identical to
 ``Generator.binomial(bits, rate, size=(victims, codewords))`` of numpy 2
 — locked by ``tests/flash/test_interference.py``, down to uniforms forced
-onto every probability boundary — while the overwhelmingly common
-all-zero draw costs one array slice and one ``max``.
+onto every probability boundary.  The overwhelmingly common all-zero
+draw is decided in O(1): at every refill each sampler records the
+positions whose uniform exceeds its ``P(X = 0)`` ("hot" positions), and
+a draw is all-zero iff the next hot position at or after its start lies
+at or past its end — the same uniforms, the same comparison as
+``max(uniforms[start:end]) <= zero_below``, without the slice.
 """
 
 from __future__ import annotations
@@ -37,9 +41,10 @@ PREFETCH = 8192
 
 
 class _Sampler:
-    """Constants of numpy's inversion sampler for one ``(n, p)``."""
+    """Constants of numpy's inversion sampler for one ``(n, p)``, plus the
+    hot positions of the current uniform block."""
 
-    __slots__ = ("n", "p", "q", "zero_below", "bound")
+    __slots__ = ("n", "p", "q", "zero_below", "bound", "hot", "next_hot")
 
     def __init__(self, n: int, p: float) -> None:
         self.n = n
@@ -52,6 +57,14 @@ class _Sampler:
         mean = n * p
         #: The sampler starts over with a fresh uniform beyond this count.
         self.bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+        #: Positions of the current block whose uniform is above
+        #: ``zero_below``, ascending, closed by the block length as a
+        #: sentinel; rebuilt at every refill.
+        self.hot: list[int] = [0]
+        #: Index into ``hot`` of the first position at or after the start
+        #: of this sampler's last all-zero test (only ever moves forward
+        #: within a block, so the tests cost O(1) amortised).
+        self.next_hot = 0
 
 
 class DisturbModel:
@@ -83,9 +96,11 @@ class DisturbModel:
             # A zero rate draws nothing and consumes nothing, as in numpy.
             samplers.append(_Sampler(bits, rate) if rate else None)
         self._program, self._reprogram = samplers
+        self._samplers = [s for s in samplers if s is not None]
         # Raw doubles, not a list of float objects: a quarter of the
         # memory per chip, and a refill is one memcpy.
         self._uniforms = array("d")
+        self._filled = 0
         self._cursor = 0
         self.total_injected_bits = 0
 
@@ -120,14 +135,28 @@ class DisturbModel:
             return None
         start = self._cursor
         end = start + victims * self._n_codewords
-        uniforms = self._uniforms
-        if (
-            end <= len(uniforms)
-            and max(uniforms[start:end]) <= sampler.zero_below
-        ):
-            self._cursor = end
-            return None
+        if end <= self._filled:
+            hot = sampler.hot
+            i = sampler.next_hot
+            while hot[i] < start:
+                i += 1
+            sampler.next_hot = i
+            if hot[i] >= end:
+                self._cursor = end
+                return None
         return self._invert(sampler, victims)
+
+    def _refill(self) -> array:
+        """Fetch the next block of uniforms and index its hot positions."""
+        block = self._rng.random(PREFETCH)
+        self._uniforms = uniforms = array("d", block.tobytes())
+        self._filled = filled = len(uniforms)
+        for sampler in self._samplers:
+            hot = np.flatnonzero(block > sampler.zero_below).tolist()
+            hot.append(filled)
+            sampler.hot = hot
+            sampler.next_hot = 0
+        return uniforms
 
     def _invert(self, sampler: _Sampler, victims: int) -> list[list[int]] | None:
         """The draw in full: numpy's ``random_binomial_inversion`` loop."""
@@ -143,9 +172,7 @@ class DisturbModel:
                 x = -1
                 while x < 0:
                     if cursor == len(uniforms):
-                        uniforms = self._uniforms = array(
-                            "d", self._rng.random(PREFETCH).tobytes()
-                        )
+                        uniforms = self._refill()
                         cursor = 0
                     u = uniforms[cursor]
                     cursor += 1

@@ -24,6 +24,11 @@ class SimClock:
     "host", ...) so a run's throughput difference can be explained as a
     time-budget shift — e.g. IPA converting erase/migration time into
     extra transactions.
+
+    The flash chip's kernel charges ``_now_us`` and ``breakdown_us``
+    directly, with exactly the float additions of :meth:`advance` in
+    operation order (float addition is not associative: the golden tests
+    compare ``repr(now_us)``, so the order is part of the contract).
     """
 
     def __init__(self) -> None:
@@ -48,93 +53,6 @@ class SimClock:
         self.breakdown_us[category] = (
             self.breakdown_us.get(category, 0.0) + micros
         )
-
-    def advance_pair(
-        self, first_us: float, first_cat: str, second_us: float, second_cat: str
-    ) -> None:
-        """Two sequential :meth:`advance` calls fused into one.
-
-        Bit-identical to ``advance(first_us, first_cat)`` followed by
-        ``advance(second_us, second_cat)`` — the two float additions run in
-        the same order — but with one method call instead of two.  Hot-path
-        helper for operation+bus charging; callers guarantee non-negative
-        durations (they come from the frozen latency table).
-        """
-        self._now_us += first_us
-        self._now_us += second_us
-        bd = self.breakdown_us
-        bd[first_cat] = bd.get(first_cat, 0.0) + first_us
-        bd[second_cat] = bd.get(second_cat, 0.0) + second_us
-
-    def category_us(self, category: str) -> float:
-        """Current total attributed to ``category`` (0.0 if never charged).
-
-        Batched callers seed a local accumulator from this value, replay
-        their per-operation float additions on the local in the exact order
-        the per-op path would have used, and store the result back with
-        :meth:`commit_batch`.  Because each accumulator starts from the live
-        total and sees the same additions in the same order, the committed
-        floats are bit-identical to per-op :meth:`advance` calls — float
-        addition is not associative, so summing a batch locally from zero
-        and adding it once would NOT be.
-        """
-        return self.breakdown_us.get(category, 0.0)
-
-    def commit_batch(self, now_us: float, categories: dict[str, float]) -> None:
-        """Store back accumulators produced by the batched-charging contract.
-
-        ``now_us`` must have started from :attr:`now_us` and each value in
-        ``categories`` from :meth:`category_us`, with only the per-op
-        charges added since (see :meth:`category_us`).  Categories that saw
-        no charge must be omitted: committing an untouched category would
-        create a breakdown key the per-op path never creates.
-        """
-        if now_us < self._now_us:
-            raise ValueError(
-                f"batch commit moves clock backwards: {now_us} < {self._now_us}"
-            )
-        self._now_us = now_us
-        self.breakdown_us.update(categories)
-
-    def advance_run(
-        self,
-        count: int,
-        first_us: float,
-        first_cat: str,
-        second_us: float,
-        second_cat: str,
-    ) -> None:
-        """``count`` repetitions of :meth:`advance_pair` in one call.
-
-        Bit-identical to calling ``advance_pair(first_us, first_cat,
-        second_us, second_cat)`` ``count`` times: the local accumulators
-        replay the same float additions in the same order and are stored
-        back once.  Used for uniform batched runs (e.g. N identical page
-        reads) where per-op dict lookups would dominate.
-        """
-        if count <= 0:
-            return
-        now = self._now_us
-        bd = self.breakdown_us
-        first_total = bd.get(first_cat, 0.0)
-        if first_cat == second_cat:
-            for _ in range(count):
-                now += first_us
-                now += second_us
-                first_total += first_us
-                first_total += second_us
-            self._now_us = now
-            bd[first_cat] = first_total
-            return
-        second_total = bd.get(second_cat, 0.0)
-        for _ in range(count):
-            now += first_us
-            now += second_us
-            first_total += first_us
-            second_total += second_us
-        self._now_us = now
-        bd[first_cat] = first_total
-        bd[second_cat] = second_total
 
     def reset(self) -> None:
         """Reset simulated time to zero (between experiment phases)."""

@@ -184,8 +184,8 @@ class BlockManager:
         self._oob_meta_enabled = oob_size >= OOB_META_SIZE
         self._meta_off = oob_size - OOB_META_SIZE
         self._oob_size = oob_size
-        #: What ``_stamp_meta`` puts in front of the record when the
-        #: caller sends no OOB of its own.
+        #: What a write puts in front of the record when the caller sends
+        #: no OOB of its own.
         self._erased_oob_head = b"\xff" * max(self._meta_off, 0)
         self._seq = 0
         self._ppb = chip.geometry.pages_per_block
@@ -236,7 +236,13 @@ class BlockManager:
         self.check_write(lba, data, oob)
         ppn = self._allocate()
         if self._oob_meta_enabled:
-            oob = self._stamp_meta(oob, lba)
+            # The durable mapping record goes into the OOB tail.
+            record = pack_oob_meta(lba, self._seq)
+            self._seq += 1
+            if oob is None:
+                oob = self._erased_oob_head + record
+            else:
+                oob = bytes(oob[: self._meta_off]) + record
         self.chip.program_page(ppn, data, oob)
         lg = self.ledger
         if lg.enabled and self._oob_meta_enabled:
@@ -347,14 +353,6 @@ class BlockManager:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-
-    def _stamp_meta(self, oob: bytes | None, lba: int) -> bytes:
-        """Merge the durable mapping record into an outgoing OOB image."""
-        record = pack_oob_meta(lba, self._seq)
-        self._seq += 1
-        if oob is None:
-            return self._erased_oob_head + record
-        return bytes(oob[: self._meta_off]) + record
 
     def check_write(
         self, lba: int, data: bytes, oob: bytes | None = None
@@ -560,12 +558,13 @@ class BlockManager:
         Shared by the synchronous reclaim (the whole victim) and the
         incremental background collector (``background``: the scan
         resumes at ``_bg_cursor``, stops after ``limit`` copies and leaves
-        the cursor where it stopped).  Each valid page becomes one
-        ``OP_COPY`` row — read with OOB, program to the next page of the
-        active-block stream — so the copied OOB carries the original
-        mapping record (same LBA, same sequence number): a crash between
-        copy and erase leaves two byte-identical candidates, and either
-        one is a correct remount choice.
+        the cursor where it stopped — *on* a page whose move failed, so
+        the victim is never erased with that page still mapped).  Each
+        valid page becomes one ``OP_COPY`` row — read with OOB, program to
+        the next page of the active-block stream — so the copied OOB
+        carries the original mapping record (same LBA, same sequence
+        number): a crash between copy and erase leaves two byte-identical
+        candidates, and either one is a correct remount choice.
 
         The maps are updated after the batch, in row order.  If the batch
         fails part-way the rows it completed are booked, the destinations
@@ -586,19 +585,21 @@ class BlockManager:
         full: DeviceFullError | None = None
         while room and index < scan_end:
             src = base + offsets[index]
-            index += 1
             lba = rmap_get(src)
             if lba is None:
+                index += 1
                 continue
             try:
                 dst = self._allocate_no_gc()
             except DeviceFullError as exc:
                 # A page-at-a-time move senses the page before it asks
                 # for a destination, so that sense still happens; the
-                # pages that did get one move first.
+                # pages that did get one move first.  The scan stays on
+                # this page.
                 batch.read(src)
                 full = exc
                 break
+            index += 1
             batch.copy(src, dst)
             moves.append((lba, src, dst))
             room -= 1
@@ -630,8 +631,9 @@ class BlockManager:
             done: int = exc.batch_ops_completed  # type: ignore[attr-defined]
             self._book_moves(victim, moves[:done], background)
             if background and done < len(moves):
-                # The scan stops just past the page whose move failed.
-                self._bg_cursor = 1 + self._usable_offsets.index(
+                # The scan stays on the page whose move failed: it is
+                # still mapped, so the victim may not be erased yet.
+                self._bg_cursor = self._usable_offsets.index(
                     moves[done][1] - victim * self._ppb
                 )
             # Rewind the allocation stream to where it was on entry and

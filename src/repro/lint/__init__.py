@@ -12,8 +12,8 @@ Per-file AST rules (:mod:`repro.lint.rules`):
   anywhere under ``src/repro``.
 * **R2 layering** — nothing outside ``repro.flash`` / ``repro.ftl`` /
   ``repro.fault`` imports the flash internals; nothing outside
-  ``repro.flash`` touches ``PhysicalPage`` private buffers or
-  ``FlashChip._charge_program``.
+  ``repro.flash`` touches ``PhysicalPage`` private buffers or the flash
+  kernel's private bodies (``FlashChip._program`` and kin).
 * **R3 counter registry** — every literal metric key used in code is
   declared in :mod:`repro.obs.registry` and vice versa.
 * **R4 exception hygiene** — no ``except`` broad enough to swallow

@@ -171,9 +171,10 @@ class DeterminismRule(Rule):
 class LayeringRule(Rule):
     """R2: the flash internals (page/block/cell physics) are reachable
     only through ``FlashChip`` and the FTL interface.  A workload or
-    engine module poking ``PhysicalPage._data_np`` directly would bypass
-    the ISPP legality checks and the wear/latency accounting the paper's
-    Table 1 numbers are built on.
+    engine module calling a kernel body such as ``FlashChip._program``
+    behind a wrapper's back, or poking ``PhysicalPage._disturb_worst``,
+    would bypass the accounting or the ECC model the paper's Table 1
+    numbers are built on.
     """
 
     rule_id = "R2"
@@ -189,13 +190,15 @@ class LayeringRule(Rule):
     ALLOWED_IMPORTERS = ("repro.flash", "repro.ftl", "repro.fault")
     PRIVATE_ATTRS = frozenset(
         {
-            "_charge_program",
-            "_data_np",
-            "_oob_np",
+            "_sense",
+            "_program",
+            "_reprogram",
+            "_partial",
+            "_erase",
+            "_pulse_done",
             "_disturb",
             "_disturb_total",
             "_disturb_worst",
-            "_apply_interference",
         }
     )
 

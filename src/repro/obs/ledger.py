@@ -18,11 +18,13 @@ around the work it initiates::
             self.chip.program_page(ppn, data, oob)
 
 and :class:`~repro.flash.chip.FlashChip` charges the innermost cause
-from ``_charge_program`` / ``erase_block`` — the exact sites that
-increment ``FlashStats`` — so the per-cause counts can never drift from
-the physical totals.  The conservation invariant (per-cause sums equal
-the chips' counters, byte for byte) is re-derived independently by
-``repro.flash.sanitize`` under ``REPRO_SANITIZE=1``.
+from its kernel's erase body and from the tail its program, reprogram
+and partial-program bodies share — the exact sites that increment
+``FlashStats``, per-op and batched alike — so the per-cause counts can
+never drift from the physical totals.  The conservation invariant
+(per-cause sums equal the chips' counters, byte for byte) is
+re-derived independently by ``repro.flash.sanitize`` under
+``REPRO_SANITIZE=1``.
 
 The ``oob_meta`` cause is byte-only: the 17-byte durable mapping record
 never owns a program operation (it rides inside one), so the block

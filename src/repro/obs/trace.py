@@ -135,6 +135,11 @@ class Tracer:
     """
 
     enabled = True
+    #: Leaf spans for physical programs / reprograms, and per-channel
+    #: scheduler events on a multi-channel device; ``Observation.create``
+    #: sets them per instance from :class:`~repro.obs.ObserveConfig`.
+    trace_chip_ops = False
+    trace_channel_ops = False
 
     def __init__(self, clock=None, capacity: int = 200_000, sink=None) -> None:
         self.clock = clock
@@ -318,6 +323,8 @@ class NullTracer:
     """
 
     enabled = False
+    trace_chip_ops = False
+    trace_channel_ops = False
     clock = None
     dropped = 0
 

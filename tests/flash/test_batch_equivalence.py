@@ -13,23 +13,27 @@ ulp diverges the test), error points, and read results.
 ``OP_COPY`` rows ride in the same stream, expanded on the per-op side as
 ``read_page_with_oob`` + ``program_page`` — the row's definition.
 
-Also covered: the instrumented compat path (write ledger / sanitizer /
-armed fault injector attached), a 4-channel overlapped
+The batch loop and the per-op calls run the same kernel bodies, so what
+these tests pin is the loop: row decoding, dispatch, the copy row's
+composition of sense and program, and error bookkeeping.  Also covered:
+the same outcome with the observers attached (write ledger / sanitizer /
+armed fault injector) as without, a 4-channel overlapped
 :class:`FlashDevice`, and mid-batch error accounting
-(``batch_ops_completed``, charges of completed ops committed before the
+(``batch_ops_completed``, charges of completed ops made before the
 raise), with one directed case per point at which a copy can fail.
 """
 
 from __future__ import annotations
 
 import hashlib
-from array import array
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.fault.injector import FaultInjector
+from repro.flash import interference
 from repro.flash.batch import OP_DTYPE, OpBatch
 from repro.flash.chip import FlashChip
 from repro.flash.device import FlashDevice
@@ -48,6 +52,7 @@ from repro.flash.page import PageState
 from repro.flash.sanitize import Sanitizer
 from repro.flash.stats import FlashStats
 from repro.obs.ledger import WriteLedger
+from tests.flash._rng import force_next_uniform
 
 GEO = FlashGeometry(page_size=2048, oob_size=64, pages_per_block=16, blocks=8)
 MODES = [FlashMode.SLC, FlashMode.MLC, FlashMode.PSLC, FlashMode.ODD_MLC]
@@ -391,8 +396,8 @@ def _instrument(chip: FlashChip) -> tuple[WriteLedger, FaultInjector]:
 
 @pytest.mark.parametrize("mode", MODES)
 def test_batched_path_matches_under_ledger_and_sanitizer(mode):
-    """Instrumentation (an armed fault injector included) forces the compat
-    path; attribution and the injector's op count must match too."""
+    """Observers attached (an armed fault injector included): attribution
+    and the injector's op count match the per-op run's too."""
     stream = _record_op_stream(mode, seed=SEED ^ 0x77)
     ref_chip = FlashChip(GEO, mode=mode, seed=SEED ^ 0x77)
     ref_ledger, ref_injector = _instrument(ref_chip)
@@ -552,7 +557,7 @@ COPY_FAILURES = {
 }
 
 
-@pytest.mark.parametrize("instrumented", [False, True], ids=["fast", "compat"])
+@pytest.mark.parametrize("instrumented", [False, True], ids=["bare", "observed"])
 @pytest.mark.parametrize("case", sorted(COPY_FAILURES))
 def test_copy_fails_where_the_two_per_op_calls_fail(case, instrumented):
     """A good copy, the failing one, one never reached: same error, same
@@ -589,7 +594,7 @@ def test_copy_fails_where_the_two_per_op_calls_fail(case, instrumented):
         assert chip.fault_injector.ops_seen == ref.fault_injector.ops_seen
 
 
-@pytest.mark.parametrize("instrumented", [False, True], ids=["fast", "compat"])
+@pytest.mark.parametrize("instrumented", [False, True], ids=["bare", "observed"])
 def test_copy_moves_data_and_oob_and_nothing_else(instrumented):
     chip = _copy_chip(FlashMode.MLC, instrumented)
     batch = OpBatch()
@@ -613,7 +618,7 @@ def test_copy_of_an_erased_page_is_what_the_per_op_calls_do():
     assert chip.page_state(6) is PageState.PROGRAMMED
 
 
-@pytest.mark.parametrize("instrumented", [False, True], ids=["fast", "compat"])
+@pytest.mark.parametrize("instrumented", [False, True], ids=["bare", "observed"])
 def test_copy_disturbs_the_destinations_neighbours(instrumented):
     """The destination's wordline neighbours are programmed, and the disturb
     stream is forged so that the copy's draw is not all-zero: the same
@@ -624,19 +629,19 @@ def test_copy_disturbs_the_destinations_neighbours(instrumented):
         # MLC page 4 couples to its pair 5 and wordlines 1 and 3.
         for neighbour in (3, 5, 6):
             chip.program_page(neighbour, IMAGE)
-        model = chip._disturb
-        # One uniform above P(X = 0) for the first victim's first
-        # codeword, zeros (no flips) for everything after it.
-        model._uniforms = array("d", [1.0 - 1e-12] + [0.0] * 64)
-        model._cursor = 0
+        # One-uniform blocks: the copy's draw refills for its first
+        # uniform, which is forced far above P(X = 0) for the first
+        # victim's first codeword; the rest come from the stream.
+        force_next_uniform(chip._disturb._rng, 1.0 - 2**-40)
         return chip
 
-    ref = prepared()
-    _copy(ref, 0, 4)
-    chip = prepared()
-    batch = OpBatch()
-    batch.copy(0, 4)
-    chip.execute_batch(batch)
+    with mock.patch.object(interference, "PREFETCH", 1):
+        ref = prepared()
+        _copy(ref, 0, 4)
+        chip = prepared()
+        batch = OpBatch()
+        batch.copy(0, 4)
+        chip.execute_batch(batch)
     assert ref.stats.disturb_bit_flips > 0
     assert _fingerprint(chip) == _fingerprint(ref)
     flipped = [

@@ -12,6 +12,7 @@ from repro.flash import interference
 from repro.flash.ecc import EccConfig
 from repro.flash.interference import DisturbModel, neighbour_pages
 from repro.flash.modes import FlashMode, ModeRules, rules_for
+from tests.flash._rng import force_next_uniform
 
 
 class TestNeighbourPages:
@@ -86,7 +87,6 @@ CODEWORD_BYTES = [512, 1024, 2048]
 SCALES = [1, 3000]
 #: The largest double ``Generator.random`` returns.
 U_MAX = (2**53 - 1) / 2**53
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _scaled_rules(mode: FlashMode, scale: int, codeword_bytes: int) -> ModeRules:
@@ -99,24 +99,6 @@ def _scaled_rules(mode: FlashMode, scale: int, codeword_bytes: int) -> ModeRules
         disturb_rate_reprogram=min(base.disturb_rate_reprogram * scale, cap),
         disturb_rate_program=min(base.disturb_rate_program * scale, cap),
     )
-
-
-def _force_next_uniform(rng: np.random.Generator, uniform: float) -> None:
-    """Set a PCG64 generator's state so that its next double is ``uniform``.
-
-    PCG64 steps ``state = state * MULT + inc`` and outputs
-    ``rotr64(high ^ low, high >> 58)`` of the new state; a new state with
-    ``high == 0`` outputs ``low`` unrotated, and the step is inverted with
-    the multiplier's inverse modulo 2**128.
-    """
-    state = rng.bit_generator.state
-    assert state["bit_generator"] == "PCG64"
-    wanted = int(uniform * 2**53) << 11
-    inverse = pow(_PCG64_MULTIPLIER, -1, 2**128)
-    state["state"]["state"] = (
-        (wanted - state["state"]["inc"]) * inverse
-    ) % 2**128
-    rng.bit_generator.state = state
 
 
 class _Pair:
@@ -208,8 +190,8 @@ class TestDisturbKernel:
         with mock.patch.object(interference, "PREFETCH", 16):
             for uniform in sorted(forced):
                 pair = _Pair(rules, codeword_bytes, seed=5)
-                _force_next_uniform(pair.model._rng, uniform)
-                _force_next_uniform(pair.reference, uniform)
+                force_next_uniform(pair.model._rng, uniform)
+                force_next_uniform(pair.reference, uniform)
                 pair.check_draw(reprogram, 1)
                 pair.check_draw(reprogram, 2)  # both streams go on in step
 
@@ -218,11 +200,73 @@ class TestDisturbKernel:
         summed probabilities just short of ``U_MAX``, so the sampler counts
         past ``bound`` and starts the variate over on a fresh uniform."""
         pair = _Pair(rules_for(FlashMode.MLC), 1024, seed=5)
-        _force_next_uniform(pair.model._rng, U_MAX)
-        _force_next_uniform(pair.reference, U_MAX)
+        force_next_uniform(pair.model._rng, U_MAX)
+        force_next_uniform(pair.reference, U_MAX)
         pair.check_draw(True, 1)
         assert pair.model._cursor == pair.codewords + 1
         pair.check_draw(True, 3)
+
+    def test_hot_positions_agree_with_the_slice_maximum(self):
+        """The all-zero test reads the next hot position, not the slice.
+
+        With real MLC rates (``P(X = 0)`` above one half, so it and its
+        neighbouring doubles are values ``Generator.random`` can return),
+        every 16-uniform block gets one of those six doubles forced in at
+        a varying offset, and 1-3-victim program and reprogram draws
+        interleave across the refills.  Before each draw the slice
+        maximum says whether it is all-zero; the kernel must agree: no
+        inversion and the cursor moved past the draw when it is, an
+        inversion when it is not."""
+        model = DisturbModel(
+            rules_for(FlashMode.MLC), EccConfig(codeword_bytes=2048), PAGE_SIZE,
+            seed=7,
+        )
+        samplers = (model._program, model._reprogram)
+        forced = [
+            value
+            for sampler in samplers
+            for value in (
+                np.nextafter(sampler.zero_below, 0.0),
+                sampler.zero_below,
+                np.nextafter(sampler.zero_below, 1.0),
+            )
+        ]
+        assert all(0.5 < v < 1.0 and (v * 2**53).is_integer() for v in forced)
+        pulses = np.random.default_rng(3)
+        block, blocks, forced_seen = None, 0, 0
+        with mock.patch.object(interference, "PREFETCH", 16), mock.patch.object(
+            model, "_invert", wraps=model._invert
+        ) as invert:
+            for _ in range(1500):
+                if model._uniforms is not block:
+                    block = model._uniforms
+                    at = 1 + blocks % 15
+                    force_next_uniform(
+                        model._rng, forced[blocks % len(forced)], ahead=at
+                    )
+                    blocks += 1
+                reprogram = bool(pulses.integers(0, 2))
+                victims = int(pulses.integers(1, 4))
+                sampler = samplers[reprogram]
+                start = model._cursor
+                end = start + victims * model._n_codewords
+                uniforms = model._uniforms
+                zero = (
+                    end <= len(uniforms)
+                    and max(uniforms[start:end]) <= sampler.zero_below
+                )
+                if end <= len(uniforms) and any(
+                    u in forced for u in uniforms[start:end]
+                ):
+                    forced_seen += 1
+                calls = invert.call_count
+                rows = model.draw(reprogram, victims)
+                if zero:
+                    assert rows is None and invert.call_count == calls
+                    assert model._cursor == end
+                else:
+                    assert invert.call_count == calls + 1
+        assert blocks > 100 and forced_seen > 200
 
     def test_zero_rate_draws_nothing_and_consumes_nothing(self):
         rules = ModeRules(FlashMode.SLC, 1.0, 0.0, 0.0)

@@ -9,7 +9,10 @@ the chip's public methods: a reclaimed victim with ``k > 0`` valid pages
 costs exactly one ``execute_batch`` of ``k`` copy rows and not one
 ``read_page_with_oob`` or ``program_page`` of its own, a victim with
 nothing valid costs none, and the budgeted background collector never
-puts more copies in front of an allocation than its budget.
+puts more copies in front of an allocation than its budget.  And a
+wrapper placed on a chip's public ``program_page`` (how the end-to-end
+benchmark times the flash layer) sees the host's programs only: the
+batch loop runs the kernel's private bodies.
 """
 
 import random
@@ -18,6 +21,7 @@ import pytest
 
 from repro.flash.batch import OP_COPY
 from repro.flash.chip import FlashChip
+from repro.flash.device import FlashDevice
 from repro.flash.geometry import FlashGeometry
 from repro.flash.modes import FlashMode
 from repro.ftl.page_mapping import PageMappingFtl
@@ -145,3 +149,42 @@ def test_background_collector_batches_within_its_budget(budget):
     assert copies == ftl.stats.gc_page_migrations > 200
     # An emergency reclaim's copies are foreground ones.
     assert 200 < ftl.stats.extra["background_gc_migrations"] <= copies
+
+
+@pytest.mark.parametrize("channels", [1, 4], ids=["chip", "4-channel-device"])
+def test_a_wrapper_on_the_public_program_page_sees_no_relocation_rows(channels):
+    """Instance-level wrappers, as ``benchmarks/e2e/layers.py`` places
+    them, on the public per-op methods of the device and of every chip
+    under it: each host write is one ``program_page`` call, and the copy
+    rows of GC's batches reach none of them."""
+    if channels == 1:
+        device = FlashChip(SMALL_GEO, mode=FlashMode.MLC)
+        chips = [device]
+    else:
+        device = FlashDevice(SMALL_GEO, channels=channels, mode=FlashMode.MLC)
+        chips = device.chips
+    seen: list[str] = []
+
+    def wrap(obj, name):
+        method = getattr(obj, name)
+
+        def wrapper(*args, **kwargs):
+            seen.append(name)
+            return method(*args, **kwargs)
+
+        setattr(obj, name, wrapper)
+
+    for obj in dict.fromkeys((device, *chips)):
+        for name in ("program_page", "read_page_with_oob", "read_page"):
+            wrap(obj, name)
+    ftl = PageMappingFtl(device, over_provisioning=OVER_PROVISIONING)
+    lbas = int(ftl.logical_pages * FILL_SHARE)
+    rng = random.Random(5)
+    writes = 0
+    for lba in [*range(lbas), *(rng.randrange(lbas) for _ in range(600))]:
+        ftl.write_page(lba, lba.to_bytes(4, "little"))
+        writes += 1
+    assert ftl.stats.gc_page_migrations > 100
+    # The device's wrapper sees each host write; below a multi-channel
+    # device the chips' public methods are not reached at all.
+    assert seen == ["program_page"] * writes

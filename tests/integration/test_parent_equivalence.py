@@ -69,6 +69,7 @@ from repro.flash.errors import EccUncorrectableError, FlashError
 from repro.flash.geometry import FlashGeometry
 from repro.flash.modes import FlashMode
 from repro.flash.page import PageState
+from repro.flash.sanitize import PhysicsViolationError, Sanitizer
 from repro.ftl import ipa_ftl as ipa_ftl_module
 from repro.ftl import noftl as noftl_module
 from repro.ftl import page_mapping as page_mapping_module
@@ -2032,7 +2033,12 @@ def _gc_lockstep(backend, channels, gc_options, ledger=False, seed=11, ops=800,
     """Drive parent and shipped stacks together, comparing as ``_gc_state``
     says; four LBAs in five are in use (of every region).  ``prepare`` is
     applied to both filled stacks and returns the LBAs the stream must
-    leave alone; ``stop_at`` ends the run at the first op that raises it."""
+    leave alone; ``stop_at`` ends the run at the first op that raises it.
+
+    That op is where the two collectors part by design when a background
+    move failed: the shipped scan cursor stays on the page (still mapped),
+    the parent's steps past it.  The state there is compared without the
+    cursors, which must name the same victim, one page apart at most."""
     live = _gc_stack(backend, False, channels, gc_options, ledger, **chip_options)
     ref = _gc_stack(backend, True, channels, gc_options, ledger, **chip_options)
     assert live[0].logical_pages == ref[0].logical_pages
@@ -2053,10 +2059,18 @@ def _gc_lockstep(backend, channels, gc_options, ledger=False, seed=11, ops=800,
         # An op that reclaimed a block, or one the device failed.
         full = live[0].stats.gc_erases != erases or isinstance(outcome, tuple)
         reclaims += live[0].stats.gc_erases != erases
-        assert _gc_state(*live, full=full) == _gc_state(*ref, full=full), (step, op)
-        if stop_at is not None and isinstance(outcome, tuple):
-            if outcome[0] is stop_at:
-                break
+        got, want = _gc_state(*live, full=full), _gc_state(*ref, full=full)
+        stop = isinstance(outcome, tuple) and outcome[0] is stop_at
+        if stop:
+            for mine, theirs in zip(got["managers"], want["managers"]):
+                (victim, cursor), (ref_victim, ref_cursor) = (
+                    mine.pop("bg"), theirs.pop("bg")
+                )
+                assert victim == ref_victim
+                assert cursor in (ref_cursor, ref_cursor - 1)
+        assert got == want, (step, op)
+        if stop:
+            return live, ref, reclaims
     assert _gc_state(*live, full=True) == _gc_state(*ref, full=True)
     return live, ref, reclaims
 
@@ -2146,6 +2160,11 @@ class TestGarbageCollectorAgainstParent:
         )
         # Block 2 is still there with the broken page valid in it ...
         assert manager._valid[2] >= 1 and 2 not in manager._free
+        broken = 2 * GC_GEO.pages_per_block + manager._usable_offsets[3]
+        assert broken in manager._rmap
+        if manager._bg_victim == 2:
+            # ... and an open background scan stays on it.
+            assert manager._usable_offsets[manager._bg_cursor] == 3
         # ... and no page was allocated that nothing was programmed to.
         ppb = GC_GEO.pages_per_block
         assert manager._active is not None
@@ -2154,29 +2173,52 @@ class TestGarbageCollectorAgainstParent:
             assert (state is PageState.PROGRAMMED) == (position < manager._cursor)
 
     @pytest.mark.parametrize("gc_mode", sorted(GC_MODES))
-    def test_running_out_of_blocks_in_the_middle_of_a_victim(self, gc_mode):
+    def test_running_out_of_blocks_in_the_middle_of_a_victim(
+        self, gc_mode, monkeypatch
+    ):
         """Blocks retire after three erases until a relocation finds the
         free pool empty: the pages that got a destination have moved, the
         page that did not was sensed (the loop reads before it allocates),
         and ``DeviceFullError`` comes out of the same op with the same
         state — in the foreground, again from every write after it.
 
-        The background runs stop at the first failure: the incremental
-        collector's scan cursor is left *past* a page whose move failed
-        (by the parent's loop and, to match it, by the batch), so its
-        next steps go on to erase the victim with that page still valid.
-        That is the parent's behaviour, kept bit for bit here and flagged
-        by ``REPRO_SANITIZE=1`` (page conservation); see ROADMAP.
+        In the background, where the pool runs dry the next background
+        step fails on the first page of the victim it opens, and there
+        the two collectors part by design.  The shipped scan cursor stays
+        *on* that page, so it stays mapped, every later step fails on it
+        again, and the victim is never erased with it inside: under
+        ``REPRO_SANITIZE=1`` every audit passes.  The parent steps past
+        the page; driven on, it erases the victim with the page still
+        mapped, and the sanitizer flags the lost page (page conservation).
         """
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
         foreground = gc_mode == "foreground"
-        live, _ref, _ = _gc_lockstep(
+        live, ref, _ = _gc_lockstep(
             "page-mapping", 1, GC_MODES[gc_mode], ops=700, endurance_limit=3,
             stop_at=None if foreground else DeviceFullError,
         )
-        device, chip, _managers, _book = live
+        device, chip, (manager,), _book = live
         assert device.stats.extra["retired_blocks"] >= 8
         # Senses that moved nothing: one per relocation that ran dry.
         orphans = chip.stats.page_reads - (
             device.stats.host_reads + device.stats.gc_page_migrations
         )
         assert orphans >= 2 if foreground else orphans == 1
+        if foreground:
+            return
+        mapping = dict(manager.mapping)
+        writes = [("write", lba, 7) for lba in range(1, 200, 5)]
+        for op in writes:
+            assert _gc_apply("page-mapping", device, op)[0] is DeviceFullError
+        victim = manager._bg_victim
+        stuck = victim * GC_GEO.pages_per_block + manager._usable_offsets[
+            manager._bg_cursor
+        ]
+        assert manager.mapping == mapping and stuck in manager._rmap
+        assert chip.page_at(stuck).state is PageState.PROGRAMMED
+        assert victim not in manager._free
+        Sanitizer().check_block_manager(manager)
+
+        with pytest.raises(PhysicsViolationError, match="page conservation"):
+            for op in writes:
+                _gc_apply("page-mapping", ref[0], op)

@@ -4,4 +4,4 @@ from repro.flash.page import PhysicalPage
 
 
 def poke(page: PhysicalPage) -> None:
-    page._data_np[0] = 0
+    page._disturb_worst = 0

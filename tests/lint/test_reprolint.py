@@ -33,7 +33,7 @@ class TestFixtures:
 
     def test_r2_deep_import_and_private_attr(self):
         hit = _rules_hit(FIXTURES / "r2_layering.py", "repro.engine.fixture")
-        # one deep import + one _data_np access
+        # one deep import + one _disturb_worst write
         assert hit.get("R2") == 2
 
     def test_r2_allowed_inside_flash(self):

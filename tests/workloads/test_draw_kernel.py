@@ -179,8 +179,8 @@ class TestStreamIdentity:
 
 def force_next_word(rng, word):
     """Set a PCG64 generator's state so that its next raw word is ``word``
-    (the inverse-multiplier method of ``_force_next_uniform`` in
-    ``tests/flash/test_interference.py``: a new state whose high half is
+    (the inverse-multiplier method of ``force_next_uniform`` in
+    ``tests/flash/_rng.py``: a new state whose high half is
     zero outputs its low half unrotated)."""
     state = rng.bit_generator.state
     inverse = pow(_PCG64_MULTIPLIER, -1, 2**128)
