@@ -33,7 +33,9 @@ import numpy as np
 from repro.flash.chip import FlashChip
 from repro.flash.stats import DeviceStats
 from repro.ftl.interface import DeviceFullError
-from repro.obs.trace import NULL_TRACER
+from repro.obs.ledger import LifetimeTracker, WriteLedger
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.storage.buffer import Frame
 from repro.storage.manager import StorageManager, WritePolicy
 
@@ -135,7 +137,7 @@ class IplStore:
     :meth:`log_update`.
     """
 
-    #: Observability: replaced per-instance by ``repro.obs.attach_tracer``.
+    #: Observability: replaced per-instance by :meth:`attach`.
     tracer = NULL_TRACER
 
     def __init__(self, chip: FlashChip, config: IplConfig | None = None) -> None:
@@ -180,6 +182,27 @@ class IplStore:
     def logical_pages(self) -> int:
         """Addressable logical pages (fixed home slots)."""
         return len(self._blocks) * self.data_pages_per_block
+
+    @property
+    def free_blocks(self) -> int:
+        """Spare blocks left for merge destinations."""
+        return len(self._spares)
+
+    @property
+    def extra_metrics(self) -> list[MetricsRegistry]:
+        """The registry backing ``stats.extra``."""
+        return [self.stats.metrics]
+
+    def attach(
+        self,
+        tracer: Tracer | NullTracer,
+        ledger: WriteLedger,
+        lifetimes: LifetimeTracker,
+    ) -> None:
+        """Observers onto this store and its chip (fixed homes: no block
+        manager, so no LBA lifetimes)."""
+        self.tracer = tracer
+        self.chip.attach(tracer, ledger)
 
     @property
     def page_size(self) -> int:

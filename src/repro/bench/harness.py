@@ -278,6 +278,26 @@ def build_stack(
     return Database(manager), manager
 
 
+def load_stack(
+    config: ExperimentConfig,
+) -> tuple[Database, StorageManager, np.random.Generator]:
+    """Build the stack, load the workload, then restart simulated time.
+
+    The clock is zeroed after the load phase and the chip's scheduling
+    state is dropped with it (``quiesce``): a multi-channel device's
+    in-flight end times were computed against the old clock and would
+    read as a huge future backlog, charging the first measured
+    operations for load-phase array work.  Returns the workload
+    generator (seeded from ``config.seed``) the load phase drew from.
+    """
+    db, manager = build_stack(config)
+    rng = np.random.default_rng(config.seed)
+    config.workload.build(db, rng)
+    manager.clock.reset()
+    manager.device.chip.quiesce()
+    return db, manager, rng
+
+
 def run_experiment(
     config: ExperimentConfig,
     observe: "bool | ObserveConfig | None" = None,
@@ -293,20 +313,11 @@ def run_experiment(
             ``observation`` field holds the bundle.  ``None``/``False``
             (the default) runs un-instrumented at full speed.
     """
-    db, manager = build_stack(config)
-    rng = np.random.default_rng(config.seed)
-    config.workload.build(db, rng)
+    db, manager, rng = load_stack(config)
 
     # ------------------------------------------------------------------ #
     # Benchmark phase: counters and clock cover only what follows.
     # ------------------------------------------------------------------ #
-    manager.clock.reset()
-    # A multi-channel device schedules against the clock just reset:
-    # stale in-flight end times would read as a huge future backlog and
-    # charge the first measured transactions for load-phase array work.
-    quiesce = getattr(manager.device.chip, "quiesce", None)
-    if quiesce is not None:
-        quiesce()
     obs: Optional[Observation] = None
     if observe:
         obs_config = observe if isinstance(observe, ObserveConfig) else None

@@ -46,7 +46,8 @@ from itertools import chain
 from repro.flash.chip import FlashChip
 from repro.flash.errors import IllegalProgramError
 from repro.flash import PageState
-from repro.obs.ledger import NULL_LEDGER
+from repro.obs.ledger import NULL_LEDGER, WriteLedger
+from repro.obs.trace import NULL_TRACER
 
 _MAGIC_UPDATE = 0x5A
 _MAGIC_FORMAT = 0x5B
@@ -198,20 +199,19 @@ class WriteAheadLog:
     device, never in-memory mirrors.
     """
 
-    #: Write-attribution ledger: replaced per-instance by
-    #: ``repro.obs.ledger.attach_ledger`` (the log device's programs and
-    #: truncation erases are attributed to the ``wal`` cause).
+    #: Write-attribution ledger: replaced per-instance by :meth:`attach`
+    #: (the log device's programs and truncation erases are attributed to
+    #: the ``wal`` cause).
     ledger = NULL_LEDGER
 
     def __init__(self, chip: FlashChip) -> None:
+        #: The log device.  Appends and truncations end in its ``sync()``
+        #: flush barrier: a :class:`~repro.flash.device.FlashDevice`
+        #: overlaps array pulses with the host, and an append must wait
+        #: them out before a commit is acknowledged, or power loss could
+        #: tear an op the caller already considers durable (on a bare
+        #: :class:`FlashChip` the barrier is a no-op).
         self.chip = chip
-        #: Device flush barrier (multi-channel log devices): a bare
-        #: :class:`FlashChip` applies programs synchronously, but a
-        #: :class:`~repro.flash.device.FlashDevice` overlaps array pulses
-        #: with the host — an append must wait those pulses out before a
-        #: commit is acknowledged, or power loss could tear an op the
-        #: caller already considers durable.
-        self._sync = getattr(chip, "sync", None)
         self.stats = WalStats()
         self._txn_buffer: list[bytes] = []
         #: Encoded commit frames awaiting one grouped device flush
@@ -221,6 +221,15 @@ class WriteAheadLog:
         self._page_index = 0
         self._page_offset = 0
         self._mount()
+
+    def attach(self, ledger: WriteLedger) -> None:
+        """Charge the log device's writes to ``ledger`` (cause ``wal``).
+
+        The log's leaf chips charge and are watched; the log is not
+        traced.
+        """
+        self.ledger = ledger
+        self.chip.attach(NULL_TRACER, ledger)
 
     # ------------------------------------------------------------------ #
     # Logging
@@ -346,8 +355,7 @@ class WriteAheadLog:
             self._page_offset += len(chunk)
             self.stats.bytes_flushed += len(chunk)
             self.stats.log_page_programs += 1
-        if self._sync is not None:
-            self._sync()
+        self.chip.sync()
 
     # ------------------------------------------------------------------ #
     # Checkpoint / recovery
@@ -369,8 +377,7 @@ class WriteAheadLog:
             with lg.cause("wal"):
                 for block in reversed(range(self.chip.geometry.blocks)):
                     self.chip.erase_block(block)
-        if self._sync is not None:
-            self._sync()
+        self.chip.sync()
         self._page_index = 0
         self._page_offset = 0
         self._txn_buffer = []

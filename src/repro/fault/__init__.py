@@ -29,7 +29,6 @@ from repro.fault.harness import (
 )
 from repro.fault.failover import (
     FailoverOutcome,
-    FailoverSweepResult,
     run_failover_point,
     run_failover_sweep,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "PowerLossError",
     "CrashOutcome",
     "FailoverOutcome",
-    "FailoverSweepResult",
     "FaultBackend",
     "SweepResult",
     "run_crash_point",

@@ -19,45 +19,44 @@ service tier's :class:`~repro.service.replication.ReplicationLink`:
    are reverted on *all* of the primary's chips (data and WAL devices).
    The primary's media is then abandoned — this is a fail-over, not a
    remount.
-4. **Promote** — the standby is promoted the hard way: an entirely
-   fresh stack is mounted over its surviving media
-   (``rebuild_from_media`` + a fresh :class:`WriteAheadLog`) and
-   :func:`repro.engine.wal.recover` replays its log, exactly the PR 3
-   remount protocol.  Promotion must not depend on the standby's
-   volatile Python state being intact.
+4. **Promote** — the standby is promoted the hard way: the crash
+   harness's :func:`~repro.fault.harness.remount` mounts an entirely
+   fresh stack over its surviving media and replays its log.  Promotion
+   must not depend on the standby's volatile Python state being intact.
 5. **Differential check** — the promoted stack's table contents must
    equal the shadow oracle replayed to exactly the committed
    (acknowledged) transaction count, and the standby's durable frame
    count must equal that count: no acknowledged transaction lost, no
    unacknowledged transaction resurrected, regardless of crash timing.
 
-With ``replicate=False`` the same driver runs the grouped workload with
-no link attached; its primary media digest must be byte-identical to
-the replicated run's primary (replication never touches the primary's
+:func:`run_replication_free_digest` runs the same grouped driver with no
+link attached; its primary media digest must be byte-identical to the
+replicated run's primary (replication never touches the primary's
 chips) — the digest-identity contract of ``docs/replication.md``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.engine.wal import WriteAheadLog, recover
 from repro.fault.harness import (
     FaultBackend,
-    _build_stack,
+    FaultStack,
+    SweepResult,
+    as_backend,
+    divergence,
     extract_state,
     make_plan,
+    remount,
     shadow_state,
+    sweep,
 )
-from repro.fault.injector import FaultInjector, PowerLossError
+from repro.fault.injector import FaultInjector
+from repro.flash import media_digest
 from repro.service.replication import ReplicationLink
 
 __all__ = [
     "FailoverOutcome",
-    "FailoverSweepResult",
-    "media_digest",
     "run_failover_point",
     "run_failover_sweep",
     "run_replicated_digests",
@@ -67,22 +66,6 @@ __all__ = [
 #: Transactions per WAL commit group (mirrors the service tier's
 #: ``group_commit_size`` default).
 GROUP_SIZE = 4
-
-
-def media_digest(*devices) -> str:
-    """SHA-256 over every physical page of every chip of the devices.
-
-    Same enumeration rule as :meth:`repro.service.shard.Shard.media_digest`
-    (explicit per-chip, chip-major): a pure function of media bytes.
-    """
-    digest = hashlib.sha256()
-    for device in devices:
-        for chip in getattr(device, "chips", None) or [device]:
-            for ppn in range(chip.geometry.total_pages):
-                page = chip.page_at(ppn)
-                digest.update(page.raw_data())
-                digest.update(page.raw_oob())
-    return digest.hexdigest()
 
 
 @dataclass
@@ -95,6 +78,7 @@ class FailoverOutcome:
     standby_durable: int
     crash_op: str
     records_applied: int
+    torn_repairs: int
     groups_acked: int
     ok: bool
     detail: str = ""
@@ -109,73 +93,30 @@ def run_failover_point(
 ) -> FailoverOutcome:
     """One full kill / promote / verify cycle at a given primary op count."""
     plan = make_plan()
-    pdb, pmanager, ptable, pdata, pwal = _build_stack(backend)
-    sdb, smanager, stable, sdata, swal = _build_stack(backend)
-
-    def apply_group(group) -> float:
-        start_us = smanager.clock.now_us
-        smanager.begin_wal_group()
-        for k, v in group:
-            with sdb.begin("bump"):
-                stable.update_field(k, "v", v)
-        smanager.end_wal_group()
-        return smanager.clock.now_us - start_us
-
-    link = ReplicationLink(apply_group, latency_us=latency_us)
+    primary = FaultStack(backend)
+    standby = FaultStack(backend)
+    link = ReplicationLink(standby.apply_group, latency_us=latency_us)
     injector = FaultInjector(crash_after_ops=crash_point, seed=seed)
-    injector.attach(pdata, pwal)
-    committed = 0
-    try:
-        for start in range(0, len(plan), group_size):
-            group = plan[start : start + group_size]
-            pmanager.begin_wal_group()
-            for k, v in group:
-                with pdb.begin("bump"):
-                    ptable.update_field(k, "v", v)
-            pmanager.end_wal_group()
-            link.ship(group)
-            # Acknowledged to clients only now: durable on primary AND
-            # applied on the standby.
-            committed += len(group)
-    except PowerLossError:
-        for chip in (pdata, pwal):
-            power_loss = getattr(chip, "power_loss", None)
-            if power_loss is not None:
-                power_loss()
-    finally:
-        FaultInjector.detach(pdata, pwal)
+    primary.run_armed(injector, lambda: primary.run_groups(plan, group_size, link))
+    # Acknowledged to clients only once durable on the primary AND
+    # applied on the standby.
+    committed = primary.acked
 
     # Promote: brand-new Python objects over the *standby's* media; the
     # primary's chips are dead and never consulted again.
-    promoted = backend.make_manager(sdata)
-    promoted.device.rebuild_from_media()
-    promoted_wal = WriteAheadLog(swal)
-    promoted.wal = promoted_wal
-    standby_durable = len(promoted_wal.durable_frames())
-    applied = recover(promoted, promoted_wal)
+    promoted, standby_durable, applied = remount(
+        backend, standby.data, standby.wal
+    )
     recovered = extract_state(promoted)
     expected = shadow_state(plan, committed)
-
-    ok = True
     detail = ""
     if standby_durable != committed:
-        ok = False
         detail = (
             f"standby durable frame count {standby_durable} != "
             f"acknowledged transaction count {committed}"
         )
     elif recovered != expected:
-        ok = False
-        diffs = {
-            k: (recovered.get(k), expected.get(k))
-            for k in set(recovered) | set(expected)
-            if recovered.get(k) != expected.get(k)
-        }
-        sample = dict(list(diffs.items())[:5])
-        detail = (
-            f"promoted state diverges from the acknowledged prefix on "
-            f"{len(diffs)} keys, e.g. {sample} (promoted, expected)"
-        )
+        detail = divergence(recovered, expected, "promoted", "acknowledged")
     return FailoverOutcome(
         backend=backend.name,
         crash_point=crash_point,
@@ -183,8 +124,9 @@ def run_failover_point(
         standby_durable=standby_durable,
         crash_op=injector.crash_op or "<none>",
         records_applied=applied,
+        torn_repairs=promoted.stats.torn_repairs,
         groups_acked=link.groups_acked,
-        ok=ok,
+        ok=not detail,
         detail=detail,
     )
 
@@ -193,15 +135,9 @@ def run_replication_free_digest(
     backend: FaultBackend, group_size: int = GROUP_SIZE
 ) -> str:
     """Primary media digest of a crash-free *unreplicated* grouped run."""
-    pdb, pmanager, ptable, pdata, pwal = _build_stack(backend)
-    plan = make_plan()
-    for start in range(0, len(plan), group_size):
-        pmanager.begin_wal_group()
-        for k, v in plan[start : start + group_size]:
-            with pdb.begin("bump"):
-                ptable.update_field(k, "v", v)
-        pmanager.end_wal_group()
-    return media_digest(pdata, pwal)
+    primary = FaultStack(backend)
+    primary.run_groups(make_plan(), group_size)
+    return media_digest(primary.data, primary.wal)
 
 
 def run_replicated_digests(
@@ -216,51 +152,14 @@ def run_replicated_digests(
     :func:`run_replication_free_digest`: replication observes the
     primary's WAL stream without perturbing its media.
     """
-    pdb, pmanager, ptable, pdata, pwal = _build_stack(backend)
-    sdb, smanager, stable, sdata, swal = _build_stack(backend)
-
-    def apply_group(group) -> float:
-        start_us = smanager.clock.now_us
-        smanager.begin_wal_group()
-        for k, v in group:
-            with sdb.begin("bump"):
-                stable.update_field(k, "v", v)
-        smanager.end_wal_group()
-        return smanager.clock.now_us - start_us
-
-    link = ReplicationLink(apply_group, latency_us=latency_us)
-    plan = make_plan()
-    for start in range(0, len(plan), group_size):
-        group = plan[start : start + group_size]
-        pmanager.begin_wal_group()
-        for k, v in group:
-            with pdb.begin("bump"):
-                ptable.update_field(k, "v", v)
-        pmanager.end_wal_group()
-        link.ship(group)
-    return media_digest(pdata, pwal), media_digest(sdata, swal)
-
-
-@dataclass
-class FailoverSweepResult:
-    """Aggregate of a seeded failover sweep over one backend."""
-
-    backend: str
-    points: int = 0
-    failures: list = field(default_factory=list)
-    ops_total: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def _failover_point_job(
-    args: "tuple[FaultBackend, int, int]",
-) -> FailoverOutcome:
-    """Picklable work unit for a parallel sweep: one failover point."""
-    backend, point, point_seed = args
-    return run_failover_point(backend, point, seed=point_seed)
+    primary = FaultStack(backend)
+    standby = FaultStack(backend)
+    link = ReplicationLink(standby.apply_group, latency_us=latency_us)
+    primary.run_groups(make_plan(), group_size, link)
+    return (
+        media_digest(primary.data, primary.wal),
+        media_digest(standby.data, standby.wal),
+    )
 
 
 def run_failover_sweep(
@@ -268,49 +167,19 @@ def run_failover_sweep(
     n_points: int,
     seed: int = 0xFA110,
     jobs: int = 1,
-) -> FailoverSweepResult:
+) -> SweepResult:
     """Seeded random failover-point sweep over one backend.
 
-    The op-count budget is measured by a crash-free *replicated* probe
-    run (replication does not add primary flash ops, so the budget
-    matches the plain oracle; measuring it on the real driver keeps the
-    sweep self-contained).  Every sampled point derives its own tear
-    seed (``seed ^ point``), so any failure is replayable from
-    ``(backend, crash_point, seed)`` alone.
+    The op-count budget is measured by a crash-free grouped probe run
+    (replication does not add primary flash ops, so no link is needed);
+    the points are drawn by :func:`~repro.fault.harness.sweep`.
     """
-    from repro.bench.parallel import parallel_map
-
-    backend = (
-        backend_name
-        if isinstance(backend_name, FaultBackend)
-        else FaultBackend(backend_name)
-    )
-    pdb, pmanager, ptable, pdata, pwal = _build_stack(backend)
-    counter = FaultInjector(crash_after_ops=None).attach(pdata, pwal)
+    backend = as_backend(backend_name)
+    probe = FaultStack(backend)
+    counter = FaultInjector(crash_after_ops=None)
     plan = make_plan()
-    for start in range(0, len(plan), GROUP_SIZE):
-        pmanager.begin_wal_group()
-        for k, v in plan[start : start + GROUP_SIZE]:
-            with pdb.begin("bump"):
-                ptable.update_field(k, "v", v)
-        pmanager.end_wal_group()
-    FaultInjector.detach(pdata, pwal)
-    ops_total = counter.ops_seen
-
-    rng = random.Random(seed)
-    if n_points >= ops_total:
-        points = list(range(1, ops_total + 1))
-    else:
-        points = sorted(rng.sample(range(1, ops_total + 1), n_points))
-    outcomes = parallel_map(
-        _failover_point_job,
-        [(backend, point, seed ^ point) for point in points],
-        jobs=jobs,
-        labels=[f"{backend.name} failover @ op {point}" for point in points],
+    probe.run_armed(counter, lambda: probe.run_groups(plan, GROUP_SIZE))
+    return sweep(
+        run_failover_point, backend, counter.ops_seen, n_points, seed, jobs,
+        "failover",
     )
-    result = FailoverSweepResult(backend=backend.name, ops_total=ops_total)
-    for outcome in outcomes:
-        result.points += 1
-        if not outcome.ok:
-            result.failures.append(outcome)
-    return result

@@ -10,10 +10,10 @@ The experiment, per crash point:
    operation is torn at a seeded byte cut and :class:`PowerLossError`
    unwinds the workload wherever it happens to be: mid-update,
    mid-group-commit, mid-eviction, mid-GC.
-3. **Remount** — construct an *entirely fresh* stack (new FTL objects
-   with mappings rebuilt from OOB metadata, new buffer pool, new
-   :class:`WriteAheadLog` mounted over the surviving log chip — zero
-   pre-crash Python state) and run :func:`repro.engine.wal.recover`.
+3. **Remount** (:func:`remount`) — construct an *entirely fresh* stack
+   (new FTL objects with mappings rebuilt from OOB metadata, new buffer
+   pool, new :class:`WriteAheadLog` mounted over the surviving log chip
+   — zero pre-crash Python state) and run :func:`repro.engine.wal.recover`.
 4. **Differential check** — the durable-frame count ``c`` read off the
    log device must satisfy ``completed <= c <= completed + 1``
    (a transaction whose commit frame fully landed is committed even if
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.core.config import IPA_DISABLED, SCHEME_2X4
 from repro.engine.database import Database
@@ -49,6 +50,9 @@ from repro.storage.manager import (
     StorageManager,
     TraditionalPolicy,
 )
+
+if TYPE_CHECKING:
+    from repro.service.replication import ReplicationLink
 
 #: Small device so the update phase actually exercises GC: 8 blocks of
 #: 8 pages back ~16 heap pages of live data, so out-of-place traffic
@@ -170,32 +174,125 @@ def shadow_state(plan: list[tuple[int, int]], n_txns: int) -> dict[int, int]:
     return state
 
 
-def _build_stack(backend: FaultBackend):
-    """Fresh chips + stack, with the setup phase run and checkpointed."""
-    data_chip = backend.make_data_device()
-    manager = backend.make_manager(data_chip)
-    wal_chip = backend.make_wal_device(manager.clock)
-    manager.wal = WriteAheadLog(wal_chip)
-    db = Database(manager)
-    table = db.create_table("t", SCHEMA, n_pages=N_PAGES, pk="k")
-    for k in range(N_ROWS):
-        with db.begin("load"):
-            table.insert({"k": k, "v": 1000 + k, "pad": "x"})
-    db.checkpoint()
-    return db, manager, table, data_chip, wal_chip
+class FaultStack:
+    """Fresh chips + stack for one backend, setup phase run and checkpointed.
 
-
-def _run_updates(db, table, plan) -> int:
-    """Run the update phase; returns completed-transaction count.
-
-    Raises PowerLossError through the caller when the injector fires.
+    Also the one driver of the plan, ungrouped (:meth:`run_updates`) or
+    in WAL commit groups (:meth:`run_groups`), and of the power loss
+    (:meth:`run_armed`).
     """
-    completed = 0
-    for k, v in plan:
-        with db.begin("bump"):
-            table.update_field(k, "v", v)
-        completed += 1
-    return completed
+
+    def __init__(self, backend: FaultBackend) -> None:
+        self.data = backend.make_data_device()
+        self.manager = backend.make_manager(self.data)
+        self.wal = backend.make_wal_device(self.manager.clock)
+        self.manager.wal = WriteAheadLog(self.wal)
+        self.db = Database(self.manager)
+        self.table = self.db.create_table("t", SCHEMA, n_pages=N_PAGES, pk="k")
+        for k in range(N_ROWS):
+            with self.db.begin("load"):
+                self.table.insert({"k": k, "v": 1000 + k, "pad": "x"})
+        self.db.checkpoint()
+        #: Plan transactions acknowledged by :meth:`run_groups`.
+        self.acked = 0
+
+    def _bump(self, k: int, v: int) -> None:
+        with self.db.begin("bump"):
+            self.table.update_field(k, "v", v)
+
+    def run_updates(self, plan: list[tuple[int, int]]) -> None:
+        """The plan, one transaction (and one WAL commit) at a time."""
+        for k, v in plan:
+            self._bump(k, v)
+
+    def apply_group(self, group: Sequence[tuple[int, int]]) -> float:
+        """One WAL commit group of plan updates; its duration (sim us)."""
+        clock = self.manager.clock
+        start_us = clock.now_us
+        self.manager.begin_wal_group()
+        for k, v in group:
+            self._bump(k, v)
+        self.manager.end_wal_group()
+        return clock.now_us - start_us
+
+    def run_groups(
+        self,
+        plan: list[tuple[int, int]],
+        group_size: int,
+        link: ReplicationLink | None = None,
+    ) -> None:
+        """The plan in WAL commit groups, each shipped over ``link``.
+
+        A group is acknowledged (:attr:`acked`) once it is durable here
+        and, with a link, applied on the standby — so after a power loss
+        :attr:`acked` is exactly the acknowledged prefix.
+        """
+        for start in range(0, len(plan), group_size):
+            group = plan[start : start + group_size]
+            self.apply_group(group)
+            if link is not None:
+                link.ship(group)
+            self.acked += len(group)
+
+    def run_armed(
+        self, injector: FaultInjector, drive: Callable[[], None]
+    ) -> None:
+        """Run ``drive`` with ``injector`` attached to both devices.
+
+        When the injector cuts the power, whatever is still in flight
+        dies with it on *both* devices (``power_loss``; a no-op on a bare
+        chip): a multi-channel device reverts the array ops that had not
+        started and re-tears the one executing per channel at a seeded
+        cut.  The log device is torn too — appends past the flush
+        barrier are acked-durable, but the unsynced tail of the frame
+        being written must not survive.
+        """
+        injector.attach(self.data, self.wal)
+        try:
+            drive()
+        except PowerLossError:
+            self.data.power_loss()
+            self.wal.power_loss()
+        finally:
+            FaultInjector.detach(self.data, self.wal)
+
+
+def remount(
+    backend: FaultBackend,
+    data: FlashChip | FlashDevice,
+    wal: FlashChip | FlashDevice,
+) -> tuple[StorageManager, int, int]:
+    """Mount brand-new Python objects over surviving devices and recover.
+
+    The FTL mapping is rebuilt from OOB metadata and a fresh
+    :class:`WriteAheadLog` is mounted over the log device — zero
+    pre-crash Python state — then :func:`recover` replays the log.
+
+    Returns:
+        ``(manager, durable frames found on the log, records applied)``.
+    """
+    manager = backend.make_manager(data)
+    manager.device.rebuild_from_media()
+    manager.wal = WriteAheadLog(wal)
+    durable = len(manager.wal.durable_frames())
+    applied = recover(manager, manager.wal)
+    return manager, durable, applied
+
+
+def divergence(
+    recovered: dict[int, int], expected: dict[int, int], label: str, prefix: str
+) -> str:
+    """How a ``label`` table differs from the expected ``prefix`` prefix."""
+    diffs = {
+        k: (recovered.get(k), expected.get(k))
+        for k in set(recovered) | set(expected)
+        if recovered.get(k) != expected.get(k)
+    }
+    sample = dict(list(diffs.items())[:5])
+    return (
+        f"{label} state diverges from the {prefix} prefix on "
+        f"{len(diffs)} keys, e.g. {sample} ({label}, expected)"
+    )
 
 
 def extract_state(manager: StorageManager) -> dict[int, int]:
@@ -220,12 +317,11 @@ def extract_state(manager: StorageManager) -> dict[int, int]:
 def run_oracle(backend: FaultBackend) -> tuple[int, dict[int, int]]:
     """Crash-free pass: (mutating-op count of the update phase, final state)."""
     plan = make_plan()
-    db, manager, table, data_chip, wal_chip = _build_stack(backend)
-    counter = FaultInjector(crash_after_ops=None).attach(data_chip, wal_chip)
-    _run_updates(db, table, plan)
-    FaultInjector.detach(data_chip, wal_chip)
-    manager.flush_all()
-    return counter.ops_seen, extract_state(manager)
+    stack = FaultStack(backend)
+    counter = FaultInjector(crash_after_ops=None)
+    stack.run_armed(counter, lambda: stack.run_updates(plan))
+    stack.manager.flush_all()
+    return counter.ops_seen, extract_state(stack.manager)
 
 
 @dataclass
@@ -248,60 +344,24 @@ def run_crash_point(
 ) -> CrashOutcome:
     """One full crash/remount/verify cycle at a given op count."""
     plan = make_plan()
-    db, manager, table, data_chip, wal_chip = _build_stack(backend)
+    stack = FaultStack(backend)
     injector = FaultInjector(crash_after_ops=crash_point, seed=seed)
-    injector.attach(data_chip, wal_chip)
-    completed = 0
-    try:
-        completed = _run_updates(db, table, plan)
-    except PowerLossError:
-        # A transaction counts as completed only when its commit fully
-        # returned; the per-type counter is incremented after the WAL
-        # flush, so a crash inside commit leaves it untouched.
-        completed = db.txn_stats.by_type.get("bump", 0)
-        # Multi-channel devices: array ops still in flight on their
-        # channels at the crash instant did not finish either — revert
-        # them (the one executing per channel is torn at a seeded cut).
-        # The WAL device is torn too: log appends past the flush barrier
-        # are acked-durable, but the unsynced tail of the frame being
-        # written when power failed must not survive.
-        for chip in (data_chip, wal_chip):
-            power_loss = getattr(chip, "power_loss", None)
-            if power_loss is not None:
-                power_loss()
-    finally:
-        FaultInjector.detach(data_chip, wal_chip)
-
-    # Remount: brand-new Python objects over the surviving chips.
-    fresh_manager = backend.make_manager(data_chip)
-    fresh_manager.device.rebuild_from_media()
-    fresh_wal = WriteAheadLog(wal_chip)
-    fresh_manager.wal = fresh_wal
-    durable = len(fresh_wal.durable_frames())
-    applied = recover(fresh_manager, fresh_wal)
-    recovered = extract_state(fresh_manager)
+    stack.run_armed(injector, lambda: stack.run_updates(plan))
+    # Completed = the commit fully returned: the per-type counter is
+    # incremented after the WAL flush, so a crash inside a commit leaves
+    # it untouched.
+    completed = stack.db.txn_stats.by_type.get("bump", 0)
+    manager, durable, applied = remount(backend, stack.data, stack.wal)
+    recovered = extract_state(manager)
     expected = shadow_state(plan, durable)
-
-    ok = True
     detail = ""
     if not completed <= durable <= completed + 1:
-        ok = False
         detail = (
             f"durable frame count {durable} outside "
             f"[{completed}, {completed + 1}]"
         )
     elif recovered != expected:
-        ok = False
-        diffs = {
-            k: (recovered.get(k), expected.get(k))
-            for k in set(recovered) | set(expected)
-            if recovered.get(k) != expected.get(k)
-        }
-        sample = dict(list(diffs.items())[:5])
-        detail = (
-            f"recovered state diverges from committed prefix on "
-            f"{len(diffs)} keys, e.g. {sample} (recovered, expected)"
-        )
+        detail = divergence(recovered, expected, "recovered", "committed")
     return CrashOutcome(
         backend=backend.name,
         crash_point=crash_point,
@@ -309,15 +369,15 @@ def run_crash_point(
         durable_frames=durable,
         crash_op=injector.crash_op or "<none>",
         records_applied=applied,
-        torn_repairs=fresh_manager.stats.torn_repairs,
-        ok=ok,
+        torn_repairs=manager.stats.torn_repairs,
+        ok=not detail,
         detail=detail,
     )
 
 
 @dataclass
 class SweepResult:
-    """Aggregate of a seeded crash-point sweep."""
+    """Aggregate of a seeded sweep (crash or failover) over one backend."""
 
     backend: str
     points: int = 0
@@ -330,10 +390,53 @@ class SweepResult:
         return not self.failures
 
 
-def _crash_point_job(args: "tuple[FaultBackend, int, int]") -> CrashOutcome:
-    """Picklable work unit for a parallel sweep: one crash point."""
-    backend, point, point_seed = args
-    return run_crash_point(backend, point, seed=point_seed)
+def _point_job(args: tuple[Callable[..., Any], FaultBackend, int, int]) -> Any:
+    """Picklable work unit for a parallel sweep: one point."""
+    run_point, backend, point, point_seed = args
+    return run_point(backend, point, seed=point_seed)
+
+
+def as_backend(backend: str | FaultBackend) -> FaultBackend:
+    """A plain backend name as its default :class:`FaultBackend`."""
+    return backend if isinstance(backend, FaultBackend) else FaultBackend(backend)
+
+
+def sweep(
+    run_point: Callable[..., Any],
+    backend: FaultBackend,
+    ops_total: int,
+    n_points: int,
+    seed: int,
+    jobs: int,
+    kind: str,
+) -> SweepResult:
+    """``run_point`` at ``n_points`` seeded op counts in ``[1, ops_total]``.
+
+    Every point gets a distinct tear seed derived from the sweep seed
+    (``seed ^ point``), so a reported failure is replayable from
+    ``(backend, crash_point, seed)`` alone, and the merged result is
+    identical at any ``jobs`` count (0 = all cores, 1 = serial).
+    ``kind`` names the sweep in the per-point progress labels.
+    """
+    from repro.bench.parallel import parallel_map
+
+    rng = random.Random(seed)
+    if n_points >= ops_total:
+        points = list(range(1, ops_total + 1))
+    else:
+        points = sorted(rng.sample(range(1, ops_total + 1), n_points))
+    result = SweepResult(backend=backend.name, ops_total=ops_total)
+    for outcome in parallel_map(
+        _point_job,
+        [(run_point, backend, point, seed ^ point) for point in points],
+        jobs=jobs,
+        labels=[f"{backend.name} {kind} @ op {point}" for point in points],
+    ):
+        result.points += 1
+        result.torn_repairs += outcome.torn_repairs
+        if not outcome.ok:
+            result.failures.append(outcome)
+    return result
 
 
 def run_sweep(
@@ -345,39 +448,11 @@ def run_sweep(
     """Seeded random crash-point sweep over one backend.
 
     ``backend_name`` may be a plain backend name or a configured
-    :class:`FaultBackend` (multi-channel / background-GC variants).
-    Every sampled point gets a distinct tear-cut seed derived from the
-    sweep seed, so a reported failure is replayable from
-    ``(backend, crash_point, seed)`` alone.
-
-    ``jobs`` shards the crash points across worker processes (0 = all
-    cores, default 1 = serial).  Each point builds its own stack from
-    its own derived seed (``seed ^ point``), so the merged
-    :class:`SweepResult` is identical at any job count.
+    :class:`FaultBackend` (multi-channel / background-GC variants); the
+    points are drawn by :func:`sweep` over the oracle's op count.
     """
-    from repro.bench.parallel import parallel_map
-
-    backend = (
-        backend_name
-        if isinstance(backend_name, FaultBackend)
-        else FaultBackend(backend_name)
-    )
+    backend = as_backend(backend_name)
     ops_total, _oracle_state = run_oracle(backend)
-    rng = random.Random(seed)
-    if n_points >= ops_total:
-        points = list(range(1, ops_total + 1))
-    else:
-        points = sorted(rng.sample(range(1, ops_total + 1), n_points))
-    outcomes = parallel_map(
-        _crash_point_job,
-        [(backend, point, seed ^ point) for point in points],
-        jobs=jobs,
-        labels=[f"{backend.name} @ op {point}" for point in points],
+    return sweep(
+        run_crash_point, backend, ops_total, n_points, seed, jobs, "crash"
     )
-    result = SweepResult(backend=backend.name, ops_total=ops_total)
-    for outcome in outcomes:
-        result.points += 1
-        result.torn_repairs += outcome.torn_repairs
-        if not outcome.ok:
-            result.failures.append(outcome)
-    return result

@@ -15,10 +15,11 @@ down to the level the paper's argument depends on:
 * latency and wear accounting, which turn operation counts into the
   throughput and longevity numbers of Table 1.
 
-Public entry point: :class:`repro.flash.chip.FlashChip`.
+Public entry point: :class:`repro.flash.chip.FlashChip`;
+:func:`media_digest` hashes the media of any chip or device.
 """
 
-from repro.flash.chip import FlashChip
+from repro.flash.chip import FlashChip, media_digest
 from repro.flash.errors import (
     BadBlockError,
     EccUncorrectableError,
@@ -47,4 +48,5 @@ __all__ = [
     "PageState",
     "SimClock",
     "WriteToProgrammedPageError",
+    "media_digest",
 ]

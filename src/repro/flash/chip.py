@@ -27,9 +27,20 @@ the calls made to that method and nothing the batch does.  Its
 ``OP_COPY`` row (sense a page, program its own cell buffers to an erased
 page) is how garbage collection relocates a victim's valid pages: one
 call per victim, no page image materialized in between.
+
+A chip also answers the *stack protocol* that
+:class:`~repro.flash.device.FlashDevice` answers, so the layers above
+never ask which of the two they hold: ``chips`` (the leaf chips, here
+``(self,)``), ``channels`` (1), ``attach`` (point the observers at the
+leaf chips), and the ``sync`` / ``quiesce`` / ``power_loss`` scheduling
+calls, which are no-ops on a bare chip — it finishes every operation
+before returning, so nothing is ever in flight.
 """
 
 from __future__ import annotations
+
+import hashlib
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -52,8 +63,11 @@ from repro.flash.modes import FlashMode, ModeRules, rules_for
 from repro.flash.page import PageState, PhysicalPage, erased_image
 from repro.flash.sanitize import NULL_SANITIZER, sanitizer_from_env
 from repro.flash.stats import FlashStats
-from repro.obs.ledger import NULL_LEDGER
-from repro.obs.trace import NULL_TRACER
+from repro.obs.ledger import NULL_LEDGER, WriteLedger
+from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
+
+if TYPE_CHECKING:
+    from repro.flash.device import FlashDevice
 
 _ERASED = PageState.ERASED
 _PROGRAMMED = PageState.PROGRAMMED
@@ -72,7 +86,7 @@ class FlashChip:
         endurance_limit: Optional block P/E limit (``None`` = unlimited).
     """
 
-    #: Observability: replaced per-instance by ``repro.obs.attach_tracer``.
+    #: Observability: replaced per-instance by :meth:`attach`.
     tracer = NULL_TRACER
 
     #: Fault injection: replaced per-instance by
@@ -90,13 +104,15 @@ class FlashChip:
     #: (guarded by ``benchmarks/test_sanitize_overhead.py``).
     sanitizer = NULL_SANITIZER
 
-    #: Write-attribution ledger: replaced per-instance by
-    #: ``repro.obs.ledger.attach_ledger``.  Charged by the program,
-    #: reprogram, partial-program and erase bodies right where they
-    #: increment :class:`FlashStats`, so per-cause counts cannot drift
-    #: from the physical totals.  Same disabled cost contract as the
-    #: sanitizer.
+    #: Write-attribution ledger: replaced per-instance by :meth:`attach`.
+    #: Charged by the program, reprogram, partial-program and erase
+    #: bodies right where they increment :class:`FlashStats`, so
+    #: per-cause counts cannot drift from the physical totals.  Same
+    #: disabled cost contract as the sanitizer.
     ledger = NULL_LEDGER
+
+    #: Stack protocol: a bare chip is one channel.
+    channels = 1
 
     def __init__(
         self,
@@ -187,6 +203,37 @@ class FlashChip:
     def usable_capacity_pages(self) -> int:
         """Total pages available to store data in the current mode."""
         return self._usable_capacity
+
+    # ------------------------------------------------------------------ #
+    # Stack protocol (shared with FlashDevice)
+    # ------------------------------------------------------------------ #
+
+    @property
+    def chips(self) -> tuple[FlashChip]:
+        """The leaf chips behind this chip-shaped object: itself."""
+        return (self,)
+
+    def attach(self, tracer: Tracer | NullTracer, ledger: WriteLedger) -> None:
+        """Point the tracer and the write ledger at this chip.
+
+        The ledger watches the chip, so its per-cause totals are checked
+        against this chip's counters from now on.
+        """
+        self.tracer = tracer
+        self.ledger = ledger
+        ledger.watch_chip(self)
+
+    def sync(self) -> None:
+        """Flush barrier: a no-op — every operation already finished."""
+
+    def quiesce(self) -> None:
+        """Drop scheduling state: a no-op — a bare chip keeps none."""
+
+    def power_loss(self) -> None:
+        """Tear in-flight operations: a no-op — none is ever in flight.
+
+        The fault injector tears the one operation it interrupts itself.
+        """
 
     # ------------------------------------------------------------------ #
     # The kernel: one body per operation kind
@@ -572,3 +619,21 @@ class FlashChip:
                 if flips:
                     victim.add_disturb(np.array(row, dtype=np.int64))
                     stats.disturb_bit_flips += flips
+
+
+def media_digest(*devices: FlashChip | FlashDevice) -> str:
+    """SHA-256 over every physical page (data + OOB) of the devices.
+
+    Enumerates each device's leaf chips (``device.chips``) chip-major,
+    then pages in chip-local order, through the public page accessors:
+    a pure function of media bytes, never of a device's striping
+    arithmetic, so two stacks agree iff their chips are byte-identical.
+    """
+    digest = hashlib.sha256()
+    for device in devices:
+        for chip in device.chips:
+            for ppn in range(chip.geometry.total_pages):
+                page = chip.page_at(ppn)
+                digest.update(page.raw_data())
+                digest.update(page.raw_oob())
+    return digest.hexdigest()

@@ -61,8 +61,8 @@ from repro.flash.geometry import FlashGeometry
 from repro.flash.latency import DEFAULT_LATENCY, LatencyModel, SimClock
 from repro.flash.modes import FlashMode
 from repro.flash.stats import FlashStats
-from repro.obs.ledger import NULL_LEDGER
-from repro.obs.trace import NULL_TRACER
+from repro.obs.ledger import WriteLedger
+from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 
 if TYPE_CHECKING:
     from repro.fault.injector import FaultInjector
@@ -264,11 +264,8 @@ class FlashDevice:
             new program stalls the host.
     """
 
-    #: Observability: replaced per-instance by ``repro.obs.attach_tracer``.
+    #: Observability: replaced per-instance by :meth:`attach`.
     tracer = NULL_TRACER
-    #: Write-attribution ledger; ``repro.obs.ledger.attach_ledger`` replaces
-    #: this per-instance and forwards it to every chip (the chips charge it).
-    ledger = NULL_LEDGER
 
     def __init__(
         self,
@@ -526,6 +523,18 @@ class FlashDevice:
         if len(self._channels) == 1 and not self._overlap:
             return self.chips[0].execute_batch(ops, payload)
         return execute(self, ops, payload)
+
+    # ------------------------------------------------------------------ #
+    # Stack protocol (shared with FlashChip)
+    # ------------------------------------------------------------------ #
+
+    def attach(self, tracer: Tracer | NullTracer, ledger: WriteLedger) -> None:
+        """Point the tracer at the scheduler and both observers at every
+        chip: the device records channel events, the chips charge (and
+        the ledger watches) the operations themselves."""
+        self.tracer = tracer
+        for chip in self.chips:
+            chip.attach(tracer, ledger)
 
     def sync(self) -> None:
         """Flush barrier: block the host until every in-flight pulse ends.

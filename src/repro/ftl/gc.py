@@ -26,8 +26,13 @@ from repro.ftl.oob_meta import (
     pack_oob_meta,
     unpack_oob_meta,
 )
-from repro.obs.ledger import NULL_LEDGER, NULL_LIFETIMES
-from repro.obs.trace import NULL_TRACER, Span
+from repro.obs.ledger import (
+    NULL_LEDGER,
+    NULL_LIFETIMES,
+    LifetimeTracker,
+    WriteLedger,
+)
+from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer
 
 
 class BlockManager:
@@ -72,7 +77,7 @@ class BlockManager:
             synchronous threshold.
     """
 
-    #: Observability: replaced per-instance by ``repro.obs.attach_tracer``.
+    #: Observability: replaced per-instance by :meth:`attach`.
     tracer = NULL_TRACER
 
     #: Physics sanitizer (REPRO_SANITIZE=1): full conservation/bijectivity
@@ -80,11 +85,11 @@ class BlockManager:
     sanitizer = NULL_SANITIZER
 
     #: Write-attribution ledger and LBA lifetime tracker: replaced
-    #: per-instance by ``repro.obs.ledger.attach_ledger``.  The manager is
-    #: where *causes* are known — GC migrations and wear-leveling moves
-    #: are wrapped in their cause scope here, OOB metadata bytes are
-    #: shifted to ``oob_meta``, and logical write/trim events feed the
-    #: death-time histograms.
+    #: per-instance by :meth:`attach`.  The manager is where *causes*
+    #: are known — GC migrations and wear-leveling moves are wrapped in
+    #: their cause scope here, OOB metadata bytes are shifted to
+    #: ``oob_meta``, and logical write/trim events feed the death-time
+    #: histograms.
     ledger = NULL_LEDGER
     lifetimes = NULL_LIFETIMES
 
@@ -199,6 +204,18 @@ class BlockManager:
             self.logical_pages = min(self.logical_pages, logical_cap)
         if self.logical_pages < 1:
             raise ValueError("configuration leaves no logical capacity")
+
+    def attach(
+        self,
+        tracer: Tracer | NullTracer,
+        ledger: WriteLedger,
+        lifetimes: LifetimeTracker,
+    ) -> None:
+        """Point the tracer, the write ledger and the lifetime tracker
+        at this manager (its chip is attached by the owning backend)."""
+        self.tracer = tracer
+        self.ledger = ledger
+        self.lifetimes = lifetimes
 
     # ------------------------------------------------------------------ #
     # Queries

@@ -7,6 +7,9 @@ from typing import Protocol, runtime_checkable
 from repro.flash.chip import FlashChip
 from repro.flash.errors import FlashError
 from repro.flash.stats import DeviceStats
+from repro.obs.ledger import LifetimeTracker, WriteLedger
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import NullTracer, Tracer
 
 
 class DeviceFullError(FlashError):
@@ -26,21 +29,14 @@ class FlashBackend(Protocol):
     to a whole-page write.  This mirrors the paper's split between the
     block-device IPA (Scenario 2) and native-Flash IPA (Scenario 3).
 
-    Observability contract (class attributes, not Protocol members —
-    they are defaults replaced per-instance, and adding them to the
-    runtime-checkable Protocol would change ``isinstance`` semantics):
-    every backend carries ``tracer = NULL_TRACER`` and
-    ``ledger = NULL_LEDGER`` class attributes; ``repro.obs.attach_tracer``
-    and ``repro.obs.ledger.attach_ledger`` replace them per-instance and
-    forward them down to the backend's :class:`BlockManager`\\ s and
-    chips, which do the actual charging.
-
-    Batch extensions (also not Protocol members, for the same
-    ``isinstance`` reason): backends may additionally offer
-    ``read_many(lbas)`` / ``write_many(items)`` — outcome-identical
-    batched forms of :meth:`read_page` / :meth:`write_page` that execute
-    a whole run per Python call.  Callers feature-detect with
-    ``hasattr`` and fall back to the per-op methods.
+    The stack protocol: a backend names its own parts, so nothing above
+    it probes for them.  ``chip`` is a :class:`FlashChip` or a
+    chip-shaped :class:`~repro.flash.device.FlashDevice` — both answer
+    ``chips``, ``channels``, ``attach``, ``sync``, ``quiesce`` and
+    ``power_loss``.  :meth:`attach` sets each observer only on the parts
+    that read it (the backend or its regions, its block managers, its
+    chip's leaf chips); :attr:`free_blocks` is the free-pool depth;
+    :attr:`extra_metrics` are the registries of its live extra counters.
     """
 
     chip: FlashChip
@@ -49,6 +45,26 @@ class FlashBackend(Protocol):
     @property
     def logical_pages(self) -> int:
         """Number of logical pages (LBAs) the host may address."""
+        ...
+
+    @property
+    def free_blocks(self) -> int:
+        """Erased blocks ready for allocation (GC pressure)."""
+        ...
+
+    @property
+    def extra_metrics(self) -> list[MetricsRegistry]:
+        """Registries backing the live ``stats.extra`` counters."""
+        ...
+
+    def attach(
+        self,
+        tracer: Tracer | NullTracer,
+        ledger: WriteLedger,
+        lifetimes: LifetimeTracker,
+    ) -> None:
+        """Point the tracer, the write ledger and the lifetime tracker at
+        the parts of this backend that read them."""
         ...
 
     def read_page(self, lba: int) -> bytes:

@@ -19,8 +19,9 @@ from repro.flash.cellmodel import slc_transition_legal
 from repro.flash.chip import FlashChip
 from repro.flash.stats import DeviceStats
 from repro.ftl.gc import BlockManager
-from repro.obs.ledger import NULL_LEDGER
-from repro.obs.trace import NULL_TRACER
+from repro.obs.ledger import LifetimeTracker, WriteLedger
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 
 
 class IpaFtl:
@@ -33,10 +34,8 @@ class IpaFtl:
         gc_spare_blocks: As for the conventional FTL.
     """
 
-    #: Observability: replaced per-instance by ``repro.obs.attach_tracer``
-    #: / ``repro.obs.ledger.attach_ledger``.
+    #: Observability: replaced per-instance by :meth:`attach`.
     tracer = NULL_TRACER
-    ledger = NULL_LEDGER
 
     def __init__(
         self,
@@ -62,6 +61,27 @@ class IpaFtl:
     def logical_pages(self) -> int:
         """LBAs the host may address."""
         return self._blocks.logical_pages
+
+    @property
+    def free_blocks(self) -> int:
+        """Erased blocks ready for allocation."""
+        return self._blocks.free_block_count
+
+    @property
+    def extra_metrics(self) -> list[MetricsRegistry]:
+        """The registry backing ``stats.extra``."""
+        return [self.stats.metrics]
+
+    def attach(
+        self,
+        tracer: Tracer | NullTracer,
+        ledger: WriteLedger,
+        lifetimes: LifetimeTracker,
+    ) -> None:
+        """Observers onto this FTL, its block manager and its chip."""
+        self.tracer = tracer
+        self._blocks.attach(tracer, ledger, lifetimes)
+        self.chip.attach(tracer, ledger)
 
     @property
     def page_size(self) -> int:

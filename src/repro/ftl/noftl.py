@@ -18,7 +18,7 @@ and writes the delta's ECC into the page's next free OOB slot (Figure 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.core.config import DELTA_METADATA_SIZE, PAIR_SIZE
 from repro.flash.batch import OpBatch
@@ -32,8 +32,9 @@ from repro.flash.errors import (
 from repro.flash.stats import DeviceStats
 from repro.ftl.gc import BlockManager
 from repro.ftl.oob_meta import OOB_META_SIZE
-from repro.obs.ledger import NULL_LEDGER
-from repro.obs.trace import NULL_TRACER
+from repro.obs.ledger import LifetimeTracker, WriteLedger
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 
 
 @dataclass(frozen=True)
@@ -59,10 +60,8 @@ class Region:
     Not constructed directly — use :meth:`NoFtlDevice.create_region`.
     """
 
-    #: Observability: replaced per-instance by ``repro.obs.attach_tracer``
-    #: / ``repro.obs.ledger.attach_ledger``.
+    #: Observability: replaced per-instance by :meth:`attach`.
     tracer = NULL_TRACER
-    ledger = NULL_LEDGER
 
     def __init__(
         self,
@@ -122,6 +121,16 @@ class Region:
         """LBAs this region contributes to the device address space."""
         return self._blocks.logical_pages
 
+    def attach(
+        self,
+        tracer: Tracer | NullTracer,
+        ledger: WriteLedger,
+        lifetimes: LifetimeTracker,
+    ) -> None:
+        """Observers onto this region and its block manager."""
+        self.tracer = tracer
+        self._blocks.attach(tracer, ledger, lifetimes)
+
     @property
     def lba_end(self) -> int:
         """One past the last LBA of this region."""
@@ -165,52 +174,6 @@ class Region:
         stats.host_writes += 1
         stats.host_bytes_written += len(data)
         stats.out_of_place_writes += 1
-
-    def read_many(self, lbas: Sequence[int]) -> list[bytes]:
-        """Read a run of this region's pages as one chip batch.
-
-        Identical outcomes to per-op :meth:`read_page` calls (same
-        ``KeyError`` at the first unwritten LBA, earlier reads still
-        charged); see :meth:`PageMappingFtl.read_many
-        <repro.ftl.page_mapping.PageMappingFtl.read_many>`.
-        """
-        batch = OpBatch()
-        ppn_of = self._blocks.ppn_of
-        local = self._local
-        unwritten: int | None = None
-        for lba in lbas:
-            ppn = ppn_of(local(lba))
-            if ppn is None:
-                unwritten = lba
-                break
-            batch.read(ppn)
-        out: list[bytes] = []
-        if len(batch):
-            stats = self.stats
-            try:
-                out = self.chip.execute_batch(batch)
-            except Exception as exc:
-                done = getattr(exc, "batch_results", [])
-                stats.host_reads += len(done)
-                stats.host_bytes_read += sum(len(d) for d in done)
-                raise
-            stats.host_reads += len(out)
-            stats.host_bytes_read += sum(len(d) for d in out)
-        if unwritten is not None:
-            raise KeyError(
-                f"read of unwritten lba {unwritten} (region {self.name})"
-            )
-        return out
-
-    def write_many(self, items: Iterable[tuple[int, bytes]]) -> None:
-        """Write a run of ``(lba, data)`` pairs (sequential placement)."""
-        if self.tracer.enabled:
-            for lba, data in items:
-                self.write_page(lba, data)
-            return
-        inner = self._write_page_inner
-        for lba, data in items:
-            inner(lba, data)
 
     def write_delta(self, lba: int, offset: int, payload: bytes) -> bool:
         """The paper's command: append a delta-record to the page in place.
@@ -307,10 +270,6 @@ class NoFtlDevice:
     routes every call to the owning region.
     """
 
-    #: Observability: replaced per-instance by the attach helpers.
-    tracer = NULL_TRACER
-    ledger = NULL_LEDGER
-
     def __init__(
         self,
         chip: FlashChip,
@@ -385,6 +344,30 @@ class NoFtlDevice:
     def logical_pages(self) -> int:
         """Total LBAs across all regions created so far."""
         return sum(r.logical_pages for r in self.regions)
+
+    @property
+    def free_blocks(self) -> int:
+        """Erased blocks ready for allocation, summed over the regions
+        (GC pressure anywhere hurts)."""
+        return sum(r._blocks.free_block_count for r in self.regions)
+
+    @property
+    def extra_metrics(self) -> list[MetricsRegistry]:
+        """The per-region registries: :attr:`stats` is a computed
+        aggregate, the live extra counters belong to the regions."""
+        return [r.stats.metrics for r in self.regions]
+
+    def attach(
+        self,
+        tracer: Tracer | NullTracer,
+        ledger: WriteLedger,
+        lifetimes: LifetimeTracker,
+    ) -> None:
+        """Observers onto every region (and its block manager) and the
+        shared chip."""
+        for region in self.regions:
+            region.attach(tracer, ledger, lifetimes)
+        self.chip.attach(tracer, ledger)
 
     @property
     def page_size(self) -> int:
@@ -491,7 +474,7 @@ class NoFtlDevice:
             try:
                 out = self.chip.execute_batch(batch)
             except Exception as exc:
-                done: list[bytes] = getattr(exc, "batch_results", [])
+                done: list[bytes] = exc.batch_results  # type: ignore[attr-defined]
                 for region, data in zip(owners, done):
                     region.stats.host_reads += 1
                     region.stats.host_bytes_read += len(data)
@@ -502,11 +485,6 @@ class NoFtlDevice:
         if error is not None:
             raise error
         return out
-
-    def write_many(self, items: Iterable[tuple[int, bytes]]) -> None:
-        """Write a run of ``(lba, data)`` pairs via their owning regions."""
-        for lba, data in items:
-            self.region_of(lba).write_page(lba, data)
 
     def write_delta(self, lba: int, offset: int, payload: bytes) -> bool:
         """Route the write_delta command to the owning region."""

@@ -9,14 +9,12 @@ host's back.  The on-device write-amplification that GC generates is the
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-from repro.flash.batch import OpBatch
 from repro.flash.chip import FlashChip
 from repro.flash.stats import DeviceStats
 from repro.ftl.gc import BlockManager
-from repro.obs.ledger import NULL_LEDGER
-from repro.obs.trace import NULL_TRACER
+from repro.obs.ledger import LifetimeTracker, WriteLedger
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 
 
 class PageMappingFtl:
@@ -28,10 +26,8 @@ class PageMappingFtl:
         gc_spare_blocks: Free-block low watermark triggering GC.
     """
 
-    #: Observability: replaced per-instance by ``repro.obs.attach_tracer``
-    #: / ``repro.obs.ledger.attach_ledger``.
+    #: Observability: replaced per-instance by :meth:`attach`.
     tracer = NULL_TRACER
-    ledger = NULL_LEDGER
 
     def __init__(
         self,
@@ -59,6 +55,27 @@ class PageMappingFtl:
     def logical_pages(self) -> int:
         """LBAs the host may address (physical minus over-provisioning)."""
         return self._blocks.logical_pages
+
+    @property
+    def free_blocks(self) -> int:
+        """Erased blocks ready for allocation."""
+        return self._blocks.free_block_count
+
+    @property
+    def extra_metrics(self) -> list[MetricsRegistry]:
+        """The registry backing ``stats.extra``."""
+        return [self.stats.metrics]
+
+    def attach(
+        self,
+        tracer: Tracer | NullTracer,
+        ledger: WriteLedger,
+        lifetimes: LifetimeTracker,
+    ) -> None:
+        """Observers onto this FTL, its block manager and its chip."""
+        self.tracer = tracer
+        self._blocks.attach(tracer, ledger, lifetimes)
+        self.chip.attach(tracer, ledger)
 
     @property
     def page_size(self) -> int:
@@ -95,62 +112,6 @@ class PageMappingFtl:
         stats.host_writes += 1
         stats.host_bytes_written += len(data)
         stats.out_of_place_writes += 1
-
-    def read_many(self, lbas: Sequence[int]) -> list[bytes]:
-        """Read a run of logical pages in one call.
-
-        Semantically identical to ``[self.read_page(lba) for lba in
-        lbas]`` — same mapping lookups, same ``KeyError`` at the first
-        unwritten LBA (reads before it still happen and are charged),
-        same clock/stats/ECC outcomes — but the resolved physical reads
-        execute as one :meth:`FlashChip.execute_batch` call.  ``lbas``
-        may be any integer sequence, including a numpy array.
-
-        Optional batch extension: not part of the
-        :class:`~repro.ftl.interface.FlashBackend` Protocol (callers
-        feature-detect with ``hasattr``).
-        """
-        batch = OpBatch()
-        ppn_of = self._blocks.ppn_of
-        unwritten: int | None = None
-        for lba in lbas:
-            ppn = ppn_of(lba)
-            if ppn is None:
-                unwritten = lba  # per-op order: earlier reads still run
-                break
-            batch.read(ppn)
-        out: list[bytes] = []
-        if len(batch):
-            stats = self.stats
-            try:
-                out = self.chip.execute_batch(batch)
-            except Exception as exc:
-                done = getattr(exc, "batch_results", [])
-                stats.host_reads += len(done)
-                stats.host_bytes_read += sum(len(d) for d in done)
-                raise
-            stats.host_reads += len(out)
-            stats.host_bytes_read += sum(len(d) for d in out)
-        if unwritten is not None:
-            raise KeyError(f"read of unwritten lba {unwritten}")
-        return out
-
-    def write_many(self, items: Iterable[tuple[int, bytes]]) -> None:
-        """Write a run of ``(lba, data)`` pairs in one call.
-
-        Placement is stateful per write — each write can invalidate a
-        page, trigger GC, and move the allocation frontier — so the
-        writes execute sequentially under the hood; the batch call
-        amortizes the host-side dispatch of an eviction run.  Optional
-        batch extension (see :meth:`read_many`).
-        """
-        if self.tracer.enabled:
-            for lba, data in items:
-                self.write_page(lba, data)
-            return
-        inner = self._write_page_inner
-        for lba, data in items:
-            inner(lba, data)
 
     def write_delta(self, lba: int, offset: int, payload: bytes) -> bool:
         """Unsupported on a block-device interface: always False."""

@@ -107,10 +107,10 @@ class DurabilityOrderRule(ProgramRule):
     mutator calls), computes a per-method summary ``(mutates media,
     ends dirty, has barrier)`` with a fixpoint over same-class calls
     (``commit -> _append -> _append_inner``), and flags any public entry
-    whose path can fall off the end still dirty.  A barrier under a
-    conditional counts (``if self._sync is not None: self._sync()`` —
-    ``_sync`` is None only over a bare synchronous chip, where every
-    program is complete on return).
+    whose path can fall off the end still dirty.  The barrier is an
+    unconditional ``self.chip.sync()`` (every chip answers it; on a
+    bare synchronous chip, where every program is complete on return,
+    it is a no-op); a barrier under a conditional counts too.
 
     The replication half orders events inside ``repro.service``
     functions: an ack counter bump (``*acked*``) before the first
@@ -124,7 +124,7 @@ class DurabilityOrderRule(ProgramRule):
     MUTATORS = frozenset(
         {"program", "reprogram", "partial_program", "erase_block"}
     )
-    BARRIERS = frozenset({"sync", "_sync", "flush_barrier"})
+    BARRIERS = frozenset({"sync", "flush_barrier"})
     ENTRY_HINTS = frozenset({"commit", "append", "_append"})
 
     def check_program(self, program: Program) -> Iterator[ProgramFinding]:

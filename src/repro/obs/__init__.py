@@ -39,7 +39,6 @@ from repro.obs.ledger import (
     NULL_LIFETIMES,
     WRITE_CAUSES,
     WriteLedger,
-    attach_ledger,
     erase_count_histogram,
 )
 from repro.obs.metrics import (
@@ -48,7 +47,7 @@ from repro.obs.metrics import (
     NULL_METRIC,
     NULL_REGISTRY,
 )
-from repro.obs.sampler import TimeSeriesSampler, free_block_depth
+from repro.obs.sampler import TimeSeriesSampler
 from repro.obs.trace import (
     JsonlSink,
     NULL_TRACER,
@@ -60,8 +59,6 @@ from repro.obs.trace import (
 __all__ = [
     "ObserveConfig",
     "Observation",
-    "attach_tracer",
-    "attach_ledger",
     "WriteLedger",
     "NULL_LEDGER",
     "LifetimeTracker",
@@ -77,7 +74,6 @@ __all__ = [
     "NULL_TRACER",
     "JsonlSink",
     "TimeSeriesSampler",
-    "free_block_depth",
     "samples_to_csv",
     "write_samples_csv",
     "registry_to_prometheus",
@@ -110,34 +106,6 @@ class ObserveConfig:
     trace_capacity: int = 200_000
     trace_chip_ops: bool = False
     trace_channel_ops: bool = False
-
-
-def attach_tracer(manager, tracer) -> None:
-    """Point every instrumented layer of a built stack at ``tracer``.
-
-    Instrumented classes carry a class-level ``tracer = NULL_TRACER``
-    default; attaching sets instance attributes on the manager, its
-    buffer pool, the device, the device's block managers / regions and
-    the chip.  Safe to call on any :class:`FlashBackend` shape.
-    """
-    tracer.bind_clock(manager.clock)
-    manager.tracer = tracer
-    manager.pool.tracer = tracer
-    device = manager.device
-    device.tracer = tracer
-    chip = getattr(device, "chip", None)
-    if chip is not None:
-        chip.tracer = tracer
-        # Multi-channel FlashDevice: forward to the chips behind the
-        # channels (and the device records channel_wait events itself).
-        for inner in getattr(chip, "chips", ()):
-            inner.tracer = tracer
-    blocks = getattr(device, "_blocks", None)  # PageMappingFtl / IpaFtl
-    if blocks is not None and hasattr(type(blocks), "tracer"):
-        blocks.tracer = tracer  # IplStore's _blocks is a plain list; skip
-    for region in getattr(device, "regions", ()):  # NoFtlDevice
-        region.tracer = tracer
-        region._blocks.tracer = tracer
 
 
 def _register_stats_views(
@@ -209,12 +177,15 @@ class Observation:
         )
         tracer.trace_chip_ops = config.trace_chip_ops
         tracer.trace_channel_ops = config.trace_channel_ops
-        attach_tracer(manager, tracer)
 
         obs = cls(registry, tracer, sampler=None, config=config)  # type: ignore[arg-type]
 
         device = manager.device
         chip = device.chip
+        # Imported here: repro.flash imports this package's null objects.
+        from repro.flash.device import FlashDevice
+
+        multi_channel = isinstance(chip, FlashDevice)
 
         # Write-attribution ledger + death-time tracking.  The aggregate
         # lifetime histogram is registry-owned; the per-cause members are
@@ -228,7 +199,7 @@ class Observation:
                 bounds=LIFETIME_BUCKETS_US,
             ),
         )
-        attach_ledger(manager, ledger, lifetimes)
+        manager.attach(tracer, ledger, lifetimes)
         obs.ledger = ledger
         obs.lifetimes = lifetimes
         obs.chip = chip
@@ -271,7 +242,7 @@ class Observation:
                 help=f"simulated time spent in {category}",
                 kind="counter",
             )
-        if hasattr(chip, "channel_stats"):  # multi-channel FlashDevice
+        if multi_channel:
             # Proper Prometheus label sets — channel_busy_us{channel="2"}
             # — rather than a flattened name per channel.
             for index in range(chip.channels):
@@ -297,13 +268,7 @@ class Observation:
                     kind="counter",
                     labels=labels,
                 )
-        regions = getattr(device, "regions", None)
-        if regions:
-            # NoFtlDevice.stats is a computed aggregate; the live extra
-            # counters belong to the per-region stats objects.
-            obs._device_registries = [r.stats.metrics for r in regions]
-        else:
-            obs._device_registries = [device.stats.metrics]
+        obs._device_registries = device.extra_metrics
 
         collectors = {
             "invalidations": lambda: device.stats.page_invalidations,
@@ -312,13 +277,13 @@ class Observation:
             "host_writes": lambda: device.stats.total_host_write_ops,
             "in_place_appends": lambda: device.stats.in_place_appends,
             "flash_reprograms": lambda: chip.stats.page_reprograms,
-            "free_blocks": lambda: free_block_depth(device),
+            "free_blocks": lambda: device.free_blocks,
             "write_amp": lambda: (
                 chip.stats.bytes_programmed
                 / max(device.stats.host_bytes_written, 1)
             ),
         }
-        if hasattr(chip, "channel_stats"):
+        if multi_channel:
             collectors["max_queue_depth"] = lambda: max(
                 chip.queue_depth_of(i) for i in range(chip.channels)
             )
@@ -385,11 +350,7 @@ class Observation:
             wear_registry = MetricsRegistry(enabled=True)
             wear_registry.register_metric(wear)
             parts.append(registry_to_prometheus(wear_registry, prefix=prefix))
-        seen: set[int] = set()
         for reg in self._device_registries:
-            if id(reg) in seen:
-                continue
-            seen.add(id(reg))
             text = registry_to_prometheus(reg, prefix=prefix + "device_extra_")
             if text:
                 parts.append(text)

@@ -98,7 +98,7 @@ def registry_to_prometheus(
     headered: set[str] = set()
     for metric in registry.collect():
         name = _prom_name(metric.name, prefix)
-        labels = getattr(metric, "labels", None)
+        labels = metric.labels
         label_str = _render_labels(labels)
         if isinstance(metric, Histogram):
             if name not in headered:

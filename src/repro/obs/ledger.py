@@ -64,7 +64,6 @@ __all__ = [
     "LIFETIME_BUCKETS_US",
     "ERASE_COUNT_BUCKETS",
     "erase_count_histogram",
-    "attach_ledger",
 ]
 
 #: Every cause a physical write can be attributed to.  ``unattributed``
@@ -417,45 +416,3 @@ def erase_count_histogram(
     for block in blocks:  # type: ignore[attr-defined]
         hist.observe(block.erase_count)
     return hist
-
-
-def attach_ledger(manager, ledger, lifetimes=None) -> None:
-    """Point every instrumented layer of a built stack at ``ledger``.
-
-    Mirrors :func:`repro.obs.attach_tracer`: instrumented classes carry
-    class-level ``ledger = NULL_LEDGER`` (block managers additionally
-    ``lifetimes = NULL_LIFETIMES``) defaults; attaching sets instance
-    attributes on the storage manager, the FTL, its block manager(s),
-    the chip(s) — leaf chips of a multi-channel device included — and
-    the WAL, if one is mounted.  Only *leaf* chips are watched for
-    conservation (a :class:`~repro.flash.device.FlashDevice` aggregates
-    the same counters and would double-count).
-    """
-    manager.ledger = ledger
-    device = manager.device
-    device.ledger = ledger
-    chip = getattr(device, "chip", None)
-    if chip is not None:
-        chip.ledger = ledger
-        inner_chips = getattr(chip, "chips", ())
-        if inner_chips:
-            for inner in inner_chips:
-                inner.ledger = ledger
-                ledger.watch_chip(inner)
-        else:
-            ledger.watch_chip(chip)
-    blocks = getattr(device, "_blocks", None)  # PageMappingFtl / IpaFtl
-    if blocks is not None and hasattr(type(blocks), "ledger"):
-        blocks.ledger = ledger
-        if lifetimes is not None:
-            blocks.lifetimes = lifetimes
-    for region in getattr(device, "regions", ()):  # NoFtlDevice
-        region.ledger = ledger
-        region._blocks.ledger = ledger
-        if lifetimes is not None:
-            region._blocks.lifetimes = lifetimes
-    wal = getattr(manager, "wal", None)
-    if wal is not None:
-        wal.ledger = ledger
-        wal.chip.ledger = ledger
-        ledger.watch_chip(wal.chip)

@@ -323,7 +323,7 @@ class MetricsRegistry:
         :class:`Histogram`) so exporters enumerate it."""
         if not self.enabled:
             return metric
-        key = _registry_key(metric.name, getattr(metric, "labels", None))
+        key = _registry_key(metric.name, metric.labels)
         if key in self._metrics:
             raise ValueError(f"metric {key!r} already registered")
         self._metrics[key] = metric

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence
 
-__all__ = ["TimeSeriesSampler", "free_block_depth"]
+__all__ = ["TimeSeriesSampler"]
 
 
 class TimeSeriesSampler:
@@ -104,22 +104,3 @@ class TimeSeriesSampler:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-
-def free_block_depth(device) -> int:
-    """Free-block pool depth of any device architecture.
-
-    Conventional FTLs expose one :class:`~repro.ftl.gc.BlockManager`;
-    NoFTL sums its regions (GC pressure anywhere hurts); IPL counts its
-    spare merge blocks.  Returns 0 for unknown shapes.
-    """
-    blocks = getattr(device, "_blocks", None)
-    if blocks is not None and hasattr(blocks, "free_block_count"):
-        return blocks.free_block_count  # PageMappingFtl / IpaFtl
-    spares = getattr(device, "_spares", None)
-    if spares is not None:  # IplStore (its _blocks is a plain list)
-        return len(spares)
-    regions = getattr(device, "regions", None)
-    if regions is not None:  # NoFtlDevice
-        return sum(r._blocks.free_block_count for r in regions)
-    return 0

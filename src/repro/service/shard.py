@@ -10,10 +10,10 @@ media digest a meaningful determinism contract.
 
 from __future__ import annotations
 
-import hashlib
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
-from repro.bench.harness import ExperimentConfig, build_stack
+from repro.bench.harness import ExperimentConfig, load_stack
+from repro.flash import media_digest
 from repro.obs import Observation
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_US,
@@ -30,21 +30,7 @@ if TYPE_CHECKING:
     from repro.service.replication import ShardReplica
     from repro.service.session import Request
 
-__all__ = ["Shard", "device_chips"]
-
-
-def device_chips(device) -> list:
-    """Every underlying :class:`FlashChip` of a chip-or-device, in order.
-
-    A bare chip enumerates as itself; a multi-channel
-    :class:`~repro.flash.device.FlashDevice` enumerates its per-channel
-    chips explicitly (chip-major).  Digests must hash *physical* chips,
-    never a routing view: enumerating through a device's global
-    page-number mapping ties the digest to the striping arithmetic,
-    which is exactly the kind of silent coupling that let a single-chip
-    hash look complete.
-    """
-    return list(getattr(device, "chips", None) or [device])
+__all__ = ["Shard"]
 
 
 class Shard:
@@ -60,8 +46,6 @@ class Shard:
     """
 
     def __init__(self, index: int, config: ServiceConfig, build_seed: int) -> None:
-        import numpy as np
-
         self.index = index
         self.config = config
         self.workload = config.workload_factory()
@@ -76,14 +60,10 @@ class Shard:
             with_wal=True,
             seed=build_seed,
         )
-        self.db, self.manager = build_stack(exp)
-        self.workload.build(self.db, np.random.default_rng(build_seed))
         # Service time starts at zero: build-phase latencies are not the
-        # tier's problem (same reset the harness does before measuring).
-        self.manager.clock.reset()
-        quiesce = getattr(self.manager.device.chip, "quiesce", None)
-        if quiesce is not None:
-            quiesce()
+        # tier's problem (the same reset the harness does before
+        # measuring).  The build generator is spent here.
+        self.db, self.manager, _ = load_stack(exp)
 
         self.observation: Optional[Observation] = None
         if config.observe:
@@ -177,7 +157,7 @@ class Shard:
         return duration_us
 
     def execute_tenant_group(
-        self, tenants: Iterable[int], rngs: "dict[int, np.random.Generator]"
+        self, tenants: Iterable[int], rngs: dict[int, np.random.Generator]
     ) -> None:
         """Replay one dispatch-log group (serial stream replay path)."""
         self.manager.begin_wal_group()
@@ -192,22 +172,13 @@ class Shard:
     def media_digest(self) -> str:
         """SHA-256 over every physical page (data + OOB) of the shard.
 
-        Covers every underlying chip of the data device *and* of the WAL
-        log device — multi-channel stacks enumerate all per-channel
-        chips via :func:`device_chips`, in chip-major order — through
+        Covers every leaf chip of the data device *and* of the WAL log
+        device, chip-major (:func:`repro.flash.media_digest`), through
         the public page accessors only: the digest is a pure function of
         media bytes, so two runs agree iff the devices are
-        byte-identical.  (Single-channel digests are unchanged by the
-        explicit enumeration; multi-channel digests hash the same bytes
-        in per-chip rather than striped order.)
+        byte-identical.
         """
-        digest = hashlib.sha256()
-        chips = device_chips(self.manager.device.chip)
+        devices = [self.manager.device.chip]
         if self.manager.wal is not None:
-            chips.extend(device_chips(self.manager.wal.chip))
-        for chip in chips:
-            for ppn in range(chip.geometry.total_pages):
-                page = chip.page_at(ppn)
-                digest.update(page.raw_data())
-                digest.update(page.raw_oob())
-        return digest.hexdigest()
+            devices.append(self.manager.wal.chip)
+        return media_digest(*devices)

@@ -95,7 +95,7 @@ class BufferPool:
             run, trading exactness for O(1) hits).
     """
 
-    #: Observability: replaced per-instance by ``repro.obs.attach_tracer``.
+    #: Observability: replaced per-instance by ``StorageManager.attach``.
     tracer = NULL_TRACER
 
     #: Why the pool is flushing right now: ``"evict"`` (replacement) or

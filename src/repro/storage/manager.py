@@ -30,8 +30,8 @@ from repro.core.reconstruct import ReconstructionError, reconstruct
 from repro.core.tracker import ChangeTracker
 from repro.flash.latency import HostCostModel
 from repro.ftl.interface import FlashBackend
-from repro.obs.ledger import NULL_LEDGER
-from repro.obs.trace import NULL_TRACER
+from repro.obs.ledger import NULL_LEDGER, LifetimeTracker, WriteLedger
+from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.storage.buffer import BufferPool, Frame
 from repro.storage.layout import PageCorruptError, SlottedPage
 
@@ -265,9 +265,9 @@ class StorageManager:
         replacement: Buffer replacement policy, "lru" or "clock".
     """
 
-    #: Observability: replaced per-instance by ``repro.obs.attach_tracer``
-    #: / ``repro.obs.ledger.attach_ledger``.  The manager is where flushes
-    #: are classified into host causes (heap vs. index pages).
+    #: Observability: replaced per-instance by :meth:`attach`.  The
+    #: manager is where flushes are classified into host causes (heap vs.
+    #: index pages).
     tracer = NULL_TRACER
     ledger = NULL_LEDGER
 
@@ -319,6 +319,22 @@ class StorageManager:
     @property
     def page_size(self) -> int:
         return self.device.chip.geometry.page_size
+
+    def attach(
+        self,
+        tracer: Tracer | NullTracer,
+        ledger: WriteLedger,
+        lifetimes: LifetimeTracker,
+    ) -> None:
+        """Point the observers at every layer of this stack that reads
+        them: this manager, its buffer pool, the device (which forwards to
+        its own parts) and the WAL, if one is mounted."""
+        self.tracer = tracer
+        self.ledger = ledger
+        self.pool.tracer = tracer
+        self.device.attach(tracer, ledger, lifetimes)
+        if self.wal is not None:
+            self.wal.attach(ledger)
 
     # ------------------------------------------------------------------ #
     # Page lifecycle

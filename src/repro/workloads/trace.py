@@ -231,12 +231,11 @@ def replay_on_ipa(
     device = NoFtlDevice(
         FlashChip(geometry, mode=mode), over_provisioning=over_provisioning
     )
-    device.create_region(
+    region = device.create_region(
         "replay",
         blocks=blocks,
         ipa=IpaRegionConfig(scheme.n_records, scheme.m_bytes),
     )
-    region = device.regions[0]
     template = _page_template(trace.page_size, scheme)
     footer_start = trace.page_size - PAGE_FOOTER_SIZE
     delta_start = footer_start - scheme.delta_area_size

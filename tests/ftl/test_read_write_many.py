@@ -1,9 +1,10 @@
-"""Batched FTL entry points: read_many / write_many vs their per-op forms.
+"""The batched read entry point, ``NoFtlDevice.read_many``, against per-op reads.
 
-The contract under test (docs/performance.md, round 2): the batched
-calls are *outcome-identical* — same data, same simulated clock and
-breakdown, same device/flash counters, same error type at the same op —
-only the number of Python calls changes.
+Trace replay reads a run of fetch misses in one call.  The contract
+under test (docs/performance.md, round 2): the batched call is
+*outcome-identical* — same data, same simulated clock and breakdown,
+same device/flash counters, same error type at the same op — only the
+number of Python calls changes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.modes import FlashMode
 from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
-from repro.ftl.page_mapping import PageMappingFtl
 
 GEO = FlashGeometry(page_size=2048, oob_size=64, pages_per_block=16, blocks=12)
 
@@ -34,50 +34,6 @@ def _fingerprint(ftl) -> tuple:
     )
 
 
-class TestPageMappingFtl:
-    def _loaded(self, n: int = 40) -> PageMappingFtl:
-        ftl = PageMappingFtl(FlashChip(GEO, mode=FlashMode.SLC, seed=11))
-        for lba in range(n):
-            ftl.write_page(lba, _page(lba))
-        return ftl
-
-    def test_read_many_matches_per_op(self):
-        lbas = [3, 0, 17, 17, 9, 33]
-        a = self._loaded()
-        per_op = [a.read_page(lba) for lba in lbas]
-        b = self._loaded()
-        batched = b.read_many(lbas)
-        assert batched == per_op
-        assert _fingerprint(a) == _fingerprint(b)
-
-    def test_read_many_accepts_numpy_lbas(self):
-        ftl = self._loaded()
-        out = ftl.read_many(np.array([1, 2, 3], dtype=np.int64))
-        assert out == [_page(1), _page(2), _page(3)]
-
-    def test_read_many_unwritten_lba_raises_after_earlier_reads(self):
-        a = self._loaded(n=10)
-        with pytest.raises(KeyError):
-            for lba in [4, 5, 99]:
-                a.read_page(lba)
-        b = self._loaded(n=10)
-        with pytest.raises(KeyError, match="unwritten lba 99"):
-            b.read_many([4, 5, 99])
-        # The two reads before the failure happened and were charged.
-        assert _fingerprint(a) == _fingerprint(b)
-        assert b.stats.host_reads == 2
-
-    def test_write_many_matches_per_op(self):
-        items = [(lba, _page(lba + 1)) for lba in range(30)]
-        a = PageMappingFtl(FlashChip(GEO, mode=FlashMode.SLC, seed=11))
-        for lba, data in items:
-            a.write_page(lba, data)
-        b = PageMappingFtl(FlashChip(GEO, mode=FlashMode.SLC, seed=11))
-        b.write_many(items)
-        assert _fingerprint(a) == _fingerprint(b)
-        assert b.read_page(7) == _page(8)
-
-
 class TestNoFtlDevice:
     def _loaded(self) -> NoFtlDevice:
         device = NoFtlDevice(FlashChip(GEO, mode=FlashMode.SLC, seed=5))
@@ -91,6 +47,33 @@ class TestNoFtlDevice:
         for lba in range(cold_base, cold_base + 10):
             device.write_page(lba, _page(lba))
         return device
+
+    def test_read_many_matches_per_op(self):
+        lbas = [3, 0, 17, 17, 9, 13]
+        a = self._loaded()
+        per_op = [a.read_page(lba) for lba in lbas]
+        b = self._loaded()
+        batched = b.read_many(lbas)
+        assert batched == per_op
+        assert _fingerprint(a) == _fingerprint(b)
+
+    def test_read_many_accepts_numpy_lbas(self):
+        device = self._loaded()
+        out = device.read_many(np.array([1, 2, 3], dtype=np.int64))
+        assert out == [_page(1), _page(2), _page(3)]
+
+    def test_read_many_unwritten_lba_raises_after_earlier_reads(self):
+        # LBA 25 is routed to the hot region but was never written.
+        a = self._loaded()
+        with pytest.raises(KeyError):
+            for lba in [4, 5, 25]:
+                a.read_page(lba)
+        b = self._loaded()
+        with pytest.raises(KeyError, match="unwritten lba 25"):
+            b.read_many([4, 5, 25])
+        # The two reads before the failure happened and were charged.
+        assert _fingerprint(a) == _fingerprint(b)
+        assert b.regions[0].stats.host_reads == 2
 
     def test_read_many_spans_regions(self):
         cold_base = self._loaded().regions[1].lba_base
@@ -109,17 +92,3 @@ class TestNoFtlDevice:
         with pytest.raises(KeyError, match="not in any region"):
             device.read_many([0, 1, 10_000])
         assert device.regions[0].stats.host_reads == 2
-
-    def test_region_read_many_matches_per_op(self):
-        a = self._loaded()
-        per_op = [a.regions[0].read_page(lba) for lba in [2, 4, 6]]
-        b = self._loaded()
-        assert b.regions[0].read_many([2, 4, 6]) == per_op
-        assert repr(a.chip.clock.now_us) == repr(b.chip.clock.now_us)
-
-    def test_write_many_routes_regions(self):
-        device = self._loaded()
-        cold_base = device.regions[1].lba_base
-        device.write_many([(0, _page(70)), (cold_base, _page(71))])
-        assert device.read_page(0) == _page(70)
-        assert device.read_page(cold_base) == _page(71)

@@ -2,9 +2,10 @@
 """R7 good fixture: the same WAL shape with the barriers in place.
 
 Mirrors the real :class:`repro.engine.wal.WriteAheadLog` structure —
-commit delegates to a private append helper, the barrier is conditional
-(``_sync`` is None over a bare synchronous chip), truncate erases then
-syncs — and the replication link acks only after the standby applied.
+commit delegates to a private append helper, the barrier is an
+unconditional ``chip.sync()`` (a no-op over a bare synchronous chip),
+truncate erases then syncs — and the replication link acks only after
+the standby applied.
 """
 
 
@@ -12,7 +13,6 @@ class BarrierWal:
     def __init__(self, chip):
         self.chip = chip
         self.head = 0
-        self._sync = getattr(chip, "sync", None)
 
     def commit(self, frame):
         self._append(frame)
@@ -21,15 +21,13 @@ class BarrierWal:
         for offset, byte in enumerate(frame):
             self.chip.partial_program(self.head + offset, byte)
         self.head += len(frame)
-        if self._sync is not None:
-            self._sync()
+        self.chip.sync()
 
     def truncate(self):
         for block in range(4):
             self.chip.erase_block(block)
         self.head = 0
-        if self._sync is not None:
-            self._sync()
+        self.chip.sync()
 
 
 class PatientLink:

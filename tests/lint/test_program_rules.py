@@ -117,7 +117,7 @@ class TestHistoricalRegressions:
 
     WAL = SRC / "engine" / "wal.py"
     SERVICE = SRC / "service" / "service.py"
-    BARRIER = "        if self._sync is not None:\n            self._sync()\n"
+    BARRIER = "        self.chip.sync()\n"
 
     def test_r7_flags_neutered_wal_sync_barrier(self, tmp_path):
         source = self.WAL.read_text()

@@ -16,6 +16,7 @@ Three contracts live here (see ``docs/replication.md``):
 
 import pytest
 
+from repro.flash import media_digest
 from repro.flash.device import FlashDevice
 from repro.flash.geometry import FlashGeometry
 from repro.obs.metrics import MetricsRegistry
@@ -26,7 +27,6 @@ from repro.service import (
     replay_shard_stream,
     run_service,
 )
-from repro.service.shard import device_chips
 from repro.workloads.tpcb import TpcbWorkload
 
 # --------------------------------------------------------------------- #
@@ -173,28 +173,30 @@ class TestMultiChannelDigest:
             page_size=256, oob_size=16, pages_per_block=8, blocks=8
         )
         device = FlashDevice(geo, channels=2)
-        chips = device_chips(device)
+        chips = device.chips
         assert len(chips) == 2
         assert sum(c.geometry.total_pages for c in chips) == (
             geo.total_pages
         )
+        # Chip-major: the device's digest is its chips' digests' stream.
+        assert media_digest(device) == media_digest(*chips)
 
     def test_digest_sees_writes_on_every_chip(self):
         # Block b stripes to channel b % channels: ppn 8 (block 1) lands
         # on the second chip.  A digest that only hashed chip 0 — the
         # pre-fix failure mode — would not move.
-        from repro.fault.failover import media_digest
-
         geo = FlashGeometry(
             page_size=256, oob_size=16, pages_per_block=8, blocks=8
         )
         device = FlashDevice(geo, channels=2)
+        chip0, chip1 = device.chips
         before = media_digest(device)
+        chip0_before = media_digest(chip0)
         device.program_page(geo.pages_per_block, b"\x5a" * geo.page_size)
         device.quiesce()
         assert media_digest(device) != before
-        chip0, chip1 = device_chips(device)
-        assert media_digest(chip0) == media_digest(device.chips[0])
+        assert media_digest(chip0) == chip0_before
+        assert media_digest(device) == media_digest(chip0, chip1)
         assert bytes(device.page_at(geo.pages_per_block).raw_data()) == (
             b"\x5a" * geo.page_size
         )

@@ -7,7 +7,7 @@ import pytest
 
 from repro.bench.harness import ExperimentConfig, build_stack
 from repro.core.config import SCHEME_2X4
-from repro.fault.failover import media_digest
+from repro.flash import media_digest
 from repro.flash.modes import FlashMode
 from repro.workloads import WORKLOADS
 from repro.workloads.base import draws, nurand, zipf_index
