@@ -1,9 +1,8 @@
-"""Disabled-sanitizer, -ledger, -lockset and -tracer overhead guards.
+"""Disabled-sanitizer, -ledger and -tracer overhead guards.
 
 REPRO_SANITIZE=0 must be free, and so must an un-observed stack's
-write-attribution ledger / lifetime-tracker hooks, the service
-tier's lockset-sanitizer hooks on the admission queue and an attached
-but disabled span tracer (docs/observability.md; bound 5%).
+write-attribution ledger / lifetime-tracker hooks and an attached but
+disabled span tracer (docs/observability.md; bound 5%).
 Every sanitizer hook is one attribute load + one bool test when the
 flag is off; this A/B-times the same overwrite workload with the shared
 NULL_SANITIZER default versus an attached-but-disabled sanitizer
@@ -38,9 +37,6 @@ from repro.flash.sanitize import Sanitizer
 from repro.ftl.page_mapping import PageMappingFtl
 from repro.obs.ledger import LifetimeTracker, WriteLedger
 from repro.obs.trace import Tracer
-from repro.service.admission import AdmissionController
-from repro.service.sanitize import LocksetSanitizer
-from repro.service.session import Request, Session
 
 GEO = FlashGeometry(page_size=4096, oob_size=128, pages_per_block=64,
                     blocks=64)
@@ -56,13 +52,6 @@ class _DisabledSanitizer(Sanitizer):
     # Match _NullSanitizer's layout: without this the instance grows a
     # __dict__ and every `sz.enabled` load pays an instance-dict miss,
     # which the A/B would misread as hook overhead.
-    __slots__ = ()
-    enabled = False
-
-
-class _DisabledLockset(LocksetSanitizer):
-    """A real LocksetSanitizer with its hooks switched off."""
-
     __slots__ = ()
     enabled = False
 
@@ -169,59 +158,10 @@ def _measure_ratio(roles=_sanitizer_roles):
     return sum(off_min) / sum(base_min)
 
 
-def _measure_lockset_ratio(_roles=None):
-    """A/B the admission offer/take hot path: NULL_LOCKSET default
-    versus an attached-but-disabled LocksetSanitizer instance.
-
-    Same discipline as :func:`_measure_ratio` — one controller,
-    role <-> slice alternation, per-(slice, role) minimum — but over the
-    service-tier queue operations the lockset hooks instrument (the
-    admission queue is the only hot structure the sanitizer guards).
-    """
-    session = Session(tenant=0, shard=0, rng=None, remaining=1)
-    requests = [
-        Request(session, issue_us=0.0, enqueue_us=0.0) for _ in range(SLICE)
-    ]
-    controller = AdmissionController(depth=SLICE + 1, policy="shed")
-    null = controller.sanitize
-    off = _DisabledLockset()
-    n_slices = 16
-
-    def pump():
-        offer = controller.offer
-        for request in requests:
-            offer(request)
-        while controller.take(64):
-            pass
-
-    for _ in range(4):  # warm-up
-        pump()
-    base_min = [float("inf")] * n_slices
-    off_min = [float("inf")] * n_slices
-    _pygc.disable()
-    try:
-        for round_idx in range(ROUNDS):
-            for i in range(n_slices):
-                use_off = (i + round_idx) % 2 == 1
-                controller.sanitize = off if use_off else null
-                start = time.perf_counter()
-                pump()
-                elapsed = time.perf_counter() - start
-                if use_off:
-                    off_min[i] = min(off_min[i], elapsed)
-                else:
-                    base_min[i] = min(base_min[i], elapsed)
-    finally:
-        _pygc.enable()
-        controller.sanitize = null
-    return sum(off_min) / sum(base_min)
-
-
-def _assert_free(label, roles, measure=None, bound=1.02):
-    measure = measure or _measure_ratio
+def _assert_free(label, roles, bound=1.02):
     ratios = []
     for _ in range(3):
-        ratio = measure(roles)
+        ratio = _measure_ratio(roles)
         ratios.append(ratio)
         if ratio <= bound:
             break
@@ -241,10 +181,6 @@ def test_disabled_sanitizer_overhead():
 
 def test_disabled_ledger_overhead():
     _assert_free("ledger", _ledger_roles)
-
-
-def test_disabled_lockset_overhead():
-    _assert_free("lockset", None, measure=_measure_lockset_ratio)
 
 
 def test_disabled_observability_overhead():

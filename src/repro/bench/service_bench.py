@@ -36,8 +36,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--policy", choices=("shed", "wait"), default="shed")
     parser.add_argument("--group", type=int, default=4,
                         help="max WAL group-commit batch size")
-    parser.add_argument("--scheduling", choices=("deterministic", "threaded"),
-                        default="deterministic")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--replication", action="store_true",
                         help="attach a synchronous standby to every shard")
@@ -64,7 +62,6 @@ def main() -> None:
         queue_depth=args.depth,
         admission_policy=args.policy,
         group_commit_size=args.group,
-        scheduling=args.scheduling,
         seed=args.seed,
         replication=args.replication or args.verify_standby,
         repl_latency_us=args.repl_latency_us,
@@ -78,9 +75,8 @@ def main() -> None:
         repl = " replication=on" if config.replication else ""
         print(
             f"service: {result.shards} shard(s), {result.sessions} "
-            f"session(s), scheduling={result.scheduling}, "
-            f"policy={config.admission_policy}, depth={config.queue_depth}"
-            f"{repl}"
+            f"session(s), policy={config.admission_policy}, "
+            f"depth={config.queue_depth}{repl}"
         )
         header = (
             f"{'shard':>5} {'sess':>4} {'txns':>5} {'shed':>5} {'waits':>5} "
@@ -108,8 +104,6 @@ def main() -> None:
         )
 
     if args.verify_replay:
-        if config.scheduling != "deterministic":
-            raise SystemExit("--verify-replay needs deterministic scheduling")
         for report in result.shard_reports:
             digest = replay_shard_stream(
                 config, report.index, report.dispatch_log
@@ -132,7 +126,6 @@ def main() -> None:
 
     if args.json:
         payload = {
-            "scheduling": result.scheduling,
             "shards": result.shards,
             "sessions": result.sessions,
             "seed": result.seed,

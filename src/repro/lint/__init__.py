@@ -30,13 +30,13 @@ the cached cross-file pass in :mod:`repro.lint.program`):
 * **R7 durability ordering** — WAL append/truncate paths reach a
   ``sync()`` barrier before the commit/ack boundary; replication acks
   are post-apply.
-* **R8 lockset races** — Eraser-style lockset analysis over
-  ``threading.Thread`` targets in ``repro.service`` (paired with the
-  runtime sanitizer in :mod:`repro.service.sanitize`).
 * **R9 clock domains** — per-shard ``SimClock`` timestamps never mix
-  across domains outside the sanctioned mapping helpers.
+  across domains outside the sanctioned mapping helper.
 * **R10 lifecycle** — ``begin_group``/``end_group`` pairing and the
   quiesce()/power-loss exclusion.
+
+R8 (lockset races) was retired with the threaded service scheduler it
+watched; rule ids are not renumbered.
 
 Run it as ``python -m repro.lint`` (``--format json|sarif|github``,
 ``--jobs N``, ``--explain R7``); suppress a single finding with a

@@ -5,7 +5,7 @@ walking up from the current directory to the nearest ``pyproject.toml``).
 
 Options: ``--select R1,R7`` runs a subset (unknown ids are a usage
 error, exit 2 — a typo must not silently select nothing), ``--explain
-R8`` prints a rule's full docstring, ``--format text|json|sarif|github``
+R7`` prints a rule's full docstring, ``--format text|json|sarif|github``
 picks the renderer (``--output`` writes it to a file, SARIF's usual
 mode), ``--jobs N`` shards the per-file pass across processes (0 = all
 cores).  Exit status 1 if any violation survives pragmas, else 0.
@@ -55,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.lint",
         description=(
             "repo-specific static analysis: per-file rules R1-R6 plus "
-            "whole-program protocol rules R7-R10"
+            "whole-program protocol rules R7, R9, R10"
         ),
     )
     parser.add_argument(

@@ -11,8 +11,8 @@ Two rule layers run over a batch:
   cross-file state (R3's declared-but-unused direction) expose it via
   ``Rule.state()``; the parent merges worker states with
   ``Rule.absorb()`` before ``finish()`` runs.
-* **Program rules** (R7-R10, :mod:`repro.lint.protocol`) need the whole
-  batch at once — they run in the parent over the
+* **Program rules** (R7, R9, R10, :mod:`repro.lint.protocol`) need the
+  whole batch at once — they run in the parent over the
   :class:`~repro.lint.program.Program` built from the (cached)
   per-module pass.
 """
@@ -133,7 +133,7 @@ def _check_file(info: ModuleInfo, rules: List[Rule]) -> List[Violation]:
 def _check_program(
     infos: Sequence[ModuleInfo], select: Optional[frozenset[str]]
 ) -> List[Violation]:
-    """Run the whole-program rules (R7-R10) over the loaded batch."""
+    """Run the whole-program rules (R7, R9, R10) over the loaded batch."""
     program = Program(list(infos))
     found: List[Violation] = []
     for rule in _program_rules(select):
@@ -161,7 +161,7 @@ def lint_file(
     the fixture tests to run src-scoped rules on files that live outside
     ``src/repro``).  With the default rule set this also runs the
     program rules over the single-module program, so a fixture exercises
-    R7-R10 exactly as a full batch would."""
+    R7, R9 and R10 exactly as a full batch would."""
     info = load_module(path, module)
     active = [factory() for factory in ALL_RULES] if rules is None else rules
     found = _check_file(info, active)

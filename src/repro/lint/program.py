@@ -1,11 +1,11 @@
 """Whole-program analysis core for reprolint.
 
 The per-file rules (R1-R6) see one AST at a time.  The protocol rules
-(R7-R10, :mod:`repro.lint.protocol`) need the *program*: which module
-imports which, which class defines which methods, which function calls
-what.  This module provides that view — a cached per-module pass (AST +
-symbol table + pragma map) feeding an import graph and an approximate
-name-based call graph.
+(R7, R9, R10, :mod:`repro.lint.protocol`) need the *program*: which
+module imports which, which class defines which methods, which function
+calls what.  This module provides that view — a cached per-module pass
+(AST + symbol table + pragma map) feeding an import graph and an
+approximate name-based call graph.
 
 The module cache is keyed by ``(st_size, st_mtime_ns)``: repeated lint
 runs inside one process (the test suite, editor integrations, a
@@ -32,7 +32,6 @@ __all__ = [
     "Program",
     "attr_chain",
     "call_target",
-    "canon",
     "clear_cache",
     "load_module",
     "module_name_for",
@@ -126,28 +125,6 @@ def attr_chain(node: ast.expr) -> Optional[List[str]]:
             return None
 
 
-def canon(node: ast.expr) -> Optional[str]:
-    """Canonical spelling of an access chain with subscripts normalised.
-
-    ``locks[i]`` and ``locks[shard.index]`` both canonicalise to
-    ``"locks[_]"`` — the lockset analyses deliberately treat every
-    element of a lock array as one lock identity (the code indexes them
-    uniformly by shard).
-    """
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        base = canon(node.value)
-        return None if base is None else f"{base}.{node.attr}"
-    if isinstance(node, ast.Subscript):
-        base = canon(node.value)
-        return None if base is None else f"{base}[_]"
-    if isinstance(node, ast.Call):
-        base = canon(node.func)
-        return None if base is None else f"{base}()"
-    return None
-
-
 def call_target(node: ast.Call) -> Optional[str]:
     """The called name: final attribute of the chain, or the bare name."""
     func = node.func
@@ -202,8 +179,6 @@ class ModuleInfo:
     #: ``(line, col, message)`` when the file failed to parse.
     error: Optional[Tuple[int, int, str]] = None
     allow: Dict[int, frozenset[str]] = field(default_factory=dict)
-    #: Local binding -> dotted import origin.
-    aliases: Dict[str, str] = field(default_factory=dict)
     #: Dotted origins of everything this module imports.
     imports: frozenset[str] = frozenset()
 
@@ -272,7 +247,6 @@ def load_module(path: Path, module: Optional[str] = None) -> ModuleInfo:
             tree=info.tree,
             error=info.error,
             allow=info.allow,
-            aliases=info.aliases,
             imports=info.imports,
         )
     return info
@@ -293,15 +267,13 @@ def _parse_module(path: Path) -> ModuleInfo:
             tree=None,
             error=(exc.lineno or 1, exc.offset or 0, f"syntax error: {exc.msg}"),
         )
-    aliases = _import_origins(tree)
     return ModuleInfo(
         path=path,
         module=module,
         source=source,
         tree=tree,
         allow=parse_pragmas(source),
-        aliases=aliases,
-        imports=frozenset(aliases.values()),
+        imports=frozenset(_import_origins(tree).values()),
     )
 
 
@@ -318,7 +290,7 @@ class Program:
     call graph: edges are *names* — ``qualname -> called simple names``
     — because a dynamically typed call site rarely pins the receiver.
     The protocol rules sharpen this where they can (same-class method
-    resolution in R7, thread-target resolution in R8).
+    resolution in R7).
     """
 
     def __init__(self, modules: List[ModuleInfo]) -> None:

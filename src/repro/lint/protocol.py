@@ -1,4 +1,4 @@
-"""Protocol and concurrency rules (R7-R10) over the whole program.
+"""Protocol rules (R7, R9, R10) over the whole program.
 
 Each rule here runs against a :class:`~repro.lint.program.Program` — the
 cached per-module pass plus the import/call graphs — rather than one AST
@@ -8,27 +8,26 @@ functions:
 * **R7** durability ordering: a WAL append/truncate path must reach a
   flush barrier before the commit/ack boundary (the PR 9 bug: acked
   appends still in flight on channel queues at power loss).
-* **R8** lockset race detection: Eraser-style — shared state reachable
-  from ``threading.Thread`` targets must have a consistent, non-empty
-  guarding lockset at every mutation site.
 * **R9** clock domains: per-shard ``SimClock`` timestamps must not mix
-  with other clock domains outside the sanctioned mapping helpers.
+  with other clock domains outside the sanctioned mapping helper.
 * **R10** resource lifecycle: ``begin_group``/``end_group`` pairing and
   the quiesce()/power_loss() exclusion.
 
-All four are *may* analyses over syntax: branches are traversed in
+R8 (lockset races over ``threading.Thread`` targets) was retired with
+the service tier's threaded scheduler, the only code it checked; its id
+is not reused.
+
+All three are *may* analyses over syntax: branches are traversed in
 source order as if executed sequentially, calls resolve by name, and
 aliasing is tracked only through pure attribute chains.  That trades
 soundness for a zero-false-positive bar on this codebase — every
-approximation is noted on the rule it belongs to, and the runtime
-lockset sanitizer (:mod:`repro.service.sanitize`) covers dynamically
-what R8 cannot see statically.
+approximation is noted on the rule it belongs to.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.lint.program import (
     FunctionInfo,
@@ -36,7 +35,6 @@ from repro.lint.program import (
     Program,
     attr_chain,
     call_target,
-    canon,
 )
 
 __all__ = [
@@ -44,7 +42,6 @@ __all__ = [
     "ClockDomainRule",
     "DurabilityOrderRule",
     "LifecycleRule",
-    "LocksetRule",
     "ProgramRule",
 ]
 
@@ -59,25 +56,6 @@ def _in_order(node: ast.AST) -> Iterator[ast.AST]:
     for child in ast.iter_child_nodes(node):
         yield child
         yield from _in_order(child)
-
-
-def _resolve_origin(
-    node: ast.expr, aliases: Dict[str, str]
-) -> Optional[str]:
-    """Dotted import origin of a call chain (``threading.Thread``), or
-    None when rooted in a local object."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    origin = aliases.get(node.id)
-    if origin is None:
-        return None
-    parts.append(origin)
-    parts.reverse()
-    return ".".join(parts)
 
 
 class ProgramRule:
@@ -258,549 +236,15 @@ class DurabilityOrderRule(ProgramRule):
 
 
 # --------------------------------------------------------------------- #
-# R8: lockset race detection
-# --------------------------------------------------------------------- #
-
-#: Access site: (key, category, is_write, context, lockset, line, col).
-_Site = Tuple[str, str, bool, str, frozenset, int, int]
-
-_SYNC_FACTORIES = frozenset(
-    {
-        "threading.Lock",
-        "threading.RLock",
-        "threading.Condition",
-        "threading.Semaphore",
-        "threading.BoundedSemaphore",
-    }
-)
-
-
-class LocksetRule(ProgramRule):
-    """R8: Eraser-style lockset analysis over ``threading.Thread``
-    targets in ``repro.service``.
-
-    For every function spawned as a thread target (plus the spawning
-    function's post-``start()`` region, which runs concurrently with its
-    children), the rule enumerates accesses to state reachable through
-    closure variables and parameters, records the set of locks held at
-    each site (``with locks[i]:`` stacks; a Condition constructed over a
-    lock aliases to that lock), and flags:
-
-    * shared paths touched from two or more concurrent contexts with at
-      least one write whose locksets intersect to nothing, and
-    * any mutation through a closure-captured root outside every lock.
-
-    Approximations, chosen so the real threaded scheduler passes without
-    pragmas: lock arrays canonicalise per-array (``locks[i]`` ==
-    ``locks[j]`` — the code indexes them uniformly by shard, so a
-    cross-shard confusion shows up as a *digest* failure, not here);
-    parameter-rooted state is thread-owned unless another context names
-    the same path (worker-per-shard ownership handoff); fresh objects
-    (any call result) are unshared; access paths compare by their
-    spelling from the root, so an alias chain hides its prefix.  The
-    runtime sanitizer (:mod:`repro.service.sanitize`) re-checks the same
-    invariant dynamically with exact object identities.
-    """
-
-    rule_id = "R8"
-
-    def check_program(self, program: Program) -> Iterator[ProgramFinding]:
-        import builtins
-
-        self._builtins = frozenset(dir(builtins))
-        for mi in program.modules:
-            if mi.module is None or not mi.module.startswith("repro.service"):
-                continue
-            yield from self._check_module(mi)
-
-    def _check_module(self, mi: ModuleInfo) -> Iterator[ProgramFinding]:
-        assert mi.tree is not None
-        module_names = set(mi.aliases)
-        for node in mi.tree.body:
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                module_names.add(node.name)
-
-        for spawner in self._functions_with_threads(mi):
-            targets = self._thread_targets(mi, spawner)
-            if not targets:
-                continue
-            lock_names = self._lock_bindings(mi, spawner)
-            contexts: List[Tuple[str, List[ast.stmt], Set[str]]] = []
-            shared_free: Set[str] = set()
-            for name, fn_node in targets:
-                params = {a.arg for a in fn_node.args.args}
-                params |= {a.arg for a in fn_node.args.posonlyargs}
-                params |= {a.arg for a in fn_node.args.kwonlyargs}
-                free = self._free_names(
-                    fn_node, params, module_names, lock_names
-                )
-                shared_free |= free
-                contexts.append((name, list(fn_node.body), params))
-            post_start = self._post_start_region(spawner)
-            sites: List[_Site] = []
-            for name, body, params in contexts:
-                self._scan_context(
-                    mi, name, body, params, shared_free, lock_names,
-                    module_names, is_spawner=False, sites=sites,
-                )
-            if post_start:
-                spawner_params = {a.arg for a in spawner.args.args}
-                self._scan_context(
-                    mi, f"{spawner.name}(post-start)", post_start,
-                    spawner_params, shared_free, lock_names, module_names,
-                    is_spawner=True, sites=sites,
-                )
-            yield from self._judge(mi, sites)
-
-    # -- discovery ---------------------------------------------------- #
-
-    def _functions_with_threads(
-        self, mi: ModuleInfo
-    ) -> List["ast.FunctionDef | ast.AsyncFunctionDef"]:
-        assert mi.tree is not None
-        found = []
-        for fn in mi.functions():
-            if any(
-                isinstance(n, ast.Call)
-                and _resolve_origin(n.func, mi.aliases) == "threading.Thread"
-                for n in ast.walk(fn.node)
-            ):
-                found.append(fn.node)
-        return found
-
-    def _thread_targets(
-        self,
-        mi: ModuleInfo,
-        spawner: "ast.FunctionDef | ast.AsyncFunctionDef",
-    ) -> List[Tuple[str, "ast.FunctionDef | ast.AsyncFunctionDef"]]:
-        defs: Dict[str, "ast.FunctionDef | ast.AsyncFunctionDef"] = {}
-        for n in ast.walk(spawner):
-            if (
-                isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and n is not spawner
-            ):
-                defs.setdefault(n.name, n)
-        assert mi.tree is not None
-        for n in mi.tree.body:
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defs.setdefault(n.name, n)
-        targets = []
-        seen: Set[int] = set()
-        for n in ast.walk(spawner):
-            if not (
-                isinstance(n, ast.Call)
-                and _resolve_origin(n.func, mi.aliases) == "threading.Thread"
-            ):
-                continue
-            for kw in n.keywords:
-                if kw.arg != "target":
-                    continue
-                name: Optional[str] = None
-                if isinstance(kw.value, ast.Name):
-                    name = kw.value.id
-                elif isinstance(kw.value, ast.Attribute):
-                    name = kw.value.attr
-                if name is not None and name in defs:
-                    node = defs[name]
-                    if id(node) not in seen:
-                        seen.add(id(node))
-                        targets.append((name, node))
-        return targets
-
-    def _lock_bindings(
-        self,
-        mi: ModuleInfo,
-        spawner: ast.AST,
-    ) -> Dict[str, str]:
-        """Name -> underlying lock-array name.  A Condition built over a
-        lock shares that lock's identity (``wait`` releases it)."""
-        lock_names: Dict[str, str] = {}
-        assert mi.tree is not None
-        for scope in (mi.tree, spawner):
-            for node in ast.walk(scope):
-                if not (
-                    isinstance(node, ast.Assign)
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)
-                ):
-                    continue
-                bound = node.targets[0].id
-                for call in ast.walk(node.value):
-                    if not isinstance(call, ast.Call):
-                        continue
-                    origin = _resolve_origin(call.func, mi.aliases)
-                    if origin not in _SYNC_FACTORIES:
-                        continue
-                    underlying = bound
-                    if origin == "threading.Condition" and call.args:
-                        underlying = self._condition_base(
-                            node.value, call, lock_names
-                        ) or bound
-                    lock_names[bound] = underlying
-                    break
-        return lock_names
-
-    def _condition_base(
-        self,
-        value: ast.expr,
-        call: ast.Call,
-        lock_names: Dict[str, str],
-    ) -> Optional[str]:
-        chain = attr_chain(call.args[0])
-        if chain is None:
-            return None
-        root = chain[0]
-        if root in lock_names:
-            return lock_names[root]
-        # [Condition(lock) for lock in locks] — the comprehension target
-        # ranges over the lock array.
-        if isinstance(value, (ast.ListComp, ast.GeneratorExp)):
-            for gen in value.generators:
-                if (
-                    isinstance(gen.target, ast.Name)
-                    and gen.target.id == root
-                ):
-                    iter_chain = attr_chain(gen.iter)
-                    if iter_chain and iter_chain[0] in lock_names:
-                        return lock_names[iter_chain[0]]
-        return None
-
-    def _post_start_region(
-        self, spawner: "ast.FunctionDef | ast.AsyncFunctionDef"
-    ) -> List[ast.stmt]:
-        """The spawner's statements that run concurrently with its
-        children: from the first ``.start()`` through the last
-        ``.join()`` (anything after every join is sequential again)."""
-        start_line: Optional[int] = None
-        last_join: Optional[int] = None
-        for n in ast.walk(spawner):
-            if isinstance(n, ast.Call):
-                target = call_target(n)
-                if target == "start":
-                    if start_line is None or n.lineno < start_line:
-                        start_line = n.lineno
-                elif target == "join":
-                    if last_join is None or n.lineno > last_join:
-                        last_join = n.lineno
-        if start_line is None:
-            return []
-        region = [s for s in spawner.body if s.lineno >= start_line]
-        if last_join is not None:
-            region = [s for s in region if s.lineno <= last_join]
-        return region
-
-    def _free_names(
-        self,
-        fn_node: ast.AST,
-        params: Set[str],
-        module_names: Set[str],
-        lock_names: Dict[str, str],
-    ) -> Set[str]:
-        assigned = self._assigned_names(fn_node)
-        free: Set[str] = set()
-        for n in ast.walk(fn_node):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                name = n.id
-                if (
-                    name not in assigned
-                    and name not in params
-                    and name not in module_names
-                    and name not in self._builtins
-                ):
-                    free.add(name)
-        return free - set(lock_names)
-
-    def _assigned_names(self, node: ast.AST) -> Set[str]:
-        names: Set[str] = set()
-        for n in ast.walk(node):
-            if isinstance(n, ast.Name) and isinstance(
-                n.ctx, (ast.Store, ast.Del)
-            ):
-                names.add(n.id)
-        return names
-
-    # -- per-context scan --------------------------------------------- #
-
-    def _scan_context(
-        self,
-        mi: ModuleInfo,
-        ctx_name: str,
-        body: List[ast.stmt],
-        params: Set[str],
-        shared_free: Set[str],
-        lock_names: Dict[str, str],
-        module_names: Set[str],
-        is_spawner: bool,
-        sites: List[_Site],
-    ) -> None:
-        assigned = set()
-        for stmt in body:
-            assigned |= self._assigned_names(stmt)
-        alias_map = self._alias_map(
-            body, params, assigned, shared_free, lock_names,
-            module_names, is_spawner,
-        )
-
-        def category(root: str) -> Optional[str]:
-            if root in alias_map:
-                return alias_map[root]
-            if root in params:
-                return "param"
-            if is_spawner:
-                return "free" if root in shared_free else None
-            if root in assigned or root in module_names:
-                return None
-            if root in self._builtins:
-                return None
-            return "free"
-
-        def record(
-            chain: List[str], write: bool, held: Tuple[str, ...],
-            line: int, col: int,
-        ) -> None:
-            root = chain[0]
-            if root in lock_names:
-                return
-            cat = category(root)
-            if cat is None:
-                return
-            comps = chain[1:]
-            key = ".".join(comps) if comps else f"@{root}"
-            sites.append(
-                (key, cat, write, ctx_name, frozenset(held), line, col)
-            )
-
-        def lock_of(expr: ast.expr) -> Optional[str]:
-            chain = attr_chain(expr)
-            if chain is None or chain[0] not in lock_names:
-                return None
-            spelled = canon(expr)
-            if spelled is None:
-                return lock_names[chain[0]]
-            underlying = lock_names[chain[0]]
-            head_len = len(chain[0])
-            return underlying + spelled[head_len:]
-
-        def extract(
-            node: ast.AST, held: Tuple[str, ...], write: bool = False
-        ) -> None:
-            if isinstance(node, ast.Call):
-                chain = attr_chain(node.func)
-                if chain is not None and len(chain) > 1:
-                    # Method call: conservatively a write on the object.
-                    record(
-                        chain[:-1], True, held, node.lineno, node.col_offset
-                    )
-                for arg in node.args:
-                    extract(arg, held)
-                for kw in node.keywords:
-                    extract(kw.value, held)
-                self._extract_slices(node.func, held, extract)
-            elif isinstance(node, (ast.Attribute, ast.Subscript)):
-                chain = attr_chain(node)
-                if chain is not None:
-                    record(chain, write, held, node.lineno, node.col_offset)
-                    self._extract_slices(node, held, extract)
-                else:
-                    for child in ast.iter_child_nodes(node):
-                        extract(child, held)
-            elif isinstance(node, ast.Name):
-                return
-            elif isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                return
-            else:
-                for child in ast.iter_child_nodes(node):
-                    extract(child, held)
-
-        def scan(stmts: List[ast.stmt], held: Tuple[str, ...]) -> None:
-            for stmt in stmts:
-                if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                    extra = []
-                    for item in stmt.items:
-                        lock = lock_of(item.context_expr)
-                        if lock is not None:
-                            extra.append(lock)
-                        else:
-                            extract(item.context_expr, held)
-                    scan(stmt.body, held + tuple(extra))
-                elif isinstance(stmt, ast.If):
-                    extract(stmt.test, held)
-                    scan(stmt.body, held)
-                    scan(stmt.orelse, held)
-                elif isinstance(stmt, ast.While):
-                    extract(stmt.test, held)
-                    scan(stmt.body, held)
-                    scan(stmt.orelse, held)
-                elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                    extract(stmt.iter, held)
-                    extract(stmt.target, held, write=True)
-                    scan(stmt.body, held)
-                    scan(stmt.orelse, held)
-                elif isinstance(stmt, ast.Try):
-                    scan(stmt.body, held)
-                    for handler in stmt.handlers:
-                        scan(handler.body, held)
-                    scan(stmt.orelse, held)
-                    scan(stmt.finalbody, held)
-                elif isinstance(stmt, ast.Assign):
-                    for target in stmt.targets:
-                        extract(target, held, write=True)
-                    extract(stmt.value, held)
-                elif isinstance(stmt, ast.AugAssign):
-                    extract(stmt.target, held, write=True)
-                    extract(stmt.value, held)
-                elif isinstance(stmt, ast.AnnAssign):
-                    extract(stmt.target, held, write=True)
-                    if stmt.value is not None:
-                        extract(stmt.value, held)
-                elif isinstance(
-                    stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                ):
-                    continue
-                else:
-                    extract(stmt, held)
-
-        scan(body, ())
-
-    def _extract_slices(
-        self,
-        node: ast.expr,
-        held: Tuple[str, ...],
-        extract: Callable[[ast.AST, Tuple[str, ...]], None],
-    ) -> None:
-        """Subscript indices along an access chain are ordinary reads."""
-        while True:
-            if isinstance(node, ast.Attribute):
-                node = node.value
-            elif isinstance(node, ast.Subscript):
-                extract(node.slice, held)
-                node = node.value
-            elif isinstance(node, ast.Call):
-                node = node.func
-            else:
-                return
-
-    def _alias_map(
-        self,
-        body: List[ast.stmt],
-        params: Set[str],
-        assigned: Set[str],
-        shared_free: Set[str],
-        lock_names: Dict[str, str],
-        module_names: Set[str],
-        is_spawner: bool,
-    ) -> Dict[str, str]:
-        """Locals bound exactly once from a pure attribute/subscript
-        chain inherit the root's category (``shard = self.shards[i]``).
-        Anything flowing through a call is a fresh object and stays
-        unshared."""
-        counts: Dict[str, int] = {}
-        candidates: Dict[str, str] = {}
-        for stmt in body:
-            for n in ast.walk(stmt):
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
-                    counts[n.id] = counts.get(n.id, 0) + 1
-        for stmt in body:
-            for n in ast.walk(stmt):
-                if not (
-                    isinstance(n, ast.Assign)
-                    and len(n.targets) == 1
-                    and isinstance(n.targets[0], ast.Name)
-                ):
-                    continue
-                name = n.targets[0].id
-                if counts.get(name, 0) != 1:
-                    continue
-                if any(isinstance(c, ast.Call) for c in ast.walk(n.value)):
-                    continue
-                chain = attr_chain(n.value)
-                if chain is None or len(chain) < 2:
-                    continue
-                root = chain[0]
-                if root in lock_names:
-                    continue
-                if root in candidates:
-                    candidates[name] = candidates[root]
-                elif root in params:
-                    candidates[name] = "param"
-                elif is_spawner and root in shared_free:
-                    candidates[name] = "free"
-                elif (
-                    not is_spawner
-                    and root not in assigned
-                    and root not in module_names
-                    and root not in self._builtins
-                ):
-                    candidates[name] = "free"
-        return candidates
-
-    # -- verdicts ----------------------------------------------------- #
-
-    def _judge(
-        self, mi: ModuleInfo, sites: List[_Site]
-    ) -> Iterator[ProgramFinding]:
-        by_key: Dict[str, List[_Site]] = {}
-        for site in sites:
-            by_key.setdefault(site[0], []).append(site)
-        flagged: Set[str] = set()
-        for key in sorted(by_key):
-            group = by_key[key]
-            contexts = {s[3] for s in group}
-            writes = [s for s in group if s[2]]
-            if len(contexts) < 2 or not writes:
-                continue
-            common = frozenset.intersection(*(s[4] for s in group))
-            if common:
-                continue
-            flagged.add(key)
-            first = min(writes, key=lambda s: (s[5], s[6]))
-            held = {
-                ctx: sorted(
-                    set().union(*(s[4] for s in group if s[3] == ctx))
-                )
-                for ctx in sorted(contexts)
-            }
-            detail = ", ".join(
-                f"{ctx}: {locks or ['<none>']}" for ctx, locks in held.items()
-            )
-            yield (
-                mi,
-                first[5],
-                first[6],
-                f"shared state '{key}' is written from "
-                f"{len(contexts)} concurrent contexts with an empty "
-                f"common lockset ({detail})",
-            )
-        for site in sites:
-            key, cat, write, ctx, held_set, line, col = site
-            if key in flagged or not write or cat != "free":
-                continue
-            if held_set:
-                continue
-            flagged.add(key)
-            yield (
-                mi,
-                line,
-                col,
-                f"mutation of closure-shared state '{key}' in {ctx} "
-                "outside any lock",
-            )
-
-
-# --------------------------------------------------------------------- #
 # R9: clock domains
 # --------------------------------------------------------------------- #
 
 
 class ClockDomainRule(ProgramRule):
     """R9: per-shard ``SimClock`` timestamps must not mix across clock
-    domains outside the sanctioned mapping helpers.
+    domains outside the sanctioned mapping helper.
 
-    Every shard owns an independent simulated clock; the deterministic
+    Every shard owns an independent simulated clock; the service's
     scheduler additionally keeps a *global* virtual-time axis.  A
     timestamp (any ``<clock chain>.now_us`` / ``.now_s`` read) is tagged
     with its owning clock's canonical access chain, tags propagate
@@ -810,17 +254,16 @@ class ClockDomainRule(ProgramRule):
     domain).  Timestamp±duration stays legal — that is how offsets and
     elapsed times are computed on one clock.
 
-    The only places allowed to bridge domains are the sanctioned
-    helpers in :mod:`repro.service.service` (``global_end_us``,
-    ``shard_elapsed_us``); their bodies are exempt and their call sites
-    return untagged (global-axis) values.  Scope: ``repro.service``,
-    where the two axes coexist.
+    The only place allowed to bridge domains is the sanctioned helper
+    :func:`repro.service.service.global_end_us`; its body is exempt and
+    its call sites return untagged (global-axis) values.  Scope:
+    ``repro.service``, where the two axes coexist.
     """
 
     rule_id = "R9"
 
     TS_ATTRS = frozenset({"now_us", "now_s"})
-    SANCTIONED = frozenset({"global_end_us", "shard_elapsed_us"})
+    SANCTIONED = frozenset({"global_end_us"})
 
     def check_program(self, program: Program) -> Iterator[ProgramFinding]:
         for fn in program.functions():
@@ -887,8 +330,8 @@ class ClockDomainRule(ProgramRule):
                                 expr.col_offset,
                                 f"cross-domain clock arithmetic: {left} "
                                 f"minus {right} — map through the "
-                                "sanctioned helpers in "
-                                "repro.service.service",
+                                "sanctioned helper "
+                                "repro.service.service.global_end_us",
                             )
                         )
                     return None
@@ -1133,7 +576,6 @@ class LifecycleRule(ProgramRule):
 
 ALL_PROGRAM_RULES = (
     DurabilityOrderRule,
-    LocksetRule,
     ClockDomainRule,
     LifecycleRule,
 )

@@ -1,28 +1,17 @@
 """Admission control: bounded per-shard queues with shed-or-wait.
 
-The controller is deliberately *not* thread-safe: in deterministic mode
-there is exactly one scheduler thread, and in threaded mode the shard
-worker wraps every call in the shard lock.  Keeping the policy free of
-locks keeps the two modes behaviourally identical where it matters —
-the decision function and the counters.
-
-That "callers hold the shard lock" contract is exactly what the lockset
-sanitizer verifies: under ``REPRO_SANITIZE=1`` every queue access
-reports to the shard's :class:`~repro.service.sanitize.LocksetSanitizer`
-(Eraser state machine), so a call path that reaches the queue outside
-the lock is flagged even if this run's interleaving happened to be
-benign.  Disabled, each hook costs one attribute load and one bool test
-(the ``NULL_LOCKSET`` pattern shared with the physics sanitizer).
+The controller holds no locks: the service's one scheduler is a
+single-threaded event loop, so the decision function and the counters
+are plain sequential code.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from enum import Enum
-from typing import TYPE_CHECKING, Deque, List, Union
+from typing import TYPE_CHECKING, Deque, List
 
 from repro.obs.metrics import NULL_METRIC, Counter
-from repro.service.sanitize import NULL_LOCKSET, LocksetSanitizer, _NullLockset
 
 if TYPE_CHECKING:
     from repro.service.session import Request
@@ -49,9 +38,6 @@ class AdmissionController:
             :data:`NULL_METRIC`); the controller owns incrementing the
             first two, the scheduler credits ``wait_us`` when a parked
             request is finally admitted.
-        sanitize: The owning shard's lockset sanitizer (or
-            :data:`~repro.service.sanitize.NULL_LOCKSET`); every queue
-            access reports through it when armed.
 
     Counter semantics (pinned by ``tests/service/test_admission.py``):
     ``waits`` counts *distinct parks* — the first ``WAIT`` a request
@@ -69,7 +55,6 @@ class AdmissionController:
         sheds: "Counter" = NULL_METRIC,  # type: ignore[assignment]
         waits: "Counter" = NULL_METRIC,  # type: ignore[assignment]
         wait_us: "Counter" = NULL_METRIC,  # type: ignore[assignment]
-        sanitize: Union[LocksetSanitizer, _NullLockset] = NULL_LOCKSET,
     ) -> None:
         if depth < 1:
             raise ValueError("queue depth must be >= 1")
@@ -81,18 +66,11 @@ class AdmissionController:
         self.sheds = sheds
         self.waits = waits
         self.wait_us = wait_us
-        self.sanitize = sanitize
 
     def has_room(self) -> bool:
-        san = self.sanitize
-        if san.enabled:
-            san.access(self, "queue", write=False)
         return len(self.queue) < self.depth
 
     def __len__(self) -> int:
-        san = self.sanitize
-        if san.enabled:
-            san.access(self, "queue", write=False)
         return len(self.queue)
 
     def offer(self, request: "Request") -> AdmissionDecision:
@@ -104,9 +82,6 @@ class AdmissionController:
         A request re-offered while already parked stays one park:
         ``waits`` counts sessions parked, not retry attempts.
         """
-        san = self.sanitize
-        if san.enabled:
-            san.access(self, "queue", write=True)
         if self.has_room():
             self.queue.append(request)
             return AdmissionDecision.ADMITTED
@@ -124,9 +99,6 @@ class AdmissionController:
         ``waited_us`` is credited to the ``wait_us`` counter so reports
         can separate time-in-queue from time-parked-at-the-door.
         """
-        san = self.sanitize
-        if san.enabled:
-            san.access(self, "queue", write=True)
         if not self.has_room():
             raise RuntimeError("admit() without a free slot")
         if waited_us:
@@ -136,9 +108,6 @@ class AdmissionController:
 
     def take(self, limit: int) -> List["Request"]:
         """Dequeue up to ``limit`` requests, FIFO."""
-        san = self.sanitize
-        if san.enabled:
-            san.access(self, "queue", write=True)
         batch: List["Request"] = []
         while self.queue and len(batch) < limit:
             batch.append(self.queue.popleft())

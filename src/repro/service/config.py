@@ -10,7 +10,6 @@ from repro.flash.modes import FlashMode
 from repro.workloads.base import Workload
 
 ADMISSION_POLICIES = ("shed", "wait")
-SCHEDULING_MODES = ("deterministic", "threaded")
 
 
 def _default_workload() -> Workload:
@@ -48,10 +47,9 @@ class ServiceConfig:
             request (simulated time).
         shed_backoff_us: Client back-off after a shed before it issues
             its next request.
-        scheduling: ``"deterministic"`` (single-threaded virtual-time
-            event loop; byte-identical media for a given seed) or
-            ``"threaded"`` (real thread-per-session front end; ordering
-            is OS-scheduler dependent).  See ``docs/service.md``.
+        scheduling: Must be ``"deterministic"``, the virtual-time event
+            loop (byte-identical media for a given seed) and the only
+            scheduler.  See ``docs/service.md``.
         replication: Attach one standby stack per shard and stream every
             WAL commit group to it, synchronously (a group's
             transactions complete only at the standby ack).  Off by
@@ -104,10 +102,10 @@ class ServiceConfig:
                 f"admission_policy must be one of {ADMISSION_POLICIES}, "
                 f"got {self.admission_policy!r}"
             )
-        if self.scheduling not in SCHEDULING_MODES:
+        if self.scheduling != "deterministic":
             raise ValueError(
-                f"scheduling must be one of {SCHEDULING_MODES}, "
-                f"got {self.scheduling!r}"
+                "scheduling must be 'deterministic' (threaded scheduling "
+                f"was removed), got {self.scheduling!r}"
             )
         if self.repl_latency_us < 0:
             raise ValueError("repl_latency_us must be >= 0")

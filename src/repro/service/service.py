@@ -1,21 +1,12 @@
 """The sharded service front end: scheduling, overload, determinism.
 
-Two scheduling modes share every policy decision (routing, admission,
-batching, group commit) and differ only in who advances time:
-
-* **deterministic** — a single-threaded virtual-time event loop.  Global
-  time is a float; batches execute on the shard's simulated clock and
-  the measured duration is mapped back onto virtual time.  Events are
-  ordered by ``(time, insertion seq)``, so a run is a pure function of
-  the config — same seed, byte-identical per-shard media.
-* **threaded** — a real concurrent front end: one worker thread per
-  shard (the stacks below the queue are single-threaded by
-  construction) and one thread per client session.  The GIL makes this
-  concurrency rather than parallelism, which is exactly what a DBMS
-  front end over a simulated device wants: real lock contention and
-  real interleaving at the admission queues, with no OS-scheduler
-  influence on the *media* beyond batch composition.  Ordering is not
-  reproducible; use deterministic mode for digests.
+One scheduler drives every policy decision (routing, admission,
+batching, group commit): a virtual-time discrete-event loop.  Global
+time is a float; batches execute on the shard's simulated clock and the
+measured duration is mapped back onto virtual time.  Events are ordered
+by ``(time, insertion seq)``, so a run is a pure function of the config
+— same seed, byte-identical per-shard media.  Simulated I/O completes
+synchronously, so there is nothing for threads to overlap.
 
 The determinism contract (checked by ``tests/service`` and the
 ``service-smoke`` CI job): two deterministic runs with the same config
@@ -36,10 +27,9 @@ from __future__ import annotations
 
 import heapq
 import math
-import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, List, Sequence, Tuple
+from typing import Deque, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -50,9 +40,6 @@ from repro.service.router import shard_of
 from repro.service.session import Request, Session
 from repro.service.shard import Shard
 
-if TYPE_CHECKING:
-    from repro.flash.latency import SimClock
-
 __all__ = [
     "ServiceResult",
     "ShardReport",
@@ -60,7 +47,6 @@ __all__ = [
     "global_end_us",
     "replay_shard_stream",
     "run_service",
-    "shard_elapsed_us",
 ]
 
 _ISSUE = 0
@@ -70,24 +56,13 @@ _DRAIN = 1
 def global_end_us(t_us: float, duration_us: float) -> float:
     """Map a shard-clock duration onto the global virtual timeline.
 
-    The deterministic scheduler keeps two kinds of time: the global
-    event-loop clock (``t_us``) and each shard's own simulated clock,
-    which only ever yields *durations* to the outside.  This helper is
-    one of the two sanctioned crossings between clock domains (the
-    other is :func:`shard_elapsed_us`); the R9 lint rule flags any
-    other expression that mixes timestamps from different domains.
+    The scheduler keeps two kinds of time: the global event-loop clock
+    (``t_us``) and each shard's own simulated clock, which only ever
+    yields *durations* to the outside.  This helper is the one
+    sanctioned crossing between clock domains; the R9 lint rule flags
+    any other expression that mixes timestamps from different domains.
     """
     return t_us + duration_us
-
-
-def shard_elapsed_us(clock: "SimClock", start_us: float) -> float:
-    """Elapsed time on one shard's clock, as a domain-free duration.
-
-    ``start_us`` must come from the same ``clock``; the returned value
-    carries no domain tag and may be added to any timeline.  Sanctioned
-    crossing #2 for the R9 clock-domain rule (see :func:`global_end_us`).
-    """
-    return clock.now_us - start_us
 
 
 def _derived_seeds(config: ServiceConfig) -> Tuple[List[int], List[int]]:
@@ -136,7 +111,6 @@ class ShardReport:
 class ServiceResult:
     """Outcome of one service run (see :func:`run_service`)."""
 
-    scheduling: str
     shards: int
     sessions: int
     seed: int
@@ -188,14 +162,10 @@ class ShardedService:
     # ------------------------------------------------------------------ #
 
     def run(self) -> ServiceResult:
-        if self.config.scheduling == "deterministic":
-            elapsed_us = self._run_deterministic()
-        else:
-            elapsed_us = self._run_threaded()
-        return self._result(elapsed_us)
+        return self._result(self._run_deterministic())
 
     # ------------------------------------------------------------------ #
-    # Deterministic mode: virtual-time discrete-event loop
+    # Virtual-time discrete-event loop
     # ------------------------------------------------------------------ #
 
     def _run_deterministic(self) -> float:
@@ -274,97 +244,6 @@ class ShardedService:
         return last_completion_us
 
     # ------------------------------------------------------------------ #
-    # Threaded mode: worker-per-shard, thread-per-session
-    # ------------------------------------------------------------------ #
-
-    def _run_threaded(self) -> float:
-        config = self.config
-        # Each shard's lock runs through its lockset sanitizer (a no-op
-        # wrapper unless REPRO_SANITIZE=1), so held-lock tracking covers
-        # Condition waits too.
-        locks = [
-            shard.lockset.lock(
-                threading.Lock(), name=f"shard{shard.index}.lock"
-            )
-            for shard in self.shards
-        ]
-        not_empty = [threading.Condition(lock) for lock in locks]
-        not_full = [threading.Condition(lock) for lock in locks]
-        shutdown = [False] * len(self.shards)
-
-        def worker(shard: Shard) -> None:
-            i = shard.index
-            while True:
-                with locks[i]:
-                    while not shard.admission.queue and not shutdown[i]:
-                        not_empty[i].wait()
-                    if not shard.admission.queue:
-                        return
-                    batch = shard.admission.take(config.group_commit_size)
-                    not_full[i].notify_all()
-                start_us = shard.manager.clock.now_us
-                shard.execute_batch(batch)
-                end_us = shard.manager.clock.now_us
-                for request in batch:
-                    latency_us = end_us - request.issue_us
-                    shard.txn_latency.observe(latency_us)
-                    shard.latencies_us.append(latency_us)
-                    shard.queue_wait.observe(start_us - request.enqueue_us)
-                    assert request.done is not None
-                    request.done.set()  # type: ignore[attr-defined]
-
-        def client(session: Session) -> None:
-            i = session.shard
-            shard = self.shards[i]
-            clock = shard.manager.clock
-            while session.remaining > 0:
-                issue_us = clock.now_us
-                done = threading.Event()
-                request = Request(
-                    session, issue_us=issue_us, enqueue_us=issue_us, done=done
-                )
-                with locks[i]:
-                    decision = shard.admission.offer(request)
-                    if decision is AdmissionDecision.SHED:
-                        session.shed += 1
-                        session.remaining -= 1
-                        continue
-                    if decision is AdmissionDecision.WAIT:
-                        while not shard.admission.has_room():
-                            not_full[i].wait()
-                        now_us = clock.now_us
-                        request.enqueue_us = now_us
-                        shard.admission.admit(
-                            request, waited_us=now_us - issue_us
-                        )
-                    not_empty[i].notify()
-                done.wait()
-                session.completed += 1
-                session.remaining -= 1
-
-        workers = [
-            threading.Thread(target=worker, args=(shard,), daemon=True)
-            for shard in self.shards
-        ]
-        clients = [
-            threading.Thread(target=client, args=(session,), daemon=True)
-            for session in self.sessions
-        ]
-        for thread in workers + clients:
-            thread.start()
-        for thread in clients:
-            thread.join()
-        for i, shard in enumerate(self.shards):
-            with locks[i]:
-                shutdown[i] = True
-                not_empty[i].notify_all()
-        for thread in workers:
-            thread.join()
-        for shard in self.shards:
-            shard.lockset.check()
-        return max(shard.manager.clock.now_us for shard in self.shards)
-
-    # ------------------------------------------------------------------ #
     # Reporting
     # ------------------------------------------------------------------ #
 
@@ -408,7 +287,6 @@ class ShardedService:
             )
         tps = total_completed / (elapsed_us / 1e6) if elapsed_us > 0 else 0.0
         return ServiceResult(
-            scheduling=self.config.scheduling,
             shards=self.config.shards,
             sessions=self.config.sessions,
             seed=self.config.seed,

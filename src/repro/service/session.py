@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,8 +44,6 @@ class Request:
     session: Session
     issue_us: float
     enqueue_us: float
-    #: Threaded mode only: completion signal back to the session thread.
-    done: Optional[object] = field(default=None, repr=False)
     #: Set by the admission controller the first time this request is
     #: parked (``WAIT``): a request that re-offers while the queue is
     #: still full is one *park*, not one park per retry attempt.

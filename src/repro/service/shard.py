@@ -22,7 +22,6 @@ from repro.obs.metrics import (
 )
 from repro.service.admission import AdmissionController
 from repro.service.config import ServiceConfig
-from repro.service.sanitize import lockset_from_env
 
 if TYPE_CHECKING:
     import numpy as np
@@ -87,15 +86,9 @@ class Shard:
         self.group_commits = self.metrics.counter(
             "service_group_commits", help="WAL commit groups flushed"
         )
-        #: Eraser-style lockset sanitizer (live iff ``REPRO_SANITIZE=1``):
-        #: the admission queue reports every access through it, and the
-        #: threaded scheduler routes this shard's lock acquisitions into
-        #: its per-thread held set.
-        self.lockset = lockset_from_env()
         self.admission = AdmissionController(
             depth=config.queue_depth,
             policy=config.admission_policy,
-            sanitize=self.lockset,
             sheds=self.metrics.counter(
                 "service_admission_sheds", help="requests rejected at admission"
             ),
@@ -116,7 +109,7 @@ class Shard:
         self.dispatch_log: List[List[int]] = []
         #: Raw client-view latencies (us) for exact percentiles.
         self.latencies_us: List[float] = []
-        #: Virtual time the shard is busy until (deterministic mode).
+        #: Virtual time the shard is busy until.
         self.busy_until_us: float = 0.0
         #: Optional standby replica (attached by the service when
         #: ``config.replication`` is on).  ``None`` leaves this shard's

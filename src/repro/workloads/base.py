@@ -273,12 +273,13 @@ class DrawStream:
 #: first; a stream keeps its generator alive, so an id cannot be reused
 #: while it is a key.
 #:
-#: Threads: a stream has one thread.  The threaded service scheduler pins
-#: a session to one shard and a shard has one worker, so a session's
-#: generator is only ever drawn from by that worker; look-ups are single
-#: dict reads, adoption and eviction run under ``_ADOPTION``, and a thread
-#: evicts only streams it adopted itself (or whose thread has ended),
-#: never one another worker may be in the middle of.
+#: Threads: a stream has one thread, the one that adopted it.  Nothing in
+#: the simulator draws from one generator on two threads, but the table
+#: is process-global and a caller may run workloads on several threads
+#: (one generator each); look-ups are single dict reads, adoption and
+#: eviction run under ``_ADOPTION``, and a thread evicts only streams it
+#: adopted itself (or whose thread has ended), never one another thread
+#: may be in the middle of.
 _STREAMS: dict[int, DrawStream] = {}
 _ADOPTION = threading.Lock()
 

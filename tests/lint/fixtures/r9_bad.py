@@ -3,7 +3,7 @@
 
 A per-shard ``SimClock`` timestamp and a global clock timestamp meet in
 subtraction, addition and comparison — all three are domain mixes that
-must go through the sanctioned helpers in ``repro.service.service``.
+must go through the sanctioned helper ``repro.service.service.global_end_us``.
 """
 
 

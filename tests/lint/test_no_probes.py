@@ -7,8 +7,8 @@ backend answers ``attach``, ``free_blocks`` and ``extra_metrics`` — so
 nothing under ``src/repro`` asks an object whether it has an attribute.
 This test lists every ``hasattr(...)`` and every ``getattr(x, "<literal>",
 ...)`` outside ``repro.lint`` (whose AST walkers inspect foreign node
-shapes by design) and allows exactly the sites below.  A ``getattr``
-with a computed name (dataclass field loops) is not a probe.
+shapes by design) and allows none.  A ``getattr`` with a computed name
+(dataclass field loops) is not a probe.
 """
 
 from __future__ import annotations
@@ -19,12 +19,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src" / "repro"
 
-#: (path, call) of the probes that remain, each with its reason.
-ALLOWED = {
-    # The threaded scheduler's per-thread held-lock set lives on a
-    # threading.local, which has no attribute until a thread sets one.
-    ("src/repro/service/sanitize.py", "getattr(self._local, 'held', None)"),
-}
+#: (path, call) of the probes allowed to remain, each with its reason.
+ALLOWED: set[tuple[str, str]] = set()
 
 
 def _probes(path: Path, root: Path = REPO) -> list[tuple[str, str]]:
