@@ -85,29 +85,42 @@ HEADROOM = 1.05
 #: call per log append (1 178 over the 5 000 counted ops), and 0.8212 of
 #: digest hashing (two ``update`` calls per page, computed once at the
 #: end of the run) is now charged to ``flash`` instead of ``service``.
+#: When every counter became a plain field (``stats.extra`` and the
+#: registry-built counters deleted), the per-op device path kept its
+#: exact count (``ftl_overwrite_trad``'s ``ftl`` did not move).
+#: ``service`` went 18.5166 -> 18.267: ``Shard.execute_batch`` no longer
+#: makes its two no-op counter calls per batch (the service layer was
+#: charged their ``len(requests)`` argument, one call per batch; the
+#: ``inc`` calls ran in ``repro.obs``).  ``ftl`` and ``flash`` moved by a
+#: per-run constant, the benchmark probe's one end-of-prefix
+#: ``stats.diff`` inside the counted window: it now covers eight more
+#: fields and no extra dict, and on the NoFTL stacks sums the regions in
+#: ``DeviceStats.total`` (charged to ``flash``) instead of a loop in
+#: ``repro.ftl.noftl`` (``ftl`` from 10.2564, 25.361642557162856,
+#: 3.0048; ``flash`` from 8.6098, 32.06299580027998, 8.4126, 9.1488).
 COMMITTED = {
     "ycsb_b_cold": {
         "hot_path": 64.4946,
         "workloads": 6.2022,
-        "ftl": 10.2564,
-        "flash": 8.6098,
+        "ftl": 10.2466,
+        "flash": 8.6274,
     },
     "tpcb_evict_ipa": {
         "hot_path": 318.4783014465702,
         "workloads": 9.005832944470368,
-        "ftl": 25.361642557162856,
-        "flash": 32.06299580027998,
+        "ftl": 25.350209986000934,
+        "flash": 32.08352776481568,
     },
     "ftl_overwrite_trad": {
         "ftl": 13.0774,
-        "flash": 8.4126,
+        "flash": 8.414,
     },
     "svc_ycsb_a_2shard": {
         "hot_path": 63.9792,
         "workloads": 10.8656,
-        "service": 18.5166,
-        "ftl": 3.0048,
-        "flash": 9.1488,
+        "service": 18.267,
+        "ftl": 2.9852,
+        "flash": 9.184,
     },
 }
 

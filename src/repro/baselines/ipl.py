@@ -34,7 +34,6 @@ from repro.flash.chip import FlashChip
 from repro.flash.stats import DeviceStats
 from repro.ftl.interface import DeviceFullError
 from repro.obs.ledger import LifetimeTracker, WriteLedger
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.storage.buffer import Frame
 from repro.storage.manager import StorageManager, WritePolicy
@@ -165,18 +164,6 @@ class IplStore:
         self._max_sectors = (
             self.config.log_pages_per_block * self._sectors_per_log_page
         )
-        # Registered metrics (backed by stats.extra, so dict readers still
-        # see the same keys) replacing the old untyped extra.update pokes.
-        metrics = self.stats.metrics
-        self._m_sector_flushes = metrics.counter(
-            "log_sector_flushes", help="log sectors partially programmed"
-        )
-        self._m_merges = metrics.counter(
-            "merges", help="block merges (IPL's GC)"
-        )
-        self._m_log_page_reads = metrics.counter(
-            "log_page_reads", help="log pages read for reconstruction/merge"
-        )
 
     @property
     def logical_pages(self) -> int:
@@ -187,11 +174,6 @@ class IplStore:
     def free_blocks(self) -> int:
         """Spare blocks left for merge destinations."""
         return len(self._spares)
-
-    @property
-    def extra_metrics(self) -> list[MetricsRegistry]:
-        """The registry backing ``stats.extra``."""
-        return [self.stats.metrics]
 
     def attach(
         self,
@@ -282,7 +264,7 @@ class IplStore:
         block.used_sectors += 1
         block.membuf = bytearray()
         self.stats.host_writes += 1
-        self._m_sector_flushes.inc()
+        self.stats.log_sector_flushes += 1
 
     # ------------------------------------------------------------------ #
     # Merge (IPL's GC)
@@ -318,7 +300,7 @@ class IplStore:
             span.set(victim=old_phys, migrated=migrated)
         self.chip.erase_block(old_phys)
         self.stats.gc_erases += 1
-        self._m_merges.inc()
+        self.stats.merges += 1
         self._spares.append(old_phys)
         block.phys = new_phys
         block.used_sectors = 0
@@ -332,7 +314,7 @@ class IplStore:
             ppn, offset = self._log_ppn(block, sector_index)
             if ppn not in read_pages:
                 read_pages[ppn] = self.chip.read_page(ppn)
-                self._m_log_page_reads.inc()
+                self.stats.log_page_reads += 1
             sector = read_pages[ppn][offset : offset + self.config.sector_size]
             for lba, pairs in decode_entries(sector):
                 logs.setdefault(lba, []).extend(pairs)
@@ -364,7 +346,7 @@ class IplStore:
             ppn, _ = self._log_ppn(block, first_sector)
             page_bytes = self.chip.read_page(ppn)
             self.stats.host_reads += 1
-            self._m_log_page_reads.inc()
+            self.stats.log_page_reads += 1
             sectors_here = min(
                 self._sectors_per_log_page,
                 block.used_sectors - first_sector,

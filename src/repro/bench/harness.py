@@ -39,6 +39,19 @@ from repro.workloads.base import Workload
 
 ARCHITECTURES = ("traditional", "ipa-blockdev", "ipa-native", "ipl")
 
+#: Backend-specific :class:`DeviceStats` counters that Table 1 has no
+#: column for; :func:`run_experiment` reports them under ``extra``.
+EXTRA_COUNTERS = (
+    "wear_leveling_moves",
+    "retired_blocks",
+    "background_gc_migrations",
+    "background_gc_erases",
+    "gc_emergency_syncs",
+    "log_sector_flushes",
+    "merges",
+    "log_page_reads",
+)
+
 
 @dataclass
 class ExperimentConfig:
@@ -410,7 +423,7 @@ def run_experiment(
         latency_max_us=float(max(latencies)) if latencies else 0.0,
         dirty_eviction_net_bytes=list(pool.stats.dirty_eviction_net_bytes),
         extra={
-            **dict(manager.device.stats.extra),
+            **{name: getattr(device, name) for name in EXTRA_COUNTERS},
             "time_breakdown_us": {
                 category: round(
                     micros - breakdown_before.get(category, 0.0), 1

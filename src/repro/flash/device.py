@@ -48,7 +48,6 @@ media is exactly what a real multi-channel device would leave behind.
 
 from __future__ import annotations
 
-from dataclasses import fields as dataclass_fields
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -338,14 +337,7 @@ class FlashDevice:
     @property
     def stats(self) -> FlashStats:
         """Device-wide aggregate of every chip's counters (fresh copy)."""
-        total = FlashStats()
-        for chip in self.chips:
-            for f in dataclass_fields(FlashStats):
-                setattr(
-                    total, f.name,
-                    getattr(total, f.name) + getattr(chip.stats, f.name),
-                )
-        return total
+        return FlashStats.total(chip.stats for chip in self.chips)
 
     @property
     def fault_injector(self) -> FaultInjector | None:

@@ -14,7 +14,7 @@ Table 1 beats odd-MLC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class SimClock:
@@ -105,4 +105,3 @@ class HostCostModel:
     per_transaction_us: float = 35.0
     per_buffer_hit_us: float = 1.0
     ipa_tracking_us: float = 0.4  # paper: "min. computational overhead"
-    extra: dict = field(default_factory=dict)

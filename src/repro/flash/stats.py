@@ -6,19 +6,55 @@ Every metric of the paper's Table 1 is derived from these counters:
 * ``gc_page_migrations`` / ``gc_erases`` — garbage-collection overhead;
 * ``page_invalidations`` — the quantity IPA attacks (67 % reduction claim);
 * byte counters — DBMS write-amplification (Figure 1).
+
+Every counter is a plain numeric field, incremented in place where the
+event happens and counted on every run, observed or not; the metrics
+registry only *reads* them (``Observation.create`` exports each field as
+a callback).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, fields
+from typing import Iterable, TypeVar
 
-if TYPE_CHECKING:
-    from repro.obs.metrics import MetricsRegistry
+_C = TypeVar("_C", bound="_Counters")
+
+
+class _Counters:
+    """Snapshot / interval / reset / sum over a dataclass of numbers."""
+
+    def snapshot(self: _C) -> _C:
+        """Return an independent copy of the current counters."""
+        return type(self)(**{f.name: getattr(self, f.name) for f in fields(self)})
+
+    def diff(self: _C, earlier: _C) -> _C:
+        """Counters accumulated since ``earlier`` was snapshotted."""
+        return type(self)(
+            **{
+                f.name: getattr(self, f.name) - getattr(earlier, f.name)
+                for f in fields(self)
+            }
+        )
+
+    def reset(self) -> None:
+        """Zero all counters."""
+        for f in fields(self):
+            setattr(self, f.name, 0)
+
+    @classmethod
+    def total(cls: type[_C], parts: Iterable[_C]) -> _C:
+        """Field-wise sum of ``parts`` (a device's chips or regions)."""
+        out = cls()
+        names = [f.name for f in fields(cls)]
+        for part in parts:
+            for name in names:
+                setattr(out, name, getattr(out, name) + getattr(part, name))
+        return out
 
 
 @dataclass
-class FlashStats:
+class FlashStats(_Counters):
     """Cumulative counters for one chip (device-level events)."""
 
     page_reads: int = 0
@@ -37,32 +73,16 @@ class FlashStats:
         physical anchor for conservation checks."""
         return self.page_programs + self.page_reprograms
 
-    def snapshot(self) -> "FlashStats":
-        """Return an independent copy of the current counters."""
-        return FlashStats(**{f.name: getattr(self, f.name) for f in fields(self)})
-
-    def diff(self, earlier: "FlashStats") -> "FlashStats":
-        """Counters accumulated since ``earlier`` was snapshotted."""
-        return FlashStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(earlier, f.name)
-                for f in fields(self)
-            }
-        )
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
 
 @dataclass
-class DeviceStats:
+class DeviceStats(_Counters):
     """Counters at the FTL / host-interface level.
 
     ``host_*`` counters describe traffic as the DBMS sees it; ``gc_*``
     counters describe work the device does on its own behalf.  The
     ``per_host_write`` ratios of Table 1 divide the latter by the former.
+    The last eight are backend-specific (zero where a backend has no such
+    event); the harness reports them under ``ExperimentResult.extra``.
     """
 
     host_reads: int = 0
@@ -76,26 +96,16 @@ class DeviceStats:
     gc_page_migrations: int = 0
     gc_erases: int = 0
     trims: int = 0
-    extra: dict = field(default_factory=dict)
-
-    @property
-    def metrics(self) -> "MetricsRegistry":
-        """Registry of auxiliary counters, backed by ``extra``.
-
-        The registry's scalar store *is* the ``extra`` dict, so
-        ``stats.extra["merges"]`` and
-        ``stats.metrics.counter("merges").value`` read/write the same
-        storage — typed, named registration without breaking any legacy
-        dict reader.  Created lazily (snapshots/diffs never pay for it)
-        and rebound if ``extra`` is ever replaced wholesale.
-        """
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = self.__dict__.get("_registry")
-        if registry is None or registry.store is not self.extra:
-            registry = MetricsRegistry(enabled=True, store=self.extra)
-            self.__dict__["_registry"] = registry
-        return registry
+    # BlockManager (page-mapping, IPA and NoFTL backends)
+    wear_leveling_moves: int = 0  # static wear-leveling victim picks
+    retired_blocks: int = 0  # blocks retired after exceeding endurance
+    background_gc_migrations: int = 0  # moves by the incremental collector
+    background_gc_erases: int = 0  # erases by the incremental collector
+    gc_emergency_syncs: int = 0  # foreground ops that fell back to sync GC
+    # IplStore
+    log_sector_flushes: int = 0  # log sectors partially programmed
+    merges: int = 0  # block merges (IPL's GC)
+    log_page_reads: int = 0  # log pages read for reconstruction/merge
 
     @property
     def total_host_write_ops(self) -> int:
@@ -113,51 +123,3 @@ class DeviceStats:
         """GC erases per host write (Table 1, row 6)."""
         denom = self.total_host_write_ops
         return self.gc_erases / denom if denom else 0.0
-
-    def snapshot(self) -> "DeviceStats":
-        """Return an independent copy of the current counters."""
-        copy = DeviceStats(
-            **{
-                f.name: getattr(self, f.name)
-                for f in fields(self)
-                if f.name != "extra"
-            }
-        )
-        copy.extra = dict(self.extra)
-        return copy
-
-    def diff(self, earlier: "DeviceStats") -> "DeviceStats":
-        """Counters accumulated since ``earlier`` was snapshotted.
-
-        Numeric ``extra`` entries are intervals too — subtracting
-        ``earlier``'s values keeps ``merges`` / ``log_page_reads`` /
-        ``wear_leveling_moves`` honest in interval reports (they used to
-        be copied cumulatively, over-reporting every interval after the
-        first).  Non-numeric entries are carried over as-is.
-        """
-        out = DeviceStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(earlier, f.name)
-                for f in fields(self)
-                if f.name != "extra"
-            }
-        )
-        for key, value in self.extra.items():
-            before = earlier.extra.get(key, 0)
-            if isinstance(value, (int, float)) and isinstance(before, (int, float)):
-                out.extra[key] = value - before
-            else:
-                out.extra[key] = value
-        return out
-
-    def reset(self) -> None:
-        """Zero all counters.
-
-        ``extra`` is cleared in place (not replaced) so metric objects
-        bound to it via :attr:`metrics` stay live across resets.
-        """
-        for f in fields(self):
-            if f.name == "extra":
-                self.extra.clear()
-            else:
-                setattr(self, f.name, 0)

@@ -130,15 +130,6 @@ class BlockManager:
         self.chip = chip
         self.stats = stats
         self.sanitizer = sanitizer_from_env()
-        # Registered metrics replacing the old untyped stats.extra pokes;
-        # the registry is backed by stats.extra, so legacy readers see
-        # exactly the same keys.
-        self._m_wear_moves = stats.metrics.counter(
-            "wear_leveling_moves", help="static wear-leveling victim picks"
-        )
-        self._m_retired = stats.metrics.counter(
-            "retired_blocks", help="blocks retired after exceeding endurance"
-        )
         self.block_ids = list(block_ids)
         self.gc_spare_blocks = gc_spare_blocks
         self.wear_leveling_gap = wear_leveling_gap
@@ -152,18 +143,6 @@ class BlockManager:
         #: Victim picked by static wear leveling (vs. greedy): its
         #: migrations and erase are attributed to ``wear_leveling``.
         self._wear_victim: int | None = None
-        self._m_bg_migrations = stats.metrics.counter(
-            "background_gc_migrations",
-            help="page migrations done by the incremental collector",
-        )
-        self._m_bg_erases = stats.metrics.counter(
-            "background_gc_erases",
-            help="victim erases completed by the incremental collector",
-        )
-        self._m_gc_emergency = stats.metrics.counter(
-            "gc_emergency_syncs",
-            help="foreground ops that fell back to synchronous GC",
-        )
         self._usable_offsets = chip.usable_pages_in_block()
         if lsb_first:
             self._usable_offsets = sorted(
@@ -408,7 +387,7 @@ class BlockManager:
                 # The budgeted collector fell behind the write rate:
                 # finish the open victim and reclaim synchronously so
                 # correctness never depends on the budget.
-                self._m_gc_emergency.inc()
+                self.stats.gc_emergency_syncs += 1
                 self._finish_bg_victim()
                 if len(self._free) <= self.gc_spare_blocks:
                     self._collect()
@@ -534,7 +513,7 @@ class BlockManager:
         hottest = max(erase_of(b) for b in self.block_ids)
         coldest = min(candidates, key=erase_of)
         if hottest - erase_of(coldest) > self.wear_leveling_gap:
-            self._m_wear_moves.inc()
+            self.stats.wear_leveling_moves += 1
             self._wear_victim = coldest
             return coldest
         return None
@@ -683,7 +662,7 @@ class BlockManager:
         valid[victim] -= len(moves)
         self.stats.gc_page_migrations += len(moves)
         if background:
-            self._m_bg_migrations.inc(len(moves))
+            self.stats.background_gc_migrations += len(moves)
         lg = self.ledger
         if lg.enabled and self._oob_meta_enabled:
             page_at = self.chip.page_at
@@ -724,7 +703,7 @@ class BlockManager:
             return
         self.stats.gc_erases += 1
         if background:
-            self._m_bg_erases.inc()
+            self.stats.background_gc_erases += 1
         self._free.append(victim)
         sz = self.sanitizer
         if sz.enabled:
@@ -734,4 +713,4 @@ class BlockManager:
         """Remove a worn-out block from circulation."""
         self.block_ids.remove(block_id)
         self._valid.pop(block_id, None)
-        self._m_retired.inc()
+        self.stats.retired_blocks += 1

@@ -8,7 +8,6 @@ from repro.flash.chip import FlashChip
 from repro.flash.errors import FlashError
 from repro.flash.stats import DeviceStats
 from repro.obs.ledger import LifetimeTracker, WriteLedger
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NullTracer, Tracer
 
 
@@ -36,7 +35,7 @@ class FlashBackend(Protocol):
     ``power_loss``.  :meth:`attach` sets each observer only on the parts
     that read it (the backend or its regions, its block managers, its
     chip's leaf chips); :attr:`free_blocks` is the free-pool depth;
-    :attr:`extra_metrics` are the registries of its live extra counters.
+    :attr:`stats` holds every counter the backend keeps.
     """
 
     chip: FlashChip
@@ -50,11 +49,6 @@ class FlashBackend(Protocol):
     @property
     def free_blocks(self) -> int:
         """Erased blocks ready for allocation (GC pressure)."""
-        ...
-
-    @property
-    def extra_metrics(self) -> list[MetricsRegistry]:
-        """Registries backing the live ``stats.extra`` counters."""
         ...
 
     def attach(

@@ -20,7 +20,6 @@ from repro.flash.chip import FlashChip
 from repro.flash.stats import DeviceStats
 from repro.ftl.gc import BlockManager
 from repro.obs.ledger import LifetimeTracker, WriteLedger
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 
 
@@ -66,11 +65,6 @@ class IpaFtl:
     def free_blocks(self) -> int:
         """Erased blocks ready for allocation."""
         return self._blocks.free_block_count
-
-    @property
-    def extra_metrics(self) -> list[MetricsRegistry]:
-        """The registry backing ``stats.extra``."""
-        return [self.stats.metrics]
 
     def attach(
         self,

@@ -33,7 +33,6 @@ from repro.flash.stats import DeviceStats
 from repro.ftl.gc import BlockManager
 from repro.ftl.oob_meta import OOB_META_SIZE
 from repro.obs.ledger import LifetimeTracker, WriteLedger
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 
 
@@ -292,29 +291,9 @@ class NoFtlDevice:
 
         Regions keep their own :class:`DeviceStats` (see
         :meth:`region_report`); callers that snapshot/diff the device
-        stats get a freshly computed aggregate each access.  Extra
-        counters are merged through the aggregate's metrics registry,
-        which types the merge (counters add; anything non-numeric would
-        be a registration error rather than a silently clobbered value).
+        stats get a freshly computed aggregate each access.
         """
-        from dataclasses import fields
-
-        aggregate = DeviceStats()
-        metrics = aggregate.metrics
-        for region in self.regions:
-            for f in fields(DeviceStats):
-                if f.name == "extra":
-                    continue
-                setattr(
-                    aggregate,
-                    f.name,
-                    getattr(aggregate, f.name) + getattr(region.stats, f.name),
-                )
-            for key, value in region.stats.extra.items():
-                # Mechanical roll-up of per-region counters into the
-                # aggregate; the per-region sites declare the keys.
-                metrics.counter(key).inc(value)  # reprolint: allow[R3]
-        return aggregate
+        return DeviceStats.total(region.stats for region in self.regions)
 
     def region_report(self) -> str:
         """Per-region counter table (for the demo/diagnostics)."""
@@ -350,12 +329,6 @@ class NoFtlDevice:
         """Erased blocks ready for allocation, summed over the regions
         (GC pressure anywhere hurts)."""
         return sum(r._blocks.free_block_count for r in self.regions)
-
-    @property
-    def extra_metrics(self) -> list[MetricsRegistry]:
-        """The per-region registries: :attr:`stats` is a computed
-        aggregate, the live extra counters belong to the regions."""
-        return [r.stats.metrics for r in self.regions]
 
     def attach(
         self,

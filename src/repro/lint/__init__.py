@@ -14,8 +14,9 @@ Per-file AST rules (:mod:`repro.lint.rules`):
   ``repro.fault`` imports the flash internals; nothing outside
   ``repro.flash`` touches ``PhysicalPage`` private buffers or the flash
   kernel's private bodies (``FlashChip._program`` and kin).
-* **R3 counter registry** — every literal metric key used in code is
-  declared in :mod:`repro.obs.registry` and vice versa.
+* **R3 counter registry** — every literal metric name (histogram or
+  callback) used in code is declared in :mod:`repro.obs.registry` and
+  vice versa.
 * **R4 exception hygiene** — no ``except`` broad enough to swallow
   ``PowerLossError`` (a ``RuntimeError``) without re-raising.
 * **R5 hygiene** — unused imports, placeholder-free f-strings, mutable

@@ -249,23 +249,23 @@ class LayeringRule(Rule):
                     )
 
 
-class CounterRegistryRule(Rule):
+class MetricNameRule(Rule):
     """R3: PR 4's accounting bugs were counter keys drifting between
-    writer and reader.  Every literal ``.counter/.gauge/.histogram``
-    key and every ``...extra["key"]`` subscript must be declared in
-    ``repro.obs.registry.KNOWN_METRIC_KEYS`` — and every declared key
-    must be used, so retired counters cannot linger in reports.
+    writer and reader.  Every hand-written metric name — the key of a
+    ``.histogram(...)`` call and a string-literal ``.register_callback``
+    name — must be declared in ``repro.obs.registry.KNOWN_METRIC_KEYS``,
+    and every declared key must be used, so retired metrics cannot
+    linger in reports.  Callback names built from a dataclass field or
+    an index (f-strings) are derived, not hand-written, and out of scope.
     """
 
     rule_id = "R3"
 
-    METHODS = frozenset({"counter", "gauge", "histogram"})
-    #: Metric *infrastructure* (factories, the declaration table, the
-    #: stats store) — exempt, everything there is by definition generic.
+    #: Metric *infrastructure* (the factories, the declaration table) —
+    #: exempt, everything there is by definition generic.
     EXEMPT_SUFFIXES = (
         "repro/obs/metrics.py",
         "repro/obs/registry.py",
-        "repro/flash/stats.py",
     )
 
     def __init__(self) -> None:
@@ -289,53 +289,31 @@ class CounterRegistryRule(Rule):
     ) -> Iterator[Finding]:
         known = _known_metric_keys()
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    not isinstance(func, ast.Attribute)
-                    or func.attr not in self.METHODS
-                    or not node.args
-                ):
-                    continue
-                first = node.args[0]
-                if isinstance(first, ast.Constant) and isinstance(
-                    first.value, str
-                ):
-                    key = first.value
-                    self._used.add(key)
-                    if key not in known:
-                        yield (
-                            node.lineno,
-                            node.col_offset,
-                            f"metric key '{key}' not declared in "
-                            "repro.obs.registry.KNOWN_METRIC_KEYS",
-                        )
-                else:
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("histogram", "register_callback")
+                and node.args
+            ):
+                continue
+            first = node.args[0]
+            if isinstance(first, ast.Constant) and isinstance(first.value, str):
+                key = first.value
+                self._used.add(key)
+                if key not in known:
                     yield (
                         node.lineno,
                         node.col_offset,
-                        f"dynamic metric key in .{func.attr}(...) cannot be "
-                        "checked against the registry",
+                        f"metric key '{key}' not declared in "
+                        "repro.obs.registry.KNOWN_METRIC_KEYS",
                     )
-            elif isinstance(node, ast.Subscript):
-                value = node.value
-                if not (
-                    isinstance(value, ast.Attribute) and value.attr == "extra"
-                ):
-                    continue
-                index = node.slice
-                if isinstance(index, ast.Constant) and isinstance(
-                    index.value, str
-                ):
-                    key = index.value
-                    self._used.add(key)
-                    if key not in known:
-                        yield (
-                            node.lineno,
-                            node.col_offset,
-                            f"stats.extra key '{key}' not declared in "
-                            "repro.obs.registry.KNOWN_METRIC_KEYS",
-                        )
+            elif node.func.attr == "histogram":
+                yield (
+                    node.lineno,
+                    node.col_offset,
+                    "dynamic metric key in .histogram(...) cannot be "
+                    "checked against the registry",
+                )
 
     def state(self) -> object:
         return (
@@ -372,7 +350,7 @@ class CounterRegistryRule(Rule):
                 line,
                 0,
                 f"declared metric key '{key}' is never used by any "
-                "counter/gauge/histogram/extra site",
+                "histogram or register_callback site",
             )
 
 
@@ -598,7 +576,7 @@ class WorkerSeedRule(Rule):
 ALL_RULES = (
     DeterminismRule,
     LayeringRule,
-    CounterRegistryRule,
+    MetricNameRule,
     ExceptionHygieneRule,
     HygieneRule,
     WorkerSeedRule,

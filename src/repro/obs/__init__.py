@@ -2,7 +2,7 @@
 
 This package is the instrumentation spine of the reproduction:
 
-* :mod:`repro.obs.metrics` — named counters / gauges / histograms;
+* :mod:`repro.obs.metrics` — callback-read counters / gauges, histograms;
 * :mod:`repro.obs.trace`   — cross-layer spans on the simulated clock;
 * :mod:`repro.obs.sampler` — periodic time-series snapshots;
 * :mod:`repro.obs.export`  — CSV and Prometheus-text exporters;
@@ -154,7 +154,6 @@ class Observation:
             help="simulated per-transaction latency",
             bounds=DEFAULT_LATENCY_BUCKETS_US,
         )
-        self._device_registries: list[MetricsRegistry] = []
         #: Write-attribution ledger / death-time tracker / observed chip
         #: (device).  NULL until :meth:`create` wires a live stack, so a
         #: directly-constructed Observation stays safe to render.
@@ -268,8 +267,6 @@ class Observation:
                     kind="counter",
                     labels=labels,
                 )
-        obs._device_registries = device.extra_metrics
-
         collectors = {
             "invalidations": lambda: device.stats.page_invalidations,
             "gc_erases": lambda: device.stats.gc_erases,
@@ -343,17 +340,13 @@ class Observation:
         return erase_count_histogram(self.chip.blocks)
 
     def export_prometheus(self, prefix: str = "repro_") -> str:
-        """Run registry plus every device-level extra-counter registry."""
+        """Run registry plus the per-block wear histogram."""
         parts = [registry_to_prometheus(self.registry, prefix=prefix)]
         wear = self.wear_histogram()
         if wear is not None:
             wear_registry = MetricsRegistry(enabled=True)
             wear_registry.register_metric(wear)
             parts.append(registry_to_prometheus(wear_registry, prefix=prefix))
-        for reg in self._device_registries:
-            text = registry_to_prometheus(reg, prefix=prefix + "device_extra_")
-            if text:
-                parts.append(text)
         return "".join(parts)
 
     def close(self) -> None:

@@ -16,7 +16,7 @@ import io
 import re
 from typing import Iterable, Sequence
 
-from repro.obs.metrics import CallbackMetric, Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import CallbackMetric, Histogram, MetricsRegistry
 
 __all__ = [
     "samples_to_csv",
@@ -126,7 +126,7 @@ def registry_to_prometheus(
             )
             out.write(f"{name}_sum{label_str} {_fmt(metric.sum)}\n")
             out.write(f"{name}_count{label_str} {metric.count}\n")
-        elif isinstance(metric, (Counter, Gauge, CallbackMetric)):
+        elif isinstance(metric, CallbackMetric):
             if name not in headered:
                 headered.add(name)
                 if metric.help:
@@ -140,8 +140,9 @@ def parse_prometheus(text: str) -> dict[str, float]:
     """Minimal parser for the text format (round-trip tests / tooling).
 
     Returns sample name (including any ``{labels}``) -> value; comment
-    and blank lines are skipped.  Raises ValueError on malformed lines,
-    which is what "the export parses cleanly" means in the tests.
+    and blank lines are skipped.  Raises ValueError on malformed lines
+    and on a repeated sample name (Prometheus rejects both), which is
+    what "the export parses cleanly" means in the tests.
     """
     out: dict[str, float] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -156,5 +157,7 @@ def parse_prometheus(text: str) -> dict[str, float]:
         base = name.split("{", 1)[0]
         if not base or _NAME_RE.search(base):
             raise ValueError(f"illegal metric name on line {lineno}: {name!r}")
+        if name in out:
+            raise ValueError(f"repeated sample on line {lineno}: {name!r}")
         out[name] = float(value)
     return out

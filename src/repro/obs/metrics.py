@@ -1,37 +1,26 @@
-"""Metrics registry: named counters, gauges and fixed-bucket histograms.
+"""Metrics registry: callback-read counters/gauges and fixed-bucket histograms.
 
-The registry replaces the untyped ``stats.extra`` dicts that used to be
-sprinkled through :mod:`repro.ftl.gc`, :mod:`repro.baselines.ipl` and
-:mod:`repro.ftl.noftl` with *registered* metrics — every metric has a
-name, a type and a help string, so exporters (Prometheus text, CSV) and
-reports can enumerate them without guessing.
+Every metric has a name, a type and a help string, so exporters
+(Prometheus text, CSV) and reports can enumerate them without guessing.
 
-Two design constraints drive the implementation:
+The registry owns no counter.  A counter is a plain number on the object
+where the event happens (``DeviceStats.merges``,
+``AdmissionController.waits``, ...), incremented in place and counted on
+every run; :meth:`MetricsRegistry.register_callback` exposes it to the
+exporters without touching its write site.  Only histograms keep their
+values here.
 
-* **Near-zero overhead when disabled.**  A disabled registry hands out a
-  shared :data:`NULL_METRIC` whose mutators are no-ops; instrumented hot
-  paths pay one attribute load and a bool test.
-* **The legacy dataclasses stay live views.**  A registry can be backed
-  by any mutable mapping as its scalar store.  :class:`DeviceStats`
-  (see :mod:`repro.flash.stats`) backs its registry with its own
-  ``extra`` dict, so ``stats.extra["merges"]`` and
-  ``stats.metrics.counter("merges").value`` are the *same* storage —
-  snapshot/diff/reset and every existing reader keep working unchanged.
-
-Existing first-class counters (``DeviceStats.host_writes``,
-``FlashStats.page_programs``, ...) stay plain dataclass ints on the hot
-path; :meth:`MetricsRegistry.register_callback` exposes them to the
-exporters as callback-backed metrics without touching their write sites.
+A disabled registry (:data:`NULL_REGISTRY`) registers nothing and hands
+out the shared :data:`NULL_METRIC`, whose ``observe`` is a no-op, so an
+un-observed run pays one call per histogram sample.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Iterator, MutableMapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "CallbackMetric",
     "MetricsRegistry",
@@ -46,58 +35,6 @@ DEFAULT_LATENCY_BUCKETS_US: tuple[float, ...] = (
     50.0, 100.0, 250.0, 500.0, 1_000.0, 2_500.0, 5_000.0,
     10_000.0, 25_000.0, 50_000.0, 100_000.0,
 )
-
-
-class Counter:
-    """Monotonic counter whose value lives in the registry's store."""
-
-    __slots__ = ("name", "help", "_store")
-    kind = "counter"
-    #: Store-backed scalars are label-free (their store key is the name).
-    labels = None
-
-    def __init__(self, name: str, help: str, store: MutableMapping) -> None:
-        self.name = name
-        self.help = help
-        self._store = store
-        store.setdefault(name, 0)
-
-    def inc(self, amount: float = 1) -> None:
-        """Add ``amount`` (must be >= 0) to the counter."""
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease")
-        self._store[self.name] = self._store.get(self.name, 0) + amount
-
-    @property
-    def value(self) -> float:
-        return self._store.get(self.name, 0)
-
-
-class Gauge:
-    """Point-in-time value (may go up or down)."""
-
-    __slots__ = ("name", "help", "_store")
-    kind = "gauge"
-    labels = None
-
-    def __init__(self, name: str, help: str, store: MutableMapping) -> None:
-        self.name = name
-        self.help = help
-        self._store = store
-        store.setdefault(name, 0)
-
-    def set(self, value: float) -> None:
-        self._store[self.name] = value
-
-    def inc(self, amount: float = 1) -> None:
-        self._store[self.name] = self._store.get(self.name, 0) + amount
-
-    def dec(self, amount: float = 1) -> None:
-        self.inc(-amount)
-
-    @property
-    def value(self) -> float:
-        return self._store.get(self.name, 0)
 
 
 class Histogram:
@@ -179,8 +116,9 @@ class Histogram:
 class CallbackMetric:
     """Read-only metric whose value is computed on collection.
 
-    Used to export existing dataclass counters (``DeviceStats``,
-    ``FlashStats``, clock breakdown) without touching their hot paths.
+    The one way a counter or gauge reaches the exporters: the number
+    lives on its owner (``DeviceStats``, ``FlashStats``, clock breakdown,
+    admission / replication counters), the callback reads it.
     """
 
     __slots__ = ("name", "help", "kind", "labels", "_fn")
@@ -207,7 +145,7 @@ class CallbackMetric:
 
 
 class _NullMetric:
-    """Shared no-op metric handed out by disabled registries."""
+    """Shared no-op histogram handed out by disabled registries."""
 
     __slots__ = ()
     kind = "null"
@@ -219,15 +157,6 @@ class _NullMetric:
     nan_count = 0
     bounds: tuple = ()
     labels = None
-
-    def inc(self, amount: float = 1) -> None:
-        pass
-
-    def dec(self, amount: float = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
 
     def observe(self, value: float) -> None:
         pass
@@ -248,44 +177,17 @@ class MetricsRegistry:
     """Get-or-create factory and catalogue for a family of metrics.
 
     Args:
-        enabled: When False every factory method returns
-            :data:`NULL_METRIC` (no registration, no-op mutators).
-        store: Mutable mapping backing counter/gauge scalars.  Passing an
-            existing dict (e.g. ``DeviceStats.extra``) makes that dict a
-            live view over the registry's values.
+        enabled: When False :meth:`histogram` returns :data:`NULL_METRIC`
+            and nothing is registered.
     """
 
-    def __init__(
-        self, enabled: bool = True, store: MutableMapping | None = None
-    ) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.store: MutableMapping = store if store is not None else {}
         self._metrics: dict[str, object] = {}
 
     # ------------------------------------------------------------------ #
-    # Factories (get-or-create; type clashes are programming errors)
+    # Registration (type and name clashes are programming errors)
     # ------------------------------------------------------------------ #
-
-    def _get_or_create(self, cls, name: str, help: str, **kwargs):
-        if not self.enabled:
-            return NULL_METRIC
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = cls(name, help, **kwargs)
-            self._metrics[name] = metric
-            return metric
-        if not isinstance(metric, cls):
-            raise TypeError(
-                f"metric {name!r} already registered as {metric.kind}, "
-                f"requested {cls.__name__.lower()}"
-            )
-        return metric
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_or_create(Counter, name, help, store=self.store)
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create(Gauge, name, help, store=self.store)
 
     def histogram(
         self,
@@ -293,7 +195,18 @@ class MetricsRegistry:
         help: str = "",
         bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS_US,
     ) -> Histogram:
-        return self._get_or_create(Histogram, name, help, bounds=bounds)
+        """Get-or-create the label-free histogram ``name``."""
+        if not self.enabled:
+            return NULL_METRIC  # type: ignore[return-value]
+        metric = self._metrics.get(name)
+        if metric is None:
+            metric = self._metrics[name] = Histogram(name, help, bounds=bounds)
+        elif not isinstance(metric, Histogram):
+            raise TypeError(
+                f"metric {name!r} already registered as {metric.kind}, "
+                "requested histogram"
+            )
+        return metric
 
     def register_callback(
         self,

@@ -1,49 +1,40 @@
-"""The single source of truth for named metric keys.
+"""The single source of truth for hand-written metric names.
 
 Lint rule **R3** (``python -m repro.lint``) enforces both directions of
 this contract:
 
-* every literal key passed to ``.counter(...)`` / ``.gauge(...)`` /
-  ``.histogram(...)`` or subscripted on ``stats.extra[...]`` anywhere
-  under ``src/repro`` must be declared here, and
-* every key declared here must be used by at least one such site.
+* every literal name passed to ``.histogram(...)`` or as the first
+  argument of ``.register_callback(...)`` anywhere under ``src/repro``
+  must be declared here, and
+* every name declared here must be used by at least one such site.
 
 PR 4 shipped three accounting bugs (wrong wear basis, zero-erase
 division, mis-scoped counters) that boiled down to counter keys drifting
-between writer and reader; a key can no longer be renamed, added or
+between writer and reader; a name can no longer be renamed, added or
 retired on one side only without the lint gate failing.
 
-Prefixed families created dynamically by ``Observation.create`` —
-``device_*`` / ``flash_*`` / ``manager_*`` / ``buffer_*`` callback
-gauges, ``clock_*_us``, the labeled per-channel ``channel_*`` family,
-the per-cause ``wa_*`` write-attribution counters, the ``wear_*``
-gauges and the labeled per-cause ``lba_lifetime_us`` members — are
-derived mechanically (dataclass fields, ``WRITE_CAUSES``, channel
-indexes), so they cannot drift by hand-editing a string and are out of
-R3's scope; only literal factory keys are in scope.
+Counters themselves are plain fields on their owners; these names are
+how the registry's callbacks export them.  Prefixed families created
+mechanically by ``Observation.create`` — ``device_*`` / ``flash_*`` /
+``manager_*`` / ``buffer_*`` callbacks over dataclass fields,
+``clock_*_us``, the per-cause ``wa_*`` write-attribution counters and the
+labeled per-cause ``lba_lifetime_us`` members — are built from field
+names, ``WRITE_CAUSES`` or clock categories, so they cannot drift by
+hand-editing a string and are out of R3's scope.
 """
 
 from __future__ import annotations
 
-#: key -> help text (mirrors the ``help=`` string at the counter site).
+#: name -> help text (mirrors the ``help=`` string at the metric site).
 KNOWN_METRIC_KEYS: dict[str, str] = {
-    # repro.ftl.gc.BlockManager
-    "wear_leveling_moves": "static wear-leveling victim picks",
-    "retired_blocks": "blocks retired after exceeding endurance",
-    "background_gc_migrations": (
-        "page migrations done by the incremental collector"
-    ),
-    "background_gc_erases": (
-        "victim erases completed by the incremental collector"
-    ),
-    "gc_emergency_syncs": "foreground ops that fell back to synchronous GC",
-    # repro.baselines.ipl.IplDevice
-    "log_sector_flushes": "log sectors partially programmed",
-    "merges": "block merges (IPL's GC)",
-    "log_page_reads": "log pages read for reconstruction/merge",
     # repro.obs.Observation
     "txn_latency_us": "simulated per-transaction latency",
     "lba_lifetime_us": "simulated LBA write-to-invalidate lifetime",
+    "wear_erase_count_max": "most-worn block's erase count",
+    "wear_erase_count_min": "least-worn block's erase count",
+    "channel_queue_depth": "in-flight array ops per channel",
+    "channel_busy_us": "array time scheduled per channel",
+    "channel_wait_us": "host stalls waiting per channel",
     # repro.service (per-shard registries)
     "service_txn_latency_us": "client-view latency: first attempt to completion",
     "service_queue_wait_us": "time a request spent queued before its batch started",

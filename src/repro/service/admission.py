@@ -11,8 +11,6 @@ from collections import deque
 from enum import Enum
 from typing import TYPE_CHECKING, Deque, List
 
-from repro.obs.metrics import NULL_METRIC, Counter
-
 if TYPE_CHECKING:
     from repro.service.session import Request
 
@@ -34,12 +32,11 @@ class AdmissionController:
         depth: Max queued requests (excluding any executing batch).
         policy: ``"shed"`` or ``"wait"`` — what :meth:`offer` returns
             when the queue is full.
-        sheds / waits / wait_us: Overload counters (registry metrics or
-            :data:`NULL_METRIC`); the controller owns incrementing the
-            first two, the scheduler credits ``wait_us`` when a parked
-            request is finally admitted.
 
-    Counter semantics (pinned by ``tests/service/test_admission.py``):
+    Overload counters ``sheds`` / ``waits`` / ``wait_us`` are plain
+    numbers, counted on every run: :meth:`offer` increments the first
+    two, :meth:`admit` credits ``wait_us`` when a parked request is
+    finally admitted.  Counter semantics (pinned by ``tests/service/test_admission.py``):
     ``waits`` counts *distinct parks* — the first ``WAIT`` a request
     receives marks it ``parked`` and further :meth:`offer` calls for the
     same request while the queue is still full return ``WAIT`` without
@@ -48,14 +45,7 @@ class AdmissionController:
     dropped, so each shed *is* a distinct client-visible event.
     """
 
-    def __init__(
-        self,
-        depth: int,
-        policy: str,
-        sheds: "Counter" = NULL_METRIC,  # type: ignore[assignment]
-        waits: "Counter" = NULL_METRIC,  # type: ignore[assignment]
-        wait_us: "Counter" = NULL_METRIC,  # type: ignore[assignment]
-    ) -> None:
+    def __init__(self, depth: int, policy: str) -> None:
         if depth < 1:
             raise ValueError("queue depth must be >= 1")
         if policy not in ("shed", "wait"):
@@ -63,9 +53,9 @@ class AdmissionController:
         self.depth = depth
         self.policy = policy
         self.queue: Deque["Request"] = deque()
-        self.sheds = sheds
-        self.waits = waits
-        self.wait_us = wait_us
+        self.sheds = 0
+        self.waits = 0
+        self.wait_us = 0.0
 
     def has_room(self) -> bool:
         return len(self.queue) < self.depth
@@ -86,11 +76,11 @@ class AdmissionController:
             self.queue.append(request)
             return AdmissionDecision.ADMITTED
         if self.policy == "shed":
-            self.sheds.inc()
+            self.sheds += 1
             return AdmissionDecision.SHED
         if not request.parked:
             request.parked = True
-            self.waits.inc()
+            self.waits += 1
         return AdmissionDecision.WAIT
 
     def admit(self, request: "Request", waited_us: float = 0.0) -> None:
@@ -101,8 +91,7 @@ class AdmissionController:
         """
         if not self.has_room():
             raise RuntimeError("admit() without a free slot")
-        if waited_us:
-            self.wait_us.inc(waited_us)
+        self.wait_us += waited_us
         request.parked = False
         self.queue.append(request)
 

@@ -59,8 +59,10 @@ class ServiceConfig:
         repl_latency_us: One-way primary→standby transport latency
             (simulated µs); the per-group ack delay is twice this plus
             the standby's apply time.
-        observe: Attach per-shard metrics (latency histograms, admission
-            counters).  Off = NULL registry, near-zero overhead.
+        observe: Attach the per-shard obs bundle and metrics registry
+            (latency histograms, callbacks exporting the counters).  Off =
+            NULL registry, near-zero overhead; the counters themselves,
+            and so every ``ShardReport``, are the same either way.
         seed: Master seed; shard-build and per-session RNG seeds are all
             derived from it via ``derive_seeds``.
     """

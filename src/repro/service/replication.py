@@ -22,7 +22,8 @@ device sees the identical eviction/veto schedule — after a crash-free
 run the standby's media digest equals the primary's (gated by
 ``tests/service/test_replication.py``).
 
-Lag accounting (primary-side registry, lint rule R3 keys):
+Lag accounting (the link's plain counters, exported through the
+primary's registry under lint rule R3 keys):
 
 * ``service_repl_groups_shipped`` / ``service_repl_groups_acked`` —
   groups sent / acknowledged (equal after every synchronous ship);
@@ -41,7 +42,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Dict, Sequence
 
-from repro.obs.metrics import NULL_METRIC, Counter, Gauge
 from repro.service.router import shard_of
 
 if TYPE_CHECKING:
@@ -68,30 +68,20 @@ class ReplicationLink:
             standby-side simulated apply duration in µs.
         latency_us: One-way transport latency (simulated µs); the ack
             delay of a ship is ``2 * latency_us + apply duration``.
-        shipped / acked / lag_us: Counters (registry metrics or
-            :data:`NULL_METRIC`).
-        lag_groups: Gauge of shipped-but-unacked groups.
+
+    ``groups_shipped`` / ``groups_acked`` / ``lag_us_total`` count on
+    every run; :class:`ShardReplica` exports them.
     """
 
     def __init__(
         self,
         apply_group: Callable[[Sequence], float],
         latency_us: float = 0.0,
-        shipped: "Counter" = NULL_METRIC,  # type: ignore[assignment]
-        acked: "Counter" = NULL_METRIC,  # type: ignore[assignment]
-        lag_us: "Counter" = NULL_METRIC,  # type: ignore[assignment]
-        lag_groups: "Gauge" = NULL_METRIC,  # type: ignore[assignment]
     ) -> None:
         if latency_us < 0:
             raise ValueError("latency_us must be >= 0")
         self.apply_group = apply_group
         self.latency_us = latency_us
-        self.shipped = shipped
-        self.acked = acked
-        self.lag_us = lag_us
-        self.lag_groups = lag_groups
-        #: Plain mirrors of the counters, kept even under NULL metrics
-        #: (the fault harness runs without a registry).
         self.groups_shipped = 0
         self.groups_acked = 0
         self.lag_us_total = 0.0
@@ -110,15 +100,10 @@ class ReplicationLink:
         replication).  The caller maps it onto its own timeline.
         """
         self.groups_shipped += 1
-        self.shipped.inc()
-        self.lag_groups.set(self.outstanding)
         apply_us = self.apply_group(group)
         delay_us = 2.0 * self.latency_us + apply_us
         self.groups_acked += 1
-        self.acked.inc()
         self.lag_us_total += delay_us
-        self.lag_us.inc(delay_us)
-        self.lag_groups.set(self.outstanding)
         return delay_us
 
 
@@ -163,25 +148,32 @@ class ShardReplica:
             for tenant in range(config.sessions)
             if shard_of(tenant, config.shards) == index
         }
-        self.link = ReplicationLink(
-            self._apply,
-            latency_us=config.repl_latency_us,
-            shipped=registry.counter(
-                "service_repl_groups_shipped",
-                help="WAL frame groups shipped to the standby",
-            ),
-            acked=registry.counter(
-                "service_repl_groups_acked",
-                help="WAL frame groups acknowledged by the standby",
-            ),
-            lag_us=registry.counter(
-                "service_repl_lag_us",
-                help="cumulative primary-commit-to-standby-ack lag",
-            ),
-            lag_groups=registry.gauge(
-                "service_repl_lag_groups",
-                help="groups shipped but not yet acknowledged",
-            ),
+        link = self.link = ReplicationLink(
+            self._apply, latency_us=config.repl_latency_us
+        )
+        registry.register_callback(
+            "service_repl_groups_shipped",
+            lambda: link.groups_shipped,
+            help="WAL frame groups shipped to the standby",
+            kind="counter",
+        )
+        registry.register_callback(
+            "service_repl_groups_acked",
+            lambda: link.groups_acked,
+            help="WAL frame groups acknowledged by the standby",
+            kind="counter",
+        )
+        registry.register_callback(
+            "service_repl_lag_us",
+            lambda: link.lag_us_total,
+            help="cumulative primary-commit-to-standby-ack lag",
+            kind="counter",
+        )
+        registry.register_callback(
+            "service_repl_lag_groups",
+            lambda: link.outstanding,
+            help="groups shipped but not yet acknowledged",
+            kind="gauge",
         )
 
     def _apply(self, group: Sequence[int]) -> float:

@@ -266,9 +266,9 @@ class ShardedService:
                     ),
                     txns_completed=completed,
                     txns_shed=shed,
-                    group_commits=len(shard.dispatch_log),
-                    admission_waits=int(shard.admission.waits.value),
-                    admission_wait_us=float(shard.admission.wait_us.value),
+                    group_commits=shard.group_commits,
+                    admission_waits=shard.admission.waits,
+                    admission_wait_us=shard.admission.wait_us,
                     p50_us=_percentile(shard.latencies_us, 0.50),
                     p99_us=_percentile(shard.latencies_us, 0.99),
                     sim_elapsed_us=shard.manager.clock.now_us,

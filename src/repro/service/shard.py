@@ -80,26 +80,39 @@ class Shard:
             help="time a request spent queued before its batch started",
             bounds=DEFAULT_LATENCY_BUCKETS_US,
         )
-        self.txns_completed = self.metrics.counter(
-            "service_txns_completed", help="transactions completed by this shard"
+        admission = self.admission = AdmissionController(
+            depth=config.queue_depth, policy=config.admission_policy
         )
-        self.group_commits = self.metrics.counter(
-            "service_group_commits", help="WAL commit groups flushed"
+        metrics = self.metrics
+        metrics.register_callback(
+            "service_txns_completed",
+            lambda: self.txns_completed,
+            help="transactions completed by this shard",
+            kind="counter",
         )
-        self.admission = AdmissionController(
-            depth=config.queue_depth,
-            policy=config.admission_policy,
-            sheds=self.metrics.counter(
-                "service_admission_sheds", help="requests rejected at admission"
-            ),
-            waits=self.metrics.counter(
-                "service_admission_waits",
-                help="distinct parks at admission (not retry attempts)",
-            ),
-            wait_us=self.metrics.counter(
-                "service_admission_wait_us",
-                help="total time parked requests waited for a queue slot",
-            ),
+        metrics.register_callback(
+            "service_group_commits",
+            lambda: self.group_commits,
+            help="WAL commit groups flushed",
+            kind="counter",
+        )
+        metrics.register_callback(
+            "service_admission_sheds",
+            lambda: admission.sheds,
+            help="requests rejected at admission",
+            kind="counter",
+        )
+        metrics.register_callback(
+            "service_admission_waits",
+            lambda: admission.waits,
+            help="distinct parks at admission (not retry attempts)",
+            kind="counter",
+        )
+        metrics.register_callback(
+            "service_admission_wait_us",
+            lambda: admission.wait_us,
+            help="total time parked requests waited for a queue slot",
+            kind="counter",
         )
         #: Dispatch log: tenant ids per executed batch, in order.  This
         #: is the replication seam — feeding these groups (plus the
@@ -119,6 +132,16 @@ class Shard:
     def attach_replica(self, replica: "ShardReplica") -> None:
         """Wire a standby: every future commit group is shipped to it."""
         self.replica = replica
+
+    @property
+    def group_commits(self) -> int:
+        """WAL commit groups flushed: one per executed batch."""
+        return len(self.dispatch_log)
+
+    @property
+    def txns_completed(self) -> int:
+        """Transactions completed by this shard."""
+        return sum(map(len, self.dispatch_log))
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -140,9 +163,7 @@ class Shard:
             session = request.session
             self.workload.transaction(self.db, session.rng)
         self.manager.end_wal_group()
-        self.group_commits.inc()
-        self.txns_completed.inc(len(requests))
-        group = [r.session.tenant for r in requests]
+        group =[r.session.tenant for r in requests]
         self.dispatch_log.append(group)
         duration_us = self.manager.clock.now_us - start_us
         if self.replica is not None:

@@ -131,7 +131,7 @@ class TestIplStore:
         # Each entry: 6 + 3 = 9 bytes; 8 of them > 64 => at least one flush.
         for i in range(8):
             store.log_update(0, [(20 + i, i)])
-        assert store.stats.extra["log_sector_flushes"] >= 1
+        assert store.stats.log_sector_flushes >= 1
         data = store.read_page(0)
         assert data[20:28] == bytes(range(8))
 
@@ -149,7 +149,7 @@ class TestIplStore:
         # 1 log page x 4 sectors; hammer updates until merge.
         for i in range(600):
             store.log_update(0, [(100 + (i % 200), i % 256)])
-        assert store.stats.extra["merges"] >= 1
+        assert store.stats.merges >= 1
         assert store.stats.gc_erases >= 1
 
     def test_read_correct_after_merge(self):
@@ -223,16 +223,14 @@ class TestIplPolicy:
         mgr.unpin(frame)
         mgr.flush_all()
         programs_before = mgr.device.chip.stats.page_programs
-        flushes_before = mgr.device.stats.extra["log_sector_flushes"]
+        flushes_before = mgr.device.stats.log_sector_flushes
         with mgr.update(0) as page:
             page.update(slot, 7, b"A")
         mgr.flush_all()
         # Eviction persists the log sector (durability), but no whole
         # data page is rewritten.
         assert mgr.device.chip.stats.page_programs == programs_before
-        assert (
-            mgr.device.stats.extra["log_sector_flushes"] == flushes_before + 1
-        )
+        assert mgr.device.stats.log_sector_flushes == flushes_before + 1
 
     def test_checksum_verified_after_log_reconstruction(self):
         mgr = self.make_manager(buffer_capacity=2)

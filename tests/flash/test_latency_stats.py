@@ -1,11 +1,15 @@
 """SimClock categories, latency model, stats snapshot/diff machinery."""
 
+from dataclasses import fields
+
 import pytest
 
+from repro.baselines.ipl import IplConfig, IplStore
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.latency import HostCostModel, LatencyModel, SimClock
 from repro.flash.stats import DeviceStats, FlashStats
+from repro.ftl.noftl import NoFtlDevice
 
 GEO = FlashGeometry(page_size=512, oob_size=64, pages_per_block=8, blocks=8)
 
@@ -83,46 +87,68 @@ class TestStats:
         assert stats.page_reads == 0
 
     def test_device_snapshot_diff_extra(self):
-        stats = DeviceStats(host_writes=3)
-        stats.extra["merges"] = 7
-        before = stats.snapshot()
-        stats.host_writes += 2
-        diff = stats.diff(before)
-        assert diff.host_writes == 2
-        before.extra["merges"] = 99
-        assert stats.extra["merges"] == 7  # copies are independent
+        """Every field of both stats classes is an interval counter.
+
+        Includes the backend-specific counters (merges / log_page_reads /
+        wear moves / background GC ...) that were once extra keys in an
+        untyped dict: snapshot, diff and reset cover each of them, and a
+        snapshot is an independent copy.
+        """
+        for cls in (DeviceStats, FlashStats):
+            names = [f.name for f in fields(cls)]
+            stats = cls(**{name: i + 1 for i, name in enumerate(names)})
+            before = stats.snapshot()
+            for i, name in enumerate(names):
+                setattr(stats, name, getattr(stats, name) + 10 * (i + 1))
+            diff = stats.diff(before)
+            assert [getattr(diff, n) for n in names] == [
+                10 * (i + 1) for i in range(len(names))
+            ]
+            assert [getattr(before, n) for n in names] == list(
+                range(1, len(names) + 1)
+            )  # the snapshot is independent
+            stats.reset()
+            assert all(getattr(stats, n) == 0 for n in names)
 
     def test_device_diff_subtracts_numeric_extra(self):
-        """Regression: interval diffs must subtract extra counters too.
+        """Regression: interval diffs subtract the backend counters too.
 
-        ``diff`` used to copy ``extra`` cumulatively, so every interval
-        after the first over-reported merges / log_page_reads / wear
-        moves.
+        ``diff`` once copied the extra counters cumulatively, so every
+        interval after the first over-reported merges / log_page_reads /
+        wear moves. Checked on counters produced by a live IPL store and
+        summed by a two-region NoFTL aggregate.
         """
-        stats = DeviceStats()
-        stats.extra.update({"merges": 7, "log_page_reads": 100, "note": "x"})
-        before = stats.snapshot()
-        stats.extra["merges"] = 10
-        stats.extra["log_page_reads"] = 130
-        stats.extra["new_key"] = 4  # appeared after the snapshot
-        diff = stats.diff(before)
-        assert diff.extra["merges"] == 3
-        assert diff.extra["log_page_reads"] == 30
-        assert diff.extra["new_key"] == 4  # baseline defaults to 0
-        assert diff.extra["note"] == "x"  # non-numeric: carried over
+        store = IplStore(
+            FlashChip(GEO), IplConfig(log_pages_per_block=1, sector_size=128)
+        )
+        store.first_write(0, b"\x00" * GEO.page_size)
+        for i in range(40):
+            store.log_update(0, [(i % 64, i)])
+        store.flush_log_for(0)
+        before = store.stats.snapshot()
+        for i in range(40, 80):
+            store.log_update(0, [(i % 64, i)])
+        store.flush_log_for(0)
+        store.read_page(0)
+        diff = store.stats.diff(before)
+        assert diff.merges >= 1
+        assert diff.log_sector_flushes >= 1
+        assert diff.log_page_reads >= 1
+        assert diff.merges == store.stats.merges - before.merges
 
-    def test_device_metrics_registry_shares_extra(self):
-        """stats.metrics counters and the extra dict are the same storage."""
-        stats = DeviceStats()
-        counter = stats.metrics.counter("merges")
-        counter.inc(3)
-        assert stats.extra["merges"] == 3
-        stats.extra["merges"] += 2
-        assert counter.value == 5
-        stats.reset()
-        assert counter.value == 0  # cleared in place; binding stays live
-        counter.inc()
-        assert stats.extra["merges"] == 1
+        device = NoFtlDevice(FlashChip(GEO))
+        a = device.create_region("a", blocks=4)
+        b = device.create_region("b", blocks=4)
+        names = [f.name for f in fields(DeviceStats)]
+        for i, name in enumerate(names):
+            setattr(a.stats, name, i + 1)
+            setattr(b.stats, name, 100 * (i + 1))
+        total = device.stats
+        assert [getattr(total, n) for n in names] == [
+            101 * (i + 1) for i in range(len(names))
+        ]
+        b.stats.merges += 5
+        assert device.stats.diff(total).merges == 5
 
     def test_device_ratios_guard_zero(self):
         stats = DeviceStats()
@@ -134,8 +160,7 @@ class TestStats:
         assert stats.total_host_write_ops == 15
 
     def test_device_reset(self):
-        stats = DeviceStats(host_writes=3)
-        stats.extra["x"] = 1
+        stats = DeviceStats(host_writes=3, merges=1)
         stats.reset()
         assert stats.host_writes == 0
-        assert stats.extra == {}
+        assert stats.merges == 0

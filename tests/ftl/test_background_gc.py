@@ -51,22 +51,20 @@ class TestBackgroundCollector:
         # must migrate (a narrow hot set yields all-invalid victims and
         # erase-only GC — no migrations to count).
         churn(ftl, lbas=ftl.logical_pages)
-        metrics = ftl._blocks.stats.metrics
-        assert metrics.counter("background_gc_migrations").value > 0
-        assert metrics.counter("background_gc_erases").value > 0
+        assert ftl.stats.background_gc_migrations > 0
+        assert ftl.stats.background_gc_erases > 0
 
     def test_budget_bounds_migrations_per_allocation(self):
         budget = 2
         ftl = make_ftl(gc_migration_budget=budget)
-        manager = ftl._blocks
-        migrations = manager.stats.metrics.counter("background_gc_migrations")
-        emergencies = manager.stats.metrics.counter("gc_emergency_syncs")
-        last, last_emergency = migrations.value, emergencies.value
+        stats = ftl.stats
+        last, last_emergency = 0, 0
         span = ftl.logical_pages
         bounded_steps = 0
         for i in range(900):
             ftl.write_page((i * 7) % span, bytes([i % 256]) * 16)
-            now, now_emergency = migrations.value, emergencies.value
+            now = stats.background_gc_migrations
+            now_emergency = stats.gc_emergency_syncs
             if now_emergency == last_emergency:
                 # Budget only caps the incremental path; an emergency
                 # sync legitimately drains the victim past it.
@@ -81,8 +79,7 @@ class TestBackgroundCollector:
         # must finish the job rather than dying of exhaustion.
         ftl = make_ftl(gc_migration_budget=1)
         shadow = churn(ftl, writes=1200, lbas=ftl.logical_pages)
-        manager = ftl._blocks
-        assert manager.stats.metrics.counter("gc_emergency_syncs").value > 0
+        assert ftl.stats.gc_emergency_syncs > 0
         for lba, payload in shadow.items():
             assert ftl.read_page(lba)[:16] == payload
 
@@ -108,9 +105,7 @@ class TestBackgroundCollector:
         shadow = churn(ftl)
         for lba, payload in shadow.items():
             assert ftl.read_page(lba)[:16] == payload
-        assert (
-            ftl._blocks.stats.metrics.counter("background_gc_erases").value > 0
-        )
+        assert ftl.stats.background_gc_erases > 0
 
     def test_rebuild_resets_partial_victim(self):
         ftl = make_ftl()

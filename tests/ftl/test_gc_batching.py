@@ -132,13 +132,13 @@ def test_background_collector_batches_within_its_budget(budget):
     copies = 0
     for _ in range(1500):
         lba = rng.randrange(lbas)
-        emergencies = ftl.stats.extra["gc_emergency_syncs"]
+        emergencies = ftl.stats.gc_emergency_syncs
         ftl.write_page(lba, lba.to_bytes(4, "little"))
         events = chip.take()
         assert events.pop()[0] == "program"
         assert {kind for kind, _ in events} <= {"batch", "erase"}
         moved = sum(len(rows) for kind, rows in events if kind == "batch")
-        if ftl.stats.extra["gc_emergency_syncs"] == emergencies:
+        if ftl.stats.gc_emergency_syncs == emergencies:
             assert moved <= budget
             # One batch per step on a victim; a step that drains one
             # victim may go on to open the next.
@@ -148,7 +148,7 @@ def test_background_collector_batches_within_its_budget(budget):
         copies += moved
     assert copies == ftl.stats.gc_page_migrations > 200
     # An emergency reclaim's copies are foreground ones.
-    assert 200 < ftl.stats.extra["background_gc_migrations"] <= copies
+    assert 200 < ftl.stats.background_gc_migrations <= copies
 
 
 @pytest.mark.parametrize("channels", [1, 4], ids=["chip", "4-channel-device"])

@@ -26,7 +26,7 @@ class TestBadBlockRetirement:
                 chip.erase_block(block_id)
         ftl = PageMappingFtl(chip, over_provisioning=0.25)
         hammer(ftl, 8)
-        retired = ftl.stats.extra.get("retired_blocks", 0)
+        retired = ftl.stats.retired_blocks
         assert retired >= 1
         # Data still intact despite retirements.
         for lba in range(ftl.logical_pages):
@@ -41,4 +41,4 @@ class TestBadBlockRetirement:
     def test_no_retirement_without_endurance_limit(self):
         ftl = PageMappingFtl(FlashChip(GEO), over_provisioning=0.25)
         hammer(ftl, 12)
-        assert ftl.stats.extra.get("retired_blocks", 0) == 0
+        assert ftl.stats.retired_blocks == 0

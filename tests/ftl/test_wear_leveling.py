@@ -35,7 +35,7 @@ class TestWearLeveling:
         gap_none = max(counts_none) - min(counts_none)
         gap_wl = max(counts_wl) - min(counts_wl)
         assert gap_wl < gap_none
-        assert ftl_wl.stats.extra.get("wear_leveling_moves", 0) > 0
+        assert ftl_wl.stats.wear_leveling_moves > 0
 
     def test_wl_preserves_data(self):
         ftl, _counts = run_skewed(wear_leveling_gap=8)

@@ -1778,7 +1778,7 @@ class ParentBlockManager(BlockManager):
                 self._bg_cursor += 1
                 if self._migrate_page(victim, page_offset):
                     budget -= 1
-                    self._m_bg_migrations.inc()
+                    self.stats.background_gc_migrations += 1
             if self._bg_cursor < len(offsets):
                 return  # budget exhausted mid-victim; resume next op
             self._finish_bg_victim()
@@ -1793,7 +1793,7 @@ class ParentBlockManager(BlockManager):
             page_offset = offsets[self._bg_cursor]
             self._bg_cursor += 1
             if self._migrate_page(victim, page_offset):
-                self._m_bg_migrations.inc()
+                self.stats.background_gc_migrations += 1
         self._bg_victim = None
         self._bg_cursor = 0
         tr = self.tracer
@@ -2091,7 +2091,7 @@ class TestGarbageCollectorAgainstParent:
             # Delta slots in use travelled with relocated pages.
             assert any(live[2][0].appends_done.values())
         if gc_mode != "foreground":
-            assert stats.extra["background_gc_migrations"] > 100
+            assert stats.background_gc_migrations > 100
         if channels > 1:
             assert live[1].clock.breakdown_us["channel_wait"] > 0
 
@@ -2102,7 +2102,7 @@ class TestGarbageCollectorAgainstParent:
         live, _ref, _ = _gc_lockstep(
             "page-mapping", channels, options, ledger=True, ops=2500
         )
-        assert live[0].stats.extra["wear_leveling_moves"] > 5
+        assert live[0].stats.wear_leveling_moves > 5
         assert live[3].by_cause["wear_leveling"].programs > 5
 
     @pytest.mark.parametrize("gc_mode", sorted(GC_MODES))
@@ -2198,7 +2198,7 @@ class TestGarbageCollectorAgainstParent:
             stop_at=None if foreground else DeviceFullError,
         )
         device, chip, (manager,), _book = live
-        assert device.stats.extra["retired_blocks"] >= 8
+        assert device.stats.retired_blocks >= 8
         # Senses that moved nothing: one per relocation that ran dry.
         orphans = chip.stats.page_reads - (
             device.stats.host_reads + device.stats.gc_page_migrations

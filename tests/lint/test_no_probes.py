@@ -3,7 +3,7 @@
 Every layer of a built stack names its own parts — a chip and a
 multi-channel device answer the same stack protocol (``chips``,
 ``channels``, ``attach``, ``sync``, ``quiesce``, ``power_loss``), every
-backend answers ``attach``, ``free_blocks`` and ``extra_metrics`` — so
+backend answers ``attach``, ``free_blocks`` and ``stats`` — so
 nothing under ``src/repro`` asks an object whether it has an attribute.
 This test lists every ``hasattr(...)`` and every ``getattr(x, "<literal>",
 ...)`` outside ``repro.lint`` (whose AST walkers inspect foreign node

@@ -1,4 +1,4 @@
-"""Metrics registry semantics: counters, gauges, histograms, null path."""
+"""Metrics registry semantics: callbacks, histograms, null path."""
 
 import pytest
 
@@ -11,52 +11,20 @@ from repro.obs.metrics import (
 )
 
 
-class TestCounter:
-    def test_inc_and_value(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("writes")
-        assert counter.value == 0
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-
+class TestHistogram:
     def test_same_name_same_metric(self):
         registry = MetricsRegistry()
-        a = registry.counter("x")
-        b = registry.counter("x")
-        a.inc()
-        assert b.value == 1
-
-    def test_negative_inc_rejected(self):
-        counter = MetricsRegistry().counter("x")
-        with pytest.raises(ValueError):
-            counter.inc(-1)
+        a = registry.histogram("x")
+        b = registry.histogram("x")
+        a.observe(1)
+        assert b is a and b.count == 1
 
     def test_kind_conflict_rejected(self):
         registry = MetricsRegistry()
-        registry.counter("x")
+        registry.register_callback("x", lambda: 0, kind="counter")
         with pytest.raises(TypeError):
-            registry.gauge("x")
+            registry.histogram("x")
 
-    def test_shared_store(self):
-        store: dict = {}
-        registry = MetricsRegistry(store=store)
-        registry.counter("ops").inc(2)
-        assert store["ops"] == 2
-        store["ops"] = 9
-        assert registry.counter("ops").value == 9
-
-
-class TestGauge:
-    def test_set_inc_dec(self):
-        gauge = MetricsRegistry().gauge("depth")
-        gauge.set(10)
-        gauge.inc(5)
-        gauge.dec(2)
-        assert gauge.value == 13
-
-
-class TestHistogram:
     def test_bucketing(self):
         hist = MetricsRegistry().histogram("lat", bounds=(10, 100, 1000))
         for value in (5, 9, 50, 500, 5000, 10):
@@ -171,29 +139,26 @@ class TestLabels:
 
 class TestDisabledRegistry:
     def test_factories_return_null_metric(self):
-        assert NULL_REGISTRY.counter("a") is NULL_METRIC
-        assert NULL_REGISTRY.gauge("b") is NULL_METRIC
         assert NULL_REGISTRY.histogram("c") is NULL_METRIC
+        assert NULL_REGISTRY.register_callback("a", lambda: 1) is NULL_METRIC
 
     def test_null_metric_absorbs_everything(self):
-        NULL_METRIC.inc()
-        NULL_METRIC.inc(5)
-        NULL_METRIC.dec()
-        NULL_METRIC.set(3)
         NULL_METRIC.observe(1.5)
         assert NULL_METRIC.value == 0
+        assert NULL_METRIC.count == 0
 
     def test_disabled_registry_collects_nothing(self):
-        NULL_REGISTRY.counter("a").inc(5)
+        NULL_REGISTRY.histogram("a").observe(5)
+        NULL_REGISTRY.register_callback("b", lambda: 5, kind="counter")
         assert list(NULL_REGISTRY.collect()) == []
 
     def test_as_dict(self):
         registry = MetricsRegistry()
-        registry.counter("a").inc(2)
-        registry.gauge("g").set(7)
+        registry.register_callback("a", lambda: 2, kind="counter")
+        registry.histogram("h").observe(7)
         out = registry.as_dict()
         assert out["a"] == 2
-        assert out["g"] == 7
+        assert out["h"] == 1  # histograms tabulate their count
 
 
 class TestHistogramNaN:

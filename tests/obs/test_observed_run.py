@@ -6,6 +6,8 @@ inline GC erases to a transaction-bearing host write, the sampler must
 produce a dense time series, and both exporters must round-trip.
 """
 
+from dataclasses import fields
+
 import pytest
 
 from repro.bench.harness import (
@@ -14,9 +16,15 @@ from repro.bench.harness import (
     ObservedResult,
     run_experiment,
 )
-from repro.obs import ObserveConfig
+from repro.core.config import IPA_DISABLED
+from repro.flash.chip import FlashChip
+from repro.flash.geometry import FlashGeometry
+from repro.flash.stats import DeviceStats
+from repro.ftl.noftl import NoFtlDevice
+from repro.obs import Observation, ObserveConfig
 from repro.obs.export import parse_prometheus
 from repro.obs.trace import load_jsonl
+from repro.storage.manager import StorageManager, TraditionalPolicy
 from repro.workloads.tpcb import TpcbWorkload
 
 
@@ -104,6 +112,41 @@ class TestObservedRun:
         hist = result.observation.txn_latency
         assert hist.count == 1500
         assert hist.quantile(0.5) > 0
+
+
+class TestDeviceCounterExport:
+    def test_two_region_noftl_exports_each_counter_once(self):
+        # Per-region registries used to export every device counter once
+        # per region under one unlabeled name — a scrape Prometheus
+        # rejects.  The aggregate exports each counter once, summed.
+        chip = FlashChip(
+            FlashGeometry(
+                page_size=4096, oob_size=128, pages_per_block=16, blocks=32
+            )
+        )
+        device = NoFtlDevice(chip, background_gc=True)
+        hot = device.create_region("hot", blocks=16)
+        cold = device.create_region("cold", blocks=16)
+        manager = StorageManager(
+            device, IPA_DISABLED, TraditionalPolicy(), buffer_capacity=4
+        )
+        obs = Observation.create(manager)
+        page = bytes(chip.geometry.page_size)
+        for i in range(6 * device.logical_pages):
+            region = hot if i % 2 else cold
+            device.write_page(region.lba_base + i % 50, page)
+        assert hot.stats.background_gc_erases > 0
+        assert cold.stats.background_gc_erases > 0
+
+        text = obs.export_prometheus()
+        parsed = parse_prometheus(text)  # raises on a repeated series
+        assert "device_extra" not in text
+        for f in fields(DeviceStats):
+            name = f"repro_device_{f.name}"
+            assert text.count(f"# TYPE {name} ") == 1
+            assert parsed[name] == getattr(hot.stats, f.name) + getattr(
+                cold.stats, f.name
+            )
 
 
 class TestUnobservedRun:

@@ -125,8 +125,12 @@ class TestCsv:
 class TestPrometheus:
     def build_registry(self):
         registry = MetricsRegistry()
-        registry.counter("host_writes", help="pages written").inc(12)
-        registry.gauge("free_blocks", help="pool depth").set(5)
+        registry.register_callback(
+            "host_writes", lambda: 12, help="pages written", kind="counter"
+        )
+        registry.register_callback(
+            "free_blocks", lambda: 5, help="pool depth", kind="gauge"
+        )
         hist = registry.histogram("lat_us", help="latency",
                                   bounds=(10.0, 100.0))
         for value in (5, 50, 5000):
@@ -158,7 +162,7 @@ class TestPrometheus:
 
     def test_name_sanitization(self):
         registry = MetricsRegistry()
-        registry.counter("region:a.b-c").inc()
+        registry.register_callback("region:a.b-c", lambda: 1, kind="counter")
         text = registry_to_prometheus(registry)
         assert "repro_region:a_b_c 1" in text
         parse_prometheus(text)  # sanitized names must stay legal
@@ -168,6 +172,13 @@ class TestPrometheus:
             parse_prometheus("justonetoken")
         with pytest.raises(ValueError):
             parse_prometheus("bad name! 1")
+
+    def test_repeated_sample_raises(self):
+        # Prometheus rejects a scrape that repeats a series; a parser
+        # that let the later value win would hide such an export.
+        parse_prometheus('a 1\na{c="0"} 2\na{c="1"} 3\n')
+        with pytest.raises(ValueError, match="repeated"):
+            parse_prometheus("a 1\nb 2\na 1\n")
 
     def test_disabled_registry_exports_nothing(self):
         from repro.obs.metrics import NULL_REGISTRY

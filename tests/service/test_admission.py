@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
 from repro.service import AdmissionController, AdmissionDecision
 from repro.service.session import Request, Session
 
@@ -17,52 +16,44 @@ def make_request(tenant=0):
 
 
 def make_controller(depth=2, policy="shed"):
-    registry = MetricsRegistry()
-    ctrl = AdmissionController(
-        depth=depth,
-        policy=policy,
-        sheds=registry.counter("service_admission_sheds"),
-        waits=registry.counter("service_admission_waits"),
-        wait_us=registry.counter("service_admission_wait_us"),
-    )
-    return ctrl, registry
+    return AdmissionController(depth=depth, policy=policy)
 
 
 class TestAdmission:
     def test_admits_until_full(self):
-        ctrl, _ = make_controller(depth=2)
+        ctrl = make_controller(depth=2)
         assert ctrl.offer(make_request()) is AdmissionDecision.ADMITTED
         assert ctrl.offer(make_request()) is AdmissionDecision.ADMITTED
         assert len(ctrl) == 2
         assert not ctrl.has_room()
 
     def test_shed_policy_rejects_and_counts(self):
-        ctrl, _ = make_controller(depth=1, policy="shed")
+        ctrl = make_controller(depth=1, policy="shed")
         ctrl.offer(make_request())
         assert ctrl.offer(make_request()) is AdmissionDecision.SHED
-        assert ctrl.sheds.value == 1
+        assert ctrl.sheds == 1
         assert len(ctrl) == 1  # the shed request was not queued
 
     def test_wait_policy_parks_and_counts(self):
-        ctrl, _ = make_controller(depth=1, policy="wait")
+        ctrl = make_controller(depth=1, policy="wait")
         ctrl.offer(make_request())
         assert ctrl.offer(make_request()) is AdmissionDecision.WAIT
-        assert ctrl.waits.value == 1
+        assert ctrl.waits == 1
         assert len(ctrl) == 1
 
     def test_waits_count_distinct_parks_not_retry_attempts(self):
         # Pinned semantics (PR 9 audit): one parked request re-offered
         # N times is one wait, however long it spins.
-        ctrl, _ = make_controller(depth=1, policy="wait")
+        ctrl = make_controller(depth=1, policy="wait")
         ctrl.offer(make_request())
         parked = make_request()
         for _ in range(5):
             assert ctrl.offer(parked) is AdmissionDecision.WAIT
         assert parked.parked is True
-        assert ctrl.waits.value == 1
+        assert ctrl.waits == 1
 
     def test_admit_clears_park_so_a_later_park_counts_again(self):
-        ctrl, _ = make_controller(depth=1, policy="wait")
+        ctrl = make_controller(depth=1, policy="wait")
         blocker = make_request()
         ctrl.offer(blocker)
         parked = make_request()
@@ -70,26 +61,26 @@ class TestAdmission:
         ctrl.take(1)
         ctrl.admit(parked, waited_us=10.0)
         assert parked.parked is False
-        assert ctrl.waits.value == 1
+        assert ctrl.waits == 1
         # The same request parks again behind a new blocker: a second
         # distinct park, a second count.
         ctrl.take(1)
         ctrl.offer(make_request())
         assert ctrl.offer(parked) is AdmissionDecision.WAIT
-        assert ctrl.waits.value == 2
+        assert ctrl.waits == 2
 
     def test_sheds_count_every_rejection(self):
         # Contrast with waits: shed has no park state, so every retry
         # of an unlucky request increments the counter.
-        ctrl, _ = make_controller(depth=1, policy="shed")
+        ctrl = make_controller(depth=1, policy="shed")
         ctrl.offer(make_request())
         unlucky = make_request()
         for _ in range(3):
             assert ctrl.offer(unlucky) is AdmissionDecision.SHED
-        assert ctrl.sheds.value == 3
+        assert ctrl.sheds == 3
 
     def test_take_is_fifo(self):
-        ctrl, _ = make_controller(depth=3)
+        ctrl = make_controller(depth=3)
         for tenant in (3, 1, 2):
             ctrl.offer(make_request(tenant))
         batch = ctrl.take(2)
@@ -97,12 +88,12 @@ class TestAdmission:
         assert len(ctrl) == 1
 
     def test_admit_credits_wait_time(self):
-        ctrl, _ = make_controller(depth=1)
+        ctrl = make_controller(depth=1)
         ctrl.admit(make_request(), waited_us=123.5)
-        assert ctrl.wait_us.value == 123.5
+        assert ctrl.wait_us == 123.5
 
     def test_admit_without_room_rejected(self):
-        ctrl, _ = make_controller(depth=1)
+        ctrl = make_controller(depth=1)
         ctrl.offer(make_request())
         with pytest.raises(RuntimeError):
             ctrl.admit(make_request())

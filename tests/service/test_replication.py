@@ -19,7 +19,6 @@ import pytest
 from repro.flash import media_digest
 from repro.flash.device import FlashDevice
 from repro.flash.geometry import FlashGeometry
-from repro.obs.metrics import MetricsRegistry
 from repro.service import (
     ReplicationLink,
     ServiceConfig,
@@ -143,21 +142,27 @@ class TestReplicationLink:
         assert link.lag_us_total == pytest.approx(27.0)
 
     def test_counters_wired_to_registry(self):
-        registry = MetricsRegistry()
-        link = ReplicationLink(
-            lambda group: 1.0,
-            latency_us=2.0,
-            shipped=registry.counter("service_repl_groups_shipped"),
-            acked=registry.counter("service_repl_groups_acked"),
-            lag_us=registry.counter("service_repl_lag_us"),
-            lag_groups=registry.gauge("service_repl_lag_groups"),
-        )
+        # The link counts with no registry at all ...
+        link = ReplicationLink(lambda group: 1.0, latency_us=2.0)
         link.ship([0])
         link.ship([1])
-        assert registry.get("service_repl_groups_shipped").value == 2
-        assert registry.get("service_repl_groups_acked").value == 2
-        assert registry.get("service_repl_lag_us").value == pytest.approx(10.0)
-        assert registry.get("service_repl_lag_groups").value == 0
+        assert (link.groups_shipped, link.groups_acked) == (2, 2)
+        assert link.lag_us_total == pytest.approx(10.0)
+        assert link.outstanding == 0
+        # ... and an observed primary's registry reads those same numbers.
+        service = ShardedService(tiny_config(replication=True, observe=True))
+        service.run()
+        for shard in service.shards:
+            link = shard.replica.link
+            registry = shard.metrics
+            assert registry.get("service_repl_groups_shipped").value == (
+                link.groups_shipped
+            )
+            assert registry.get("service_repl_groups_acked").value == (
+                link.groups_acked
+            )
+            assert registry.get("service_repl_lag_us").value == link.lag_us_total
+            assert registry.get("service_repl_lag_groups").value == 0
 
 
 class TestMultiChannelDigest:

@@ -10,10 +10,15 @@ from repro.service import (
     shard_of,
 )
 from repro.workloads.tpcb import TpcbWorkload
+from repro.workloads.ycsb import YcsbWorkload
 
 
 def tiny_workload():
     return TpcbWorkload(scale=1, accounts_per_branch=200, history_pages=32)
+
+
+def small_ycsb_a():
+    return YcsbWorkload(records=500, mix="a", zipfian=True)
 
 
 def tiny_config(**kwargs):
@@ -132,7 +137,7 @@ class TestAdmissionUnderOverload:
         result = service.run()
         shard = service.shards[0]
         assert result.txns_shed > 0
-        assert shard.admission.sheds.value == result.txns_shed
+        assert shard.admission.sheds == result.txns_shed
         assert shard.metrics.get("service_admission_sheds") is not None
 
     def test_wait_policy_completes_everything(self):
@@ -159,7 +164,7 @@ class TestObsWiring:
             completed = sum(len(g) for g in shard.dispatch_log)
             assert shard.txn_latency.count == completed
             assert shard.queue_wait.count == completed
-            assert shard.txns_completed.value == completed
+            assert shard.txns_completed == completed
             assert len(shard.latencies_us) == completed
 
     def test_ledger_attributes_shard_writes(self):
@@ -178,12 +183,32 @@ class TestObsWiring:
         assert service.shards[0].observation is None
         assert result.txns_completed > 0
 
+    def test_reports_do_not_depend_on_observe(self):
+        # Overload counters count whether or not the run is observed; an
+        # un-observed run (the benchmark's setting) used to report zero
+        # admission waits.
+        kwargs = dict(
+            workload_factory=small_ycsb_a,
+            shards=1,
+            sessions=8,
+            txns_per_session=20,
+            queue_depth=1,
+            admission_policy="wait",
+            group_commit_size=1,
+            think_time_us=0,
+            seed=3,
+        )
+        observed = run_service(ServiceConfig(observe=True, **kwargs))
+        dark = run_service(ServiceConfig(observe=False, **kwargs))
+        assert observed.shard_reports[0].admission_waits == 159
+        assert dark.shard_reports == observed.shard_reports
+
     def test_group_commits_counted(self):
         config = tiny_config()
         service = ShardedService(config)
         service.run()
         for shard in service.shards:
-            assert shard.group_commits.value == len(shard.dispatch_log)
+            assert shard.group_commits == len(shard.dispatch_log)
             assert (
                 shard.manager.wal.stats.group_flushes
                 == len(shard.dispatch_log)

@@ -60,7 +60,7 @@ class TestReplay:
     def test_ipl_replay_logs(self):
         trace = small_trace()
         result = replay_on_ipl(trace)
-        assert result.device_stats.extra["log_sector_flushes"] > 0
+        assert result.device_stats.log_sector_flushes > 0
 
     def test_ipa_beats_ipl_on_writes(self):
         trace = small_trace(800)
