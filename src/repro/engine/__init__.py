@@ -10,7 +10,15 @@ field offsets, small in-place writes.
 """
 
 from repro.engine.database import Database, Table
-from repro.engine.schema import Column, ColumnType, Schema
+from repro.engine.schema import Column, ColumnType, Row, Schema
 from repro.engine.transaction import Transaction
 
-__all__ = ["Column", "ColumnType", "Database", "Schema", "Table", "Transaction"]
+__all__ = [
+    "Column",
+    "ColumnType",
+    "Database",
+    "Row",
+    "Schema",
+    "Table",
+    "Transaction",
+]

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any, Iterator, Mapping
 
 from repro.engine.index import HashIndex
-from repro.engine.schema import Schema
+from repro.engine.schema import Row, Schema
 from repro.engine.transaction import Transaction, TransactionStats
 from repro.storage.heap import HeapFile, RID
 from repro.storage.manager import StorageManager
@@ -73,8 +73,12 @@ class Table:
             index.insert(values[column], rid)
         return rid
 
-    def get(self, pk: Any) -> dict[str, Any]:
-        """Point lookup by primary key."""
+    def get(self, pk: Any) -> Row:
+        """Point lookup by primary key.
+
+        The row is a read-only mapping whose CHAR columns decode when
+        read; ``dict(row)`` gives a mutable copy.
+        """
         if self.pk_index is None:
             raise RuntimeError(f"table {self.name} has no primary key")
         rid = self.pk_index.get(pk)
@@ -86,7 +90,7 @@ class Table:
             raise RuntimeError(f"table {self.name} has no primary key")
         return self.pk_index.get(pk)
 
-    def read_row(self, rid: RID) -> dict[str, Any]:
+    def read_row(self, rid: RID) -> Row:
         """Decode the row at an RID."""
         return self.schema.decode(self.heap.read(rid))
 
@@ -133,19 +137,19 @@ class Table:
         assert self.pk_index is not None
         self.pk_index.delete(pk)
 
-    def find_by(self, column: str, value: int) -> list:
+    def find_by(self, column: str, value: int) -> list[Row]:
         """Rows whose indexed ``column`` equals ``value``."""
         index = self.secondary[column]
         return [self.read_row(rid) for rid in index.lookup(value)]
 
-    def find_range(self, column: str, low: int, high: int) -> list:
+    def find_range(self, column: str, low: int, high: int) -> list[Row]:
         """Rows whose indexed ``column`` is within [low, high]."""
         index = self.secondary[column]
         return [
             self.read_row(rid) for _value, rid in index.range(low, high)
         ]
 
-    def scan(self) -> Iterator[dict[str, Any]]:
+    def scan(self) -> Iterator[Row]:
         """Full-table scan."""
         for _rid, record in self.heap.scan():
             yield self.schema.decode(record)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import enum
 import struct
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Mapping
+from typing import Any
 
 
 class ColumnType(enum.Enum):
@@ -64,15 +65,17 @@ class Column:
         codec = self._codec
         if codec is not None:
             return codec.pack(value)
-        if isinstance(value, str):
-            raw = value.encode("ascii")
-        elif isinstance(value, (bytes, bytearray)):
-            raw = bytes(value)
-        else:
+        if not isinstance(value, (str, bytes, bytearray)):
             raise TypeError(
                 f"CHAR column '{self.name}' takes str or bytes, "
                 f"got {type(value).__name__}"
             )
+        if not value.isascii():
+            # Stored, these bytes could never be decoded again.
+            raise ValueError(
+                f"CHAR column '{self.name}' takes ASCII only, got {value!r}"
+            )
+        raw = value.encode("ascii") if isinstance(value, str) else bytes(value)
         if len(raw) > self.size:
             raise ValueError(
                 f"value of {len(raw)} bytes exceeds CHAR({self.size}) "
@@ -86,6 +89,47 @@ class Column:
         if codec is not None:
             return codec.unpack(raw)[0]
         return raw.rstrip(b" ").decode("ascii")
+
+
+class Row(Mapping[str, Any]):
+    """One decoded record: a read-only mapping of column name to value.
+
+    A row holds the record's single ``struct`` unpack.  INT and FLOAT
+    values come straight from it; a CHAR value is space-stripped and
+    ASCII-decoded each time its column is read, so a read that uses one
+    column, or none, pays for no other.  ``dict(row)`` is a mutable copy.
+
+    A row of any record written through :meth:`Schema.encode` or
+    :meth:`Schema.encode_field` never raises on access (CHAR columns take
+    ASCII only).  A record forged below the schema, with non-ASCII bytes
+    in a CHAR column, raises ``UnicodeDecodeError`` (a ``ValueError``)
+    when that column is read.
+    """
+
+    __slots__ = ("_fields", "_positions")
+
+    def __init__(
+        self, fields: tuple[Any, ...], positions: dict[str, tuple[int, bool]]
+    ) -> None:
+        self._fields = fields
+        self._positions = positions  # name -> (field index, is CHAR)
+
+    def __getitem__(self, name: str) -> Any:
+        index, is_char = self._positions[name]
+        value = self._fields[index]
+        return value.rstrip(b" ").decode("ascii") if is_char else value
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._positions
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._positions)
+
+    def __len__(self) -> int:
+        return len(self._positions)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 class Schema:
@@ -107,8 +151,8 @@ class Schema:
         self.record_size = offset
         # One codec for the whole record.  CHAR columns are raw bytes to
         # it ("Ns" would pad with NUL and silently truncate, so they are
-        # space-padded and length-checked by Column.encode before packing
-        # and stripped after unpacking).
+        # space-padded and length-checked by Column.encode before packing,
+        # and stripped by the Row when read).
         self._record = struct.Struct(
             "<"
             + "".join(
@@ -119,6 +163,9 @@ class Schema:
         self._char_columns = tuple(
             (i, c) for i, c in enumerate(self.columns) if c._codec is None
         )
+        self._positions = {
+            c.name: (i, c._codec is None) for i, c in enumerate(self.columns)
+        }
 
     def field_span(self, name: str) -> tuple[int, int]:
         """(offset, width) of a column within the record."""
@@ -140,16 +187,13 @@ class Schema:
             fields[i] = column.encode(fields[i])
         return self._record.pack(*fields)
 
-    def decode(self, record: bytes) -> dict[str, Any]:
-        """Deserialize a full record."""
+    def decode(self, record: bytes) -> Row:
+        """Deserialize a full record into a read-only :class:`Row`."""
         if len(record) != self.record_size:
             raise ValueError(
                 f"record of {len(record)} bytes, schema needs {self.record_size}"
             )
-        fields = list(self._record.unpack(record))
-        for i, _column in self._char_columns:
-            fields[i] = fields[i].rstrip(b" ").decode("ascii")
-        return dict(zip(self._names, fields))
+        return Row(self._record.unpack(record), self._positions)
 
     def encode_field(self, name: str, value: Any) -> tuple[int, bytes]:
         """(offset, bytes) for an in-place single-field update."""

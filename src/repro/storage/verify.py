@@ -52,7 +52,9 @@ def verify_table(table: Table) -> VerifyReport:
                 for slot, record in page.live_records():
                     report.records_checked += 1
                     try:
-                        row = table.schema.decode(record)
+                        # A row decodes its CHAR columns when they are
+                        # read: copy it so every column is.
+                        row = dict(table.schema.decode(record))
                     except ValueError as err:
                         report.add(
                             f"{table.name} lba {lba} slot {slot}: "

@@ -3,8 +3,8 @@ against the implementations they replaced.
 
 The ``ref_*`` functions and ``RefChangeTracker`` below are the bodies
 this repository ran before the codecs were compiled (per-byte loops,
-per-field ``int.to_bytes``, per-column slicing), kept verbatim: they are
-the specification.  Every test feeds the same random input to the
+per-field ``int.to_bytes``), kept verbatim: they are the specification.
+(The record schema's spec model lives in ``tests.reference.schema``.)  Every test feeds the same random input to the
 reference and to the live code and requires the same bytes, the same
 decoded values, the same tracker state after every call, and the same
 exception on input both must reject.
@@ -32,7 +32,6 @@ backend, GC mode and channel count, error paths included.
 """
 
 import hashlib
-import struct
 import zlib
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, fields
@@ -53,7 +52,6 @@ from repro.core.config import (
 from repro.core.delta import DeltaFormatError, DeltaRecord, decode_delta_area
 from repro.core.reconstruct import ReconstructionError, reconstruct
 from repro.core.tracker import ChangeTracker
-from repro.engine.schema import Column, ColumnType, Schema
 from repro.engine.wal import (
     FRAME_HEADER_SIZE,
     FormatRecord,
@@ -99,6 +97,7 @@ from repro.storage.manager import (
     StorageManager,
     TraditionalPolicy,
 )
+from tests.reference import outcome
 
 # ---------------------------------------------------------------------- #
 # Reference: ChangeTracker (byte-by-byte classification)
@@ -664,159 +663,6 @@ class TestChangeTrackerAgainstParent:
             tracker.on_write(second_offset, second_old, second_new)
             tracker.end_op()
         assert _observable(trackers[1]) == _observable(trackers[0])
-
-
-# ---------------------------------------------------------------------- #
-# Reference: Schema / Column (per-column slice + codec lookup)
-# ---------------------------------------------------------------------- #
-
-_REF_STRUCT = {
-    ColumnType.INT32: struct.Struct("<i"),
-    ColumnType.INT64: struct.Struct("<q"),
-    ColumnType.FLOAT64: struct.Struct("<d"),
-}
-
-
-def ref_column_width(column):
-    if column.type is ColumnType.CHAR:
-        return column.size
-    return _REF_STRUCT[column.type].size
-
-
-def ref_column_encode(column, value):
-    if column.type is ColumnType.CHAR:
-        raw = value.encode("ascii") if isinstance(value, str) else bytes(value)
-        if len(raw) > column.size:
-            raise ValueError(
-                f"value of {len(raw)} bytes exceeds CHAR({column.size}) "
-                f"column '{column.name}'"
-            )
-        return raw.ljust(column.size, b" ")
-    return _REF_STRUCT[column.type].pack(value)
-
-
-def ref_column_decode(column, raw):
-    if column.type is ColumnType.CHAR:
-        return raw.rstrip(b" ").decode("ascii")
-    return _REF_STRUCT[column.type].unpack(raw)[0]
-
-
-def ref_schema_encode(columns, values):
-    missing = [c.name for c in columns if c.name not in values]
-    if missing:
-        raise ValueError(f"missing columns: {missing}")
-    return b"".join(ref_column_encode(c, values[c.name]) for c in columns)
-
-
-def ref_schema_decode(columns, record):
-    record_size = sum(ref_column_width(c) for c in columns)
-    if len(record) != record_size:
-        raise ValueError(
-            f"record of {len(record)} bytes, schema needs {record_size}"
-        )
-    out = {}
-    offset = 0
-    for column in columns:
-        width = ref_column_width(column)
-        out[column.name] = ref_column_decode(column, record[offset : offset + width])
-        offset += width
-    return out
-
-
-def ref_encode_field(columns, name, value):
-    offset = 0
-    for column in columns:
-        if column.name == name:
-            return offset, ref_column_encode(column, value)
-        offset += ref_column_width(column)
-    raise KeyError(name)
-
-
-_ascii = st.text(
-    alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=12
-)
-
-
-@st.composite
-def _schema_and_row(draw):
-    """(columns, row): CHAR values may overflow their column by a little."""
-    kinds = draw(
-        st.lists(st.sampled_from(list(ColumnType)), min_size=1, max_size=8)
-    )
-    columns, row = [], {}
-    for i, kind in enumerate(kinds):
-        name = f"c{i}"
-        if kind is ColumnType.CHAR:
-            size = draw(st.integers(min_value=1, max_value=10))
-            columns.append(Column(name, kind, size))
-            text = draw(_ascii)
-            row[name] = text.encode("ascii") if draw(st.booleans()) else text
-        elif kind is ColumnType.FLOAT64:
-            columns.append(Column(name, kind))
-            row[name] = draw(st.floats(allow_nan=False))
-        else:
-            bits = 31 if kind is ColumnType.INT32 else 63
-            columns.append(Column(name, kind))
-            row[name] = draw(
-                st.integers(min_value=-(2**bits), max_value=2**bits - 1)
-            )
-    return columns, row
-
-
-def _outcome(fn, *args):
-    """The value ``fn`` returns, or the exception (type, message) it raises."""
-    try:
-        return ("ok", fn(*args))
-    except (ValueError, KeyError, struct.error) as error:
-        return ("raised", type(error), str(error))
-
-
-class TestSchema:
-    @given(case=_schema_and_row())
-    @settings(max_examples=200, deadline=None)
-    def test_record_codec(self, case):
-        columns, row = case
-        schema = Schema(columns)
-        assert schema.record_size == sum(ref_column_width(c) for c in columns)
-        assert [c.width for c in columns] == [ref_column_width(c) for c in columns]
-        expected = _outcome(ref_schema_encode, columns, row)
-        assert _outcome(schema.encode, row) == expected
-        if expected[0] != "ok":
-            assert expected[1] is ValueError  # a CHAR value overflowed
-            return
-        record = expected[1]
-        assert schema.decode(record) == ref_schema_decode(columns, record)
-        for column in columns:
-            name = column.name
-            assert schema.encode_field(name, row[name]) == ref_encode_field(
-                columns, name, row[name]
-            )
-            offset, width = schema.field_span(name)
-            assert column.decode(record[offset : offset + width]) == (
-                ref_column_decode(column, record[offset : offset + width])
-            )
-
-    def test_char_is_space_padded_not_nul_padded(self):
-        schema = Schema([Column("k", ColumnType.INT32), Column("c", ColumnType.CHAR, 6)])
-        assert schema.encode({"k": 1, "c": "ab"}) == b"\x01\x00\x00\x00ab    "
-        assert schema.decode(b"\x01\x00\x00\x00ab    ") == {"k": 1, "c": "ab"}
-
-    def test_char_overflow_raises_instead_of_truncating(self):
-        schema = Schema([Column("c", ColumnType.CHAR, 3)])
-        with pytest.raises(ValueError, match="exceeds CHAR"):
-            schema.encode({"c": "abcd"})
-        with pytest.raises(ValueError, match="exceeds CHAR"):
-            schema.encode_field("c", b"abcd")
-
-    def test_missing_column_and_wrong_size(self):
-        columns = [Column("a", ColumnType.INT64), Column("b", ColumnType.CHAR, 2)]
-        schema = Schema(columns)
-        assert _outcome(schema.encode, {"b": "x"}) == _outcome(
-            ref_schema_encode, columns, {"b": "x"}
-        )
-        assert _outcome(schema.decode, b"short") == _outcome(
-            ref_schema_decode, columns, b"short"
-        )
 
 
 # ---------------------------------------------------------------------- #
@@ -1684,7 +1530,7 @@ class TestRandomHelpersAgainstParent:
         rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
         for name, *args in calls:
             live, parent = _HELPERS[name]
-            assert _outcome(live, rng, *args) == _outcome(parent, reference, *args)
+            assert outcome(live, rng, *args) == outcome(parent, reference, *args)
         # The follow-up draw, read through the stream and after a release.
         assert draws(rng).random() == reference.random()
         release(rng)

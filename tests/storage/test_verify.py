@@ -92,6 +92,19 @@ class TestVerifyDetectsCorruption:
         report = verify_table(table)
         assert not report.ok
 
+    def test_non_ascii_char_record_is_undecodable(self):
+        # Forged below the schema: Schema.encode refuses these bytes.  The
+        # CHAR column is the only one that cannot decode, so fsck must
+        # read it, not just unpack the record.
+        db = make_db()
+        table = build_table(db)
+        forged = (1000).to_bytes(4, "little") + (7).to_bytes(8, "little")
+        table.heap.insert(forged + b"\xff\x01".ljust(30, b" "))
+        report = verify_database(db)
+        assert not report.ok
+        assert any("undecodable record" in e for e in report.errors)
+        assert report.records_checked == 81
+
     def test_flash_corruption_detected(self):
         db = make_db()
         table = build_table(db)
