@@ -9,7 +9,7 @@ service tier's :class:`~repro.service.replication.ReplicationLink`:
    :mod:`repro.service.replication` calls a replica: same schema, same
    checkpointed media).
 2. **Replicated traffic** — the update plan runs on the primary in WAL
-   commit groups (``begin_wal_group``/``end_wal_group``); after each
+   commit groups (``with manager.wal_group()``); after each
    group flushes it is shipped over the link and re-executed on the
    standby under the same group boundaries.  A group's transactions
    count as *committed* only once the standby acknowledged — the

@@ -209,10 +209,9 @@ class FaultStack:
         """One WAL commit group of plan updates; its duration (sim us)."""
         clock = self.manager.clock
         start_us = clock.now_us
-        self.manager.begin_wal_group()
-        for k, v in group:
-            self._bump(k, v)
-        self.manager.end_wal_group()
+        with self.manager.wal_group():
+            for k, v in group:
+                self._bump(k, v)
         return clock.now_us - start_us
 
     def run_groups(

@@ -25,22 +25,21 @@ Per-file AST rules (:mod:`repro.lint.rules`):
 * **R6 worker seeding** — no OS entropy in multiprocessing code; worker
   randomness derives from the experiment seed.
 
-Whole-program protocol rules (:mod:`repro.lint.protocol`, running over
-the cached cross-file pass in :mod:`repro.lint.program`):
+The whole-program protocol rule (:mod:`repro.lint.protocol`, running
+over the batch view in :mod:`repro.lint.program`):
 
 * **R7 durability ordering** — WAL append/truncate paths reach a
   ``sync()`` barrier before the commit/ack boundary; replication acks
   are post-apply.
-* **R9 clock domains** — per-shard ``SimClock`` timestamps never mix
-  across domains outside the sanctioned mapping helper.
-* **R10 lifecycle** — ``begin_group``/``end_group`` pairing and the
-  quiesce()/power-loss exclusion.
 
-R8 (lockset races) was retired with the threaded service scheduler it
-watched; rule ids are not renumbered.
+Rule ids are not renumbered.  R8 (lockset races) was retired with the
+threaded service scheduler it watched.  R9 (clock domains) and R10
+(commit-group pairing, quiesce before power loss) were retired when the
+code made their sites structural — ``with manager.wal_group()`` and one
+inlined clock crossing — and direct tests took over.
 
 Run it as ``python -m repro.lint`` (``--format json|sarif|github``,
-``--jobs N``, ``--explain R7``); suppress a single finding with a
+``--explain R7``); suppress a single finding with a
 ``# reprolint: allow[R3]`` comment on the same or the preceding line.
 See ``docs/static_analysis.md`` for each rule's motivating bug.
 """

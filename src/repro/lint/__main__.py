@@ -7,8 +7,9 @@ Options: ``--select R1,R7`` runs a subset (unknown ids are a usage
 error, exit 2 — a typo must not silently select nothing), ``--explain
 R7`` prints a rule's full docstring, ``--format text|json|sarif|github``
 picks the renderer (``--output`` writes it to a file, SARIF's usual
-mode), ``--jobs N`` shards the per-file pass across processes (0 = all
-cores).  Exit status 1 if any violation survives pragmas, else 0.
+mode).  A path that does not exist, or is a file but not a ``.py``
+file, is a usage error (exit 2).  Exit status 1 if any violation
+survives pragmas, else 0.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.lint",
         description=(
             "repo-specific static analysis: per-file rules R1-R6 plus "
-            "whole-program protocol rules R7, R9, R10"
+            "the whole-program protocol rule R7"
         ),
     )
     parser.add_argument(
@@ -87,13 +88,6 @@ def main(argv: list[str] | None = None) -> int:
         help="write rendered output to FILE instead of stdout",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parallel per-file analysis across N processes (0 = all cores)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule ids and one-line summaries, then exit",
@@ -123,24 +117,26 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 2
 
-    if options.jobs < 0:
-        print("error: --jobs must be >= 0", file=sys.stderr)
-        return 2
-    jobs = options.jobs
-
     if options.paths:
         roots = list(options.paths)
     else:
         repo = _repo_root()
         roots = [repo / "src", repo / "tests"]
         roots = [root for root in roots if root.exists()]
-    missing = [root for root in roots if not root.exists()]
-    if missing:
-        for root in missing:
-            print(f"error: no such path: {root}", file=sys.stderr)
+    # A non-.py file would lint nothing and exit 0, so it is refused.
+    usage_errors = [
+        f"error: no such path: {root}"
+        if not root.exists()
+        else f"error: not a directory or .py file: {root}"
+        for root in roots
+        if not (root.is_dir() or (root.is_file() and root.suffix == ".py"))
+    ]
+    for message in usage_errors:
+        print(message, file=sys.stderr)
+    if usage_errors:
         return 2
 
-    violations = run_lint(roots, select=select, jobs=jobs)
+    violations = run_lint(roots, select=select)
     rendered = render(options.format, violations)
     if options.output is not None:
         options.output.write_text(

@@ -1,16 +1,11 @@
-"""Whole-program analysis core for reprolint.
+"""Whole-program view for reprolint.
 
-The per-file rules (R1-R6) see one AST at a time.  The protocol rules
-(R7, R9, R10, :mod:`repro.lint.protocol`) need the *program*: which
-module imports which, which class defines which methods, which function
-calls what.  This module provides that view — a cached per-module pass
-(AST + symbol table + pragma map) feeding an import graph and an
-approximate name-based call graph.
-
-The module cache is keyed by ``(st_size, st_mtime_ns)``: repeated lint
-runs inside one process (the test suite, editor integrations, a
-``--jobs`` parent re-reading files the workers already linted) re-parse
-only files that actually changed on disk.
+The per-file rules (R1-R6) see one AST at a time.  The protocol rule
+(R7, :mod:`repro.lint.protocol`) needs the *program*: every class and
+function of the batch, so it can follow same-class calls and order
+events across a function body.  This module parses each file once into
+a :class:`ModuleInfo` (AST + pragma map) and wraps the batch in a
+:class:`Program`.
 
 Identity: a file's dotted module name normally derives from its
 ``src/repro/...`` path.  A ``# reprolint: module=repro.x.y`` directive
@@ -32,7 +27,6 @@ __all__ = [
     "Program",
     "attr_chain",
     "call_target",
-    "clear_cache",
     "load_module",
     "module_name_for",
     "parse_pragmas",
@@ -135,23 +129,6 @@ def call_target(node: ast.Call) -> Optional[str]:
     return None
 
 
-def _import_origins(tree: ast.AST) -> Dict[str, str]:
-    """Local binding -> dotted origin for every import in the module."""
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                bound = alias.asname or alias.name.split(".")[0]
-                aliases[bound] = alias.name if alias.asname else bound
-        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                bound = alias.asname or alias.name
-                aliases[bound] = f"{node.module}.{alias.name}"
-    return aliases
-
-
 # --------------------------------------------------------------------- #
 # Per-module pass
 # --------------------------------------------------------------------- #
@@ -163,9 +140,7 @@ class FunctionInfo:
 
     module: "ModuleInfo"
     qualname: str
-    name: str
     node: "ast.FunctionDef | ast.AsyncFunctionDef"
-    class_name: Optional[str] = None
 
 
 @dataclass
@@ -174,13 +149,10 @@ class ModuleInfo:
 
     path: Path
     module: Optional[str]
-    source: str
     tree: Optional[ast.Module]
     #: ``(line, col, message)`` when the file failed to parse.
     error: Optional[Tuple[int, int, str]] = None
     allow: Dict[int, frozenset[str]] = field(default_factory=dict)
-    #: Dotted origins of everything this module imports.
-    imports: frozenset[str] = frozenset()
 
     def classes(self) -> Iterator[ast.ClassDef]:
         if self.tree is None:
@@ -197,83 +169,36 @@ class ModuleInfo:
         prefix = self.module or self.path.stem
         for node in self.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield FunctionInfo(
-                    self, f"{prefix}:{node.name}", node.name, node
-                )
+                yield FunctionInfo(self, f"{prefix}:{node.name}", node)
             elif isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         yield FunctionInfo(
-                            self,
-                            f"{prefix}:{node.name}.{item.name}",
-                            item.name,
-                            item,
-                            class_name=node.name,
+                            self, f"{prefix}:{node.name}.{item.name}", item
                         )
 
 
-#: path -> ((st_size, st_mtime_ns), info).  Keyed on the resolved path;
-#: invalidated per-file by a stat mismatch, wholesale by clear_cache().
-_CACHE: Dict[Path, Tuple[Tuple[int, int], ModuleInfo]] = {}
-
-
-def clear_cache() -> None:
-    """Drop every cached module (tests use this to force re-parses)."""
-    _CACHE.clear()
-
-
 def load_module(path: Path, module: Optional[str] = None) -> ModuleInfo:
-    """Load (or fetch from cache) the per-module analysis record.
+    """Parse one file into its analysis record.
 
     ``module`` overrides the derived identity; without it, a
     ``# reprolint: module=...`` directive wins over the path-derived
-    name.  Overrides are applied on a shallow copy so a cached record is
-    never mutated under a different identity.
+    name.
     """
-    resolved = path.resolve()
-    stat = resolved.stat()
-    key = (stat.st_size, stat.st_mtime_ns)
-    cached = _CACHE.get(resolved)
-    if cached is not None and cached[0] == key:
-        info = cached[1]
-    else:
-        info = _parse_module(path)
-        _CACHE[resolved] = (key, info)
-    if module is not None and module != info.module:
-        info = ModuleInfo(
-            path=info.path,
-            module=module,
-            source=info.source,
-            tree=info.tree,
-            error=info.error,
-            allow=info.allow,
-            imports=info.imports,
-        )
-    return info
-
-
-def _parse_module(path: Path) -> ModuleInfo:
     source = path.read_text(encoding="utf-8")
-    module = module_directive(source)
     if module is None:
-        module = module_name_for(path)
+        module = module_directive(source) or module_name_for(path)
     try:
         tree = ast.parse(source, filename=str(path))
     except SyntaxError as exc:
         return ModuleInfo(
             path=path,
             module=module,
-            source=source,
             tree=None,
             error=(exc.lineno or 1, exc.offset or 0, f"syntax error: {exc.msg}"),
         )
     return ModuleInfo(
-        path=path,
-        module=module,
-        source=source,
-        tree=tree,
-        allow=parse_pragmas(source),
-        imports=frozenset(_import_origins(tree).values()),
+        path=path, module=module, tree=tree, allow=parse_pragmas(source)
     )
 
 
@@ -283,81 +208,17 @@ def _parse_module(path: Path) -> ModuleInfo:
 
 
 class Program:
-    """The whole-program view the protocol rules run against.
-
-    Built from every parse-clean module in the lint batch.  Offers the
-    import graph (which repro module imports which) and an approximate
-    call graph: edges are *names* — ``qualname -> called simple names``
-    — because a dynamically typed call site rarely pins the receiver.
-    The protocol rules sharpen this where they can (same-class method
-    resolution in R7).
-    """
+    """The whole-program view the protocol rules run against: every
+    parse-clean module in the lint batch."""
 
     def __init__(self, modules: List[ModuleInfo]) -> None:
         self.modules = [m for m in modules if m.tree is not None]
-        self.by_name: Dict[str, ModuleInfo] = {
-            m.module: m for m in self.modules if m.module is not None
-        }
-        self._functions: Optional[List[FunctionInfo]] = None
-        self._import_graph: Optional[Dict[str, frozenset[str]]] = None
-        self._call_graph: Optional[Dict[str, frozenset[str]]] = None
 
-    def functions(self) -> List[FunctionInfo]:
-        if self._functions is None:
-            self._functions = [
-                fn for module in self.modules for fn in module.functions()
-            ]
-        return self._functions
+    def functions(self) -> Iterator[FunctionInfo]:
+        for module in self.modules:
+            yield from module.functions()
 
     def classes(self) -> Iterator[Tuple[ModuleInfo, ast.ClassDef]]:
         for module in self.modules:
             for node in module.classes():
                 yield module, node
-
-    def import_graph(self) -> Dict[str, frozenset[str]]:
-        """module -> imported repro modules (in-batch names only)."""
-        if self._import_graph is None:
-            known = set(self.by_name)
-            graph: Dict[str, frozenset[str]] = {}
-            for module in self.modules:
-                if module.module is None:
-                    continue
-                edges = set()
-                for origin in module.imports:
-                    # "repro.obs.metrics.Counter" -> "repro.obs.metrics".
-                    parts = origin.split(".")
-                    for cut in range(len(parts), 0, -1):
-                        prefix = ".".join(parts[:cut])
-                        if prefix in known:
-                            edges.add(prefix)
-                            break
-                graph[module.module] = frozenset(edges)
-            self._import_graph = graph
-        return self._import_graph
-
-    def importers_of(self, name: str) -> frozenset[str]:
-        return frozenset(
-            mod
-            for mod, edges in self.import_graph().items()
-            if name in edges
-        )
-
-    def call_graph(self) -> Dict[str, frozenset[str]]:
-        """qualname -> simple names of everything the body calls."""
-        if self._call_graph is None:
-            graph: Dict[str, frozenset[str]] = {}
-            for fn in self.functions():
-                called = set()
-                for node in ast.walk(fn.node):
-                    if isinstance(node, ast.Call):
-                        target = call_target(node)
-                        if target is not None:
-                            called.add(target)
-                graph[fn.qualname] = frozenset(called)
-            self._call_graph = graph
-        return self._call_graph
-
-    def resolve_name(self, name: str) -> List[FunctionInfo]:
-        """Every in-batch function with this simple name (call-graph
-        edge resolution — deliberately over-approximate)."""
-        return [fn for fn in self.functions() if fn.name == name]

@@ -77,16 +77,6 @@ class Rule:
     def finish(self) -> Iterable[tuple[str, int, int, str]]:
         return ()
 
-    def state(self) -> object:
-        """Picklable cross-file state for a ``--jobs N`` worker; the
-        parent merges worker states into its own instance with
-        :meth:`absorb` before ``finish()`` runs.  Stateless rules return
-        None."""
-        return None
-
-    def absorb(self, state: object) -> None:
-        """Merge a worker's :meth:`state` into this instance."""
-
 
 class DeterminismRule(Rule):
     """R1: the crash sweep replays runs by (seed, op-count) coordinates
@@ -314,20 +304,6 @@ class MetricNameRule(Rule):
                     "dynamic metric key in .histogram(...) cannot be "
                     "checked against the registry",
                 )
-
-    def state(self) -> object:
-        return (
-            sorted(self._used),
-            str(self._registry_path) if self._registry_path else None,
-        )
-
-    def absorb(self, state: object) -> None:
-        if not state:
-            return
-        used, registry = state  # type: ignore[misc]
-        self._used.update(used)
-        if registry is not None and self._registry_path is None:
-            self._registry_path = Path(registry)
 
     def finish(self) -> Iterable[tuple[str, int, int, str]]:
         if self._registry_path is None:

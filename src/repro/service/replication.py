@@ -1,12 +1,12 @@
 """Per-shard WAL-stream replication: primary → standby, ack per group.
 
 The service tier's determinism contract (``docs/service.md``) makes each
-shard's dispatch log — the ordered ``begin_wal_group``/``end_wal_group``
-units of tenant ids — plus the derived session seeds a *complete*
-description of the shard's WAL frame stream: replaying the groups
-serially reproduces the primary's media bytes exactly.  Replication
-streams exactly that unit.  After a primary flushes a WAL commit group
-it ships the group over a :class:`ReplicationLink`; the standby — a full
+shard's dispatch log — the ordered ``wal_group()`` units of tenant
+ids — plus the derived session seeds a *complete* description of the
+shard's WAL frame stream: replaying the groups serially reproduces the
+primary's media bytes exactly.  Replication streams exactly that unit.
+After a primary flushes a WAL commit group it ships the group over a
+:class:`ReplicationLink`; the standby — a full
 independent :class:`~repro.service.shard.Shard` stack built from the
 same derived seed — applies it through the existing serial-replay path
 (:meth:`~repro.service.shard.Shard.execute_tenant_group`) and

@@ -44,25 +44,12 @@ __all__ = [
     "ServiceResult",
     "ShardReport",
     "ShardedService",
-    "global_end_us",
     "replay_shard_stream",
     "run_service",
 ]
 
 _ISSUE = 0
 _DRAIN = 1
-
-
-def global_end_us(t_us: float, duration_us: float) -> float:
-    """Map a shard-clock duration onto the global virtual timeline.
-
-    The scheduler keeps two kinds of time: the global event-loop clock
-    (``t_us``) and each shard's own simulated clock, which only ever
-    yields *durations* to the outside.  This helper is the one
-    sanctioned crossing between clock domains; the R9 lint rule flags
-    any other expression that mixes timestamps from different domains.
-    """
-    return t_us + duration_us
 
 
 def _derived_seeds(config: ServiceConfig) -> Tuple[List[int], List[int]]:
@@ -224,8 +211,10 @@ class ShardedService:
                     Request(waiter, issue_us=first_us, enqueue_us=t_us),
                     waited_us=t_us - first_us,
                 )
+            # The one clock crossing: a shard's clock yields only a
+            # duration, which lands on the global axis at t_us.
             duration_us = shard.execute_batch(batch)
-            end_us = global_end_us(t_us, duration_us)
+            end_us = t_us + duration_us
             shard.busy_until_us = end_us
             last_completion_us = max(last_completion_us, end_us)
             for request in batch:

@@ -158,12 +158,10 @@ class Shard:
         returned duration additionally covers the replication round trip.
         """
         start_us = self.manager.clock.now_us
-        self.manager.begin_wal_group()
-        for request in requests:
-            session = request.session
-            self.workload.transaction(self.db, session.rng)
-        self.manager.end_wal_group()
-        group =[r.session.tenant for r in requests]
+        with self.manager.wal_group():
+            for request in requests:
+                self.workload.transaction(self.db, request.session.rng)
+        group = [r.session.tenant for r in requests]
         self.dispatch_log.append(group)
         duration_us = self.manager.clock.now_us - start_us
         if self.replica is not None:
@@ -174,10 +172,9 @@ class Shard:
         self, tenants: Iterable[int], rngs: dict[int, np.random.Generator]
     ) -> None:
         """Replay one dispatch-log group (serial stream replay path)."""
-        self.manager.begin_wal_group()
-        for tenant in tenants:
-            self.workload.transaction(self.db, rngs[tenant])
-        self.manager.end_wal_group()
+        with self.manager.wal_group():
+            for tenant in tenants:
+                self.workload.transaction(self.db, rngs[tenant])
 
     # ------------------------------------------------------------------ #
     # Determinism contract

@@ -250,6 +250,32 @@ class _UpdateOp:
         self._manager.end_update(self._frame, exc_type is None)
 
 
+class _WalGroup:
+    """``with manager.wal_group()``: one WAL commit group.
+
+    A normal exit flushes the group through
+    :meth:`StorageManager.end_wal_group`.  An exception propagates
+    unchanged and flushes nothing: after a ``PowerLossError`` the device
+    is off, and after any other error the group's transactions were never
+    acknowledged.  The group stays open, so the next ``wal_group()``
+    raises ``RuntimeError("WAL commit group already open")``.
+    """
+
+    __slots__ = ("_manager",)
+
+    def __init__(self, manager: "StorageManager") -> None:
+        self._manager = manager
+
+    def __enter__(self) -> None:
+        wal = self._manager.wal
+        if wal is not None:
+            wal.begin_group()
+
+    def __exit__(self, exc_type: object, *_exc: object) -> None:
+        if exc_type is None:
+            self._manager.end_wal_group()
+
+
 class StorageManager:
     """Owns the buffer pool and mediates all page access.
 
@@ -452,7 +478,7 @@ class StorageManager:
         makes the transaction durable: from here on its dirty pages may
         reach the data device freely.
 
-        Inside a WAL commit *group* (``begin_wal_group``, used by the
+        Inside a WAL commit *group* (:meth:`wal_group`, used by the
         sharded service tier) the frame is only buffered, so the
         transaction is not durable yet — the no-steal set is kept and
         released by :meth:`end_wal_group` (or by the veto-overflow hook,
@@ -464,10 +490,10 @@ class StorageManager:
                 return  # durable only at group flush; keep the no-steal set
         self._txn_locked_lbas.clear()
 
-    def begin_wal_group(self) -> None:
-        """Open a commit group: subsequent commits flush together."""
-        if self.wal is not None:
-            self.wal.begin_group()
+    def wal_group(self) -> _WalGroup:
+        """``with manager.wal_group():`` — the block's commits flush
+        together at its exit (see :class:`_WalGroup`)."""
+        return _WalGroup(self)
 
     def end_wal_group(self) -> None:
         """Flush the open commit group and release its no-steal pages."""

@@ -14,7 +14,8 @@ import os
 import pytest
 
 from repro.fault import FaultBackend, run_crash_point, run_sweep
-from repro.fault.harness import BACKENDS
+from repro.fault.harness import BACKENDS, FaultStack, make_plan
+from repro.fault.injector import FaultInjector
 
 POINTS = int(os.environ.get("FAULT_SWEEP_POINTS", "6"))
 
@@ -51,3 +52,37 @@ class TestMultiChannelSweep:
         b = run_crash_point(config, 23, seed=13)
         assert a == b
         assert a.ok, a.detail
+
+
+class TestRunArmed:
+    """``FaultStack.run_armed`` tears what is in flight; it never drains.
+
+    ``quiesce()`` completes every queued channel op, so calling it before
+    ``power_loss()`` (or anywhere in the crash handler) would leave the
+    crash nothing to tear and the sweep would report recoveries from
+    schedules that never happened.
+    """
+
+    def test_power_loss_reaches_both_devices_and_nothing_quiesces(self):
+        stack = FaultStack(FaultBackend("ipa-ftl", channels=4, wal_channels=4))
+        power_losses, quiesces = [], []
+        for label, device in (("data", stack.data), ("wal", stack.wal)):
+            power_loss = device.power_loss
+
+            def record(label=label, power_loss=power_loss):
+                power_losses.append(label)
+                power_loss()
+
+            def refuse(label=label):
+                quiesces.append(label)
+                raise AssertionError(f"{label} device quiesced at the crash")
+
+            device.power_loss = record
+            device.quiesce = refuse
+        plan = make_plan()
+        injector = FaultInjector(crash_after_ops=40, seed=1)
+        stack.run_armed(injector, lambda: stack.run_updates(plan))
+        assert injector.tripped
+        assert 0 < stack.db.txn_stats.by_type.get("bump", 0) < len(plan)
+        assert power_losses == ["data", "wal"]
+        assert quiesces == []

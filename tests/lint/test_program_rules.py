@@ -1,6 +1,6 @@
-"""Whole-program rules R7, R9, R10: fixture pairs, pragma round-trips,
-the committed regression (neutered WAL sync), the module cache, and the
-CLI surface (formats, --jobs, --explain)."""
+"""Whole-program rule R7: fixture pair, pragma round-trips, the
+committed regression (neutered WAL sync), module identity, and the CLI
+surface (formats, path checks, --explain)."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from repro.lint import lint_file, run_lint
-from repro.lint.program import clear_cache, load_module
+from repro.lint.program import load_module
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO = Path(__file__).resolve().parents[2]
@@ -25,10 +25,10 @@ def _rules_hit(path: Path, module: str | None = None) -> dict[str, int]:
 
 
 class TestFixturePairs:
-    """Each program rule fires on its bad fixture, never on its good twin.
+    """R7 fires on its bad fixture, never on its good twin.
 
     The fixtures carry ``# reprolint: module=repro.service...`` directives
-    so the service-scoped rules treat them as in-scope modules.
+    so the service-scoped half treats them as in-scope modules.
     """
 
     def test_r7_bad_flags_unsynced_wal_and_early_ack(self):
@@ -39,20 +39,6 @@ class TestFixturePairs:
     def test_r7_good_barrier_paths_pass(self):
         assert _rules_hit(FIXTURES / "r7_good.py") == {}
 
-    def test_r9_bad_flags_cross_domain_mixes(self):
-        hit = _rules_hit(FIXTURES / "r9_bad.py")
-        # cross-domain subtract, timestamp+timestamp, cross-domain compare
-        assert hit == {"R9": 3}
-
-    def test_r9_good_sanctioned_helpers_pass(self):
-        assert _rules_hit(FIXTURES / "r9_good.py") == {}
-
-    def test_r10_bad_flags_pairing_and_quiesce_misuse(self):
-        hit = _rules_hit(FIXTURES / "r10_bad.py")
-        assert hit == {"R10": 4}
-
-    def test_r10_good_paired_lifecycles_pass(self):
-        assert _rules_hit(FIXTURES / "r10_good.py") == {}
 
 
 class TestPragmaRoundTrip:
@@ -79,9 +65,6 @@ class TestPragmaRoundTrip:
 
     def test_r7_pragmas_suppress(self, tmp_path):
         self._suppressed("r7_bad.py", "R7", tmp_path)
-
-    def test_r10_pragmas_suppress(self, tmp_path):
-        self._suppressed("r10_bad.py", "R10", tmp_path)
 
     def test_wrong_rule_id_does_not_suppress(self, tmp_path):
         source = (FIXTURES / "r7_bad.py").read_text()
@@ -130,24 +113,7 @@ class TestHistoricalRegressions:
         assert [v for v in found if v.rule == "R7"] == []
 
 
-class TestModuleCache:
-    def test_same_stat_reuses_parse(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text("x = 1\n")
-        clear_cache()
-        first = load_module(target)
-        second = load_module(target)
-        assert first.tree is second.tree
-
-    def test_content_change_reparses(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text("x = 1\n")
-        clear_cache()
-        first = load_module(target)
-        target.write_text("x = 1  # grew, so the stat signature changed\n")
-        second = load_module(target)
-        assert first.tree is not second.tree
-
+class TestModuleIdentity:
     def test_module_directive_overrides_path(self, tmp_path):
         target = tmp_path / "whatever.py"
         target.write_text("# reprolint: module=repro.service.foo\nx = 1\n")
@@ -177,14 +143,22 @@ class TestCli:
     def test_explain_unknown_rule(self):
         result = _cli("--explain", "R42")
         assert result.returncode == 2
-        # Retired with the threaded scheduler; ids are not reused.
-        assert _cli("--explain", "R8").returncode == 2
+        # Retired (R8 with the threaded scheduler, R9 and R10 for
+        # wal_group() and direct tests); ids are not reused.
+        for retired in ("R8", "R9", "R10"):
+            assert _cli("--explain", retired).returncode == 2
 
-    def test_list_rules_covers_r1_through_r10(self):
+    def test_list_rules_covers_r1_through_r7(self):
         result = _cli("--list-rules")
         assert result.returncode == 0
-        for rule_id in ("R1", "R6", "R7", "R9", "R10"):
-            assert f"{rule_id} " in result.stdout
+        listed = [line.split()[0] for line in result.stdout.splitlines()]
+        assert listed == ["R1", "R2", "R3", "R4", "R5", "R6", "R7"]
+
+    def test_non_python_file_is_usage_error(self):
+        # A non-.py file used to lint nothing and exit 0.
+        result = _cli("ROADMAP.md")
+        assert result.returncode == 2
+        assert "ROADMAP.md" in result.stderr
 
     def test_json_format(self):
         result = _cli(
@@ -199,7 +173,7 @@ class TestCli:
         out = tmp_path / "lint.sarif"
         result = _cli(
             "--format", "sarif", "--output", str(out),
-            str(FIXTURES / "r9_bad.py"),
+            str(FIXTURES / "r7_bad.py"),
         )
         assert result.returncode == 1
         log = json.loads(out.read_text())
@@ -211,24 +185,14 @@ class TestCli:
 
     def test_github_format_escapes_and_annotates(self):
         result = _cli(
-            "--format", "github", str(FIXTURES / "r10_bad.py")
+            "--format", "github", str(FIXTURES / "r7_bad.py")
         )
         assert result.returncode == 1
         lines = [
             ln for ln in result.stdout.splitlines() if ln.startswith("::error ")
         ]
-        assert len(lines) == 4
+        assert len(lines) == 3
         assert all("file=" in ln and "line=" in ln for ln in lines)
-
-    def test_parallel_jobs_match_serial(self):
-        serial = _cli()
-        parallel = _cli("--jobs", "2")
-        assert serial.returncode == parallel.returncode == 0
-        assert serial.stdout == parallel.stdout
-
-    def test_negative_jobs_is_usage_error(self):
-        result = _cli("--jobs", "-1", "src")
-        assert result.returncode == 2
 
 
 class TestHeadIsClean:

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from repro.lint import lint_file, run_lint
-from repro.lint.engine import module_name_for, parse_pragmas
+from repro.lint.program import module_name_for, parse_pragmas
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO = Path(__file__).resolve().parents[2]

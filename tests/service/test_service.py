@@ -215,6 +215,51 @@ class TestObsWiring:
             )
 
 
+class TestClockSeam:
+    """A shard's clock reaches global time only as a batch *duration*.
+
+    Skewing one shard's absolute clock must change nothing the scheduler
+    reports: a scheduler that read ``shard.manager.clock.now_us`` into
+    global time (instead of ``t_us + duration_us``) would be off by
+    about 1e9 us here.
+    """
+
+    SKEW_US = 2**30
+
+    def _run(self, skew_us):
+        service = ShardedService(
+            tiny_config(shards=2, workload_factory=small_ycsb_a)
+        )
+        service.shards[0].manager.clock.advance(skew_us)
+        return service, service.run()
+
+    def test_skewed_shard_clock_changes_nothing(self):
+        base_service, base = self._run(0.0)
+        skew_service, skewed = self._run(self.SKEW_US)
+        assert [r.dispatch_log for r in skewed.shard_reports] == [
+            r.dispatch_log for r in base.shard_reports
+        ]
+        assert skewed.digests() == base.digests()
+        # Durations measured 2**30 us up the shard's axis round
+        # differently in the last bits, so times agree to rel=1e-9.
+        assert skewed.elapsed_us == pytest.approx(base.elapsed_us, rel=1e-9)
+        for skew_shard, base_shard in zip(
+            skew_service.shards, base_service.shards
+        ):
+            assert skew_shard.latencies_us == pytest.approx(
+                base_shard.latencies_us, rel=1e-9
+            )
+        for skew_report, base_report in zip(
+            skewed.shard_reports, base.shard_reports
+        ):
+            assert skew_report.p50_us == pytest.approx(
+                base_report.p50_us, rel=1e-9
+            )
+            assert skew_report.p99_us == pytest.approx(
+                base_report.p99_us, rel=1e-9
+            )
+
+
 class TestConfigValidation:
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError):
