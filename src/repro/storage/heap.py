@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from repro.storage.layout import PageFullError
+from repro.core.config import PAGE_HEADER_SIZE
+from repro.storage.layout import SLOT_SIZE, PageFullError
 from repro.storage.manager import StorageManager
 
 
@@ -76,7 +77,10 @@ class HeapFile:
         """Insert a record, allocating pages as needed.
 
         Raises:
-            FileFullError: no page in the range can hold the record.
+            FileFullError: no page in the range can hold the record.  A
+                record longer than an empty page holds is refused once
+                the cursor page refused it, before another page is
+                formatted or probed.
         """
         manager = self.manager
         page_index = self._cursor
@@ -95,6 +99,12 @@ class HeapFile:
                 self._cursor = page_index
                 self.record_count += 1
                 return RID(lba, slot)
+            # Bytes past what an empty page holds mean no page can take the
+            # record: refuse it before formatting and probing every page
+            # left in the file.  (A slice, not len(): this runs at every
+            # page fill, and the call count of the insert path is gated.)
+            if record[frame.page.delta_start - PAGE_HEADER_SIZE - SLOT_SIZE :]:
+                raise self._no_room(record)
             page_index += 1
             if page_index >= self.max_pages:
                 return self._insert_first_fit(record)
@@ -116,7 +126,10 @@ class HeapFile:
                 return RID(lba, slot)
             except PageFullError:
                 continue
-        raise FileFullError(
+        raise self._no_room(record)
+
+    def _no_room(self, record: bytes) -> FileFullError:
+        return FileFullError(
             f"file {self.file_id}: no page can hold {len(record)} bytes"
         )
 

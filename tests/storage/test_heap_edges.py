@@ -8,12 +8,13 @@ from repro.flash.geometry import FlashGeometry
 from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
 from repro.storage.heap import FileFullError, HeapFile
 from repro.storage.manager import IpaNativePolicy, StorageManager
+from tests.reference.storage import RefHeapFile
 
 GEO = FlashGeometry(page_size=512, oob_size=128, pages_per_block=8, blocks=32)
 
 
-def make_manager():
-    device = NoFtlDevice(FlashChip(GEO), over_provisioning=0.2)
+def make_manager(geometry=GEO):
+    device = NoFtlDevice(FlashChip(geometry), over_provisioning=0.2)
     device.create_region("d", blocks=32, ipa=IpaRegionConfig(2, 4))
     return StorageManager(device, SCHEME_2X4, IpaNativePolicy(), buffer_capacity=8)
 
@@ -43,8 +44,25 @@ class TestFirstFitReuse:
     def test_record_larger_than_any_page(self):
         mgr = make_manager()
         heap = HeapFile(mgr, 1, 0, max_pages=2)
-        with pytest.raises((FileFullError, Exception)):
+        with pytest.raises(FileFullError):
             heap.insert(b"z" * 600)  # exceeds a 512 B page
+
+    @pytest.mark.parametrize("heap_file", [HeapFile, RefHeapFile])
+    def test_refused_before_another_page_is_formatted(self, heap_file):
+        """A record no empty page holds used to format and probe every
+        page left in the file (1 -> 50 pages, 101 update ops, a host
+        write per page) before ``FileFullError``; the spec refuses it
+        after the cursor page's probe, and so does ``HeapFile``."""
+        mgr = make_manager(
+            FlashGeometry(page_size=1024, oob_size=128, pages_per_block=8, blocks=32)
+        )
+        heap = heap_file(mgr, 1, 0, max_pages=50)
+        heap.insert(b"row")
+        with pytest.raises(FileFullError, match="no page can hold 2000 bytes"):
+            heap.insert(b"z" * 2000)
+        mgr.flush_all()
+        assert mgr.stats.update_ops == 2 and mgr.device.stats.host_writes == 1
+        assert len(mgr.pool) == 1 and heap.record_count == 1
 
 
 class TestCursor:

@@ -11,7 +11,6 @@ bounded registry, loud failure on a generator drawn from behind its
 stream's back).
 """
 
-import functools
 import math
 import sys
 import threading
@@ -24,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.workloads import base
 from repro.workloads.base import DrawStream, draws, release
+from tests.reference.workloads import ref_nurand, ref_value, ref_zipf_index
 
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
@@ -46,14 +46,6 @@ def position(rng):
     return state["state"]["state"], half
 
 
-@functools.lru_cache(maxsize=None)
-def _numpy_cdf(n, theta):
-    cdf = np.cumsum(np.arange(1, n + 1, dtype=np.float64) ** -theta)
-    cdf /= cdf[-1]
-    cdf[-1] = 1.0
-    return cdf
-
-
 class Twin:
     """The numpy API calls the kernel's methods stand for."""
 
@@ -67,18 +59,13 @@ class Twin:
         return int(self.rng.integers(low, high))
 
     def letters(self, size):
-        drawn = self.rng.integers(0, 26, size) + ord("a")
-        return drawn.astype(np.uint8).tobytes().decode("ascii")
+        return ref_value(self.rng, size)
 
     def zipf(self, n, theta):
-        if n == 1:
-            return 0
-        cdf = _numpy_cdf(n, theta)
-        return min(int(np.searchsorted(cdf, self.rng.random(), side="right")), n - 1)
+        return ref_zipf_index(self.rng, n, theta)
 
     def nurand(self, a, x, y):
-        drawn = self.integers(0, a + 1) | self.integers(x, y + 1)
-        return drawn % (y - x + 1) + x
+        return ref_nurand(self.rng, a, x, y)
 
 
 def pair(seed, buffered=False):
