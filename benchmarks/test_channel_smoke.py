@@ -1,16 +1,17 @@
 """Multi-channel smoke: overlap must actually buy simulated time.
 
 Unlike the wall-clock benchmarks, the measured quantity here is the
-*simulated* clock: the same spread write/erase pattern through a
-1-channel (pass-through) and a 4-channel (overlapped) device.  CI runs
-this as the cheap regression gate on the channel scheduler — if overlap
-stops overlapping (or the pass-through stops matching the media of the
-parallel path), this fails long before the full E11 bench notices.
+*simulated* clock: the same spread write/erase pattern through a bare
+chip and a 4-channel (overlapped) device.  CI runs this as the cheap
+regression gate on the channel scheduler — if overlap stops overlapping
+(or the striped device stops matching the bare chip's media), this fails
+long before the full E11 bench notices.
 """
 
 import numpy as np
 import pytest
 
+from repro.flash.chip import FlashChip
 from repro.flash.device import FlashDevice
 from repro.flash.geometry import FlashGeometry
 
@@ -38,7 +39,7 @@ def spread_writes(dev, seed=0xC0FFEE):
 
 @pytest.fixture
 def single():
-    return FlashDevice(GEO, channels=1)
+    return FlashChip(GEO)
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Mapping
 
-from repro.engine.index import HashIndex
+from repro.engine.index import DuplicateKeyError, HashIndex
 from repro.engine.schema import Row, Schema
 from repro.engine.transaction import Transaction, TransactionStats
 from repro.storage.heap import HeapFile, RID
@@ -31,8 +31,6 @@ class Table:
         self.pk_index: HashIndex | None = (
             HashIndex(f"{name}.pk") if pk_columns else None
         )
-        #: column name -> SecondaryIndex, maintained on every DML.
-        self.secondary: dict[str, "SecondaryIndex"] = {}  # noqa: F821
 
     def _pk_of(self, values: Mapping[str, Any]) -> Any:
         assert self.pk_columns is not None
@@ -44,33 +42,23 @@ class Table:
     # DML
     # ------------------------------------------------------------------ #
 
-    def create_secondary_index(self, column: str, n_pages: int = 64) -> "SecondaryIndex":  # noqa: F821
-        """Build a paged B+-tree index over an integer column.
-
-        Existing rows are back-filled; subsequent DML maintains it.
-        """
-        from repro.engine.secondary import SecondaryIndex
-
-        if column in self.secondary:
-            raise ValueError(f"index on {self.name}.{column} already exists")
-        self.schema.column(column)  # validates the column exists
-        backfill = [
-            (self.schema.decode(record)[column], rid)
-            for rid, record in self.heap.scan()
-        ]
-        index = SecondaryIndex(
-            self.heap.manager, column, n_pages, backfill=backfill
-        )
-        self.secondary[column] = index
-        return index
-
     def insert(self, values: Mapping[str, Any]) -> RID:
-        """Insert one row; maintains the primary-key + secondary indexes."""
+        """Insert one row; maintains the primary-key index.
+
+        Raises:
+            DuplicateKeyError: the key is already indexed.  Checked before
+                the heap is touched, so a refused row leaves no trace.
+        """
+        pk_index = self.pk_index
+        if pk_index is None:
+            return self.heap.insert(self.schema.encode(values))
+        key = self._pk_of(values)
+        if key in pk_index:
+            raise DuplicateKeyError(
+                f"duplicate key {key!r} in index {pk_index.name}"
+            )
         rid = self.heap.insert(self.schema.encode(values))
-        if self.pk_index is not None:
-            self.pk_index.insert(self._pk_of(values), rid)
-        for column, index in self.secondary.items():
-            index.insert(values[column], rid)
+        pk_index.insert(key, rid)
         return rid
 
     def get(self, pk: Any) -> Row:
@@ -90,18 +78,9 @@ class Table:
             raise RuntimeError(f"table {self.name} has no primary key")
         return self.pk_index.get(pk)
 
-    def read_row(self, rid: RID) -> Row:
-        """Decode the row at an RID."""
-        return self.schema.decode(self.heap.read(rid))
-
     def update_field(self, pk: Any, column: str, value: Any) -> None:
         """In-place single-column update — the paper's "small update"."""
         rid = self.rid_of(pk)
-        if column in self.secondary:
-            old = self.schema.decode(self.heap.read(rid))[column]
-            if old != value:
-                self.secondary[column].delete(old, rid)
-                self.secondary[column].insert(value, rid)
         offset, data = self.schema.encode_field(column, value)
         self.heap.update(rid, offset, data)
 
@@ -113,13 +92,6 @@ class Table:
         against M (paper: one delta-record holds up to M changed bytes).
         """
         rid = self.rid_of(pk)
-        indexed = [c for c in values if c in self.secondary]
-        if indexed:
-            old_row = self.schema.decode(self.heap.read(rid))
-            for column in indexed:
-                if old_row[column] != values[column]:
-                    self.secondary[column].delete(old_row[column], rid)
-                    self.secondary[column].insert(values[column], rid)
         writes = [
             self.schema.encode_field(column, value)
             for column, value in values.items()
@@ -127,27 +99,11 @@ class Table:
         self.heap.update_multi(rid, writes)
 
     def delete(self, pk: Any) -> None:
-        """Delete a row by primary key (all indexes maintained)."""
+        """Delete a row by primary key."""
         rid = self.rid_of(pk)
-        if self.secondary:
-            row = self.schema.decode(self.heap.read(rid))
-            for column, index in self.secondary.items():
-                index.delete(row[column], rid)
         self.heap.delete(rid)
         assert self.pk_index is not None
         self.pk_index.delete(pk)
-
-    def find_by(self, column: str, value: int) -> list[Row]:
-        """Rows whose indexed ``column`` equals ``value``."""
-        index = self.secondary[column]
-        return [self.read_row(rid) for rid in index.lookup(value)]
-
-    def find_range(self, column: str, low: int, high: int) -> list[Row]:
-        """Rows whose indexed ``column`` is within [low, high]."""
-        index = self.secondary[column]
-        return [
-            self.read_row(rid) for _value, rid in index.range(low, high)
-        ]
 
     def scan(self) -> Iterator[Row]:
         """Full-table scan."""

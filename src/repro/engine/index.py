@@ -2,9 +2,7 @@
 
 Kept in host memory: the paper's measurements concern *data-page* I/O,
 and Shore-MT's index pages would add a second page-update stream that
-the demo does not isolate.  (The IPA-friendliness of index pages is an
-interesting extension — index entries are small — but the paper's
-Table 1 is driven by NSM data pages, so we keep the comparison clean.)
+the measurements do not isolate.
 """
 
 from __future__ import annotations
@@ -44,10 +42,6 @@ class HashIndex:
     def get(self, key: Any) -> RID:
         """Look up a key (KeyError if absent)."""
         return self._map[key]
-
-    def get_or_none(self, key: Any) -> RID | None:
-        """Look up a key, or None."""
-        return self._map.get(key)
 
     def delete(self, key: Any) -> None:
         """Remove a key (KeyError if absent)."""

@@ -9,7 +9,7 @@ stripes erase blocks round-robin across them (global block ``b`` lives
 on chip ``b % channels``), and schedules operations per channel on the
 *simulated* clock.
 
-Scheduling model (``overlap=True``, the default for ``channels > 1``):
+Scheduling model:
 
 * The **host clock** (``device.clock``) is what experiments measure.
   The bus is shared: every transfer's bus time is charged to the host
@@ -27,10 +27,8 @@ Scheduling model (``overlap=True``, the default for ``channels > 1``):
   recorded as ``channel_wait`` trace events, which is how GC pressure
   on a busy channel is attributed separately from synchronous erases.
 
-With ``overlap=False`` (and for ``channels == 1`` by default) the chips
-share the host clock and every call passes straight through — bit
-identical, clock included, to a bare :class:`FlashChip` of the same
-geometry.
+A device has two or more channels: one channel is a bare
+:class:`FlashChip`, which every stack builder uses for ``channels == 1``.
 
 Cell-model fidelity: striping only renames blocks.  Every mutation is
 applied to the chips at issue time in host order, per-channel order is
@@ -253,12 +251,10 @@ class FlashDevice:
     Args:
         geometry: *Global* geometry; ``blocks`` must divide evenly into
             ``channels`` (each chip gets ``blocks // channels``).
-        channels: Number of channels (= chips).
+        channels: Number of channels (= chips), at least 2.
         mode / latency / ecc / seed / endurance_limit: Forwarded to every
             chip (per-chip seeds are strided; see module docstring).
         clock: Host clock; a fresh :class:`SimClock` if omitted.
-        overlap: Overlapped scheduling.  Default: on iff ``channels > 1``
-            — a single-channel device stays bit-identical to a bare chip.
         queue_depth: In-flight array ops tolerated per channel before a
             new program stalls the host.
     """
@@ -276,11 +272,13 @@ class FlashDevice:
         ecc: EccConfig = DEFAULT_ECC,
         seed: int = 0xF1A5,
         endurance_limit: int | None = None,
-        overlap: bool | None = None,
         queue_depth: int = 4,
     ) -> None:
-        if channels < 1:
-            raise ValueError("channels must be >= 1")
+        if channels < 2:
+            raise ValueError(
+                f"channels must be >= 2, got {channels}: "
+                f"a one-channel device is a FlashChip"
+            )
         if geometry.blocks % channels:
             raise ValueError(
                 f"{geometry.blocks} blocks do not stripe evenly over "
@@ -294,7 +292,6 @@ class FlashDevice:
         self.ecc = ecc
         self.clock = clock if clock is not None else SimClock()
         self.queue_depth = queue_depth
-        self._overlap = (channels > 1) if overlap is None else overlap
         chip_geometry = FlashGeometry(
             page_size=geometry.page_size,
             oob_size=geometry.oob_size,
@@ -306,9 +303,9 @@ class FlashDevice:
                 chip_geometry,
                 mode=mode,
                 latency=latency,
-                # Overlap mode measures each op on a private per-chip
-                # clock; sync mode shares the host clock (pass-through).
-                clock=SimClock() if self._overlap else self.clock,
+                # Each op is measured on a private per-chip clock and
+                # charged to the host by the scheduler.
+                clock=SimClock(),
                 ecc=ecc,
                 seed=seed + _SEED_STRIDE * i,
                 endurance_limit=endurance_limit,
@@ -410,8 +407,6 @@ class FlashDevice:
         """The chip's sense body, scheduled on the page's channel."""
         channel, local_ppn = self._route_ppn(ppn)
         chip = channel.chip
-        if not self._overlap:
-            return chip._sense(local_ppn, check_ecc)
         self._wait_for_sense(channel)
         clk = chip.clock
         clk.reset()
@@ -424,9 +419,6 @@ class FlashDevice:
         """First-time program; the array pulse overlaps with the host."""
         channel, local_ppn = self._route_ppn(ppn)
         chip = channel.chip
-        if not self._overlap:
-            chip._program(local_ppn, data, oob)
-            return
         self._issue_array_op(
             channel,
             "program",
@@ -438,9 +430,6 @@ class FlashDevice:
         """In-place overwrite; the array pulse overlaps with the host."""
         channel, local_ppn = self._route_ppn(ppn)
         chip = channel.chip
-        if not self._overlap:
-            chip._reprogram(local_ppn, data, oob)
-            return
         self._issue_array_op(
             channel,
             "reprogram",
@@ -459,9 +448,6 @@ class FlashDevice:
         """Program a byte range (write_delta's device half)."""
         channel, local_ppn = self._route_ppn(ppn)
         chip = channel.chip
-        if not self._overlap:
-            chip._partial(local_ppn, offset, payload, oob_offset, oob_payload)
-            return
         self._issue_array_op(
             channel,
             "partial_program",
@@ -483,9 +469,6 @@ class FlashDevice:
         """Erase one global block; the pulse never blocks the host."""
         channel, local_block = self._route_block(block_idx)
         chip = channel.chip
-        if not self._overlap:
-            chip._erase(local_block)
-            return
         self._issue_array_op(
             channel,
             "erase",
@@ -508,12 +491,8 @@ class FlashDevice:
         The rows run through this device's bodies, so each sense and each
         pulse — both halves of a copy row included, on their own channels
         — goes through the channel scheduler exactly as the per-op calls
-        do.  A single-channel non-overlapped device is a bare chip (same
-        clock, identity page numbering): the batch runs on the chip's
-        bodies directly.
+        do.
         """
-        if len(self._channels) == 1 and not self._overlap:
-            return self.chips[0].execute_batch(ops, payload)
         return execute(self, ops, payload)
 
     # ------------------------------------------------------------------ #

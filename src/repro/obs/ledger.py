@@ -71,7 +71,6 @@ __all__ = [
 #: the chip directly) so conservation holds unconditionally.
 WRITE_CAUSES: tuple[str, ...] = (
     "host_heap",
-    "host_index",
     "wal",
     "oob_meta",
     "gc_migration",

@@ -45,7 +45,6 @@ class HeapFile:
             raise ValueError("max_pages must be >= 1")
         self.manager = manager
         self.file_id = file_id
-        manager.register_file(file_id, "heap")
         self.base_lba = base_lba
         self.max_pages = max_pages
         self._allocated = 0  # pages formatted so far

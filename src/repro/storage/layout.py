@@ -52,7 +52,7 @@ _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 assert _HEADER.size == PAGE_HEADER_SIZE and _SLOT.size == SLOT_SIZE
 # Header field offsets.
-_PAGE_ID, _LSN, _SLOT_COUNT, _FREE_LOWER, _FLAGS, _FILE_ID = 2, 6, 14, 16, 18, 20
+_PAGE_ID, _LSN, _SLOT_COUNT, _FREE_LOWER, _FILE_ID = 2, 6, 14, 16, 20
 
 #: Slot length value marking a deleted record.
 TOMBSTONE = 0
@@ -160,13 +160,6 @@ class SlottedPage:
         return _U16.unpack_from(self._buf, _FREE_LOWER)[0]
 
     @property
-    def flags(self) -> int:
-        return _U16.unpack_from(self._buf, _FLAGS)[0]
-
-    def set_flags(self, flags: int) -> None:
-        self._write(_FLAGS, _U16.pack(flags))
-
-    @property
     def file_id(self) -> int:
         return _U16.unpack_from(self._buf, _FILE_ID)[0]
 
@@ -243,69 +236,6 @@ class SlottedPage:
                 f"record length {length}"
             )
         self._write(offset + field_offset, data)
-
-    def insert_at(self, slot_no: int, record: bytes) -> None:
-        """Insert a record at a *position*, shifting later slots down.
-
-        Keeps the slot array positionally ordered — what B+-tree nodes
-        need.  The shifted slot entries are ordinary tracked writes, so
-        an insert is a large change (out-of-place on eviction), while
-        pure value updates stay delta-friendly.
-
-        Raises:
-            PageFullError: if record + slot do not fit.
-            IndexError: if ``slot_no`` is beyond the current count.
-        """
-        count = self.slot_count
-        if not 0 <= slot_no <= count:
-            raise IndexError(f"position {slot_no} of {count}")
-        if not record:
-            raise ValueError("empty records are not supported")
-        if len(record) > self.free_space:
-            raise PageFullError(
-                f"{len(record)} B record, {self.free_space} B free"
-            )
-        offset = self.free_lower
-        self._write(offset, record)
-        # Shift slots [slot_no, count) to [slot_no + 1, count + 1).
-        for j in range(count - 1, slot_no - 1, -1):
-            src = self._slot_pos(j)
-            self._write(self._slot_pos(j + 1), bytes(self._buf[src : src + 4]))
-        self._write(self._slot_pos(slot_no), _SLOT.pack(offset, len(record)))
-        self._write(_FREE_LOWER, _U16.pack(offset + len(record)))
-        self._write(_SLOT_COUNT, _U16.pack(count + 1))
-
-    def remove_at(self, slot_no: int) -> None:
-        """Remove a slot *position*, shifting later slots up.
-
-        The record bytes are abandoned (reclaimed on page rebuild), but
-        the slot array stays dense and positionally ordered.
-        """
-        count = self.slot_count
-        if not 0 <= slot_no < count:
-            raise IndexError(f"position {slot_no} of {count}")
-        for j in range(slot_no + 1, count):
-            src = self._slot_pos(j)
-            self._write(self._slot_pos(j - 1), bytes(self._buf[src : src + 4]))
-        # Clear the vacated last slot and drop the count.
-        self._write(self._slot_pos(count - 1), b"\x00\x00\x00\x00")
-        self._write(_SLOT_COUNT, _U16.pack(count - 1))
-
-    def replace(self, slot_no: int, record: bytes) -> None:
-        """Overwrite a slot's record with one of the SAME length.
-
-        Fixed-size B+-tree entries update in place; the changed bytes are
-        exactly the differing ones, so small key/value rewrites remain
-        IPA-conformant.
-        """
-        offset, length = self.slot(slot_no)
-        if length == TOMBSTONE:
-            raise KeyError(f"slot {slot_no} is deleted")
-        if len(record) != length:
-            raise ValueError(
-                f"replace needs {length} bytes, got {len(record)}"
-            )
-        self._write(offset, record)
 
     def delete(self, slot_no: int) -> None:
         """Tombstone a slot (space is reclaimed only by page rebuild)."""

@@ -292,8 +292,7 @@ class StorageManager:
     """
 
     #: Observability: replaced per-instance by :meth:`attach`.  The
-    #: manager is where flushes are classified into host causes (heap vs.
-    #: index pages).
+    #: manager charges its flushes to the ``host_heap`` cause.
     tracer = NULL_TRACER
     ledger = NULL_LEDGER
 
@@ -325,11 +324,6 @@ class StorageManager:
         )
         self._next_lsn = 1
         self._next_file_lba = 0
-        #: file_id -> "heap" | "index": how flushed pages are classified
-        #: into write-attribution causes (heap/index registrations come
-        #: from :class:`~repro.storage.heap.HeapFile` and
-        #: :class:`~repro.storage.btree.BPlusTree` constructors).
-        self.file_kinds: dict[int, str] = {}
         #: Optional write-ahead log (see :mod:`repro.engine.wal`): when
         #: attached, every update operation and page format is logged.
         self.wal = None
@@ -597,10 +591,6 @@ class StorageManager:
             f"reconstructs to a valid page"
         )
 
-    def register_file(self, file_id: int, kind: str) -> None:
-        """Classify a file's pages for write attribution ("heap"/"index")."""
-        self.file_kinds[file_id] = kind
-
     def _flush(self, frame: Frame) -> None:
         # Account net change before the policy resets the tracker.
         self.stats.net_bytes_updated += len(frame.tracker.net_changed_offsets)
@@ -608,8 +598,7 @@ class StorageManager:
         if not lg.enabled:
             self._flush_inner(frame)
             return
-        kind = self.file_kinds.get(frame.page.file_id)
-        with lg.cause("host_index" if kind == "index" else "host_heap"):
+        with lg.cause("host_heap"):
             self._flush_inner(frame)
 
     def _flush_inner(self, frame: Frame) -> None:

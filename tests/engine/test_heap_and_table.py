@@ -11,6 +11,7 @@ from repro.flash.geometry import FlashGeometry
 from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
 from repro.storage.heap import FileFullError, HeapFile, RID
 from repro.storage.manager import IpaNativePolicy, StorageManager
+from repro.storage.verify import verify_table
 
 GEO = FlashGeometry(page_size=1024, oob_size=128, pages_per_block=8, blocks=64)
 
@@ -100,10 +101,6 @@ class TestHashIndex:
         with pytest.raises(DuplicateKeyError):
             idx.insert(1, RID(0, 1))
 
-    def test_get_or_none(self):
-        idx = HashIndex("t")
-        assert idx.get_or_none(5) is None
-
 
 class TestTable:
     def test_insert_get(self):
@@ -156,6 +153,20 @@ class TestTable:
         for i in range(5):
             t.insert({"id": i, "balance": i, "pad": ""})
         assert sorted(r["id"] for r in t.scan()) == [0, 1, 2, 3, 4]
+
+    def test_refused_duplicate_key_leaves_no_row(self):
+        db = make_db()
+        t = db.create_table("acct", SCHEMA, n_pages=20, pk="id")
+        t.insert({"id": 1, "balance": 100, "pad": "x"})
+        updates_before = db.manager.stats.update_ops
+        with pytest.raises(DuplicateKeyError):
+            t.insert({"id": 1, "balance": 200, "pad": "y"})
+        assert len(t) == 1
+        assert [dict(row) for row in t.scan()] == [
+            {"id": 1, "balance": 100, "pad": "x"}
+        ]
+        assert verify_table(t).ok
+        assert db.manager.stats.update_ops == updates_before
 
     def test_duplicate_table_rejected(self):
         db = make_db()

@@ -164,7 +164,7 @@ class TestPartialProgram:
         with pytest.raises(ValueError):
             chip.partial_program(0, GEO.page_size - 4, b"DELTA")
 
-    def test_overlapping_reappend_rejected_and_page_intact(self):
+    def test_reappend_over_programmed_bytes_rejected_and_page_intact(self):
         chip = make_chip()
         chip.program_page(0, b"base")
         chip.partial_program(0, 10, b"one")

@@ -2,10 +2,9 @@
 
 Three properties carry the multi-channel design:
 
-1. ``channels=1`` is a *pass-through*: byte-identical media, identical
-   simulated clock (value and per-category breakdown) to a bare
-   :class:`FlashChip` — the golden-fidelity guarantee.
-2. With overlap, per-channel order stays FIFO, in-flight windows never
+1. One channel is refused: a one-channel device is a bare
+   :class:`FlashChip`, which holds the golden-fidelity guarantee.
+2. Per-channel order stays FIFO, in-flight windows never
    overlap on a channel, queue depth is bounded, and host stalls are
    charged to the ``channel_wait`` clock category.
 3. Power loss tears exactly the in-flight window (revert not-started,
@@ -28,7 +27,6 @@ from repro.flash.errors import (
     WriteToProgrammedPageError,
 )
 from repro.flash.geometry import FlashGeometry
-from repro.flash.modes import FlashMode
 from repro.flash.page import PageState
 
 GEO = FlashGeometry(page_size=512, oob_size=64, pages_per_block=8, blocks=8)
@@ -80,23 +78,11 @@ def mixed_workload(dev, ops=300, seed=7):
             dev.read_page(ppn)
 
 
-class TestSingleChannelFidelity:
-    def test_bit_identical_to_bare_chip(self):
-        for mode in (FlashMode.SLC, FlashMode.PSLC, FlashMode.MLC):
-            chip = FlashChip(GEO, mode=mode, seed=0xF1A5)
-            dev = FlashDevice(GEO, channels=1, mode=mode, seed=0xF1A5)
-            mixed_workload(chip)
-            mixed_workload(dev)
-            assert media_digest(chip) == media_digest(dev)
-            assert dev.clock.now_us == chip.clock.now_us
-            assert dev.clock.breakdown_us == chip.clock.breakdown_us
-            for field, value in vars(chip.stats).items():
-                assert getattr(dev.stats, field) == value, field
-
-    def test_single_channel_defaults_to_pass_through(self):
-        dev = FlashDevice(GEO, channels=1)
-        assert dev._overlap is False
-        assert dev.chips[0].clock is dev.clock
+class TestSingleChannel:
+    @pytest.mark.parametrize("channels", [0, 1])
+    def test_fewer_than_two_channels_refused(self, channels):
+        with pytest.raises(ValueError, match="a one-channel device is a FlashChip"):
+            FlashDevice(GEO, channels=channels)
 
 
 class TestStriping:
@@ -135,15 +121,15 @@ class TestStriping:
 
 
 class TestOverlapScheduling:
-    def test_overlap_beats_pass_through_on_spread_writes(self):
-        sync = FlashDevice(GEO, channels=4, overlap=False)
-        over = FlashDevice(GEO, channels=4, overlap=True)
-        mixed_workload(sync, seed=3)
+    def test_four_channels_beat_a_bare_chip_on_spread_writes(self):
+        chip = FlashChip(GEO)
+        over = FlashDevice(GEO, channels=4)
+        mixed_workload(chip, seed=3)
         mixed_workload(over, seed=3)
-        assert media_digest(sync) == media_digest(over)  # latency-only change
-        assert over.clock.now_us < sync.clock.now_us
+        assert media_digest(chip) == media_digest(over)  # latency-only change
+        assert over.clock.now_us < chip.clock.now_us
 
-    def test_channel_fifo_windows_never_overlap(self):
+    def test_channel_fifo_windows_stay_disjoint(self):
         dev = FlashDevice(GEO, channels=2, queue_depth=8)
         ppb = GEO.pages_per_block
         for b in range(GEO.blocks):
@@ -332,8 +318,13 @@ class TestCopyAcrossChannels:
     def test_copy_onto_itself_needs_no_special_case(self, channels):
         """It is whatever the two calls do: a programmed page cannot be
         programmed again, and the sense before that is charged."""
-        dev = FlashDevice(GEO, channels=channels)
-        ref = FlashDevice(GEO, channels=channels)
+        def build():
+            return (
+                FlashChip(GEO) if channels == 1
+                else FlashDevice(GEO, channels=channels)
+            )
+
+        dev, ref = build(), build()
         for each in (dev, ref):
             each.program_page(3, b"x" * 32)
         with pytest.raises(WriteToProgrammedPageError):

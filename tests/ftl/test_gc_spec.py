@@ -52,7 +52,6 @@ def _gc_stack(backend, spec, channels, gc_options, ledger, **chip_options):
     else:
         chip = FlashDevice(GC_GEO, channels=channels, mode=mode, **chip_options)
         leaves = chip.chips
-        assert chip._overlap
     if backend == "page-mapping":
         device = PageMappingFtl(chip, over_provisioning=0.2, **gc_options)
         managers = [device._blocks]

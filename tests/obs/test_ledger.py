@@ -242,7 +242,7 @@ class TestLifetimeTracker:
         clock = self._Clock()
         tracker = LifetimeTracker(clock)
         manager = object()
-        tracker.on_write(manager, 3, "host_index")
+        tracker.on_write(manager, 3, "host_heap")
         clock.now_us = 10.0
         tracker.on_trim(manager, 3)
         assert tracker.deaths == 1

@@ -66,7 +66,6 @@ def ref_update(manager, lba):
 
 class RefHeapFile:
     def __init__(self, manager, file_id, base_lba, max_pages):
-        manager.register_file(file_id, "heap")
         self.manager = manager
         self.file_id = file_id
         self.base_lba = base_lba

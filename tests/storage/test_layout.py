@@ -128,11 +128,6 @@ class TestHeaderMutators:
         page.set_lsn(123456789)
         assert page.lsn == 123456789
 
-    def test_set_flags(self):
-        page = fresh()
-        page.set_flags(0x0003)
-        assert page.flags == 3
-
 
 class TestChecksum:
     def test_store_and_verify(self):

@@ -50,11 +50,6 @@ class TestExamples:
         assert "eviction share via IPA" in out
         assert "write_delta commands" in out
 
-    def test_indexed_orders(self):
-        out = run_example("indexed_orders.py")
-        assert "delta writes" in out
-        assert "cross-check passed" in out
-
     @pytest.mark.slow
     def test_region_advisor(self):
         out = run_example("region_advisor.py")
