@@ -9,10 +9,23 @@
     In this case, the out-of-place flag is set, and further updates are
     not tracked until eviction."
 
-The tracker attaches to a frame's page as a write hook.  Each *update
-operation* (bracketed by :meth:`begin_op`/:meth:`end_op`) becomes one
-candidate delta-record; header/footer bytes are not counted against M
-because they travel wholesale in the record's delta_metadata.
+The tracker attaches to a frame's page as its observer
+(:meth:`SlottedPage.set_observer`) and hears of changes two ways.  Body
+bytes arrive through :meth:`ChangeTracker.on_write` as ``(offset, old,
+new)`` byte strings.  The page's own integer fields — LSN, slot count +
+free lower, footer checksum — arrive through
+:meth:`ChangeTracker.on_stamp` as ``(offset, width, old, new)``
+integers: the tracker keeps their XOR and expands it into bytes only
+when ``meta_changed_offsets`` or the WAL's ``last_op_changes`` is read.
+Each *update operation* (bracketed by :meth:`begin_op`/:meth:`end_op`)
+becomes one candidate delta-record; header/footer bytes are not counted
+against M because they travel wholesale in the record's delta_metadata.
+
+Distinct changed body bytes are counted per residency.  Small writes
+land in a set of offsets; the first record-sized span creates a byte
+map of the page (nonzero = changed), folds the set into it and ORs each
+later span's XOR into it with one slice store, so an insert costs
+O(1) calls rather than one set entry per byte.
 """
 
 from __future__ import annotations
@@ -23,11 +36,10 @@ from repro.core.config import IpaScheme
 from repro.core.delta import DeltaRecord
 
 #: Writes longer than this are diffed with one integer XOR instead of a
-#: per-byte loop (which wins below it: LSN, balance and slot writes).
+#: per-byte loop (which wins below it: balance and slot writes).
 _LOOP_MAX = 16
-#: Deferred spans a page may pile up before they are merged: bounds the
-#: memory of a page that stays resident under record-sized updates.
-_SPANS_MAX = 64
+#: ``_last`` of a tracker that has closed no operation yet.
+_NO_OP: tuple = ({}, None, None)
 
 
 def _pairs(offset: int, diff: bytes, new: bytes) -> dict[int, int]:
@@ -56,15 +68,13 @@ class ChangeTracker:
         "meta_changed",
         "_open",
         "_net",
-        "_net_spans",
-        "meta_changed_offsets",
+        "_net_map",
+        "_meta_masks",
         "op_sizes",
         "_open_raw",
         "_open_meta",
         "_open_span",
-        "_last_raw",
-        "_last_meta",
-        "_last_span",
+        "_last",
     )
 
     def __init__(
@@ -82,26 +92,30 @@ class ChangeTracker:
         self.out_of_place = not scheme.enabled
         self.meta_changed = False
         self._open: dict[int, int] | None = None
-        # Distinct body bytes changed: offsets already merged, plus the
-        # (offset, diff) spans net_changed_offsets merges when it is read.
+        # Distinct body bytes changed: offsets of small writes, plus (once
+        # a record-sized span arrived) a byte map of the page whose
+        # nonzero bytes mark changed offsets.
         self._net: set[int] = set()
-        self._net_spans: list[tuple[int, bytes]] = []
-        #: Distinct header/footer bytes changed (IPL logs these too).
-        self.meta_changed_offsets: set[int] = set()
+        self._net_map: bytearray | None = None
+        # Header/footer changes: offset -> mask whose nonzero byte i
+        # (little-endian) marks offset + i changed — the OR of every
+        # stamp's XOR there, or 1 for a byte write.
+        self._meta_masks: dict[int, int] | None = None
         #: Changed-byte count of every bracketed op, conformant or not —
         #: the raw material of trace capture (E6) and the N x M ablation.
         self.op_sizes: list[int] = []
         self._open_raw: dict[int, int] | None = None
-        self._open_meta: dict[int, int] | None = None
+        # The open op's header/footer changes in order, allocated by its
+        # first one: byte writes as offset -> value dicts, stamps as
+        # (offset, xor, new) tuples (see last_op_changes).
+        self._open_meta: list | None = None
         # A record-sized body write that opened the op, kept as
         # (offset, diff, new) until someone needs its offset -> value
         # pairs; later writes of the op never overlap it (see on_write).
         self._open_span: tuple[int, bytes, bytes] | None = None
-        # Body and metadata changes of the last closed op; merged only
-        # when someone asks (see last_op_changes).
-        self._last_raw: dict[int, int] = {}
-        self._last_meta: dict[int, int] = {}
-        self._last_span: tuple[int, bytes, bytes] | None = None
+        # (raw, meta, span) of the last closed op; merged only when
+        # someone asks (see last_op_changes).
+        self._last = _NO_OP
 
     # ------------------------------------------------------------------ #
     # Operation bracketing
@@ -112,7 +126,6 @@ class ChangeTracker:
         if self._open_raw is not None:
             raise RuntimeError("nested update operations are not supported")
         self._open_raw = {}
-        self._open_meta = {}
         if not self.out_of_place:
             self._open = {}
 
@@ -132,9 +145,7 @@ class ChangeTracker:
                 size += len(span[1]) - span[1].count(0)
             if size:
                 self.op_sizes.append(size)
-            self._last_raw = raw
-            self._last_meta = self._open_meta or {}
-            self._last_span = span
+            self._last = (raw, self._open_meta, span)
             self._open_raw = self._open_meta = self._open_span = None
         changes = self._open
         if changes is None:
@@ -152,22 +163,61 @@ class ChangeTracker:
     def last_op_changes(self) -> dict[int, int]:
         """Every changed byte (offset -> new value) of the last closed op,
         INCLUDING header/footer bytes — the WAL's redo payload."""
-        span = self._last_span
-        body = _pairs(*span) if span is not None else {}
-        return {**body, **self._last_raw, **self._last_meta}
+        raw, meta, span = self._last
+        changes = _pairs(*span) if span is not None else {}
+        changes.update(raw)
+        if meta:
+            # In the order they happened, so a later change of a byte
+            # wins exactly as it did on the page.
+            for entry in meta:
+                if entry.__class__ is dict:
+                    changes.update(entry)
+                    continue
+                pos, diff, new = entry
+                while diff:
+                    if diff & 0xFF:
+                        changes[pos] = new & 0xFF
+                    pos += 1
+                    diff >>= 8
+                    new >>= 8
+        return changes
+
+    @property
+    def net_changed_bytes(self) -> int:
+        """How many distinct body bytes changed this residency (E7)."""
+        net_map = self._net_map
+        if net_map is None:
+            return len(self._net)
+        self._fold_net()
+        return len(net_map) - net_map.count(0)
 
     @property
     def net_changed_offsets(self) -> set[int]:
-        """Total distinct body bytes changed (for the E7 analysis)."""
-        if self._net_spans:
-            self._merge_spans()
-        return self._net
+        """The distinct body bytes changed this residency, as offsets."""
+        net_map = self._net_map
+        if net_map is None:
+            return self._net
+        self._fold_net()
+        return set(compress(range(len(net_map)), net_map))
 
-    def _merge_spans(self) -> None:
-        net = self._net
-        for offset, diff in self._net_spans:
-            net.update(compress(range(offset, offset + len(diff)), diff))
-        self._net_spans.clear()
+    def _fold_net(self) -> None:
+        """Move the small writes' offsets into the byte map."""
+        net_map = self._net_map
+        for offset in self._net:
+            net_map[offset] = 1
+        self._net.clear()
+
+    @property
+    def meta_changed_offsets(self) -> set[int]:
+        """Distinct header/footer bytes changed (IPL logs these too)."""
+        out: set[int] = set()
+        for offset, mask in (self._meta_masks or {}).items():
+            while mask:
+                if mask & 0xFF:
+                    out.add(offset)
+                offset += 1
+                mask >>= 8
+        return out
 
     def mark_out_of_place(self) -> None:
         """Give up on IPA for this residency; stop tracking."""
@@ -176,8 +226,35 @@ class ChangeTracker:
         self._open = None
 
     # ------------------------------------------------------------------ #
-    # Write observation (SlottedPage hook)
+    # Write observation (SlottedPage hooks)
     # ------------------------------------------------------------------ #
+
+    def on_stamp(self, offset: int, width: int, old: int, new: int) -> None:
+        """Observe the page writing one of its own integer fields.
+
+        The field (``width`` bytes, little-endian, from ``old`` to
+        ``new``) lies wholly inside the header or the delta area + footer.
+        Exactly ``on_write(offset, old.to_bytes(width, "little"),
+        new.to_bytes(width, "little"))``, without building the bytes:
+        the XOR names every changed byte, so ``width`` is not needed.
+        """
+        diff = old ^ new
+        if not diff:
+            return
+        self.meta_changed = True
+        masks = self._meta_masks
+        if masks is None:
+            self._meta_masks = {offset: diff}
+        elif offset in masks:
+            masks[offset] |= diff
+        else:
+            masks[offset] = diff
+        if self._open_raw is not None:
+            meta = self._open_meta
+            if meta is None:
+                self._open_meta = [(offset, diff, new)]
+            else:
+                meta.append((offset, diff, new))
 
     def on_write(self, offset: int, old: bytes, new: bytes) -> None:
         """Observe one page mutation (``old`` -> ``new``, equally long).
@@ -203,9 +280,8 @@ class ChangeTracker:
             self.on_write(offset + cut, old[cut:], new[cut:])
             return
         if size > _LOOP_MAX:
-            diff = (
-                int.from_bytes(old, "little") ^ int.from_bytes(new, "little")
-            ).to_bytes(size, "little")
+            xor = int.from_bytes(old, "little") ^ int.from_bytes(new, "little")
+            diff = xor.to_bytes(size, "little")
             if (
                 in_body
                 and size - diff.count(0) > self.scheme.m_bytes
@@ -215,9 +291,13 @@ class ChangeTracker:
                 # More bytes than a delta-record holds, and nothing this op
                 # wrote before could overlap them: only the count matters
                 # now, the pairs are built if the WAL or E7 asks.
-                self._net_spans.append((offset, diff))
-                if len(self._net_spans) > _SPANS_MAX:
-                    self._merge_spans()
+                net_map = self._net_map
+                if net_map is None:
+                    net_map = self._net_map = bytearray(body_end)
+                    self._fold_net()
+                net_map[offset:end] = (
+                    int.from_bytes(net_map[offset:end], "little") | xor
+                ).to_bytes(size, "little")
                 if self._open_raw is not None:
                     self._open_span = (offset, diff, new)
                 if not self.out_of_place:
@@ -234,9 +314,20 @@ class ChangeTracker:
         if not in_body:
             # Header/footer: shipped via delta_metadata, free of charge.
             self.meta_changed = True
-            self.meta_changed_offsets.update(changed)
-            if self._open_meta is not None:
-                self._open_meta.update(changed)
+            masks = self._meta_masks
+            if masks is None:
+                masks = self._meta_masks = {}
+            for pos in changed:
+                if pos in masks:
+                    masks[pos] |= 1
+                else:
+                    masks[pos] = 1
+            if self._open_raw is not None:
+                meta = self._open_meta
+                if meta is None:
+                    self._open_meta = [changed]
+                else:
+                    meta.append(changed)
             return
         self._net.update(changed)
         raw = self._open_raw
@@ -276,7 +367,10 @@ class ChangeTracker:
     def dirty(self) -> bool:
         """Any tracked change at all (body or metadata)?"""
         return bool(
-            self.records or self.meta_changed or self._net or self._net_spans
+            self.records
+            or self.meta_changed
+            or self._net
+            or self._net_map is not None
         )
 
     def build_delta_records(
@@ -314,6 +408,6 @@ class ChangeTracker:
         self._open_meta = None
         self._open_span = None
         self._net = set()
-        self._net_spans = []
-        self.meta_changed_offsets = set()
+        self._net_map = None
+        self._meta_masks = None
         self.op_sizes = []

@@ -14,7 +14,24 @@ Table 1 beats odd-MLC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+
+_INF = float("inf")
+
+
+def _check_costs(model: object) -> None:
+    """Every field of a cost model is finite and >= 0, or ValueError.
+
+    A NaN or infinite cost would poison the simulated clock silently
+    (every later time and TPS NaN), and a negative one would fail far
+    from its cause — or, where a charge is inlined, not at all.
+    """
+    for name, value in asdict(model).items():
+        if not 0.0 <= value < _INF:
+            raise ValueError(
+                f"{type(model).__name__}.{name} must be finite and >= 0, "
+                f"got {value!r}"
+            )
 
 
 class SimClock:
@@ -46,9 +63,12 @@ class SimClock:
         return self._now_us / 1e6
 
     def advance(self, micros: float, category: str = "other") -> None:
-        """Advance the clock by ``micros`` microseconds (must be >= 0)."""
-        if micros < 0:
-            raise ValueError(f"cannot advance clock by negative time: {micros}")
+        """Advance the clock by ``micros`` microseconds (finite, >= 0)."""
+        if not 0.0 <= micros < _INF:
+            raise ValueError(
+                f"cannot advance clock by {micros!r} us: the time must be "
+                f"finite and >= 0"
+            )
         self._now_us += micros
         self.breakdown_us[category] = (
             self.breakdown_us.get(category, 0.0) + micros
@@ -83,6 +103,9 @@ class LatencyModel:
     erase_us: float = 3500.0
     bus_us_per_byte: float = 0.002
 
+    def __post_init__(self) -> None:
+        _check_costs(self)
+
     def transfer_us(self, nbytes: int) -> float:
         """Bus time to move ``nbytes`` between host and device."""
         return nbytes * self.bus_us_per_byte
@@ -92,7 +115,7 @@ class LatencyModel:
 DEFAULT_LATENCY = LatencyModel()
 
 
-@dataclass
+@dataclass(frozen=True)
 class HostCostModel:
     """CPU-side costs charged by the workload driver, in microseconds.
 
@@ -100,8 +123,16 @@ class HostCostModel:
     also spend host CPU time; charging a small fixed cost per transaction
     and per buffer operation keeps simulated TPS in a realistic range and
     stops device savings from being infinitely leveraged.
+
+    Every field is checked on construction (finite, >= 0) and frozen
+    after it: the storage manager charges ``per_buffer_hit_us`` and
+    ``ipa_tracking_us`` straight onto the clock, past
+    :meth:`SimClock.advance`'s check.
     """
 
     per_transaction_us: float = 35.0
     per_buffer_hit_us: float = 1.0
     ipa_tracking_us: float = 0.4  # paper: "min. computational overhead"
+
+    def __post_init__(self) -> None:
+        _check_costs(self)

@@ -223,7 +223,7 @@ class BufferPool:
             # Flush first, unlink after: a flush that raises (device full,
             # WAL full, injected fault) must leave the dirty frame resident
             # or the next fetch would re-read the stale Flash copy.
-            net_bytes = len(victim.tracker.net_changed_offsets)
+            net_bytes = victim.tracker.net_changed_bytes
             tr = self.tracer
             if not tr.enabled:
                 self._flush(victim)

@@ -16,10 +16,15 @@ Two deliberate choices support IPA:
 * free space and the delta area are kept in the erased state (0xFF), so a
   page image written to Flash leaves those cells unprogrammed and
   therefore *appendable* later;
-* every mutation funnels through :meth:`SlottedPage._write`, which
-  reports ``(offset, old, new)`` to an attached change tracker — the
-  paper's "change tracking in the buffer [with] min. computational
-  overhead".
+* every change is reported to an attached change tracker (a
+  :class:`PageObserver`) — the paper's "change tracking in the buffer
+  [with] min. computational overhead".  Body bytes (records, slots) go
+  through :meth:`SlottedPage._write`, which reports ``(offset, old,
+  new)`` byte strings to the observer's ``on_write``.  The page's own
+  header/footer integer fields (the LSN, slot count + free lower, the
+  footer checksum) are written with ``pack_into`` and reported as one
+  ``on_stamp(offset, width, old, new)`` of integers, so no byte string
+  is built or diffed for them.
 
 Header fields (24 bytes):
   magic(2) page_id(4) lsn(8) slot_count(2) free_lower(2) flags(2)
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Callable, Optional
+from typing import Callable, Optional, Protocol
 
 from repro.core.config import (
     PAGE_FOOTER_SIZE,
@@ -66,7 +71,16 @@ class PageCorruptError(Exception):
     """Structural invariant violated (bad magic, bad checksum, bad slot)."""
 
 
-WriteHook = Callable[[int, bytes, bytes], None]
+class PageObserver(Protocol):
+    """What a page reports its changes to (the change tracker)."""
+
+    def on_write(self, offset: int, old: bytes, new: bytes) -> None:
+        """Body bytes ``old`` at ``offset`` became ``new``."""
+
+    def on_stamp(self, offset: int, width: int, old: int, new: int) -> None:
+        """An integer field of the header or footer (``width`` bytes,
+        little-endian) went from ``old`` to ``new``: exactly
+        ``on_write`` of the field's bytes."""
 
 
 class SlottedPage:
@@ -83,7 +97,9 @@ class SlottedPage:
             raise ValueError("buffer too small for layout")
         self._buf = buf
         self.scheme = scheme
-        self._hook: Optional[WriteHook] = None
+        # The attached observer's two methods, both None when detached.
+        self._hook: Optional[Callable[[int, bytes, bytes], None]] = None
+        self._stamp: Optional[Callable[[int, int, int, int], None]] = None
         # Geometry: the buffer never changes length, so these are fixed.
         self.page_size = page_size
         self.footer_start = page_size - PAGE_FOOTER_SIZE
@@ -149,7 +165,11 @@ class SlottedPage:
 
     def set_lsn(self, lsn: int) -> None:
         """Stamp the page LSN (metadata — shipped via delta_metadata)."""
-        self._write(_LSN, _U64.pack(lsn))
+        buf = self._buf
+        old = _U64.unpack_from(buf, _LSN)[0]
+        _U64.pack_into(buf, _LSN, lsn)
+        if self._stamp is not None:
+            self._stamp(_LSN, 8, old, lsn)
 
     @property
     def slot_count(self) -> int:
@@ -182,14 +202,22 @@ class SlottedPage:
         if not record:
             raise ValueError("empty records are not supported")
         size = len(record)
-        slot_no, offset = _SLOT.unpack_from(self._buf, _SLOT_COUNT)
+        buf = self._buf
+        slot_no, offset = _SLOT.unpack_from(buf, _SLOT_COUNT)
         slot_pos = self.delta_start - SLOT_SIZE * (slot_no + 1)
         if size > slot_pos - offset:  # free_space, inlined
             raise PageFullError(f"{size} B record, {self.free_space} B free")
         self._write(offset, record)
         self._write(slot_pos, _SLOT.pack(offset, size))
-        # slot_count and free_lower are adjacent: one tracked write.
-        self._write(_SLOT_COUNT, _SLOT.pack(slot_no + 1, offset + size))
+        # slot_count and free_lower are adjacent: one 4-byte stamp.
+        _SLOT.pack_into(buf, _SLOT_COUNT, slot_no + 1, offset + size)
+        if self._stamp is not None:
+            self._stamp(
+                _SLOT_COUNT,
+                SLOT_SIZE,
+                slot_no | offset << 16,
+                (slot_no + 1) | (offset + size) << 16,
+            )
         return slot_no
 
     def slot(self, slot_no: int) -> tuple[int, int]:
@@ -268,7 +296,9 @@ class SlottedPage:
         # Erase the tail of the tuple area so it stays Flash-appendable.
         if cursor < old_free_lower:
             self._write(cursor, _ERASED_CHAR * (old_free_lower - cursor))
-        self._write(_FREE_LOWER, _U16.pack(cursor))
+        _U16.pack_into(self._buf, _FREE_LOWER, cursor)
+        if self._stamp is not None:
+            self._stamp(_FREE_LOWER, 2, old_free_lower, cursor)
         return old_free_lower - cursor
 
     def has_tombstones(self) -> bool:
@@ -318,7 +348,13 @@ class SlottedPage:
 
     def store_checksum(self) -> None:
         """Write the current checksum into the footer."""
-        self._write(self.footer_start, _U32.pack(self.compute_checksum()))
+        buf = self._buf
+        footer_start = self.footer_start
+        old = _U32.unpack_from(buf, footer_start)[0]
+        checksum = self.compute_checksum()
+        _U32.pack_into(buf, footer_start, checksum)
+        if self._stamp is not None:
+            self._stamp(footer_start, 4, old, checksum)
 
     def verify_checksum(self) -> bool:
         """True iff the stored footer checksum matches the content."""
@@ -355,12 +391,18 @@ class SlottedPage:
         buf = self._buf
         return bytes(buf[:PAGE_HEADER_SIZE]), bytes(buf[self.footer_start :])
 
-    def set_write_hook(self, hook: Optional[WriteHook]) -> None:
-        """Attach/detach the change tracker's write observer."""
-        self._hook = hook
+    def set_observer(self, observer: Optional[PageObserver]) -> None:
+        """Attach the change tracker (``None`` detaches): its ``on_write``
+        sees every body write, its ``on_stamp`` every header/footer
+        field the page writes (LSN, slot count + free lower, checksum)."""
+        if observer is None:
+            self._hook = self._stamp = None
+        else:
+            self._hook = observer.on_write
+            self._stamp = observer.on_stamp
 
     def _write(self, offset: int, data: bytes) -> None:
-        """All mutations go through here so the tracker sees every byte."""
+        """Body mutations go through here so the tracker sees every byte."""
         buf = self._buf
         end = offset + len(data)
         if self._hook is not None:

@@ -309,13 +309,9 @@ class StorageManager:
         self.device = device
         self.scheme = scheme
         self.policy = policy
+        # Validated on construction: fetch() and end_update() charge it
+        # without SimClock.advance's own check.
         self.host_costs = host_costs or HostCostModel()
-        if self.host_costs.per_buffer_hit_us < 0:
-            # fetch() charges a hit without SimClock.advance's own check.
-            raise ValueError(
-                f"per_buffer_hit_us must be >= 0, got "
-                f"{self.host_costs.per_buffer_hit_us}"
-            )
         self.verify_checksums = verify_checksums
         self.clock = device.chip.clock
         self.stats = ManagerStats()
@@ -371,7 +367,7 @@ class StorageManager:
         tracker = ChangeTracker(
             self.scheme, 0, PAGE_HEADER_SIZE, page.delta_start
         )
-        page.set_write_hook(tracker.on_write)
+        page.set_observer(tracker)
         frame = Frame(lba, page, tracker, flash_image=None, flash_delta_count=0)
         self.pool.insert(frame)
         frame.pin()
@@ -409,7 +405,7 @@ class StorageManager:
         tracker = ChangeTracker(
             self.scheme, k, PAGE_HEADER_SIZE, page.delta_start
         )
-        page.set_write_hook(tracker.on_write)
+        page.set_observer(tracker)
         frame = Frame(lba, page, tracker, flash_image=image, flash_delta_count=k)
         pool.insert(frame)
         frame.pin()
@@ -435,18 +431,27 @@ class StorageManager:
                 self._next_lsn = lsn + 1
                 frame.page.set_lsn(lsn)
         finally:
+            # One Python frame, like a fetch hit: SimClock.advance and
+            # Frame.unpin are inlined statement for statement.
             size = tracker.end_op()
+            stats = self.stats
             if size:
-                self.stats.per_file_op_sizes.setdefault(
+                stats.per_file_op_sizes.setdefault(
                     frame.page.file_id, []
                 ).append(size)
             if self.wal is not None and lsn:
                 self.wal.log_update(lsn, frame.lba, tracker.last_op_changes)
                 self._txn_locked_lbas.add(frame.lba)
             frame.dirty = True
-            self.stats.update_ops += 1
-            self.clock.advance(self.host_costs.ipa_tracking_us, "host")
-            frame.unpin()
+            stats.update_ops += 1
+            cost = self.host_costs.ipa_tracking_us
+            clock = self.clock
+            clock._now_us += cost
+            breakdown = clock.breakdown_us
+            breakdown["host"] = breakdown.get("host", 0.0) + cost
+            if frame.pin_count <= 0:
+                raise RuntimeError(f"unpin of unpinned frame (lba {frame.lba})")
+            frame.pin_count -= 1
 
     def unpin(self, frame: Frame) -> None:
         """Release a pin taken by :meth:`fetch` / :meth:`format_page`."""
@@ -593,7 +598,7 @@ class StorageManager:
 
     def _flush(self, frame: Frame) -> None:
         # Account net change before the policy resets the tracker.
-        self.stats.net_bytes_updated += len(frame.tracker.net_changed_offsets)
+        self.stats.net_bytes_updated += frame.tracker.net_changed_bytes
         lg = self.ledger
         if not lg.enabled:
             self._flush_inner(frame)

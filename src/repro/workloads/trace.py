@@ -92,7 +92,7 @@ class _TracingPolicy(TraditionalPolicy):
                 lba=frame.lba,
                 op_sizes=tuple(tracker.op_sizes),
                 meta_bytes=len(tracker.meta_changed_offsets),
-                net_bytes=len(tracker.net_changed_offsets),
+                net_bytes=tracker.net_changed_bytes,
             )
         )
         self.trace.max_lba = max(self.trace.max_lba, frame.lba)

@@ -42,7 +42,7 @@ def test_track_encode_apply_roundtrip(ops):
     flash_image = page.to_bytes()  # pretend this is on Flash
 
     tracker = ChangeTracker(scheme, 0, PAGE_HEADER_SIZE, page.delta_start)
-    page.set_write_hook(tracker.on_write)
+    page.set_observer(tracker)
     for op in ops:
         tracker.begin_op()
         for offset, value in op:
@@ -93,7 +93,7 @@ def test_conformance_decision_is_safe(n, m, updates):
     page.store_checksum()
     flash_image = page.to_bytes()
     tracker = ChangeTracker(scheme, 0, PAGE_HEADER_SIZE, page.delta_start)
-    page.set_write_hook(tracker.on_write)
+    page.set_observer(tracker)
 
     for offset, value in updates:
         tracker.begin_op()

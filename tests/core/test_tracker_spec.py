@@ -1,6 +1,7 @@
 """``ChangeTracker`` against the per-byte spec in ``tests.reference.core``:
 the same state after every call, the same delta-records, the same
-errors."""
+errors.  A stamp (``on_stamp``) is, by the spec, one ``on_write`` of the
+field's little-endian bytes."""
 
 import pytest
 from hypothesis import given, settings
@@ -76,12 +77,43 @@ def _span_writes(draw):
     return ("write", offset, old, new)
 
 
-def _actions(writes, max_size):
+_stamp_bytes = st.sampled_from([0x00, 0x01, 0xFF])
+
+
+@st.composite
+def _stamps(draw, body_end, page_end):
+    """One header/footer integer field: the page's LSN, counts or
+    checksum, or any other field wholly inside one of the two regions."""
+    width = draw(st.sampled_from([1, 2, 4, 8]))
+    if draw(st.booleans()):
+        offset = draw(
+            st.one_of(
+                st.sampled_from([6, 14, 16]),  # LSN, slot count, free lower
+                st.integers(min_value=0, max_value=HEADER_END - width),
+            )
+        )
+    else:
+        offset = draw(st.integers(min_value=body_end, max_value=page_end - width))
+    old = bytes(draw(st.lists(_stamp_bytes, min_size=width, max_size=width)))
+    new = bytes(draw(st.lists(_stamp_bytes, min_size=width, max_size=width)))
+    if draw(st.booleans()) and draw(st.booleans()):
+        new = old  # an unchanged field
+    return (
+        "stamp",
+        offset,
+        width,
+        int.from_bytes(old, "little"),
+        int.from_bytes(new, "little"),
+    )
+
+
+def _actions(writes, stamps, max_size):
     return st.lists(
         st.one_of(
             writes,
             writes,
             writes,
+            stamps,
             st.just(("begin",)),
             st.just(("end",)),
             st.tuples(st.just("flushed"), st.integers(min_value=0, max_value=2)),
@@ -92,10 +124,14 @@ def _actions(writes, max_size):
 
 #: name -> (body end, action strategy): byte-level writes on a tiny page,
 #: and record-sized spans (17-200 B, the long-write path) on a 340-byte
-#: one.
+#: one; both mixed with stamps, which the writes overlap often (the
+#: header is 24 bytes, the delta area + footer 20 and 40).
 _WRITE_STRATEGIES = {
-    "bytes": (BODY_END, _actions(_writes(), 30)),
-    "spans": (BIG_BODY_END, _actions(_span_writes(), 25)),
+    "bytes": (BODY_END, _actions(_writes(), _stamps(BODY_END, PAGE_END), 30)),
+    "spans": (
+        BIG_BODY_END,
+        _actions(_span_writes(), _stamps(BIG_BODY_END, BIG_PAGE_END), 25),
+    ),
 }
 
 _schemes = st.sampled_from(
@@ -110,6 +146,7 @@ def _observable(tracker):
         "records": tracker.records,
         "out_of_place": tracker.out_of_place,
         "meta_changed": tracker.meta_changed,
+        "net_changed_bytes": tracker.net_changed_bytes,
         "net_changed_offsets": tracker.net_changed_offsets,
         "meta_changed_offsets": tracker.meta_changed_offsets,
         "op_sizes": tracker.op_sizes,
@@ -127,6 +164,8 @@ def _apply_action(tracker, action):
     try:
         if action[0] == "write":
             return tracker.on_write(*action[1:])
+        if action[0] == "stamp":
+            return tracker.on_stamp(*action[1:])
         if action[0] == "begin":
             return tracker.begin_op()
         if action[0] == "end":
@@ -203,14 +242,80 @@ class TestChangeTracker:
         assert tracker.end_op() == 50 and tracker.op_sizes == [50]
 
     def test_deferred_spans_do_not_pile_up_on_a_resident_page(self):
+        """Record-sized spans, over bytes already counted, cost one byte
+        map the size of the page body, however many arrive."""
         ref = RefChangeTracker(SCHEME_2X4, 0, HEADER_END, BIG_BODY_END)
         new = ChangeTracker(SCHEME_2X4, 0, HEADER_END, BIG_BODY_END)
         for i in range(500):
             old = bytes([i % 251]) * 100
             span = bytes([(i + 1) % 251]) * 50 + old[50:]
             _run((ref, new), ("begin",), ("write", 30 + i % 100, old, span), ("end",))
-            assert len(new._net_spans) <= 65
+            assert len(new._net_map) == BIG_BODY_END
+            assert not new._net
         assert _observable(new) == _observable(ref)
+
+    def test_small_writes_before_and_after_the_map_count_once(self):
+        trackers = [
+            cls(SCHEME_2X4, 0, HEADER_END, BIG_BODY_END)
+            for cls in (RefChangeTracker, ChangeTracker)
+        ]
+        _run(
+            trackers,
+            ("begin",),
+            ("write", 40, b"\x00\x00", b"\x01\x01"),  # the set, before
+            ("end",),
+            ("begin",),
+            ("write", 30, b"\xff" * 50, b"r" * 50),  # creates the map
+            ("write", 100, b"\x00", b"\x02"),  # the set, after
+            ("end",),
+            ("begin",),
+            ("write", 60, b"r" * 40, b"s" * 40),  # half over the map
+            ("write", 41, b"\x01\x00", b"\x03\x04"),  # over both
+            ("end",),
+        )
+        # 30-79 (40 and 41 among them), 100, and 80-99.
+        assert trackers[1].net_changed_bytes == 50 + 1 + 20
+        assert _observable(trackers[1]) == _observable(trackers[0])
+
+    @pytest.mark.parametrize(
+        "write_offset, old, new",
+        [
+            (6, b"\x07", b"\x08"),  # the stamped LSN's first byte again
+            (12, b"\x00\x00\x00", b"\x00\x05\x00"),  # its tail + slot count
+            (20, b"\x00", b"\x01"),  # beside it: no overlap
+        ],
+    )
+    def test_a_header_write_after_a_stamp_of_the_same_op(
+        self, write_offset, old, new
+    ):
+        """The WAL replays an op's bytes in page order of writing: a byte
+        written after a stamp of the same op must win over the stamp."""
+        trackers = [
+            cls(SCHEME_2X4, 0, HEADER_END, BODY_END)
+            for cls in (RefChangeTracker, ChangeTracker)
+        ]
+        _run(
+            trackers,
+            ("begin",),
+            ("stamp", 6, 8, 0, 7),
+            ("write", write_offset, old, new),
+            ("stamp", 14, 4, 0, 0x00180001),
+            ("end",),
+        )
+        assert _observable(trackers[1]) == _observable(trackers[0])
+        assert trackers[1].last_op_changes[6] == (7 if write_offset != 6 else 8)
+
+    def test_stamps_outside_an_op_and_across_a_flush(self):
+        trackers = [
+            cls(SCHEME_2X4, 1, HEADER_END, BODY_END)
+            for cls in (RefChangeTracker, ChangeTracker)
+        ]
+        _run(trackers, ("stamp", BODY_END + 12, 4, 0xDEAD, 0xBEEF))
+        assert _observable(trackers[1]) == _observable(trackers[0])
+        assert trackers[1].meta_changed_offsets == {BODY_END + 12, BODY_END + 13}
+        _run(trackers, ("flushed", 2), ("begin",), ("stamp", 6, 8, 1, 1), ("end",))
+        assert _observable(trackers[1]) == _observable(trackers[0])
+        assert not trackers[1].meta_changed and not trackers[1].dirty
 
     @pytest.mark.parametrize(
         "second_offset, second_old, second_new",

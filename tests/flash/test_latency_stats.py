@@ -26,6 +26,14 @@ class TestSimClock:
         with pytest.raises(ValueError):
             SimClock().advance(-1)
 
+    @pytest.mark.parametrize("micros", [float("nan"), float("inf"), -0.5])
+    def test_non_finite_or_negative_rejected(self, micros):
+        clock = SimClock()
+        clock.advance(3.0, "host")
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            clock.advance(micros, "host")
+        assert clock.now_us == 3.0 and clock.breakdown_us == {"host": 3.0}
+
     def test_categories(self):
         clock = SimClock()
         clock.advance(10, "read")
@@ -68,6 +76,36 @@ class TestLatencyModel:
         costs = HostCostModel()
         assert costs.per_transaction_us > costs.per_buffer_hit_us
         assert costs.ipa_tracking_us < 1.0  # "min. computational overhead"
+
+
+_BAD_COSTS = [float("nan"), float("inf"), -1.0]
+
+
+class TestCostModelsValidate:
+    @pytest.mark.parametrize("model", [HostCostModel, LatencyModel])
+    def test_every_field_checked(self, model):
+        for field in fields(model):
+            for value in _BAD_COSTS:
+                with pytest.raises(ValueError) as error:
+                    model(**{field.name: value})
+                assert f"{model.__name__}.{field.name}" in str(error.value)
+                assert repr(value) in str(error.value)
+
+    @pytest.mark.parametrize("model", [HostCostModel, LatencyModel])
+    def test_zero_and_defaults_accepted(self, model):
+        model()
+        model(**{field.name: 0.0 for field in fields(model)})
+
+    def test_nan_cost_cannot_reach_the_clock(self):
+        """At the parent, a NaN per-transaction cost made every simulated
+        time and TPS NaN without an error."""
+        with pytest.raises(ValueError, match="per_transaction_us"):
+            HostCostModel(per_transaction_us=float("nan"))
+
+    def test_host_costs_are_frozen(self):
+        costs = HostCostModel()
+        with pytest.raises(AttributeError):
+            costs.ipa_tracking_us = -1.0
 
 
 class TestStats:

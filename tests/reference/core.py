@@ -87,6 +87,16 @@ class RefChangeTracker:
             if len(self.open_op) > self.scheme.m_bytes:
                 self.mark_out_of_place()
 
+    def on_stamp(self, offset, width, old, new):
+        """An integer field of the header or footer: its bytes."""
+        self.on_write(
+            offset, old.to_bytes(width, "little"), new.to_bytes(width, "little")
+        )
+
+    @property
+    def net_changed_bytes(self):
+        return len(self.net_changed_offsets)
+
     @property
     def ipa_eligible(self):
         if self.out_of_place or not self.scheme.enabled:

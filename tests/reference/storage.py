@@ -31,7 +31,7 @@ def ref_fetch(manager, lba):
         tracker = RefChangeTracker(
             manager.scheme, count, PAGE_HEADER_SIZE, page.delta_start
         )
-        page.set_write_hook(tracker.on_write)
+        page.set_observer(tracker)
         frame = Frame(lba, page, tracker, flash_image=image, flash_delta_count=count)
         pool.insert(frame)
     frame.pin()

@@ -1,7 +1,7 @@
 """NSM slotted page with delta-record area (paper Figure 3)."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import IPA_DISABLED, SCHEME_2X4, IpaScheme
@@ -174,39 +174,127 @@ class TestValidate:
             page.validate()
 
 
+class _Recorder:
+    """Every change the page reports, in order: ``("write", offset, old,
+    new)`` with byte strings, ``("stamp", offset, width, old, new)`` with
+    integers."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_write(self, offset, old, new):
+        self.events.append(("write", offset, bytes(old), bytes(new)))
+
+    def on_stamp(self, offset, width, old, new):
+        self.events.append(("stamp", offset, width, old, new))
+
+
 class TestWriteHook:
     def test_hook_sees_every_mutation(self):
         page = fresh()
-        events = []
-        page.set_write_hook(lambda off, old, new: events.append((off, old, new)))
+        recorder = _Recorder()
+        page.set_observer(recorder)
         page.insert(b"ab")
-        assert events  # tuple data + slot + header updates
-        offsets = [e[0] for e in events]
-        assert 24 in offsets  # record landed at free_lower
-        assert 14 in offsets  # slot_count header update
+        writes = [e for e in recorder.events if e[0] == "write"]
+        assert writes  # tuple data + slot
+        assert 24 in [e[1] for e in writes]  # record landed at free_lower
+        # slot_count 0 -> 1 and free_lower 24 -> 26: one header stamp.
+        stamps = [e for e in recorder.events if e[0] == "stamp"]
+        assert stamps == [("stamp", 14, 4, 0 | 24 << 16, 1 | 26 << 16)]
 
     def test_hook_gets_old_and_new(self):
         page = fresh()
         page.insert(b"ab")
-        events = []
-        page.set_write_hook(lambda off, old, new: events.append((off, old, new)))
+        recorder = _Recorder()
+        page.set_observer(recorder)
         page.update(0, 0, b"X")
-        assert events == [(24, b"a", b"X")]
+        assert recorder.events == [("write", 24, b"a", b"X")]
 
     def test_reset_delta_area_bypasses_hook(self):
         page = fresh()
-        events = []
-        page.set_write_hook(lambda *e: events.append(e))
+        page.insert(b"ab")
+        recorder = _Recorder()
+        page.set_observer(recorder)
         page.reset_delta_area()
-        assert events == []
+        assert recorder.events == []
 
     def test_detach(self):
         page = fresh()
-        events = []
-        page.set_write_hook(lambda *e: events.append(e))
-        page.set_write_hook(None)
+        recorder = _Recorder()
+        page.set_observer(recorder)
+        page.set_observer(None)
         page.insert(b"ab")
-        assert events == []
+        page.set_lsn(7)
+        page.store_checksum()
+        assert recorder.events == []
+
+
+_page_calls = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.binary(min_size=1, max_size=120)),
+        st.tuples(
+            st.just("update"),
+            st.integers(min_value=0, max_value=12),
+            st.integers(min_value=0, max_value=40),
+            st.binary(min_size=1, max_size=24),
+        ),
+        st.tuples(st.just("delete"), st.integers(min_value=0, max_value=12)),
+        st.tuples(st.just("compact")),
+        st.tuples(
+            st.just("set_lsn"),
+            st.one_of(st.integers(0, 3), st.integers(0, 2**64 - 1)),
+        ),
+        st.tuples(st.just("store_checksum")),
+        st.tuples(st.just("reset_delta_area")),
+    ),
+    max_size=40,
+)
+
+
+class TestEveryChangeReported:
+    @given(calls=_page_calls)
+    @settings(max_examples=150, deadline=None)
+    def test_reports_equal_the_buffer_diff(self, calls):
+        """After every call, the reported changes replayed over the
+        pre-call image give the page, old values included, and name
+        exactly the bytes that differ: body bytes as writes, the page's
+        header/footer fields as stamps."""
+        page = fresh(page_size=512)
+        recorder = _Recorder()
+        page.set_observer(recorder)
+        for call in calls:
+            before = page.to_bytes()
+            recorder.events.clear()
+            try:
+                getattr(page, call[0])(*call[1:])
+            except (PageFullError, KeyError, IndexError, ValueError):
+                pass
+            after = page.to_bytes()
+            if call[0] == "reset_delta_area":
+                assert recorder.events == []  # composing an image, untracked
+                continue
+            replay = bytearray(before)
+            reported = {}
+            for kind, offset, *change in recorder.events:
+                if kind == "write":
+                    old, new = change
+                else:
+                    width, old, new = change
+                    old = old.to_bytes(width, "little")
+                    new = new.to_bytes(width, "little")
+                end = offset + len(new)
+                if kind == "write":
+                    assert 24 <= offset and end <= page.delta_start, call
+                else:
+                    assert end <= 24 or offset >= page.delta_start, call
+                assert replay[offset:end] == old, call
+                replay[offset:end] = new
+                for i, (a, b) in enumerate(zip(old, new)):
+                    if a != b:
+                        reported[offset + i] = b
+            assert replay == after, call
+            changed = {i: b for i, (a, b) in enumerate(zip(before, after)) if a != b}
+            assert reported == changed, call
 
 
 class TestRoundTripThroughBytes:
