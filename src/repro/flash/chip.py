@@ -239,18 +239,16 @@ class FlashChip:
     # The kernel: one body per operation kind
     # ------------------------------------------------------------------ #
 
-    def read_page(self, ppn: int, check_ecc: bool = True) -> bytes:
+    def read_page(self, ppn: int) -> bytes:
         """Read a page's data area (charges read + bus latency)."""
-        return bytes(self._sense(ppn, check_ecc)._data)
+        return bytes(self._sense(ppn)._data)
 
-    def read_page_with_oob(
-        self, ppn: int, check_ecc: bool = True
-    ) -> tuple[bytes, bytes]:
+    def read_page_with_oob(self, ppn: int) -> tuple[bytes, bytes]:
         """Read a page's data and OOB areas."""
-        page = self._sense(ppn, check_ecc)
+        page = self._sense(ppn)
         return bytes(page._data), bytes(page._oob)
 
-    def _sense(self, ppn: int, check_ecc: bool = True) -> PhysicalPage:
+    def _sense(self, ppn: int) -> PhysicalPage:
         """The read body: sense one page through the ECC model.
 
         Charges read + bus time for the data and OOB areas and counts the
@@ -271,7 +269,7 @@ class FlashChip:
         clock = self.clock
         breakdown = clock.breakdown_us
         read_us = self._read_us
-        if check_ecc and page.state is _PROGRAMMED:
+        if page.state is _PROGRAMMED:
             worst = page._disturb_worst
             if worst > self._ecc_t:
                 clock._now_us += read_us

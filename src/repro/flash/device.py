@@ -46,7 +46,8 @@ media is exactly what a real multi-channel device would leave behind.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
+from collections import deque
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -71,132 +72,16 @@ if TYPE_CHECKING:
 _SEED_STRIDE = 0x9E37
 
 
-#: One scheduled array pulse: when it starts and ends on the sim clock.
-#: Undo recipes (arbitrary Python tuples, fault injection only) ride in a
-#: parallel list — only the times need vectorized arithmetic.
-EVENT_DTYPE = np.dtype([("start_us", np.float64), ("end_us", np.float64)])
+class _Pulse:
+    """One scheduled array pulse: when it starts and ends on the sim
+    clock, and its undo recipe (fault injection only, else None)."""
 
+    __slots__ = ("start_us", "end_us", "undo")
 
-class _InflightView(NamedTuple):
-    """Read-only snapshot of one queued pulse (scheduler introspection)."""
-
-    start_us: float
-    end_us: float
-    undo: tuple | None
-
-
-class _EventQueue:
-    """In-flight array ops of one channel as a numpy event window.
-
-    A preallocated :data:`EVENT_DTYPE` array holds the pulses as a
-    contiguous ``[head, tail)`` window (compacted to the front when the
-    buffer fills), replacing the per-pulse ``_InflightOp`` objects of the
-    earlier deque scheduler.  The layout makes the two hot aggregate
-    operations single vectorized statements — :meth:`pushback` (a read
-    slipping every queued pulse) and :meth:`drain` — while scalar probes
-    go through ``ndarray.item()`` so every float handed back to the
-    shared :class:`SimClock` is a *Python* float (the golden tests
-    compare ``repr(clock.now_us)``; leaking one ``np.float64`` into the
-    clock would change the repr of every subsequent timestamp).
-
-    End times are non-decreasing within a channel (each pulse starts no
-    earlier than its predecessor's end, and pushback shifts the whole
-    window uniformly), so draining is a prefix drop.
-    """
-
-    __slots__ = ("ev", "_start", "_end", "undo", "head", "tail")
-
-    def __init__(self, capacity: int) -> None:
-        # 2x slack so compaction triggers at most once per `capacity`
-        # pushes; the window itself never exceeds `capacity` live ops.
-        cap = 2 * capacity
-        self.ev = np.zeros(cap, dtype=EVENT_DTYPE)
-        # Persistent field views: structured-field access allocates a
-        # view object per lookup, so resolve both fields once.
-        self._start = self.ev["start_us"]
-        self._end = self.ev["end_us"]
-        self.undo: list[tuple | None] = [None] * cap
-        self.head = 0
-        self.tail = 0
-
-    def __len__(self) -> int:
-        return self.tail - self.head
-
-    def __getitem__(self, i: int) -> _InflightView:
-        """Snapshot one queued pulse (introspection / tests only)."""
-        n = self.tail - self.head
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError(f"in-flight op {i} out of range [0, {n})")
-        slot = self.head + i
-        return _InflightView(
-            self._start.item(slot), self._end.item(slot), self.undo[slot]
-        )
-
-    def __iter__(self) -> Iterator[_InflightView]:
-        return (self[i] for i in range(len(self)))
-
-    def push(self, start_us: float, end_us: float, undo: tuple | None) -> None:
-        """Append a newly issued pulse at the back of the window."""
-        tail = self.tail
-        if tail == len(self.undo):
-            self._compact()
-            tail = self.tail
-        self._start[tail] = start_us
-        self._end[tail] = end_us
-        self.undo[tail] = undo
-        self.tail = tail + 1
-
-    def _compact(self) -> None:
-        h, t = self.head, self.tail
-        n = t - h
-        self._start[:n] = self._start[h:t]
-        self._end[:n] = self._end[h:t]
-        self.undo[:n] = self.undo[h:t]
-        for i in range(n, t):
-            self.undo[i] = None  # drop stale pre-image refs promptly
-        self.head = 0
-        self.tail = n
-
-    def first_start(self) -> float:
-        return self._start.item(self.head)
-
-    def first_end(self) -> float:
-        return self._end.item(self.head)
-
-    def last_end(self) -> float:
-        return self._end.item(self.tail - 1)
-
-    def drain(self, now_us: float) -> None:
-        """Drop every completed pulse (``end <= now``) off the front."""
-        h, t = self.head, self.tail
-        end = self._end
-        undo = self.undo
-        while h < t and end.item(h) <= now_us:
-            undo[h] = None
-            h += 1
-        self.head = h
-
-    def pop_newest(self) -> tuple[float, float, tuple | None]:
-        """Remove and return the most recently issued pulse."""
-        t = self.tail - 1
-        self.tail = t
-        u = self.undo[t]
-        self.undo[t] = None
-        return self._start.item(t), self._end.item(t), u
-
-    def pushback(self, delta_us: float) -> None:
-        """Slip the whole window by ``delta_us`` (vectorized)."""
-        h, t = self.head, self.tail
-        self._start[h:t] += delta_us
-        self._end[h:t] += delta_us
-
-    def clear(self) -> None:
-        for i in range(self.head, self.tail):
-            self.undo[i] = None
-        self.head = 0
-        self.tail = 0
+    def __init__(self, start_us: float, end_us: float, undo: tuple | None) -> None:
+        self.start_us = start_us
+        self.end_us = end_us
+        self.undo = undo
 
 
 class _Channel:
@@ -205,11 +90,15 @@ class _Channel:
     __slots__ = ("index", "chip", "busy_until_us", "inflight", "ops",
                  "busy_us", "wait_us")
 
-    def __init__(self, index: int, chip: FlashChip, queue_depth: int) -> None:
+    def __init__(self, index: int, chip: FlashChip) -> None:
         self.index = index
         self.chip = chip
         self.busy_until_us = 0.0
-        self.inflight = _EventQueue(queue_depth)
+        #: In-flight pulses, oldest first.  End times are non-decreasing
+        #: (each pulse starts no earlier than its predecessor's end, and
+        #: a read slips every queued pulse alike), so draining completed
+        #: pulses pops from the left.
+        self.inflight: deque[_Pulse] = deque()
         self.ops = 0
         self.busy_us = 0.0
         self.wait_us = 0.0
@@ -314,7 +203,7 @@ class FlashDevice:
         ]
         self.rules = self.chips[0].rules
         self._channels = [
-            _Channel(i, chip, queue_depth) for i, chip in enumerate(self.chips)
+            _Channel(i, chip) for i, chip in enumerate(self.chips)
         ]
         self._ppb = geometry.pages_per_block
         self._total_pages = geometry.total_pages
@@ -392,18 +281,16 @@ class FlashDevice:
     # Core operations
     # ------------------------------------------------------------------ #
 
-    def read_page(self, ppn: int, check_ecc: bool = True) -> bytes:
+    def read_page(self, ppn: int) -> bytes:
         """Read a page (jumps queued pulses; waits out an executing one)."""
-        return bytes(self._sense(ppn, check_ecc)._data)
+        return bytes(self._sense(ppn)._data)
 
-    def read_page_with_oob(
-        self, ppn: int, check_ecc: bool = True
-    ) -> tuple[bytes, bytes]:
+    def read_page_with_oob(self, ppn: int) -> tuple[bytes, bytes]:
         """Read a page's data and OOB areas."""
-        page = self._sense(ppn, check_ecc)
+        page = self._sense(ppn)
         return bytes(page._data), bytes(page._oob)
 
-    def _sense(self, ppn: int, check_ecc: bool = True) -> PhysicalPage:
+    def _sense(self, ppn: int) -> PhysicalPage:
         """The chip's sense body, scheduled on the page's channel."""
         channel, local_ppn = self._route_ppn(ppn)
         chip = channel.chip
@@ -411,7 +298,7 @@ class FlashDevice:
         clk = chip.clock
         clk.reset()
         try:
-            return chip._sense(local_ppn, check_ecc)
+            return chip._sense(local_ppn)
         finally:
             self._charge_read(channel, clk)
 
@@ -523,8 +410,8 @@ class FlashDevice:
         """
         for channel in self._channels:
             self._drain(channel)
-            if len(channel.inflight):
-                self._stall(channel, channel.inflight.last_end(), "sync")
+            if channel.inflight:
+                self._stall(channel, channel.inflight[-1].end_us, "sync")
                 self._drain(channel)
 
     def quiesce(self) -> None:
@@ -561,11 +448,14 @@ class FlashDevice:
         injector = self._fault_injector
         now = self.clock.now_us
         for channel in self._channels:
-            while len(channel.inflight):
-                start_us, end_us, undo = channel.inflight.pop_newest()
-                if end_us <= now or undo is None:
+            inflight = channel.inflight
+            while inflight:
+                pulse = inflight.pop()
+                if pulse.end_us <= now or pulse.undo is None:
                     continue
-                self._revert(undo, started=start_us < now, injector=injector)
+                self._revert(
+                    pulse.undo, started=pulse.start_us < now, injector=injector
+                )
             channel.busy_until_us = min(channel.busy_until_us, now)
 
     # ------------------------------------------------------------------ #
@@ -593,7 +483,11 @@ class FlashDevice:
             clock.advance(micros, category)
 
     def _drain(self, channel: _Channel) -> None:
-        channel.inflight.drain(self.clock.now_us)
+        """Drop every completed pulse (``end <= now``) off the front."""
+        inflight = channel.inflight
+        now_us = self.clock.now_us
+        while inflight and inflight[0].end_us <= now_us:
+            inflight.popleft()
 
     def _stall(self, channel: _Channel, until_us: float, op: str) -> None:
         wait = until_us - self.clock.now_us
@@ -618,8 +512,8 @@ class FlashDevice:
         """
         self._drain(channel)
         q = channel.inflight
-        if len(q) and q.first_start() < self.clock.now_us:
-            self._stall(channel, q.first_end(), "read")
+        if q and q[0].start_us < self.clock.now_us:
+            self._stall(channel, q[0].end_us, "read")
             self._drain(channel)
 
     def _charge_read(self, channel: _Channel, chip_clock: SimClock) -> None:
@@ -635,8 +529,10 @@ class FlashDevice:
         for category, micros in breakdown.items():
             if category != "bus":
                 array_us += micros
-        if array_us and len(channel.inflight):
-            channel.inflight.pushback(array_us)
+        if array_us and channel.inflight:
+            for pulse in channel.inflight:
+                pulse.start_us += array_us
+                pulse.end_us += array_us
             channel.busy_until_us += array_us
         tr = self.tracer
         if array_us and tr.enabled and tr.trace_channel_ops:
@@ -670,7 +566,7 @@ class FlashDevice:
         """
         self._drain(channel)
         if len(channel.inflight) >= self.queue_depth:
-            self._stall(channel, channel.inflight.first_end(), kind)
+            self._stall(channel, channel.inflight[0].end_us, kind)
             self._drain(channel)
         undo = undo_builder() if self._fault_injector is not None else None
         clk = channel.chip.clock
@@ -690,13 +586,13 @@ class FlashDevice:
             start = channel.busy_until_us
         if barrier:
             for other in self._channels:
-                if len(other.inflight):
-                    other_end = other.inflight.last_end()
+                if other.inflight:
+                    other_end = other.inflight[-1].end_us
                     if other_end > start:
                         start = other_end
         end = start + op_us
         channel.busy_until_us = end
-        channel.inflight.push(start, end, undo)
+        channel.inflight.append(_Pulse(start, end, undo))
         channel.ops += 1
         channel.busy_us += op_us
         tr = self.tracer

@@ -47,8 +47,6 @@ class BlockManager:
         stats: Device-level counters to account GC work against.
         over_provisioning: Fraction of usable pages withheld from the
             logical address space.  GC cannot function at 0.
-        gc_spare_blocks: Free blocks kept in reserve; GC runs whenever the
-            pool shrinks to this level.
         wear_leveling_gap: Static wear leveling: when the most-worn
             block's erase count exceeds the least-worn *occupied* block's
             by this gap, GC picks the cold block as victim (moving its
@@ -69,13 +67,17 @@ class BlockManager:
             depends on the budget.
         gc_migration_budget: Page migrations allowed per foreground
             allocation while the free pool is below the low watermark.
-        gc_low_watermark: Free-block level that wakes the background
-            collector.  Must exceed ``gc_spare_blocks`` (the emergency
-            threshold); default ``gc_spare_blocks + 2`` — the collector
-            starts early enough to amortize a whole victim's migrations
-            across many foreground writes before the pool hits the
-            synchronous threshold.
     """
+
+    #: Free blocks kept in reserve: GC runs whenever the pool shrinks to
+    #: this level.
+    gc_spare_blocks = 2
+
+    #: Free-block level that wakes the background collector, above the
+    #: emergency threshold: it starts early enough to amortize a whole
+    #: victim's migrations across many foreground writes before the pool
+    #: hits the synchronous threshold.
+    gc_low_watermark = 4
 
     #: Observability: replaced per-instance by :meth:`attach`.
     tracer = NULL_TRACER
@@ -99,30 +101,20 @@ class BlockManager:
         block_ids: list[int],
         stats: DeviceStats,
         over_provisioning: float = 0.10,
-        gc_spare_blocks: int = 2,
         wear_leveling_gap: int | None = None,
         logical_cap: int | None = None,
         lsb_first: bool = False,
         background_gc: bool = False,
         gc_migration_budget: int = 8,
-        gc_low_watermark: int | None = None,
     ) -> None:
         if not 0.0 < over_provisioning < 1.0:
             raise ValueError("over_provisioning must be in (0, 1)")
-        if gc_spare_blocks < 1:
-            raise ValueError("gc_spare_blocks must be >= 1")
         if gc_migration_budget < 1:
             raise ValueError("gc_migration_budget must be >= 1")
-        if gc_low_watermark is None:
-            gc_low_watermark = gc_spare_blocks + 2
-        if gc_low_watermark <= gc_spare_blocks:
+        if len(block_ids) <= self.gc_spare_blocks + 1:
             raise ValueError(
-                "gc_low_watermark must exceed gc_spare_blocks "
-                "(the emergency threshold)"
-            )
-        if len(block_ids) <= gc_spare_blocks + 1:
-            raise ValueError(
-                f"need more than {gc_spare_blocks + 1} blocks, got {len(block_ids)}"
+                f"need more than {self.gc_spare_blocks + 1} blocks, "
+                f"got {len(block_ids)}"
             )
         for block_id in block_ids:
             # Allocation composes ppns from these without re-checking.
@@ -131,11 +123,9 @@ class BlockManager:
         self.stats = stats
         self.sanitizer = sanitizer_from_env()
         self.block_ids = list(block_ids)
-        self.gc_spare_blocks = gc_spare_blocks
         self.wear_leveling_gap = wear_leveling_gap
         self.background_gc = background_gc
         self.gc_migration_budget = gc_migration_budget
-        self.gc_low_watermark = gc_low_watermark
         #: Victim currently being reclaimed incrementally (+ scan cursor
         #: into ``_usable_offsets``).  Lives across foreground ops.
         self._bg_victim: int | None = None

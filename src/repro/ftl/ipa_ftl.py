@@ -10,91 +10,42 @@ in place.  No page is invalidated, so no GC debt accrues.
 
 Anything else — a legality violation, an unmapped LBA, a mode
 restriction (odd-MLC MSB page) — silently falls back to the conventional
-out-of-place path, which makes the device a drop-in replacement.
+out-of-place path, which makes the device a drop-in replacement.  Only
+the write path differs from :class:`PageMappingFtl`: mapping, GC, reads
+and remount are the conventional device's.  In-place reprograms never
+rewrite the OOB, so a page's mapping record (written by its original
+out-of-place program) stays valid across any number of IPA overwrites.
 """
 
 from __future__ import annotations
 
 from repro.flash.cellmodel import slc_transition_legal
 from repro.flash.chip import FlashChip
-from repro.flash.stats import DeviceStats
-from repro.ftl.gc import BlockManager
-from repro.obs.ledger import LifetimeTracker, WriteLedger
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
+from repro.ftl.page_mapping import PageMappingFtl
 
 
-class IpaFtl:
+class IpaFtl(PageMappingFtl):
     """Conventional block interface with device-side in-place detection.
 
     Args:
         chip: NAND chip; run it in PSLC or ODD_MLC mode per the paper's
             MLC safety configurations.
         over_provisioning: As for the conventional FTL.
-        gc_spare_blocks: As for the conventional FTL.
     """
-
-    #: Observability: replaced per-instance by :meth:`attach`.
-    tracer = NULL_TRACER
 
     def __init__(
         self,
         chip: FlashChip,
         over_provisioning: float = 0.10,
-        gc_spare_blocks: int = 2,
         background_gc: bool = False,
         gc_migration_budget: int = 8,
     ) -> None:
-        self.chip = chip
-        self.stats = DeviceStats()
-        self._blocks = BlockManager(
+        super().__init__(
             chip,
-            list(range(chip.geometry.blocks)),
-            self.stats,
-            over_provisioning=over_provisioning,
-            gc_spare_blocks=gc_spare_blocks,
+            over_provisioning,
             background_gc=background_gc,
             gc_migration_budget=gc_migration_budget,
         )
-
-    @property
-    def logical_pages(self) -> int:
-        """LBAs the host may address."""
-        return self._blocks.logical_pages
-
-    @property
-    def free_blocks(self) -> int:
-        """Erased blocks ready for allocation."""
-        return self._blocks.free_block_count
-
-    def attach(
-        self,
-        tracer: Tracer | NullTracer,
-        ledger: WriteLedger,
-        lifetimes: LifetimeTracker,
-    ) -> None:
-        """Observers onto this FTL, its block manager and its chip."""
-        self.tracer = tracer
-        self._blocks.attach(tracer, ledger, lifetimes)
-        self.chip.attach(tracer, ledger)
-
-    @property
-    def page_size(self) -> int:
-        """Bytes per logical page."""
-        return self.chip.geometry.page_size
-
-    def is_mapped(self, lba: int) -> bool:
-        """True once the LBA has been written at least once."""
-        return self._blocks.ppn_of(lba) is not None
-
-    def read_page(self, lba: int) -> bytes:
-        """Read one logical page."""
-        ppn = self._blocks.ppn_of(lba)
-        if ppn is None:
-            raise KeyError(f"read of unwritten lba {lba}")
-        data = self.chip.read_page(ppn)
-        self.stats.host_reads += 1
-        self.stats.host_bytes_read += len(data)
-        return data
 
     def write_page(self, lba: int, data: bytes) -> None:
         """Write a page; reprogram in place when physically possible."""
@@ -141,20 +92,3 @@ class IpaFtl:
             return False
         self.chip.reprogram_page(ppn, image)
         return True
-
-    def write_delta(self, lba: int, offset: int, payload: bytes) -> bool:
-        """Not part of the block-device protocol: always False."""
-        return False
-
-    def rebuild_from_media(self) -> None:
-        """Remount: rebuild the mapping table from the chip's OOB metadata.
-
-        In-place reprograms never rewrite the OOB, so a page's mapping
-        record (written by its original out-of-place program) stays valid
-        across any number of IPA overwrites.
-        """
-        self._blocks.rebuild_from_media()
-
-    def trim(self, lba: int) -> None:
-        """Invalidate a dead logical page."""
-        self._blocks.trim(lba)

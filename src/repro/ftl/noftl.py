@@ -71,7 +71,6 @@ class Region:
         lba_base: int,
         ipa: IpaRegionConfig | None,
         over_provisioning: float,
-        gc_spare_blocks: int,
         logical_pages: int | None = None,
         lsb_first: bool = False,
         background_gc: bool = False,
@@ -88,7 +87,6 @@ class Region:
             block_ids,
             stats,
             over_provisioning=over_provisioning,
-            gc_spare_blocks=gc_spare_blocks,
             logical_cap=logical_pages,
             lsb_first=lsb_first,
             background_gc=background_gc,
@@ -273,14 +271,12 @@ class NoFtlDevice:
         self,
         chip: FlashChip,
         over_provisioning: float = 0.10,
-        gc_spare_blocks: int = 2,
         background_gc: bool = False,
         gc_migration_budget: int = 8,
     ) -> None:
         self.chip = chip
         self.regions: list[Region] = []
         self._over_provisioning = over_provisioning
-        self._gc_spare_blocks = gc_spare_blocks
         self._background_gc = background_gc
         self._gc_migration_budget = gc_migration_budget
         self._next_block = 0
@@ -380,24 +376,24 @@ class NoFtlDevice:
                 f"{self.blocks_remaining} remain"
             )
         block_ids = list(range(self._next_block, self._next_block + blocks))
-        self._next_block += blocks
-        lba_base = self.logical_pages
         region = Region(
             name,
             self.chip,
             block_ids,
             DeviceStats(),
-            lba_base,
+            self.logical_pages,
             ipa,
             over_provisioning
             if over_provisioning is not None
             else self._over_provisioning,
-            self._gc_spare_blocks,
             logical_pages=logical_pages,
             lsb_first=lsb_first,
             background_gc=self._background_gc,
             gc_migration_budget=self._gc_migration_budget,
         )
+        # Claimed only once the region is built: a refused configuration
+        # leaves its blocks to the next request.
+        self._next_block += blocks
         self.regions.append(region)
         return region
 

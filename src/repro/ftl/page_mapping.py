@@ -22,7 +22,6 @@ class PageMappingFtl:
     Args:
         chip: The NAND chip (any mode; pSLC halves logical capacity).
         over_provisioning: Usable-page fraction withheld for GC headroom.
-        gc_spare_blocks: Free-block low watermark triggering GC.
     """
 
     #: Observability: replaced per-instance by :meth:`attach`.
@@ -32,7 +31,6 @@ class PageMappingFtl:
         self,
         chip: FlashChip,
         over_provisioning: float = 0.10,
-        gc_spare_blocks: int = 2,
         wear_leveling_gap: int | None = None,
         background_gc: bool = False,
         gc_migration_budget: int = 8,
@@ -44,7 +42,6 @@ class PageMappingFtl:
             list(range(chip.geometry.blocks)),
             self.stats,
             over_provisioning=over_provisioning,
-            gc_spare_blocks=gc_spare_blocks,
             wear_leveling_gap=wear_leveling_gap,
             background_gc=background_gc,
             gc_migration_budget=gc_migration_budget,
@@ -99,13 +96,15 @@ class PageMappingFtl:
         with tr.span("ftl_write", lba=lba, in_place=False):
             self._write_page_inner(lba, data)
 
-    def _write_page_inner(self, lba: int, data: bytes) -> None:
+    def _write_page_inner(self, lba: int, data: bytes) -> bool:
+        """Returns True when the write landed in place (never, here)."""
         self._blocks.write(lba, data)
         # Counted once it has landed: a refused write is not a host write.
         stats = self.stats
         stats.host_writes += 1
         stats.host_bytes_written += len(data)
         stats.out_of_place_writes += 1
+        return False
 
     def write_delta(self, lba: int, offset: int, payload: bytes) -> bool:
         """Unsupported on a block-device interface: always False."""

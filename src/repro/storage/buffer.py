@@ -84,15 +84,12 @@ class BufferStats:
 
 
 class BufferPool:
-    """Fixed-capacity pool with pluggable replacement (LRU or CLOCK).
+    """Fixed-capacity pool with LRU replacement.
 
     Args:
         capacity: Number of frames.
         flush: Callback writing a dirty frame to the device (the storage
             manager's policy dispatch).
-        replacement: ``"lru"`` (exact recency order) or ``"clock"``
-            (second-chance sweep — what Shore-MT and most real engines
-            run, trading exactness for O(1) hits).
     """
 
     #: Observability: replaced per-instance by ``StorageManager.attach``.
@@ -104,22 +101,12 @@ class BufferPool:
     #: trigger in trace post-processing.
     flush_reason = "evict"
 
-    def __init__(
-        self,
-        capacity: int,
-        flush: Callable[[Frame], None],
-        replacement: str = "lru",
-    ) -> None:
+    def __init__(self, capacity: int, flush: Callable[[Frame], None]) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if replacement not in ("lru", "clock"):
-            raise ValueError(f"unknown replacement policy {replacement!r}")
         self.capacity = capacity
-        self.replacement = replacement
         self._flush = flush
         self._frames: "OrderedDict[int, Frame]" = OrderedDict()
-        self._referenced: dict[int, bool] = {}  # clock reference bits
-        self._hand = 0
         self.stats = BufferStats()
         #: Optional soft no-steal hook (set by the storage manager when a
         #: WAL is attached): a predicate marking frames that *prefer* not
@@ -144,17 +131,14 @@ class BufferPool:
         return lba in self._frames
 
     def get(self, lba: int) -> Optional[Frame]:
-        """Look up a resident frame (touches its replacement state)."""
+        """Look up a resident frame (makes it the most recently used)."""
         frame = self._frames.get(lba)
         if frame is not None:
-            if self.replacement == "lru":
-                self._frames.move_to_end(lba)
-            else:
-                self._referenced[lba] = True
+            self._frames.move_to_end(lba)
         return frame
 
     def insert(self, frame: Frame) -> None:
-        """Admit a frame, evicting per the replacement policy if needed.
+        """Admit a frame, evicting the least recently used if needed.
 
         Raises:
             BufferPoolFullError: every resident frame is pinned.
@@ -165,7 +149,6 @@ class BufferPool:
         while len(self._frames) >= self.capacity:
             self._evict_one()
         self._frames[frame.lba] = frame
-        self._referenced[frame.lba] = False
 
     def _pick_victim(self) -> Frame:
         victim, fallback = self._scan_victim()
@@ -186,35 +169,16 @@ class BufferPool:
         raise BufferPoolFullError("all frames pinned")
 
     def _scan_victim(self) -> tuple[Optional[Frame], Optional[Frame]]:
-        """(victim, vetoed-fallback) per the replacement policy."""
+        """(victim, vetoed-fallback): the least recently used unpinned
+        frame, and the least recently used vetoed one passed over."""
         veto = self.evict_veto
-        if self.replacement == "lru":
-            fallback = None
-            for frame in self._frames.values():
-                if frame.pin_count == 0:
-                    if veto is None or not veto(frame):
-                        return frame, fallback
-                    if fallback is None:
-                        fallback = frame
-            return None, fallback
-        # CLOCK: sweep, granting one second chance per referenced frame.
-        order = list(self._frames.values())
-        sweeps = 0
         fallback = None
-        while sweeps < 2 * len(order) + 1:
-            frame = order[self._hand % len(order)]
-            self._hand = (self._hand + 1) % len(order)
-            sweeps += 1
-            if frame.pin_count != 0:
-                continue
-            if self._referenced.get(frame.lba, False):
-                self._referenced[frame.lba] = False
-                continue
-            if veto is not None and veto(frame):
+        for frame in self._frames.values():
+            if frame.pin_count == 0:
+                if veto is None or not veto(frame):
+                    return frame, fallback
                 if fallback is None:
                     fallback = frame
-                continue
-            return frame, fallback
         return None, fallback
 
     def _evict_one(self) -> None:
@@ -235,7 +199,6 @@ class BufferPool:
         else:
             self.stats.clean_evictions += 1
         del self._frames[victim.lba]
-        self._referenced.pop(victim.lba, None)
         self.stats.evictions += 1
 
     def flush_all(self) -> None:
@@ -251,8 +214,6 @@ class BufferPool:
     def drop_all(self) -> None:
         """Discard every frame without flushing (crash simulation)."""
         self._frames.clear()
-        self._referenced.clear()
-        self._hand = 0
 
     def frames(self) -> list[Frame]:
         """Snapshot of resident frames in LRU order (oldest first)."""

@@ -286,9 +286,6 @@ class StorageManager:
         policy: The eviction write policy.
         buffer_capacity: Buffer pool size in frames.
         host_costs: CPU-side latency charges.
-        verify_checksums: Verify page checksums on fetch (catches IPA
-            reconstruction bugs; on by default).
-        replacement: Buffer replacement policy, "lru" or "clock".
     """
 
     #: Observability: replaced per-instance by :meth:`attach`.  The
@@ -303,8 +300,6 @@ class StorageManager:
         policy: WritePolicy,
         buffer_capacity: int = 128,
         host_costs: HostCostModel | None = None,
-        verify_checksums: bool = True,
-        replacement: str = "lru",
     ) -> None:
         self.device = device
         self.scheme = scheme
@@ -312,12 +307,9 @@ class StorageManager:
         # Validated on construction: fetch() and end_update() charge it
         # without SimClock.advance's own check.
         self.host_costs = host_costs or HostCostModel()
-        self.verify_checksums = verify_checksums
         self.clock = device.chip.clock
         self.stats = ManagerStats()
-        self.pool = BufferPool(
-            buffer_capacity, self._flush, replacement=replacement
-        )
+        self.pool = BufferPool(buffer_capacity, self._flush)
         self._next_lsn = 1
         self._next_file_lba = 0
         #: Optional write-ahead log (see :mod:`repro.engine.wal`): when
@@ -382,10 +374,7 @@ class StorageManager:
         if frame is not None:
             # A hit is one Python frame: BufferPool.get, SimClock.advance
             # and Frame.pin, statement for statement.
-            if pool.replacement == "lru":
-                pool._frames.move_to_end(lba)
-            else:
-                pool._referenced[lba] = True
+            pool._frames.move_to_end(lba)
             stats.hits += 1
             cost = self.host_costs.per_buffer_hit_us
             clock = self.clock
@@ -577,11 +566,10 @@ class StorageManager:
         try:
             page_buf, k = reconstruct(image, self.scheme)
             page = SlottedPage(page_buf, self.scheme)
-            if not self.verify_checksums or page.verify_checksum():
+            if page.verify_checksum():
                 return page, k
         except (DeltaFormatError, ReconstructionError):
-            if not self.verify_checksums:
-                raise
+            pass  # a torn record: shed it below
         for cap in range(self.scheme.n_records - 1, -1, -1):
             try:
                 page_buf, k = reconstruct(image, self.scheme, max_records=cap)

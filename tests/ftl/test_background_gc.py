@@ -84,21 +84,8 @@ class TestBackgroundCollector:
             assert ftl.read_page(lba)[:16] == payload
 
     def test_invalid_parameters_rejected(self):
-        from repro.ftl.gc import BlockManager
-        from repro.ftl.interface import DeviceStats
-
         with pytest.raises(ValueError):
             make_ftl(gc_migration_budget=0)
-        with pytest.raises(ValueError):
-            # Watermark at/below the spare floor can never trigger early.
-            BlockManager(
-                FlashChip(GEO),
-                list(range(GEO.blocks)),
-                DeviceStats(),
-                background_gc=True,
-                gc_low_watermark=2,
-                gc_spare_blocks=2,
-            )
 
     def test_multichannel_device_under_churn(self):
         ftl = make_ftl(device=FlashDevice(GEO, channels=4))

@@ -52,9 +52,9 @@ class CountingChip:
         self.events.append(("program", ppn))
         return self._chip.program_page(ppn, data, oob)
 
-    def read_page_with_oob(self, ppn, check_ecc=True):
+    def read_page_with_oob(self, ppn):
         self.events.append(("read_with_oob", ppn))
-        return self._chip.read_page_with_oob(ppn, check_ecc)
+        return self._chip.read_page_with_oob(ppn)
 
     def erase_block(self, block_idx):
         self.events.append(("erase", block_idx))

@@ -19,8 +19,15 @@ class TestRegionLimits:
         # 64 B OOB minus the 17 B mapping record at its tail leaves room
         # for 1 + 4 ECC slots of 8 B: N = 5 overflows.
         device = make_device()
+        remaining = device.blocks_remaining
         with pytest.raises(OobOverflowError):
             device.create_region("big", blocks=16, ipa=IpaRegionConfig(5, 4))
+        with pytest.raises(ValueError, match="need more than 3 blocks"):
+            device.create_region("tiny", blocks=3)
+        # A refused region claims no blocks: a full-size one still fits.
+        assert device.blocks_remaining == remaining
+        device.create_region("all", blocks=remaining, ipa=IpaRegionConfig(4, 4))
+        assert device.blocks_remaining == 0
 
     def test_n_within_oob_ok(self):
         device = make_device()

@@ -98,9 +98,7 @@ class TestEviction:
         pool.insert(make_frame(2))
         assert pool.stats.dirty_eviction_net_bytes == [3]
 
-
-    @pytest.mark.parametrize("replacement", ["lru", "clock"])
-    def test_a_raising_flush_keeps_the_dirty_frame(self, replacement):
+    def test_a_raising_flush_keeps_the_dirty_frame(self):
         """Device full, WAL full, an injected fault: the victim must stay
         resident and dirty (dropping it would make the next fetch re-read
         the stale Flash copy), nothing is counted, and a retry evicts it."""
@@ -112,7 +110,7 @@ class TestEviction:
                 raise OSError("device full")
             frame.dirty = False
 
-        pool = BufferPool(1, flush=flush, replacement=replacement)
+        pool = BufferPool(1, flush=flush)
         victim = make_frame(1, dirty=True)
         pool.insert(victim)
         with pytest.raises(OSError):
@@ -124,6 +122,68 @@ class TestEviction:
         assert attempts == [1, 1] and 1 not in pool and 2 in pool
         assert pool.stats.evictions == pool.stats.dirty_evictions == 1
         assert pool.stats.dirty_eviction_net_bytes == [0]
+
+
+class TestVictimScan:
+    """Direct ``_scan_victim`` / ``_pick_victim`` coverage of the no-steal
+    veto and the veto-overflow hook, in LRU order."""
+
+    def make_pool(self, lbas):
+        pool = BufferPool(len(lbas), flush=lambda f: None)
+        for lba in lbas:
+            pool.insert(make_frame(lba))
+        return pool
+
+    def test_vetoed_frame_becomes_fallback(self):
+        pool = self.make_pool([1, 2])
+        pool.evict_veto = lambda frame: frame.lba == 1
+        victim, fallback = pool._scan_victim()
+        assert victim.lba == 2
+        assert fallback.lba == 1
+
+    def test_all_vetoed_returns_only_fallback(self):
+        pool = self.make_pool([1, 2])
+        pool.evict_veto = lambda frame: True
+        victim, fallback = pool._scan_victim()
+        assert victim is None
+        assert fallback.lba == 1  # the least recently used vetoed frame
+
+    def test_veto_overflow_rescan_finds_legal_victim(self):
+        # All frames vetoed; the overflow hook (a stand-in for the
+        # manager's forced WAL flush) releases frame 2's veto, and
+        # _pick_victim's re-scan returns it rather than stealing frame 1.
+        pool = self.make_pool([1, 2])
+        vetoed = {1, 2}
+        pool.evict_veto = lambda frame: frame.lba in vetoed
+        calls = []
+
+        def release():
+            calls.append(True)
+            vetoed.discard(2)
+            return True
+
+        pool.veto_overflow = release
+        victim = pool._pick_victim()
+        assert calls == [True]
+        assert victim.lba == 2
+
+    def test_ineffective_overflow_steals_fallback(self):
+        # Hook runs but releases nothing: the fallback is stolen rather
+        # than deadlocking (redo-only logging tolerates the steal).
+        pool = self.make_pool([1, 2])
+        pool.evict_veto = lambda frame: True
+        calls = []
+        pool.veto_overflow = lambda: calls.append(True) or True
+        victim = pool._pick_victim()
+        assert calls == [True]
+        assert victim.lba == 1
+
+    def test_absent_overflow_hook_steals_fallback(self):
+        pool = self.make_pool([1, 2])
+        pool.evict_veto = lambda frame: True
+        assert pool.veto_overflow is None
+        victim = pool._pick_victim()
+        assert victim.lba == 1
 
 
 class TestFlushAll:

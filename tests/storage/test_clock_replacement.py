@@ -1,4 +1,7 @@
-"""CLOCK (second-chance) replacement policy."""
+"""Buffer-pool victim selection: the replacement cases that once ran
+under a second-chance sweep, kept against the pool's one (LRU) order.
+A "referenced" frame here is one touched by ``get``, which moves it to
+the most recently used end."""
 
 import pytest
 
@@ -18,93 +21,47 @@ def make_frame(lba):
 
 
 class TestClockPolicy:
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            BufferPool(4, flush=lambda f: None, replacement="mru")
-
-    def test_second_chance_protects_referenced(self):
-        pool = BufferPool(2, flush=lambda f: None, replacement="clock")
-        pool.insert(make_frame(1))
-        pool.insert(make_frame(2))
-        pool.get(1)  # reference bit set on 1
-        pool.insert(make_frame(3))
-        # The sweep clears 1's bit and evicts 2 (unreferenced).
-        assert 1 in pool
-        assert 2 not in pool
-
-    def test_unreferenced_evicted_in_sweep_order(self):
-        pool = BufferPool(3, flush=lambda f: None, replacement="clock")
-        for lba in (1, 2, 3):
-            pool.insert(make_frame(lba))
-        pool.insert(make_frame(4))
-        assert len(pool) == 3
-        assert 4 in pool
-
     def test_pinned_skipped(self):
-        pool = BufferPool(2, flush=lambda f: None, replacement="clock")
+        pool = BufferPool(2, flush=lambda f: None)
         f1 = make_frame(1)
         pool.insert(f1)
         f1.pin()
         pool.insert(make_frame(2))
         pool.insert(make_frame(3))
-        assert 1 in pool  # pinned survives
+        assert 1 in pool  # pinned survives though least recently used
         assert 2 not in pool
+        assert 3 in pool
 
     def test_all_pinned_raises(self):
-        pool = BufferPool(1, flush=lambda f: None, replacement="clock")
+        pool = BufferPool(1, flush=lambda f: None)
         f1 = make_frame(1)
         pool.insert(f1)
         f1.pin()
         with pytest.raises(BufferPoolFullError):
             pool.insert(make_frame(2))
+        assert 1 in pool
+        assert 2 not in pool
 
     def test_dirty_eviction_flushes(self):
         flushed = []
-        pool = BufferPool(1, flush=flushed.append, replacement="clock")
+        pool = BufferPool(1, flush=flushed.append)
         frame = make_frame(1)
         frame.mark_dirty()
         pool.insert(frame)
         pool.insert(make_frame(2))
         assert [f.lba for f in flushed] == [1]
-
-    def test_full_stack_runs_with_clock(self):
-        """End-to-end: the manager works identically under CLOCK."""
-        from repro.flash.chip import FlashChip
-        from repro.flash.geometry import FlashGeometry
-        from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
-        from repro.storage.manager import IpaNativePolicy, StorageManager
-
-        geo = FlashGeometry(page_size=512, oob_size=128, pages_per_block=8,
-                            blocks=32)
-        device = NoFtlDevice(FlashChip(geo), over_provisioning=0.2)
-        device.create_region("d", blocks=32, ipa=IpaRegionConfig(2, 4))
-        manager = StorageManager(
-            device, SCHEME_2X4, IpaNativePolicy(), buffer_capacity=4
-        )
-        manager.pool = BufferPool(4, manager._flush, replacement="clock")
-        for lba in range(12):
-            frame = manager.format_page(lba)
-            with manager.update(lba) as page:
-                page.insert(bytes([lba]) * 32)
-            manager.unpin(frame)
-        manager.flush_all()
-        manager.pool.drop_all()
-        for lba in range(12):
-            with manager.page(lba) as page:
-                assert page.read(0) == bytes([lba]) * 32
+        assert pool.stats.dirty_evictions == 1
 
 
 class TestScanVictimDirect:
-    """Direct ``_scan_victim`` coverage for the CLOCK paths (the LRU
-    branch has equivalent direct tests in ``test_buffer.py``)."""
+    """Direct ``_scan_victim`` coverage of pinning and recency."""
 
     def make_pool(self, lbas, referenced=()):
-        pool = BufferPool(len(lbas), flush=lambda f: None,
-                          replacement="clock")
+        pool = BufferPool(len(lbas), flush=lambda f: None)
         for lba in lbas:
             pool.insert(make_frame(lba))
         for lba in referenced:
-            pool.get(lba)  # sets the reference bit
+            pool.get(lba)  # moves the frame to the most recently used end
         return pool
 
     def test_sweep_returns_first_unreferenced(self):
@@ -112,23 +69,6 @@ class TestScanVictimDirect:
         victim, fallback = pool._scan_victim()
         assert victim.lba == 2
         assert fallback is None
-        # The sweep consumed 1's second chance on the way past.
-        assert pool._referenced[1] is False
-
-    def test_second_chance_sweep_wraps(self):
-        # Everyone referenced: the first sweep clears every bit, the
-        # second lap returns the frame the hand started on.
-        pool = self.make_pool([1, 2, 3], referenced=[1, 2, 3])
-        victim, fallback = pool._scan_victim()
-        assert victim.lba == 1
-        assert fallback is None
-        assert all(not pool._referenced[lba] for lba in (2, 3))
-
-    def test_hand_advances_across_scans(self):
-        pool = self.make_pool([1, 2, 3])
-        first, _ = pool._scan_victim()
-        second, _ = pool._scan_victim()
-        assert (first.lba, second.lba) == (1, 2)
 
     def test_pinned_frames_skipped(self):
         pool = self.make_pool([1, 2])
@@ -137,20 +77,6 @@ class TestScanVictimDirect:
         assert victim.lba == 2
         assert fallback is None
 
-    def test_vetoed_frame_becomes_fallback(self):
-        pool = self.make_pool([1, 2])
-        pool.evict_veto = lambda frame: frame.lba == 1
-        victim, fallback = pool._scan_victim()
-        assert victim.lba == 2
-        assert fallback.lba == 1
-
-    def test_all_vetoed_returns_only_fallback(self):
-        pool = self.make_pool([1, 2])
-        pool.evict_veto = lambda frame: True
-        victim, fallback = pool._scan_victim()
-        assert victim is None
-        assert fallback.lba == 1  # first swept frame, FIFO fairness
-
     def test_all_pinned_returns_nothing(self):
         pool = self.make_pool([1, 2])
         pool.get(1).pin()
@@ -158,41 +84,3 @@ class TestScanVictimDirect:
         victim, fallback = pool._scan_victim()
         assert victim is None
         assert fallback is None
-
-    def test_veto_overflow_rescan_finds_legal_victim(self):
-        # All frames vetoed; the overflow hook (a stand-in for the
-        # manager's forced WAL flush) releases the vetoes, and
-        # _pick_victim's re-scan returns a legal victim, not the steal.
-        pool = self.make_pool([1, 2])
-        vetoed = {1, 2}
-        pool.evict_veto = lambda frame: frame.lba in vetoed
-        calls = []
-
-        def release():
-            calls.append(True)
-            vetoed.clear()
-            return True
-
-        pool.veto_overflow = release
-        victim = pool._pick_victim()
-        assert calls == [True]
-        # The failed sweep left the hand past frame 1, so the re-scan
-        # picks 2 — any legal victim is correct, stealing is not.
-        assert victim.lba == 2
-        assert not pool.evict_veto(victim) or not vetoed
-
-    def test_ineffective_overflow_steals_fallback(self):
-        # Hook runs but releases nothing: the fallback is stolen rather
-        # than deadlocking (redo-only logging tolerates the steal).
-        pool = self.make_pool([1, 2])
-        pool.evict_veto = lambda frame: True
-        pool.veto_overflow = lambda: True
-        victim = pool._pick_victim()
-        assert victim.lba == 2  # fallback of the re-scan (hand moved on)
-
-    def test_absent_overflow_hook_steals_fallback(self):
-        pool = self.make_pool([1, 2])
-        pool.evict_veto = lambda frame: True
-        assert pool.veto_overflow is None
-        victim = pool._pick_victim()
-        assert victim.lba == 1
