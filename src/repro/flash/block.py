@@ -1,10 +1,16 @@
-"""One erase unit: a vector of pages plus wear bookkeeping."""
+"""One erase unit: a vector of pages plus wear bookkeeping.
+
+An erased block costs a few pointers per page: every erased page
+references the shared erased images and the shared all-zero disturb
+array of :mod:`repro.flash.page`, and an erase points its pages back at
+them, dropping whatever private buffers the programs gave them.
+"""
 
 from __future__ import annotations
 
 from repro.flash.ecc import EccConfig
 from repro.flash.errors import BadBlockError
-from repro.flash.page import PageState, PhysicalPage, erased_image
+from repro.flash.page import PageState, PhysicalPage, erased_image, undisturbed
 
 
 class EraseBlock:
@@ -17,7 +23,7 @@ class EraseBlock:
 
     __slots__ = (
         "pages", "erase_count", "endurance_limit", "is_bad",
-        "_erased_data", "_erased_oob",
+        "_erased_data", "_erased_oob", "_undisturbed",
     )
 
     def __init__(
@@ -39,12 +45,14 @@ class EraseBlock:
         self.is_bad = False
         self._erased_data = erased_image(page_size)
         self._erased_oob = erased_image(oob_size)
+        self._undisturbed = undisturbed(ecc.codewords_for(page_size))
 
     def erase(self) -> None:
         """Erase every page and advance the wear counter.
 
-        Each page's buffers take the constant erased images (a memcpy
-        each); its disturb counts are cleared only if it has any.
+        Each page is re-pointed at the shared erased images (two stores,
+        no copy) and, only if it has any disturb, at the shared all-zero
+        counts.
 
         Raises:
             BadBlockError: if the block was already retired, or this erase
@@ -62,12 +70,12 @@ class EraseBlock:
         oob = self._erased_oob
         erased = PageState.ERASED
         for page in self.pages:
-            page._data[:] = data
-            page._oob[:] = oob
+            page._data = data  # type: ignore[assignment]
+            page._oob = oob  # type: ignore[assignment]
             page.state = erased
             page.program_passes = 0
             if page._disturb_total:
                 # counts are non-negative, so total == 0 implies all-zero.
-                page._disturb[:] = 0
+                page._disturb = self._undisturbed
                 page._disturb_total = 0
                 page._disturb_worst = 0

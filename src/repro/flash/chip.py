@@ -338,8 +338,10 @@ class FlashChip:
                     f"oob must be exactly {self._oob_size} bytes, got {len(oob)}"
                 )
             nbytes += self._oob_size
-            page._oob[:] = oob
-        page._data[:] = data
+        # The erased -> programmed edge: the page leaves the shared erased
+        # images for cells of its own.
+        page._oob = bytearray(page._oob if oob is None else oob)
+        page._data = bytearray(data)
         page.state = _PROGRAMMED
         page.program_passes = 1
         if sz.enabled:
@@ -410,9 +412,15 @@ class FlashChip:
                     first_bad_offset=off,
                 )
             nbytes += self._oob_size
-            page._oob[:] = oob
-        page._data[:] = data
-        page.state = _PROGRAMMED
+        if page.state is _ERASED:
+            # First pulse on an erased page: cells of its own (as above).
+            page._oob = bytearray(page._oob if oob is None else oob)
+            page._data = bytearray(data)
+            page.state = _PROGRAMMED
+        else:
+            if oob is not None:
+                page._oob[:] = oob
+            page._data[:] = data
         page.program_passes += 1
         if sz.enabled:
             sz.check_accepted(violation)
@@ -496,10 +504,16 @@ class FlashChip:
                     f"reprogram needs erase: OOB byte {off} sets a cleared bit",
                     first_bad_offset=off,
                 )
-            page._oob[oob_offset:oob_end] = oob_payload
             transferred += len(oob_payload)
+        if page.state is _ERASED:
+            # First pulse on an erased page: cells of its own, copied from
+            # the erased images it held.
+            page._data = bytearray(page._data)
+            page._oob = bytearray(page._oob)
+            page.state = _PROGRAMMED
+        if oob_payload is not None:
+            page._oob[oob_offset:oob_end] = oob_payload
         page._data[offset:end] = payload
-        page.state = _PROGRAMMED
         page.program_passes += 1
         if sz.enabled:
             sz.check_accepted(violation)

@@ -3,8 +3,8 @@
 The geometry is pure arithmetic — no state — so it is shared freely between
 the chip, the FTLs and the storage manager.  The default preset mirrors the
 OpenSSD Jasmine module used in the paper (Samsung K9LCG08U1M: 4096 erase
-units of 128 16 KB pages, 128-byte OOB region referenced in Figure 3),
-scaled down by default so experiments run in seconds.
+units of 128 16 KB pages, 128-byte OOB region referenced in Figure 3);
+experiments size their chips from the workload by default.
 """
 
 from __future__ import annotations
@@ -75,8 +75,11 @@ class FlashGeometry:
 
 
 #: Geometry of one OpenSSD Jasmine Flash module as described in the paper's
-#: footnote 3 (4096 erase units x 128 pages x 16 KB, 128 B OOB).  Full size —
-#: only used by tests that check the preset; experiments use scaled copies.
+#: footnote 3 (4096 erase units x 128 pages x 16 KB, 128 B OOB).  Full size:
+#: a chip of it costs what its programmed pages hold (see
+#: :mod:`repro.flash.page`), so a whole-board run fits in under 100 MiB —
+#: ``docs/performance.md`` has the command.  The experiments' default
+#: chips are smaller, sized from the workload.
 OPENSSD_JASMINE = FlashGeometry(
     page_size=16384,
     oob_size=128,

@@ -25,6 +25,7 @@ from repro.engine.wal import (
 from repro.fault import FaultInjector, PowerLossError
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
+from repro.flash.page import PageState
 
 GEO = FlashGeometry(page_size=64, oob_size=16, pages_per_block=4, blocks=4)
 
@@ -134,3 +135,35 @@ class TestDeviceTruthDurability:
         wal.crash()
         wal.commit()  # empty buffer: nothing to flush
         assert WriteAheadLog(wal.chip).durable_records() == []
+
+
+class TestTornFirstAppend:
+    """A torn first commit leaves its landed bytes on an erased log page.
+
+    The page must read ``PROGRAMMED`` afterwards, as after a whole
+    pulse: the mount scan finds the log end by page state, and a page
+    left ``ERASED`` with bytes on its cells made the next commit append
+    over them (``IllegalProgramError``).
+    """
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_remount_appends_past_the_surviving_bytes(self, seed):
+        chip = FlashChip(FlashGeometry(512, 16, 8, 8))
+        wal = WriteAheadLog(chip)
+        FaultInjector(crash_after_ops=1, seed=seed).attach(chip)
+        wal.log_update(1, 3, changes(2))
+        with pytest.raises(PowerLossError):
+            wal.commit()
+        FaultInjector.detach(chip)
+        page = chip.page_at(0)
+        torn = page.raw_data().rstrip(b"\xff")
+        assert torn
+        assert page.state is PageState.PROGRAMMED
+        assert page.program_passes == 1
+        remounted = WriteAheadLog(chip)
+        assert (remounted._page_index, remounted._page_offset) == (0, len(torn))
+        remounted.log_update(2, 3, changes(2))
+        remounted.commit()
+        record = PageUpdateRecord(2, 3, tuple(sorted(changes(2).items())))
+        frame = encode_frame(record.encode())
+        assert page.raw_data()[: len(torn) + len(frame)] == torn + frame
