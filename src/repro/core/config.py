@@ -26,6 +26,10 @@ DELTA_METADATA_SIZE = PAGE_HEADER_SIZE + PAGE_FOOTER_SIZE
 #: Bytes per <new_value, offset> pair: 1 value byte + 2 offset bytes.
 PAIR_SIZE = 3
 
+#: Largest page the u16 in-page offsets address: slot offsets, the free
+#: lower bound, delta-record pair offsets and WAL change offsets.
+MAX_PAGE_SIZE = 1 << 16
+
 #: Upper bounds keeping the wire format compact: the record count must fit
 #: the device OOB slots (<= 15 with a 128 B OOB) and the pair count is
 #: encoded in the control byte's low nibble.

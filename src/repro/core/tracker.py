@@ -16,7 +16,7 @@ new)`` byte strings.  The page's own integer fields — LSN, slot count +
 free lower, footer checksum — arrive through
 :meth:`ChangeTracker.on_stamp` as ``(offset, width, old, new)``
 integers: the tracker keeps their XOR and expands it into bytes only
-when ``meta_changed_offsets`` or the WAL's ``last_op_changes`` is read.
+when ``meta_changed_offsets`` or the WAL's ``last_op_runs`` is read.
 Each *update operation* (bracketed by :meth:`begin_op`/:meth:`end_op`)
 becomes one candidate delta-record; header/footer bytes are not counted
 against M because they travel wholesale in the record's delta_metadata.
@@ -26,10 +26,16 @@ land in a set of offsets; the first record-sized span creates a byte
 map of the page (nonzero = changed), folds the set into it and ORs each
 later span's XOR into it with one slice store, so an insert costs
 O(1) calls rather than one set entry per byte.
+
+The WAL's redo payload, :attr:`ChangeTracker.last_op_runs`, is the last
+op's changed bytes as sorted ``(offset, new bytes)`` runs: a record-sized
+span is cut only where its XOR diff is zero, so its bytes are sliced,
+never visited one at a time.
 """
 
 from __future__ import annotations
 
+import re
 from itertools import compress
 
 from repro.core.config import IpaScheme
@@ -40,11 +46,24 @@ from repro.core.delta import DeltaRecord
 _LOOP_MAX = 16
 #: ``_last`` of a tracker that has closed no operation yet.
 _NO_OP: tuple = ({}, None, None)
+#: The changed stretches of an XOR diff: its maximal nonzero runs.
+_CHANGED = re.compile(rb"[^\x00]+").finditer
+_BOUNDS = re.Match.span
 
 
 def _pairs(offset: int, diff: bytes, new: bytes) -> dict[int, int]:
     """Page offset -> new value of the bytes ``diff`` (old XOR new) marks."""
     return dict(compress(zip(range(offset, offset + len(diff)), new), diff))
+
+
+def _span_runs(offset: int, diff: bytes, new: bytes) -> list:
+    """``(offset, bytes)`` runs of ``new`` that ``diff`` marks changed."""
+    if 0 not in diff:
+        return [(offset, new)]
+    return [
+        (offset + start, new[start:end])
+        for start, end in map(_BOUNDS, _CHANGED(diff))
+    ]
 
 
 class ChangeTracker:
@@ -107,14 +126,14 @@ class ChangeTracker:
         self._open_raw: dict[int, int] | None = None
         # The open op's header/footer changes in order, allocated by its
         # first one: byte writes as offset -> value dicts, stamps as
-        # (offset, xor, new) tuples (see last_op_changes).
+        # (offset, xor, new) tuples (see last_op_runs).
         self._open_meta: list | None = None
         # A record-sized body write that opened the op, kept as
-        # (offset, diff, new) until someone needs its offset -> value
-        # pairs; later writes of the op never overlap it (see on_write).
+        # (offset, diff, new) until the WAL needs its runs; later writes
+        # of the op never overlap it (see on_write).
         self._open_span: tuple[int, bytes, bytes] | None = None
         # (raw, meta, span) of the last closed op; merged only when
-        # someone asks (see last_op_changes).
+        # someone asks (see last_op_runs).
         self._last = _NO_OP
 
     # ------------------------------------------------------------------ #
@@ -160,27 +179,66 @@ class ChangeTracker:
         return size
 
     @property
-    def last_op_changes(self) -> dict[int, int]:
-        """Every changed byte (offset -> new value) of the last closed op,
-        INCLUDING header/footer bytes — the WAL's redo payload."""
+    def last_op_runs(self) -> list[tuple[int, bytes]]:
+        """Every changed byte of the last closed op, INCLUDING header/footer
+        bytes, as sorted disjoint ``(offset, new bytes)`` runs — the WAL's
+        redo payload.  A deferred span is cut only where its diff is zero;
+        the op's small body writes and its header/footer changes are
+        merged in by offset."""
         raw, meta, span = self._last
-        changes = _pairs(*span) if span is not None else {}
-        changes.update(raw)
+        runs = []
+        if meta and len(meta) == 1 and meta[0].__class__ is tuple:
+            # One stamp (an update's LSN): one run if the bytes it
+            # changed are adjacent, from its first.
+            pos, diff, new = meta[0]
+            size = (diff.bit_length() + 7) >> 3
+            if diff & 0xFF and (size < 3 or 0 not in diff.to_bytes(size, "little")):
+                mask = (1 << (size << 3)) - 1
+                runs.append((pos, (new & mask).to_bytes(size, "little")))
+                meta = None
+        small = raw
         if meta:
+            small = dict(raw)
             # In the order they happened, so a later change of a byte
             # wins exactly as it did on the page.
             for entry in meta:
                 if entry.__class__ is dict:
-                    changes.update(entry)
+                    small.update(entry)
                     continue
                 pos, diff, new = entry
                 while diff:
                     if diff & 0xFF:
-                        changes[pos] = new & 0xFF
+                        small[pos] = new & 0xFF
                     pos += 1
                     diff >>= 8
                     new >>= 8
-        return changes
+        if span is not None:
+            runs += _span_runs(*span)
+        if small:
+            offsets = list(small)
+            base = offsets[0]
+            last = offsets[-1]
+            if last - base + 1 == len(offsets) and (
+                last - base < 2 or sorted(offsets) == offsets
+            ):
+                # Adjacent and in order, as one write leaves them.
+                runs.append((base, bytes(small.values())))
+            else:
+                offsets.sort()
+                values = bytes(map(small.__getitem__, offsets))
+                base = offsets[0]
+                # Within a run, offset - index is constant.
+                start = 0
+                for i, offset in enumerate(offsets):
+                    if offset - i != base:
+                        runs.append((base + start, values[start:i]))
+                        start = i
+                        base = offset - i
+                runs.append((base + start, values[start:]))
+        # The span, the small body writes and the header/footer never
+        # share a byte (see on_write): offsets alone order the runs.
+        runs.sort()
+        return runs
 
     @property
     def net_changed_bytes(self) -> int:
@@ -290,7 +348,7 @@ class ChangeTracker:
             ):
                 # More bytes than a delta-record holds, and nothing this op
                 # wrote before could overlap them: only the count matters
-                # now, the pairs are built if the WAL or E7 asks.
+                # now, the runs are cut if the WAL asks.
                 net_map = self._net_map
                 if net_map is None:
                     net_map = self._net_map = bytearray(body_end)

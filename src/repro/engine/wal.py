@@ -41,8 +41,9 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from itertools import chain
+from functools import cache
 
+from repro.core.config import MAX_PAGE_SIZE
 from repro.flash.chip import FlashChip
 from repro.flash.errors import IllegalProgramError
 from repro.flash import PageState
@@ -66,25 +67,27 @@ _RECORD_HEAD = struct.Struct("<BQIH")
 _CHANGE = struct.Struct("<HB")
 
 
-def _encode_update(lsn: int, lba: int, changes) -> bytes:
-    """Wire form of an update record; ``changes`` is (offset, value) pairs."""
-    count = len(changes)
-    # struct keeps its own cache of compiled formats, one per count here.
-    return _RECORD_HEAD.pack(_MAGIC_UPDATE, lsn, lba, count) + struct.pack(
-        "<" + "HB" * count, *chain.from_iterable(changes)
-    )
+@cache
+def _change_table(offsets: int) -> bytes:
+    """The change ``(offset, 0)`` in ``<HB`` form for every offset below
+    ``offsets`` (a multiple of 256): a run's changes are one slice."""
+    table = bytearray(_CHANGE.size * offsets)
+    table[0::3] = bytes(range(256)) * (offsets >> 8)
+    table[1::3] = b"".join(bytes((high,)) * 256 for high in range(offsets >> 8))
+    return bytes(table)
 
 
 @dataclass(frozen=True)
 class PageUpdateRecord:
-    """Redo record: set ``changes[offset] = value`` on page ``lba``."""
+    """Redo record: set ``changes[offset] = value`` on page ``lba``.
+
+    What :func:`decode_records` returns; the log writes one with
+    :meth:`WriteAheadLog.log_update`.
+    """
 
     lsn: int
     lba: int
     changes: tuple  # ((offset, value), ...)
-
-    def encode(self) -> bytes:
-        return _encode_update(self.lsn, self.lba, self.changes)
 
 
 @dataclass(frozen=True)
@@ -151,6 +154,11 @@ def decode_frames(stream: bytes) -> list[bytes]:
     post-crash garbage (the writer is strictly sequential), so it is
     never inspected.
     """
+    return _scan_frames(stream)[0]
+
+
+def _scan_frames(stream: bytes) -> tuple[list[bytes], int]:
+    """:func:`decode_frames`, plus where the last complete frame ends."""
     frames: list[bytes] = []
     pos = 0
     n = len(stream)
@@ -166,7 +174,7 @@ def decode_frames(stream: bytes) -> list[bytes]:
             break
         frames.append(payload)
         pos = start + length
-    return frames
+    return frames, pos
 
 
 @dataclass
@@ -220,6 +228,9 @@ class WriteAheadLog:
         self._in_group = False
         self._page_index = 0
         self._page_offset = 0
+        #: ``<HB`` changes ``(offset, 0)`` of the offsets logged so far,
+        #: grown to the page size by the first record that needs it.
+        self._changes = b""
         self._mount()
 
     def attach(self, ledger: WriteLedger) -> None:
@@ -235,11 +246,44 @@ class WriteAheadLog:
     # Logging
     # ------------------------------------------------------------------ #
 
-    def log_update(self, lsn: int, lba: int, changes: dict) -> None:
-        """Buffer one page-update record (durable only at commit)."""
-        if not changes:
+    def log_update(self, lsn: int, lba: int, runs: list) -> None:
+        """Buffer one page-update record (durable only at commit).
+
+        ``runs`` are the op's changed bytes as sorted, disjoint
+        ``(offset, new bytes)`` pairs
+        (:attr:`~repro.core.tracker.ChangeTracker.last_op_runs`); the
+        record lists each of their bytes as one ``<HB`` change, in order.
+        A run's changes are one slice of the offset table, and the values
+        of all runs go over them with one strided slice store, so no
+        per-byte Python object is made.
+        """
+        if not runs:
             return
-        self._txn_buffer.append(_encode_update(lsn, lba, sorted(changes.items())))
+        table = self._changes
+        head = _RECORD_HEAD.size
+        record = bytearray(head)
+        values = bytearray()
+        count = 0
+        for offset, data in runs:
+            size = len(data)
+            record += table[3 * offset : 3 * (offset + size)]
+            values += data
+            count += size
+        _RECORD_HEAD.pack_into(record, 0, _MAGIC_UPDATE, lsn, lba, count)
+        try:
+            record[head + 2 :: 3] = values
+        except ValueError:
+            # A run past the table's end got a short slice: grow the
+            # table to the next power of two and encode again.
+            end = max(offset + len(data) for offset, data in runs)
+            if end > MAX_PAGE_SIZE:
+                raise ValueError(f"change offset {end - 1} is not a u16") from None
+            if 3 * end <= len(table):
+                raise
+            self._changes = _change_table(max(256, 1 << (end - 1).bit_length()))
+            self.log_update(lsn, lba, runs)
+            return
+        self._txn_buffer.append(record)
         self.stats.records_logged += 1
 
     def log_format(self, lsn: int, lba: int, file_id: int) -> None:
@@ -416,27 +460,33 @@ class WriteAheadLog:
     def _mount(self) -> None:
         """Position the append cursor from device state (no reads charged).
 
-        Finds the last page the writer touched (page states are free to
-        probe — mounting is not a simulated I/O) and points the cursor
-        just past its last non-erased byte.  Exact continuation is only
-        guaranteed after :func:`recover` + :meth:`truncate`; the scan
-        exists so a fresh instance never programs over surviving bytes.
+        Finds the last page the writer touched (page states and raw
+        bytes are free to probe — mounting is not a simulated I/O) and
+        points the cursor just past its last non-erased byte, but never
+        before the end of the last complete frame: a frame may end in
+        0xFF bytes (an update record's last value), and appending over
+        them would destroy it.  Exact continuation is only guaranteed
+        after :func:`recover` + :meth:`truncate`; the scan exists so a
+        fresh instance never programs over surviving bytes.
         """
-        last = -1
+        pages = []
         for page_index in range(self.chip.geometry.total_pages):
-            if self.chip.page_at(page_index).state is not PageState.PROGRAMMED:
+            page = self.chip.page_at(page_index)
+            if page.state is not PageState.PROGRAMMED:
                 break
-            last = page_index
-        if last < 0:
+            pages.append(page.raw_data())
+        if not pages:
             return
-        raw = self.chip.page_at(last).raw_data()
+        last = len(pages) - 1
+        raw = pages[last]
         used = len(raw.rstrip(_ERASED_CHAR))
         if used == 0:
             # Programmed but reading all-0xFF (a pathological all-FF
             # payload chunk): skip the page entirely rather than guess.
             used = len(raw)
+        _frames, end = _scan_frames(b"".join(pages))
         self._page_index = last
-        self._page_offset = used
+        self._page_offset = max(used, end - last * self.chip.geometry.page_size)
 
 
 def recover(manager, wal: WriteAheadLog) -> int:

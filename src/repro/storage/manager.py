@@ -21,6 +21,7 @@ import abc
 from dataclasses import dataclass, field
 
 from repro.core.config import (
+    MAX_PAGE_SIZE,
     PAGE_FOOTER_SIZE,
     PAGE_HEADER_SIZE,
     IpaScheme,
@@ -286,6 +287,11 @@ class StorageManager:
         policy: The eviction write policy.
         buffer_capacity: Buffer pool size in frames.
         host_costs: CPU-side latency charges.
+
+    Raises:
+        ValueError: if the device's pages are larger than
+            :data:`~repro.core.config.MAX_PAGE_SIZE`, which the page's
+            u16 offsets cannot address.
     """
 
     #: Observability: replaced per-instance by :meth:`attach`.  The
@@ -301,6 +307,12 @@ class StorageManager:
         buffer_capacity: int = 128,
         host_costs: HostCostModel | None = None,
     ) -> None:
+        page_size = device.chip.geometry.page_size
+        if page_size > MAX_PAGE_SIZE:
+            raise ValueError(
+                f"page size {page_size} exceeds the {MAX_PAGE_SIZE}-byte limit "
+                "of u16 page offsets (slots, free lower, WAL changes)"
+            )
         self.device = device
         self.scheme = scheme
         self.policy = policy
@@ -429,7 +441,7 @@ class StorageManager:
                     frame.page.file_id, []
                 ).append(size)
             if self.wal is not None and lsn:
-                self.wal.log_update(lsn, frame.lba, tracker.last_op_changes)
+                self.wal.log_update(lsn, frame.lba, tracker.last_op_runs)
                 self._txn_locked_lbas.add(frame.lba)
             frame.dirty = True
             stats.update_ops += 1

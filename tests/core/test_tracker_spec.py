@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import PAGE_FOOTER_SIZE, PAGE_HEADER_SIZE, SCHEME_2X4, IpaScheme
 from repro.core.tracker import ChangeTracker
-from tests.reference.core import RefChangeTracker
+from tests.reference.core import RefChangeTracker, ref_run_changes
 
 HEADER_END = PAGE_HEADER_SIZE
 # A small page keeps every region and both boundaries within reach of a
@@ -141,6 +141,18 @@ _schemes = st.sampled_from(
 _META = (b"h" * PAGE_HEADER_SIZE, b"f" * PAGE_FOOTER_SIZE)
 
 
+def _last_op_changes(tracker):
+    """The spec's offset -> value dict; a ``ChangeTracker``'s runs, checked
+    sorted, disjoint and nonempty, expanded into one."""
+    if isinstance(tracker, RefChangeTracker):
+        return tracker.last_op_changes
+    runs = tracker.last_op_runs
+    assert all(data for _offset, data in runs), runs
+    for (offset, data), (after, _data) in zip(runs, runs[1:]):
+        assert offset + len(data) <= after, runs
+    return ref_run_changes(runs)
+
+
 def _observable(tracker):
     return {
         "records": tracker.records,
@@ -150,7 +162,7 @@ def _observable(tracker):
         "net_changed_offsets": tracker.net_changed_offsets,
         "meta_changed_offsets": tracker.meta_changed_offsets,
         "op_sizes": tracker.op_sizes,
-        "last_op_changes": tracker.last_op_changes,
+        "last_op_changes": _last_op_changes(tracker),
         "ipa_eligible": tracker.ipa_eligible,
         "dirty": tracker.dirty,
         "delta_records": None
@@ -303,7 +315,7 @@ class TestChangeTracker:
             ("end",),
         )
         assert _observable(trackers[1]) == _observable(trackers[0])
-        assert trackers[1].last_op_changes[6] == (7 if write_offset != 6 else 8)
+        assert _last_op_changes(trackers[1])[6] == (7 if write_offset != 6 else 8)
 
     def test_stamps_outside_an_op_and_across_a_flush(self):
         trackers = [

@@ -22,23 +22,23 @@ class TestWalEdges:
         wal = tiny_wal(blocks=1)  # 4 pages x 256 B = 1 KB of log
         with pytest.raises(IllegalProgramError):
             for i in range(200):
-                wal.log_update(i + 1, 0, {10: 1, 11: 2})
+                wal.log_update(i + 1, 0, [(10, b"\x01\x02")])
                 wal.commit()
 
     def test_truncate_resets_capacity(self):
         wal = tiny_wal(blocks=1)
         for i in range(10):
-            wal.log_update(i + 1, 0, {10: 1})
+            wal.log_update(i + 1, 0, [(10, b"\x01")])
             wal.commit()
         wal.truncate()
         for i in range(10):  # same volume fits again
-            wal.log_update(100 + i, 0, {10: 1})
+            wal.log_update(100 + i, 0, [(10, b"\x01")])
             wal.commit()
         assert len(wal.durable_records()) == 10
 
     def test_discard_drops_buffered(self):
         wal = tiny_wal()
-        wal.log_update(1, 0, {10: 1})
+        wal.log_update(1, 0, [(10, b"\x01")])
         wal.discard()
         wal.commit()
         assert wal.durable_records() == []
@@ -52,7 +52,7 @@ class TestWalEdges:
     def test_records_span_page_boundaries(self):
         wal = tiny_wal()
         # One commit bigger than a log page (256 B).
-        big = {i: i % 256 for i in range(200)}  # 15 + 600 bytes encoded
+        big = [(0, bytes(range(200)))]  # 15 + 600 bytes encoded
         wal.log_update(1, 0, big)
         wal.commit()
         records = wal.durable_records()
@@ -61,5 +61,21 @@ class TestWalEdges:
 
     def test_empty_changes_not_logged(self):
         wal = tiny_wal()
-        wal.log_update(1, 0, {})
+        wal.log_update(1, 0, [])
         assert wal.stats.records_logged == 0
+
+    def test_change_offsets_up_to_the_u16_limit(self):
+        """The offset table grows to the largest offset logged; one past
+        the u16 range is refused, not encoded short."""
+        wal = tiny_wal()
+        offsets = (10, 300, 5000, 65533)
+        for lsn, offset in enumerate(offsets, 1):
+            wal.log_update(lsn, 0, [(offset, b"\x01\x02\x03")])
+        wal.commit()
+        records = wal.durable_records()
+        assert [record.changes for record in records] == [
+            ((offset, 1), (offset + 1, 2), (offset + 2, 3)) for offset in offsets
+        ]
+        with pytest.raises(ValueError, match="not a u16"):
+            wal.log_update(9, 0, [(65534, b"\x01\x02\x03")])
+        assert wal.stats.records_logged == len(offsets)

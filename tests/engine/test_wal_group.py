@@ -18,7 +18,7 @@ def fresh_wal(blocks=4):
 
 def commit_three(wal):
     for i in range(3):
-        wal.log_update(i + 1, i, {10: i})
+        wal.log_update(i + 1, i, [(10, bytes([i]))])
         wal.commit()
 
 
@@ -70,7 +70,7 @@ class TestGroupCommit:
         wal.flush_group()  # veto-overflow path: forced, group stays open
         assert wal.in_group
         assert len(wal.durable_frames()) == 3
-        wal.log_update(9, 9, {10: 9})
+        wal.log_update(9, 9, [(10, b"\x09")])
         wal.commit()
         wal.end_group()
         assert len(wal.durable_frames()) == 4

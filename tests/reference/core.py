@@ -140,6 +140,15 @@ class RefChangeTracker:
         self.op_sizes = []
 
 
+def ref_run_changes(runs):
+    """Offset -> value of ``(offset, bytes)`` runs, one byte at a time."""
+    changes = {}
+    for offset, data in runs:
+        for i, value in enumerate(data):
+            changes[offset + i] = value
+    return changes
+
+
 def ref_record_encode(record, scheme):
     if not scheme.enabled:
         raise DeltaFormatError("cannot encode a record for scheme [0x0]")

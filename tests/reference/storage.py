@@ -13,6 +13,7 @@ from repro.storage.buffer import Frame
 from repro.storage.heap import RID, FileFullError
 from repro.storage.layout import SLOT_SIZE, PageFullError, SlottedPage
 from tests.reference.core import RefChangeTracker, ref_reconstruct
+from tests.reference.wal import ref_runs
 
 
 def ref_fetch(manager, lba):
@@ -56,7 +57,7 @@ def ref_update(manager, lba):
                 frame.page.file_id, []
             ).append(frame.tracker.op_sizes[-1])
         if manager.wal is not None and lsn:
-            manager.wal.log_update(lsn, lba, frame.tracker.last_op_changes)
+            manager.wal.log_update(lsn, lba, ref_runs(frame.tracker.last_op_changes))
             manager._txn_locked_lbas.add(lba)
         frame.mark_dirty()
         manager.stats.update_ops += 1

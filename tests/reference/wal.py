@@ -23,6 +23,11 @@ def ref_update_encode(record):
     return bytes(out)
 
 
+def ref_runs(changes):
+    """An offset -> value dict as the WAL's runs: one byte each, in order."""
+    return [(offset, bytes([value])) for offset, value in sorted(changes.items())]
+
+
 def ref_format_encode(record):
     out = bytearray()
     out.append(_MAGIC_FORMAT)
@@ -30,6 +35,12 @@ def ref_format_encode(record):
     out += record.lba.to_bytes(4, "little")
     out += record.file_id.to_bytes(2, "little")
     return bytes(out)
+
+
+def ref_encode(record):
+    if isinstance(record, FormatRecord):
+        return ref_format_encode(record)
+    return ref_update_encode(record)
 
 
 def ref_decode_records(data):

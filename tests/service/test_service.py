@@ -65,6 +65,56 @@ class TestDeterminismContract:
             replay_shard_stream(config, config.shards, [])
 
 
+# Golden digests of a YCSB-A service run with 1 KB records, captured on
+# the tree before WAL records were built from byte runs.  The TPC-B
+# goldens in test_replication.py are mostly <= 16-byte writes; these
+# records carry 1 KB inserts and 100-byte field updates with unchanged
+# bytes inside, the record-sized span path of the change tracker.  The
+# digests cover each shard's WAL chip: a record whose bytes moved moves
+# them.
+YCSB_GOLDEN_DIGESTS = [
+    "28ffdb12290ecbc4d5af18b01fdb23bd5c13feb9f545e9d85adb87cf8cfb38cf",
+    "0a15413bfc2b40c8f6d920baf5a3a5180721e6a9b349b299f664b3f40c67a56e",
+]
+#: Per shard: WAL records logged, bytes flushed, page programs, group
+#: flushes.
+YCSB_GOLDEN_WAL = [(410, 886932, 228, 7), (408, 886302, 228, 7)]
+
+
+def kilobyte_ycsb_a():
+    return YcsbWorkload(
+        records=300, mix="a", field_count=10, field_size=100, zipfian=True
+    )
+
+
+class TestYcsbAGolden:
+    def test_digests_and_wal_counters_match_the_goldens(self):
+        service = ShardedService(
+            ServiceConfig(
+                workload_factory=kilobyte_ycsb_a,
+                shards=2,
+                sessions=4,
+                txns_per_session=10,
+                buffer_pages=16,
+                queue_depth=4,
+                group_commit_size=3,
+                seed=20171017,
+            )
+        )
+        result = service.run()
+        assert result.digests() == YCSB_GOLDEN_DIGESTS
+        assert result.txns_completed == 40
+        assert [
+            (
+                wal.stats.records_logged,
+                wal.stats.bytes_flushed,
+                wal.stats.log_page_programs,
+                wal.stats.group_flushes,
+            )
+            for wal in (shard.manager.wal for shard in service.shards)
+        ] == YCSB_GOLDEN_WAL
+
+
 class TestClosedLoop:
     def test_every_txn_accounted(self):
         config = tiny_config()

@@ -20,7 +20,7 @@ from repro.storage import manager as manager_module
 from repro.storage.heap import FileFullError, HeapFile
 from repro.storage.layout import PageFullError, SlottedPage
 from repro.storage.manager import IpaNativePolicy, StorageManager, TraditionalPolicy
-from tests.reference.core import RefChangeTracker
+from tests.reference.core import RefChangeTracker, ref_run_changes
 from tests.reference.storage import RefHeapFile, ref_update
 
 GEO = FlashGeometry(page_size=1024, oob_size=128, pages_per_block=8, blocks=32)
@@ -43,6 +43,10 @@ def _manager(ipa=True, buffer_capacity=4, with_wal=False):
 def _update_state(manager, lba):
     frame = manager.pool.get(lba)
     tracker = frame.tracker
+    if isinstance(tracker, RefChangeTracker):
+        last_op = tracker.last_op_changes
+    else:
+        last_op = ref_run_changes(tracker.last_op_runs)
     return {
         "update_ops": manager.stats.update_ops,
         "per_file_op_sizes": manager.stats.per_file_op_sizes,
@@ -53,7 +57,7 @@ def _update_state(manager, lba):
         "next_lsn": manager._next_lsn,
         "lsn": frame.page.lsn,
         "image": frame.page.to_bytes(),
-        "tracker": (tracker.records, tracker.op_sizes, tracker.last_op_changes),
+        "tracker": (tracker.records, tracker.op_sizes, last_op),
     }
 
 

@@ -13,7 +13,7 @@ from repro.flash.geometry import FlashGeometry
 from repro.ftl.ipa_ftl import IpaFtl
 from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
 from repro.ftl.page_mapping import PageMappingFtl
-from repro.storage.layout import PageCorruptError
+from repro.storage.layout import PageCorruptError, PageFullError
 from repro.storage.manager import (
     IpaBlockDevicePolicy,
     IpaNativePolicy,
@@ -290,3 +290,34 @@ class TestAllocation:
         mgr = native_manager()
         with pytest.raises(ValueError):
             mgr.allocate_lba_range(mgr.device.logical_pages + 1)
+
+
+class TestPageSizeLimit:
+    """Slot offsets, the free lower bound and WAL change offsets are u16:
+    a larger page used to construct fine and raise ``struct.error`` from
+    ``SlottedPage.insert`` once a load passed the 64 KiB mark."""
+
+    @staticmethod
+    def _manager(page_size):
+        geometry = FlashGeometry(
+            page_size=page_size, oob_size=128, pages_per_block=4, blocks=8
+        )
+        device = IpaFtl(FlashChip(geometry), over_provisioning=0.25)
+        return StorageManager(
+            device, SCHEME_2X4, IpaBlockDevicePolicy(), buffer_capacity=4
+        )
+
+    def test_a_page_past_the_u16_offsets_is_refused(self):
+        with pytest.raises(ValueError, match="65536"):
+            self._manager(1 << 17)
+
+    def test_the_largest_addressable_page_fills_to_the_end(self):
+        mgr = self._manager(1 << 16)
+        frame = mgr.format_page(0)
+        with pytest.raises(PageFullError):
+            for _ in range(400):
+                with mgr.update(0) as page:
+                    page.insert(b"x" * 200)
+        assert frame.page.free_space < 200 + 4
+        mgr.unpin(frame)
+        mgr.flush_all()
