@@ -3,10 +3,11 @@ impacted by the proposed approach" (paper, Section 3).
 
 A bank ledger runs on the native-Flash IPA stack with a write-ahead log
 on its own log device.  Mid-burst, the power cord is pulled: the buffer
-pool and the volatile WAL tail evaporate, the Flash keeps its bits —
-including pages whose most recent state exists only as *in-place
-appended delta-records*.  Redo recovery then proves that delta-persisted
-state and WAL replay compose correctly.
+pool, the FTL mapping and the volatile WAL tail evaporate, the Flash
+keeps its bits — including pages whose most recent state exists only as
+*in-place appended delta-records*.  The same stack spec then mounts
+brand-new objects over the surviving chips, and redo recovery proves
+that delta-persisted state and WAL replay compose correctly.
 
 Run:
     python examples/crash_recovery.py
@@ -15,35 +16,30 @@ Run:
 import numpy as np
 
 from repro.core.config import SCHEME_2X4
-from repro.engine import Column, ColumnType, Database, Schema
-from repro.engine.wal import WriteAheadLog, recover
-from repro.flash import FlashChip, FlashGeometry
-from repro.ftl import IpaRegionConfig, NoFtlDevice
-from repro.storage.manager import IpaNativePolicy, StorageManager
+from repro.engine import Column, ColumnType, Schema
+from repro.engine.wal import recover
+from repro.flash import FlashGeometry
+from repro.stack import StackSpec
 from repro.storage.verify import verify_database
 
 ACCOUNTS = 400
 
+#: NoFTL region with [2x4] IPA on a 64-block chip, 8 buffer frames and a
+#: WAL on its own 16-block log chip.
+SPEC = StackSpec(
+    architecture="ipa-native",
+    scheme=SCHEME_2X4,
+    geometry=FlashGeometry(page_size=2048, oob_size=128, pages_per_block=16,
+                           blocks=64),
+    buffer_pages=8,
+    with_wal=True,
+    wal_geometry=FlashGeometry(page_size=2048, oob_size=16,
+                               pages_per_block=16, blocks=16),
+)
+
 
 def main() -> None:
-    data_chip = FlashChip(
-        FlashGeometry(page_size=2048, oob_size=128, pages_per_block=16,
-                      blocks=64)
-    )
-    device = NoFtlDevice(data_chip, over_provisioning=0.15)
-    device.create_region("bank", blocks=64, ipa=IpaRegionConfig(2, 4))
-    manager = StorageManager(
-        device, SCHEME_2X4, IpaNativePolicy(), buffer_capacity=8
-    )
-    wal = WriteAheadLog(
-        FlashChip(
-            FlashGeometry(page_size=2048, oob_size=16, pages_per_block=16,
-                          blocks=16),
-            clock=manager.clock,
-        )
-    )
-    manager.wal = wal
-    db = Database(manager)
+    db, manager = SPEC.build()
 
     ledger = db.create_table(
         "ledger",
@@ -80,15 +76,17 @@ def main() -> None:
     # ...and one transfer that never commits.
     ledger.update_field(0, "balance", -999_999)
 
-    deltas = device.stats.host_delta_writes
+    deltas = manager.device.stats.host_delta_writes
     print(f"300 transfers committed ({deltas} shipped as write_delta "
           "records); one malicious update left uncommitted.")
 
     print("\n*** POWER LOSS ***\n")
-    wal.crash()
-    manager.pool.drop_all()
-
-    applied = recover(manager, wal)
+    # Only the chips survive: mount fresh objects over them and replay.
+    manager = SPEC.mount(manager.device.chip, manager.wal.chip)
+    applied = recover(manager, manager.wal)
+    # This engine keeps its catalog (table -> LBA range, key index) in
+    # host memory, so the table handle moves onto the remounted stack.
+    db.manager = ledger.heap.manager = manager
     print(f"redo recovery applied {applied} log records.")
 
     mismatches = sum(

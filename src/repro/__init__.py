@@ -13,6 +13,7 @@ Layer map (bottom-up):
 * :mod:`repro.storage` — pages, buffer pool, storage manager, B+-tree.
 * :mod:`repro.engine` — schemas, tables, transactions, WAL + recovery.
 * :mod:`repro.workloads` — TPC-B/-C, TATP, LinkBench, YCSB, traces.
+* :mod:`repro.stack` — the one builder from a backend name to a stack.
 * :mod:`repro.bench` / :mod:`repro.analysis` — one module per paper
   table/figure plus the supporting analyses.
 

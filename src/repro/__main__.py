@@ -62,19 +62,8 @@ def main(argv: list[str] | None = None) -> int:
         from repro.bench.tail_latency import main as run
     elif command == "service":
         from repro.bench.service_bench import main as run
-    elif command == "obs":
-        # Sub-commands: ``obs timeline`` / ``obs report``; bare ``obs``
-        # (possibly with flags) keeps meaning the report for
-        # backward compatibility with ``python -m repro obs --fast``.
-        if rest and rest[0] == "timeline":
-            rest = rest[1:]
-            sys.argv = ["repro obs timeline"] + rest
-            from repro.obs.chrometrace import main as run
-        else:
-            if rest and rest[0] == "report":
-                rest = rest[1:]
-            sys.argv = ["repro obs report"] + rest
-            from repro.obs.report import main as run
+    elif command == "obs":  # ``obs [report]`` / ``obs timeline``
+        from repro.bench.observe import main as run
     elif command == "all":
         from repro.bench.run_all import main as run
     elif command == "demo":

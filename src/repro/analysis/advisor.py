@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.core.config import MAX_M, IpaScheme
 from repro.engine.database import Database
+from repro.obs.export import render_table
 
 #: Minimum observed operations before a recommendation is made.
 MIN_SAMPLE = 20
@@ -104,8 +105,6 @@ def advise(db: Database) -> list[TableAdvice]:
 
 def render_advice(advice: list[TableAdvice]) -> str:
     """Human-readable advisory report."""
-    from repro.bench.report import render_table
-
     return render_table(
         ["Table", "Update ops", "median B", "p95 B", "Recommendation", "Why"],
         [

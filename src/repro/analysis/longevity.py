@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.bench.harness import ExperimentResult
+if TYPE_CHECKING:
+    from repro.bench.harness import ExperimentResult
 
 #: Typical endurance of the MLC generation on the OpenSSD board.
 MLC_ENDURANCE_CYCLES = 3000

@@ -13,8 +13,10 @@ Two amplifications matter:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.bench.harness import ExperimentResult
+if TYPE_CHECKING:
+    from repro.bench.harness import ExperimentResult
 
 
 @dataclass

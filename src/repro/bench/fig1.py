@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import IpaScheme
-from repro.bench.harness import ExperimentConfig, build_stack
+from repro.bench.harness import ExperimentConfig
 from repro.bench.report import render_table
 from repro.engine.database import Database
 from repro.engine.schema import Column, ColumnType, Schema
@@ -85,9 +85,7 @@ def run() -> list[Fig1Row]:
             transactions=1,
             page_size=PAGE_SIZE,
         )
-        db, manager = build_stack(config)
-        rng = np.random.default_rng(7)
-        workload.build(db, rng)
+        db, manager, rng = config.load(workload, seed=7)
         before = manager.device.stats.snapshot()
         workload.transaction(db, rng)
         db.checkpoint()  # force the eviction write

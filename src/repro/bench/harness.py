@@ -1,43 +1,29 @@
 """Experiment runner: build a configured stack, run a workload, measure.
 
-One :class:`ExperimentConfig` describes a full stack — chip mode, device
-architecture, IPA scheme, buffer size, workload — mirroring the knobs of
-the paper's demo GUI (Figure 5).  :func:`run_experiment` builds it,
-loads the database, **resets all counters and the simulated clock**, and
-then runs the transaction budget, so the measurements cover exactly the
-benchmark phase (the paper formats the SSD before each run for the same
-reason).
+One :class:`ExperimentConfig` — a :class:`~repro.stack.StackSpec` (chip
+mode, device architecture, IPA scheme, buffer size) plus a workload and
+its run budget — mirrors the knobs of the paper's demo GUI (Figure 5).
+:func:`run_experiment` builds it, loads the database, **resets all
+counters and the simulated clock**, and then runs the transaction
+budget, so the measurements cover exactly the benchmark phase (the
+paper formats the SSD before each run for the same reason).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from repro.baselines.ipl import IplConfig, IplPolicy, IplStore
-from repro.core.config import IPA_DISABLED, IpaScheme
+from repro.baselines.ipl import IplStore
 from repro.engine.database import Database
-from repro.flash.chip import FlashChip
-from repro.flash.device import FlashDevice
-from repro.flash.geometry import FlashGeometry
-from repro.flash.modes import FlashMode
 from repro.flash.stats import DeviceStats, FlashStats
-from repro.ftl.ipa_ftl import IpaFtl
-from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
-from repro.ftl.page_mapping import PageMappingFtl
 from repro.obs import Observation, ObserveConfig
-from repro.storage.manager import (
-    IpaBlockDevicePolicy,
-    IpaNativePolicy,
-    StorageManager,
-    TraditionalPolicy,
-    WritePolicy,
-)
+from repro.stack import StackSpec
+from repro.storage.manager import StorageManager
 from repro.workloads.base import Workload
-
-ARCHITECTURES = ("traditional", "ipa-blockdev", "ipa-native", "ipl")
 
 #: Backend-specific :class:`DeviceStats` counters that Table 1 has no
 #: column for; :func:`run_experiment` reports them under ``extra``.
@@ -53,82 +39,30 @@ EXTRA_COUNTERS = (
 )
 
 
-@dataclass
-class ExperimentConfig:
-    """One run of the demo system.
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(StackSpec):
+    """One run of the demo system: a :class:`~repro.stack.StackSpec`
+    (architecture, mode, scheme, sizing, channels, WAL, ...) plus what
+    to run on it.
 
     Attributes:
-        workload: The benchmark to run.
-        architecture: One of :data:`ARCHITECTURES`.
-        mode: Flash operating mode (pSLC / odd-MLC for the IPA MLC
-            configurations of Section 3; IPL requires SLC).
-        scheme: IPA N x M scheme (ignored by traditional / IPL).
+        workload: The benchmark to run; the chip is sized from its
+            footprint unless ``geometry`` is set.
         transactions: Transaction budget of the measured phase (used when
             ``duration_s`` is None).
         duration_s: When set, run for this much *simulated* time instead
             of a fixed transaction count — the paper's methodology (runs
             of fixed duration, so faster configurations do more work,
             which is why Table 1's IPA columns show MORE host I/O).
-        buffer_pages: Buffer pool frames.
-        geometry: Chip geometry.  When None (default) the chip is sized
-            from the workload footprint so the database fills
-            ``device_utilization`` of the logical space — the regime the
-            paper measures in, where overwrites create real GC pressure.
-        page_size: Page size used by auto-sizing (paper: 8 KB DB pages).
-        device_utilization: Fraction of logical pages the DB occupies
-            under auto-sizing.
-        over_provisioning: FTL over-provisioning fraction.
-        lsb_first: NoFTL regions fill LSB pages before MSB pages
-            (odd-MLC optimization: more data lands on appendable pages).
-        with_wal: Attach a write-ahead log on a dedicated log chip
-            sharing the simulated clock (commit latency becomes real).
-        channels: Flash channels.  1 (default) drives a single
-            :class:`FlashChip`; >1 builds a :class:`FlashDevice` that
-            stripes blocks across that many chips and overlaps array
-            latencies per channel (see ``docs/parallelism.md``).  IPL is
-            single-chip only.
-        background_gc: Run garbage collection incrementally in the
-            background (budgeted migrations per foreground write)
-            instead of synchronously inside the eviction path.
         seed: Workload RNG seed (deterministic runs).
         label: Optional display label for reports.
     """
 
     workload: Workload
-    architecture: str = "traditional"
-    mode: FlashMode = FlashMode.SLC
-    scheme: IpaScheme = IPA_DISABLED
     transactions: int = 2000
     duration_s: Optional[float] = None
-    buffer_pages: int = 64
-    geometry: Optional[FlashGeometry] = None
-    page_size: int = 4096
-    device_utilization: float = 0.80
-    over_provisioning: float = 0.15
-    lsb_first: bool = False
-    with_wal: bool = False
-    channels: int = 1
-    background_gc: bool = False
     seed: int = 42
     label: str = ""
-
-    def __post_init__(self) -> None:
-        if self.architecture not in ARCHITECTURES:
-            raise ValueError(
-                f"architecture must be one of {ARCHITECTURES}, "
-                f"got {self.architecture!r}"
-            )
-        if self.architecture.startswith("ipa") and not self.scheme.enabled:
-            raise ValueError("IPA architectures need an enabled N x M scheme")
-        if self.architecture == "ipl" and self.mode is not FlashMode.SLC:
-            raise ValueError("IPL runs on SLC (its log sectors need appends)")
-        if self.channels < 1:
-            raise ValueError("channels must be >= 1")
-        if self.architecture == "ipl" and self.channels > 1:
-            raise ValueError(
-                "IPL drives the chip's log sectors directly and is "
-                "single-chip only"
-            )
 
     def display_label(self) -> str:
         if self.label:
@@ -191,124 +125,16 @@ class ObservedResult(ExperimentResult):
     observation: Optional[Observation] = None
 
 
-def _auto_geometry(config: ExperimentConfig) -> FlashGeometry:
-    """Size the chip so the DB fills ``device_utilization`` of it.
-
-    Accounts for the mode's capacity factor (pSLC halves usable pages),
-    the FTL's over-provisioning, and IPL's log-region reservation, so
-    every architecture sees the *same logical pressure* — the fairness
-    requirement behind Table 1.
-    """
-    pages_per_block = 64
-    footprint = config.workload.estimate_pages(config.page_size)
-    target_logical = int(footprint / config.device_utilization) + 1
-    if config.architecture == "ipl":
-        ipl = IplConfig()
-        data_fraction = (pages_per_block - ipl.log_pages_per_block) / pages_per_block
-        blocks = int(
-            target_logical / (pages_per_block * data_fraction)
-        ) + ipl.spare_blocks + 2
-    else:
-        from repro.flash.modes import rules_for
-
-        capacity_factor = rules_for(config.mode).capacity_factor
-        usable_per_block = pages_per_block * capacity_factor
-        blocks = int(
-            target_logical / ((1.0 - config.over_provisioning) * usable_per_block)
-        ) + 2
-    blocks = max(blocks, 8)
-    if config.channels > 1 and blocks % config.channels:
-        # Round up so the blocks stripe evenly over the channels.
-        blocks += config.channels - blocks % config.channels
-    return FlashGeometry(
-        page_size=config.page_size,
-        oob_size=128,
-        pages_per_block=pages_per_block,
-        blocks=blocks,
-    )
-
-
-def build_stack(
-    config: ExperimentConfig,
-) -> tuple[Database, StorageManager]:
-    """Construct device + manager + database for a config (no load)."""
-    geometry = config.geometry or _auto_geometry(config)
-    if config.channels > 1:
-        chip = FlashDevice(geometry, channels=config.channels, mode=config.mode)
-    else:
-        chip = FlashChip(geometry, mode=config.mode)
-    policy: WritePolicy
-    scheme = config.scheme
-    if config.architecture == "traditional":
-        device = PageMappingFtl(
-            chip,
-            over_provisioning=config.over_provisioning,
-            background_gc=config.background_gc,
-        )
-        policy = TraditionalPolicy()
-        scheme = IPA_DISABLED
-    elif config.architecture == "ipa-blockdev":
-        device = IpaFtl(
-            chip,
-            over_provisioning=config.over_provisioning,
-            background_gc=config.background_gc,
-        )
-        policy = IpaBlockDevicePolicy()
-    elif config.architecture == "ipa-native":
-        noftl = NoFtlDevice(
-            chip,
-            over_provisioning=config.over_provisioning,
-            background_gc=config.background_gc,
-        )
-        noftl.create_region(
-            "db",
-            blocks=geometry.blocks,
-            ipa=IpaRegionConfig(scheme.n_records, scheme.m_bytes),
-            lsb_first=config.lsb_first,
-        )
-        device = noftl
-        policy = IpaNativePolicy()
-    else:  # ipl
-        device = IplStore(chip, IplConfig())
-        policy = IplPolicy()
-        scheme = IPA_DISABLED
-    manager = StorageManager(
-        device, scheme, policy, buffer_capacity=config.buffer_pages
-    )
-    if config.with_wal:
-        from repro.engine.wal import WriteAheadLog
-
-        log_chip = FlashChip(
-            FlashGeometry(
-                page_size=geometry.page_size,
-                oob_size=16,
-                pages_per_block=geometry.pages_per_block,
-                blocks=max(geometry.blocks // 8, 8),
-            ),
-            clock=manager.clock,
-        )
-        manager.wal = WriteAheadLog(log_chip)
-    return Database(manager), manager
+def build_stack(config: ExperimentConfig) -> tuple[Database, StorageManager]:
+    """:meth:`~repro.stack.StackSpec.build` for ``config.workload``."""
+    return config.build(config.workload)
 
 
 def load_stack(
     config: ExperimentConfig,
 ) -> tuple[Database, StorageManager, np.random.Generator]:
-    """Build the stack, load the workload, then restart simulated time.
-
-    The clock is zeroed after the load phase and the chip's scheduling
-    state is dropped with it (``quiesce``): a multi-channel device's
-    in-flight end times were computed against the old clock and would
-    read as a huge future backlog, charging the first measured
-    operations for load-phase array work.  Returns the workload
-    generator (seeded from ``config.seed``) the load phase drew from.
-    """
-    db, manager = build_stack(config)
-    rng = np.random.default_rng(config.seed)
-    config.workload.build(db, rng)
-    manager.clock.reset()
-    manager.device.chip.quiesce()
-    return db, manager, rng
+    """:meth:`~repro.stack.StackSpec.load` of ``config.workload``."""
+    return config.load(config.workload, config.seed)
 
 
 def run_experiment(
@@ -349,24 +175,17 @@ def run_experiment(
     breakdown_before = dict(manager.clock.breakdown_us)
 
     latencies: list[float] = []
-    if config.duration_s is not None:
-        while manager.clock.now_s < config.duration_s:
-            start_us = manager.clock.now_us
-            config.workload.transaction(db, rng)
-            latency = manager.clock.now_us - start_us
-            latencies.append(latency)
-            if obs is not None:
-                obs.txn_latency.observe(latency)
-                obs.sampler.maybe_sample()
-    else:
-        for _ in range(config.transactions):
-            start_us = manager.clock.now_us
-            config.workload.transaction(db, rng)
-            latency = manager.clock.now_us - start_us
-            latencies.append(latency)
-            if obs is not None:
-                obs.txn_latency.observe(latency)
-                obs.sampler.maybe_sample()
+    timed = config.duration_s is not None
+    for _ in itertools.count() if timed else range(config.transactions):
+        if timed and manager.clock.now_s >= config.duration_s:
+            break
+        start_us = manager.clock.now_us
+        config.workload.transaction(db, rng)
+        latency = manager.clock.now_us - start_us
+        latencies.append(latency)
+        if obs is not None:
+            obs.txn_latency.observe(latency)
+            obs.sampler.maybe_sample()
 
     db.checkpoint()
     if isinstance(manager.device, IplStore):

@@ -15,9 +15,10 @@ the determinism contract trivial to state:
   order.  :func:`parallel_map` returns results in *submission* order,
   so ``jobs=1`` and ``jobs=N`` produce identical output lists.
 * **All worker randomness descends from the experiment seed.**  When a
-  caller needs fresh per-worker seeds, :func:`derive_seeds` spawns them
-  from one ``np.random.SeedSequence(seed)`` — no ``os.urandom``, no
-  time-based entropy (the repo's lint enforces this, rule R6).
+  caller needs fresh per-worker seeds, ``repro.workloads.base.derive_seeds``
+  spawns them from one ``np.random.SeedSequence(seed)`` — no
+  ``os.urandom``, no time-based entropy (the repo's lint enforces this,
+  rule R6).
 * **Failures surface, they never hang.**  An exception inside a worker
   is re-raised in the parent wrapped in :class:`WorkerFailure` naming
   the failing item; a worker that dies without raising (segfault,
@@ -36,14 +37,11 @@ from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
-import numpy as np
-
 T = TypeVar("T")
 R = TypeVar("R")
 
 __all__ = [
     "WorkerFailure",
-    "derive_seeds",
     "parallel_map",
     "resolve_jobs",
     "run_experiments",
@@ -70,18 +68,6 @@ def resolve_jobs(jobs: int) -> int:
     if jobs == 0:
         return os.cpu_count() or 1
     return jobs
-
-
-def derive_seeds(seed: int, n: int) -> list[int]:
-    """``n`` independent child seeds, all descending from ``seed``.
-
-    Uses ``SeedSequence.spawn`` — the numpy-sanctioned way to give
-    parallel workers statistically independent streams that are still a
-    pure function of the parent seed.  Same ``(seed, n)`` in, same list
-    out, on every host.
-    """
-    parent = np.random.SeedSequence(seed)
-    return [int(child.generate_state(1)[0]) for child in parent.spawn(n)]
 
 
 def _context() -> multiprocessing.context.BaseContext:

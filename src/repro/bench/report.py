@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.bench.harness import ExperimentResult
+from repro.obs.export import render_table
 
 Metric = tuple[str, Callable[[ExperimentResult], float], str]
 
@@ -60,29 +61,6 @@ def render_comparison(
             row.append(relative_pct(value, base_value))
         rows.append(row)
     return render_table(headers, rows, title=title)
-
-
-def render_table(
-    headers: Sequence[str],
-    rows: Sequence[Sequence[str]],
-    title: str = "",
-) -> str:
-    """Plain-text table with aligned columns."""
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(str(cell)))
-    lines = []
-    if title:
-        lines.append(title)
-        lines.append("=" * max(len(title), 8))
-    lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append(
-            "  ".join(str(cell).ljust(widths[i]) for i, cell in enumerate(row))
-        )
-    return "\n".join(lines)
 
 
 def summarize(result: ExperimentResult) -> str:

@@ -21,8 +21,8 @@ See ``docs/recovery.md`` for the crash model and the remount protocol.
 from repro.fault.injector import FaultInjector, PowerLossError
 from repro.fault.harness import (
     CrashOutcome,
-    FaultBackend,
     SweepResult,
+    fault_spec,
     run_crash_point,
     run_oracle,
     run_sweep,
@@ -38,8 +38,8 @@ __all__ = [
     "PowerLossError",
     "CrashOutcome",
     "FailoverOutcome",
-    "FaultBackend",
     "SweepResult",
+    "fault_spec",
     "run_crash_point",
     "run_failover_point",
     "run_failover_sweep",

@@ -40,12 +40,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.fault.harness import (
-    FaultBackend,
     FaultStack,
     SweepResult,
-    as_backend,
     divergence,
     extract_state,
+    fault_spec,
     make_plan,
     remount,
     shadow_state,
@@ -54,6 +53,7 @@ from repro.fault.harness import (
 from repro.fault.injector import FaultInjector
 from repro.flash import media_digest
 from repro.service.replication import ReplicationLink
+from repro.stack import StackSpec
 
 __all__ = [
     "FailoverOutcome",
@@ -85,7 +85,7 @@ class FailoverOutcome:
 
 
 def run_failover_point(
-    backend: FaultBackend,
+    spec: StackSpec,
     crash_point: int,
     seed: int,
     group_size: int = GROUP_SIZE,
@@ -93,8 +93,8 @@ def run_failover_point(
 ) -> FailoverOutcome:
     """One full kill / promote / verify cycle at a given primary op count."""
     plan = make_plan()
-    primary = FaultStack(backend)
-    standby = FaultStack(backend)
+    primary = FaultStack(spec)
+    standby = FaultStack(spec)
     link = ReplicationLink(standby.apply_group, latency_us=latency_us)
     injector = FaultInjector(crash_after_ops=crash_point, seed=seed)
     primary.run_armed(injector, lambda: primary.run_groups(plan, group_size, link))
@@ -105,7 +105,7 @@ def run_failover_point(
     # Promote: brand-new Python objects over the *standby's* media; the
     # primary's chips are dead and never consulted again.
     promoted, standby_durable, applied = remount(
-        backend, standby.data, standby.wal
+        spec, standby.data, standby.wal
     )
     recovered = extract_state(promoted)
     expected = shadow_state(plan, committed)
@@ -118,7 +118,7 @@ def run_failover_point(
     elif recovered != expected:
         detail = divergence(recovered, expected, "promoted", "acknowledged")
     return FailoverOutcome(
-        backend=backend.name,
+        backend=spec.architecture,
         crash_point=crash_point,
         committed=committed,
         standby_durable=standby_durable,
@@ -132,16 +132,16 @@ def run_failover_point(
 
 
 def run_replication_free_digest(
-    backend: FaultBackend, group_size: int = GROUP_SIZE
+    spec: StackSpec, group_size: int = GROUP_SIZE
 ) -> str:
     """Primary media digest of a crash-free *unreplicated* grouped run."""
-    primary = FaultStack(backend)
+    primary = FaultStack(spec)
     primary.run_groups(make_plan(), group_size)
     return media_digest(primary.data, primary.wal)
 
 
 def run_replicated_digests(
-    backend: FaultBackend,
+    spec: StackSpec,
     group_size: int = GROUP_SIZE,
     latency_us: float = 50.0,
 ) -> tuple[str, str]:
@@ -152,8 +152,8 @@ def run_replicated_digests(
     :func:`run_replication_free_digest`: replication observes the
     primary's WAL stream without perturbing its media.
     """
-    primary = FaultStack(backend)
-    standby = FaultStack(backend)
+    primary = FaultStack(spec)
+    standby = FaultStack(spec)
     link = ReplicationLink(standby.apply_group, latency_us=latency_us)
     primary.run_groups(make_plan(), group_size, link)
     return (
@@ -163,7 +163,7 @@ def run_replicated_digests(
 
 
 def run_failover_sweep(
-    backend_name: "str | FaultBackend",
+    backend: str | StackSpec,
     n_points: int,
     seed: int = 0xFA110,
     jobs: int = 1,
@@ -174,12 +174,12 @@ def run_failover_sweep(
     (replication does not add primary flash ops, so no link is needed);
     the points are drawn by :func:`~repro.fault.harness.sweep`.
     """
-    backend = as_backend(backend_name)
-    probe = FaultStack(backend)
+    spec = fault_spec(backend) if isinstance(backend, str) else backend
+    probe = FaultStack(spec)
     counter = FaultInjector(crash_after_ops=None)
     plan = make_plan()
     probe.run_armed(counter, lambda: probe.run_groups(plan, GROUP_SIZE))
     return sweep(
-        run_failover_point, backend, counter.ops_seen, n_points, seed, jobs,
+        run_failover_point, spec, counter.ops_seen, n_points, seed, jobs,
         "failover",
     )

@@ -21,45 +21,30 @@ The experiment, per crash point:
    the recovered stack must equal a shadow dict replaying exactly the
    first ``c`` transactions of the plan.
 
-The same plan, geometry and seeds are used for all four backends, so a
-recovery divergence between architectures fails the same way a wrong
-recovery does — this is the paper's "recovery is NOT impacted" claim,
-checked bit-for-bit.
+The same plan, geometry and seeds are used for every backend of
+``repro.stack.MOUNTABLE``, so a recovery divergence between
+architectures fails the same way a wrong recovery does — this is the
+paper's "recovery is NOT impacted" claim, checked bit-for-bit.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from repro.core.config import IPA_DISABLED, SCHEME_2X4
-from repro.engine.database import Database
+from repro.core.config import SCHEME_2X4
 from repro.engine.schema import Column, ColumnType, Schema
-from repro.engine.wal import WriteAheadLog, recover
+from repro.engine.wal import recover
 from repro.fault.injector import FaultInjector, PowerLossError
 from repro.flash.chip import FlashChip
 from repro.flash.device import FlashDevice
 from repro.flash.geometry import FlashGeometry
-from repro.ftl.ipa_ftl import IpaFtl
-from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
-from repro.ftl.page_mapping import PageMappingFtl
-from repro.storage.manager import (
-    IpaBlockDevicePolicy,
-    IpaNativePolicy,
-    StorageManager,
-    TraditionalPolicy,
-)
+from repro.stack import StackSpec
+from repro.storage.manager import StorageManager
 
 if TYPE_CHECKING:
     from repro.service.replication import ReplicationLink
-
-#: Small device so the update phase actually exercises GC: 8 blocks of
-#: 8 pages back ~16 heap pages of live data, so out-of-place traffic
-#: recycles blocks continuously — even on the IPA backends, whose
-#: in-place appends absorb most but not all of the update stream.
-DATA_GEO = FlashGeometry(page_size=1024, oob_size=128, pages_per_block=8, blocks=8)
-WAL_GEO = FlashGeometry(page_size=1024, oob_size=16, pages_per_block=8, blocks=16)
 
 N_PAGES = 30
 N_ROWS = 200
@@ -77,80 +62,29 @@ SCHEMA = Schema(
     ]
 )
 
-#: The four backends of the acceptance matrix.
-BACKENDS = ("noftl-ipa", "noftl-plain", "ipa-ftl", "page-mapping")
+#: The fault preset: OP 0.2, four buffer frames, a WAL and a small data
+#: chip so the update phase actually exercises GC — 8 blocks of 8 pages
+#: back ~16 heap pages of live data, so out-of-place traffic recycles
+#: blocks continuously, even on the IPA backends, whose in-place appends
+#: absorb most but not all of the update stream.
+FAULT_SPEC = StackSpec(
+    scheme=SCHEME_2X4,
+    geometry=FlashGeometry(page_size=1024, oob_size=128, pages_per_block=8, blocks=8),
+    over_provisioning=0.2,
+    buffer_pages=4,
+    with_wal=True,
+    wal_geometry=FlashGeometry(
+        page_size=1024, oob_size=16, pages_per_block=8, blocks=16
+    ),
+)
 
 
-@dataclass(frozen=True)
-class FaultBackend:
-    """How to build (and rebuild) one storage architecture.
-
-    Attributes:
-        name: One of :data:`BACKENDS`.
-        channels: Data-device channels; >1 builds a
-            :class:`~repro.flash.device.FlashDevice` whose in-flight
-            per-channel ops must be torn at power loss.
-        wal_channels: Log-device channels; >1 puts the WAL on a
-            :class:`~repro.flash.device.FlashDevice` too, so crashes can
-            also catch *log* appends in flight.  The WAL's append path
-            issues a flush barrier before acknowledging a commit, so the
-            only revertable log ops at a crash belong to the frame being
-            torn — the harness checks exactly that.
-        background_gc: Run the incremental background collector, so
-            crashes also land between budgeted GC steps.
+def fault_spec(backend: str, **variant: Any) -> StackSpec:
+    """:data:`FAULT_SPEC` on ``backend``; ``variant`` sets ``channels``,
+    ``wal_channels`` (in-flight ops on either device are torn at power
+    loss) or ``background_gc`` (crashes land between budgeted GC steps).
     """
-
-    name: str
-    channels: int = 1
-    wal_channels: int = 1
-    background_gc: bool = False
-
-    def make_data_device(self):
-        """The data chip (or multi-channel device) for a fresh stack."""
-        if self.channels > 1:
-            return FlashDevice(DATA_GEO, channels=self.channels)
-        return FlashChip(DATA_GEO)
-
-    def make_wal_device(self, clock):
-        """The log chip (or multi-channel device) sharing the stack clock."""
-        if self.wal_channels > 1:
-            return FlashDevice(WAL_GEO, channels=self.wal_channels, clock=clock)
-        return FlashChip(WAL_GEO, clock=clock)
-
-    def make_manager(self, chip: FlashChip) -> StorageManager:
-        if self.name == "noftl-ipa":
-            device = NoFtlDevice(
-                chip, over_provisioning=0.2, background_gc=self.background_gc
-            )
-            device.create_region(
-                "t", blocks=DATA_GEO.blocks, ipa=IpaRegionConfig(2, 4)
-            )
-            return StorageManager(
-                device, SCHEME_2X4, IpaNativePolicy(), buffer_capacity=4
-            )
-        if self.name == "noftl-plain":
-            device = NoFtlDevice(
-                chip, over_provisioning=0.2, background_gc=self.background_gc
-            )
-            device.create_region("t", blocks=DATA_GEO.blocks, ipa=None)
-            return StorageManager(
-                device, IPA_DISABLED, TraditionalPolicy(), buffer_capacity=4
-            )
-        if self.name == "ipa-ftl":
-            device = IpaFtl(
-                chip, over_provisioning=0.2, background_gc=self.background_gc
-            )
-            return StorageManager(
-                device, SCHEME_2X4, IpaBlockDevicePolicy(), buffer_capacity=4
-            )
-        if self.name == "page-mapping":
-            device = PageMappingFtl(
-                chip, over_provisioning=0.2, background_gc=self.background_gc
-            )
-            return StorageManager(
-                device, IPA_DISABLED, TraditionalPolicy(), buffer_capacity=4
-            )
-        raise ValueError(f"unknown backend {self.name!r}")
+    return replace(FAULT_SPEC, architecture=backend, **variant)
 
 
 def make_plan(seed: int = PLAN_SEED) -> list[tuple[int, int]]:
@@ -175,19 +109,19 @@ def shadow_state(plan: list[tuple[int, int]], n_txns: int) -> dict[int, int]:
 
 
 class FaultStack:
-    """Fresh chips + stack for one backend, setup phase run and checkpointed.
+    """Fresh chips + stack for one spec, setup phase run and checkpointed.
 
-    Also the one driver of the plan, ungrouped (:meth:`run_updates`) or
-    in WAL commit groups (:meth:`run_groups`), and of the power loss
-    (:meth:`run_armed`).
+    A spec that cannot be remounted (IPL) is refused before any flash is
+    built.  Also the one driver of the plan, ungrouped
+    (:meth:`run_updates`) or in WAL commit groups (:meth:`run_groups`),
+    and of the power loss (:meth:`run_armed`).
     """
 
-    def __init__(self, backend: FaultBackend) -> None:
-        self.data = backend.make_data_device()
-        self.manager = backend.make_manager(self.data)
-        self.wal = backend.make_wal_device(self.manager.clock)
-        self.manager.wal = WriteAheadLog(self.wal)
-        self.db = Database(self.manager)
+    def __init__(self, spec: StackSpec) -> None:
+        spec.check_mountable()
+        self.db, self.manager = spec.build()
+        self.data = self.manager.device.chip
+        self.wal = self.manager.wal.chip
         self.table = self.db.create_table("t", SCHEMA, n_pages=N_PAGES, pk="k")
         for k in range(N_ROWS):
             with self.db.begin("load"):
@@ -257,22 +191,20 @@ class FaultStack:
 
 
 def remount(
-    backend: FaultBackend,
+    spec: StackSpec,
     data: FlashChip | FlashDevice,
     wal: FlashChip | FlashDevice,
 ) -> tuple[StorageManager, int, int]:
     """Mount brand-new Python objects over surviving devices and recover.
 
-    The FTL mapping is rebuilt from OOB metadata and a fresh
-    :class:`WriteAheadLog` is mounted over the log device — zero
-    pre-crash Python state — then :func:`recover` replays the log.
+    :meth:`StackSpec.mount` rebuilds the FTL mapping from OOB metadata
+    and mounts a fresh WAL over the log device — zero pre-crash Python
+    state — then :func:`recover` replays the log.
 
     Returns:
         ``(manager, durable frames found on the log, records applied)``.
     """
-    manager = backend.make_manager(data)
-    manager.device.rebuild_from_media()
-    manager.wal = WriteAheadLog(wal)
+    manager = spec.mount(data, wal)
     durable = len(manager.wal.durable_frames())
     applied = recover(manager, manager.wal)
     return manager, durable, applied
@@ -313,10 +245,10 @@ def extract_state(manager: StorageManager) -> dict[int, int]:
     return state
 
 
-def run_oracle(backend: FaultBackend) -> tuple[int, dict[int, int]]:
+def run_oracle(spec: StackSpec) -> tuple[int, dict[int, int]]:
     """Crash-free pass: (mutating-op count of the update phase, final state)."""
     plan = make_plan()
-    stack = FaultStack(backend)
+    stack = FaultStack(spec)
     counter = FaultInjector(crash_after_ops=None)
     stack.run_armed(counter, lambda: stack.run_updates(plan))
     stack.manager.flush_all()
@@ -339,18 +271,18 @@ class CrashOutcome:
 
 
 def run_crash_point(
-    backend: FaultBackend, crash_point: int, seed: int
+    spec: StackSpec, crash_point: int, seed: int
 ) -> CrashOutcome:
     """One full crash/remount/verify cycle at a given op count."""
     plan = make_plan()
-    stack = FaultStack(backend)
+    stack = FaultStack(spec)
     injector = FaultInjector(crash_after_ops=crash_point, seed=seed)
     stack.run_armed(injector, lambda: stack.run_updates(plan))
     # Completed = the commit fully returned: the per-type counter is
     # incremented after the WAL flush, so a crash inside a commit leaves
     # it untouched.
     completed = stack.db.txn_stats.by_type.get("bump", 0)
-    manager, durable, applied = remount(backend, stack.data, stack.wal)
+    manager, durable, applied = remount(spec, stack.data, stack.wal)
     recovered = extract_state(manager)
     expected = shadow_state(plan, durable)
     detail = ""
@@ -362,7 +294,7 @@ def run_crash_point(
     elif recovered != expected:
         detail = divergence(recovered, expected, "recovered", "committed")
     return CrashOutcome(
-        backend=backend.name,
+        backend=spec.architecture,
         crash_point=crash_point,
         completed=completed,
         durable_frames=durable,
@@ -389,20 +321,15 @@ class SweepResult:
         return not self.failures
 
 
-def _point_job(args: tuple[Callable[..., Any], FaultBackend, int, int]) -> Any:
+def _point_job(args: tuple[Callable[..., Any], StackSpec, int, int]) -> Any:
     """Picklable work unit for a parallel sweep: one point."""
-    run_point, backend, point, point_seed = args
-    return run_point(backend, point, seed=point_seed)
-
-
-def as_backend(backend: str | FaultBackend) -> FaultBackend:
-    """A plain backend name as its default :class:`FaultBackend`."""
-    return backend if isinstance(backend, FaultBackend) else FaultBackend(backend)
+    run_point, spec, point, point_seed = args
+    return run_point(spec, point, seed=point_seed)
 
 
 def sweep(
     run_point: Callable[..., Any],
-    backend: FaultBackend,
+    spec: StackSpec,
     ops_total: int,
     n_points: int,
     seed: int,
@@ -413,7 +340,7 @@ def sweep(
 
     Every point gets a distinct tear seed derived from the sweep seed
     (``seed ^ point``), so a reported failure is replayable from
-    ``(backend, crash_point, seed)`` alone, and the merged result is
+    ``(spec, crash_point, seed)`` alone, and the merged result is
     identical at any ``jobs`` count (0 = all cores, 1 = serial).
     ``kind`` names the sweep in the per-point progress labels.
     """
@@ -424,12 +351,13 @@ def sweep(
         points = list(range(1, ops_total + 1))
     else:
         points = sorted(rng.sample(range(1, ops_total + 1), n_points))
-    result = SweepResult(backend=backend.name, ops_total=ops_total)
+    name = spec.architecture
+    result = SweepResult(backend=name, ops_total=ops_total)
     for outcome in parallel_map(
         _point_job,
-        [(run_point, backend, point, seed ^ point) for point in points],
+        [(run_point, spec, point, seed ^ point) for point in points],
         jobs=jobs,
-        labels=[f"{backend.name} {kind} @ op {point}" for point in points],
+        labels=[f"{name} {kind} @ op {point}" for point in points],
     ):
         result.points += 1
         result.torn_repairs += outcome.torn_repairs
@@ -439,19 +367,19 @@ def sweep(
 
 
 def run_sweep(
-    backend_name: "str | FaultBackend",
+    backend: str | StackSpec,
     n_points: int,
     seed: int = 0xFA117,
     jobs: int = 1,
 ) -> SweepResult:
     """Seeded random crash-point sweep over one backend.
 
-    ``backend_name`` may be a plain backend name or a configured
-    :class:`FaultBackend` (multi-channel / background-GC variants); the
-    points are drawn by :func:`sweep` over the oracle's op count.
+    ``backend`` may be a plain backend name (its :func:`fault_spec`) or
+    a spec (multi-channel / background-GC variants); the points are
+    drawn by :func:`sweep` over the oracle's op count.
     """
-    backend = as_backend(backend_name)
-    ops_total, _oracle_state = run_oracle(backend)
+    spec = fault_spec(backend) if isinstance(backend, str) else backend
+    ops_total, _oracle_state = run_oracle(spec)
     return sweep(
-        run_crash_point, backend, ops_total, n_points, seed, jobs, "crash"
+        run_crash_point, spec, ops_total, n_points, seed, jobs, "crash"
     )

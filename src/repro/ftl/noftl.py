@@ -32,6 +32,7 @@ from repro.flash.errors import (
 from repro.flash.stats import DeviceStats
 from repro.ftl.gc import BlockManager
 from repro.ftl.oob_meta import OOB_META_SIZE
+from repro.obs.export import render_table
 from repro.obs.ledger import LifetimeTracker, WriteLedger
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 
@@ -293,8 +294,6 @@ class NoFtlDevice:
 
     def region_report(self) -> str:
         """Per-region counter table (for the demo/diagnostics)."""
-        from repro.bench.report import render_table
-
         return render_table(
             ["Region", "IPA", "LBAs", "Reads", "Writes", "Deltas",
              "Invalidations", "GC migr", "GC erases"],

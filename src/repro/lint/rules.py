@@ -497,7 +497,7 @@ class WorkerSeedRule(Rule):
     multiprocessing, one ``os.urandom`` / ``uuid4`` / argless
     ``SeedSequence()`` (all of which pull OS entropy) silently breaks
     replayability, so they are banned there outright — derive worker
-    seeds with ``repro.bench.parallel.derive_seeds`` or an explicit
+    seeds with ``repro.workloads.base.derive_seeds`` or an explicit
     ``SeedSequence(seed).spawn(n)``.
     """
 
@@ -538,7 +538,7 @@ class WorkerSeedRule(Rule):
                     node.col_offset,
                     f"OS entropy via {name}() in multiprocessing code — "
                     "worker randomness must derive from the experiment "
-                    "seed (repro.bench.parallel.derive_seeds)",
+                    "seed (repro.workloads.base.derive_seeds)",
                 )
             elif name == "numpy.random.SeedSequence" and not _has_args(node):
                 yield (

@@ -5,8 +5,9 @@ This package is the instrumentation spine of the reproduction:
 * :mod:`repro.obs.metrics` — callback-read counters / gauges, histograms;
 * :mod:`repro.obs.trace`   — cross-layer spans on the simulated clock;
 * :mod:`repro.obs.sampler` — periodic time-series snapshots;
-* :mod:`repro.obs.export`  — CSV and Prometheus-text exporters;
-* :mod:`repro.obs.report`  — the ``python -m repro obs`` post-run report.
+* :mod:`repro.obs.export`  — text-table, CSV and Prometheus-text exporters;
+* :mod:`repro.obs.report`  — the ``python -m repro obs`` post-run report
+  (:mod:`repro.bench.observe` runs the experiment it renders).
 
 The one-call entry point is the harness hook::
 
@@ -133,7 +134,7 @@ class Observation:
     """The attached observability bundle of one experiment run.
 
     Build with :meth:`create` on a stack from
-    :func:`~repro.bench.harness.build_stack`; the harness does this for
+    :meth:`repro.stack.StackSpec.build`; the harness does this for
     you when ``observe=`` is passed to ``run_experiment``.
     """
 

@@ -24,7 +24,6 @@ the host track alone renders for single-chip runs.
 
 from __future__ import annotations
 
-import argparse
 import json
 from typing import Iterable
 
@@ -44,14 +43,14 @@ _TID_CHANNEL0 = 2
 
 #: Span names that belong to device tracks rather than the host stack.
 _BUS_NAMES = frozenset({"bus_xfer"})
-_CHANNEL_NAMES = frozenset({"channel_op", "channel_read"})
+CHANNEL_NAMES = frozenset({"channel_op", "channel_read"})
 
 
 def _tid_of(span) -> int:
     name = span.name
     if name in _BUS_NAMES:
         return _TID_BUS
-    if name in _CHANNEL_NAMES:
+    if name in CHANNEL_NAMES:
         channel = span.attrs.get("channel")
         if isinstance(channel, int) and channel >= 0:
             return _TID_CHANNEL0 + channel
@@ -118,40 +117,3 @@ def write_chrome_trace(path: str, spans: Iterable) -> int:
         json.dump({"traceEvents": events}, fh)
     return len(events)
 
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("out", help="output Chrome-trace JSON file")
-    parser.add_argument(
-        "--arch",
-        choices=("traditional", "ipa-blockdev", "ipa-native"),
-        default="traditional",
-    )
-    parser.add_argument("--transactions", type=int, default=400)
-    parser.add_argument(
-        "--channels", type=int, default=4,
-        help="flash channels (per-channel tracks need > 1)",
-    )
-    args = parser.parse_args()
-
-    from repro.bench.harness import run_experiment
-    from repro.obs import ObserveConfig
-    from repro.obs.report import build_config
-
-    config = build_config(args.arch, args.transactions, channels=args.channels)
-    observe = ObserveConfig(trace_channel_ops=True)
-    result = run_experiment(config, observe=observe)
-    obs = result.observation
-    count = write_chrome_trace(args.out, obs.spans())
-    channel_events = sum(
-        1 for s in obs.spans() if s.name in _CHANNEL_NAMES
-    )
-    print(
-        f"{count} events written to {args.out} "
-        f"({channel_events} channel events across {args.channels} channels); "
-        "load in chrome://tracing or ui.perfetto.dev"
-    )
-
-
-if __name__ == "__main__":
-    main()

@@ -1,7 +1,8 @@
-"""Exporters: time-series CSV and Prometheus text exposition format.
+"""Exporters: aligned text tables, time-series CSV and Prometheus text.
 
-Both are plain-text, dependency-free formats:
+All are plain-text, dependency-free formats:
 
+* :func:`render_table` — the aligned table every report prints;
 * :func:`samples_to_csv` — one row per sampler snapshot, suitable for
   pandas / gnuplot / spreadsheet post-processing;
 * :func:`registry_to_prometheus` — the Prometheus text exposition
@@ -26,6 +27,29 @@ __all__ = [
 ]
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
+
+
+def render_table(
+    headers: Sequence[str],
+    rows: Sequence[Sequence[str]],
+    title: str = "",
+) -> str:
+    """Plain-text table with aligned columns."""
+    widths = [len(h) for h in headers]
+    for row in rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(str(cell)))
+    lines = []
+    if title:
+        lines.append(title)
+        lines.append("=" * max(len(title), 8))
+    lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)))
+    lines.append("  ".join("-" * w for w in widths))
+    for row in rows:
+        lines.append(
+            "  ".join(str(cell).ljust(widths[i]) for i, cell in enumerate(row))
+        )
+    return "\n".join(lines)
 
 
 def _prom_name(name: str, prefix: str) -> str:

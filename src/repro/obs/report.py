@@ -1,8 +1,7 @@
 """The ``python -m repro obs`` post-run observability report.
 
-Runs one observed TPC-B experiment (configuration sized so the device
-actually feels GC pressure) and renders what the rest of the harness
-only summarizes:
+Renders an observed run (:mod:`repro.bench.observe` runs the experiment)
+— what the rest of the harness only summarizes:
 
 * span counts per name — did every instrumented layer fire;
 * GC-stall attribution — which *transactions* paid for inline erases,
@@ -12,40 +11,12 @@ only summarizes:
 * the write-amplification waterfall (per-cause program/erase/byte
   attribution with its conservation status), the block-wear histogram
   and the per-cause LBA death-time distribution.
-
-With ``--out DIR`` the raw artifacts (spans JSONL, samples CSV,
-Prometheus text) are written for external tooling.
 """
 
 from __future__ import annotations
 
-import argparse
-import os
-
-from repro.bench.report import render_table
-from repro.obs import ObserveConfig
+from repro.obs.export import render_table
 from repro.obs.trace import attribute_gc_erases
-
-
-def build_config(arch: str, transactions: int, channels: int = 1):
-    """An observed-run config under genuine GC pressure."""
-    from repro.bench.harness import ExperimentConfig
-    from repro.core.config import IPA_DISABLED, SCHEME_2X4
-    from repro.flash.modes import FlashMode
-    from repro.workloads.tpcb import TpcbWorkload
-
-    is_ipa = arch.startswith("ipa")
-    return ExperimentConfig(
-        workload=TpcbWorkload(scale=1, accounts_per_branch=2000),
-        architecture=arch,
-        mode=FlashMode.PSLC if is_ipa else FlashMode.SLC,
-        scheme=SCHEME_2X4 if is_ipa else IPA_DISABLED,
-        transactions=transactions,
-        buffer_pages=32,
-        device_utilization=0.92,
-        over_provisioning=0.08,
-        channels=channels,
-    )
 
 
 def span_count_table(spans) -> str:
@@ -259,43 +230,3 @@ def render_report(result) -> str:
         ]
     return "\n".join(parts)
 
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--arch",
-        choices=("traditional", "ipa-blockdev", "ipa-native"),
-        default="traditional",
-    )
-    parser.add_argument("--transactions", type=int, default=2000)
-    parser.add_argument("--fast", action="store_true", help="small run (CI smoke)")
-    parser.add_argument("--out", default=None, help="directory for raw artifacts")
-    args = parser.parse_args()
-
-    from repro.bench.harness import run_experiment
-    from repro.obs.export import write_samples_csv
-
-    transactions = 600 if args.fast else args.transactions
-    config = build_config(args.arch, transactions)
-    trace_path = None
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        trace_path = os.path.join(args.out, "spans.jsonl")
-    observe = ObserveConfig(sample_interval_s=0.01, trace_path=trace_path)
-    result = run_experiment(config, observe=observe)
-    print(render_report(result))
-
-    if args.out:
-        obs = result.observation
-        write_samples_csv(
-            os.path.join(args.out, "samples.csv"), obs.samples, obs.sampler.columns
-        )
-        with open(
-            os.path.join(args.out, "metrics.prom"), "w", encoding="utf-8"
-        ) as fh:
-            fh.write(obs.export_prometheus())
-        print(f"\nartifacts written to {args.out}/ (spans.jsonl, samples.csv, metrics.prom)")
-
-
-if __name__ == "__main__":
-    main()

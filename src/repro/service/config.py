@@ -33,8 +33,8 @@ class ServiceConfig:
         txns_per_session: Transactions each session issues (a shed
             attempt consumes one — the client gave up on that request).
         architecture / mode / scheme / buffer_pages / channels /
-            background_gc: Per-shard stack knobs, as in
-            :class:`repro.bench.harness.ExperimentConfig`.  The WAL is
+            background_gc: Per-shard stack knobs, the fields of the
+            :class:`repro.stack.StackSpec` each shard builds.  The WAL is
             always attached — group commit is the point of the tier.
         queue_depth: Admission bound: max requests queued per shard
             (excluding the batch currently executing).

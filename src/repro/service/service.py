@@ -33,12 +33,12 @@ from typing import Deque, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.bench.parallel import derive_seeds
 from repro.service.admission import AdmissionDecision
 from repro.service.config import ServiceConfig
 from repro.service.router import shard_of
 from repro.service.session import Request, Session
 from repro.service.shard import Shard
+from repro.workloads.base import derive_seeds
 
 __all__ = [
     "ServiceResult",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
-from repro.bench.harness import ExperimentConfig, load_stack
 from repro.flash import media_digest
 from repro.obs import Observation
 from repro.obs.metrics import (
@@ -22,6 +21,7 @@ from repro.obs.metrics import (
 )
 from repro.service.admission import AdmissionController
 from repro.service.config import ServiceConfig
+from repro.stack import StackSpec
 
 if TYPE_CHECKING:
     import numpy as np
@@ -48,8 +48,7 @@ class Shard:
         self.index = index
         self.config = config
         self.workload = config.workload_factory()
-        exp = ExperimentConfig(
-            workload=self.workload,
+        spec = StackSpec(
             architecture=config.architecture,
             mode=config.mode,
             scheme=config.scheme,
@@ -57,12 +56,11 @@ class Shard:
             channels=config.channels,
             background_gc=config.background_gc,
             with_wal=True,
-            seed=build_seed,
         )
         # Service time starts at zero: build-phase latencies are not the
         # tier's problem (the same reset the harness does before
         # measuring).  The build generator is spent here.
-        self.db, self.manager, _ = load_stack(exp)
+        self.db, self.manager, _ = spec.load(self.workload, build_seed)
 
         self.observation: Optional[Observation] = None
         if config.observe:

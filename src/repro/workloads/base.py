@@ -329,6 +329,18 @@ def release(rng: np.random.Generator) -> None:
         stream.release()
 
 
+def derive_seeds(seed: int, n: int) -> list[int]:
+    """``n`` independent child seeds, all descending from ``seed``.
+
+    Uses ``SeedSequence.spawn`` — the numpy-sanctioned way to give
+    parallel workers (or a service's shards and sessions) statistically
+    independent streams that are still a pure function of the parent
+    seed.  Same ``(seed, n)`` in, same list out, on every host.
+    """
+    parent = np.random.SeedSequence(seed)
+    return [int(child.generate_state(1)[0]) for child in parent.spawn(n)]
+
+
 # ---------------------------------------------------------------------- #
 # Shared helpers (generator-level entry points of the kernel)
 # ---------------------------------------------------------------------- #

@@ -41,6 +41,7 @@ from repro.flash.modes import FlashMode
 from repro.flash.stats import DeviceStats, FlashStats
 from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
 from repro.ftl.page_mapping import PageMappingFtl
+from repro.stack import StackSpec
 from repro.storage.buffer import Frame
 from repro.storage.manager import StorageManager, TraditionalPolicy
 from repro.workloads.base import Workload
@@ -121,13 +122,13 @@ def record_trace(
 ) -> Trace:
     """Run the workload on the traditional stack; return its I/O trace."""
     trace = Trace(page_size=page_size)
-    footprint = workload.estimate_pages(page_size)
-    blocks = max(int(footprint / (0.80 * 0.85 * 64)) + 2, 8)
-    geometry = FlashGeometry(
-        page_size=page_size, oob_size=128, pages_per_block=64, blocks=blocks
+    # The chip of the default (traditional) spec; the recording FTL and
+    # policy are this module's own.
+    spec = StackSpec(page_size=page_size)
+    chip = FlashChip(spec.data_geometry(workload), mode=spec.mode)
+    device = _ReadRecordingFtl(
+        chip, trace, over_provisioning=spec.over_provisioning
     )
-    chip = FlashChip(geometry, mode=FlashMode.SLC)
-    device = _ReadRecordingFtl(chip, trace, over_provisioning=0.15)
     manager = StorageManager(
         device, IPA_DISABLED, _TracingPolicy(trace), buffer_capacity=buffer_pages
     )

@@ -18,13 +18,13 @@ import pytest
 from repro.bench.harness import ExperimentConfig, run_experiment
 from repro.bench.parallel import (
     WorkerFailure,
-    derive_seeds,
     parallel_map,
     resolve_jobs,
     run_experiments,
 )
 from repro.core.config import IpaScheme
 from repro.fault.harness import run_sweep
+from repro.workloads.base import derive_seeds
 from repro.workloads.tpcb import TpcbWorkload
 
 
@@ -115,8 +115,8 @@ class TestExperimentSharding:
 
 class TestFaultSweepSharding:
     def test_run_sweep_jobs_equivalence(self):
-        serial = run_sweep("noftl-ipa", 4, seed=0xFA117, jobs=1)
-        sharded = run_sweep("noftl-ipa", 4, seed=0xFA117, jobs=2)
+        serial = run_sweep("ipa-native", 4, seed=0xFA117, jobs=1)
+        sharded = run_sweep("ipa-native", 4, seed=0xFA117, jobs=2)
         assert (
             serial.backend,
             serial.points,

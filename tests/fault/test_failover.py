@@ -14,13 +14,14 @@ import os
 
 import pytest
 
-from repro.fault import FaultBackend, run_failover_point, run_failover_sweep
+from repro.fault import fault_spec, run_failover_point, run_failover_sweep
 from repro.fault.failover import (
     GROUP_SIZE,
     run_replicated_digests,
     run_replication_free_digest,
 )
-from repro.fault.harness import BACKENDS
+from repro.stack import MOUNTABLE
+from tests.fault import ftl_id
 
 POINTS = int(os.environ.get("FAILOVER_SWEEP_POINTS", "4"))
 
@@ -41,16 +42,16 @@ def _fail_report(result) -> str:
 
 
 class TestDigestIdentity:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", MOUNTABLE, ids=ftl_id)
     def test_replication_never_perturbs_the_primary(self, backend):
-        free = run_replication_free_digest(FaultBackend(backend))
-        primary, standby = run_replicated_digests(FaultBackend(backend))
+        free = run_replication_free_digest(fault_spec(backend))
+        primary, standby = run_replicated_digests(fault_spec(backend))
         assert primary == free
         assert standby == primary
 
 
 class TestFailoverSweep:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", MOUNTABLE, ids=ftl_id)
     def test_promotion_retains_exactly_the_acknowledged_prefix(
         self, backend
     ):
@@ -59,7 +60,7 @@ class TestFailoverSweep:
         assert result.points == min(POINTS, result.ops_total)
 
     def test_failover_point_outcome_is_deterministic(self):
-        backend = FaultBackend("noftl-ipa")
+        backend = fault_spec("ipa-native")
         a = run_failover_point(backend, 57, seed=99)
         b = run_failover_point(backend, 57, seed=99)
         assert a == b
@@ -68,7 +69,7 @@ class TestFailoverSweep:
     def test_committed_count_is_group_aligned(self):
         # Transactions acknowledge per WAL commit group, so the
         # committed prefix after any crash is a whole number of groups.
-        outcome = run_failover_point(FaultBackend("ipa-ftl"), 23, seed=7)
+        outcome = run_failover_point(fault_spec("ipa-blockdev"), 23, seed=7)
         assert outcome.ok, outcome.detail
         assert outcome.committed % GROUP_SIZE == 0
         assert outcome.standby_durable == outcome.committed
@@ -76,7 +77,7 @@ class TestFailoverSweep:
 
     def test_first_op_crash_promotes_to_checkpoint(self):
         outcome = run_failover_point(
-            FaultBackend("page-mapping"), 1, seed=5
+            fault_spec("traditional"), 1, seed=5
         )
         assert outcome.ok, outcome.detail
         assert outcome.committed == 0

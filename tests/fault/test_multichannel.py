@@ -13,9 +13,11 @@ import os
 
 import pytest
 
-from repro.fault import FaultBackend, run_crash_point, run_sweep
-from repro.fault.harness import BACKENDS, FaultStack, make_plan
+from repro.fault import fault_spec, run_crash_point, run_sweep
+from repro.fault.harness import FaultStack, make_plan
 from repro.fault.injector import FaultInjector
+from repro.stack import MOUNTABLE
+from tests.fault import ftl_id
 
 POINTS = int(os.environ.get("FAULT_SWEEP_POINTS", "6"))
 
@@ -34,20 +36,20 @@ def _fail_report(result) -> str:
 
 
 class TestMultiChannelSweep:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", MOUNTABLE, ids=ftl_id)
     def test_four_channels_with_background_gc_recover(self, backend):
-        config = FaultBackend(backend, channels=4, background_gc=True)
+        config = fault_spec(backend, channels=4, background_gc=True)
         result = run_sweep(config, POINTS)
         assert result.ok, _fail_report(result)
         assert result.points == min(POINTS, result.ops_total)
 
     def test_two_channels_without_background_gc_recover(self):
-        config = FaultBackend("noftl-ipa", channels=2)
+        config = fault_spec("ipa-native", channels=2)
         result = run_sweep(config, POINTS)
         assert result.ok, _fail_report(result)
 
     def test_multichannel_crash_point_is_deterministic(self):
-        config = FaultBackend("ipa-ftl", channels=4, background_gc=True)
+        config = fault_spec("ipa-blockdev", channels=4, background_gc=True)
         a = run_crash_point(config, 23, seed=13)
         b = run_crash_point(config, 23, seed=13)
         assert a == b
@@ -64,7 +66,9 @@ class TestRunArmed:
     """
 
     def test_power_loss_reaches_both_devices_and_nothing_quiesces(self):
-        stack = FaultStack(FaultBackend("ipa-ftl", channels=4, wal_channels=4))
+        stack = FaultStack(
+            fault_spec("ipa-blockdev", channels=4, wal_channels=4)
+        )
         power_losses, quiesces = [], []
         for label, device in (("data", stack.data), ("wal", stack.wal)):
             power_loss = device.power_loss

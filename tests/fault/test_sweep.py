@@ -11,8 +11,10 @@ import os
 
 import pytest
 
-from repro.fault import FaultBackend, run_crash_point, run_oracle, run_sweep
-from repro.fault.harness import BACKENDS, N_UPDATE_TXNS, make_plan, shadow_state
+from repro.fault import fault_spec, run_crash_point, run_oracle, run_sweep
+from repro.fault.harness import N_UPDATE_TXNS, make_plan, shadow_state
+from repro.stack import MOUNTABLE
+from tests.fault import ftl_id
 
 POINTS = int(os.environ.get("FAULT_SWEEP_POINTS", "8"))
 
@@ -31,29 +33,29 @@ def _fail_report(result) -> str:
 
 
 class TestOracle:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", MOUNTABLE, ids=ftl_id)
     def test_crash_free_run_matches_shadow(self, backend):
-        ops_total, state = run_oracle(FaultBackend(backend))
+        ops_total, state = run_oracle(fault_spec(backend))
         assert state == shadow_state(make_plan(), N_UPDATE_TXNS)
         assert ops_total > 0
 
 
 class TestSweep:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", MOUNTABLE, ids=ftl_id)
     def test_seeded_crash_points_recover_to_committed_prefix(self, backend):
         result = run_sweep(backend, POINTS)
         assert result.ok, _fail_report(result)
         assert result.points == min(POINTS, result.ops_total)
 
     def test_crash_point_outcome_is_deterministic(self):
-        backend = FaultBackend("noftl-ipa")
+        backend = fault_spec("ipa-native")
         a = run_crash_point(backend, 37, seed=11)
         b = run_crash_point(backend, 37, seed=11)
         assert a == b
         assert a.ok, a.detail
 
     def test_first_op_crash_recovers_to_checkpoint(self):
-        backend = FaultBackend("page-mapping")
+        backend = fault_spec("traditional")
         outcome = run_crash_point(backend, 1, seed=5)
         assert outcome.ok, outcome.detail
         assert outcome.completed == 0

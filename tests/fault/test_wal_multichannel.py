@@ -21,30 +21,29 @@ carries the durability contract.
 
 import pytest
 
-from repro.fault import FaultBackend, run_crash_point, run_sweep
-from repro.fault.harness import WAL_GEO
+from repro.fault import fault_spec, run_crash_point, run_sweep
+from repro.fault.harness import FAULT_SPEC
 from repro.flash.chip import FlashChip
 from repro.flash.device import FlashDevice
 
 
 class TestWalDeviceConstruction:
     def test_default_wal_is_a_bare_chip(self):
-        backend = FaultBackend("noftl-ipa")
-        wal = backend.make_wal_device(None)
-        assert isinstance(wal, FlashChip)
+        _db, manager = fault_spec("ipa-native").build()
+        assert isinstance(manager.wal.chip, FlashChip)
 
     def test_wal_channels_builds_a_striped_device(self):
-        backend = FaultBackend("noftl-ipa", wal_channels=2)
-        wal = backend.make_wal_device(None)
+        _db, manager = fault_spec("ipa-native", wal_channels=2).build()
+        wal = manager.wal.chip
         assert isinstance(wal, FlashDevice)
         assert wal.channels == 2
-        assert wal.geometry.total_pages == WAL_GEO.total_pages
+        assert wal.geometry.total_pages == FAULT_SPEC.wal_geometry.total_pages
 
 
 class TestMultiChannelWalRecovery:
     @pytest.mark.parametrize("wal_channels", [2, 4])
     def test_sweep_holds_recovered_prefix_bound(self, wal_channels):
-        backend = FaultBackend("noftl-ipa", wal_channels=wal_channels)
+        backend = fault_spec("ipa-native", wal_channels=wal_channels)
         result = run_sweep(backend, 8)
         assert result.ok, "\n".join(
             f"point={f.crash_point} op='{f.crash_op}' "
@@ -53,7 +52,7 @@ class TestMultiChannelWalRecovery:
         )
 
     def test_crash_point_deterministic_at_channels_2(self):
-        backend = FaultBackend("ipa-ftl", wal_channels=2)
+        backend = fault_spec("ipa-blockdev", wal_channels=2)
         a = run_crash_point(backend, 41, seed=13)
         b = run_crash_point(backend, 41, seed=13)
         assert a == b
@@ -69,7 +68,7 @@ class TestSyncBarrierIsLoadBearing:
         # ever starts passing with the barrier off, the crash model got
         # weaker; investigate before deleting it.
         monkeypatch.setattr(FlashDevice, "sync", lambda self: None)
-        backend = FaultBackend("noftl-ipa", wal_channels=2)
+        backend = fault_spec("ipa-native", wal_channels=2)
         failures = []
         for point in range(10, 90, 4):
             outcome = run_crash_point(backend, point, seed=0xBA88 ^ point)

@@ -3,8 +3,8 @@
 The crash sweep replays runs by (seed, op-count) coordinates, so the
 whole experimental method rests on a seeded run being byte-identical on
 every execution.  This runs a seeded TPC-B workload twice per backend —
-all four architectures, with 4 channels + background GC where the
-architecture supports them — and asserts the two stat digests match
+every name in :data:`repro.stack.BACKENDS`, with 4 channels + background
+GC where the architecture supports them — and asserts the two stat digests match
 exactly.  Any wall-clock read, unseeded RNG draw or iteration-order
 dependence anywhere in the stack shows up here as a digest mismatch.
 """
@@ -18,12 +18,12 @@ from dataclasses import asdict
 import pytest
 
 from repro.bench.harness import (
-    ARCHITECTURES,
     ExperimentConfig,
     ExperimentResult,
     run_experiment,
 )
 from repro.core.config import SCHEME_2X4
+from repro.stack import BACKENDS
 from repro.workloads.tpcb import TpcbWorkload
 
 SEED = 20170321  # EDBT 2017
@@ -54,7 +54,7 @@ def _digest(result: ExperimentResult) -> str:
     return hashlib.sha256(encoded).hexdigest()
 
 
-@pytest.mark.parametrize("architecture", ARCHITECTURES)
+@pytest.mark.parametrize("architecture", BACKENDS)
 def test_seeded_run_is_byte_identical(architecture):
     first = _digest(run_experiment(_config(architecture)))
     second = _digest(run_experiment(_config(architecture)))

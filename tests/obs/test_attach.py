@@ -18,7 +18,7 @@ import pytest
 from repro.core.config import IPA_DISABLED, SCHEME_2X4
 from repro.engine.wal import WriteAheadLog
 from repro.baselines.ipl import IplConfig, IplPolicy, IplStore
-from repro.fault.harness import FaultBackend, FaultStack, make_plan
+from repro.fault.harness import FaultStack, fault_spec, make_plan
 from repro.flash.chip import FlashChip
 from repro.flash.device import FlashDevice
 from repro.flash.geometry import FlashGeometry
@@ -143,7 +143,7 @@ def test_multichannel_wal_device_charges_its_chips(wal_channels):
     # on the FlashDevice (which never reads it) and was watched whole:
     # its leaf chips charged nothing, so the `wal` cause showed 0 partial
     # programs and conservation failed against the chips' counters.
-    stack = FaultStack(FaultBackend("page-mapping", wal_channels=wal_channels))
+    stack = FaultStack(fault_spec("traditional", wal_channels=wal_channels))
     ledger = WriteLedger()
     stack.manager.attach(
         NULL_TRACER, ledger, LifetimeTracker(stack.manager.clock)

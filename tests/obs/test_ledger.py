@@ -309,7 +309,7 @@ ARCHS = ("traditional", "ipa-blockdev", "ipa-native")
 
 def _observed_run(monkeypatch, arch, transactions=300, **overrides):
     from repro.bench.harness import run_experiment
-    from repro.obs.report import build_config
+    from repro.bench.observe import build_config
 
     monkeypatch.setenv(ENV_VAR, "1")
     config = build_config(arch, transactions)
