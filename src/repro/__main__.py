@@ -1,7 +1,8 @@
 """Command-line front door: ``python -m repro <command>``.
 
-Commands map one-to-one onto the experiment modules (DESIGN.md's index)
-plus the demo runner:
+Each experiment command prints its EXPERIMENTS.md section(s) at full
+scale (DESIGN.md's index); the rest run the service, the observed run
+and the demo:
 
     python -m repro table1            # E1  — the paper's Table 1
     python -m repro fig1              # E2  — Figure 1
@@ -11,7 +12,7 @@ plus the demo runner:
     python -m repro ipl               # E6  — IPA vs In-Page Logging
     python -m repro update-sizes      # E7  — eviction-size analysis
     python -m repro mlc-modes         # E8  — interference safety
-    python -m repro ablations         # A1-A3
+    python -m repro ablations         # A1-A3, A5 — ablation sweeps
     python -m repro ipl-sweep         # A4  — IPL sizing sweep
     python -m repro ycsb              # E10 — YCSB extension
     python -m repro latency           # E11 — transaction tail latency
@@ -36,31 +37,7 @@ def main(argv: list[str] | None = None) -> int:
     command, rest = argv[0], argv[1:]
     sys.argv = [f"repro {command}"] + rest
 
-    if command == "table1":
-        from repro.bench.table1 import main as run
-    elif command == "fig1":
-        from repro.bench.fig1 import main as run
-    elif command == "fig2":
-        from repro.bench.fig2_ispp import main as run
-    elif command == "fig3":
-        from repro.bench.fig3_layout import main as run
-    elif command == "claims":
-        from repro.bench.claims import main as run
-    elif command == "ipl":
-        from repro.bench.ipa_vs_ipl import main as run
-    elif command == "update-sizes":
-        from repro.bench.update_size_analysis import main as run
-    elif command == "mlc-modes":
-        from repro.bench.mlc_modes import main as run
-    elif command == "ablations":
-        from repro.bench.ablations import main as run
-    elif command == "ipl-sweep":
-        from repro.bench.ipl_sweep import main as run
-    elif command == "ycsb":
-        from repro.bench.ycsb_mixes import main as run
-    elif command == "latency":
-        from repro.bench.tail_latency import main as run
-    elif command == "service":
+    if command == "service":
         from repro.bench.service_bench import main as run
     elif command == "obs":  # ``obs [report]`` / ``obs timeline``
         from repro.bench.observe import main as run
@@ -74,8 +51,14 @@ def main(argv: list[str] | None = None) -> int:
             print("demo requires running from the repository root")
             return 2
     else:
-        print(f"unknown command {command!r}; try --help")
-        return 2
+        from repro.bench.run_all import COMMANDS, render_section
+
+        if command not in COMMANDS:
+            print(f"unknown command {command!r}; try --help")
+            return 2
+        for section in COMMANDS[command]:
+            print(render_section(section(False)))
+        return 0
     run()
     return 0
 

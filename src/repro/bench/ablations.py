@@ -1,4 +1,4 @@
-"""Ablations A1-A3 — the design choices DESIGN.md calls out.
+"""Ablations A1-A3 and A5 — the design choices DESIGN.md calls out.
 
 * **A1 — N x M sweep**: delta-area size vs invalidation savings.  Larger
   N admits more residencies before an out-of-place rewrite; larger M
@@ -8,6 +8,8 @@
   tiny pools thrash reads.
 * **A3 — over-provisioning**: GC pressure is the mechanism behind every
   headline number; OP controls how empty victims are.
+* **A5 — write-ahead logging on/off**: commit forcing costs throughput;
+  the question is whether IPA's advantage survives it.
 """
 
 from __future__ import annotations
@@ -16,9 +18,14 @@ from dataclasses import dataclass
 
 from repro.bench.harness import ExperimentConfig, ExperimentResult, run_experiment
 from repro.bench.report import render_table
-from repro.core.config import IpaScheme
+from repro.core.config import IPA_DISABLED, SCHEME_2X4, IpaScheme
 from repro.flash.modes import FlashMode
 from repro.workloads.tpcb import TpcbWorkload
+
+
+#: A2's buffer-pool sizes (frames) and A3's over-provisioning fractions.
+BUFFER_SIZES = (8, 16, 32, 64, 128)
+OP_FRACTIONS = (0.07, 0.15, 0.30)
 
 
 def _tpcb() -> TpcbWorkload:
@@ -39,7 +46,7 @@ class AblationRow:
 
 
 def sweep_nxm(
-    transactions: int = 2500,
+    transactions: int,
     schemes: list | None = None,
 ) -> list[AblationRow]:
     """A1: vary the N x M scheme at fixed workload and buffer."""
@@ -69,15 +76,10 @@ def sweep_nxm(
     return rows
 
 
-def sweep_buffer(
-    transactions: int = 2500,
-    sizes: tuple = (8, 16, 32, 64, 128),
-) -> list[AblationRow]:
+def sweep_buffer(transactions: int) -> list[AblationRow]:
     """A2: vary the buffer pool size with the [2x4] scheme."""
-    from repro.core.config import SCHEME_2X4
-
     rows = []
-    for size in sizes:
+    for size in BUFFER_SIZES:
         result = run_experiment(
             ExperimentConfig(
                 workload=_tpcb(),
@@ -93,18 +95,13 @@ def sweep_buffer(
     return rows
 
 
-def sweep_over_provisioning(
-    transactions: int = 2500,
-    fractions: tuple = (0.07, 0.15, 0.30),
-) -> list[AblationRow]:
+def sweep_over_provisioning(transactions: int) -> list[AblationRow]:
     """A3: vary FTL over-provisioning under the traditional baseline
     (GC sensitivity) and IPA (residual sensitivity)."""
     rows = []
     for architecture, mode in (("traditional", FlashMode.MLC),
                                ("ipa-native", FlashMode.PSLC)):
-        from repro.core.config import IPA_DISABLED, SCHEME_2X4
-
-        for op in fractions:
+        for op in OP_FRACTIONS:
             scheme = SCHEME_2X4 if architecture != "traditional" else IPA_DISABLED
             result = run_experiment(
                 ExperimentConfig(
@@ -124,7 +121,7 @@ def sweep_over_provisioning(
     return rows
 
 
-def sweep_wal(transactions: int = 2500) -> list[AblationRow]:
+def sweep_wal(transactions: int) -> list[AblationRow]:
     """A5: write-ahead logging on/off, baseline and IPA.
 
     The WAL forces a log-device append at every commit; the question is
@@ -132,8 +129,6 @@ def sweep_wal(transactions: int = 2500) -> list[AblationRow]:
     the log device is separate, and the paper says regular recovery
     machinery is unaffected).
     """
-    from repro.core.config import IPA_DISABLED, SCHEME_2X4
-
     rows = []
     for architecture, mode, scheme in (
         ("traditional", FlashMode.MLC, IPA_DISABLED),
@@ -181,19 +176,3 @@ def report(rows: list[AblationRow], title: str) -> str:
         title=title,
     )
 
-
-def main() -> None:
-    print(report(sweep_nxm(), "A1 — N x M sweep (TPC-B, pSLC)"))
-    print()
-    print(report(sweep_buffer(), "A2 — buffer-pool sweep (TPC-B, [2x4] pSLC)"))
-    print()
-    print(
-        report(
-            sweep_over_provisioning(),
-            "A3 — over-provisioning sweep (TPC-B)",
-        )
-    )
-
-
-if __name__ == "__main__":
-    main()

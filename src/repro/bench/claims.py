@@ -106,7 +106,7 @@ def _fmt_ratio(value: float) -> str:
     return f"{value:.2f}x"
 
 
-def run(transactions: int = 4000, fast: bool = True) -> list[ClaimRow]:
+def run(transactions: int, fast: bool) -> list[ClaimRow]:
     """Run the baseline/IPA pair on each workload."""
     rows = []
     for factory, txn_multiplier in _workload_factories(fast):
@@ -183,10 +183,3 @@ def report(rows: list[ClaimRow]) -> str:
         ),
     )
 
-
-def main() -> None:
-    print(report(run(transactions=6000, fast=False)))
-
-
-if __name__ == "__main__":
-    main()

@@ -119,17 +119,3 @@ def report(rows: list[Fig1Row]) -> str:
         title="Figure 1 — write-amplification: traditional vs IPA",
     )
 
-
-def main() -> None:
-    rows = run()
-    print(report(rows))
-    print()
-    print(
-        "Paper: a 10-byte update costs a whole 8 KB page write (~800x WA, "
-        "1+ invalidations) traditionally, vs a ~100-byte delta-record and "
-        "no invalidation with IPA."
-    )
-
-
-if __name__ == "__main__":
-    main()

@@ -15,6 +15,9 @@ from repro.bench.report import render_table
 from repro.flash.errors import IllegalProgramError
 from repro.flash.ispp import MLC_ISPP, SLC_ISPP, FloatingGateCell
 
+#: Normalised charge the first program raises a cell to.
+TARGET_CHARGE = 1.0
+
 
 @dataclass
 class IsppDemo:
@@ -30,16 +33,16 @@ class IsppDemo:
     staircase: list  # charge after each pulse (first program)
 
 
-def run(target_charge: float = 1.0) -> IsppDemo:
+def run() -> IsppDemo:
     """Run the cell-level ISPP micro-experiments."""
     slc_cell = FloatingGateCell(SLC_ISPP)
-    slc_trace = slc_cell.program_to(target_charge)
+    slc_trace = slc_cell.program_to(TARGET_CHARGE)
 
     mlc_cell = FloatingGateCell(MLC_ISPP)
-    mlc_trace = mlc_cell.program_to(target_charge)
+    mlc_trace = mlc_cell.program_to(TARGET_CHARGE)
 
     # In-place append: raise the same cell's charge further, no erase.
-    append_trace = slc_cell.program_to(target_charge * 2)
+    append_trace = slc_cell.program_to(TARGET_CHARGE * 2)
 
     # Reprogramming identical data: verify succeeds immediately, 0 pulses.
     identical_trace = slc_cell.program_to(slc_cell.charge)
@@ -47,7 +50,7 @@ def run(target_charge: float = 1.0) -> IsppDemo:
     # Overwrite that lowers charge: physically impossible without erase.
     decrease_rejected = False
     try:
-        slc_cell.program_to(target_charge / 2)
+        slc_cell.program_to(TARGET_CHARGE / 2)
     except IllegalProgramError:
         decrease_rejected = True
 
@@ -82,10 +85,3 @@ def report(demo: IsppDemo) -> str:
     stairs = " -> ".join(f"{c:.2f}" for c in demo.staircase[:8])
     return table + f"\n\nCharge staircase (first pulses): {stairs} ..."
 
-
-def main() -> None:
-    print(report(run()))
-
-
-if __name__ == "__main__":
-    main()

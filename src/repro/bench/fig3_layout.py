@@ -32,19 +32,21 @@ class LayoutRow:
     oob_fits: bool
 
 
-def run(schemes: list | None = None) -> list[LayoutRow]:
+#: The swept schemes, smallest delta area first.
+SCHEMES = (
+    IpaScheme(1, 4),
+    IpaScheme(2, 4),  # the paper's Table-1 configuration
+    IpaScheme(2, 8),
+    IpaScheme(4, 4),
+    IpaScheme(4, 8),
+    IpaScheme(8, 8),
+)
+
+
+def run() -> list[LayoutRow]:
     """Size the delta area for a sweep of N x M schemes."""
-    if schemes is None:
-        schemes = [
-            IpaScheme(1, 4),
-            IpaScheme(2, 4),  # the paper's Table-1 configuration
-            IpaScheme(2, 8),
-            IpaScheme(4, 4),
-            IpaScheme(4, 8),
-            IpaScheme(8, 8),
-        ]
     rows = []
-    for scheme in schemes:
+    for scheme in SCHEMES:
         page = SlottedPage.fresh(0, PAGE_SIZE, scheme)
         expected = scheme.n_records * (
             1 + 3 * scheme.m_bytes + DELTA_METADATA_SIZE
@@ -99,10 +101,3 @@ def report(rows: list[LayoutRow]) -> str:
         ),
     )
 
-
-def main() -> None:
-    print(report(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -67,7 +67,7 @@ def _physical_writes(result: ExperimentResult) -> int:
     return result.flash_programs + result.flash_reprograms
 
 
-def run(transactions: int = 3000, fast: bool = True) -> list[IplComparisonRow]:
+def run(transactions: int, fast: bool) -> list[IplComparisonRow]:
     """Run the IPA/IPL pair per workload (both on SLC for parity: IPL's
     log sectors need full-page appendability)."""
     rows = []
@@ -160,10 +160,3 @@ def report(rows: list[IplComparisonRow]) -> str:
         ),
     )
 
-
-def main() -> None:
-    print(report(run(transactions=6000, fast=False)))
-
-
-if __name__ == "__main__":
-    main()

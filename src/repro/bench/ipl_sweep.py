@@ -22,7 +22,6 @@ from repro.core.config import SCHEME_2X4
 from repro.workloads.tpcb import TpcbWorkload
 from repro.workloads.trace import (
     ReplayResult,
-    Trace,
     record_trace,
     replay_on_ipa,
     replay_on_ipl,
@@ -37,17 +36,13 @@ class IplSweepRow:
     result: ReplayResult
 
 
-def run(
-    transactions: int = 3000,
-    trace: Trace | None = None,
-) -> list[IplSweepRow]:
+def run(transactions: int) -> list[IplSweepRow]:
     """Capture one trace; replay across IPL configs + the IPA reference."""
-    if trace is None:
-        trace = record_trace(
-            TpcbWorkload(scale=1, accounts_per_branch=8000, history_pages=400),
-            transactions=transactions,
-            buffer_pages=32,
-        )
+    trace = record_trace(
+        TpcbWorkload(scale=1, accounts_per_branch=8000, history_pages=400),
+        transactions=transactions,
+        buffer_pages=32,
+    )
     rows = [
         IplSweepRow(
             label="IPA [2x4] (reference)",
@@ -83,10 +78,3 @@ def report(rows: list[IplSweepRow]) -> str:
         ),
     )
 
-
-def main() -> None:
-    print(report(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -24,6 +24,9 @@ from repro.flash.geometry import FlashGeometry
 from repro.flash.modes import FlashMode, rules_for
 
 GEO = FlashGeometry(page_size=4096, oob_size=128, pages_per_block=16, blocks=4)
+#: Append-storm length per mode and the chips' disturb seed.
+APPENDS = 4000
+SEED = 0xF1A5
 
 
 @dataclass
@@ -39,11 +42,11 @@ class ModeRow:
     survived: bool
 
 
-def run(appends: int = 4000, seed: int = 0xF1A5) -> list[ModeRow]:
+def run() -> list[ModeRow]:
     """Append storm per mode: program victims, hammer appends, read back."""
     rows = []
     for mode in (FlashMode.SLC, FlashMode.PSLC, FlashMode.ODD_MLC, FlashMode.MLC):
-        chip = FlashChip(GEO, mode=mode, seed=seed)
+        chip = FlashChip(GEO, mode=mode, seed=SEED)
         rules = rules_for(mode)
         usable = chip.usable_pages_in_block()
         appendable = [p for p in usable if rules.page_appendable(p)]
@@ -55,7 +58,7 @@ def run(appends: int = 4000, seed: int = 0xF1A5) -> list[ModeRow]:
         uncorrectable = 0
         done = 0
         offset = 128
-        for i in range(appends):
+        for i in range(APPENDS):
             if offset + 1 >= GEO.page_size:
                 break
             try:
@@ -120,10 +123,3 @@ def report(rows: list[ModeRow]) -> str:
         ),
     )
 
-
-def main() -> None:
-    print(report(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -19,98 +19,41 @@ migrations (-75 % / -48 %) and erases (-53 % / -52 %).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.bench.harness import ExperimentConfig, ExperimentResult, run_experiment
 from repro.bench.report import render_comparison
-from repro.core.config import SCHEME_2X4, IpaScheme
+from repro.core.config import IPA_DISABLED, SCHEME_2X4
 from repro.flash.modes import FlashMode
 from repro.workloads.tpcb import TpcbWorkload
 
-#: Paper values for Table 1 (absolute where given, for EXPERIMENTS.md).
-PAPER_TABLE1 = {
-    "[0x0]": {"tps": 260},
-    "[2x4] pSLC": {
-        "tps": 380,
-        "host_reads_rel": +47,
-        "host_writes_rel": +50,
-        "migrations_rel": -75,
-        "erases_rel": -53,
-        "migrations_per_write_rel": -83,
-        "erases_per_write_rel": -69,
-        "tps_rel": +46,
-    },
-    "[2x4] odd-MLC": {
-        "tps": 313,
-        "host_reads_rel": +29,
-        "host_writes_rel": +17,
-        "migrations_rel": -48,
-        "erases_rel": -52,
-        "migrations_per_write_rel": -55,
-        "erases_per_write_rel": -59,
-        "tps_rel": +20,
-    },
-}
+#: The Table-1 setup; only the run length differs between scales.
+ACCOUNTS_PER_BRANCH = 12000
+HISTORY_PAGES = 400
+BUFFER_PAGES = 24
 
 
-@dataclass
-class Table1Settings:
-    """Scale knobs for the Table-1 run."""
-
-    duration_s: float = 6.0
-    accounts_per_branch: int = 12000
-    history_pages: int = 400
-    buffer_pages: int = 24
-    scheme: IpaScheme = SCHEME_2X4
-    seed: int = 42
-
-
-def _workload(settings: Table1Settings) -> TpcbWorkload:
-    return TpcbWorkload(
-        scale=1,
-        accounts_per_branch=settings.accounts_per_branch,
-        history_pages=settings.history_pages,
-    )
-
-
-def run(settings: Table1Settings | None = None) -> dict[str, ExperimentResult]:
+def run(duration_s: float) -> dict[str, ExperimentResult]:
     """Run all three Table-1 configurations; returns results by label."""
-    settings = settings or Table1Settings()
-    common = dict(
-        duration_s=settings.duration_s,
-        buffer_pages=settings.buffer_pages,
-        seed=settings.seed,
-    )
     results = {}
-    results["[0x0]"] = run_experiment(
-        ExperimentConfig(
-            workload=_workload(settings),
-            architecture="traditional",
-            mode=FlashMode.MLC,
-            label="[0x0]",
-            **common,
+    for label, architecture, mode, scheme in (
+        ("[0x0]", "traditional", FlashMode.MLC, IPA_DISABLED),
+        ("[2x4] pSLC", "ipa-native", FlashMode.PSLC, SCHEME_2X4),
+        ("[2x4] odd-MLC", "ipa-native", FlashMode.ODD_MLC, SCHEME_2X4),
+    ):
+        results[label] = run_experiment(
+            ExperimentConfig(
+                workload=TpcbWorkload(
+                    scale=1,
+                    accounts_per_branch=ACCOUNTS_PER_BRANCH,
+                    history_pages=HISTORY_PAGES,
+                ),
+                architecture=architecture,
+                mode=mode,
+                scheme=scheme,
+                duration_s=duration_s,
+                buffer_pages=BUFFER_PAGES,
+                label=label,
+            )
         )
-    )
-    results["[2x4] pSLC"] = run_experiment(
-        ExperimentConfig(
-            workload=_workload(settings),
-            architecture="ipa-native",
-            mode=FlashMode.PSLC,
-            scheme=settings.scheme,
-            label="[2x4] pSLC",
-            **common,
-        )
-    )
-    results["[2x4] odd-MLC"] = run_experiment(
-        ExperimentConfig(
-            workload=_workload(settings),
-            architecture="ipa-native",
-            mode=FlashMode.ODD_MLC,
-            scheme=settings.scheme,
-            label="[2x4] odd-MLC",
-            **common,
-        )
-    )
     return results
 
 
@@ -122,14 +65,3 @@ def report(results: dict[str, ExperimentResult]) -> str:
         title="Table 1 — TPC-B: traditional [0x0] vs IPA [2x4] (pSLC, odd-MLC)",
     )
 
-
-def main() -> None:
-    results = run(Table1Settings(duration_s=12.0))
-    print(report(results))
-    print()
-    print("Paper (2 h on OpenSSD): TPS 260 / 380 (+46%) / 313 (+20%); "
-          "migrations -75% / -48%; erases -53% / -52%.")
-
-
-if __name__ == "__main__":
-    main()

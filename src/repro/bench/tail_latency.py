@@ -6,7 +6,14 @@ page migrations and a multi-millisecond erase inline.  IPA removes most
 GC events, so its benefit concentrates exactly where SLAs hurt.
 
 Same TPC-B setup as Table 1; reports p50/p95/p99/max simulated latency
-per transaction for the traditional baseline and IPA pSLC.
+per transaction for the traditional baseline and IPA pSLC.  Every run is
+traced, so each row also counts its inline ``gc_erase`` spans and the
+share of them attributed to the transaction that tripped collection.
+
+Finding: the claim that IPA removes (nearly) all ``gc_erase`` spans — at
+most a tenth of the baseline's — holds at the fast scale (2 500
+transactions) but not at the full scale (4 000), where IPA keeps 18
+spans against the baseline's 49.
 """
 
 from __future__ import annotations
@@ -15,41 +22,32 @@ from dataclasses import dataclass
 
 from repro.bench.harness import ExperimentConfig, ExperimentResult, run_experiment
 from repro.bench.report import render_table
-from repro.core.config import SCHEME_2X4
+from repro.core.config import IPA_DISABLED, SCHEME_2X4
 from repro.flash.modes import FlashMode
-from repro.obs import ObserveConfig
 from repro.workloads.tpcb import TpcbWorkload
 
 
 @dataclass
 class LatencyRow:
-    """One configuration's latency profile."""
+    """One configuration's latency profile, and the trace that explains it.
+
+    ``result`` is plain (its observation dropped, so a row pickles); the
+    trace survives as two numbers.
+    """
 
     label: str
     result: ExperimentResult
+    #: Inline ``gc_erase`` spans in the traced run.
+    gc_erase_spans: int
+    #: Share of those spans attributed to a txn-bearing host write.
+    gc_attribution_rate: float
 
 
-def run(
-    transactions: int = 4000, observe: bool | ObserveConfig | None = None
-) -> list[LatencyRow]:
-    """Run the baseline/IPA pair and collect latency percentiles.
-
-    Args:
-        transactions: Transaction budget per configuration.
-        observe: Passed through to :func:`run_experiment`; with tracing
-            on, each row's ``result.observation`` lets callers *explain*
-            the tail — every inline GC erase is a span attributed to the
-            transaction that tripped it.
-    """
-
-    def workload() -> TpcbWorkload:
-        return TpcbWorkload(
-            scale=1, accounts_per_branch=8000, history_pages=400
-        )
-
+def run(transactions: int) -> list[LatencyRow]:
+    """Run the baseline/IPA configurations traced; collect percentiles."""
     rows = []
     for architecture, mode, scheme, channels, background_gc, label in (
-        ("traditional", FlashMode.MLC, None, 1, False, "[0x0] traditional"),
+        ("traditional", FlashMode.MLC, IPA_DISABLED, 1, False, "[0x0] traditional"),
         ("ipa-native", FlashMode.PSLC, SCHEME_2X4, 1, False, "[2x4] IPA pSLC"),
         # The multi-channel device + incremental background collector:
         # erase pulses overlap across channels and migrations are paid
@@ -64,23 +62,31 @@ def run(
             "[2x4] IPA pSLC 4ch+bgGC",
         ),
     ):
-        from repro.core.config import IPA_DISABLED
-
         result = run_experiment(
             ExperimentConfig(
-                workload=workload(),
+                workload=TpcbWorkload(
+                    scale=1, accounts_per_branch=8000, history_pages=400
+                ),
                 architecture=architecture,
                 mode=mode,
-                scheme=scheme if scheme else IPA_DISABLED,
+                scheme=scheme,
                 transactions=transactions,
                 buffer_pages=24,
                 channels=channels,
                 background_gc=background_gc,
                 label=label,
             ),
-            observe=observe,
+            observe=True,
         )
-        rows.append(LatencyRow(label=label, result=result))
+        observation, result.observation = result.observation, None
+        rows.append(
+            LatencyRow(
+                label=label,
+                result=result,
+                gc_erase_spans=len(observation.tracer.by_name("gc_erase")),
+                gc_attribution_rate=observation.gc_attribution_rate(),
+            )
+        )
     return rows
 
 
@@ -104,10 +110,3 @@ def report(rows: list[LatencyRow]) -> str:
         ),
     )
 
-
-def main() -> None:
-    print(report(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -56,7 +56,7 @@ def _factories(fast: bool) -> list:
     ]
 
 
-def run(transactions: int = 3000, fast: bool = True) -> list[UpdateSizeRow]:
+def run(transactions: int, fast: bool) -> list[UpdateSizeRow]:
     """Collect the eviction-size distribution per workload (8 KB pages)."""
     rows = []
     for factory in _factories(fast):
@@ -107,10 +107,3 @@ def report(rows: list[UpdateSizeRow]) -> str:
         ),
     )
 
-
-def main() -> None:
-    print(report(run(transactions=5000, fast=False)))
-
-
-if __name__ == "__main__":
-    main()

@@ -18,6 +18,11 @@ from repro.core.config import IPA_DISABLED, IpaScheme
 from repro.flash.modes import FlashMode
 from repro.workloads.ycsb import YcsbWorkload
 
+#: Table size and field width: [2x4]'s M is below the field width,
+#: [2x12]'s covers it.
+RECORDS = 3000
+FIELD_SIZE = 10
+
 
 @dataclass
 class YcsbRow:
@@ -33,11 +38,7 @@ class YcsbRow:
         return self.result.ipa_flushes / flushes if flushes else 0.0
 
 
-def run(
-    transactions: int = 2500,
-    records: int = 3000,
-    field_size: int = 10,
-) -> list[YcsbRow]:
+def run(transactions: int) -> list[YcsbRow]:
     """Sweep mixes x configurations."""
     rows = []
     configurations = [
@@ -49,7 +50,7 @@ def run(
         for architecture, scheme, label in configurations:
             config = ExperimentConfig(
                 workload=YcsbWorkload(
-                    records=records, mix=mix, field_size=field_size
+                    records=RECORDS, mix=mix, field_size=FIELD_SIZE
                 ),
                 architecture=architecture,
                 mode=FlashMode.PSLC if scheme else FlashMode.MLC,
@@ -84,10 +85,3 @@ def report(rows: list[YcsbRow]) -> str:
         ),
     )
 
-
-def main() -> None:
-    print(report(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -1,24 +1,13 @@
-"""The EXPERIMENTS.md generator: full fast run, --jobs parity, _capture."""
+"""The EXPERIMENTS.md generator: --jobs parity, failures, _capture.
+
+The full fast run, with every claim, is tests/bench/test_paper_claims.py.
+"""
 
 import pytest
 
 import repro.bench.run_all as run_all
 from repro.bench.parallel import WorkerFailure
 from repro.bench.run_all import _capture, generate
-
-
-@pytest.mark.slow
-def test_generate_fast_report():
-    report = generate(fast=True)
-    # Every experiment section present.
-    for section in (
-        "E1 —", "E2 —", "E3 —", "E4 —", "E5 —", "E6 —", "E7 —", "E8 —",
-        "A1 —", "A2 —", "A3 —", "A4 —", "E10", "E11",
-    ):
-        assert section in report, section
-    # Paper references included for reviewers.
-    assert "Paper reference" in report
-    assert "[2x4]" in report
 
 
 def test_generate_jobs_parity(monkeypatch):

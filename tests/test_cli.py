@@ -6,6 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+import repro.bench.run_all as run_all
 from repro.__main__ import main
 
 
@@ -41,6 +42,16 @@ class TestCli:
         code, out = run_cli("fig2")
         assert code == 0
         assert "ISPP" in out
+
+    def test_fig1_prints_its_report_block(self, monkeypatch):
+        # The command renders the same block, paper reference included,
+        # that EXPERIMENTS.md carries for E2.
+        monkeypatch.setattr(run_all, "SECTIONS", (run_all._section_fig1,))
+        report = run_all.generate()
+        code, out = run_cli("fig1")
+        assert code == 0
+        assert out.startswith("## E2 — Figure 1")
+        assert out.strip() == report[report.index("## E2"):].strip()
 
 
 class TestObsTimeline:
