@@ -130,17 +130,29 @@ HEADROOM = 1.05
 #: deleted), ``hot_path`` was lowered to the new measured values (from
 #: 46.2576, 295.721651889874 and 54.758): ``storage`` no longer calls
 #: ``_referenced.pop`` once per eviction.
+#: When a buffer miss began to run in one pass (NoFTL routes an LBA with
+#: two comparisons and reads the block manager's mapping dict directly;
+#: ``StorageManager.fetch`` reconstructs, verifies and pins in its own
+#: frame; ``BufferPool.insert`` drops a clean victim inline; the page
+#: checksum is one CRC over a slice copy), ``hot_path`` was lowered to
+#: the new measured values (from 45.3676, 294.7708819412039 and 54.632;
+#: they measured 45.3676, 294.7708819412039 and 56.8548 at the parent)
+#: and ``ftl`` re-recorded (from 10.2466, 25.350209986000934 and
+#: 2.9852): a NoFTL read, write, delta or trim no longer crosses
+#: ``Region.contains``, ``lba_end``, ``logical_pages``, ``_local`` and
+#: ``ppn_of``.  ``flash``, ``workloads``, ``service`` and both
+#: ``ftl_overwrite_trad`` entries did not move.
 COMMITTED = {
     "ycsb_b_cold": {
-        "hot_path": 45.3676,
+        "hot_path": 34.6876,
         "workloads": 6.2022,
-        "ftl": 10.2466,
+        "ftl": 5.5854,
         "flash": 8.519,
     },
     "tpcb_evict_ipa": {
-        "hot_path": 294.7708819412039,
+        "hot_path": 283.4174055062996,
         "workloads": 9.005832944470368,
-        "ftl": 25.350209986000934,
+        "ftl": 16.1598226784881,
         "flash": 24.056462902473168,
     },
     "ftl_overwrite_trad": {
@@ -148,10 +160,10 @@ COMMITTED = {
         "flash": 8.414,
     },
     "svc_ycsb_a_2shard": {
-        "hot_path": 54.632,
+        "hot_path": 55.3428,
         "workloads": 10.8656,
         "service": 18.017,
-        "ftl": 2.9852,
+        "ftl": 2.0768,
         "flash": 8.1576,
     },
 }

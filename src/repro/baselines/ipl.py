@@ -378,7 +378,12 @@ class IplStore:
         return False
 
     def trim(self, lba: int) -> None:
-        """No-op: IPL homes are fixed; space returns at merge time."""
+        """Counted only: IPL homes are fixed; space returns at merge time.
+
+        Raises:
+            KeyError: ``lba`` outside the logical range, as on a write.
+        """
+        self._locate(lba)
         self.stats.trims += 1
 
 

@@ -260,7 +260,14 @@ class BlockManager:
         return ppn
 
     def trim(self, lba: int) -> None:
-        """Drop the mapping for ``lba`` and invalidate its page."""
+        """Drop the mapping for ``lba`` and invalidate its page.
+
+        Raises:
+            KeyError: ``lba`` outside the logical range (the error
+                :meth:`check_write` gives), before anything changes.
+        """
+        if not 0 <= lba < self.logical_pages:
+            raise self._out_of_range(lba)
         ppn = self.mapping.pop(lba, None)
         if ppn is not None:
             del self._rmap[ppn]
@@ -340,6 +347,11 @@ class BlockManager:
     # Internals
     # ------------------------------------------------------------------ #
 
+    def _out_of_range(self, lba: int) -> KeyError:
+        return KeyError(
+            f"lba {lba} outside logical range [0, {self.logical_pages})"
+        )
+
     def check_write(
         self, lba: int, data: bytes, oob: bytes | None = None
     ) -> None:
@@ -353,9 +365,7 @@ class BlockManager:
                 exactly the chip's OOB size.
         """
         if not 0 <= lba < self.logical_pages:
-            raise KeyError(
-                f"lba {lba} outside logical range [0, {self.logical_pages})"
-            )
+            raise self._out_of_range(lba)
         if not isinstance(data, (bytes, bytearray, memoryview)):
             raise TypeError(
                 f"page payload must be bytes-like, got {type(data).__name__}"

@@ -82,7 +82,6 @@ class Region:
         #: Per-region counters; the device exposes the aggregate.
         self.stats = stats
         self.ipa = ipa
-        self.lba_base = lba_base
         self._blocks = BlockManager(
             chip,
             block_ids,
@@ -93,6 +92,11 @@ class Region:
             background_gc=background_gc,
             gc_migration_budget=gc_migration_budget,
         )
+        #: LBAs this region contributes to the device address space, and
+        #: its slice ``[lba_base, lba_end)`` of it: fixed once built.
+        self.logical_pages = self._blocks.logical_pages
+        self.lba_base = lba_base
+        self.lba_end = lba_base + self.logical_pages
         self._oob_layout = (
             OobLayout(chip.geometry.oob_size, ipa.n_records) if ipa else None
         )
@@ -114,11 +118,6 @@ class Region:
         else:
             self._max_delta_bytes = 0
 
-    @property
-    def logical_pages(self) -> int:
-        """LBAs this region contributes to the device address space."""
-        return self._blocks.logical_pages
-
     def attach(
         self,
         tracer: Tracer | NullTracer,
@@ -129,20 +128,9 @@ class Region:
         self.tracer = tracer
         self._blocks.attach(tracer, ledger, lifetimes)
 
-    @property
-    def lba_end(self) -> int:
-        """One past the last LBA of this region."""
-        return self.lba_base + self.logical_pages
-
-    def contains(self, lba: int) -> bool:
-        """True iff ``lba`` is routed to this region."""
-        return self.lba_base <= lba < self.lba_end
-
-    def _local(self, lba: int) -> int:
-        return lba - self.lba_base
-
     def read_page(self, lba: int) -> bytes:
-        ppn = self._blocks.ppn_of(self._local(lba))
+        # The mapping is read at call time: a remount replaces the dict.
+        ppn = self._blocks.mapping.get(lba - self.lba_base)
         if ppn is None:
             raise KeyError(f"read of unwritten lba {lba} (region {self.name})")
         data = self.chip.read_page(ppn)
@@ -166,7 +154,7 @@ class Region:
             oob_buf = bytearray(b"\xff" * self.chip.geometry.oob_size)
             self._oob_layout.write_slot(oob_buf, 0, crc_slot(data))
             oob = bytes(oob_buf)
-        self._blocks.write(self._local(lba), data, oob)
+        self._blocks.write(lba - self.lba_base, data, oob)
         # Counted once it has landed: a refused write is not a host write.
         stats = self.stats
         stats.host_writes += 1
@@ -186,8 +174,7 @@ class Region:
             return False
         if len(payload) > self._max_delta_bytes:
             return False
-        local = self._local(lba)
-        ppn = self._blocks.ppn_of(local)
+        ppn = self._blocks.mapping.get(lba - self.lba_base)
         if ppn is None:
             return False
         used = self._blocks.appends_done.get(ppn, 0)
@@ -245,13 +232,13 @@ class Region:
 
     def appends_on(self, lba: int) -> int:
         """Delta-records appended to the LBA's current physical page."""
-        ppn = self._blocks.ppn_of(self._local(lba))
+        ppn = self._blocks.mapping.get(lba - self.lba_base)
         if ppn is None:
             return 0
         return self._blocks.appends_done.get(ppn, 0)
 
     def trim(self, lba: int) -> None:
-        self._blocks.trim(self._local(lba))
+        self._blocks.trim(lba - self.lba_base)
 
 
 class NoFtlDevice:
@@ -399,7 +386,7 @@ class NoFtlDevice:
     def region_of(self, lba: int) -> Region:
         """The region owning ``lba`` (KeyError if out of range)."""
         for region in self.regions:
-            if region.contains(lba):
+            if region.lba_base <= lba < region.lba_end:
                 return region
         raise KeyError(f"lba {lba} not in any region")
 
@@ -429,7 +416,7 @@ class NoFtlDevice:
             except KeyError as exc:
                 error = exc
                 break
-            ppn = region._blocks.ppn_of(region._local(lba))
+            ppn = region._blocks.mapping.get(lba - region.lba_base)
             if ppn is None:
                 error = KeyError(
                     f"read of unwritten lba {lba} (region {region.name})"

@@ -89,7 +89,8 @@ class BufferPool:
     Args:
         capacity: Number of frames.
         flush: Callback writing a dirty frame to the device (the storage
-            manager's policy dispatch).
+            manager's policy dispatch); returns the frame's net changed
+            body bytes, which it read before the write reset them.
     """
 
     #: Observability: replaced per-instance by ``StorageManager.attach``.
@@ -101,19 +102,19 @@ class BufferPool:
     #: trigger in trace post-processing.
     flush_reason = "evict"
 
-    def __init__(self, capacity: int, flush: Callable[[Frame], None]) -> None:
+    def __init__(self, capacity: int, flush: Callable[[Frame], int]) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._flush = flush
         self._frames: "OrderedDict[int, Frame]" = OrderedDict()
         self.stats = BufferStats()
-        #: Optional soft no-steal hook (set by the storage manager when a
-        #: WAL is attached): a predicate marking frames that *prefer* not
-        #: to be evicted — pages dirtied by a transaction that has not
-        #: committed yet.  Vetoed frames are passed over while any other
-        #: unpinned frame exists.
-        self.evict_veto: Optional[Callable[[Frame], bool]] = None
+        #: Soft no-steal set (shared with the storage manager, which
+        #: fills it when a WAL is attached): LBAs whose frames *prefer*
+        #: not to be evicted — pages dirtied by a transaction that has
+        #: not committed yet.  Vetoed frames are passed over while any
+        #: other unpinned frame exists.
+        self.no_steal: set[int] = set()
         #: Escape hatch for the all-evictable-frames-vetoed corner: a
         #: callback that releases vetoes (the storage manager forces a
         #: WAL flush, making the open transaction's records durable) and
@@ -144,11 +145,28 @@ class BufferPool:
             BufferPoolFullError: every resident frame is pinned.
             ValueError: the LBA is already resident.
         """
-        if frame.lba in self._frames:
-            raise ValueError(f"lba {frame.lba} already resident")
-        while len(self._frames) >= self.capacity:
-            self._evict_one()
-        self._frames[frame.lba] = frame
+        frames = self._frames
+        lba = frame.lba
+        if lba in frames:
+            raise ValueError(f"lba {lba} already resident")
+        if len(frames) >= self.capacity:
+            # The common case in this frame: the least recently used
+            # evictable frame is clean, so it is simply dropped.  A dirty
+            # victim, or none at all, goes through _evict_one.
+            no_steal = self.no_steal
+            for victim in frames.values():
+                if victim.pin_count == 0 and victim.lba not in no_steal:
+                    break
+            else:
+                victim = None
+            if victim is None or victim.dirty:
+                self._evict_one()
+            else:
+                del frames[victim.lba]
+                stats = self.stats
+                stats.clean_evictions += 1
+                stats.evictions += 1
+        frames[lba] = frame
 
     def _pick_victim(self) -> Frame:
         victim, fallback = self._scan_victim()
@@ -171,11 +189,11 @@ class BufferPool:
     def _scan_victim(self) -> tuple[Optional[Frame], Optional[Frame]]:
         """(victim, vetoed-fallback): the least recently used unpinned
         frame, and the least recently used vetoed one passed over."""
-        veto = self.evict_veto
+        no_steal = self.no_steal
         fallback = None
         for frame in self._frames.values():
             if frame.pin_count == 0:
-                if veto is None or not veto(frame):
+                if frame.lba not in no_steal:
                     return frame, fallback
                 if fallback is None:
                     fallback = frame
@@ -187,13 +205,12 @@ class BufferPool:
             # Flush first, unlink after: a flush that raises (device full,
             # WAL full, injected fault) must leave the dirty frame resident
             # or the next fetch would re-read the stale Flash copy.
-            net_bytes = victim.tracker.net_changed_bytes
             tr = self.tracer
             if not tr.enabled:
-                self._flush(victim)
+                net_bytes = self._flush(victim)
             else:
                 with tr.span("evict", lba=victim.lba, dirty=True):
-                    self._flush(victim)
+                    net_bytes = self._flush(victim)
             self.stats.dirty_evictions += 1
             self.stats.dirty_eviction_net_bytes.append(net_bytes)
         else:

@@ -341,10 +341,10 @@ class SlottedPage:
 
     def compute_checksum(self) -> int:
         """CRC32 over header + body (everything before the delta area)."""
-        # No copy — and the views are released at once: a view left
-        # exported would make a later resizing store on the buffer fail.
-        with memoryview(self._buf) as whole, whole[: self.delta_start] as covered:
-            return zlib.crc32(covered)
+        # A slice copy, not a memoryview: a 4 KB memcpy costs less than
+        # two views entered and released, and leaves no view exported
+        # (which would make a later resizing store on the buffer fail).
+        return zlib.crc32(self._buf[: self.delta_start])
 
     def store_checksum(self) -> None:
         """Write the current checksum into the footer."""
@@ -358,7 +358,10 @@ class SlottedPage:
 
     def verify_checksum(self) -> bool:
         """True iff the stored footer checksum matches the content."""
-        return self.checksum == self.compute_checksum()
+        buf = self._buf
+        return _U32.unpack_from(buf, self.footer_start)[0] == zlib.crc32(
+            buf[: self.delta_start]
+        )
 
     def validate(self) -> None:
         """Cheap structural validation.

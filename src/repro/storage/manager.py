@@ -328,12 +328,11 @@ class StorageManager:
         #: attached, every update operation and page format is logged.
         self.wal = None
         #: LBAs dirtied by the currently open transaction (WAL attached
-        #: only).  The buffer pool avoids evicting them until
-        #: :meth:`commit_wal` clears the set — a soft no-steal policy, so
-        #: a crash cannot leave uncommitted bytes on the data device that
-        #: the redo-only log knows nothing about.
-        self._txn_locked_lbas: set[int] = set()
-        self.pool.evict_veto = self._evict_veto
+        #: only): the pool's own no-steal set, which it avoids evicting
+        #: until :meth:`commit_wal` clears it — so a crash cannot leave
+        #: uncommitted bytes on the data device that the redo-only log
+        #: knows nothing about.  Only ever cleared, never rebound.
+        self._txn_locked_lbas = self.pool.no_steal
         self.pool.veto_overflow = self._veto_overflow
 
     @property
@@ -402,14 +401,25 @@ class StorageManager:
         else:
             with tr.span("page_fetch", lba=lba):
                 image = self.device.read_page(lba)
-        page, k = self._load_page(image, lba)
-        tracker = ChangeTracker(
-            self.scheme, k, PAGE_HEADER_SIZE, page.delta_start
-        )
-        page.set_observer(tracker)
+        # A miss runs in this frame too: reconstruct, checksum compare,
+        # tracker attached (SlottedPage.set_observer, inlined) and the
+        # frame built pinned.  Only a page that fails to verify goes
+        # through the torn-tail repair.
+        scheme = self.scheme
+        try:
+            page_buf, k = reconstruct(image, scheme)
+            page = SlottedPage(page_buf, scheme)
+            intact = page.verify_checksum()
+        except (DeltaFormatError, ReconstructionError):
+            intact = False
+        if not intact:
+            page, k = self._load_page(image, lba)
+        tracker = ChangeTracker(scheme, k, PAGE_HEADER_SIZE, page.delta_start)
+        page._hook = tracker.on_write
+        page._stamp = tracker.on_stamp
         frame = Frame(lba, page, tracker, flash_image=image, flash_delta_count=k)
+        frame.pin_count = 1
         pool.insert(frame)
-        frame.pin()
         return frame
 
     def end_update(self, frame: Frame, completed: bool) -> None:
@@ -536,9 +546,6 @@ class StorageManager:
         self._next_lsn += 1
         return lsn
 
-    def _evict_veto(self, frame: Frame) -> bool:
-        return frame.lba in self._txn_locked_lbas
-
     def _veto_overflow(self) -> bool:
         """Release the no-steal set by forcing an early group commit.
 
@@ -564,24 +571,21 @@ class StorageManager:
         return True
 
     def _load_page(self, image: bytes, lba: int) -> tuple[SlottedPage, int]:
-        """Reconstruct + checksum-verify, repairing a torn delta tail.
+        """Repair a torn delta tail: :meth:`fetch`'s fallback when the
+        straight reconstruction of ``image`` fails to verify.
 
         A power loss during an in-place append (write_delta or a
         Scenario-2 composed reprogram) can only corrupt delta-area
         bytes: the body is byte-identical to the previous durable image,
         so the physical tear lands entirely inside the record being
-        appended.  When the straight reconstruction fails, retry with
-        successively fewer delta-records until the checksum verifies —
-        shedding the torn record recovers the last durable version, and
-        the WAL redo reapplies the lost update if it was committed.
+        appended.  Retry with successively fewer delta-records until the
+        checksum verifies — shedding the torn record recovers the last
+        durable version, and the WAL redo reapplies the lost update if
+        it was committed.
+
+        Raises:
+            PageCorruptError: no delta-record prefix verifies.
         """
-        try:
-            page_buf, k = reconstruct(image, self.scheme)
-            page = SlottedPage(page_buf, self.scheme)
-            if page.verify_checksum():
-                return page, k
-        except (DeltaFormatError, ReconstructionError):
-            pass  # a torn record: shed it below
         for cap in range(self.scheme.n_records - 1, -1, -1):
             try:
                 page_buf, k = reconstruct(image, self.scheme, max_records=cap)
@@ -596,15 +600,18 @@ class StorageManager:
             f"reconstructs to a valid page"
         )
 
-    def _flush(self, frame: Frame) -> None:
-        # Account net change before the policy resets the tracker.
-        self.stats.net_bytes_updated += frame.tracker.net_changed_bytes
+    def _flush(self, frame: Frame) -> int:
+        """Write a dirty frame; returns its net changed body bytes (read
+        before the policy resets the tracker, and accounted here)."""
+        net_bytes = frame.tracker.net_changed_bytes
+        self.stats.net_bytes_updated += net_bytes
         lg = self.ledger
         if not lg.enabled:
             self._flush_inner(frame)
-            return
-        with lg.cause("host_heap"):
-            self._flush_inner(frame)
+        else:
+            with lg.cause("host_heap"):
+                self._flush_inner(frame)
+        return net_bytes
 
     def _flush_inner(self, frame: Frame) -> None:
         tr = self.tracer

@@ -56,6 +56,112 @@ class TestRegions:
         assert dev.read_page(cold_lba)[:9] == b"cold data"
 
 
+class TestRoutingEdges:
+    """Every routed command at the first and last LBA of each region and
+    just outside the device: one routing rule serves them all."""
+
+    def make(self):
+        dev = make_device()
+        hot = dev.create_region("hot", blocks=12, ipa=IPA_2x4)
+        cold = dev.create_region("cold", blocks=12, ipa=IPA_2x4)
+        assert (hot.lba_base, hot.lba_end) == (0, cold.lba_base)
+        assert cold.lba_end == dev.logical_pages
+        edges = [
+            (region, lba)
+            for region in (hot, cold)
+            for lba in (region.lba_base, region.lba_end - 1)
+        ]
+        return dev, edges
+
+    @staticmethod
+    def counters(dev):
+        return {
+            r.name: (r.stats.host_reads, r.stats.host_writes,
+                     r.stats.host_delta_writes, r.stats.trims)
+            for r in dev.regions
+        }
+
+    def test_edge_lbas_land_in_their_region(self):
+        dev, edges = self.make()
+        for region, lba in edges:
+            before = self.counters(dev)
+            assert dev.region_of(lba) is region
+            dev.write_page(lba, image(lba.to_bytes(2, "little")))
+            assert dev.write_delta(lba, 100, b"D" + bytes([lba & 0xFF]))
+            assert dev.region_of(lba).appends_on(lba) == 1
+            assert dev.read_page(lba)[:2] == lba.to_bytes(2, "little")
+            assert dev.read_many([lba])[0][100:102] == b"D" + bytes([lba & 0xFF])
+            reads, writes, deltas, trims = before[region.name]
+            after = self.counters(dev)
+            assert after[region.name] == (reads + 2, writes + 1, deltas + 1, trims)
+            assert {n: c for n, c in after.items() if n != region.name} == {
+                n: c for n, c in before.items() if n != region.name
+            }
+
+    def test_edge_trims_land_in_their_region(self):
+        dev, edges = self.make()
+        for _region, lba in edges:
+            dev.write_page(lba, image(b"live"))
+        for region, lba in edges:
+            trims = region.stats.trims
+            dev.trim(lba)
+            assert region.stats.trims == trims + 1
+            with pytest.raises(KeyError, match=f"unwritten lba {lba} "):
+                dev.read_page(lba)
+        assert sum(r.stats.trims for r in dev.regions) == len(edges)
+
+    @pytest.mark.parametrize("lba_at", ["negative", "logical_pages"])
+    def test_lbas_outside_the_device_raise_naming_the_lba(self, lba_at):
+        dev, edges = self.make()
+        for _region, lba in edges:
+            dev.write_page(lba, image(b"live"))
+        lba = -1 if lba_at == "negative" else dev.logical_pages
+        before = self.counters(dev)
+        calls = [
+            lambda: dev.read_page(lba),
+            lambda: dev.write_page(lba, image(b"x")),
+            lambda: dev.write_delta(lba, 100, b"D"),
+            lambda: dev.trim(lba),
+            lambda: dev.read_many([0, lba]),
+            lambda: dev.region_of(lba).appends_on(lba),
+        ]
+        for call in calls:
+            with pytest.raises(KeyError, match=f"lba {lba} not in any region"):
+                call()
+        reads = {n: c[0] for n, c in before.items()}
+        reads["hot"] += 1  # read_many read LBA 0 before the refused one
+        assert {n: c[0] for n, c in self.counters(dev).items()} == reads
+        assert {n: c[1:] for n, c in self.counters(dev).items()} == {
+            n: c[1:] for n, c in before.items()
+        }
+
+    def test_remount_reads_every_written_lba_back(self):
+        """A remount replaces the block managers' mapping dicts: routing
+        must read the live one, on the same device and on a new one."""
+        dev, edges = self.make()
+        for _region, lba in edges:
+            dev.write_page(lba, image(lba.to_bytes(2, "little")))
+            dev.write_delta(lba, 100, b"D")
+        written = {lba: dev.read_page(lba) for _region, lba in edges}
+        dev.rebuild_from_media()
+        # A write after the remount lands in the new mapping only.
+        last = edges[-1][1]
+        dev.write_page(last, image(b"after remount"))
+        written[last] = dev.read_page(last)
+        assert written[last][:13] == b"after remount"
+
+        fresh = NoFtlDevice(dev.chip, over_provisioning=0.25)
+        fresh.create_region("hot", blocks=12, ipa=IPA_2x4)
+        fresh.create_region("cold", blocks=12, ipa=IPA_2x4)
+        fresh.rebuild_from_media()
+        for mounted in (dev, fresh):
+            for region, lba in edges:
+                assert mounted.read_page(lba) == written[lba]
+                expected = 0 if lba == last else 1
+                assert mounted.region_of(lba).appends_on(lba) == expected
+            assert mounted.read_many(list(written)) == list(written.values())
+
+
 class TestWriteDelta:
     def test_delta_appended_in_place(self):
         dev = make_device()

@@ -1,4 +1,5 @@
-"""A write the device must refuse is refused before it costs anything.
+"""A write (or trim) the device must refuse is refused before it costs
+anything.
 
 Every backend used to count the host write (and its bytes) before looking
 at it, and ``BlockManager.write`` allocated a physical page and stamped a
@@ -12,6 +13,7 @@ from dataclasses import asdict
 
 import pytest
 
+from repro.core.config import IPA_DISABLED, SCHEME_2X4
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.modes import FlashMode
@@ -20,6 +22,8 @@ from repro.ftl.gc import BlockManager
 from repro.ftl.ipa_ftl import IpaFtl
 from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
 from repro.ftl.page_mapping import PageMappingFtl
+from repro.stack import BACKENDS as BACKEND_NAMES
+from repro.stack import StackSpec
 
 GEO = FlashGeometry(page_size=512, oob_size=128, pages_per_block=8, blocks=16)
 
@@ -117,3 +121,32 @@ def test_block_ids_are_checked_where_the_manager_is_built():
 
     with pytest.raises(IllegalAddressError, match="block 16"):
         BlockManager(FlashChip(GEO), list(range(8, 17)), DeviceStats())
+
+
+@pytest.mark.parametrize("lba_at", ["negative", "logical_pages"])
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_a_trim_outside_the_device_is_refused_like_a_write(backend, lba_at):
+    """``trim`` used to accept any LBA on three backends: the page-mapping
+    FTLs popped a missing key and IPL counted a trim.  It now raises the
+    KeyError a write of the same LBA raises, before touching anything."""
+    spec = StackSpec(
+        architecture=backend,
+        scheme=SCHEME_2X4 if backend.startswith("ipa") else IPA_DISABLED,
+        geometry=FlashGeometry(
+            page_size=2048, oob_size=128, pages_per_block=16, blocks=16
+        ),
+    )
+    _db, manager = spec.build()
+    device = manager.device
+    device.write_page(0, b"\x0f" * 100)
+    lba = -1 if lba_at == "negative" else device.logical_pages
+    with pytest.raises(KeyError) as refused_write:
+        device.write_page(lba, b"x")
+    before = (asdict(device.stats), asdict(device.chip.stats))
+
+    with pytest.raises(KeyError) as refused_trim:
+        device.trim(lba)
+    assert str(refused_trim.value) == str(refused_write.value)
+    assert str(lba) in str(refused_trim.value)
+    assert (asdict(device.stats), asdict(device.chip.stats)) == before
+    assert device.read_page(0)[:100] == b"\x0f" * 100

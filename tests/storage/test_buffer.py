@@ -89,7 +89,9 @@ class TestEviction:
             pool.insert(make_frame(2))
 
     def test_net_bytes_recorded_on_dirty_eviction(self):
-        pool = BufferPool(1, flush=lambda f: None)
+        # The flush callback reads the net bytes before its write resets
+        # the tracker (StorageManager._flush does); the pool records them.
+        pool = BufferPool(1, flush=lambda f: f.tracker.net_changed_bytes)
         frame = make_frame(1, dirty=True)
         frame.tracker.begin_op()
         frame.tracker.on_write(100, b"\x00\x00\x00", b"\x01\x02\x03")
@@ -109,6 +111,7 @@ class TestEviction:
             if len(attempts) == 1:
                 raise OSError("device full")
             frame.dirty = False
+            return frame.tracker.net_changed_bytes
 
         pool = BufferPool(1, flush=flush)
         victim = make_frame(1, dirty=True)
@@ -136,14 +139,14 @@ class TestVictimScan:
 
     def test_vetoed_frame_becomes_fallback(self):
         pool = self.make_pool([1, 2])
-        pool.evict_veto = lambda frame: frame.lba == 1
+        pool.no_steal.add(1)
         victim, fallback = pool._scan_victim()
         assert victim.lba == 2
         assert fallback.lba == 1
 
     def test_all_vetoed_returns_only_fallback(self):
         pool = self.make_pool([1, 2])
-        pool.evict_veto = lambda frame: True
+        pool.no_steal.update({1, 2})
         victim, fallback = pool._scan_victim()
         assert victim is None
         assert fallback.lba == 1  # the least recently used vetoed frame
@@ -153,13 +156,12 @@ class TestVictimScan:
         # manager's forced WAL flush) releases frame 2's veto, and
         # _pick_victim's re-scan returns it rather than stealing frame 1.
         pool = self.make_pool([1, 2])
-        vetoed = {1, 2}
-        pool.evict_veto = lambda frame: frame.lba in vetoed
+        pool.no_steal.update({1, 2})
         calls = []
 
         def release():
             calls.append(True)
-            vetoed.discard(2)
+            pool.no_steal.discard(2)
             return True
 
         pool.veto_overflow = release
@@ -171,7 +173,7 @@ class TestVictimScan:
         # Hook runs but releases nothing: the fallback is stolen rather
         # than deadlocking (redo-only logging tolerates the steal).
         pool = self.make_pool([1, 2])
-        pool.evict_veto = lambda frame: True
+        pool.no_steal.update({1, 2})
         calls = []
         pool.veto_overflow = lambda: calls.append(True) or True
         victim = pool._pick_victim()
@@ -180,7 +182,7 @@ class TestVictimScan:
 
     def test_absent_overflow_hook_steals_fallback(self):
         pool = self.make_pool([1, 2])
-        pool.evict_veto = lambda frame: True
+        pool.no_steal.update({1, 2})
         assert pool.veto_overflow is None
         victim = pool._pick_victim()
         assert victim.lba == 1

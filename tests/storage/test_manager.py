@@ -8,6 +8,8 @@ pages (block-device IPA) or whole pages (traditional).
 import pytest
 
 from repro.core.config import IPA_DISABLED, SCHEME_2X4
+from repro.core.tracker import ChangeTracker
+from repro.fault.injector import FaultInjector, PowerLossError
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.ipa_ftl import IpaFtl
@@ -255,6 +257,58 @@ class TestChecksumProtection:
         physical._data[100] ^= 0x01
         with pytest.raises(PageCorruptError):
             mgr.fetch(0)
+
+
+class TestEvictionAccounting:
+    def test_a_dirty_eviction_reads_its_net_bytes_once(self, monkeypatch):
+        """The pool's histogram and the manager's total get one value."""
+        mgr = native_manager(buffer_capacity=1)
+        slot = seed_page(mgr)
+        with mgr.update(0) as page:
+            page.update(slot, 0, b"XYZ")
+        reads = []
+        net = ChangeTracker.net_changed_bytes
+        monkeypatch.setattr(
+            ChangeTracker,
+            "net_changed_bytes",
+            property(lambda tracker: reads.append(1) or net.fget(tracker)),
+        )
+        total = mgr.stats.net_bytes_updated
+        mgr.unpin(mgr.format_page(1))  # evicts the dirty page 0
+        assert mgr.pool.stats.dirty_eviction_net_bytes == [3]
+        assert mgr.stats.net_bytes_updated == total + 3
+        assert reads == [1]
+
+
+class TestTornDeltaRepair:
+    """fetch's fallback: a torn trailing delta-record is shed and the
+    page comes back as of the last record that landed whole."""
+
+    @pytest.mark.parametrize(
+        "seed, cut", [(2, 3), (0, 24), (5, 39)]  # bytes of a 45-byte record
+    )
+    def test_torn_second_record_is_shed(self, seed, cut):
+        mgr = native_manager()
+        slot = seed_page(mgr)
+        with mgr.update(0) as page:
+            page.update(slot, 0, b"AB")
+        evict_everything(mgr)  # record 1 lands in delta slot 0
+        with mgr.update(0) as page:
+            page.update(slot, 0, b"CD")
+        chip = mgr.device.chip
+        injector = FaultInjector(crash_after_ops=1, seed=seed).attach(chip)
+        with pytest.raises(PowerLossError):
+            mgr.flush_all()  # record 2 torn into delta slot 1
+        assert injector.crash_op == f"partial_program torn at byte {cut}/53"
+        FaultInjector.detach(chip)
+        mgr.pool.drop_all()
+
+        frame = mgr.fetch(0)
+        assert frame.page.read(slot) == b"ABcord-zero-000000"
+        assert frame.flash_delta_count == 1
+        assert frame.page.verify_checksum()
+        assert mgr.stats.torn_repairs == 1
+        mgr.unpin(frame)
 
 
 class TestLsnProgression:

@@ -1,6 +1,6 @@
 """One open transaction dirties the whole pool: the veto-overflow path.
 
-The no-steal veto (`StorageManager._evict_veto`) protects uncommitted
+The no-steal veto (`BufferPool.no_steal`) protects uncommitted
 pages from reaching the data device.  When an open transaction has
 dirtied *every* evictable frame the pool used to have only bad options:
 raise BufferPoolFullError, or silently steal an undurable page.  The
@@ -53,7 +53,7 @@ def dirty_whole_pool(manager, slots):
     for lba, slot in slots.items():
         with manager.update(lba) as page:
             page.update(slot, 0, b"MOD")
-    assert all(manager._evict_veto(f) for f in manager.pool.frames())
+    assert all(f.lba in manager.pool.no_steal for f in manager.pool.frames())
 
 
 class TestVetoOverflow:
