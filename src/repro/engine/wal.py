@@ -535,6 +535,6 @@ def recover(manager, wal: WriteAheadLog) -> int:
     manager._next_lsn = max(manager._next_lsn, max_lsn + 1)
     # The crashed transaction is gone; its no-steal locks must not
     # outlive it (and the log restarts clean below).
-    manager._txn_locked_lbas.clear()
+    manager.pool.no_steal.clear()
     wal.truncate()
     return applied

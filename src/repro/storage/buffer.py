@@ -109,11 +109,13 @@ class BufferPool:
         self._flush = flush
         self._frames: "OrderedDict[int, Frame]" = OrderedDict()
         self.stats = BufferStats()
-        #: Soft no-steal set (shared with the storage manager, which
-        #: fills it when a WAL is attached): LBAs whose frames *prefer*
-        #: not to be evicted — pages dirtied by a transaction that has
-        #: not committed yet.  Vetoed frames are passed over while any
-        #: other unpinned frame exists.
+        #: Soft no-steal set (filled by the storage manager when a WAL is
+        #: attached, cleared when the transaction is durable): LBAs whose
+        #: frames *prefer* not to be evicted — pages dirtied by a
+        #: transaction that has not committed yet, so a crash cannot
+        #: leave uncommitted bytes on the data device that the redo-only
+        #: log knows nothing about.  Vetoed frames are passed over while
+        #: any other unpinned frame exists.
         self.no_steal: set[int] = set()
         #: Escape hatch for the all-evictable-frames-vetoed corner: a
         #: callback that releases vetoes (the storage manager forces a
@@ -150,41 +152,28 @@ class BufferPool:
         if lba in frames:
             raise ValueError(f"lba {lba} already resident")
         if len(frames) >= self.capacity:
-            # The common case in this frame: the least recently used
-            # evictable frame is clean, so it is simply dropped.  A dirty
-            # victim, or none at all, goes through _evict_one.
-            no_steal = self.no_steal
-            for victim in frames.values():
-                if victim.pin_count == 0 and victim.lba not in no_steal:
-                    break
+            victim, fallback = self._scan_victim()
+            if victim is None:
+                victim = self._overflow_victim(fallback)
+            stats = self.stats
+            if victim.dirty:
+                # Flush first, unlink after: a flush that raises (device
+                # full, WAL full, injected fault) must leave the dirty
+                # frame resident or the next fetch would re-read the
+                # stale Flash copy.
+                tr = self.tracer
+                if not tr.enabled:
+                    net_bytes = self._flush(victim)
+                else:
+                    with tr.span("evict", lba=victim.lba, dirty=True):
+                        net_bytes = self._flush(victim)
+                stats.dirty_evictions += 1
+                stats.dirty_eviction_net_bytes.append(net_bytes)
             else:
-                victim = None
-            if victim is None or victim.dirty:
-                self._evict_one()
-            else:
-                del frames[victim.lba]
-                stats = self.stats
                 stats.clean_evictions += 1
-                stats.evictions += 1
+            del frames[victim.lba]
+            stats.evictions += 1
         frames[lba] = frame
-
-    def _pick_victim(self) -> Frame:
-        victim, fallback = self._scan_victim()
-        if victim is not None:
-            return victim
-        if fallback is not None:
-            # Every evictable frame is vetoed (an open transaction has
-            # dirtied the whole pool).  Ask the manager to release the
-            # vetoes — it forces a WAL flush so the open transaction's
-            # records are durable — then re-scan: the same frames are
-            # now legal victims and nothing gets stolen undurable.
-            if self.veto_overflow is not None and self.veto_overflow():
-                victim, fallback = self._scan_victim()
-                if victim is not None:
-                    return victim
-            if fallback is not None:
-                return fallback  # hook absent or ineffective: steal
-        raise BufferPoolFullError("all frames pinned")
 
     def _scan_victim(self) -> tuple[Optional[Frame], Optional[Frame]]:
         """(victim, vetoed-fallback): the least recently used unpinned
@@ -199,24 +188,22 @@ class BufferPool:
                     fallback = frame
         return None, fallback
 
-    def _evict_one(self) -> None:
-        victim = self._pick_victim()
-        if victim.dirty:
-            # Flush first, unlink after: a flush that raises (device full,
-            # WAL full, injected fault) must leave the dirty frame resident
-            # or the next fetch would re-read the stale Flash copy.
-            tr = self.tracer
-            if not tr.enabled:
-                net_bytes = self._flush(victim)
-            else:
-                with tr.span("evict", lba=victim.lba, dirty=True):
-                    net_bytes = self._flush(victim)
-            self.stats.dirty_evictions += 1
-            self.stats.dirty_eviction_net_bytes.append(net_bytes)
-        else:
-            self.stats.clean_evictions += 1
-        del self._frames[victim.lba]
-        self.stats.evictions += 1
+    def _overflow_victim(self, fallback: Optional[Frame]) -> Frame:
+        """The victim when :meth:`_scan_victim` found no legal one."""
+        if fallback is None:
+            raise BufferPoolFullError("all frames pinned")
+        # Every evictable frame is vetoed (an open transaction has
+        # dirtied the whole pool).  Ask the manager to release the
+        # vetoes — it forces a WAL flush so the open transaction's
+        # records are durable — then re-scan: the same frames are now
+        # legal victims and nothing gets stolen undurable.
+        if self.veto_overflow is not None and self.veto_overflow():
+            victim, fallback = self._scan_victim()
+            if victim is not None:
+                return victim
+            if fallback is None:
+                raise BufferPoolFullError("all frames pinned")
+        return fallback  # hook absent or ineffective: steal
 
     def flush_all(self) -> None:
         """Write every dirty frame (checkpoint / shutdown)."""

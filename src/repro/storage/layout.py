@@ -358,9 +358,9 @@ class SlottedPage:
 
     def verify_checksum(self) -> bool:
         """True iff the stored footer checksum matches the content."""
-        buf = self._buf
-        return _U32.unpack_from(buf, self.footer_start)[0] == zlib.crc32(
-            buf[: self.delta_start]
+        return (
+            _U32.unpack_from(self._buf, self.footer_start)[0]
+            == self.compute_checksum()
         )
 
     def validate(self) -> None:

@@ -327,12 +327,6 @@ class StorageManager:
         #: Optional write-ahead log (see :mod:`repro.engine.wal`): when
         #: attached, every update operation and page format is logged.
         self.wal = None
-        #: LBAs dirtied by the currently open transaction (WAL attached
-        #: only): the pool's own no-steal set, which it avoids evicting
-        #: until :meth:`commit_wal` clears it — so a crash cannot leave
-        #: uncommitted bytes on the data device that the redo-only log
-        #: knows nothing about.  Only ever cleared, never rebound.
-        self._txn_locked_lbas = self.pool.no_steal
         self.pool.veto_overflow = self._veto_overflow
 
     @property
@@ -365,7 +359,7 @@ class StorageManager:
             raise ValueError(f"lba {lba} already resident")
         if self.wal is not None:
             self.wal.log_format(self._take_lsn(), lba, file_id)
-            self._txn_locked_lbas.add(lba)
+            self.pool.no_steal.add(lba)
         page = SlottedPage.fresh(lba, self.page_size, self.scheme, file_id=file_id)
         tracker = ChangeTracker(
             self.scheme, 0, PAGE_HEADER_SIZE, page.delta_start
@@ -452,7 +446,7 @@ class StorageManager:
                 ).append(size)
             if self.wal is not None and lsn:
                 self.wal.log_update(lsn, frame.lba, tracker.last_op_runs)
-                self._txn_locked_lbas.add(frame.lba)
+                self.pool.no_steal.add(frame.lba)
             frame.dirty = True
             stats.update_ops += 1
             cost = self.host_costs.ipa_tracking_us
@@ -498,7 +492,7 @@ class StorageManager:
             self.wal.commit()
             if self.wal.in_group:
                 return  # durable only at group flush; keep the no-steal set
-        self._txn_locked_lbas.clear()
+        self.pool.no_steal.clear()
 
     def wal_group(self) -> _WalGroup:
         """``with manager.wal_group():`` — the block's commits flush
@@ -509,13 +503,13 @@ class StorageManager:
         """Flush the open commit group and release its no-steal pages."""
         if self.wal is not None:
             self.wal.end_group()
-        self._txn_locked_lbas.clear()
+        self.pool.no_steal.clear()
 
     def abort_wal(self) -> None:
         """Drop the open transaction's log records and release its pages."""
         if self.wal is not None:
             self.wal.discard()
-        self._txn_locked_lbas.clear()
+        self.pool.no_steal.clear()
 
     def flush_all(self) -> None:
         """Checkpoint: push every dirty frame to the device."""
@@ -559,14 +553,14 @@ class StorageManager:
         without undo must do when a transaction outgrows the pool
         (steal would need undo logging we deliberately do not have).
         """
-        if self.wal is None or not self._txn_locked_lbas:
+        if self.wal is None or not self.pool.no_steal:
             return False
         self.wal.commit()
         if self.wal.in_group:
             # Commits inside a group only buffer their frame; the pages
             # are legal victims only once the bytes are on the device.
             self.wal.flush_group()
-        self._txn_locked_lbas.clear()
+        self.pool.no_steal.clear()
         self.stats.forced_wal_flushes += 1
         return True
 

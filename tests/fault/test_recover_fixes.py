@@ -122,7 +122,7 @@ class TestRecoverOnFreshMount:
     def test_recover_clears_stale_txn_locks(self):
         manager, wal = make_stack()
         format_and_update(manager, 0)  # never committed
-        assert manager._txn_locked_lbas == {0}
+        assert manager.pool.no_steal == {0}
         crash(manager, wal)
         recover(manager, wal)
-        assert manager._txn_locked_lbas == set()
+        assert manager.pool.no_steal == set()

@@ -58,7 +58,7 @@ def ref_update(manager, lba):
             ).append(frame.tracker.op_sizes[-1])
         if manager.wal is not None and lsn:
             manager.wal.log_update(lsn, lba, ref_runs(frame.tracker.last_op_changes))
-            manager._txn_locked_lbas.add(lba)
+            manager.pool.no_steal.add(lba)
         frame.mark_dirty()
         manager.stats.update_ops += 1
         manager.clock.advance(manager.host_costs.ipa_tracking_us, "host")

@@ -128,8 +128,8 @@ class TestEviction:
 
 
 class TestVictimScan:
-    """Direct ``_scan_victim`` / ``_pick_victim`` coverage of the no-steal
-    veto and the veto-overflow hook, in LRU order."""
+    """``_scan_victim`` and ``insert`` coverage of the no-steal veto and
+    the veto-overflow hook, in LRU order."""
 
     def make_pool(self, lbas):
         pool = BufferPool(len(lbas), flush=lambda f: None)
@@ -154,7 +154,7 @@ class TestVictimScan:
     def test_veto_overflow_rescan_finds_legal_victim(self):
         # All frames vetoed; the overflow hook (a stand-in for the
         # manager's forced WAL flush) releases frame 2's veto, and
-        # _pick_victim's re-scan returns it rather than stealing frame 1.
+        # the re-scan evicts it rather than stealing frame 1.
         pool = self.make_pool([1, 2])
         pool.no_steal.update({1, 2})
         calls = []
@@ -165,9 +165,9 @@ class TestVictimScan:
             return True
 
         pool.veto_overflow = release
-        victim = pool._pick_victim()
+        pool.insert(make_frame(3))
         assert calls == [True]
-        assert victim.lba == 2
+        assert 1 in pool and 2 not in pool
 
     def test_ineffective_overflow_steals_fallback(self):
         # Hook runs but releases nothing: the fallback is stolen rather
@@ -176,16 +176,16 @@ class TestVictimScan:
         pool.no_steal.update({1, 2})
         calls = []
         pool.veto_overflow = lambda: calls.append(True) or True
-        victim = pool._pick_victim()
+        pool.insert(make_frame(3))
         assert calls == [True]
-        assert victim.lba == 1
+        assert 1 not in pool and 2 in pool
 
     def test_absent_overflow_hook_steals_fallback(self):
         pool = self.make_pool([1, 2])
         pool.no_steal.update({1, 2})
         assert pool.veto_overflow is None
-        victim = pool._pick_victim()
-        assert victim.lba == 1
+        pool.insert(make_frame(3))
+        assert 1 not in pool and 2 in pool
 
 
 class TestFlushAll:

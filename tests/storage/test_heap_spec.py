@@ -194,7 +194,7 @@ def _run_heap_ops(ops, with_wal, ipa, spec=False):
                         k: repr(v) for k, v in manager.clock.breakdown_us.items()
                     },
                     "next_lsn": manager._next_lsn,
-                    "no_steal": sorted(manager._txn_locked_lbas),
+                    "no_steal": sorted(manager.pool.no_steal),
                     "records": heap.record_count,
                     "media": media_digest(manager.device.chip),
                     "wal": (

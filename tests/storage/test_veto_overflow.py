@@ -73,7 +73,7 @@ class TestVetoOverflow:
         assert len(manager.wal.durable_records()) > durable_before
         # Vetoes are gone: the flush fires after format_page logged the
         # new page, so that record rode along and the set is empty.
-        assert manager._txn_locked_lbas == set()
+        assert manager.pool.no_steal == set()
 
     def test_overflow_eviction_is_legal_not_a_steal(self):
         manager = make_manager()

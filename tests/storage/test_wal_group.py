@@ -48,10 +48,10 @@ def test_block_flushes_once_and_releases_its_pages():
             commit_one(manager, lba)
         # Buffered, not durable: the group still holds its pages.
         assert manager.wal.durable_frames() == []
-        assert manager._txn_locked_lbas == {0, 1, 2}
+        assert manager.pool.no_steal == {0, 1, 2}
     assert manager.wal.stats.group_flushes == 1
     assert len(manager.wal.durable_frames()) == 3
-    assert manager._txn_locked_lbas == set()
+    assert manager.pool.no_steal == set()
     assert not manager.wal.in_group
 
 
@@ -72,10 +72,10 @@ def test_exception_propagates_and_flushes_nothing(error):
 
 def test_without_a_wal_the_block_still_clears_the_no_steal_set():
     manager = make_manager(with_wal=False)
-    manager._txn_locked_lbas.add(5)
+    manager.pool.no_steal.add(5)
     with manager.wal_group():
         commit_one(manager, 0)
-    assert manager._txn_locked_lbas == set()
+    assert manager.pool.no_steal == set()
 
 
 def test_exit_goes_through_the_instance_end_wal_group():
