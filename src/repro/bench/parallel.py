@@ -111,7 +111,6 @@ def parallel_map(
             try:
                 out.append(fn(item))
             # Wrapped and chained, never swallowed.
-            # reprolint: allow[R4]
             except Exception as exc:
                 raise WorkerFailure(label, f"{label} failed: {exc!r}") from exc
         return out
@@ -149,7 +148,6 @@ def parallel_map(
                         f"one of: {suspects}",
                     ) from exc
                 # Wrapped and chained, never swallowed.
-                # reprolint: allow[R4]
                 except Exception as exc:
                     raise WorkerFailure(
                         labels[i], f"{labels[i]} failed: {exc!r}"

@@ -1,7 +1,8 @@
 """The single source of truth for hand-written metric names.
 
-Lint rule **R3** (``python -m repro.lint``) enforces both directions of
-this contract:
+Rule **R3** (``test_r3_metric_names_match_the_registry`` in
+``tests/lint/test_reprolint.py``) enforces both directions of this
+contract:
 
 * every literal name passed to ``.histogram(...)`` or as the first
   argument of ``.register_callback(...)`` anywhere under ``src/repro``
@@ -11,7 +12,7 @@ this contract:
 PR 4 shipped three accounting bugs (wrong wear basis, zero-erase
 division, mis-scoped counters) that boiled down to counter keys drifting
 between writer and reader; a name can no longer be renamed, added or
-retired on one side only without the lint gate failing.
+retired on one side only without that test failing.
 
 Counters themselves are plain fields on their owners; these names are
 how the registry's callbacks export them.  Prefixed families created

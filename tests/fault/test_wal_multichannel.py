@@ -14,9 +14,10 @@ lives on a multi-channel :class:`~repro.flash.device.FlashDevice`:
 
 The sweep below runs the full differential crash harness with
 ``wal_channels > 1`` and must hold the same recovered-prefix bound as
-the single-chip configuration; the barrier test shows the bound
-*breaks* when ``sync`` is neutered, pinning that the barrier (not luck)
-carries the durability contract.
+the single-chip configuration.  The barrier tests pin that
+``commit()`` and ``truncate()`` return with every channel queue empty,
+and that the bound *breaks* when ``sync`` is neutered: the barrier (not
+luck) carries the durability contract.
 """
 
 import pytest
@@ -60,6 +61,21 @@ class TestMultiChannelWalRecovery:
 
 
 class TestSyncBarrierIsLoadBearing:
+    def test_commit_and_truncate_return_with_empty_channel_queues(self):
+        # The barrier itself: an acknowledged append or checkpoint leaves
+        # no pulse in flight on any channel of the log device.
+        _db, manager = fault_spec("ipa-native", wal_channels=2).build()
+        wal, device = manager.wal, manager.wal.chip
+
+        def depths():
+            return [device.queue_depth_of(i) for i in range(device.channels)]
+
+        wal.log_format(lsn=1, lba=0, file_id=0)
+        wal.commit()
+        assert depths() == [0, 0]
+        wal.truncate()
+        assert depths() == [0, 0]
+
     def test_unsynced_wal_device_loses_acked_commits(self, monkeypatch):
         # Neuter the flush barrier: acked appends may still be in flight
         # on the channel queues when power is lost, so the durable frame

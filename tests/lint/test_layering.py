@@ -13,10 +13,7 @@ run).  Packages are ``repro.<name>``; a top-level module such as
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 
-REPO = Path(__file__).resolve().parents[2]
-SRC = REPO / "src"
 TOP = "repro.bench"
 
 
@@ -57,21 +54,11 @@ def _package(module: str) -> str | None:
     return ".".join(parts[:2])
 
 
-def _modules(src: Path) -> dict[str, ast.AST]:
-    trees = {}
-    for path in sorted((src / "repro").rglob("*.py")):
-        parts = list(path.relative_to(src).with_suffix("").parts)
-        if parts[-1] == "__init__":
-            parts.pop()
-        trees[".".join(parts)] = ast.parse(path.read_text(), filename=str(path))
-    return trees
-
-
-def upward_imports(src: Path) -> list[str]:
+def upward_imports(modules) -> list[str]:
     """``module:line -> target`` for each import of ``repro.bench`` from
-    a package ``repro.bench`` depends on."""
-    trees = _modules(src)
-    imports = {module: _imports(tree) for module, tree in trees.items()}
+    a package ``repro.bench`` depends on (``modules`` as parsed by
+    ``conftest.modules_under``)."""
+    imports = {name: _imports(module.tree) for name, module in modules.items()}
     edges: dict[str, set[str]] = {}
     for module, found in imports.items():
         package = _package(module)
@@ -98,12 +85,12 @@ def upward_imports(src: Path) -> list[str]:
     )
 
 
-def test_nothing_below_bench_imports_it():
-    violations = upward_imports(SRC)
+def test_nothing_below_bench_imports_it(repro_modules):
+    violations = upward_imports(repro_modules)
     assert not violations, "\n".join(violations)
 
 
-def test_the_walker_sees_a_function_local_import(tmp_path):
+def test_the_walker_sees_a_function_local_import(tmp_path, parse_modules):
     def write(relative: str, text: str) -> None:
         path = tmp_path / "repro" / relative
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -128,4 +115,5 @@ def test_the_walker_sees_a_function_local_import(tmp_path):
         "    return table()\n",
     )
     write("unrelated.py", "import repro.bench\n")
-    assert upward_imports(tmp_path) == ["repro.lower:2 -> repro.bench.report"]
+    found = upward_imports(parse_modules(tmp_path))
+    assert found == ["repro.lower:2 -> repro.bench.report"]

@@ -5,26 +5,20 @@ multi-channel device answer the same stack protocol (``chips``,
 ``channels``, ``attach``, ``sync``, ``quiesce``, ``power_loss``), every
 backend answers ``attach``, ``free_blocks`` and ``stats`` — so
 nothing under ``src/repro`` asks an object whether it has an attribute.
-This test lists every ``hasattr(...)`` and every ``getattr(x, "<literal>",
-...)`` outside ``repro.lint`` (whose AST walkers inspect foreign node
-shapes by design) and allows none.  A ``getattr`` with a computed name
-(dataclass field loops) is not a probe.
+This test lists every ``hasattr(...)`` and every ``getattr(x,
+"<literal>", ...)`` under ``src/repro`` and allows none.  A ``getattr``
+with a computed name (dataclass field loops) is not a probe.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-
-REPO = Path(__file__).resolve().parents[2]
-SRC = REPO / "src" / "repro"
 
 #: (path, call) of the probes allowed to remain, each with its reason.
 ALLOWED: set[tuple[str, str]] = set()
 
 
-def _probes(path: Path, root: Path = REPO) -> list[tuple[str, str]]:
-    tree = ast.parse(path.read_text(), filename=str(path))
+def _probes(tree: ast.AST, where: str) -> list[tuple[str, str]]:
     found = []
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
@@ -36,30 +30,25 @@ def _probes(path: Path, root: Path = REPO) -> list[tuple[str, str]]:
             and isinstance(node.args[1].value, str)
         )
         if name == "hasattr" or (name == "getattr" and literal):
-            found.append(
-                (path.relative_to(root).as_posix(), ast.unparse(node))
-            )
+            found.append((where, ast.unparse(node)))
     return found
 
 
-def test_only_the_allowed_probes_remain():
+def test_only_the_allowed_probes_remain(repro_modules):
     found = []
-    for path in sorted(SRC.rglob("*.py")):
-        if path.is_relative_to(SRC / "lint"):
-            continue
-        found.extend(_probes(path))
+    for module in repro_modules.values():
+        found.extend(_probes(module.tree, module.where))
     assert set(found) == ALLOWED, "\n".join(
         f"{where}: {call}" for where, call in sorted(set(found) - ALLOWED)
     )
     assert len(found) == len(ALLOWED)
 
 
-def test_the_walker_sees_both_probe_shapes(tmp_path):
-    sample = tmp_path / "sample.py"
-    sample.write_text(
+def test_the_walker_sees_both_probe_shapes():
+    sample = ast.parse(
         "hasattr(chip, 'sync')\n"
         "getattr(device, 'chips', None)\n"
         "getattr(stats, field.name)\n"
     )
-    calls = [call for _where, call in _probes(sample, tmp_path)]
+    calls = [call for _where, call in _probes(sample, "sample.py")]
     assert calls == ["hasattr(chip, 'sync')", "getattr(device, 'chips', None)"]

@@ -15,17 +15,16 @@ from pathlib import Path
 
 import pytest
 
-REPO = Path(__file__).resolve().parents[2]
+PYPROJECT = Path(__file__).resolve().parents[2] / "pyproject.toml"
 
-#: The rung-2 packages this test enforces.  ``repro.obs``, ``repro.fault``
-#: and ``repro.service`` are also on rung 2 in pyproject but predate the
-#: AST gate and still carry unannotated defs; they join this list as they
-#: are cleaned up.
+#: The rung-2 packages this test enforces (``repro.lint`` is a single
+#: module).  ``repro.obs``, ``repro.fault`` and ``repro.service`` are also
+#: on rung 2 in pyproject but predate the AST gate and still carry
+#: unannotated defs; they join this list as they are cleaned up.
 RUNG2 = ["lint", "bench"]
 
 
-def _unannotated_defs(path: Path) -> list[str]:
-    tree = ast.parse(path.read_text(), filename=str(path))
+def _unannotated_defs(tree: ast.AST, where: str) -> list[str]:
     problems: list[str] = []
 
     class Visitor(ast.NodeVisitor):
@@ -51,7 +50,7 @@ def _unannotated_defs(path: Path) -> list[str]:
                 missing.append("return")
             if missing:
                 problems.append(
-                    f"{path.relative_to(REPO)}:{node.lineno} "
+                    f"{where}:{node.lineno} "
                     f"{node.name}({', '.join(missing)})"
                 )
             self.generic_visit(node)
@@ -66,20 +65,32 @@ def _unannotated_defs(path: Path) -> list[str]:
     return problems
 
 
+def _members(modules, package: str) -> list:
+    name = f"repro.{package}"
+    return [
+        module for module in modules.values()
+        if module.name == name or module.name.startswith(name + ".")
+    ]
+
+
 @pytest.mark.parametrize("package", RUNG2)
-def test_rung2_packages_are_fully_annotated(package):
-    root = REPO / "src" / "repro" / package
-    assert root.is_dir(), f"rung-2 package vanished: {package}"
+def test_rung2_packages_are_fully_annotated(package, repro_modules):
+    members = _members(repro_modules, package)
+    assert members, f"rung-2 package vanished: {package}"
     problems: list[str] = []
-    for path in sorted(root.rglob("*.py")):
-        problems.extend(_unannotated_defs(path))
+    for module in members:
+        problems.extend(_unannotated_defs(module.tree, module.where))
     assert problems == [], "\n".join(problems)
 
 
-def test_rung2_list_matches_pyproject():
-    config = (REPO / "pyproject.toml").read_text()
+def test_rung2_list_matches_pyproject(repro_modules):
+    config = PYPROJECT.read_text()
     for package in RUNG2:
-        assert f'"repro.{package}.*"' in config, (
-            f"repro.{package} is enforced here but missing from the "
+        # A package's override is ``repro.x.*``; a module's is ``repro.x``.
+        members = _members(repro_modules, package)
+        is_package = any(m.where.endswith("/__init__.py") for m in members)
+        override = f"repro.{package}" + (".*" if is_package else "")
+        assert f'"{override}"' in config, (
+            f"{override} is enforced here but missing from the "
             "pyproject mypy overrides"
         )

@@ -141,6 +141,28 @@ class TestReplicationLink:
         assert link.groups_acked == 1
         assert link.lag_us_total == pytest.approx(27.0)
 
+    def test_ack_follows_the_standby_apply(self):
+        # Inside apply_group the group is shipped but not yet acked.
+        seen = []
+
+        def apply_group(group):
+            seen.append((link.outstanding, link.groups_acked))
+            return 1.0
+
+        link = ReplicationLink(apply_group)
+        link.ship([0])
+        assert seen == [(1, 0)]
+        assert (link.groups_acked, link.outstanding) == (1, 0)
+
+    def test_failed_apply_is_not_acked(self):
+        def apply_group(group):
+            raise RuntimeError("standby lost")
+
+        link = ReplicationLink(apply_group)
+        with pytest.raises(RuntimeError):
+            link.ship([0])
+        assert (link.groups_shipped, link.groups_acked) == (1, 0)
+
     def test_counters_wired_to_registry(self):
         # The link counts with no registry at all ...
         link = ReplicationLink(lambda group: 1.0, latency_us=2.0)

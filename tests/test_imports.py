@@ -5,6 +5,16 @@ import pkgutil
 
 import repro
 
+#: Names each package re-exports from its submodules.
+PUBLIC_REEXPORTS = {
+    "repro.core": ["ChangeTracker", "DeltaRecord", "IpaScheme"],
+    "repro.engine": ["Database", "Schema", "Transaction"],
+    "repro.flash": ["FlashChip", "FlashGeometry", "FlashMode"],
+    "repro.ftl": ["IpaFtl", "NoFtlDevice", "PageMappingFtl"],
+    "repro.storage": ["BufferPool", "SlottedPage", "StorageManager"],
+    "repro.workloads": ["WORKLOADS"],
+}
+
 
 def walk_modules():
     prefix = repro.__name__ + "."
@@ -23,12 +33,10 @@ class TestImports:
         assert repro.__version__ == "1.0.0"
 
     def test_public_reexports(self):
-        from repro.core import ChangeTracker, DeltaRecord, IpaScheme  # noqa: F401  # reprolint: allow[R5]
-        from repro.engine import Database, Schema, Transaction  # noqa: F401  # reprolint: allow[R5]
-        from repro.flash import FlashChip, FlashGeometry, FlashMode  # noqa: F401  # reprolint: allow[R5]
-        from repro.ftl import IpaFtl, NoFtlDevice, PageMappingFtl  # noqa: F401  # reprolint: allow[R5]
-        from repro.storage import BufferPool, SlottedPage, StorageManager  # noqa: F401  # reprolint: allow[R5]
-        from repro.workloads import WORKLOADS  # noqa: F401  # reprolint: allow[R5]
+        for package, names in PUBLIC_REEXPORTS.items():
+            module = importlib.import_module(package)
+            for name in names:
+                assert hasattr(module, name), f"{package}.{name} is missing"
 
     def test_every_public_module_has_docstring(self):
         for name in walk_modules():
