@@ -76,6 +76,23 @@ class TestSyncBarrierIsLoadBearing:
         wal.truncate()
         assert depths() == [0, 0]
 
+    def test_neutered_barrier_returns_with_pulses_in_flight(self, monkeypatch):
+        # The same calls with sync() a no-op: commit() and truncate()
+        # return while their pulses still sit on the channel queues, so
+        # the empty-queue check above is not vacuous.
+        monkeypatch.setattr(FlashDevice, "sync", lambda self: None)
+        _db, manager = fault_spec("ipa-native", wal_channels=2).build()
+        wal, device = manager.wal, manager.wal.chip
+
+        def depths():
+            return [device.queue_depth_of(i) for i in range(device.channels)]
+
+        wal.log_format(lsn=1, lba=0, file_id=0)
+        wal.commit()
+        assert sum(depths()) > 0
+        wal.truncate()
+        assert sum(depths()) > 0
+
     def test_unsynced_wal_device_loses_acked_commits(self, monkeypatch):
         # Neuter the flush barrier: acked appends may still be in flight
         # on the channel queues when power is lost, so the durable frame
