@@ -9,28 +9,14 @@
     In this case, the out-of-place flag is set, and further updates are
     not tracked until eviction."
 
-The tracker attaches to a frame's page as its observer
-(:meth:`SlottedPage.set_observer`) and hears of changes two ways.  Body
-bytes arrive through :meth:`ChangeTracker.on_write` as ``(offset, old,
-new)`` byte strings.  The page's own integer fields — LSN, slot count +
-free lower, footer checksum — arrive through
-:meth:`ChangeTracker.on_stamp` as ``(offset, width, old, new)``
-integers: the tracker keeps their XOR and expands it into bytes only
-when ``meta_changed_offsets`` or the WAL's ``last_op_runs`` is read.
 Each *update operation* (bracketed by :meth:`begin_op`/:meth:`end_op`)
 becomes one candidate delta-record; header/footer bytes are not counted
 against M because they travel wholesale in the record's delta_metadata.
-
-Distinct changed body bytes are counted per residency.  Small writes
-land in a set of offsets; the first record-sized span creates a byte
-map of the page (nonzero = changed), folds the set into it and ORs each
-later span's XOR into it with one slice store, so an insert costs
-O(1) calls rather than one set entry per byte.
-
-The WAL's redo payload, :attr:`ChangeTracker.last_op_runs`, is the last
-op's changed bytes as sorted ``(offset, new bytes)`` runs: a record-sized
-span is cut only where its XOR diff is zero, so its bytes are sliced,
-never visited one at a time.
+Changed body bytes are counted per residency: in a set of offsets, or for
+a record-sized span of a bracketed op, ORed into a byte map.  The WAL's
+redo payload, :attr:`ChangeTracker.last_op_runs`, is the last op's
+changed bytes as sorted ``(offset, new bytes)`` runs; a span is cut only
+where its XOR diff is zero, never visited one byte at a time.
 """
 
 from __future__ import annotations
@@ -68,6 +54,13 @@ def _span_runs(offset: int, diff: bytes, new: bytes) -> list:
 
 class ChangeTracker:
     """Tracks one buffer-resident page's updates against an N x M scheme.
+
+    As the page's observer (:meth:`SlottedPage.set_observer`) it hears
+    body bytes through :meth:`on_write` and the page's own integer fields
+    (LSN, slot count + free lower, checksum) through :meth:`on_stamp`.
+    An operation that writes one field and stamps the LSN arrives whole,
+    through :meth:`write_op`; it keeps per-byte pairs only while a
+    delta-record may result or no WAL wants the runs.
 
     Args:
         scheme: The page's IPA configuration.
@@ -170,13 +163,68 @@ class ChangeTracker:
         if changes is None:
             return size
         self._open = None
-        if self.out_of_place or not changes:
-            return size
-        if self.existing_records + len(self.records) + 1 > self.scheme.n_records:
+        if not self.out_of_place and changes:
+            self._close(changes)
+        return size
+
+    def _close(self, changes: dict[int, int]) -> None:
+        """A closed op's changes become a delta-record, unless N x M says no."""
+        room = self.scheme.n_records - self.existing_records - len(self.records)
+        if room < 1 or len(changes) > self.scheme.m_bytes:
             self.mark_out_of_place()
         else:
             self.records.append(changes)
-        return size
+
+    def write_op(
+        self, offset: int, old: bytes, new: bytes, at: int, old_stamp: int,
+        stamp: int, runs: bool,
+    ) -> tuple[int, list[tuple[int, bytes]] | None]:
+        """``begin_op()``, ``on_write(offset, old, new)`` of body bytes,
+        ``on_stamp(at, 8, old_stamp, stamp)`` of the LSN and ``end_op()``,
+        diffing the write once.  Returns ``end_op``'s size and, with
+        ``runs``, :attr:`last_op_runs` cut from the diff (one integer XOR)
+        and the stamp; an out-of-place tracker then keeps only the diff."""
+        if self._open_raw is not None:
+            self.begin_op()  # refused: an operation is open
+        size = len(new)
+        changes: dict[int, int] = {}
+        if runs or size > _LOOP_MAX:
+            xor = int.from_bytes(old, "little") ^ int.from_bytes(new, "little")
+            diff = xor.to_bytes(size, "little")
+            count = size - diff.count(0)
+            if count and not self.out_of_place and count <= self.scheme.m_bytes:
+                changes = _pairs(offset, diff, new)
+        else:
+            pos = offset
+            for before, after in zip(old, new):
+                if before != after:
+                    changes[pos] = after
+                pos += 1
+            count = len(changes)
+        span = None
+        if changes:
+            self._net.update(changes)
+            if not self.out_of_place:
+                self._close(changes)
+        elif count:
+            span = (offset, diff, new)
+            self._net.update(compress(range(offset, offset + size), diff))
+            if not self.out_of_place:
+                self.mark_out_of_place()
+        if count:
+            self.op_sizes.append(count)
+        self.on_stamp(at, 8, old_stamp, stamp)
+        xor = old_stamp ^ stamp
+        self._last = (changes, [(at, xor, stamp)] if xor else None, span)
+        if not runs:
+            return count, None
+        width = (xor.bit_length() + 7) >> 3
+        if not xor & 0xFF or (width > 2 and 0 in xor.to_bytes(width, "little")):
+            return count, self.last_op_runs  # the LSN's changes are not one run
+        out = [(at, (stamp & ((1 << (width << 3)) - 1)).to_bytes(width, "little"))]
+        if count:
+            out += [(offset, new)] if 0 not in diff else _span_runs(offset, diff, new)
+        return count, out
 
     @property
     def last_op_runs(self) -> list[tuple[int, bytes]]:
@@ -187,15 +235,6 @@ class ChangeTracker:
         merged in by offset."""
         raw, meta, span = self._last
         runs = []
-        if meta and len(meta) == 1 and meta[0].__class__ is tuple:
-            # One stamp (an update's LSN): one run if the bytes it
-            # changed are adjacent, from its first.
-            pos, diff, new = meta[0]
-            size = (diff.bit_length() + 7) >> 3
-            if diff & 0xFF and (size < 3 or 0 not in diff.to_bytes(size, "little")):
-                mask = (1 << (size << 3)) - 1
-                runs.append((pos, (new & mask).to_bytes(size, "little")))
-                meta = None
         small = raw
         if meta:
             small = dict(raw)
@@ -215,26 +254,17 @@ class ChangeTracker:
         if span is not None:
             runs += _span_runs(*span)
         if small:
-            offsets = list(small)
+            offsets = sorted(small)
+            values = bytes(map(small.__getitem__, offsets))
             base = offsets[0]
-            last = offsets[-1]
-            if last - base + 1 == len(offsets) and (
-                last - base < 2 or sorted(offsets) == offsets
-            ):
-                # Adjacent and in order, as one write leaves them.
-                runs.append((base, bytes(small.values())))
-            else:
-                offsets.sort()
-                values = bytes(map(small.__getitem__, offsets))
-                base = offsets[0]
-                # Within a run, offset - index is constant.
-                start = 0
-                for i, offset in enumerate(offsets):
-                    if offset - i != base:
-                        runs.append((base + start, values[start:i]))
-                        start = i
-                        base = offset - i
-                runs.append((base + start, values[start:]))
+            # Within a run, offset - index is constant.
+            start = 0
+            for i, offset in enumerate(offsets):
+                if offset - i != base:
+                    runs.append((base + start, values[start:i]))
+                    start = i
+                    base = offset - i
+            runs.append((base + start, values[start:]))
         # The span, the small body writes and the header/footer never
         # share a byte (see on_write): offsets alone order the runs.
         runs.sort()

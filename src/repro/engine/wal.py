@@ -225,12 +225,12 @@ class WriteAheadLog:
         #: Encoded commit frames awaiting one grouped device flush
         #: (non-empty only between begin_group/end_group).
         self._group_frames: list[bytes] = []
-        self._in_group = False
+        #: True between :meth:`begin_group` and :meth:`end_group`.
+        self.in_group = False
         self._page_index = 0
         self._page_offset = 0
-        #: ``<HB`` changes ``(offset, 0)`` of the offsets logged so far,
-        #: grown to the page size by the first record that needs it.
-        self._changes = b""
+        #: ``<HB`` changes ``(offset, 0)`` of every u16 offset (shared).
+        self._changes = _change_table(MAX_PAGE_SIZE)
         self._mount()
 
     def attach(self, ledger: WriteLedger) -> None:
@@ -273,16 +273,9 @@ class WriteAheadLog:
         try:
             record[head + 2 :: 3] = values
         except ValueError:
-            # A run past the table's end got a short slice: grow the
-            # table to the next power of two and encode again.
+            # Only a run past the u16 offsets gets a short slice.
             end = max(offset + len(data) for offset, data in runs)
-            if end > MAX_PAGE_SIZE:
-                raise ValueError(f"change offset {end - 1} is not a u16") from None
-            if 3 * end <= len(table):
-                raise
-            self._changes = _change_table(max(256, 1 << (end - 1).bit_length()))
-            self.log_update(lsn, lba, runs)
-            return
+            raise ValueError(f"change offset {end - 1} is not a u16") from None
         self._txn_buffer.append(record)
         self.stats.records_logged += 1
 
@@ -305,7 +298,7 @@ class WriteAheadLog:
         payload = b"".join(self._txn_buffer)
         self._txn_buffer = []
         frame = encode_frame(payload)
-        if self._in_group:
+        if self.in_group:
             # Group commit (service tier): the frame is complete and
             # CRC-framed now, but the device flush is deferred until
             # end_group() so frames sharing a log page cost one
@@ -322,11 +315,6 @@ class WriteAheadLog:
     # Group commit (per-shard batching in the service tier)
     # ------------------------------------------------------------------ #
 
-    @property
-    def in_group(self) -> bool:
-        """True between :meth:`begin_group` and :meth:`end_group`."""
-        return self._in_group
-
     def begin_group(self) -> None:
         """Start deferring commit frames into one grouped device flush.
 
@@ -337,15 +325,15 @@ class WriteAheadLog:
         ``StorageManager.commit_wal``), so undurable pages cannot leak
         to the data device in the meantime.
         """
-        if self._in_group:
+        if self.in_group:
             raise RuntimeError("WAL commit group already open")
-        self._in_group = True
+        self.in_group = True
 
     def end_group(self) -> None:
         """Flush the buffered group frames in one device append."""
-        if not self._in_group:
+        if not self.in_group:
             raise RuntimeError("no WAL commit group open")
-        self._in_group = False
+        self.in_group = False
         self.flush_group()
 
     def flush_group(self) -> None:
@@ -370,7 +358,7 @@ class WriteAheadLog:
         """Simulate power loss on the WAL side: volatile buffers are gone."""
         self._txn_buffer = []
         self._group_frames = []
-        self._in_group = False
+        self.in_group = False
 
     def _append(self, payload: bytes) -> None:
         """Append bytes to the sequential log, page by page."""

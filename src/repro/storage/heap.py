@@ -86,7 +86,7 @@ class HeapFile:
         while True:
             lba = self._ensure_page(page_index)
             frame = manager.fetch(lba)
-            frame.tracker.begin_op()
+            manager.begin_update(frame)
             slot = None
             try:
                 slot = frame.page.insert(record)
@@ -143,17 +143,12 @@ class HeapFile:
     def update(self, rid: RID, field_offset: int, data: bytes) -> None:
         """In-place update of ``data`` at ``field_offset`` in the record.
 
-        One call == one update operation == one candidate delta-record.
+        One call == one update operation == one candidate delta-record,
+        made in one pass by ``end_update`` (located, diffed once, stamped).
         """
         manager = self.manager
-        frame = manager.fetch(rid.lba)
-        frame.tracker.begin_op()
-        completed = False
-        try:
-            frame.page.update(rid.slot, field_offset, data)
-            completed = True
-        finally:
-            manager.end_update(frame, completed)
+        write = (rid.slot, field_offset, data)
+        manager.end_update(manager.fetch(rid.lba), True, write)
 
     def update_multi(self, rid: RID, writes: list[tuple[int, bytes]]) -> None:
         """Several field writes of ONE record as ONE update operation.

@@ -250,6 +250,10 @@ class SlottedPage:
         byte-identical except for the changed bytes, which the change
         tracker captures for the delta-record.
         """
+        self._write(self.field(slot_no, field_offset, len(data)), data)
+
+    def field(self, slot_no: int, field_offset: int, size: int) -> int:
+        """Page offset of ``size`` bytes at ``field_offset`` in a record."""
         buf = self._buf
         if not 0 <= slot_no < _U16.unpack_from(buf, _SLOT_COUNT)[0]:
             raise IndexError(f"slot {slot_no} of {self.slot_count}")
@@ -258,12 +262,12 @@ class SlottedPage:
         )
         if length == TOMBSTONE:
             raise KeyError(f"slot {slot_no} is deleted")
-        if field_offset < 0 or field_offset + len(data) > length:
+        if field_offset < 0 or field_offset + size > length:
             raise ValueError(
-                f"update [{field_offset}, {field_offset + len(data)}) exceeds "
+                f"update [{field_offset}, {field_offset + size}) exceeds "
                 f"record length {length}"
             )
-        self._write(offset + field_offset, data)
+        return offset + field_offset
 
     def delete(self, slot_no: int) -> None:
         """Tombstone a slot (space is reclaimed only by page rebuild)."""

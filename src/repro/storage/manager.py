@@ -34,6 +34,7 @@ from repro.ftl.interface import FlashBackend
 from repro.obs.ledger import NULL_LEDGER, LifetimeTracker, WriteLedger
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.storage.buffer import BufferPool, Frame
+from repro.storage.layout import _FILE_ID, _LSN, _U16, _U64
 from repro.storage.layout import PageCorruptError, SlottedPage
 
 
@@ -244,7 +245,7 @@ class _UpdateOp:
 
     def __enter__(self) -> SlottedPage:
         self._frame = frame = self._manager.fetch(self._lba)
-        frame.tracker.begin_op()
+        self._manager.begin_update(frame)
         return frame.page
 
     def __exit__(self, exc_type: object, *_exc: object) -> None:
@@ -416,47 +417,87 @@ class StorageManager:
         pool.insert(frame)
         return frame
 
-    def end_update(self, frame: Frame, completed: bool) -> None:
+    def end_update(self, frame: Frame, completed: bool, write: tuple = ()) -> None:
         """Close the update operation opened on a fetched ``frame``.
 
-        The other half of ``frame = fetch(lba); frame.tracker.begin_op()``:
+        The other half of ``frame = fetch(lba); begin_update(frame)``:
         stamps a fresh LSN (logging the operation when a WAL is attached),
-        closes the tracker bracket, does the accounting and unpins.  All of
-        it runs whether or not the operation completed — only the LSN stamp
-        (and with it the WAL record) is skipped when it did not.
-        ``HeapFile`` probes pages with inserts that may raise
-        ``PageFullError``, and each probe is charged and counted like a
-        completed operation.
+        closes the tracker bracket, does the accounting and unpins, also
+        after a failed operation (``HeapFile`` probes pages with inserts
+        that may raise ``PageFullError``) but for the LSN and WAL record.
+
+        An operation that writes one field is not opened: it hands the
+        write over, ``(slot_no, field_offset, data)``, and is made here in
+        one pass (:meth:`~repro.core.tracker.ChangeTracker.write_op`).
         """
         tracker = frame.tracker
+        page = frame.page
+        buf = page._buf
+        wal = self.wal
         lsn = 0
-        try:
+        if write:
+            slot_no, field_offset, data = write
+            end = len(data)
+            try:
+                start = page.field(slot_no, field_offset, end)
+            except (IndexError, KeyError, ValueError):
+                self.begin_update(frame)  # a failed operation all the same
+                self.end_update(frame, False)
+                raise
+            end += start
+            lsn = self._next_lsn
+            try:
+                size, runs = tracker.write_op(
+                    start, bytes(buf[start:end]), data,
+                    _LSN, _U64.unpack_from(buf, _LSN)[0], lsn, wal is not None,
+                )
+            except RuntimeError:
+                frame.pin_count -= 1  # refused before anything changed
+                raise
+            buf[start:end] = data
+            _U64.pack_into(buf, _LSN, lsn)
+            self._next_lsn = lsn + 1
+        else:
             if completed:
                 lsn = self._next_lsn
                 self._next_lsn = lsn + 1
-                frame.page.set_lsn(lsn)
-        finally:
-            # One Python frame, like a fetch hit: SimClock.advance and
-            # Frame.unpin are inlined statement for statement.
+                page.set_lsn(lsn)
             size = tracker.end_op()
-            stats = self.stats
-            if size:
-                stats.per_file_op_sizes.setdefault(
-                    frame.page.file_id, []
-                ).append(size)
-            if self.wal is not None and lsn:
-                self.wal.log_update(lsn, frame.lba, tracker.last_op_runs)
-                self.pool.no_steal.add(frame.lba)
-            frame.dirty = True
-            stats.update_ops += 1
-            cost = self.host_costs.ipa_tracking_us
-            clock = self.clock
-            clock._now_us += cost
-            breakdown = clock.breakdown_us
-            breakdown["host"] = breakdown.get("host", 0.0) + cost
-            if frame.pin_count <= 0:
-                raise RuntimeError(f"unpin of unpinned frame (lba {frame.lba})")
+            runs = tracker.last_op_runs if wal is not None and lsn else None
+        # One Python frame, like a fetch hit: SimClock.advance and
+        # Frame.unpin are inlined statement for statement.
+        stats = self.stats
+        if size:
+            sizes = stats.per_file_op_sizes
+            key = _U16.unpack_from(buf, _FILE_ID)[0]  # the page's file id
+            try:
+                sizes[key].append(size)
+            except KeyError:
+                sizes[key] = [size]
+        if wal is not None and lsn:
+            wal.log_update(lsn, frame.lba, runs)
+            self.pool.no_steal.add(frame.lba)
+        frame.dirty = True
+        stats.update_ops += 1
+        cost = self.host_costs.ipa_tracking_us
+        clock = self.clock
+        clock._now_us += cost
+        breakdown = clock.breakdown_us
+        try:
+            breakdown["host"] += cost
+        except KeyError:
+            breakdown["host"] = cost
+        if frame.pin_count <= 0:
+            raise RuntimeError(f"unpin of unpinned frame (lba {frame.lba})")
+        frame.pin_count -= 1
+
+    def begin_update(self, frame: Frame) -> None:
+        """Open ``frame``'s update operation; a refused one drops its pin."""
+        try:
+            frame.tracker.begin_op()
+        except RuntimeError:
             frame.pin_count -= 1
+            raise
 
     def unpin(self, frame: Frame) -> None:
         """Release a pin taken by :meth:`fetch` / :meth:`format_page`."""

@@ -21,6 +21,8 @@ PAGE_END = 80
 # [24, 300), delta area + footer [300, 340).
 BIG_BODY_END = 300
 BIG_PAGE_END = 340
+#: Where a page keeps its LSN (8 bytes, inside the header).
+LSN = 6
 
 # Two-letter alphabets make equal bytes (and wholly equal writes) common.
 _byte_pairs = st.lists(
@@ -107,13 +109,44 @@ def _stamps(draw, body_end, page_end):
     )
 
 
-def _actions(writes, stamps, max_size):
+#: LSNs just below and at byte boundaries (stamps of every width, with
+#: and without a zero byte between changed ones), and any u64.
+_lsns = st.one_of(
+    st.sampled_from(
+        [0, 1, 0xF8, 0x100, 0xFFF8, 0x10000, 0xFFFFF8, 0x000100FF, 0x01000000,
+         2**32 - 8, 2**64 - 1]
+    ),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+
+
+@st.composite
+def _whole_ops(draw, body_end):
+    """A whole operation through ``write_op``: one body write (0-16
+    bytes, or a record-sized span) and the LSN's stamp."""
+    size = draw(
+        st.one_of(
+            st.integers(min_value=0, max_value=16),
+            st.integers(min_value=17, max_value=body_end - HEADER_END),
+        )
+    )
+    offset = draw(st.integers(min_value=HEADER_END, max_value=body_end - size))
+    old = bytes(draw(st.lists(_span_bytes, min_size=size, max_size=size)))
+    new = bytearray(old)
+    for _ in range(draw(st.integers(min_value=0, max_value=size))):
+        new[draw(st.integers(min_value=0, max_value=size - 1))] = draw(_span_bytes)
+    old_lsn, lsn = draw(_lsns), draw(_lsns)
+    return ("op", offset, old, bytes(new), old_lsn, lsn, draw(st.booleans()))
+
+
+def _actions(writes, stamps, ops, max_size):
     return st.lists(
         st.one_of(
             writes,
             writes,
             writes,
             stamps,
+            ops,
             st.just(("begin",)),
             st.just(("end",)),
             st.tuples(st.just("flushed"), st.integers(min_value=0, max_value=2)),
@@ -125,12 +158,21 @@ def _actions(writes, stamps, max_size):
 #: name -> (body end, action strategy): byte-level writes on a tiny page,
 #: and record-sized spans (17-200 B, the long-write path) on a 340-byte
 #: one; both mixed with stamps, which the writes overlap often (the
-#: header is 24 bytes, the delta area + footer 20 and 40).
+#: header is 24 bytes, the delta area + footer 20 and 40), and with
+#: whole one-write operations.
 _WRITE_STRATEGIES = {
-    "bytes": (BODY_END, _actions(_writes(), _stamps(BODY_END, PAGE_END), 30)),
+    "bytes": (
+        BODY_END,
+        _actions(_writes(), _stamps(BODY_END, PAGE_END), _whole_ops(BODY_END), 30),
+    ),
     "spans": (
         BIG_BODY_END,
-        _actions(_span_writes(), _stamps(BIG_BODY_END, BIG_PAGE_END), 25),
+        _actions(
+            _span_writes(),
+            _stamps(BIG_BODY_END, BIG_PAGE_END),
+            _whole_ops(BIG_BODY_END),
+            25,
+        ),
     ),
 }
 
@@ -146,11 +188,27 @@ def _last_op_changes(tracker):
     sorted, disjoint and nonempty, expanded into one."""
     if isinstance(tracker, RefChangeTracker):
         return tracker.last_op_changes
-    runs = tracker.last_op_runs
+    return _run_changes(tracker.last_op_runs)
+
+
+def _run_changes(runs):
     assert all(data for _offset, data in runs), runs
     for (offset, data), (after, _data) in zip(runs, runs[1:]):
         assert offset + len(data) <= after, runs
     return ref_run_changes(runs)
+
+
+def _whole_op(tracker, offset, old, new, old_lsn, lsn, runs):
+    """``write_op``, or the spec's bracket of one write and the LSN stamp;
+    returns the size and, with ``runs``, the op's changes."""
+    if isinstance(tracker, RefChangeTracker):
+        tracker.begin_op()
+        tracker.on_write(offset, old, new)
+        tracker.on_stamp(LSN, 8, old_lsn, lsn)
+        return tracker.end_op(), dict(tracker.last_op_changes) if runs else None
+    size, cut = tracker.write_op(offset, old, new, LSN, old_lsn, lsn, runs)
+    assert (cut is None) is not runs
+    return size, None if cut is None else _run_changes(cut)
 
 
 def _observable(tracker):
@@ -178,6 +236,8 @@ def _apply_action(tracker, action):
             return tracker.on_write(*action[1:])
         if action[0] == "stamp":
             return tracker.on_stamp(*action[1:])
+        if action[0] == "op":
+            return _whole_op(tracker, *action[1:])
         if action[0] == "begin":
             return tracker.begin_op()
         if action[0] == "end":
@@ -235,6 +295,44 @@ class TestChangeTracker:
         write = ("write", offset, b"\x00" * length, b"\x01" * length)
         _run(trackers, *([("begin",), write, ("end",)] if bracketed else [write]))
         assert _observable(trackers[1]) == _observable(trackers[0])
+
+    @pytest.mark.parametrize(
+        "scheme", [SCHEME_2X4, IpaScheme(0, 0)], ids=["ipa", "out-of-place"]
+    )
+    @pytest.mark.parametrize(
+        "old_lsn, lsn",
+        [
+            (0, 1),
+            (0xFF, 0x100),  # the first byte's carry
+            (0xFFFF, 0x10000),
+            (0x000100FF, 0x01000000),  # XOR 0x010100FF: a zero byte between
+            (2**32 - 8, 2**32 + 1),
+            (7, 7),  # no stamp at all
+        ],
+    )
+    def test_a_whole_op_stamps_lsns_of_every_width(self, scheme, old_lsn, lsn):
+        trackers = [
+            cls(scheme, 0, HEADER_END, BODY_END)
+            for cls in (RefChangeTracker, ChangeTracker)
+        ]
+        op = ("op", 30, b"\x00\x01\x02\x03", b"\x00\x05\x02\x07", old_lsn, lsn, True)
+        ref, new = (_apply_action(tracker, op) for tracker in trackers)
+        assert new == ref and ref[0] == 2
+        assert _observable(trackers[1]) == _observable(trackers[0])
+
+    def test_a_whole_op_inside_an_open_one_is_refused_untouched(self):
+        trackers = [
+            cls(SCHEME_2X4, 0, HEADER_END, BODY_END)
+            for cls in (RefChangeTracker, ChangeTracker)
+        ]
+        op = ("op", 30, b"\x00", b"\x01", 1, 2, True)
+        _run(trackers, ("begin",), ("write", 40, b"\x00", b"\x09"))
+        ref, new = (_apply_action(tracker, op) for tracker in trackers)
+        assert new == ref
+        assert ref == (RuntimeError, "nested update operations are not supported")
+        _run(trackers, ("end",))
+        assert _observable(trackers[1]) == _observable(trackers[0])
+        assert trackers[1].op_sizes == [1]
 
     def test_equal_write_returns_before_looking_at_the_region(self):
         tracker = ChangeTracker(SCHEME_2X4, 0, HEADER_END, BODY_END)

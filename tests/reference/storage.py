@@ -41,10 +41,15 @@ def ref_fetch(manager, lba):
 
 @contextmanager
 def ref_update(manager, lba):
-    """One update operation; only a completed one takes an LSN."""
+    """One update operation; only a completed one takes an LSN.  One
+    refused because another is open on the page keeps no pin."""
     frame = ref_fetch(manager, lba)
     ops_before = len(frame.tracker.op_sizes)
-    frame.tracker.begin_op()
+    try:
+        frame.tracker.begin_op()
+    except RuntimeError:
+        frame.unpin()
+        raise
     lsn = 0
     try:
         yield frame.page

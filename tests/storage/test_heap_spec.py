@@ -91,6 +91,46 @@ class TestUpdateBracket:
                 page.update(slot, 3, b"zz")
         assert _update_state(new, 0) == _update_state(ref, 0)
 
+    @pytest.mark.parametrize("entry", ["HeapFile.update", "HeapFile.insert", "update"])
+    def test_a_refused_nested_operation_releases_its_pin(self, entry):
+        """Inside an open operation a second one on the same page is
+        refused; the refusal neither keeps the pin it took nor counts."""
+        manager = _manager(with_wal=True)
+        heap = HeapFile(manager, 3, 0, 1)
+        rid = heap.insert(b"r" * 100)
+        with manager.update(rid.lba) as page:
+            stats = asdict(manager.stats)
+            with pytest.raises(RuntimeError, match="nested update operations"):
+                if entry == "HeapFile.update":
+                    heap.update(rid, 0, b"zz")
+                elif entry == "HeapFile.insert":
+                    heap.insert(b"x" * 10)
+                else:
+                    with manager.update(rid.lba):
+                        pass
+            frame = manager.pool.get(rid.lba)
+            assert frame.pin_count == 1  # the open operation's own
+            assert asdict(manager.stats) == stats
+            page.update(rid.slot, 0, b"ok")
+        assert frame.pin_count == 0
+        assert frame.page.read(rid.slot)[:2] == b"ok"
+        assert manager.stats.update_ops == stats["update_ops"] + 1
+
+    @pytest.mark.parametrize("field_offset", [0, 95], ids=["field", "no-field"])
+    def test_a_refused_nested_update_matches(self, field_offset):
+        """Refused even where the field does not exist, like the spec's."""
+        new, ref = _manager(), _manager()
+        heaps = HeapFile(new, 3, 0, 1), RefHeapFile(ref, 3, 0, 1)
+        updates = (new.update, lambda lba: ref_update(ref, lba))
+        for manager, heap, update in zip((new, ref), heaps, updates):
+            rid = heap.insert(b"r" * 100)
+            with update(rid.lba) as page:
+                with pytest.raises(RuntimeError, match="nested update operations"):
+                    heap.update(rid, field_offset, b"zzzzzzzzzz")
+                page.update(rid.slot, 1, b"q")
+        state = _update_state(new, 0)
+        assert state == _update_state(ref, 0) and state["pin_count"] == 0
+
     def test_read_access_unpins_when_the_block_raises(self):
         manager = _manager()
         manager.unpin(manager.format_page(0))
@@ -146,6 +186,9 @@ def _apply(heap, manager, rids, op):
     if kind == "insert":
         rids.append(heap.insert(bytes([op[2]]) * op[1]))
         return rids[-1]
+    if kind == "lsn":  # the next LSN the manager hands out
+        manager._next_lsn = op[1]
+        return None
     if kind == "commit":
         return manager.commit_wal()
     if kind == "flush":
@@ -162,7 +205,7 @@ def _apply(heap, manager, rids, op):
     return heap.update_multi(rid, op[2])
 
 
-def _run_heap_ops(ops, with_wal, ipa, spec=False):
+def _run_heap_ops(ops, with_wal, ipa, spec=False, first_lsn=1):
     """Drive one fresh stack — the spec's with ``spec`` — and return what
     is observable after every op."""
     with (
@@ -171,6 +214,7 @@ def _run_heap_ops(ops, with_wal, ipa, spec=False):
         else nullcontext()
     ):
         manager = _manager(ipa, buffer_capacity=3, with_wal=with_wal)
+        manager._next_lsn = first_lsn
         heap = (RefHeapFile if spec else HeapFile)(manager, 3, 0, HEAP_PAGES)
         rids = []
         history = []
@@ -209,16 +253,41 @@ def _run_heap_ops(ops, with_wal, ipa, spec=False):
     return history
 
 
+#: The first LSN of a run: 1, or just below a byte boundary, so the
+#: stamps an update makes are one to five bytes wide and carry.
+_first_lsns = st.sampled_from([1, 0xF8, 0xFFF8, 0xFFFFF8, 2**32 - 8])
+
+
 class TestHeapFile:
     @pytest.mark.parametrize("ipa", [True, False], ids=["ipa-native", "traditional"])
     @pytest.mark.parametrize("with_wal", [False, True], ids=["no-wal", "wal"])
-    @given(ops=_heap_ops)
+    @given(ops=_heap_ops, first_lsn=_first_lsns)
     @settings(max_examples=60, deadline=None)
-    def test_heap_sequences(self, with_wal, ipa, ops):
+    def test_heap_sequences(self, with_wal, ipa, ops, first_lsn):
+        expected = _run_heap_ops(ops, with_wal, ipa, spec=True, first_lsn=first_lsn)
+        history = _run_heap_ops(ops, with_wal, ipa, first_lsn=first_lsn)
+        for step, reference in zip(history, expected):
+            assert step == reference, step["op"]
+
+    @pytest.mark.parametrize("ipa", [True, False], ids=["ipa-native", "traditional"])
+    @pytest.mark.parametrize("with_wal", [False, True], ids=["no-wal", "wal"])
+    def test_an_lsn_stamp_with_a_zero_byte_between_changed_ones(self, with_wal, ipa):
+        """Page LSN 0x000100FF restamped to 0x01000000: the stamp's XOR,
+        0x010100FF, changes bytes 0, 2 and 3 of the field but not 1."""
+        ops = [
+            ("lsn", 0x000100FF),
+            ("insert", 120, 7),  # stamps the page with 0x000100FF
+            ("lsn", 0x01000000),
+            ("update", 0, 3, b"zz"),
+            ("update", 0, 50, b"\x07"),  # an equal byte: only the stamp
+            ("commit",),
+        ]
         expected = _run_heap_ops(ops, with_wal, ipa, spec=True)
         history = _run_heap_ops(ops, with_wal, ipa)
         for step, reference in zip(history, expected):
             assert step == reference, step["op"]
+        page_lsns = [lsn for _lba, _dirty, _pins, lsn, _image in history[3]["resident"]]
+        assert page_lsns == [0x01000000]
 
     def test_the_sequences_reach_full_pages_evictions_compaction_and_the_wal(self):
         """The strategy above is only worth its name if its ops get there."""
