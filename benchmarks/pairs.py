@@ -38,12 +38,12 @@ def parse_seeds(text: str) -> List[int]:
     return seeds
 
 
-def contract_run(checkout: Path, workload: str, seed: int, seconds: float) -> Dict:
+def contract_run(checkout: Path, workload: str, seed: int) -> Dict:
     """``{metric: value}`` of one contract run in ``checkout``."""
     done = subprocess.run(
         [
             sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+            "--seed", str(seed), "--seconds", "5", "--trace", "0",
         ],
         cwd=checkout, capture_output=True, text=True,
     )
@@ -65,9 +65,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, type=parse_seeds)
-    parser.add_argument(
-        "--seconds", type=float, default=5.0, help="the contract's is 5"
-    )
     args = parser.parse_args(argv)
 
     metric = "host_ops_per_s"
@@ -81,7 +78,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         try:
             for side in order:
                 checkout = args.parent if side == "parent" else args.change
-                runs[side] = contract_run(checkout, args.workload, seed, args.seconds)
+                runs[side] = contract_run(checkout, args.workload, seed)
         except RuntimeError as failure:
             print(f"run failed: {failure}", file=sys.stderr)
             return 2

@@ -144,11 +144,13 @@ HEADROOM = 1.05
 #: 55.3164 (56.8548 at the parent), inside the headroom.  ``flash``,
 #: ``workloads``, ``service`` and both ``ftl_overwrite_trad`` entries
 #: did not move.
-#: When a single-field update became one pass (``ChangeTracker.write_op``
-#: diffs the write once, stamps the LSN and builds the WAL runs), the
-#: ``hot_path`` entries were lowered to the new measured values, from
-#: 36.2564, 281.52449836677556 and 54.632 (``svc_ycsb_a_2shard``
-#: measured 55.3164 at the parent), with every other entry unchanged.
+#: When a single-field update became one pass (``HeapFile.update`` ->
+#: ``StorageManager.update_field`` -> ``SlottedPage.update_stamped`` ->
+#: ``ChangeTracker.write_op``, which diffs the write once, stamps the LSN
+#: and builds the WAL runs), the ``hot_path`` entries were lowered to the
+#: new measured values, from 36.2564, 281.52449836677556 and 54.632
+#: (``svc_ycsb_a_2shard`` measured 55.3164 at the parent), with every
+#: other entry unchanged.
 COMMITTED = {
     "ycsb_b_cold": {
         "hot_path": 35.8228,
@@ -157,7 +159,7 @@ COMMITTED = {
         "flash": 8.519,
     },
     "tpcb_evict_ipa": {
-        "hot_path": 252.2183854409706,
+        "hot_path": 254.25898273448436,
         "workloads": 9.005832944470368,
         "ftl": 16.1598226784881,
         "flash": 24.056462902473168,

@@ -55,11 +55,9 @@ def _span_runs(offset: int, diff: bytes, new: bytes) -> list:
 class ChangeTracker:
     """Tracks one buffer-resident page's updates against an N x M scheme.
 
-    As the page's observer (:meth:`SlottedPage.set_observer`) it hears
-    body bytes through :meth:`on_write` and the page's own integer fields
-    (LSN, slot count + free lower, checksum) through :meth:`on_stamp`.
-    An operation that writes one field and stamps the LSN arrives whole,
-    through :meth:`write_op`; it keeps per-byte pairs only while a
+    The page's observer: body bytes arrive via :meth:`on_write`, its own
+    integer fields via :meth:`on_stamp`, a field write with its LSN stamp
+    whole via :meth:`write_op`, which keeps per-byte pairs only while a
     delta-record may result or no WAL wants the runs.
 
     Args:
@@ -179,11 +177,9 @@ class ChangeTracker:
         self, offset: int, old: bytes, new: bytes, at: int, old_stamp: int,
         stamp: int, runs: bool,
     ) -> tuple[int, list[tuple[int, bytes]] | None]:
-        """``begin_op()``, ``on_write(offset, old, new)`` of body bytes,
-        ``on_stamp(at, 8, old_stamp, stamp)`` of the LSN and ``end_op()``,
-        diffing the write once.  Returns ``end_op``'s size and, with
-        ``runs``, :attr:`last_op_runs` cut from the diff (one integer XOR)
-        and the stamp; an out-of-place tracker then keeps only the diff."""
+        """``begin_op``, ``on_write``, ``on_stamp(at, 8, old_stamp, stamp)``
+        and ``end_op``, diffing once.  Returns ``end_op``'s size and, with
+        ``runs``, :attr:`last_op_runs` cut from the diff and the stamp."""
         if self._open_raw is not None:
             self.begin_op()  # refused: an operation is open
         size = len(new)

@@ -80,7 +80,9 @@ class Table:
 
     def update_field(self, pk: Any, column: str, value: Any) -> None:
         """In-place single-column update — the paper's "small update"."""
-        rid = self.rid_of(pk)
+        if self.pk_index is None:  # rid_of(), inlined like get()'s
+            raise RuntimeError(f"table {self.name} has no primary key")
+        rid = self.pk_index.get(pk)
         offset, data = self.schema.encode_field(column, value)
         self.heap.update(rid, offset, data)
 

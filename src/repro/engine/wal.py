@@ -41,7 +41,6 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from functools import cache
 
 from repro.core.config import MAX_PAGE_SIZE
 from repro.flash.chip import FlashChip
@@ -67,14 +66,10 @@ _RECORD_HEAD = struct.Struct("<BQIH")
 _CHANGE = struct.Struct("<HB")
 
 
-@cache
-def _change_table(offsets: int) -> bytes:
-    """The change ``(offset, 0)`` in ``<HB`` form for every offset below
-    ``offsets`` (a multiple of 256): a run's changes are one slice."""
-    table = bytearray(_CHANGE.size * offsets)
-    table[0::3] = bytes(range(256)) * (offsets >> 8)
-    table[1::3] = b"".join(bytes((high,)) * 256 for high in range(offsets >> 8))
-    return bytes(table)
+#: The ``<HB`` change ``(offset, 0)`` of every u16 offset: a run's are one slice.
+_CHANGES = bytearray(_CHANGE.size * MAX_PAGE_SIZE)
+_CHANGES[0::3] = bytes(range(256)) * (MAX_PAGE_SIZE >> 8)
+_CHANGES[1::3] = b"".join(bytes((high,)) * 256 for high in range(MAX_PAGE_SIZE >> 8))
 
 
 @dataclass(frozen=True)
@@ -229,8 +224,6 @@ class WriteAheadLog:
         self.in_group = False
         self._page_index = 0
         self._page_offset = 0
-        #: ``<HB`` changes ``(offset, 0)`` of every u16 offset (shared).
-        self._changes = _change_table(MAX_PAGE_SIZE)
         self._mount()
 
     def attach(self, ledger: WriteLedger) -> None:
@@ -259,7 +252,7 @@ class WriteAheadLog:
         """
         if not runs:
             return
-        table = self._changes
+        table = _CHANGES
         head = _RECORD_HEAD.size
         record = bytearray(head)
         values = bytearray()

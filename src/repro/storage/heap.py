@@ -144,11 +144,11 @@ class HeapFile:
         """In-place update of ``data`` at ``field_offset`` in the record.
 
         One call == one update operation == one candidate delta-record,
-        made in one pass by ``end_update`` (located, diffed once, stamped).
+        made in one pass by :meth:`StorageManager.update_field`.
         """
         manager = self.manager
-        write = (rid.slot, field_offset, data)
-        manager.end_update(manager.fetch(rid.lba), True, write)
+        frame = manager.fetch(rid.lba)
+        manager.update_field(frame, rid.slot, field_offset, data, self.file_id)
 
     def update_multi(self, rid: RID, writes: list[tuple[int, bytes]]) -> None:
         """Several field writes of ONE record as ONE update operation.

@@ -24,7 +24,8 @@ Two deliberate choices support IPA:
   header/footer integer fields (the LSN, slot count + free lower, the
   footer checksum) are written with ``pack_into`` and reported as one
   ``on_stamp(offset, width, old, new)`` of integers, so no byte string
-  is built or diffed for them.
+  is built or diffed for them.  :meth:`SlottedPage.update_stamped`
+  reports a field write and its LSN stamp as one ``write_op``.
 
 Header fields (24 bytes):
   magic(2) page_id(4) lsn(8) slot_count(2) free_lower(2) flags(2)
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Callable, Optional, Protocol
+from typing import Optional, Protocol
 
 from repro.core.config import (
     PAGE_FOOTER_SIZE,
@@ -82,6 +83,12 @@ class PageObserver(Protocol):
         little-endian) went from ``old`` to ``new``: exactly
         ``on_write`` of the field's bytes."""
 
+    def write_op(
+        self, offset: int, old: bytes, new: bytes, at: int, old_stamp: int,
+        stamp: int, runs: bool,
+    ) -> tuple[int, Optional[list[tuple[int, bytes]]]]:
+        """``on_write`` and the 8-byte LSN's ``on_stamp``, as one operation."""
+
 
 class SlottedPage:
     """A database page in the format of Figure 3.
@@ -97,9 +104,7 @@ class SlottedPage:
             raise ValueError("buffer too small for layout")
         self._buf = buf
         self.scheme = scheme
-        # The attached observer's two methods, both None when detached.
-        self._hook: Optional[Callable[[int, bytes, bytes], None]] = None
-        self._stamp: Optional[Callable[[int, int, int, int], None]] = None
+        self._observer: Optional[PageObserver] = None
         # Geometry: the buffer never changes length, so these are fixed.
         self.page_size = page_size
         self.footer_start = page_size - PAGE_FOOTER_SIZE
@@ -168,8 +173,8 @@ class SlottedPage:
         buf = self._buf
         old = _U64.unpack_from(buf, _LSN)[0]
         _U64.pack_into(buf, _LSN, lsn)
-        if self._stamp is not None:
-            self._stamp(_LSN, 8, old, lsn)
+        if self._observer is not None:
+            self._observer.on_stamp(_LSN, 8, old, lsn)
 
     @property
     def slot_count(self) -> int:
@@ -211,8 +216,8 @@ class SlottedPage:
         self._write(slot_pos, _SLOT.pack(offset, size))
         # slot_count and free_lower are adjacent: one 4-byte stamp.
         _SLOT.pack_into(buf, _SLOT_COUNT, slot_no + 1, offset + size)
-        if self._stamp is not None:
-            self._stamp(
+        if self._observer is not None:
+            self._observer.on_stamp(
                 _SLOT_COUNT,
                 SLOT_SIZE,
                 slot_no | offset << 16,
@@ -250,9 +255,27 @@ class SlottedPage:
         byte-identical except for the changed bytes, which the change
         tracker captures for the delta-record.
         """
-        self._write(self.field(slot_no, field_offset, len(data)), data)
+        self._write(self._field(slot_no, field_offset, len(data)), data)
 
-    def field(self, slot_no: int, field_offset: int, size: int) -> int:
+    def update_stamped(
+        self, slot_no: int, field_offset: int, data: bytes, lsn: int, runs: bool
+    ) -> tuple[int, Optional[list[tuple[int, bytes]]]]:
+        """:meth:`update` and :meth:`set_lsn` as one operation, which the
+        observer's ``write_op`` hears (and may refuse) before either is
+        written; returns what that returns."""
+        observer = self._observer
+        assert observer is not None, "an update_stamped needs an observer"
+        buf = self._buf
+        size = len(data)
+        start = self._field(slot_no, field_offset, size)
+        end = start + size
+        old, old_lsn = bytes(buf[start:end]), _U64.unpack_from(buf, _LSN)[0]
+        out = observer.write_op(start, old, data, _LSN, old_lsn, lsn, runs)
+        buf[start:end] = data
+        _U64.pack_into(buf, _LSN, lsn)
+        return out
+
+    def _field(self, slot_no: int, field_offset: int, size: int) -> int:
         """Page offset of ``size`` bytes at ``field_offset`` in a record."""
         buf = self._buf
         if not 0 <= slot_no < _U16.unpack_from(buf, _SLOT_COUNT)[0]:
@@ -301,8 +324,8 @@ class SlottedPage:
         if cursor < old_free_lower:
             self._write(cursor, _ERASED_CHAR * (old_free_lower - cursor))
         _U16.pack_into(self._buf, _FREE_LOWER, cursor)
-        if self._stamp is not None:
-            self._stamp(_FREE_LOWER, 2, old_free_lower, cursor)
+        if self._observer is not None:
+            self._observer.on_stamp(_FREE_LOWER, 2, old_free_lower, cursor)
         return old_free_lower - cursor
 
     def has_tombstones(self) -> bool:
@@ -357,8 +380,8 @@ class SlottedPage:
         old = _U32.unpack_from(buf, footer_start)[0]
         checksum = self.compute_checksum()
         _U32.pack_into(buf, footer_start, checksum)
-        if self._stamp is not None:
-            self._stamp(footer_start, 4, old, checksum)
+        if self._observer is not None:
+            self._observer.on_stamp(footer_start, 4, old, checksum)
 
     def verify_checksum(self) -> bool:
         """True iff the stored footer checksum matches the content."""
@@ -399,19 +422,16 @@ class SlottedPage:
         return bytes(buf[:PAGE_HEADER_SIZE]), bytes(buf[self.footer_start :])
 
     def set_observer(self, observer: Optional[PageObserver]) -> None:
-        """Attach the change tracker (``None`` detaches): its ``on_write``
-        sees every body write, its ``on_stamp`` every header/footer
-        field the page writes (LSN, slot count + free lower, checksum)."""
-        if observer is None:
-            self._hook = self._stamp = None
-        else:
-            self._hook = observer.on_write
-            self._stamp = observer.on_stamp
+        """Attach the change tracker (``None`` detaches): ``on_write`` hears
+        every body write, ``on_stamp`` every header/footer field the page
+        writes (LSN, slot count + free lower, checksum), ``write_op`` every
+        :meth:`update_stamped`."""
+        self._observer = observer
 
     def _write(self, offset: int, data: bytes) -> None:
         """Body mutations go through here so the tracker sees every byte."""
         buf = self._buf
         end = offset + len(data)
-        if self._hook is not None:
-            self._hook(offset, bytes(buf[offset:end]), data)
+        if self._observer is not None:
+            self._observer.on_write(offset, bytes(buf[offset:end]), data)
         buf[offset:end] = data

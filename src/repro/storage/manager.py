@@ -34,7 +34,6 @@ from repro.ftl.interface import FlashBackend
 from repro.obs.ledger import NULL_LEDGER, LifetimeTracker, WriteLedger
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.storage.buffer import BufferPool, Frame
-from repro.storage.layout import _FILE_ID, _LSN, _U16, _U64
 from repro.storage.layout import PageCorruptError, SlottedPage
 
 
@@ -410,14 +409,13 @@ class StorageManager:
         if not intact:
             page, k = self._load_page(image, lba)
         tracker = ChangeTracker(scheme, k, PAGE_HEADER_SIZE, page.delta_start)
-        page._hook = tracker.on_write
-        page._stamp = tracker.on_stamp
+        page._observer = tracker
         frame = Frame(lba, page, tracker, flash_image=image, flash_delta_count=k)
         frame.pin_count = 1
         pool.insert(frame)
         return frame
 
-    def end_update(self, frame: Frame, completed: bool, write: tuple = ()) -> None:
+    def end_update(self, frame: Frame, completed: bool) -> None:
         """Close the update operation opened on a fetched ``frame``.
 
         The other half of ``frame = fetch(lba); begin_update(frame)``:
@@ -425,57 +423,49 @@ class StorageManager:
         closes the tracker bracket, does the accounting and unpins, also
         after a failed operation (``HeapFile`` probes pages with inserts
         that may raise ``PageFullError``) but for the LSN and WAL record.
-
-        An operation that writes one field is not opened: it hands the
-        write over, ``(slot_no, field_offset, data)``, and is made here in
-        one pass (:meth:`~repro.core.tracker.ChangeTracker.write_op`).
         """
-        tracker = frame.tracker
-        page = frame.page
-        buf = page._buf
-        wal = self.wal
         lsn = 0
-        if write:
-            slot_no, field_offset, data = write
-            end = len(data)
-            try:
-                start = page.field(slot_no, field_offset, end)
-            except (IndexError, KeyError, ValueError):
-                self.begin_update(frame)  # a failed operation all the same
-                self.end_update(frame, False)
-                raise
-            end += start
+        if completed:
             lsn = self._next_lsn
-            try:
-                size, runs = tracker.write_op(
-                    start, bytes(buf[start:end]), data,
-                    _LSN, _U64.unpack_from(buf, _LSN)[0], lsn, wal is not None,
-                )
-            except RuntimeError:
-                frame.pin_count -= 1  # refused before anything changed
-                raise
-            buf[start:end] = data
-            _U64.pack_into(buf, _LSN, lsn)
             self._next_lsn = lsn + 1
-        else:
-            if completed:
-                lsn = self._next_lsn
-                self._next_lsn = lsn + 1
-                page.set_lsn(lsn)
-            size = tracker.end_op()
-            runs = tracker.last_op_runs if wal is not None and lsn else None
-        # One Python frame, like a fetch hit: SimClock.advance and
-        # Frame.unpin are inlined statement for statement.
+            frame.page.set_lsn(lsn)
+        tracker = frame.tracker
+        size = tracker.end_op()
+        runs = tracker.last_op_runs if self.wal is not None and lsn else None
+        self._account(frame, size, lsn, runs, frame.page.file_id)
+
+    def update_field(
+        self, frame: Frame, slot_no: int, field_offset: int, data: bytes, file_id: int
+    ) -> None:
+        """A single-field update of a fetched ``frame`` in one pass
+        (:meth:`SlottedPage.update_stamped`), accounted and unpinned like
+        every operation.  ``file_id`` is the page's (its heap file knows)."""
+        lsn = self._next_lsn
+        try:
+            size, runs = frame.page.update_stamped(
+                slot_no, field_offset, data, lsn, self.wal is not None
+            )
+        except (RuntimeError, IndexError, KeyError, ValueError):
+            # Nothing changed: refused again (pin dropped) or a failed op.
+            self.begin_update(frame)
+            self.end_update(frame, False)
+            raise
+        self._next_lsn = lsn + 1
+        self._account(frame, size, lsn, runs, file_id)
+
+    def _account(
+        self, frame: Frame, size: int, lsn: int, runs: list | None, file_id: int
+    ) -> None:
+        """Every operation's tail; SimClock.advance and Frame.unpin inlined."""
         stats = self.stats
         if size:
             sizes = stats.per_file_op_sizes
-            key = _U16.unpack_from(buf, _FILE_ID)[0]  # the page's file id
             try:
-                sizes[key].append(size)
+                sizes[file_id].append(size)
             except KeyError:
-                sizes[key] = [size]
-        if wal is not None and lsn:
-            wal.log_update(lsn, frame.lba, runs)
+                sizes[file_id] = [size]
+        if lsn and self.wal is not None:
+            self.wal.log_update(lsn, frame.lba, runs)
             self.pool.no_steal.add(frame.lba)
         frame.dirty = True
         stats.update_ops += 1

@@ -12,6 +12,7 @@ import json, sys
 from pathlib import Path
 args = sys.argv[1:]
 seed = int(args[args.index("--seed") + 1])
+assert args[args.index("--seconds") + 1] == "5"
 assert args[args.index("--trace") + 1] == "0"
 here = Path(__file__).resolve().parents[2]
 with open(here.parent / "order.log", "a") as log:

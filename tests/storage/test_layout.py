@@ -188,6 +188,13 @@ class _Recorder:
     def on_stamp(self, offset, width, old, new):
         self.events.append(("stamp", offset, width, old, new))
 
+    def write_op(self, offset, old, new, at, old_stamp, stamp, runs):
+        """One body write and the 8-byte LSN stamp, as ``ChangeTracker``
+        hears them."""
+        self.on_write(offset, old, new)
+        self.on_stamp(at, 8, old_stamp, stamp)
+        return len(new), None
+
 
 class TestWriteHook:
     def test_hook_sees_every_mutation(self):
@@ -218,6 +225,57 @@ class TestWriteHook:
         page.reset_delta_area()
         assert recorder.events == []
 
+    def test_update_stamped_is_heard_whole_before_it_is_written(self):
+        page = fresh()
+        page.insert(b"balance=0000000000")
+        page.set_lsn(0x1FF)
+        before = page.to_bytes()
+        recorder = _Recorder()
+
+        def heard(*op):
+            recorder.events.append(("op", *op, page.to_bytes()))
+            return 2, []
+
+        recorder.write_op = heard
+        page.set_observer(recorder)
+        assert page.update_stamped(0, 8, b"42", 0x200, True) == (2, [])
+        assert recorder.events == [
+            ("op", 24 + 8, b"00", b"42", 6, 0x1FF, 0x200, True, before)
+        ]
+        assert page.read(0) == b"balance=4200000000"
+        assert page.lsn == 0x200
+
+    @pytest.mark.parametrize(
+        "slot_no, field_offset, error",
+        [(1, 0, IndexError), (0, 17, ValueError), (0, -1, ValueError)],
+    )
+    def test_update_stamped_of_no_field_changes_nothing(
+        self, slot_no, field_offset, error
+    ):
+        page = fresh()
+        page.insert(b"balance=0000000000")
+        before = page.to_bytes()
+        recorder = _Recorder()
+        page.set_observer(recorder)
+        with pytest.raises(error):
+            page.update_stamped(slot_no, field_offset, b"42", 9, False)
+        assert recorder.events == [] and page.to_bytes() == before
+
+    def test_update_stamped_refused_by_the_observer_changes_nothing(self):
+        page = fresh()
+        page.insert(b"balance=0000000000")
+        before = page.to_bytes()
+        recorder = _Recorder()
+
+        def refuse(*_op):
+            raise RuntimeError("nested update operations are not supported")
+
+        recorder.write_op = refuse
+        page.set_observer(recorder)
+        with pytest.raises(RuntimeError):
+            page.update_stamped(0, 8, b"42", 9, False)
+        assert page.to_bytes() == before
+
     def test_detach(self):
         page = fresh()
         recorder = _Recorder()
@@ -237,6 +295,14 @@ _page_calls = st.lists(
             st.integers(min_value=0, max_value=12),
             st.integers(min_value=0, max_value=40),
             st.binary(min_size=1, max_size=24),
+        ),
+        st.tuples(
+            st.just("update_stamped"),  # mostly fields that exist
+            st.integers(min_value=0, max_value=3),
+            st.integers(min_value=0, max_value=8),
+            st.binary(min_size=1, max_size=8),
+            st.integers(0, 2**64 - 1),
+            st.booleans(),
         ),
         st.tuples(st.just("delete"), st.integers(min_value=0, max_value=12)),
         st.tuples(st.just("compact")),
