@@ -5,12 +5,15 @@ This example drives the observability sampler
 (:class:`repro.obs.TimeSeriesSampler`) attached by the harness's
 ``observe=`` hook: every ~20 ms of *simulated* time it snapshots the
 cumulative counters of all layers and derives per-second rates — the
-same series `python -m repro obs` renders and exports.
+same series `python -m repro obs` renders.  ``--out FILE`` saves the
+run artefact (series, spans, ledger, histograms) as JSON;
+``render_report(load_artefact(FILE))`` from :mod:`repro.obs.report`
+renders it again.
 
 Run:
     python examples/live_stats.py
     python examples/live_stats.py --arch traditional
-    python examples/live_stats.py --csv out.csv
+    python examples/live_stats.py --out run.json
 """
 
 import argparse
@@ -21,10 +24,11 @@ from repro.bench.harness import ExperimentConfig, build_stack
 from repro.core.config import IPA_DISABLED, SCHEME_2X4
 from repro.flash.modes import FlashMode
 from repro.obs import Observation, ObserveConfig
-from repro.obs.export import write_samples_csv
+from repro.obs.report import write_artefact
 from repro.workloads.tpcb import TpcbWorkload
 
 TRANSACTIONS = 8000
+SEED = 42
 
 
 def main() -> None:
@@ -33,7 +37,9 @@ def main() -> None:
         "--arch", choices=("ipa-native", "ipa-blockdev", "traditional"),
         default="ipa-native",
     )
-    parser.add_argument("--csv", default=None, help="also write the series as CSV")
+    parser.add_argument(
+        "--out", default=None, help="also save the run artefact as JSON"
+    )
     args = parser.parse_args()
 
     is_ipa = args.arch.startswith("ipa")
@@ -46,7 +52,7 @@ def main() -> None:
         buffer_pages=24,
     )
     db, manager = build_stack(config)
-    rng = np.random.default_rng(42)
+    rng = np.random.default_rng(SEED)
     print(f"loading TPC-B ({workload.n_accounts} accounts) on {args.arch} ...")
     workload.build(db, rng)
     manager.clock.reset()
@@ -60,7 +66,9 @@ def main() -> None:
     print(f"\n{header}")
     shown = 0
     for _ in range(TRANSACTIONS):
+        start_us = manager.clock.now_us
         workload.transaction(db, rng)
+        obs.txn_latency.observe(manager.clock.now_us - start_us)
         if sampler.maybe_sample():
             row = sampler.samples[-1]
             print(f"{row['t_s']:>9.3f} {row.get('txns_per_s', 0.0):>7.0f} "
@@ -72,13 +80,19 @@ def main() -> None:
 
     db.checkpoint()
     sampler.sample_now()
-    if args.csv:
-        write_samples_csv(args.csv, sampler.samples, sampler.columns)
-        print(f"\n{len(sampler.samples)} samples written to {args.csv}")
+    committed = db.txn_stats.committed
+    tps = committed / manager.clock.now_s
+    if args.out:
+        write_artefact(args.out, obs.artefact(
+            {"arch": args.arch, "transactions": TRANSACTIONS, "seed": SEED},
+            {"config_label": config.display_label(), "workload": workload.name,
+             "transactions": committed, "elapsed_s": manager.clock.now_s,
+             "tps": tps},
+        ))
+        print(f"\nrun artefact written to {args.out}")
 
-    print(f"\nfinal: {db.txn_stats.committed} txns in "
-          f"{manager.clock.now_s:.2f} simulated s "
-          f"({db.txn_stats.committed / manager.clock.now_s:,.0f} TPS), "
+    print(f"\nfinal: {committed} txns in "
+          f"{manager.clock.now_s:.2f} simulated s ({tps:,.0f} TPS), "
           f"{len(sampler.samples)} samples, "
           f"GC attribution {obs.gc_attribution_rate():.0%}")
 

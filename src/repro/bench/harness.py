@@ -12,7 +12,7 @@ paper formats the SSD before each run for the same reason).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -118,11 +118,19 @@ class ObservedResult(ExperimentResult):
     """An :class:`ExperimentResult` plus the attached observability bundle.
 
     Returned by :func:`run_experiment` when ``observe=`` is passed; the
-    :attr:`observation` carries the metrics registry, the span trace and
-    the time series (see :class:`repro.obs.Observation`).
+    :attr:`observation` carries the span trace, the time series, the
+    write ledger and the histograms (see :class:`repro.obs.Observation`).
     """
 
     observation: Optional[Observation] = None
+
+    def artefact(self, build: dict) -> dict:
+        """This run as one plain-data artefact
+        (:meth:`repro.obs.Observation.artefact`) holding every
+        :class:`ExperimentResult` field; ``build`` says how to rebuild it."""
+        assert self.observation is not None
+        result = {f.name: getattr(self, f.name) for f in fields(ExperimentResult)}
+        return self.observation.artefact(build, result)
 
 
 def build_stack(config: ExperimentConfig) -> tuple[Database, StorageManager]:
@@ -147,7 +155,7 @@ def run_experiment(
         config: The stack + workload description.
         observe: ``True`` (default knobs) or an :class:`ObserveConfig`
             to attach the observability bundle — span tracing across
-            every layer, a metrics registry and a time-series sampler.
+            every layer, a write ledger and a time-series sampler.
             The return type is then :class:`ObservedResult` and its
             ``observation`` field holds the bundle.  ``None``/``False``
             (the default) runs un-instrumented at full speed.
@@ -192,7 +200,6 @@ def run_experiment(
         manager.device.flush_log_buffers()
     if obs is not None:
         obs.sampler.sample_now()
-        obs.close()  # flush the JSONL sink; the ring buffer stays live
 
     device = manager.device.stats.diff(device_before)
     flash = manager.device.chip.stats.diff(flash_before)

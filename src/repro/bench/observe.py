@@ -1,8 +1,11 @@
 """``python -m repro obs``: one observed TPC-B run under GC pressure.
 
+Both commands build the run's artefact
+(:meth:`repro.obs.Observation.artefact`) and render only from it.
 ``obs report`` prints :func:`repro.obs.report.render_report` (with
-``--out DIR`` also the raw spans JSONL, samples CSV and Prometheus
-text); ``obs timeline OUT`` writes a Chrome-trace / Perfetto timeline
+``--out DIR`` it also saves the artefact as ``DIR/run.json``, which
+``render_report(load_artefact(path))`` renders again); ``obs timeline
+OUT`` writes a Chrome-trace / Perfetto timeline of its spans
 (:mod:`repro.obs.chrometrace`).
 """
 
@@ -17,9 +20,9 @@ from repro.core.config import IPA_DISABLED, SCHEME_2X4
 from repro.flash.modes import FlashMode
 from repro.obs import ObserveConfig
 from repro.obs.chrometrace import CHANNEL_NAMES, write_chrome_trace
-from repro.obs.export import write_samples_csv
-from repro.obs.report import render_report
-from repro.workloads.tpcb import TpcbWorkload
+from repro.obs.report import render_report, write_artefact
+from repro.workloads.base import rows_per_page
+from repro.workloads.tpcb import HISTORY_SCHEMA, TpcbWorkload
 
 def build_config(
     arch: str, transactions: int, channels: int = 1
@@ -37,6 +40,14 @@ def build_config(
         over_provisioning=0.08,
         channels=channels,
     )
+
+
+def history_capacity(config: ExperimentConfig) -> int:
+    """Transactions the run's history file holds: each TPC-B transaction
+    appends one history row, and the file has a fixed page budget."""
+    db, _manager = config.build(config.workload)
+    per_page = rows_per_page(db, HISTORY_SCHEMA.record_size)
+    return per_page * config.workload.history_pages
 
 
 def main() -> None:
@@ -65,38 +76,55 @@ def main() -> None:
     else:
         parser.add_argument("--transactions", type=int, default=2000)
         parser.add_argument("--fast", action="store_true", help="small run (CI smoke)")
-        parser.add_argument("--out", default=None, help="directory for raw artifacts")
+        parser.add_argument(
+            "--out", default=None, help="directory for the run artefact (run.json)"
+        )
     args = parser.parse_args(argv)
 
+    channels = args.channels if timeline else 1
+    transactions = 600 if not timeline and args.fast else args.transactions
+    config = build_config(args.arch, transactions, channels)
+    capacity = history_capacity(config)
+    if transactions > capacity:
+        parser.error(
+            f"--transactions {transactions} exceeds the history file's "
+            f"limit of {capacity} transactions on {args.arch} "
+            f"({config.workload.history_pages} pages, one row per transaction)"
+        )
     if timeline:
-        config = build_config(args.arch, args.transactions, args.channels)
-        result = run_experiment(config, ObserveConfig(trace_channel_ops=True))
-        spans = result.observation.spans()
+        observe = ObserveConfig(trace_channel_ops=True)
+    else:
+        observe = ObserveConfig(sample_interval_s=0.01)
+    result = run_experiment(config, observe)
+    artefact = result.artefact(
+        {
+            "arch": args.arch,
+            "transactions": transactions,
+            "channels": channels,
+            "seed": config.seed,
+        }
+    )
+
+    if timeline:
+        spans = artefact["spans"]
         count = write_chrome_trace(args.out, spans)
-        channel_events = sum(1 for s in spans if s.name in CHANNEL_NAMES)
+        channel_events = sum(1 for s in spans if s["name"] in CHANNEL_NAMES)
         print(
             f"{count} events written to {args.out} "
             f"({channel_events} channel events across {args.channels} "
             "channels); load in chrome://tracing or ui.perfetto.dev"
         )
+        if artefact["spans_dropped"]:
+            print(
+                f"WARNING: the span ring buffer dropped the "
+                f"{artefact['spans_dropped']:,} oldest spans; the timeline "
+                "starts after them"
+            )
         return
 
-    config = build_config(args.arch, 600 if args.fast else args.transactions)
-    trace_path = None
+    print(render_report(artefact))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        trace_path = os.path.join(args.out, "spans.jsonl")
-    observe = ObserveConfig(sample_interval_s=0.01, trace_path=trace_path)
-    result = run_experiment(config, observe=observe)
-    print(render_report(result))
-
-    if args.out:
-        obs = result.observation
-        write_samples_csv(
-            os.path.join(args.out, "samples.csv"), obs.samples, obs.sampler.columns
-        )
-        with open(
-            os.path.join(args.out, "metrics.prom"), "w", encoding="utf-8"
-        ) as fh:
-            fh.write(obs.export_prometheus())
-        print(f"\nartifacts written to {args.out}/ (spans.jsonl, samples.csv, metrics.prom)")
+        path = os.path.join(args.out, "run.json")
+        write_artefact(path, artefact)
+        print(f"\nrun artefact written to {path}")

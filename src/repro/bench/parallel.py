@@ -170,8 +170,8 @@ def run_experiments(configs: Sequence[Any], jobs: int = 0) -> list[Any]:
     config carries its own ``seed``, so the list is identical to a
     serial ``[run_experiment(c) for c in configs]``.  Observation hooks
     (``observe=``) are not supported here — an
-    :class:`~repro.obs.Observation` holds live callbacks that do not
-    survive pickling; run those configs serially.
+    :class:`~repro.obs.Observation` holds live sampler callbacks that
+    do not survive pickling; run those configs serially.
     """
     labels = [c.display_label() for c in configs]
     return parallel_map(_run_one_config, configs, jobs=jobs, labels=labels)

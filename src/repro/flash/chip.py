@@ -347,7 +347,7 @@ class FlashChip:
         if sz.enabled:
             sz.check_accepted(violation)
             sz.check_programmed_image(page, data, oob)
-        self._pulse_done(block, block_idx, page_idx, nbytes, False, False)
+        self._pulse_done(block, page_idx, nbytes, False, False)
 
     def reprogram_page(self, ppn: int, data: bytes, oob: bytes | None = None) -> None:
         """Overwrite a programmed page in place (no erase).
@@ -425,7 +425,7 @@ class FlashChip:
         if sz.enabled:
             sz.check_accepted(violation)
             sz.check_programmed_image(page, data, oob)
-        self._pulse_done(block, block_idx, page_idx, nbytes, True, False)
+        self._pulse_done(block, page_idx, nbytes, True, False)
 
     def partial_program(
         self,
@@ -517,7 +517,7 @@ class FlashChip:
         page.program_passes += 1
         if sz.enabled:
             sz.check_accepted(violation)
-        self._pulse_done(block, block_idx, page_idx, transferred, True, True)
+        self._pulse_done(block, page_idx, transferred, True, True)
 
     def erase_block(self, block_idx: int) -> None:
         """Erase one block (all pages, data and OOB)."""
@@ -572,7 +572,6 @@ class FlashChip:
     def _pulse_done(
         self,
         block: EraseBlock,
-        block_idx: int,
         page_idx: int,
         nbytes: int,
         reprogram: bool,
@@ -580,9 +579,9 @@ class FlashChip:
     ) -> None:
         """What every program pulse leaves behind once the cells hold the
         new image: counters, the clock (operation time, then transfer
-        time, as two additions each), the ledger, the tracer and the
-        interference drawn for the programmed neighbouring pages.  The
-        program, reprogram and partial-program bodies all end here."""
+        time, as two additions each), the ledger and the interference
+        drawn for the programmed neighbouring pages.  The program,
+        reprogram and partial-program bodies all end here."""
         stats = self.stats
         if reprogram:
             op_us = self._reprogram_us
@@ -604,12 +603,6 @@ class FlashChip:
         lg = self.ledger
         if lg.enabled:
             lg.on_program(nbytes, reprogram, partial)
-        tr = self.tracer
-        if tr.enabled and tr.trace_chip_ops:
-            tr.record(
-                "chip_reprogram" if reprogram else "chip_program",
-                dur_us=op_us, block=block_idx, page=page_idx,
-            )
         pages = block.pages
         neighbours = self._victims[page_idx]
         victims = 0

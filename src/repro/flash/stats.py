@@ -8,9 +8,9 @@ Every metric of the paper's Table 1 is derived from these counters:
 * byte counters — DBMS write-amplification (Figure 1).
 
 Every counter is a plain numeric field, incremented in place where the
-event happens and counted on every run, observed or not; the metrics
-registry only *reads* them (``Observation.create`` exports each field as
-a callback).
+event happens and counted on every run, observed or not; an observed
+run's artefact only *reads* them (as the run's ``ExperimentResult``
+fields and the sampler's series).
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Chrome-trace / Perfetto timeline exporter.
 
-Renders a traced run as a Trace Event Format JSON file —
-``python -m repro obs timeline out.json`` — loadable in
+Renders the spans of a run artefact (plain dicts, see
+:meth:`repro.obs.Observation.artefact`) as a Trace Event Format JSON
+file — ``python -m repro obs timeline out.json`` — loadable in
 ``chrome://tracing`` or https://ui.perfetto.dev.  The simulated
 microsecond clock maps directly onto the format's ``ts``/``dur``
 microseconds, so no scaling is involved.
@@ -10,7 +11,7 @@ Track layout (one process, one thread per track):
 
 ========  ==============================================================
 tid 0     host — the span stack (txn / evict / host_write / ftl_write /
-          gc_* / chip_* / channel_wait), nested by start/duration
+          gc_* / chip_erase / channel_wait), nested by start/duration
 tid 1     flash bus — ``bus_xfer`` transfer events
 tid 2+c   channel ``c`` — ``channel_op`` array pulses (programs,
           reprograms, erases; possibly scheduled in the host's future)
@@ -27,11 +28,7 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
-__all__ = [
-    "spans_to_trace_events",
-    "write_chrome_trace",
-    "main",
-]
+__all__ = ["spans_to_trace_events", "write_chrome_trace"]
 
 #: Synthetic pid for the single simulated process.
 _PID = 1
@@ -46,12 +43,12 @@ _BUS_NAMES = frozenset({"bus_xfer"})
 CHANNEL_NAMES = frozenset({"channel_op", "channel_read"})
 
 
-def _tid_of(span) -> int:
-    name = span.name
+def _tid_of(span: dict) -> int:
+    name = span["name"]
     if name in _BUS_NAMES:
         return _TID_BUS
     if name in CHANNEL_NAMES:
-        channel = span.attrs.get("channel")
+        channel = span.get("attrs", {}).get("channel")
         if isinstance(channel, int) and channel >= 0:
             return _TID_CHANNEL0 + channel
     return _TID_HOST
@@ -81,8 +78,8 @@ def _metadata_events(tids: set[int]) -> list[dict]:
     return events
 
 
-def spans_to_trace_events(spans: Iterable) -> list[dict]:
-    """Convert finished :class:`~repro.obs.trace.Span` objects to events.
+def spans_to_trace_events(spans: Iterable[dict]) -> list[dict]:
+    """Convert span dicts (:meth:`~repro.obs.trace.Span.to_dict`) to events.
 
     Every span becomes one complete event (``ph:"X"``); the viewer
     reconstructs nesting on each track from start/duration overlap, so
@@ -93,24 +90,24 @@ def spans_to_trace_events(spans: Iterable) -> list[dict]:
     for span in spans:
         tid = _tid_of(span)
         tids.add(tid)
-        args = dict(span.attrs)
-        if span.txn is not None:
-            args["txn"] = span.txn
+        args = dict(span.get("attrs", {}))
+        if span["txn"] is not None:
+            args["txn"] = span["txn"]
         events.append(
             {
-                "name": span.name,
+                "name": span["name"],
                 "ph": "X",
                 "pid": _PID,
                 "tid": tid,
-                "ts": round(span.start_us, 3),
-                "dur": round(span.duration_us, 3),
+                "ts": span["start_us"],
+                "dur": span["dur_us"],
                 "args": args,
             }
         )
     return _metadata_events(tids) + events
 
 
-def write_chrome_trace(path: str, spans: Iterable) -> int:
+def write_chrome_trace(path: str, spans: Iterable[dict]) -> int:
     """Write ``{"traceEvents": [...]}`` to ``path``; returns event count."""
     events = spans_to_trace_events(spans)
     with open(path, "w", encoding="utf-8") as fh:

@@ -46,7 +46,7 @@ is one attribute load and one bool test, guarded by
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.obs.metrics import Histogram
 
@@ -334,16 +334,20 @@ class LifetimeTracker:
 
     enabled = True
 
-    def __init__(self, clock: object, aggregate: object = None) -> None:
+    def __init__(self, clock: object, aggregate: Histogram | None = None) -> None:
         self.clock = clock
-        #: Optional registry-owned aggregate histogram (``lba_lifetime_us``).
-        self.aggregate = aggregate
+        #: The aggregate histogram (``lba_lifetime_us``; an observed run
+        #: passes its registry's).
+        self.aggregate = aggregate or Histogram(
+            "lba_lifetime_us",
+            help="simulated LBA write-to-invalidate lifetime",
+            bounds=LIFETIME_BUCKETS_US,
+        )
         self.by_cause: dict[str, Histogram] = {
             c: Histogram(
                 "lba_lifetime_us",
                 help="simulated LBA write-to-invalidate lifetime",
                 bounds=LIFETIME_BUCKETS_US,
-                labels={"cause": c},
             )
             for c in WRITE_CAUSES
         }
@@ -357,8 +361,7 @@ class LifetimeTracker:
         birth_us, cause = birth
         lifetime = self.clock.now_us - birth_us  # type: ignore[attr-defined]
         self.by_cause[cause].observe(lifetime)
-        if self.aggregate is not None:
-            self.aggregate.observe(lifetime)  # type: ignore[attr-defined]
+        self.aggregate.observe(lifetime)
 
     def on_write(self, manager: object, lba: int, cause: str) -> None:
         """Host out-of-place write: the old version dies, a new one is born."""
@@ -404,14 +407,14 @@ NULL_LIFETIMES = _NullLifetimeTracker()
 
 
 def erase_count_histogram(
-    blocks: object, bounds: tuple[float, ...] = ERASE_COUNT_BUCKETS
+    erase_counts: Iterable[int], bounds: tuple[float, ...] = ERASE_COUNT_BUCKETS
 ) -> Histogram:
-    """On-demand wear histogram over a chip/device's erase blocks."""
+    """Wear histogram over per-block erase counts."""
     hist = Histogram(
         "block_erase_count",
         help="per-block erase count at collection time",
         bounds=bounds,
     )
-    for block in blocks:  # type: ignore[attr-defined]
-        hist.observe(block.erase_count)
+    for count in erase_counts:
+        hist.observe(count)
     return hist

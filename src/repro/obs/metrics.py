@@ -1,28 +1,23 @@
-"""Metrics registry: callback-read counters/gauges and fixed-bucket histograms.
-
-Every metric has a name, a type and a help string, so exporters
-(Prometheus text, CSV) and reports can enumerate them without guessing.
+"""Metrics registry: named fixed-bucket histograms.
 
 The registry owns no counter.  A counter is a plain number on the object
 where the event happens (``DeviceStats.merges``,
 ``AdmissionController.waits``, ...), incremented in place and counted on
-every run; :meth:`MetricsRegistry.register_callback` exposes it to the
-exporters without touching its write site.  Only histograms keep their
-values here.
+every run; a run artefact (:meth:`repro.obs.Observation.artefact`)
+copies what it needs.  Only histograms keep their values here, and each
+name the registry hands out is declared in :mod:`repro.obs.registry`.
 
 A disabled registry (:data:`NULL_REGISTRY`) registers nothing and hands
-out the shared :data:`NULL_METRIC`, whose ``observe`` is a no-op, so an
-un-observed run pays one call per histogram sample.
+out the shared :data:`NULL_METRIC`, whose ``observe`` is a no-op.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 __all__ = [
     "Histogram",
-    "CallbackMetric",
     "MetricsRegistry",
     "NULL_METRIC",
     "NULL_REGISTRY",
@@ -38,26 +33,20 @@ DEFAULT_LATENCY_BUCKETS_US: tuple[float, ...] = (
 
 
 class Histogram:
-    """Fixed-bucket histogram (cumulative-bucket export, Prometheus style).
+    """Fixed-bucket histogram.
 
     ``bounds`` are the inclusive upper edges of the finite buckets; an
-    implicit +Inf bucket catches the rest.  ``labels`` (optional) become
-    Prometheus labels on every exported series, so several histograms of
-    the same family (e.g. per-cause lifetimes) share one metric name.
+    implicit +Inf bucket catches the rest.
     """
 
-    __slots__ = (
-        "name", "help", "bounds", "bucket_counts", "sum", "count", "labels",
-        "nan_count",
-    )
-    kind = "histogram"
+    __slots__ = ("name", "help", "bounds", "bucket_counts", "sum", "count",
+                 "nan_count")
 
     def __init__(
         self,
         name: str,
         help: str,
         bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS_US,
-        labels: dict[str, str] | None = None,
     ) -> None:
         if list(bounds) != sorted(bounds):
             raise ValueError("histogram bounds must be sorted ascending")
@@ -71,13 +60,12 @@ class Histogram:
         #: bound, so bisect would file it in an arbitrary bucket and the
         #: running ``sum`` would poison mean/quantile forever).
         self.nan_count = 0
-        self.labels = dict(labels) if labels else None
 
     def observe(self, value: float) -> None:
         if value != value:  # NaN: reject, but keep it countable
             self.nan_count += 1
             return
-        # bisect_left keeps the upper edges inclusive (Prometheus ``le``).
+        # bisect_left keeps the upper edges inclusive.
         self.bucket_counts[bisect_left(self.bounds, value)] += 1
         self.sum += value
         self.count += 1
@@ -107,56 +95,35 @@ class Histogram:
                 return self.bounds[i] if i < len(self.bounds) else float("inf")
         return float("inf")
 
-    @property
-    def value(self) -> float:
-        """Scalar summary (the count) so generic collectors can tabulate."""
-        return self.count
+    def to_dict(self) -> dict:
+        """The histogram as plain data (what a run artefact stores)."""
+        return {
+            "bounds": list(self.bounds),
+            "bucket_counts": list(self.bucket_counts),
+            "sum": self.sum,
+            "count": self.count,
+        }
 
-
-class CallbackMetric:
-    """Read-only metric whose value is computed on collection.
-
-    The one way a counter or gauge reaches the exporters: the number
-    lives on its owner (``DeviceStats``, ``FlashStats``, clock breakdown,
-    admission / replication counters), the callback reads it.
-    """
-
-    __slots__ = ("name", "help", "kind", "labels", "_fn")
-
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        fn: Callable[[], float],
-        kind: str = "gauge",
-        labels: dict[str, str] | None = None,
-    ) -> None:
-        if kind not in ("counter", "gauge"):
-            raise ValueError(f"callback metric kind must be counter/gauge, got {kind}")
-        self.name = name
-        self.help = help
-        self.kind = kind
-        self.labels = dict(labels) if labels else None
-        self._fn = fn
-
-    @property
-    def value(self) -> float:
-        return self._fn()
+    @classmethod
+    def from_dict(cls, data: dict) -> "Histogram":
+        """Rebuild a histogram from :meth:`to_dict` output."""
+        hist = cls("", "", bounds=data["bounds"])
+        hist.bucket_counts = list(data["bucket_counts"])
+        hist.sum = data["sum"]
+        hist.count = data["count"]
+        return hist
 
 
 class _NullMetric:
     """Shared no-op histogram handed out by disabled registries."""
 
     __slots__ = ()
-    kind = "null"
     name = "null"
     help = ""
-    value = 0
     count = 0
     sum = 0.0
     nan_count = 0
     bounds: tuple = ()
-    labels = None
 
     def observe(self, value: float) -> None:
         pass
@@ -165,16 +132,8 @@ class _NullMetric:
 NULL_METRIC = _NullMetric()
 
 
-def _registry_key(name: str, labels: dict[str, str] | None) -> str:
-    """Registry uniqueness key: the name plus any rendered labels."""
-    if not labels:
-        return name
-    inner = ",".join(f'{k}="{v}"' for k, v in sorted(labels.items()))
-    return f"{name}{{{inner}}}"
-
-
 class MetricsRegistry:
-    """Get-or-create factory and catalogue for a family of metrics.
+    """Get-or-create factory for named histograms.
 
     Args:
         enabled: When False :meth:`histogram` returns :data:`NULL_METRIC`
@@ -183,11 +142,7 @@ class MetricsRegistry:
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self._metrics: dict[str, object] = {}
-
-    # ------------------------------------------------------------------ #
-    # Registration (type and name clashes are programming errors)
-    # ------------------------------------------------------------------ #
+        self._metrics: dict[str, Histogram] = {}
 
     def histogram(
         self,
@@ -195,75 +150,13 @@ class MetricsRegistry:
         help: str = "",
         bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS_US,
     ) -> Histogram:
-        """Get-or-create the label-free histogram ``name``."""
+        """Get-or-create the histogram ``name``."""
         if not self.enabled:
             return NULL_METRIC  # type: ignore[return-value]
         metric = self._metrics.get(name)
         if metric is None:
             metric = self._metrics[name] = Histogram(name, help, bounds=bounds)
-        elif not isinstance(metric, Histogram):
-            raise TypeError(
-                f"metric {name!r} already registered as {metric.kind}, "
-                "requested histogram"
-            )
         return metric
-
-    def register_callback(
-        self,
-        name: str,
-        fn: Callable[[], float],
-        help: str = "",
-        kind: str = "gauge",
-        labels: dict[str, str] | None = None,
-    ) -> CallbackMetric:
-        """Expose an externally-stored value (dataclass counter, ...).
-
-        ``labels`` lets several callbacks share one metric family
-        (``channel_busy_us{channel="2"}``); uniqueness is enforced on
-        the (name, labels) pair.
-        """
-        if not self.enabled:
-            return NULL_METRIC  # type: ignore[return-value]
-        key = _registry_key(name, labels)
-        if key in self._metrics:
-            raise ValueError(f"metric {key!r} already registered")
-        metric = CallbackMetric(name, help, fn, kind=kind, labels=labels)
-        self._metrics[key] = metric
-        return metric
-
-    def register_metric(self, metric) -> object:
-        """Adopt an externally-constructed metric (e.g. a labeled
-        :class:`Histogram`) so exporters enumerate it."""
-        if not self.enabled:
-            return metric
-        key = _registry_key(metric.name, metric.labels)
-        if key in self._metrics:
-            raise ValueError(f"metric {key!r} already registered")
-        self._metrics[key] = metric
-        return metric
-
-    # ------------------------------------------------------------------ #
-    # Collection
-    # ------------------------------------------------------------------ #
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    def get(self, name: str):
-        """The registered metric object, or None."""
-        return self._metrics.get(name)
-
-    def collect(self) -> Iterator[object]:
-        """All registered metrics, in registration order."""
-        return iter(list(self._metrics.values()))
-
-    def as_dict(self) -> dict[str, float]:
-        """Scalar snapshot: key -> current value (histograms: count).
-
-        Keys are registry keys — the metric name, plus rendered labels
-        for labeled metrics, so families do not collapse to one entry.
-        """
-        return {key: m.value for key, m in self._metrics.items()}
 
 
 #: Shared disabled registry: the default for un-observed stacks.

@@ -1,7 +1,9 @@
 """The ``python -m repro obs`` post-run observability report.
 
-Renders an observed run (:mod:`repro.bench.observe` runs the experiment)
-— what the rest of the harness only summarizes:
+Renders a run artefact (:meth:`repro.obs.Observation.artefact`: plain
+data, live from a run of :mod:`repro.bench.observe` or loaded from its
+``run.json`` by :func:`load_artefact`) — what the rest of the harness
+only summarizes:
 
 * span counts per name — did every instrumented layer fire;
 * GC-stall attribution — which *transactions* paid for inline erases,
@@ -15,16 +17,43 @@ Renders an observed run (:mod:`repro.bench.observe` runs the experiment)
 
 from __future__ import annotations
 
+import json
+
+from repro.obs import ARTEFACT_VERSION
 from repro.obs.export import render_table
-from repro.obs.trace import attribute_gc_erases
+from repro.obs.ledger import erase_count_histogram
+from repro.obs.metrics import Histogram
+from repro.obs.trace import attribute_gc_erases, gc_attribution_rate
+
+__all__ = ["load_artefact", "write_artefact", "render_report"]
 
 
-def span_count_table(spans) -> str:
+def write_artefact(path: str, artefact: dict) -> None:
+    """Save a run artefact as JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(artefact, fh)
+
+
+def load_artefact(path: str) -> dict:
+    """Read a run artefact back; refuse a schema version it cannot read."""
+    with open(path, encoding="utf-8") as fh:
+        artefact = json.load(fh)
+    version = artefact.get("version")
+    if version != ARTEFACT_VERSION:
+        raise ValueError(
+            f"{path}: run artefact version {version!r}, this reader "
+            f"reads version {ARTEFACT_VERSION}"
+        )
+    return artefact
+
+
+def span_count_table(spans: list[dict]) -> str:
     counts: dict[str, int] = {}
     total_us: dict[str, float] = {}
     for span in spans:
-        counts[span.name] = counts.get(span.name, 0) + 1
-        total_us[span.name] = total_us.get(span.name, 0.0) + span.duration_us
+        name = span["name"]
+        counts[name] = counts.get(name, 0) + 1
+        total_us[name] = total_us.get(name, 0.0) + span["dur_us"]
     rows = [
         [name, str(counts[name]), f"{total_us[name]:,.0f}"]
         for name in sorted(counts, key=lambda n: -total_us[n])
@@ -34,7 +63,7 @@ def span_count_table(spans) -> str:
     )
 
 
-def gc_stall_table(spans, top: int = 10) -> str:
+def gc_stall_table(spans: list[dict], top: int = 10) -> str:
     attributed = attribute_gc_erases(spans)
     if not attributed:
         return "No gc_erase spans: the run never triggered garbage collection.\n"
@@ -66,7 +95,7 @@ def gc_stall_table(spans, top: int = 10) -> str:
     return table
 
 
-def latency_table(histogram) -> str:
+def latency_table(histogram: Histogram) -> str:
     rows = []
     cumulative = 0
     for bound, count in zip(histogram.bounds, histogram.bucket_counts):
@@ -86,7 +115,7 @@ def latency_table(histogram) -> str:
     return render_table(["Bucket (us)", "Count", "Cumulative"], rows, title=title)
 
 
-def timeseries_table(samples, max_rows: int = 12) -> str:
+def timeseries_table(samples: list[dict], max_rows: int = 12) -> str:
     if not samples:
         return "No samples taken.\n"
     stride = max(len(samples) // max_rows, 1)
@@ -114,17 +143,17 @@ def timeseries_table(samples, max_rows: int = 12) -> str:
     )
 
 
-def wa_waterfall_table(ledger) -> str:
+def wa_waterfall_table(ledger: dict) -> str:
     """Write-amplification waterfall: who programmed what, per cause."""
-    total_bytes = max(ledger.totals()["bytes"], 1)
+    causes = ledger["causes"]
+    total_bytes = max(sum(d["bytes"] for d in causes.values()), 1)
     rows = []
-    for record in ledger.records():
-        d = record.as_dict()
+    for cause, d in causes.items():
         if not any(d.values()):
             continue
         rows.append(
             [
-                record.cause,
+                cause,
                 str(d["programs"]),
                 str(d["reprograms"]),
                 str(d["partial_programs"]),
@@ -135,7 +164,7 @@ def wa_waterfall_table(ledger) -> str:
         )
     if not rows:
         return "No attributed writes (ledger never charged).\n"
-    errors = ledger.conservation_errors()
+    errors = ledger["conservation_errors"]
     status = "conserved" if not errors else "; ".join(errors)
     return render_table(
         ["Cause", "Programs", "Reprograms", "Partials", "Erases",
@@ -145,14 +174,9 @@ def wa_waterfall_table(ledger) -> str:
     )
 
 
-def wear_table(obs) -> str:
+def wear_table(counts: list[int], ledger: dict) -> str:
     """Erase-count distribution plus per-cause erase attribution."""
-    from repro.obs.ledger import erase_count_histogram
-
-    if obs.chip is None:
-        return "No chip attached; wear unknown.\n"
-    counts = [b.erase_count for b in obs.chip.blocks]
-    hist = erase_count_histogram(obs.chip.blocks)
+    hist = erase_count_histogram(counts)
     rows = []
     cumulative = 0
     for bound, count in zip(hist.bounds, hist.bucket_counts):
@@ -163,7 +187,9 @@ def wear_table(obs) -> str:
          str(hist.count)]
     )
     by_cause = ", ".join(
-        f"{r.cause}={r.erases}" for r in obs.ledger.records() if r.erases
+        f"{cause}={d['erases']}"
+        for cause, d in ledger["causes"].items()
+        if d["erases"]
     )
     title = (
         f"Block wear — {len(counts)} blocks, erase count "
@@ -175,10 +201,14 @@ def wear_table(obs) -> str:
                         title=title)
 
 
-def death_time_table(lifetimes, aggregate) -> str:
+def death_time_table(lifetimes: dict, aggregate: Histogram) -> str:
     """Per-cause LBA lifetime (birth on host write, death on rewrite/trim)."""
+    by_cause = {
+        cause: Histogram.from_dict(data)
+        for cause, data in lifetimes["by_cause"].items()
+    }
     rows = []
-    for cause, hist in lifetimes.by_cause.items():
+    for cause, hist in by_cause.items():
         if not hist.count:
             continue
         rows.append(
@@ -193,8 +223,9 @@ def death_time_table(lifetimes, aggregate) -> str:
     if not rows:
         return "No page deaths observed (no LBA was rewritten or trimmed).\n"
     title = (
-        f"LBA death times (simulated us) — {lifetimes.deaths} deaths, "
-        f"{lifetimes.live_pages} pages still live, "
+        f"LBA death times (simulated us) — "
+        f"{sum(h.count for h in by_cause.values())} deaths, "
+        f"{lifetimes['live_pages']} pages still live, "
         f"aggregate p50~{aggregate.quantile(0.5):,.0f}"
     )
     return render_table(
@@ -203,30 +234,37 @@ def death_time_table(lifetimes, aggregate) -> str:
     )
 
 
-def render_report(result) -> str:
-    obs = result.observation
-    spans = obs.spans()
-    parts = [
-        f"Observed run: {result.config_label} / {result.workload} — "
-        f"{result.transactions} txns, {result.tps:,.0f} TPS, "
-        f"attribution rate {obs.gc_attribution_rate():.0%}\n",
+def render_report(artefact: dict) -> str:
+    result = artefact["result"]
+    spans = artefact["spans"]
+    histograms = artefact["histograms"]
+    header = (
+        f"Observed run: {result['config_label']} / {result['workload']} — "
+        f"{result['transactions']} txns, {result['tps']:,.0f} TPS, "
+        f"attribution rate {gc_attribution_rate(spans):.0%}\n"
+    )
+    dropped = artefact["spans_dropped"]
+    if dropped:
+        header += (
+            f"WARNING: the span ring buffer dropped the {dropped:,} oldest "
+            "spans; span counts and GC attribution cover only the rest\n"
+        )
+    return "\n".join([
+        header,
         span_count_table(spans),
         "",
         gc_stall_table(spans),
         "",
-        latency_table(obs.txn_latency),
+        latency_table(Histogram.from_dict(histograms["txn_latency_us"])),
         "",
-        timeseries_table(obs.samples),
-    ]
-    if obs.ledger.enabled:
-        aggregate = obs.registry.get("lba_lifetime_us")
-        parts += [
-            "",
-            wa_waterfall_table(obs.ledger),
-            "",
-            wear_table(obs),
-            "",
-            death_time_table(obs.lifetimes, aggregate),
-        ]
-    return "\n".join(parts)
-
+        timeseries_table(artefact["samples"]),
+        "",
+        wa_waterfall_table(artefact["ledger"]),
+        "",
+        wear_table(artefact["erase_counts"], artefact["ledger"]),
+        "",
+        death_time_table(
+            artefact["lifetimes"],
+            Histogram.from_dict(histograms["lba_lifetime_us"]),
+        ),
+    ])

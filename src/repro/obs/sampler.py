@@ -52,16 +52,6 @@ class TimeSeriesSampler:
         """Register one more collector (before or between samples)."""
         self._collectors[name] = fn
 
-    @property
-    def columns(self) -> list[str]:
-        """Column order of each sample row."""
-        cols = ["t_s"]
-        for name in self._collectors:
-            cols.append(name)
-            if self._rates is None or name in self._rates:
-                cols.append(f"{name}_per_s")
-        return cols
-
     def maybe_sample(self) -> bool:
         """Take a sample iff the interval has elapsed; returns True if so.
 

@@ -11,8 +11,9 @@ single-threaded), so a GC erase triggered deep inside a device write is
 that paid for it — which is what turns the tail-latency experiment's
 "~5x p99" from an observation into an explanation.
 
-Finished spans land in a bounded in-memory ring buffer and, optionally,
-an append-only JSONL sink.  The disabled path is a shared
+Finished spans land in a bounded in-memory ring buffer that drops its
+oldest spans when full and counts them in :attr:`Tracer.dropped`; a run
+artefact carries that count as ``spans_dropped``.  The disabled path is a shared
 :data:`NULL_TRACER` whose ``enabled`` flag lets hot call sites skip all
 argument construction with a single attribute test::
 
@@ -33,7 +34,7 @@ Span taxonomy (see ``docs/observability.md`` for the full table):
 ``write_delta`` one write_delta command (leaf)
 ``gc_collect`` one GC activation (pool refill)
 ``gc_erase``   one victim reclaim: migrations + inline erase
-``chip_program`` / ``chip_reprogram`` / ``chip_erase``  physical ops (leaf)
+``chip_erase``  one physical block erase (leaf)
 ``channel_wait`` host stall on a full channel queue / busy die (leaf)
 ``bus_xfer`` / ``channel_op`` / ``channel_read``  multi-channel device
                events, recorded only with ``trace_channel_ops`` (leaf)
@@ -42,12 +43,13 @@ Span taxonomy (see ``docs/observability.md`` for the full table):
 
 from __future__ import annotations
 
-import json
-import os
 from collections import deque
-from typing import IO, Iterable, Optional
+from typing import Iterable, Optional
 
-__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "JsonlSink"]
+__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "TRACE_CAPACITY"]
+
+#: Ring-buffer size for finished spans.
+TRACE_CAPACITY = 200_000
 
 
 class Span:
@@ -102,25 +104,6 @@ class Span:
         )
 
 
-class JsonlSink:
-    """Append-only JSON-lines sink for finished spans."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        self._fh: IO[str] = open(path, "w", encoding="utf-8")
-
-    def write(self, span: Span) -> None:
-        self._fh.write(json.dumps(span.to_dict()) + "\n")
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            self._fh.close()
-
-
 class Tracer:
     """Span factory + ring buffer + ambient transaction context.
 
@@ -129,21 +112,18 @@ class Tracer:
             :class:`~repro.flash.latency.SimClock`).  May be bound later
             via :meth:`bind_clock` — spans started without a clock are
             stamped 0.
-        capacity: Ring-buffer size for finished spans (oldest dropped).
-            A JSONL sink receives *every* span regardless.
-        sink: Optional :class:`JsonlSink` (or any ``write(span)`` object).
+        capacity: Ring-buffer size for finished spans; the oldest are
+            dropped and counted in :attr:`dropped`.
     """
 
     enabled = True
-    #: Leaf spans for physical programs / reprograms, and per-channel
-    #: scheduler events on a multi-channel device; ``Observation.create``
-    #: sets them per instance from :class:`~repro.obs.ObserveConfig`.
-    trace_chip_ops = False
+    #: Per-channel scheduler events on a multi-channel device;
+    #: ``Observation.create`` sets it per instance from
+    #: :class:`~repro.obs.ObserveConfig`.
     trace_channel_ops = False
 
-    def __init__(self, clock=None, capacity: int = 200_000, sink=None) -> None:
+    def __init__(self, clock=None, capacity: int = TRACE_CAPACITY) -> None:
         self.clock = clock
-        self.sink = sink
         self.spans: deque[Span] = deque(maxlen=capacity)
         self.dropped = 0
         self._stack: list[Span] = []
@@ -218,8 +198,6 @@ class Tracer:
         if len(self.spans) == self.spans.maxlen:
             self.dropped += 1
         self.spans.append(span)
-        if self.sink is not None:
-            self.sink.write(span)
 
     # ------------------------------------------------------------------ #
     # Ambient transaction context
@@ -242,7 +220,7 @@ class Tracer:
         return self._txn
 
     # ------------------------------------------------------------------ #
-    # Access / export
+    # Access
     # ------------------------------------------------------------------ #
 
     def finished(self) -> list[Span]:
@@ -251,18 +229,6 @@ class Tracer:
 
     def by_name(self, name: str) -> list[Span]:
         return [s for s in self.spans if s.name == name]
-
-    def export_jsonl(self, path: str) -> int:
-        """Dump the ring buffer as JSONL; returns the span count."""
-        spans = self.finished()
-        with open(path, "w", encoding="utf-8") as fh:
-            for span in spans:
-                fh.write(json.dumps(span.to_dict()) + "\n")
-        return len(spans)
-
-    def close(self) -> None:
-        if self.sink is not None:
-            self.sink.close()
 
 
 class _SpanCtx:
@@ -323,7 +289,6 @@ class NullTracer:
     """
 
     enabled = False
-    trace_chip_ops = False
     trace_channel_ops = False
     clock = None
     dropped = 0
@@ -362,12 +327,6 @@ class NullTracer:
     def by_name(self, name: str) -> list:
         return []
 
-    def export_jsonl(self, path: str) -> int:
-        return 0
-
-    def close(self) -> None:
-        pass
-
 
 NULL_TRACER = NullTracer()
 
@@ -381,17 +340,6 @@ def spans_to_dicts(spans: Iterable) -> list[dict]:
     out = []
     for span in spans:
         out.append(span if isinstance(span, dict) else span.to_dict())
-    return out
-
-
-def load_jsonl(path: str) -> list[dict]:
-    """Parse a JSONL trace file back into span dicts."""
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
     return out
 
 

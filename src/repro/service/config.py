@@ -59,10 +59,12 @@ class ServiceConfig:
         repl_latency_us: One-way primary→standby transport latency
             (simulated µs); the per-group ack delay is twice this plus
             the standby's apply time.
-        observe: Attach the per-shard obs bundle and metrics registry
-            (latency histograms, callbacks exporting the counters).  Off =
-            NULL registry, near-zero overhead; the counters themselves,
-            and so every ``ShardReport``, are the same either way.
+        observe: Attach a :class:`~repro.obs.Observation` to each
+            shard (``Shard.observation``: span tracer, write ledger,
+            sampler).  Off = the null observers, near-zero overhead; the
+            counters live on their owners (``Shard``,
+            ``AdmissionController``, ``ReplicationLink``), so every
+            ``ShardReport`` is the same either way.
         seed: Master seed; shard-build and per-session RNG seeds are all
             derived from it via ``derive_seeds``.
     """

@@ -22,15 +22,15 @@ device sees the identical eviction/veto schedule — after a crash-free
 run the standby's media digest equals the primary's (gated by
 ``tests/service/test_replication.py``).
 
-Lag accounting (the link's plain counters, exported through the
-primary's registry under lint rule R3 keys):
+Lag accounting (plain counters on :class:`ReplicationLink`,
+``ShardReplica.link``):
 
-* ``service_repl_groups_shipped`` / ``service_repl_groups_acked`` —
-  groups sent / acknowledged (equal after every synchronous ship);
-* ``service_repl_lag_groups`` — gauge of shipped-but-unacked groups
-  (the replication window; non-zero only mid-ship);
-* ``service_repl_lag_us`` — cumulative simulated µs between a group's
-  primary commit and its standby ack (transport + standby apply).
+* ``groups_shipped`` / ``groups_acked`` — groups sent / acknowledged
+  (equal after every synchronous ship);
+* ``outstanding`` — shipped-but-unacked groups (the replication window;
+  non-zero only mid-ship);
+* ``lag_us_total`` — cumulative simulated µs between a group's primary
+  commit and its standby ack (transport + standby apply).
 
 See ``docs/replication.md`` for the protocol, the promotion procedure
 and the digest-identity contract; the crash-time guarantee is enforced
@@ -47,7 +47,6 @@ from repro.service.router import shard_of
 if TYPE_CHECKING:
     import numpy as np
 
-    from repro.obs.metrics import MetricsRegistry
     from repro.service.config import ServiceConfig
     from repro.service.shard import Shard
 
@@ -70,7 +69,7 @@ class ReplicationLink:
             delay of a ship is ``2 * latency_us + apply duration``.
 
     ``groups_shipped`` / ``groups_acked`` / ``lag_us_total`` count on
-    every run; :class:`ShardReplica` exports them.
+    every run.
     """
 
     def __init__(
@@ -119,12 +118,11 @@ class ShardReplica:
 
     Args:
         config: The live service config (``observe`` is forced off for
-            the standby stack; its metrics live on the primary).
+            the standby stack; the replication counters live on
+            :attr:`link`).
         index: Shard index (must match the primary's).
         build_seed: The primary's derived build seed.
         session_seeds: Derived per-tenant seeds, indexed by tenant id.
-        registry: The *primary's* metrics registry; the
-            ``service_repl_*`` family is registered here.
     """
 
     def __init__(
@@ -133,7 +131,6 @@ class ShardReplica:
         index: int,
         build_seed: int,
         session_seeds: Sequence[int],
-        registry: "MetricsRegistry",
     ) -> None:
         import numpy as np
 
@@ -148,32 +145,8 @@ class ShardReplica:
             for tenant in range(config.sessions)
             if shard_of(tenant, config.shards) == index
         }
-        link = self.link = ReplicationLink(
+        self.link = ReplicationLink(
             self._apply, latency_us=config.repl_latency_us
-        )
-        registry.register_callback(
-            "service_repl_groups_shipped",
-            lambda: link.groups_shipped,
-            help="WAL frame groups shipped to the standby",
-            kind="counter",
-        )
-        registry.register_callback(
-            "service_repl_groups_acked",
-            lambda: link.groups_acked,
-            help="WAL frame groups acknowledged by the standby",
-            kind="counter",
-        )
-        registry.register_callback(
-            "service_repl_lag_us",
-            lambda: link.lag_us_total,
-            help="cumulative primary-commit-to-standby-ack lag",
-            kind="counter",
-        )
-        registry.register_callback(
-            "service_repl_lag_groups",
-            lambda: link.outstanding,
-            help="groups shipped but not yet acknowledged",
-            kind="gauge",
         )
 
     def _apply(self, group: Sequence[int]) -> float:

@@ -131,7 +131,6 @@ class ShardedService:
                         shard.index,
                         shard_seeds[shard.index],
                         session_seeds,
-                        shard.metrics,
                     )
                 )
         self.sessions = [
@@ -218,10 +217,7 @@ class ShardedService:
             shard.busy_until_us = end_us
             last_completion_us = max(last_completion_us, end_us)
             for request in batch:
-                latency_us = end_us - request.issue_us
-                shard.txn_latency.observe(latency_us)
-                shard.latencies_us.append(latency_us)
-                shard.queue_wait.observe(t_us - request.enqueue_us)
+                shard.latencies_us.append(end_us - request.issue_us)
                 session = request.session
                 session.completed += 1
                 session.remaining -= 1

@@ -2,8 +2,8 @@
 
 A shard owns everything below the front end: its own simulated clock,
 flash device (optionally multi-channel with the PR 4 scheduler), storage
-manager, WAL on a dedicated log chip, database, workload schema, metrics
-registry and admission controller.  Shards share *nothing* — that is the
+manager, WAL on a dedicated log chip, database, workload schema and
+admission controller.  Shards share *nothing* — that is the
 whole point of hash-sharding, and it is also what makes the per-shard
 media digest a meaningful determinism contract.
 """
@@ -14,11 +14,6 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
 from repro.flash import media_digest
 from repro.obs import Observation
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS_US,
-    NULL_REGISTRY,
-    MetricsRegistry,
-)
 from repro.service.admission import AdmissionController
 from repro.service.config import ServiceConfig
 from repro.stack import StackSpec
@@ -65,52 +60,8 @@ class Shard:
         self.observation: Optional[Observation] = None
         if config.observe:
             self.observation = Observation.create(self.manager, db=self.db)
-            self.metrics: MetricsRegistry = self.observation.registry
-        else:
-            self.metrics = NULL_REGISTRY
-        self.txn_latency = self.metrics.histogram(
-            "service_txn_latency_us",
-            help="client-view latency: first attempt to completion",
-            bounds=DEFAULT_LATENCY_BUCKETS_US,
-        )
-        self.queue_wait = self.metrics.histogram(
-            "service_queue_wait_us",
-            help="time a request spent queued before its batch started",
-            bounds=DEFAULT_LATENCY_BUCKETS_US,
-        )
-        admission = self.admission = AdmissionController(
+        self.admission = AdmissionController(
             depth=config.queue_depth, policy=config.admission_policy
-        )
-        metrics = self.metrics
-        metrics.register_callback(
-            "service_txns_completed",
-            lambda: self.txns_completed,
-            help="transactions completed by this shard",
-            kind="counter",
-        )
-        metrics.register_callback(
-            "service_group_commits",
-            lambda: self.group_commits,
-            help="WAL commit groups flushed",
-            kind="counter",
-        )
-        metrics.register_callback(
-            "service_admission_sheds",
-            lambda: admission.sheds,
-            help="requests rejected at admission",
-            kind="counter",
-        )
-        metrics.register_callback(
-            "service_admission_waits",
-            lambda: admission.waits,
-            help="distinct parks at admission (not retry attempts)",
-            kind="counter",
-        )
-        metrics.register_callback(
-            "service_admission_wait_us",
-            lambda: admission.wait_us,
-            help="total time parked requests waited for a queue slot",
-            kind="counter",
         )
         #: Dispatch log: tenant ids per executed batch, in order.  This
         #: is the replication seam — feeding these groups (plus the

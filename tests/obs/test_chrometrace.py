@@ -11,7 +11,7 @@ from repro.obs.trace import Span, Tracer
 def _span(name, start_us=0.0, dur_us=10.0, txn=None, **attrs):
     span = Span(name, 1, None, txn, start_us, attrs)
     span.end_us = start_us + dur_us
-    return span
+    return span.to_dict()
 
 
 def _complete_events(events):
@@ -90,7 +90,9 @@ class TestFileFormat:
             tracer.record("chip_erase", dur_us=2_000.0)
         tracer.record_at("channel_op", 500.0, 100.0, channel=1)
         path = tmp_path / "trace.json"
-        count = write_chrome_trace(str(path), tracer.spans)
+        count = write_chrome_trace(
+            str(path), [span.to_dict() for span in tracer.finished()]
+        )
         trace = json.loads(path.read_text())
         assert set(trace) == {"traceEvents"}
         assert len(trace["traceEvents"]) == count

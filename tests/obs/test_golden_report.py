@@ -3,11 +3,13 @@
 The report text of three runs (``--fast`` on the traditional and the
 ipa-native architecture, and the default 2 000 transactions) lives in
 ``tests/obs/golden/``; the timeline is pinned by its sha256.  A change to
-how an observed run is stored or rendered must leave all four unchanged.
+how an observed run is stored or rendered must leave all four unchanged,
+and a run artefact must render the same after a trip through JSON.
 """
 
 import hashlib
 import io
+import json
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -15,6 +17,10 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import main
+from repro.bench.harness import run_experiment
+from repro.bench.observe import build_config
+from repro.obs import ObserveConfig
+from repro.obs.report import load_artefact, render_report
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -55,3 +61,21 @@ def test_timeline_matches_golden(monkeypatch, tmp_path):
     )
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == TIMELINE_SHA256
+
+
+def test_saved_artefact_renders_the_golden(monkeypatch, tmp_path):
+    code, out = run_obs(monkeypatch, "--fast", "--out", str(tmp_path))
+    assert code == 0
+    golden = (GOLDEN / "report_fast.txt").read_text(encoding="utf-8")
+    path = tmp_path / "run.json"
+    assert out == golden + f"\nrun artefact written to {path}\n"
+    assert render_report(load_artefact(str(path))) + "\n" == golden
+
+
+@pytest.mark.parametrize("arch", ["traditional", "ipa-native"])
+def test_render_survives_a_json_round_trip(arch):
+    config = build_config(arch, 2000)
+    result = run_experiment(config, ObserveConfig(sample_interval_s=0.01))
+    artefact = result.artefact({"arch": arch, "seed": config.seed})
+    loaded = json.loads(json.dumps(artefact))
+    assert render_report(loaded) == render_report(artefact)

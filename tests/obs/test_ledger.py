@@ -298,7 +298,7 @@ class TestWearHistogram:
         chip.program_page(0, b"\xf0" * GEO.page_size)
         chip.erase_block(0)
         chip.erase_block(0)
-        hist = erase_count_histogram(chip.blocks)
+        hist = erase_count_histogram(b.erase_count for b in chip.blocks)
         assert hist.count == GEO.blocks
         assert hist.sum == 2
         assert hist.bounds == ERASE_COUNT_BUCKETS
@@ -354,15 +354,14 @@ class TestBackendSpecificAttribution:
         )
         obs = result.observation
         assert obs.ledger.conservation_errors() == []
-        parsed_keys = obs.registry.as_dict()
-        assert 'channel_busy_us{channel="0"}' in parsed_keys
-        assert 'wa_bytes{cause="host_heap"}' in parsed_keys
+        assert obs.ledger.by_cause["host_heap"].bytes > 0
+        assert "max_queue_depth" in obs.samples[-1]
 
     def test_report_renders_waterfall(self, monkeypatch):
         from repro.obs.report import render_report
 
         result = _observed_run(monkeypatch, "traditional", transactions=200)
-        text = render_report(result)
+        text = render_report(result.artefact({}))
         assert "Write-amplification waterfall — conserved" in text
         assert "Block wear" in text
         assert "LBA death times" in text

@@ -1,4 +1,6 @@
-"""Metrics registry semantics: callbacks, histograms, null path."""
+"""Metrics registry semantics: histograms, their plain-data form, null path."""
+
+import json
 
 import pytest
 
@@ -18,12 +20,6 @@ class TestHistogram:
         b = registry.histogram("x")
         a.observe(1)
         assert b is a and b.count == 1
-
-    def test_kind_conflict_rejected(self):
-        registry = MetricsRegistry()
-        registry.register_callback("x", lambda: 0, kind="counter")
-        with pytest.raises(TypeError):
-            registry.histogram("x")
 
     def test_bucketing(self):
         hist = MetricsRegistry().histogram("lat", bounds=(10, 100, 1000))
@@ -81,84 +77,34 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram("lat", "", bounds=(100, 10))
 
+    def test_dict_round_trip(self):
+        hist = MetricsRegistry().histogram("lat", bounds=(10, 100))
+        for value in (5, 50, 500):
+            hist.observe(value)
+        back = Histogram.from_dict(json.loads(json.dumps(hist.to_dict())))
+        assert back.bounds == hist.bounds
+        assert back.bucket_counts == [1, 1, 1]
+        assert (back.sum, back.count) == (555, 3)
+        assert back.quantile(0.5) == hist.quantile(0.5) == 100
+
     def test_default_bounds_sorted(self):
         assert list(DEFAULT_LATENCY_BUCKETS_US) == sorted(
             DEFAULT_LATENCY_BUCKETS_US
         )
 
 
-class TestCallbacks:
-    def test_callback_reflects_source(self):
-        registry = MetricsRegistry()
-        state = {"n": 1}
-        registry.register_callback("live_n", lambda: state["n"])
-        (metric,) = [m for m in registry.collect() if m.name == "live_n"]
-        assert metric.value == 1
-        state["n"] = 7
-        assert metric.value == 7
-
-    def test_duplicate_callback_rejected(self):
-        registry = MetricsRegistry()
-        registry.register_callback("x", lambda: 0)
-        with pytest.raises(ValueError):
-            registry.register_callback("x", lambda: 1)
-
-
-class TestLabels:
-    def test_labeled_callbacks_share_a_family(self):
-        registry = MetricsRegistry()
-        registry.register_callback(
-            "channel_busy_us", lambda: 10.0, labels={"channel": "0"}
-        )
-        registry.register_callback(
-            "channel_busy_us", lambda: 20.0, labels={"channel": "1"}
-        )
-        out = registry.as_dict()
-        assert out['channel_busy_us{channel="0"}'] == 10.0
-        assert out['channel_busy_us{channel="1"}'] == 20.0
-
-    def test_duplicate_label_set_rejected(self):
-        registry = MetricsRegistry()
-        registry.register_callback("x", lambda: 0, labels={"c": "0"})
-        with pytest.raises(ValueError):
-            registry.register_callback("x", lambda: 1, labels={"c": "0"})
-
-    def test_register_metric_adopts_labeled_histogram(self):
-        from repro.obs.metrics import Histogram
-
-        registry = MetricsRegistry()
-        hist = Histogram("life", "", bounds=(10,), labels={"cause": "wal"})
-        assert registry.register_metric(hist) is hist
-        hist.observe(3)
-        assert registry.as_dict()['life{cause="wal"}'] == 1
-        with pytest.raises(ValueError):
-            registry.register_metric(
-                Histogram("life", "", bounds=(10,), labels={"cause": "wal"})
-            )
-
-
 class TestDisabledRegistry:
     def test_factories_return_null_metric(self):
         assert NULL_REGISTRY.histogram("c") is NULL_METRIC
-        assert NULL_REGISTRY.register_callback("a", lambda: 1) is NULL_METRIC
 
     def test_null_metric_absorbs_everything(self):
         NULL_METRIC.observe(1.5)
-        assert NULL_METRIC.value == 0
         assert NULL_METRIC.count == 0
+        assert NULL_METRIC.sum == 0.0
 
     def test_disabled_registry_collects_nothing(self):
         NULL_REGISTRY.histogram("a").observe(5)
-        NULL_REGISTRY.register_callback("b", lambda: 5, kind="counter")
-        assert list(NULL_REGISTRY.collect()) == []
-
-    def test_as_dict(self):
-        registry = MetricsRegistry()
-        registry.register_callback("a", lambda: 2, kind="counter")
-        registry.histogram("h").observe(7)
-        out = registry.as_dict()
-        assert out["a"] == 2
-        assert out["h"] == 1  # histograms tabulate their count
+        assert NULL_REGISTRY.histogram("a").count == 0
 
 
 class TestHistogramNaN:
@@ -184,10 +130,10 @@ class TestHistogramNaN:
         h = Histogram("lat", "", bounds=(1.0,))
         h.observe(float("nan"))
         h.observe(0.5)
-        # Cumulative buckets + count reflect only real observations.
+        # Buckets + count reflect only real observations.
         assert h.count == 1
         assert h.bucket_counts == [1, 0]
-        assert h.value == 1
+        assert h.to_dict()["count"] == 1
 
     def test_null_metric_has_nan_count(self):
         assert NULL_METRIC.nan_count == 0

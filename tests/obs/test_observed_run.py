@@ -3,7 +3,7 @@
 One GC-pressured TPC-B run (high utilization, thin over-provisioning)
 shared by all assertions: the trace must causally attribute >= 95% of
 inline GC erases to a transaction-bearing host write, the sampler must
-produce a dense time series, and both exporters must round-trip.
+produce a dense time series, and the run artefact must hold the run.
 """
 
 from dataclasses import fields
@@ -16,15 +16,11 @@ from repro.bench.harness import (
     ObservedResult,
     run_experiment,
 )
-from repro.core.config import IPA_DISABLED
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.stats import DeviceStats
 from repro.ftl.noftl import NoFtlDevice
-from repro.obs import Observation, ObserveConfig
-from repro.obs.export import parse_prometheus
-from repro.obs.trace import load_jsonl
-from repro.storage.manager import StorageManager, TraditionalPolicy
+from repro.obs import ObserveConfig
 from repro.workloads.tpcb import TpcbWorkload
 
 
@@ -41,13 +37,11 @@ def gc_pressure_config(transactions=1500):
 
 
 @pytest.fixture(scope="module")
-def observed(tmp_path_factory):
-    trace_path = str(tmp_path_factory.mktemp("trace") / "spans.jsonl")
+def observed():
     result = run_experiment(
-        gc_pressure_config(),
-        observe=ObserveConfig(sample_interval_s=0.01, trace_path=trace_path),
+        gc_pressure_config(), observe=ObserveConfig(sample_interval_s=0.01)
     )
-    return result, trace_path
+    return result, result.artefact({"seed": 42})
 
 
 class TestObservedRun:
@@ -84,27 +78,33 @@ class TestObservedRun:
         assert erase_series == sorted(erase_series)
         assert erase_series[-1] == result.gc_erases
 
-    def test_csv_export(self, observed):
-        result, _ = observed
-        text = result.observation.export_csv()
-        lines = text.strip().splitlines()
-        assert len(lines) - 1 == len(result.observation.samples)
-        assert lines[0].startswith("t_s,")
-        assert "gc_erases" in lines[0].split(",")
+    def test_artefact_holds_the_samples(self, observed):
+        result, artefact = observed
+        samples = artefact["samples"]
+        assert samples == result.observation.samples
+        assert list(samples[0])[0] == "t_s"
+        assert "gc_erases" in samples[0]
 
-    def test_prometheus_export_parses(self, observed):
-        result, _ = observed
-        parsed = parse_prometheus(result.observation.export_prometheus())
-        assert parsed["repro_device_gc_erases"] == result.gc_erases
-        assert parsed["repro_txn_latency_us_count"] == 1500
-        assert parsed["repro_flash_block_erases"] >= result.gc_erases
-        assert parsed["repro_clock_erase_us"] > 0
+    def test_artefact_holds_result_and_histograms(self, observed):
+        result, artefact = observed
+        assert artefact["version"] == 1
+        assert artefact["build"] == {"seed": 42}
+        assert artefact["result"]["gc_erases"] == result.gc_erases
+        assert artefact["histograms"]["txn_latency_us"]["count"] == 1500
+        assert sum(artefact["erase_counts"]) >= result.gc_erases
+        assert artefact["result"]["extra"]["time_breakdown_us"]["erase"] > 0
+        assert artefact["ledger"]["conservation_errors"] == []
+        assert (
+            artefact["ledger"]["causes"]["gc_migration"]["erases"]
+            == result.gc_erases
+        )
 
-    def test_jsonl_sink_written(self, observed):
-        result, trace_path = observed
-        records = load_jsonl(trace_path)
-        assert len(records) >= len(result.observation.spans())
-        names = {r["name"] for r in records}
+    def test_artefact_holds_the_spans(self, observed):
+        result, artefact = observed
+        spans = artefact["spans"]
+        assert len(spans) == len(result.observation.spans())
+        assert artefact["spans_dropped"] == 0
+        names = {span["name"] for span in spans}
         assert "gc_erase" in names and "txn" in names
 
     def test_txn_latency_histogram(self, observed):
@@ -114,11 +114,10 @@ class TestObservedRun:
         assert hist.quantile(0.5) > 0
 
 
-class TestDeviceCounterExport:
-    def test_two_region_noftl_exports_each_counter_once(self):
-        # Per-region registries used to export every device counter once
-        # per region under one unlabeled name — a scrape Prometheus
-        # rejects.  The aggregate exports each counter once, summed.
+class TestDeviceCounters:
+    def test_two_region_noftl_sums_each_counter_once(self):
+        # Each region of a NoFTL device counts its own traffic; the
+        # device's stats are their sum, every counter counted once.
         chip = FlashChip(
             FlashGeometry(
                 page_size=4096, oob_size=128, pages_per_block=16, blocks=32
@@ -127,10 +126,6 @@ class TestDeviceCounterExport:
         device = NoFtlDevice(chip, background_gc=True)
         hot = device.create_region("hot", blocks=16)
         cold = device.create_region("cold", blocks=16)
-        manager = StorageManager(
-            device, IPA_DISABLED, TraditionalPolicy(), buffer_capacity=4
-        )
-        obs = Observation.create(manager)
         page = bytes(chip.geometry.page_size)
         for i in range(6 * device.logical_pages):
             region = hot if i % 2 else cold
@@ -138,15 +133,11 @@ class TestDeviceCounterExport:
         assert hot.stats.background_gc_erases > 0
         assert cold.stats.background_gc_erases > 0
 
-        text = obs.export_prometheus()
-        parsed = parse_prometheus(text)  # raises on a repeated series
-        assert "device_extra" not in text
+        stats = device.stats
         for f in fields(DeviceStats):
-            name = f"repro_device_{f.name}"
-            assert text.count(f"# TYPE {name} ") == 1
-            assert parsed[name] == getattr(hot.stats, f.name) + getattr(
+            assert getattr(stats, f.name) == getattr(hot.stats, f.name) + getattr(
                 cold.stats, f.name
-            )
+            ), f.name
 
 
 class TestUnobservedRun:
@@ -160,5 +151,5 @@ class TestUnobservedRun:
             gc_pressure_config(transactions=50), observe=True
         )
         assert isinstance(result, ObservedResult)
-        assert result.observation.config.trace_path is None
+        assert result.observation.config == ObserveConfig()
         assert len(result.observation.samples) >= 1

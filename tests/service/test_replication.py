@@ -97,19 +97,17 @@ class TestStandbyIdentity:
             )
             assert digest == report.media_digest
 
-    def test_lag_metrics_recorded_on_primary_registry(self):
+    def test_lag_counted_on_the_link(self):
         service = ShardedService(
             tiny_config(replication=True, repl_latency_us=25.0)
         )
         service.run()
         for shard in service.shards:
-            acked = shard.metrics.get("service_repl_groups_acked")
-            lag_us = shard.metrics.get("service_repl_lag_us")
-            lag_groups = shard.metrics.get("service_repl_lag_groups")
-            assert acked.value == len(shard.dispatch_log)
+            link = shard.replica.link
+            assert link.groups_acked == len(shard.dispatch_log)
             # Every ack waited at least the 2x transport latency.
-            assert lag_us.value >= 50.0 * len(shard.dispatch_log)
-            assert lag_groups.value == 0  # caught up at quiesce
+            assert link.lag_us_total >= 50.0 * len(shard.dispatch_log)
+            assert link.outstanding == 0  # caught up at quiesce
 
     def test_sync_ack_slows_the_client_view(self):
         fast = run_service(tiny_config(replication=False))
@@ -163,28 +161,23 @@ class TestReplicationLink:
             link.ship([0])
         assert (link.groups_shipped, link.groups_acked) == (1, 0)
 
-    def test_counters_wired_to_registry(self):
-        # The link counts with no registry at all ...
+    def test_counters_reach_the_shard_report(self):
+        # The link counts on its own ...
         link = ReplicationLink(lambda group: 1.0, latency_us=2.0)
         link.ship([0])
         link.ship([1])
         assert (link.groups_shipped, link.groups_acked) == (2, 2)
         assert link.lag_us_total == pytest.approx(10.0)
         assert link.outstanding == 0
-        # ... and an observed primary's registry reads those same numbers.
+        # ... and each shard's report carries its link's numbers.
         service = ShardedService(tiny_config(replication=True, observe=True))
-        service.run()
-        for shard in service.shards:
+        result = service.run()
+        for shard, report in zip(service.shards, result.shard_reports):
             link = shard.replica.link
-            registry = shard.metrics
-            assert registry.get("service_repl_groups_shipped").value == (
-                link.groups_shipped
-            )
-            assert registry.get("service_repl_groups_acked").value == (
-                link.groups_acked
-            )
-            assert registry.get("service_repl_lag_us").value == link.lag_us_total
-            assert registry.get("service_repl_lag_groups").value == 0
+            assert link.groups_shipped == link.groups_acked
+            assert report.repl_groups_acked == link.groups_acked
+            assert report.repl_lag_us == link.lag_us_total
+            assert link.outstanding == 0
 
 
 class TestMultiChannelDigest:

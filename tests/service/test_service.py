@@ -188,7 +188,7 @@ class TestAdmissionUnderOverload:
         shard = service.shards[0]
         assert result.txns_shed > 0
         assert shard.admission.sheds == result.txns_shed
-        assert shard.metrics.get("service_admission_sheds") is not None
+        assert result.shard_reports[0].txns_shed == result.txns_shed
 
     def test_wait_policy_completes_everything(self):
         # 8 sessions with no think time on one depth-1 queue: the queue
@@ -206,14 +206,12 @@ class TestAdmissionUnderOverload:
 
 
 class TestObsWiring:
-    def test_latency_histograms_match_completions(self):
+    def test_latencies_match_completions(self):
         config = tiny_config()
         service = ShardedService(config)
         service.run()
         for shard in service.shards:
             completed = sum(len(g) for g in shard.dispatch_log)
-            assert shard.txn_latency.count == completed
-            assert shard.queue_wait.count == completed
             assert shard.txns_completed == completed
             assert len(shard.latencies_us) == completed
 
