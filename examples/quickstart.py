@@ -58,7 +58,7 @@ def main() -> None:
         accounts.update_field(42, "balance", 1_000_100)
     db.checkpoint()
 
-    print(f"after one small update:")
+    print("after one small update:")
     print(f"  whole-page writes : {device.stats.host_writes} (unchanged!)")
     print(f"  write_delta calls : {device.stats.host_delta_writes}")
     print(f"  bytes transferred : {device.stats.host_bytes_written % 4096} "

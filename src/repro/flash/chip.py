@@ -12,21 +12,22 @@ environment the paper programs against:
   page, the physical half of the ``write_delta`` command (Demo-Scenario 3:
   only the delta bytes cross the bus).
 
-The chip is one kernel: each operation kind has exactly one body, and
-the per-op calls and :meth:`FlashChip.execute_batch` (the row-dispatch
-loop of :mod:`repro.flash.batch`) both run it.  A body validates, calls
-the observers (sanitizer, fault injector, write ledger, tracer) at fixed
-points, mutates the cells, advances the shared
-:class:`~repro.flash.latency.SimClock`, updates
+The chip is one kernel: each operation kind has exactly one body, which
+the per-op call runs.  A body validates, calls the observers (sanitizer,
+fault injector, write ledger, tracer) at fixed points, mutates the cells,
+advances the shared :class:`~repro.flash.latency.SimClock`, updates
 :class:`~repro.flash.stats.FlashStats` and — for programs, reprograms and
 partial programs — draws the mode's program interference against
-neighbouring wordlines.  The batch loop reaches the bodies through
-private aliases (``_sense``, ``_program``, ``_reprogram``, ``_partial``,
-``_erase``), so a wrapper placed on a public method of an instance sees
-the calls made to that method and nothing the batch does.  Its
-``OP_COPY`` row (sense a page, program its own cell buffers to an erased
-page) is how garbage collection relocates a victim's valid pages: one
-call per victim, no page image materialized in between.
+neighbouring wordlines.  The bodies are also reachable through private
+aliases (``_sense``, ``_program``, ``_reprogram``, ``_partial``,
+``_erase``), which :func:`copy_pages` and the channel scheduler of
+:class:`~repro.flash.device.FlashDevice` call, so a wrapper placed on a
+public method of an instance sees the calls made to that method and
+nothing else.  :func:`copy_pages` (``execute_batch``) moves pages: for
+each ``(src_ppn, dst_ppn)`` pair it senses the source and programs that
+page's own cell buffers to an erased page.  It is how garbage collection
+relocates a victim's valid pages: one call per victim, no page image
+materialized in between.
 
 A chip also answers the *stack protocol* that
 :class:`~repro.flash.device.FlashDevice` answers, so the layers above
@@ -40,11 +41,10 @@ before returning, so nothing is ever in flight.
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from repro.flash.batch import execute
 from repro.flash.block import EraseBlock
 from repro.flash.cellmodel import first_illegal_offset
 from repro.flash.ecc import DEFAULT_ECC, EccConfig
@@ -71,6 +71,42 @@ if TYPE_CHECKING:
 
 _ERASED = PageState.ERASED
 _PROGRAMMED = PageState.PROGRAMMED
+
+
+def copy_pages(
+    kernel: FlashChip | FlashDevice, moves: Iterable[tuple[int, int]]
+) -> None:
+    """Move pages on ``kernel``, one ``(src_ppn, dst_ppn)`` pair at a time.
+
+    A move is by definition ``read_page_with_oob(src_ppn)`` followed by
+    ``program_page(dst_ppn, data, oob)``: the kernel's private bodies
+    ``_sense`` and ``_program`` run, so validation order, error types
+    and messages, latency charges, stats counters, disturb draws and
+    observer calls are those of the two per-op calls, and the image goes
+    from cell buffer to cell buffer.  This function is
+    :meth:`FlashChip.execute_batch` and
+    :meth:`~repro.flash.device.FlashDevice.execute_batch`; the name
+    ``execute_batch`` is kept only because the end-to-end benchmark wraps
+    it by name, and renaming it to ``copy_pages`` waits for the next
+    change to the benchmark.
+
+    Raises:
+        Exactly what the per-op pair would raise, at the same move.  The
+        moves before it (and, for an ECC-uncorrectable source, the failed
+        sense itself) have been charged when the error propagates, and
+        the raised exception carries ``batch_ops_completed`` — the
+        number of completed leading moves.
+    """
+    sense = kernel._sense
+    program = kernel._program
+    index = 0
+    try:
+        for index, (src, dst) in enumerate(moves):
+            page = sense(src)
+            program(dst, page._data, page._oob)
+    except Exception as exc:
+        exc.batch_ops_completed = index  # type: ignore[attr-defined]
+        raise
 
 
 class FlashChip:
@@ -548,15 +584,15 @@ class FlashChip:
         if tr.enabled:
             tr.record("chip_erase", dur_us=erase_us, block=block_idx)
 
-    # The bodies as the batch loop reaches them (see the module docstring).
+    # The bodies as copy_pages and the channel scheduler reach them (see
+    # the module docstring).
     _program = program_page
     _reprogram = reprogram_page
     _partial = partial_program
     _erase = erase_block
 
-    #: ``execute_batch(ops, payload=None) -> list[bytes]``: run an encoded
-    #: op batch through the bodies above — see :func:`repro.flash.batch.execute`.
-    execute_batch = execute
+    #: ``execute_batch(moves)``: :func:`copy_pages` on this chip.
+    execute_batch = copy_pages
 
     # ------------------------------------------------------------------ #
     # Internals

@@ -49,10 +49,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Iterator
 
-import numpy as np
-
-from repro.flash.batch import OpBatch, execute
-from repro.flash.chip import FlashChip
+from repro.flash.chip import FlashChip, copy_pages
 from repro.flash.ecc import DEFAULT_ECC, EccConfig
 from repro.flash.errors import IllegalAddressError
 from repro.flash.geometry import FlashGeometry
@@ -364,23 +361,14 @@ class FlashDevice:
             barrier=True,
         )
 
-    # The bodies as the batch loop reaches them, as on the chip.
+    # The program body as copy_pages reaches it, as on the chip.
     _program = program_page
-    _reprogram = reprogram_page
-    _partial = partial_program
-    _erase = erase_block
 
-    def execute_batch(
-        self, ops: np.ndarray | OpBatch, payload: bytes | None = None
-    ) -> list[bytes]:
-        """Execute a whole op batch; see :func:`repro.flash.batch.execute`.
-
-        The rows run through this device's bodies, so each sense and each
-        pulse — both halves of a copy row included, on their own channels
-        — goes through the channel scheduler exactly as the per-op calls
-        do.
-        """
-        return execute(self, ops, payload)
+    #: ``execute_batch(moves)``: :func:`repro.flash.chip.copy_pages` on
+    #: this device.  Each sense and each pulse of a move goes through the
+    #: channel scheduler on its own channel, exactly as the two per-op
+    #: calls do.
+    execute_batch = copy_pages
 
     # ------------------------------------------------------------------ #
     # Stack protocol (shared with FlashChip)
@@ -612,8 +600,8 @@ class FlashDevice:
         self, chip: FlashChip, local_ppn: int, data: bytes, oob: bytes | None
     ) -> tuple:
         page = chip.page_at(local_ppn)
-        # Copies: a batch row's image is a view of its heap or of a copy
-        # source's cells.  The chip pads short images; tear what it programs.
+        # Copies: a move's image is its source page's cell buffer.  The
+        # chip pads short images; tear what it programs.
         data = bytes(data) + b"\xff" * (page.page_size - len(data))
         return (
             "program", page, page.snapshot_image(), data,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.flash.batch import OpBatch
 from repro.flash.chip import FlashChip
 from repro.flash.errors import BadBlockError, EccUncorrectableError
 from repro.flash.page import PageState
@@ -41,7 +40,8 @@ class BlockManager:
     Args:
         chip: The chip the blocks live on: a :class:`FlashChip` or a
             chip-shaped :class:`~repro.flash.device.FlashDevice`.  Both
-            have ``execute_batch``, which relocation calls unconditionally.
+            have ``execute_batch``, which moves a victim's valid pages as
+            a list of ``(source, destination)`` pairs in one call.
         block_ids: Erase blocks this manager owns (disjoint between
             managers — NoFTL regions partition the chip).
         stats: Device-level counters to account GC work against.
@@ -51,12 +51,6 @@ class BlockManager:
             block's erase count exceeds the least-worn *occupied* block's
             by this gap, GC picks the cold block as victim (moving its
             data levels the wear).  ``None`` disables it (pure greedy).
-        lsb_first: Fill each block's LSB pages before its MSB pages
-            (physically sound: real MLC programs an LSB page before its
-            paired MSB page).  Measured effect on odd-MLC IPA share is
-            neutral under *uniform* access — the latest writes then sit
-            on MSB pages, cancelling the residency gain — so this knob
-            matters only for workloads with placement-aware callers.
         background_gc: Move reclamation off the eviction hot path: every
             foreground allocation performs at most ``gc_migration_budget``
             incremental page migrations (watermark-driven) instead of
@@ -103,7 +97,6 @@ class BlockManager:
         over_provisioning: float = 0.10,
         wear_leveling_gap: int | None = None,
         logical_cap: int | None = None,
-        lsb_first: bool = False,
         background_gc: bool = False,
         gc_migration_budget: int = 8,
     ) -> None:
@@ -134,11 +127,6 @@ class BlockManager:
         #: migrations and erase are attributed to ``wear_leveling``.
         self._wear_victim: int | None = None
         self._usable_offsets = chip.usable_pages_in_block()
-        if lsb_first:
-            self._usable_offsets = sorted(
-                self._usable_offsets,
-                key=lambda p: (not chip.rules.page_is_lsb(p), p),
-            )
         self._free: deque[int] = deque(self.block_ids)
         self._active: int | None = None
         self._cursor = 0
@@ -549,65 +537,63 @@ class BlockManager:
     def _relocate(
         self, victim: int, limit: int | None = None, background: bool = False
     ) -> int:
-        """Move valid pages off ``victim`` as one chip batch; returns how many.
+        """Move valid pages off ``victim`` in one chip call; returns how many.
 
         Shared by the synchronous reclaim (the whole victim) and the
         incremental background collector (``background``: the scan
         resumes at ``_bg_cursor``, stops after ``limit`` copies and leaves
         the cursor where it stopped — *on* a page whose move failed, so
         the victim is never erased with that page still mapped).  Each
-        valid page becomes one ``OP_COPY`` row — read with OOB, program to
-        the next page of the active-block stream — so the copied OOB
-        carries the original mapping record (same LBA, same sequence
-        number): a crash between copy and erase leaves two byte-identical
-        candidates, and either one is a correct remount choice.
+        valid page becomes one ``(source, destination)`` move — read with
+        OOB, program to the next page of the active-block stream — so the
+        copied OOB carries the original mapping record (same LBA, same
+        sequence number): a crash between copy and erase leaves two
+        byte-identical candidates, and either one is a correct remount
+        choice.
 
-        The maps are updated after the batch, in row order.  If the batch
-        fails part-way the rows it completed are booked, the destinations
-        it never programmed go back to the allocation stream, and the
-        error propagates: the manager is where a page-at-a-time loop
-        would have stopped.
+        The maps are updated after the moves, in order.  If the run fails
+        part-way the moves it completed are booked, the destinations it
+        never programmed go back to the allocation stream, and the error
+        propagates: the manager is where a page-at-a-time loop would have
+        stopped.
         """
         offsets = self._usable_offsets
         scan_end = len(offsets)
         room = scan_end if limit is None else limit
         index = self._bg_cursor if background else 0
         base = victim * self._ppb
-        rmap_get = self._rmap.get
+        rmap = self._rmap
         stream = (self._active, self._cursor, tuple(self._free))
-        batch = OpBatch()
-        # (lba, source, destination) of every copy row, in row order.
-        moves: list[tuple[int, int, int]] = []
+        # (source, destination) of every move, in order.
+        moves: list[tuple[int, int]] = []
+        unplaced: int | None = None
         full: DeviceFullError | None = None
         while room and index < scan_end:
             src = base + offsets[index]
-            lba = rmap_get(src)
-            if lba is None:
+            if src not in rmap:
                 index += 1
                 continue
             try:
                 dst = self._allocate_no_gc()
             except DeviceFullError as exc:
                 # A page-at-a-time move senses the page before it asks
-                # for a destination, so that sense still happens; the
-                # pages that did get one move first.  The scan stays on
-                # this page.
-                batch.read(src)
+                # for a destination, so that sense still happens, after
+                # the pages that did get one.  The scan stays on this page.
+                unplaced = src
                 full = exc
                 break
             index += 1
-            batch.copy(src, dst)
-            moves.append((lba, src, dst))
+            moves.append((src, dst))
             room -= 1
         if background:
             self._bg_cursor = index
-        if len(batch):
+        if moves or unplaced is not None:
             lg = self.ledger
             if not lg.enabled:
-                self._run_moves(victim, batch, moves, stream, background)
+                self._run_moves(victim, moves, unplaced, stream, background)
             else:
                 with lg.cause(self._gc_cause(victim)):
-                    self._run_moves(victim, batch, moves, stream, background)
+                    self._run_moves(victim, moves, unplaced, stream, background)
         if full is not None:
             raise full
         return len(moves)
@@ -615,27 +601,36 @@ class BlockManager:
     def _run_moves(
         self,
         victim: int,
-        batch: OpBatch,
-        moves: list[tuple[int, int, int]],
+        moves: list[tuple[int, int]],
+        unplaced: int | None,
         stream: tuple[int | None, int, tuple[int, ...]],
         background: bool,
     ) -> None:
-        """Execute one relocation batch and book what it completed."""
+        """Execute one relocation run, sense ``unplaced`` (the page left
+        without a destination, if any) and book what completed."""
+        chip = self.chip
+        moved = False
         try:
-            self.chip.execute_batch(batch)
+            chip.execute_batch(moves)
+            moved = True
+            if unplaced is not None:
+                chip.read_page(unplaced)
         except Exception as exc:
-            done: int = exc.batch_ops_completed  # type: ignore[attr-defined]
+            done: int = (
+                len(moves) if moved
+                else exc.batch_ops_completed  # type: ignore[attr-defined]
+            )
             self._book_moves(victim, moves[:done], background)
             if background and done < len(moves):
                 # The scan stays on the page whose move failed: it is
                 # still mapped, so the victim may not be erased yet.
                 self._bg_cursor = self._usable_offsets.index(
-                    moves[done][1] - victim * self._ppb
+                    moves[done][0] - victim * self._ppb
                 )
             # Rewind the allocation stream to where it was on entry and
-            # take again what was spent: the completed rows' destinations
-            # and the failing row's — unless it was its sense that
-            # failed, which had not asked for a destination yet.
+            # take again what was spent: the completed moves' destinations
+            # and the failing move's — unless a sense failed (a move's
+            # or the unplaced page's), which had not asked for one yet.
             self._active, self._cursor, free = stream
             self._free = deque(free)
             spent = done if isinstance(exc, EccUncorrectableError) else done + 1
@@ -645,16 +640,17 @@ class BlockManager:
         self._book_moves(victim, moves, background)
 
     def _book_moves(
-        self, victim: int, moves: list[tuple[int, int, int]], background: bool
+        self, victim: int, moves: list[tuple[int, int]], background: bool
     ) -> None:
-        """Apply completed copies to the maps and counters, in row order."""
+        """Apply completed moves to the maps and counters, in order."""
         mapping = self.mapping
         rmap = self._rmap
         valid = self._valid
         appends_done = self.appends_done
         ppb = self._ppb
-        for lba, src, dst in moves:
+        for src, dst in moves:
             appends_done[dst] = appends_done.pop(src, 0)
+            lba = rmap[src]
             del rmap[src]
             mapping[lba] = dst
             rmap[dst] = lba
@@ -667,15 +663,15 @@ class BlockManager:
         if lg.enabled and self._oob_meta_enabled:
             page_at = self.chip.page_at
             meta_off = self._meta_off
-            for _lba, _src, dst in moves:
+            for _src, dst in moves:
                 if has_oob_meta(page_at(dst).raw_oob()[meta_off:]):
                     # The copied page carried its durable mapping record
                     # along.
                     lg.shift_bytes("oob_meta", OOB_META_SIZE)
         sz = self.sanitizer
         if sz.enabled:
-            for lba, _src, dst in moves:
-                sz.check_mapping_pair(self, lba, dst)
+            for _src, dst in moves:
+                sz.check_mapping_pair(self, rmap[dst], dst)
 
     def _erase_victim(
         self, victim: int, span: Span | None, background: bool = False

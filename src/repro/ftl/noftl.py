@@ -18,10 +18,8 @@ and writes the delta's ECC into the page's next free OOB slot (Figure 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.core.config import DELTA_METADATA_SIZE, PAIR_SIZE
-from repro.flash.batch import OpBatch
 from repro.flash.chip import FlashChip
 from repro.flash.ecc import ECC_SLOT_SIZE, OobLayout, crc_slot
 from repro.flash.errors import (
@@ -73,7 +71,6 @@ class Region:
         ipa: IpaRegionConfig | None,
         over_provisioning: float,
         logical_pages: int | None = None,
-        lsb_first: bool = False,
         background_gc: bool = False,
         gc_migration_budget: int = 8,
     ) -> None:
@@ -88,7 +85,6 @@ class Region:
             stats,
             over_provisioning=over_provisioning,
             logical_cap=logical_pages,
-            lsb_first=lsb_first,
             background_gc=background_gc,
             gc_migration_budget=gc_migration_budget,
         )
@@ -341,7 +337,6 @@ class NoFtlDevice:
         ipa: IpaRegionConfig | None = None,
         over_provisioning: float | None = None,
         logical_pages: int | None = None,
-        lsb_first: bool = False,
     ) -> Region:
         """Carve the next ``blocks`` erase units into a new region.
 
@@ -353,8 +348,6 @@ class NoFtlDevice:
             logical_pages: Cap the LBAs this region exposes (lets callers
                 align region sizes exactly with file page budgets; the
                 surplus physical space becomes extra GC headroom).
-            lsb_first: Fill LSB pages before MSB pages within each block
-                (odd-MLC optimization: maximizes appendable residency).
         """
         if blocks > self.blocks_remaining:
             raise ValueError(
@@ -373,7 +366,6 @@ class NoFtlDevice:
             if over_provisioning is not None
             else self._over_provisioning,
             logical_pages=logical_pages,
-            lsb_first=lsb_first,
             background_gc=self._background_gc,
             gc_migration_budget=self._gc_migration_budget,
         )
@@ -397,49 +389,6 @@ class NoFtlDevice:
     def write_page(self, lba: int, data: bytes) -> None:
         """Out-of-place write via the owning region."""
         self.region_of(lba).write_page(lba, data)
-
-    def read_many(self, lbas: Sequence[int]) -> list[bytes]:
-        """Read a run of pages (possibly spanning regions) in one call.
-
-        All regions share one chip, so the whole run resolves to a
-        single :meth:`FlashChip.execute_batch` call; per-region host
-        counters are settled afterwards in op order.  Outcome-identical
-        to per-op :meth:`read_page` calls, including the ``KeyError``
-        position for unrouted or unwritten LBAs.
-        """
-        batch = OpBatch()
-        owners: list[Region] = []
-        error: KeyError | None = None
-        for lba in lbas:
-            try:
-                region = self.region_of(lba)
-            except KeyError as exc:
-                error = exc
-                break
-            ppn = region._blocks.mapping.get(lba - region.lba_base)
-            if ppn is None:
-                error = KeyError(
-                    f"read of unwritten lba {lba} (region {region.name})"
-                )
-                break
-            batch.read(ppn)
-            owners.append(region)
-        out: list[bytes] = []
-        if len(batch):
-            try:
-                out = self.chip.execute_batch(batch)
-            except Exception as exc:
-                done: list[bytes] = exc.batch_results  # type: ignore[attr-defined]
-                for region, data in zip(owners, done):
-                    region.stats.host_reads += 1
-                    region.stats.host_bytes_read += len(data)
-                raise
-            for region, data in zip(owners, out):
-                region.stats.host_reads += 1
-                region.stats.host_bytes_read += len(data)
-        if error is not None:
-            raise error
-        return out
 
     def write_delta(self, lba: int, offset: int, payload: bytes) -> bool:
         """Route the write_delta command to the owning region."""

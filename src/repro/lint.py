@@ -148,7 +148,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "paths", nargs="*", type=Path,
-        help="files or directories (default: src, tests and benchmarks)",
+        help="files or directories (default: src, tests, benchmarks and "
+        "examples)",
     )
     parser.add_argument(
         "--select", metavar="RULES", default=RULE,
@@ -168,7 +169,9 @@ def main(argv: list[str] | None = None) -> int:
         roots = list(options.paths)
     else:
         repo = _repo_root()
-        roots = [repo / name for name in ("src", "tests", "benchmarks")]
+        roots = [
+            repo / name for name in ("src", "tests", "benchmarks", "examples")
+        ]
         roots = [root for root in roots if root.exists()]
     # A non-.py file would check nothing and exit 0, so it is refused.
     bad = [

@@ -41,8 +41,6 @@ from repro.obs.ledger import (
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_US,
     MetricsRegistry,
-    NULL_METRIC,
-    NULL_REGISTRY,
 )
 from repro.obs.sampler import TimeSeriesSampler
 from repro.obs.trace import (
@@ -65,8 +63,6 @@ __all__ = [
     "ERASE_COUNT_BUCKETS",
     "erase_count_histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
-    "NULL_METRIC",
     "Tracer",
     "NULL_TRACER",
     "TimeSeriesSampler",
@@ -138,7 +134,7 @@ class Observation:
     def create(cls, manager, db=None, config: ObserveConfig | None = None) -> "Observation":
         """Attach a fresh registry + tracer + sampler to a built stack."""
         config = config or ObserveConfig()
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         tracer = Tracer(clock=manager.clock)
         tracer.trace_channel_ops = config.trace_channel_ops
 

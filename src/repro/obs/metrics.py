@@ -6,9 +6,6 @@ where the event happens (``DeviceStats.merges``,
 every run; a run artefact (:meth:`repro.obs.Observation.artefact`)
 copies what it needs.  Only histograms keep their values here, and each
 name the registry hands out is declared in :mod:`repro.obs.registry`.
-
-A disabled registry (:data:`NULL_REGISTRY`) registers nothing and hands
-out the shared :data:`NULL_METRIC`, whose ``observe`` is a no-op.
 """
 
 from __future__ import annotations
@@ -19,8 +16,6 @@ from typing import Sequence
 __all__ = [
     "Histogram",
     "MetricsRegistry",
-    "NULL_METRIC",
-    "NULL_REGISTRY",
     "DEFAULT_LATENCY_BUCKETS_US",
 ]
 
@@ -114,34 +109,10 @@ class Histogram:
         return hist
 
 
-class _NullMetric:
-    """Shared no-op histogram handed out by disabled registries."""
-
-    __slots__ = ()
-    name = "null"
-    help = ""
-    count = 0
-    sum = 0.0
-    nan_count = 0
-    bounds: tuple = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-NULL_METRIC = _NullMetric()
-
-
 class MetricsRegistry:
-    """Get-or-create factory for named histograms.
+    """Get-or-create factory for named histograms."""
 
-    Args:
-        enabled: When False :meth:`histogram` returns :data:`NULL_METRIC`
-            and nothing is registered.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._metrics: dict[str, Histogram] = {}
 
     def histogram(
@@ -151,13 +122,8 @@ class MetricsRegistry:
         bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS_US,
     ) -> Histogram:
         """Get-or-create the histogram ``name``."""
-        if not self.enabled:
-            return NULL_METRIC  # type: ignore[return-value]
         metric = self._metrics.get(name)
         if metric is None:
             metric = self._metrics[name] = Histogram(name, help, bounds=bounds)
         return metric
 
-
-#: Shared disabled registry: the default for un-observed stacks.
-NULL_REGISTRY = MetricsRegistry(enabled=False)

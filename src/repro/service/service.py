@@ -177,7 +177,7 @@ class ShardedService:
             if kind == _ISSUE:
                 session, first_us = payload  # type: ignore[misc]
                 shard = self.shards[session.shard]
-                request = Request(session, issue_us=first_us, enqueue_us=t_us)
+                request = Request(session, issue_us=first_us)
                 decision = shard.admission.offer(request)
                 if decision is AdmissionDecision.ADMITTED:
                     push(max(t_us, shard.busy_until_us), _DRAIN, shard.index)
@@ -207,7 +207,7 @@ class ShardedService:
             while parked and shard.admission.has_room():
                 waiter, first_us = parked.popleft()
                 shard.admission.admit(
-                    Request(waiter, issue_us=first_us, enqueue_us=t_us),
+                    Request(waiter, issue_us=first_us),
                     waited_us=t_us - first_us,
                 )
             # The one clock crossing: a shard's clock yields only a

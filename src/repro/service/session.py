@@ -36,14 +36,11 @@ class Request:
     """One admitted transaction request, queued at its shard.
 
     ``issue_us`` is the client-view start: the session's *first* attempt
-    at this logical transaction (global virtual time).  ``enqueue_us``
-    is when the request actually entered the shard queue — later than
-    ``issue_us`` only under the ``wait`` admission policy.
+    at this logical transaction (global virtual time).
     """
 
     session: Session
     issue_us: float
-    enqueue_us: float
     #: Set by the admission controller the first time this request is
     #: parked (``WAIT``): a request that re-offers while the queue is
     #: still full is one *park*, not one park per retry attempt.

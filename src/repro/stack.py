@@ -79,7 +79,6 @@ class StackSpec:
             (:meth:`data_geometry`) with ``page_size``,
             ``device_utilization`` (in (0, 1]) and ``over_provisioning``.
         over_provisioning: FTL over-provisioning fraction, in (0, 1).
-        lsb_first: NoFTL regions fill LSB pages before MSB pages.
         buffer_pages: Buffer pool frames.
         channels: Data-device channels; more than 1 builds a
             :class:`FlashDevice` (see ``docs/parallelism.md``).  IPL is
@@ -100,7 +99,6 @@ class StackSpec:
     page_size: int = 4096
     device_utilization: float = 0.80
     over_provisioning: float = 0.15
-    lsb_first: bool = False
     buffer_pages: int = 64
     channels: int = 1
     background_gc: bool = False
@@ -260,7 +258,6 @@ class StackSpec:
                 "db",
                 blocks=chip.geometry.blocks,
                 ipa=IpaRegionConfig(scheme.n_records, scheme.m_bytes) if ipa else None,
-                lsb_first=self.lsb_first,
             )
         return StorageManager(
             device, scheme, policy_cls(), buffer_capacity=self.buffer_pages

@@ -13,12 +13,8 @@ module reproduces that method:
    through either device architecture, so the comparison is exact:
    identical logical workload, different storage organisation.
 
-Replay is the one workload layer where op batching applies: runs of
-consecutive fetch misses are independent reads and go through the
-device's batched ``read_many`` (one Python call per run, bit-identical
-outcomes).  The live benchmarks (tpcb / tatp / ycsb / linkbench) cannot
-batch — every transaction reads, modifies, and writes back through the
-buffer pool, so each device op depends on the previous op's result.
+Replay issues one device call per event: a fetch miss is a ``read_page``,
+an eviction a ``write_delta`` run or a ``write_page``.
 """
 
 from __future__ import annotations
@@ -248,24 +244,15 @@ def replay_on_ipa(
     device_before = device.stats.snapshot()
     flash_before = device.chip.stats.snapshot()
     recorded_misses = replayed_reads = skipped_misses = 0
-    # Consecutive fetch misses are independent reads (no mapping or media
-    # mutation between them), so they replay as one batched device call;
-    # evictions stay per-op — each one's placement depends on the device
-    # state the previous one left behind.  Outcomes are bit-identical to
-    # the per-op replay (see NoFtlDevice.read_many).
-    read_run: list[int] = []
     for event in trace.events:
         if event.kind == "miss":
             recorded_misses += 1
             if event.lba in written:
                 replayed_reads += 1
-                read_run.append(event.lba)
+                device.read_page(event.lba)
             else:
                 skipped_misses += 1
             continue
-        if read_run:
-            device.read_many(read_run)
-            read_run.clear()
         ops = [s for s in event.op_sizes if s > 0]
         conformant = (
             event.lba in written
@@ -287,8 +274,6 @@ def replay_on_ipa(
                 continue
         device.write_page(event.lba, template)
         written.add(event.lba)
-    if read_run:
-        device.read_many(read_run)
     return ReplayResult(
         label=f"IPA {scheme} {mode.value}",
         device_stats=device.stats.diff(device_before),

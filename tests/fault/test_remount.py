@@ -139,9 +139,9 @@ def _relocation_windows(backend, writes):
     windows = []
     run_moves = BlockManager._run_moves
 
-    def spy(self, victim, batch, moves, stream, background):
+    def spy(self, victim, moves, *rest):
         windows.append((counter.ops_seen, len(moves)))
-        return run_moves(self, victim, batch, moves, stream, background)
+        return run_moves(self, victim, moves, *rest)
 
     with mock.patch.object(BlockManager, "_run_moves", spy):
         for lba, version in writes:

@@ -1,32 +1,32 @@
-"""Golden equivalence: execute_batch must match the per-op path bit-for-bit.
+"""Golden equivalence: execute_batch's page moves match the per-op path.
 
+``execute_batch(moves)`` takes ``(src_ppn, dst_ppn)`` pairs; a move is by
+definition ``read_page_with_oob(src)`` + ``program_page(dst, data, oob)``.
 The same seeded mixed workload (the golden-fidelity mix: programs with
 padding, partial programs with OOB appends, bit-clearing reprograms,
-deliberate error paths, erases, reads) is recorded as a concrete op stream
-from a per-op run, then replayed through ``FlashChip.execute_batch`` in
-seeded variable-size chunks — via the :class:`OpBatch` builder and via raw
-``OP_DTYPE`` numpy arrays.  Everything observable must be byte-identical:
-page images, OOB, disturb ledgers, :class:`FlashStats`, the simulated
-clock (value and per-category breakdown, compared as ``repr`` so a single
-ulp diverges the test), error points, and read results.
+deliberate error paths, erases, reads and page moves) is recorded as a
+concrete op stream from a per-op run, then replayed with every run of
+consecutive moves as ``execute_batch`` calls, cut at seeded
+variable-size chunk boundaries.  Everything observable must be
+byte-identical: page images, OOB, disturb ledgers, :class:`FlashStats`,
+the simulated clock (value and per-category breakdown, compared as
+``repr`` so a single ulp diverges the test), error points, and read
+results.
 
-``OP_COPY`` rows ride in the same stream, expanded on the per-op side as
-``read_page_with_oob`` + ``program_page`` — the row's definition.
-
-The batch loop and the per-op calls run the same kernel bodies, so what
-these tests pin is the loop: row decoding, dispatch, the copy row's
-composition of sense and program, and error bookkeeping.  Also covered:
-the same outcome with the observers attached (write ledger / sanitizer /
-armed fault injector) as without, a 4-channel overlapped
-:class:`FlashDevice`, and mid-batch error accounting
-(``batch_ops_completed``, charges of completed ops made before the
-raise), with one directed case per point at which a copy can fail.
+The move loop and the per-op calls run the same kernel bodies, so what
+these tests pin is the loop: the composition of sense and program, and
+error bookkeeping.  Also covered: the same outcome with the observers
+attached (write ledger / sanitizer / armed fault injector) as without, a
+4-channel overlapped :class:`FlashDevice`, and mid-run error accounting
+(``batch_ops_completed``, charges of completed moves made before the
+raise), with one directed case per point at which a move can fail.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import fields
+from itertools import groupby
 from unittest import mock
 
 import numpy as np
@@ -34,7 +34,6 @@ import pytest
 
 from repro.fault.injector import FaultInjector
 from repro.flash import interference
-from repro.flash.batch import OP_DTYPE, OpBatch
 from repro.flash.chip import FlashChip
 from repro.flash.device import FlashDevice
 from repro.flash.errors import (
@@ -98,7 +97,7 @@ def _four_channels(mode: FlashMode, seed: int) -> FlashDevice:
 
 
 def _copy(chip, src: int, dst: int) -> None:
-    """What an ``OP_COPY`` row is, spelled with the per-op API."""
+    """What a move is, spelled with the per-op API."""
     data, oob = chip.read_page_with_oob(src)
     chip.program_page(dst, data, oob)
 
@@ -207,26 +206,28 @@ def _record_op_stream(
                 err = type(exc)
             stream.append(("read", ppn, err))
         else:
-            # A page move.  Every other one aims at an erased page of a
-            # random block (if it has one), so that copies land as well
-            # as bounce off programmed destinations.
-            dst = random_ppn()
-            if op % 2:
-                base = dst - dst % GEO.pages_per_block
-                erased = [
-                    base + p
-                    for p in usable
-                    if chip.page_state(base + p) is PageState.ERASED
-                ]
-                dst = erased[0] if erased else dst
-            try:
-                _copy(chip, ppn, dst)
-                append_cursor[dst] = append_cursor.get(ppn, GEO.page_size)
-                oob_cursor[dst] = oob_cursor.get(ppn, 0)
-                err = None
-            except (EccUncorrectableError, WriteToProgrammedPageError) as exc:
-                err = type(exc)
-            stream.append(("copy", ppn, dst, err))
+            # A run of one to four page moves, each from a random page.
+            # About half aim at an erased page of a random block (if it
+            # has one), so that moves land as well as bounce off
+            # programmed destinations.
+            for _ in range(int(rng.integers(1, 5))):
+                src, dst = random_ppn(), random_ppn()
+                if rng.integers(0, 2):
+                    base = dst - dst % GEO.pages_per_block
+                    erased = [
+                        base + p
+                        for p in usable
+                        if chip.page_state(base + p) is PageState.ERASED
+                    ]
+                    dst = erased[0] if erased else dst
+                try:
+                    _copy(chip, src, dst)
+                    append_cursor[dst] = append_cursor.get(src, GEO.page_size)
+                    oob_cursor[dst] = oob_cursor.get(src, 0)
+                    err = None
+                except (EccUncorrectableError, WriteToProgrammedPageError) as exc:
+                    err = type(exc)
+                stream.append(("copy", src, dst, err))
     return stream
 
 
@@ -279,90 +280,68 @@ def _replay_per_op(chip: FlashChip, stream: list[tuple]) -> list[bytes]:
     return reads
 
 
-def _stage(batch: OpBatch, entry: tuple) -> None:
-    kind = entry[0]
-    if kind == "read":
-        batch.read(entry[1])
-    elif kind == "erase":
-        batch.erase(entry[1])
-    elif kind == "copy":
-        batch.copy(entry[1], entry[2])
-    elif kind == "program":
-        batch.program(entry[1], entry[2], entry[3])
-    elif kind == "reprogram":
-        batch.reprogram(entry[1], entry[2], entry[3])
-    else:
-        _, ppn, offset, data, oob_off, oob, _err = entry
-        batch.partial(ppn, offset, data, oob_offset=oob_off, oob_payload=oob)
+def _run_moves(chip: FlashChip, run: list[tuple]) -> None:
+    """Replay a run of ``copy`` entries through ``execute_batch``.
+
+    A move expected to fail aborts its call; the replay asserts the error
+    class, checks that ``batch_ops_completed`` points at the failing move
+    and resumes with the rest of the run — exactly the state machine a
+    relocating FTL runs.
+    """
+    start = 0
+    while start < len(run):
+        pending = run[start:]
+        try:
+            chip.execute_batch([(src, dst) for _, src, dst, _err in pending])
+        except FlashError as exc:
+            done = exc.batch_ops_completed
+            assert [e[-1] for e in pending[: done + 1]] == [None] * done + [
+                type(exc)
+            ], f"move {start + done} failed with {type(exc)}"
+            start += done + 1
+        else:
+            assert all(e[-1] is None for e in pending)
+            break
 
 
 def _replay_batched(
     chip: FlashChip,
     stream: list[tuple],
     seed: int,
-    as_arrays: bool,
     chunk_max: int = 200,
 ) -> list[bytes]:
-    """Replay through execute_batch in seeded variable-size chunks.
-
-    Ops expected to fail abort their batch; the driver asserts the error
-    class, checks ``batch_ops_completed`` points at the failing op, and
-    resumes with the remainder of the chunk — exactly the state machine an
-    FTL caller would run.
-    """
+    """Replay with the moves batched: each run of consecutive ``copy``
+    entries inside a seeded variable-size chunk is one ``execute_batch``
+    run; every other entry replays per-op."""
     rng = np.random.default_rng(seed ^ 0xBA7C)
     reads: list[bytes] = []
     i = 0
     while i < len(stream):
-        n = int(rng.integers(1, chunk_max + 1))
-        chunk = stream[i : i + n]
+        chunk = stream[i : i + int(rng.integers(1, chunk_max + 1))]
         i += len(chunk)
-        start = 0
-        while start < len(chunk):
-            batch = OpBatch()
-            for entry in chunk[start:]:
-                _stage(batch, entry)
-            expected = [
-                e[-1] if e[0] != "erase" else None for e in chunk[start:]
-            ]
-            try:
-                if as_arrays:
-                    ops, payload = batch.arrays()
-                    assert len(batch) == len(ops)
-                    reads.extend(chip.execute_batch(ops, payload))
-                else:
-                    reads.extend(chip.execute_batch(batch))
-                break
-            except FlashError as exc:
-                done = exc.batch_ops_completed
-                assert expected[done] is type(exc), (
-                    f"batch failed at op {start + done} with {type(exc)}, "
-                    f"expected {expected[done]}"
-                )
-                # A failed read returns no data but was partially charged;
-                # every earlier op in the batch completed fully and its
-                # read results ride on the exception.
-                reads.extend(exc.batch_results)
-                start += done + 1
+        for moves, run in groupby(chunk, key=lambda entry: entry[0] == "copy"):
+            if moves:
+                _run_moves(chip, list(run))
+            else:
+                reads += _replay_per_op(chip, list(run))
     return reads
 
 
 @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
-@pytest.mark.parametrize("as_arrays", [False, True], ids=["opbatch", "ndarray"])
-def test_batched_path_is_bit_identical(mode, as_arrays):
+def test_batched_path_is_bit_identical(mode):
     stream = _record_op_stream(mode)
     ref_chip = FlashChip(GEO, mode=mode, seed=SEED)
     ref_reads = _replay_per_op(ref_chip, stream)
     batch_chip = FlashChip(GEO, mode=mode, seed=SEED)
-    batch_reads = _replay_batched(batch_chip, stream, SEED, as_arrays)
+    batch_reads = _replay_batched(batch_chip, stream, SEED)
     assert _fingerprint(batch_chip) == _fingerprint(ref_chip)
     assert batch_reads == ref_reads
 
 
 @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
 def test_interleaving_per_op_calls_and_batches_on_one_chip(mode):
-    """Per-op calls and ``execute_batch`` alternate on ONE chip, so both
-    draw from one disturb stream: a draw site that bypassed the shared
+    """Per-op moves and ``execute_batch`` runs alternate on ONE chip, so
+    both draw from one disturb stream: a draw site that bypassed the shared
     :meth:`DisturbModel.draw` kernel (its prefetched uniforms) would pull
     the two out of step with the all-per-op chip."""
     stream = _record_op_stream(mode)
@@ -377,7 +356,7 @@ def test_interleaving_per_op_calls_and_batches_on_one_chip(mode):
         chunk = stream[i : i + int(rng.integers(1, 40))]
         i += len(chunk)
         if batched:
-            mixed_reads += _replay_batched(mixed_chip, chunk, SEED + i, False, 15)
+            mixed_reads += _replay_batched(mixed_chip, chunk, SEED + i, 15)
         else:
             mixed_reads += _replay_per_op(mixed_chip, chunk)
         batched = not batched
@@ -404,7 +383,7 @@ def test_batched_path_matches_under_ledger_and_sanitizer(mode):
     ref_reads = _replay_per_op(ref_chip, stream)
     batch_chip = FlashChip(GEO, mode=mode, seed=SEED ^ 0x77)
     batch_ledger, batch_injector = _instrument(batch_chip)
-    batch_reads = _replay_batched(batch_chip, stream, SEED ^ 0x77, False)
+    batch_reads = _replay_batched(batch_chip, stream, SEED ^ 0x77)
     assert _fingerprint(batch_chip) == _fingerprint(ref_chip)
     assert batch_reads == ref_reads
     assert batch_ledger.totals() == ref_ledger.totals()
@@ -424,45 +403,49 @@ def _device_fingerprint(device: FlashDevice) -> dict:
 
 
 @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
-@pytest.mark.parametrize("as_arrays", [False, True], ids=["opbatch", "ndarray"])
-def test_four_channel_device_is_bit_identical(mode, as_arrays):
-    """The multi-channel loop: every op, copies included, goes through the
+def test_four_channel_device_is_bit_identical(mode):
+    """The multi-channel loop: both halves of every move go through the
     channel schedulers exactly as the per-op calls do (stalls, pushback,
     per-channel busy time)."""
     stream = _record_op_stream(mode, factory=_four_channels)
     ref = _four_channels(mode, SEED)
     ref_reads = _replay_per_op(ref, stream)
     batched = _four_channels(mode, SEED)
-    batch_reads = _replay_batched(batched, stream, SEED, as_arrays)
+    batch_reads = _replay_batched(batched, stream, SEED)
     assert _device_fingerprint(batched) == _device_fingerprint(ref)
     assert batch_reads == ref_reads
     assert ref.clock.breakdown_us.get("channel_wait", 0.0) > 0.0
 
 
 def test_mid_batch_error_commits_completed_accounting():
-    """A failing op mid-batch must leave exactly the per-op sequence state."""
-    chip = FlashChip(GEO, mode=FlashMode.SLC, seed=1)
+    """A failing move mid-run must leave exactly the per-op sequence state."""
     payload = bytes(range(256)) * 8
-    batch = OpBatch()
-    batch.program(0, payload)
-    batch.read(0)
-    batch.program(0, payload)  # fails: double program
-    batch.program(1, payload)  # never reached
+    chip = FlashChip(GEO, mode=FlashMode.SLC, seed=1)
+    chip.program_page(0, payload)
+    moves = [
+        (0, 1),
+        (0, 2),
+        (0, 1),  # fails: double program
+        (0, 3),  # never reached
+    ]
 
     ref = FlashChip(GEO, mode=FlashMode.SLC, seed=1)
     ref.program_page(0, payload)
-    ref.read_page(0)
+    _copy(ref, 0, 1)
+    _copy(ref, 0, 2)
     with pytest.raises(WriteToProgrammedPageError):
-        ref.program_page(0, payload)
+        _copy(ref, 0, 1)
 
     with pytest.raises(WriteToProgrammedPageError) as excinfo:
-        chip.execute_batch(batch)
+        chip.execute_batch(moves)
     assert excinfo.value.batch_ops_completed == 2
     assert _fingerprint(chip) == _fingerprint(ref)
+    assert chip.page_state(3) is PageState.ERASED
 
 
 def test_uncorrectable_read_mid_batch_charges_the_sense():
-    """The failed sense itself is charged, exactly like FlashChip._read."""
+    """A move's failed sense of its source is charged, exactly like a
+    per-op read's."""
     t = FlashChip(GEO, mode=FlashMode.SLC, seed=1).ecc.correctable_bits
 
     def broken_chip() -> FlashChip:
@@ -477,14 +460,11 @@ def test_uncorrectable_read_mid_batch_charges_the_sense():
 
     ref = broken_chip()
     with pytest.raises(EccUncorrectableError):
-        ref.read_page(0)
+        ref.read_page_with_oob(0)
 
     chip = broken_chip()
-    batch = OpBatch()
-    batch.read(0)
-    batch.read(0)  # never reached
     with pytest.raises(EccUncorrectableError) as excinfo:
-        chip.execute_batch(batch)
+        chip.execute_batch([(0, 1), (0, 2)])  # the second is never reached
     assert excinfo.value.batch_ops_completed == 0
     assert _fingerprint(chip) == _fingerprint(ref)
     assert chip.stats.page_reads == ref.stats.page_reads == 1
@@ -494,14 +474,12 @@ def test_uncorrectable_read_mid_batch_charges_the_sense():
 def test_empty_batch_is_a_no_op():
     chip = FlashChip(GEO, mode=FlashMode.SLC, seed=1)
     before = _fingerprint(chip)
-    assert chip.execute_batch(OpBatch()) == []
-    empty = np.empty(0, dtype=OP_DTYPE)
-    assert chip.execute_batch(empty, b"") == []
+    chip.execute_batch([])
     assert _fingerprint(chip) == before
 
 
 # ---------------------------------------------------------------------- #
-# OP_COPY: one directed case per point at which a copy can fail
+# One directed case per point at which a move can fail
 # ---------------------------------------------------------------------- #
 
 IMAGE = bytes(range(256)) * (GEO.page_size // 256)
@@ -560,9 +538,9 @@ COPY_FAILURES = {
 @pytest.mark.parametrize("instrumented", [False, True], ids=["bare", "observed"])
 @pytest.mark.parametrize("case", sorted(COPY_FAILURES))
 def test_copy_fails_where_the_two_per_op_calls_fail(case, instrumented):
-    """A good copy, the failing one, one never reached: same error, same
+    """A good move, the failing one, one never reached: same error, same
     charges (the source's sense is charged whenever it happened), same
-    media, and ``batch_ops_completed`` names the failing row."""
+    media, and ``batch_ops_completed`` names the failing move."""
     mode, (src, dst), error, prepare = COPY_FAILURES[case]
     ref = _copy_chip(mode, instrumented)
     chip = _copy_chip(mode, instrumented)
@@ -573,14 +551,9 @@ def test_copy_fails_where_the_two_per_op_calls_fail(case, instrumented):
     with pytest.raises(error) as expected:
         _copy(ref, src, dst)
 
-    batch = OpBatch()
-    batch.copy(0, 4)
-    batch.copy(src, dst)
-    batch.copy(0, 8)  # never reached
     with pytest.raises(error) as raised:
-        chip.execute_batch(batch)
+        chip.execute_batch([(0, 4), (src, dst), (0, 8)])  # (0, 8): not reached
     assert raised.value.batch_ops_completed == 1
-    assert raised.value.batch_results == []
     assert str(raised.value) == str(expected.value)
     assert _fingerprint(chip) == _fingerprint(ref)
     assert chip.page_state(8) is PageState.ERASED
@@ -597,9 +570,7 @@ def test_copy_fails_where_the_two_per_op_calls_fail(case, instrumented):
 @pytest.mark.parametrize("instrumented", [False, True], ids=["bare", "observed"])
 def test_copy_moves_data_and_oob_and_nothing_else(instrumented):
     chip = _copy_chip(FlashMode.MLC, instrumented)
-    batch = OpBatch()
-    batch.copy(2, 6)
-    assert chip.execute_batch(batch) == []  # a copy returns no image
+    assert chip.execute_batch([(2, 6)]) is None  # a move returns no image
     data, oob = chip.read_page_with_oob(6)
     assert data == IMAGE[::-1] and oob == bytes(range(GEO.oob_size))
     assert chip.page_at(2).raw_data() == IMAGE[::-1]  # the source stays
@@ -611,9 +582,7 @@ def test_copy_of_an_erased_page_is_what_the_per_op_calls_do():
     ref = _copy_chip(FlashMode.SLC, False)
     chip = _copy_chip(FlashMode.SLC, False)
     _copy(ref, 5, 6)
-    batch = OpBatch()
-    batch.copy(5, 6)
-    chip.execute_batch(batch)
+    chip.execute_batch([(5, 6)])
     assert _fingerprint(chip) == _fingerprint(ref)
     assert chip.page_state(6) is PageState.PROGRAMMED
 
@@ -639,9 +608,7 @@ def test_copy_disturbs_the_destinations_neighbours(instrumented):
         ref = prepared()
         _copy(ref, 0, 4)
         chip = prepared()
-        batch = OpBatch()
-        batch.copy(0, 4)
-        chip.execute_batch(batch)
+        chip.execute_batch([(0, 4)])
     assert ref.stats.disturb_bit_flips > 0
     assert _fingerprint(chip) == _fingerprint(ref)
     flipped = [

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.fault import FaultInjector, PowerLossError
-from repro.flash.batch import OpBatch
 from repro.flash.chip import FlashChip
 from repro.flash.device import FlashDevice
 from repro.flash.errors import (
@@ -249,7 +248,7 @@ class TestPowerLoss:
 
 
 class TestCopyAcrossChannels:
-    """An ``OP_COPY`` row on an overlapped device is the two per-op calls:
+    """A page move on an overlapped device is the two per-op calls:
     the sense is scheduled on the source's channel, the program pulse on
     the destination's."""
 
@@ -293,9 +292,7 @@ class TestCopyAcrossChannels:
 
         dev, injector = self.loaded()
         queued_end = dev._channels[0].inflight[-1].end_us
-        batch = OpBatch()
-        batch.copy(self.SRC, self.DST)
-        assert dev.execute_batch(batch) == []
+        dev.execute_batch([(self.SRC, self.DST)])
         assert self.observed(dev, injector) == self.observed(ref, ref_injector)
         # Channel 0 saw the sense: its queued pulse slipped by it.
         assert dev._channels[0].inflight[-1].end_us > queued_end
@@ -329,10 +326,8 @@ class TestCopyAcrossChannels:
             each.program_page(3, b"x" * 32)
         with pytest.raises(WriteToProgrammedPageError):
             ref.program_page(3, *ref.read_page_with_oob(3))
-        batch = OpBatch()
-        batch.copy(3, 3)
         with pytest.raises(WriteToProgrammedPageError) as raised:
-            dev.execute_batch(batch)
+            dev.execute_batch([(3, 3)])
         assert raised.value.batch_ops_completed == 0
         assert repr(dev.clock.now_us) == repr(ref.clock.now_us)
         assert dev.clock.breakdown_us == ref.clock.breakdown_us

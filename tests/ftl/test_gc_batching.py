@@ -6,25 +6,29 @@ the first reclaim comes after about 7 000: the gate never sees the code
 that relocates pages.  This file does, at the same geometry, mode,
 over-provisioning and fill, from behind a proxy that counts what reaches
 the chip's public methods: a reclaimed victim with ``k > 0`` valid pages
-costs exactly one ``execute_batch`` of ``k`` copy rows and not one
-``read_page_with_oob`` or ``program_page`` of its own, a victim with
-nothing valid costs none, and the budgeted background collector never
-puts more copies in front of an allocation than its budget.  And a
-wrapper placed on a chip's public ``program_page`` (how the end-to-end
-benchmark times the flash layer) sees the host's programs only: the
-batch loop runs the kernel's private bodies.
+costs exactly one ``execute_batch`` of ``k`` ``(source, destination)``
+moves, every source on the victim and no destination on it, and not one
+``read_page``, ``read_page_with_oob`` or ``program_page`` of its own; a
+victim with nothing valid costs none, and the budgeted background
+collector never puts more moves in front of an allocation than its
+budget.  And a wrapper placed on a chip's public ``program_page`` (how
+the end-to-end benchmark times the flash layer) sees the host's
+programs only: the move loop runs the kernel's private bodies.
 """
 
 import random
+from types import MethodType
 
+import numpy as np
 import pytest
 
-from repro.flash.batch import OP_COPY
-from repro.flash.chip import FlashChip
+from repro.flash.chip import FlashChip, media_digest
 from repro.flash.device import FlashDevice
+from repro.flash.errors import EccUncorrectableError
 from repro.flash.geometry import FlashGeometry
 from repro.flash.modes import FlashMode
 from repro.ftl.page_mapping import PageMappingFtl
+from tests.reference.ftl import ref_relocate
 
 #: ``benchmarks/e2e/workloads.py``: ``FtlOverwriteTrad.setup``.
 WORKLOAD_GEO = FlashGeometry(4096, 128, 64, 256)
@@ -41,8 +45,8 @@ class CountingChip:
 
     def __init__(self, chip: FlashChip) -> None:
         self._chip = chip
-        #: ("program", ppn) | ("read_with_oob", ppn) | ("erase", block)
-        #: | ("batch", rows) in call order.
+        #: ("program", ppn) | ("read", ppn) | ("read_with_oob", ppn)
+        #: | ("erase", block) | ("batch", moves) in call order.
         self.events: list[tuple] = []
 
     def __getattr__(self, name: str):
@@ -52,6 +56,10 @@ class CountingChip:
         self.events.append(("program", ppn))
         return self._chip.program_page(ppn, data, oob)
 
+    def read_page(self, ppn):
+        self.events.append(("read", ppn))
+        return self._chip.read_page(ppn)
+
     def read_page_with_oob(self, ppn):
         self.events.append(("read_with_oob", ppn))
         return self._chip.read_page_with_oob(ppn)
@@ -60,9 +68,9 @@ class CountingChip:
         self.events.append(("erase", block_idx))
         return self._chip.erase_block(block_idx)
 
-    def execute_batch(self, ops, payload=None):
-        self.events.append(("batch", list(ops._rows)))
-        return self._chip.execute_batch(ops, payload)
+    def execute_batch(self, moves):
+        self.events.append(("batch", list(moves)))
+        return self._chip.execute_batch(moves)
 
     def take(self) -> list[tuple]:
         events, self.events = self.events, []
@@ -94,19 +102,17 @@ def test_one_batch_per_victim_at_the_workloads_geometry_and_fill():
         assert events.pop()[0] == "program"
         while events:
             kind, arg = events.pop(0)
-            rows = []
+            moves = []
             if kind == "batch":
-                rows = arg
+                moves = arg
                 kind, arg = events.pop(0)
             assert kind == "erase", "GC reached the chip outside a batch"
             victim = arg
-            assert len(rows) == valid_before[victim]
-            assert all(row[0] == OP_COPY for row in rows)
-            # target is the destination, data_pos the source page.
-            assert {row[3] // ppb for row in rows} <= {victim}
-            assert victim not in {row[1] // ppb for row in rows}
+            assert len(moves) == valid_before[victim]
+            assert {src // ppb for src, _dst in moves} <= {victim}
+            assert victim not in {dst // ppb for _src, dst in moves}
             victims += 1
-            copies += len(rows)
+            copies += len(moves)
     assert victims == ftl.stats.gc_erases > 40
     assert copies == ftl.stats.gc_page_migrations > 20 * victims
     assert ftl.chip.stats.page_reads == copies  # GC's senses, and only them
@@ -137,7 +143,7 @@ def test_background_collector_batches_within_its_budget(budget):
         events = chip.take()
         assert events.pop()[0] == "program"
         assert {kind for kind, _ in events} <= {"batch", "erase"}
-        moved = sum(len(rows) for kind, rows in events if kind == "batch")
+        moved = sum(len(moves) for kind, moves in events if kind == "batch")
         if ftl.stats.gc_emergency_syncs == emergencies:
             assert moved <= budget
             # One batch per step on a victim; a step that drains one
@@ -155,8 +161,8 @@ def test_background_collector_batches_within_its_budget(budget):
 def test_a_wrapper_on_the_public_program_page_sees_no_relocation_rows(channels):
     """Instance-level wrappers, as ``benchmarks/e2e/layers.py`` places
     them, on the public per-op methods of the device and of every chip
-    under it: each host write is one ``program_page`` call, and the copy
-    rows of GC's batches reach none of them."""
+    under it: each host write is one ``program_page`` call, and the moves
+    of GC's ``execute_batch`` calls reach none of them."""
     if channels == 1:
         device = FlashChip(SMALL_GEO, mode=FlashMode.MLC)
         chips = [device]
@@ -188,3 +194,46 @@ def test_a_wrapper_on_the_public_program_page_sees_no_relocation_rows(channels):
     # The device's wrapper sees each host write; below a multi-channel
     # device the chips' public methods are not reached at all.
     assert seen == ["program_page"] * writes
+
+
+def test_a_dry_pool_then_an_unreadable_page_books_the_moves_that_ran():
+    """The free pool runs dry after four moves, and the page left without
+    a destination is uncorrectable: its sense, after the moves, raises,
+    and the manager is where the one-page-at-a-time spec leaves it — the
+    four moves booked, the allocation stream on their last destination."""
+
+    def dry(spec):
+        chip = FlashChip(SMALL_GEO, mode=FlashMode.MLC)
+        ftl = PageMappingFtl(chip, over_provisioning=OVER_PROVISIONING)
+        for lba in range(12):  # block 0 full; block 1 half, and active
+            ftl.write_page(lba, bytes([lba]) * 32)
+        manager = ftl._blocks
+        manager._free.clear()
+        counts = np.zeros(chip.page_at(4)._disturb.shape, dtype=np.int64)
+        counts[0] = 1_000
+        chip.page_at(4).add_disturb(counts)
+        if spec:
+            manager._relocate = MethodType(ref_relocate, manager)
+        return chip, ftl, manager
+
+    def state(chip, ftl, manager):
+        return (
+            list(manager.mapping.items()),
+            list(manager._rmap.items()),
+            list(manager._valid.items()),
+            list(manager.appends_done.items()),
+            manager._active,
+            manager._cursor,
+            ftl.stats.snapshot().__dict__,
+            chip.stats.snapshot().__dict__,
+            repr(chip.clock.now_us),
+            media_digest(chip),
+        )
+
+    live, ref = dry(False), dry(True)
+    for _chip, _ftl, manager in (live, ref):
+        with pytest.raises(EccUncorrectableError):
+            manager._relocate(0)
+    assert state(*live) == state(*ref)
+    assert live[1].stats.gc_page_migrations == 4
+    assert live[2].mapping[3] == SMALL_GEO.pages_per_block + 7

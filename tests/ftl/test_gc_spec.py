@@ -2,12 +2,12 @@
 ``tests.reference.ftl``.
 
 ``BlockManager._relocate`` moves a victim's valid pages as one
-``execute_batch`` of ``OP_COPY`` rows; on the spec stack it is replaced
-by ``ref_relocate`` (read with OOB, allocate, program, re-map, per
-page).  Both stacks take the same seeded overwrite stream and must leave
-clock, counters, maps, free pool, background cursor, ledger and media in
-the same place after every op, on every backend, GC mode and channel
-count, error paths included.
+``execute_batch`` of ``(source, destination)`` pairs; on the spec
+stack it is replaced by ``ref_relocate`` (read with OOB, allocate,
+program, re-map, per page).  Both stacks take the same seeded overwrite
+stream and must leave clock, counters, maps, free pool, background
+cursor, ledger and media in the same place after every op, on every
+backend, GC mode and channel count, error paths included.
 """
 
 import hashlib
@@ -260,7 +260,7 @@ class TestGarbageCollector:
         self, gc_mode, channels, monkeypatch
     ):
         """A valid page that is not its block's first goes uncorrectable.
-        When its block is collected the batch fails at that row: the rows
+        When its block is collected the run fails at that move: the moves
         before it are booked, the failed sense is charged, the destination
         it never reached goes back to the allocation stream and a
         background scan stays on the page — where the one-page-at-a-time

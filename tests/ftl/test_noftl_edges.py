@@ -62,25 +62,6 @@ class TestRegionLimits:
         roomy = device.create_region("roomy", blocks=16, over_provisioning=0.50)
         assert tight.logical_pages > roomy.logical_pages
 
-    def test_lsb_first_allocation_order(self):
-        from repro.flash.modes import FlashMode
-
-        chip = FlashChip(GEO, mode=FlashMode.ODD_MLC)
-        device = NoFtlDevice(chip, over_provisioning=0.25)
-        region = device.create_region(
-            "r", blocks=32, ipa=IpaRegionConfig(2, 4), lsb_first=True
-        )
-        offsets = region._blocks._usable_offsets
-        # All LSB (even) offsets precede all MSB (odd) offsets.
-        first_msb = next(i for i, p in enumerate(offsets) if p % 2 == 1)
-        assert all(p % 2 == 0 for p in offsets[:first_msb])
-        assert all(p % 2 == 1 for p in offsets[first_msb:])
-        # Round trip still correct.
-        for lba in range(8):
-            device.write_page(lba, bytes([lba]) * 256)
-        for lba in range(8):
-            assert device.read_page(lba)[:1] == bytes([lba])
-
     def test_trim_routed_to_region(self):
         device = make_device()
         region = device.create_region("r", blocks=32)

@@ -462,7 +462,7 @@ class TestCli:
         assert all("r5_hygiene.py" in line and " R5 " in line for line in lines)
 
     def test_zero_on_repo_at_head(self, monkeypatch, capsys):
-        # No paths: src, tests and benchmarks of the repo root.
+        # No paths: src, tests, benchmarks and examples of the repo root.
         monkeypatch.chdir(REPO)
         assert main([]) == 0, capsys.readouterr().out
 

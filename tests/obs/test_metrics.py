@@ -1,4 +1,4 @@
-"""Metrics registry semantics: histograms, their plain-data form, null path."""
+"""Metrics registry semantics: histograms and their plain-data form."""
 
 import json
 
@@ -8,8 +8,6 @@ from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_US,
     Histogram,
     MetricsRegistry,
-    NULL_METRIC,
-    NULL_REGISTRY,
 )
 
 
@@ -93,20 +91,6 @@ class TestHistogram:
         )
 
 
-class TestDisabledRegistry:
-    def test_factories_return_null_metric(self):
-        assert NULL_REGISTRY.histogram("c") is NULL_METRIC
-
-    def test_null_metric_absorbs_everything(self):
-        NULL_METRIC.observe(1.5)
-        assert NULL_METRIC.count == 0
-        assert NULL_METRIC.sum == 0.0
-
-    def test_disabled_registry_collects_nothing(self):
-        NULL_REGISTRY.histogram("a").observe(5)
-        assert NULL_REGISTRY.histogram("a").count == 0
-
-
 class TestHistogramNaN:
     """PR 8 regression: NaN compares False against every bucket edge, so
     bisect filed it in an arbitrary bucket and ``sum`` went NaN forever."""
@@ -135,7 +119,8 @@ class TestHistogramNaN:
         assert h.bucket_counts == [1, 0]
         assert h.to_dict()["count"] == 1
 
-    def test_null_metric_has_nan_count(self):
-        assert NULL_METRIC.nan_count == 0
-        NULL_METRIC.observe(float("nan"))  # absorbed, still zero
-        assert NULL_METRIC.nan_count == 0
+    def test_registry_histogram_has_nan_count(self):
+        h = MetricsRegistry().histogram("lat", bounds=(1.0,))
+        assert h.nan_count == 0
+        h.observe(float("nan"))
+        assert h.nan_count == 1 and h.count == 0

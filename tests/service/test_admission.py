@@ -12,7 +12,7 @@ def make_request(tenant=0):
     session = Session(
         tenant=tenant, shard=0, rng=np.random.default_rng(0), remaining=1
     )
-    return Request(session, issue_us=0.0, enqueue_us=0.0)
+    return Request(session, issue_us=0.0)
 
 
 def make_controller(depth=2, policy="shed"):
