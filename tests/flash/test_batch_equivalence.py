@@ -7,7 +7,9 @@ padding, partial programs with OOB appends, bit-clearing reprograms,
 deliberate error paths, erases, reads and page moves) is recorded as a
 concrete op stream from a per-op run, then replayed with every run of
 consecutive moves as ``execute_batch`` calls, cut at seeded
-variable-size chunk boundaries.  Everything observable must be
+variable-size chunk boundaries, with the pairs given either as a list of
+tuples (``opbatch``, what GC builds) or as an ``(n, 2)`` integer array
+(``ndarray``).  Everything observable must be
 byte-identical: page images, OOB, disturb ledgers, :class:`FlashStats`,
 the simulated clock (value and per-category breakdown, compared as
 ``repr`` so a single ulp diverges the test), error points, and read
@@ -280,7 +282,15 @@ def _replay_per_op(chip: FlashChip, stream: list[tuple]) -> list[bytes]:
     return reads
 
 
-def _run_moves(chip: FlashChip, run: list[tuple]) -> None:
+def _moves(pending: list[tuple], as_array: bool):
+    """The ``(src, dst)`` pairs of ``copy`` entries: a list of tuples (the
+    form ``_relocate`` builds) or the same pairs as an ``(n, 2)`` integer
+    array, since ``execute_batch`` takes any sequence of pairs."""
+    pairs = [(src, dst) for _, src, dst, _err in pending]
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2) if as_array else pairs
+
+
+def _run_moves(chip: FlashChip, run: list[tuple], as_array: bool) -> None:
     """Replay a run of ``copy`` entries through ``execute_batch``.
 
     A move expected to fail aborts its call; the replay asserts the error
@@ -292,7 +302,7 @@ def _run_moves(chip: FlashChip, run: list[tuple]) -> None:
     while start < len(run):
         pending = run[start:]
         try:
-            chip.execute_batch([(src, dst) for _, src, dst, _err in pending])
+            chip.execute_batch(_moves(pending, as_array))
         except FlashError as exc:
             done = exc.batch_ops_completed
             assert [e[-1] for e in pending[: done + 1]] == [None] * done + [
@@ -309,10 +319,12 @@ def _replay_batched(
     stream: list[tuple],
     seed: int,
     chunk_max: int = 200,
+    as_array: bool = False,
 ) -> list[bytes]:
     """Replay with the moves batched: each run of consecutive ``copy``
     entries inside a seeded variable-size chunk is one ``execute_batch``
-    run; every other entry replays per-op."""
+    run (its pairs as an array if ``as_array``); every other entry
+    replays per-op."""
     rng = np.random.default_rng(seed ^ 0xBA7C)
     reads: list[bytes] = []
     i = 0
@@ -321,19 +333,20 @@ def _replay_batched(
         i += len(chunk)
         for moves, run in groupby(chunk, key=lambda entry: entry[0] == "copy"):
             if moves:
-                _run_moves(chip, list(run))
+                _run_moves(chip, list(run), as_array)
             else:
                 reads += _replay_per_op(chip, list(run))
     return reads
 
 
 @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
-def test_batched_path_is_bit_identical(mode):
+@pytest.mark.parametrize("as_array", [False, True], ids=["opbatch", "ndarray"])
+def test_batched_path_is_bit_identical(mode, as_array):
     stream = _record_op_stream(mode)
     ref_chip = FlashChip(GEO, mode=mode, seed=SEED)
     ref_reads = _replay_per_op(ref_chip, stream)
     batch_chip = FlashChip(GEO, mode=mode, seed=SEED)
-    batch_reads = _replay_batched(batch_chip, stream, SEED)
+    batch_reads = _replay_batched(batch_chip, stream, SEED, as_array=as_array)
     assert _fingerprint(batch_chip) == _fingerprint(ref_chip)
     assert batch_reads == ref_reads
 
@@ -403,7 +416,8 @@ def _device_fingerprint(device: FlashDevice) -> dict:
 
 
 @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
-def test_four_channel_device_is_bit_identical(mode):
+@pytest.mark.parametrize("as_array", [False, True], ids=["opbatch", "ndarray"])
+def test_four_channel_device_is_bit_identical(mode, as_array):
     """The multi-channel loop: both halves of every move go through the
     channel schedulers exactly as the per-op calls do (stalls, pushback,
     per-channel busy time)."""
@@ -411,7 +425,7 @@ def test_four_channel_device_is_bit_identical(mode):
     ref = _four_channels(mode, SEED)
     ref_reads = _replay_per_op(ref, stream)
     batched = _four_channels(mode, SEED)
-    batch_reads = _replay_batched(batched, stream, SEED)
+    batch_reads = _replay_batched(batched, stream, SEED, as_array=as_array)
     assert _device_fingerprint(batched) == _device_fingerprint(ref)
     assert batch_reads == ref_reads
     assert ref.clock.breakdown_us.get("channel_wait", 0.0) > 0.0
