@@ -12,7 +12,7 @@ Run:
 from repro.core.config import SCHEME_2X4
 from repro.engine import Column, ColumnType, Database, Schema
 from repro.flash import FlashChip, FlashGeometry
-from repro.ftl import IpaRegionConfig, NoFtlDevice
+from repro.ftl import NoFtlDevice
 from repro.storage.manager import IpaNativePolicy, StorageManager
 
 
@@ -25,7 +25,7 @@ def main() -> None:
 
     # 2. NoFTL device with one IPA-enabled region ([2x4] as in the paper).
     device = NoFtlDevice(chip, over_provisioning=0.15)
-    device.create_region("db", blocks=64, ipa=IpaRegionConfig(2, 4))
+    device.create_region("db", blocks=64, ipa=SCHEME_2X4)
 
     # 3. Storage manager with the write_delta eviction policy + database.
     manager = StorageManager(

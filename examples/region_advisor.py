@@ -19,10 +19,10 @@ import numpy as np
 
 from repro.analysis.advisor import advise, render_advice
 from repro.bench.harness import ExperimentConfig, build_stack
-from repro.core.config import SCHEME_2X4
+from repro.core.config import IPA_DISABLED, SCHEME_2X4
 from repro.engine.database import Database
 from repro.flash import FlashChip, FlashGeometry, FlashMode
-from repro.ftl import IpaRegionConfig, NoFtlDevice
+from repro.ftl import NoFtlDevice
 from repro.storage.manager import IpaNativePolicy, StorageManager
 from repro.workloads.base import pages_for_rows
 from repro.workloads.tpcb import TpcbWorkload
@@ -78,18 +78,16 @@ def configured_run(advice_by_table):
     blocks_left = chip.geometry.blocks
     for i, (table, pages) in enumerate(budgets.items()):
         advice = advice_by_table[table]
-        ipa = (
-            IpaRegionConfig(advice.scheme.n_records, advice.scheme.m_bytes)
-            if advice.scheme
-            else None
-        )
         usable = 32  # pSLC: half of 64 pages/block
         need_blocks = max(int(pages / (0.85 * usable)) + 4, 6)
         if i == len(budgets) - 1:
             need_blocks = blocks_left  # last region takes the rest
         blocks_left -= need_blocks
         device.create_region(
-            table, blocks=need_blocks, ipa=ipa, logical_pages=pages
+            table,
+            blocks=need_blocks,
+            ipa=advice.scheme or IPA_DISABLED,
+            logical_pages=pages,
         )
 
     manager = StorageManager(

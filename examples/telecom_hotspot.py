@@ -17,7 +17,7 @@ import numpy as np
 from repro.core.config import SCHEME_2X4
 from repro.engine.database import Database
 from repro.flash import FlashChip, FlashGeometry, FlashMode
-from repro.ftl import IpaRegionConfig, NoFtlDevice
+from repro.ftl import NoFtlDevice
 from repro.storage.manager import IpaNativePolicy, StorageManager
 from repro.workloads.tatp import TatpWorkload
 
@@ -40,12 +40,10 @@ def main() -> None:
 
     # Region 1: update-heavy subscriber data -> IPA on.
     hot_blocks = blocks // 2
-    device.create_region(
-        "subscribers", blocks=hot_blocks, ipa=IpaRegionConfig(2, 4)
-    )
+    device.create_region("subscribers", blocks=hot_blocks, ipa=SCHEME_2X4)
     # Region 2: insert-dominated side tables -> IPA off (no delta area
     # would ever be used; the space goes to records instead).
-    device.create_region("side-tables", blocks=blocks - hot_blocks, ipa=None)
+    device.create_region("side-tables", blocks=blocks - hot_blocks)
 
     manager = StorageManager(
         device, SCHEME_2X4, IpaNativePolicy(), buffer_capacity=32

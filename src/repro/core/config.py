@@ -78,11 +78,21 @@ class IpaScheme:
         """Bytes reserved at the end of every page: N x record_size."""
         return self.n_records * self.record_size
 
+    @cached_property
+    def tail_size(self) -> int:
+        """Bytes from the delta area's first byte to the end of the page:
+        delta area + footer (Figure 3).  The delta area of a page of
+        ``page_size`` bytes starts at ``page_size - tail_size``; every
+        module that places it (page, reconstruction, Scenario-2 image,
+        trace replay) reads this one attribute."""
+        return PAGE_FOOTER_SIZE + self.delta_area_size
+
     def __str__(self) -> str:
         return f"[{self.n_records}x{self.m_bytes}]"
 
 
 #: The traditional baseline: no delta area, every eviction out-of-place.
+#: Also the "IPA off" value of a NoFTL region (``create_region(ipa=...)``).
 IPA_DISABLED = IpaScheme(n_records=0, m_bytes=0)
 
 #: The configuration evaluated in the paper's Table 1.

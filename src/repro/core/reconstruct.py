@@ -48,8 +48,9 @@ def reconstruct(
     page = bytearray(image)
     if not scheme.enabled:
         return page, 0
-    footer_start = len(image) - PAGE_FOOTER_SIZE
-    delta_start = footer_start - scheme.delta_area_size
+    size = len(image)
+    delta_start = size - scheme.tail_size
+    footer_start = size - PAGE_FOOTER_SIZE
     applied = 0
     # Records fill the area left to right, so an erased first control
     # byte means a clean page (the common fetch): nothing to parse.
@@ -77,12 +78,3 @@ def _apply(
         page[offset] = value
     page[0:PAGE_HEADER_SIZE] = record.meta_header
     page[len(page) - PAGE_FOOTER_SIZE :] = record.meta_footer
-
-
-def count_records(image: bytes, scheme: IpaScheme) -> int:
-    """How many delta-records a raw page image carries (no application)."""
-    if not scheme.enabled:
-        return 0
-    footer_start = len(image) - PAGE_FOOTER_SIZE
-    delta_start = footer_start - scheme.delta_area_size
-    return len(decode_delta_area(image[delta_start:footer_start], scheme))

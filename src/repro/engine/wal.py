@@ -343,10 +343,6 @@ class WriteAheadLog:
         self._append(payload)
         self.stats.group_flushes += 1
 
-    def discard(self) -> None:
-        """Drop the current transaction's buffered records (abort)."""
-        self._txn_buffer = []
-
     def crash(self) -> None:
         """Simulate power loss on the WAL side: volatile buffers are gone."""
         self._txn_buffer = []

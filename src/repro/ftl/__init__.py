@@ -13,14 +13,13 @@
 
 from repro.ftl.interface import DeviceFullError, FlashBackend
 from repro.ftl.ipa_ftl import IpaFtl
-from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice, Region
+from repro.ftl.noftl import NoFtlDevice, Region
 from repro.ftl.page_mapping import PageMappingFtl
 
 __all__ = [
     "DeviceFullError",
     "FlashBackend",
     "IpaFtl",
-    "IpaRegionConfig",
     "NoFtlDevice",
     "PageMappingFtl",
     "Region",

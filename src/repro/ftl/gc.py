@@ -187,10 +187,6 @@ class BlockManager:
         """Physical page currently holding ``lba``, or None if unmapped."""
         return self.mapping.get(lba)
 
-    def valid_pages_in(self, block_id: int) -> int:
-        """Number of valid pages in one owned block."""
-        return self._valid[block_id]
-
     # ------------------------------------------------------------------ #
     # Write path
     # ------------------------------------------------------------------ #

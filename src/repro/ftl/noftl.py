@@ -17,9 +17,7 @@ and writes the delta's ECC into the page's next free OOB slot (Figure 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core.config import DELTA_METADATA_SIZE, PAIR_SIZE
+from repro.core.config import IPA_DISABLED, IpaScheme
 from repro.flash.chip import FlashChip
 from repro.flash.ecc import ECC_SLOT_SIZE, OobLayout, crc_slot
 from repro.flash.errors import (
@@ -33,23 +31,6 @@ from repro.ftl.oob_meta import OOB_META_SIZE
 from repro.obs.export import render_table
 from repro.obs.ledger import LifetimeTracker, WriteLedger
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
-
-
-@dataclass(frozen=True)
-class IpaRegionConfig:
-    """IPA parameters of one region: the N x M scheme of Section 3.
-
-    Attributes:
-        n_records: N — delta-records per page (and OOB ECC slots used).
-        m_bytes: M — maximum changed bytes captured per delta-record.
-    """
-
-    n_records: int
-    m_bytes: int
-
-    def __post_init__(self) -> None:
-        if self.n_records < 1 or self.m_bytes < 1:
-            raise ValueError("N and M must both be >= 1 for an IPA region")
 
 
 class Region:
@@ -68,7 +49,7 @@ class Region:
         block_ids: list[int],
         stats: DeviceStats,
         lba_base: int,
-        ipa: IpaRegionConfig | None,
+        ipa: IpaScheme,
         over_provisioning: float,
         logical_pages: int | None = None,
         background_gc: bool = False,
@@ -78,7 +59,8 @@ class Region:
         self.chip = chip
         #: Per-region counters; the device exposes the aggregate.
         self.stats = stats
-        self.ipa = ipa
+        #: The region's N x M scheme; IPA_DISABLED for a plain region.
+        self.scheme = ipa
         self._blocks = BlockManager(
             chip,
             block_ids,
@@ -93,26 +75,16 @@ class Region:
         self.logical_pages = self._blocks.logical_pages
         self.lba_base = lba_base
         self.lba_end = lba_base + self.logical_pages
-        self._oob_layout = (
-            OobLayout(chip.geometry.oob_size, ipa.n_records) if ipa else None
-        )
-        if ipa is not None:
+        self._oob_layout = None
+        if ipa.enabled:
             oob_size = chip.geometry.oob_size
+            self._oob_layout = OobLayout(oob_size, ipa.n_records)
             slots_end = (1 + ipa.n_records) * ECC_SLOT_SIZE
             if oob_size >= OOB_META_SIZE and slots_end > oob_size - OOB_META_SIZE:
                 raise OobOverflowError(
                     f"OOB of {oob_size} B cannot hold 1+{ipa.n_records} ECC "
                     f"slots plus the {OOB_META_SIZE} B mapping record"
                 )
-            # The device-side image of one delta-record: control byte,
-            # M (offset16, value8) pairs, and the delta_metadata copy
-            # (Figure 3).  write_delta rejects anything larger — that is
-            # the M contract of the region configuration.
-            self._max_delta_bytes = (
-                1 + PAIR_SIZE * ipa.m_bytes + DELTA_METADATA_SIZE
-            )
-        else:
-            self._max_delta_bytes = 0
 
     def attach(
         self,
@@ -166,15 +138,18 @@ class Region:
         mode forbids reprogramming, all N OOB slots are used, or the
         append region is not erased.
         """
-        if self.ipa is None or self._oob_layout is None:
+        if self._oob_layout is None:
             return False
-        if len(payload) > self._max_delta_bytes:
+        # The device-side image of one delta-record (Figure 3) is
+        # scheme.record_size bytes: the region's M contract.
+        scheme = self.scheme
+        if len(payload) > scheme.record_size:
             return False
         ppn = self._blocks.mapping.get(lba - self.lba_base)
         if ppn is None:
             return False
         used = self._blocks.appends_done.get(ppn, 0)
-        if used >= self.ipa.n_records:
+        if used >= scheme.n_records:
             return False
         slot_start, _end = self._oob_layout.slot_span(used + 1)
         try:
@@ -244,8 +219,8 @@ class NoFtlDevice:
 
         device = NoFtlDevice(chip)
         hot = device.create_region("accounts", blocks=48,
-                                   ipa=IpaRegionConfig(n_records=2, m_bytes=4))
-        cold = device.create_region("history", blocks=16, ipa=None)
+                                   ipa=IpaScheme(n_records=2, m_bytes=4))
+        cold = device.create_region("history", blocks=16)
 
     LBAs are assigned contiguously in region-creation order; the device
     routes every call to the owning region.
@@ -283,7 +258,7 @@ class NoFtlDevice:
             [
                 [
                     r.name,
-                    f"[{r.ipa.n_records}x{r.ipa.m_bytes}]" if r.ipa else "off",
+                    str(r.scheme) if r.scheme.enabled else "off",
                     str(r.logical_pages),
                     str(r.stats.host_reads),
                     str(r.stats.host_writes),
@@ -334,7 +309,7 @@ class NoFtlDevice:
         self,
         name: str,
         blocks: int,
-        ipa: IpaRegionConfig | None = None,
+        ipa: IpaScheme = IPA_DISABLED,
         over_provisioning: float | None = None,
         logical_pages: int | None = None,
     ) -> Region:
@@ -343,7 +318,8 @@ class NoFtlDevice:
         Args:
             name: Region label (diagnostics only).
             blocks: Erase units to assign.
-            ipa: N x M configuration, or None for a plain region.
+            ipa: N x M scheme; IPA_DISABLED (the default) for a plain
+                region, whose write_delta always refuses.
             over_provisioning: Per-region override.
             logical_pages: Cap the LBAs this region exposes (lets callers
                 align region sizes exactly with file page budgets; the

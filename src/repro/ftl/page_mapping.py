@@ -73,10 +73,6 @@ class PageMappingFtl:
         """Bytes per logical page (equals the physical page size)."""
         return self.chip.geometry.page_size
 
-    def is_mapped(self, lba: int) -> bool:
-        """True once the LBA has been written at least once."""
-        return self._blocks.ppn_of(lba) is not None
-
     def read_page(self, lba: int) -> bytes:
         """Read one logical page (raises KeyError if never written)."""
         ppn = self._blocks.ppn_of(lba)

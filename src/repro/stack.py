@@ -23,7 +23,7 @@ from repro.flash.geometry import FlashGeometry
 from repro.flash.latency import SimClock
 from repro.flash.modes import FlashMode, rules_for
 from repro.ftl.ipa_ftl import IpaFtl
-from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
+from repro.ftl.noftl import NoFtlDevice
 from repro.ftl.page_mapping import PageMappingFtl
 from repro.storage.manager import (
     IpaBlockDevicePolicy,
@@ -254,11 +254,7 @@ class StackSpec:
                 background_gc=self.background_gc,
             )
         if isinstance(device, NoFtlDevice):
-            device.create_region(
-                "db",
-                blocks=chip.geometry.blocks,
-                ipa=IpaRegionConfig(scheme.n_records, scheme.m_bytes) if ipa else None,
-            )
+            device.create_region("db", blocks=chip.geometry.blocks, ipa=scheme)
         return StorageManager(
             device, scheme, policy_cls(), buffer_capacity=self.buffer_pages
         )

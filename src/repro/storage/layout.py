@@ -100,7 +100,7 @@ class SlottedPage:
 
     def __init__(self, buf: bytearray, scheme: IpaScheme) -> None:
         page_size = len(buf)
-        if page_size < PAGE_HEADER_SIZE + PAGE_FOOTER_SIZE + scheme.delta_area_size:
+        if page_size < PAGE_HEADER_SIZE + scheme.tail_size:
             raise ValueError("buffer too small for layout")
         self._buf = buf
         self.scheme = scheme
@@ -109,7 +109,7 @@ class SlottedPage:
         self.page_size = page_size
         self.footer_start = page_size - PAGE_FOOTER_SIZE
         #: First byte of the delta-record area (== end of the body).
-        self.delta_start = self.footer_start - scheme.delta_area_size
+        self.delta_start = page_size - scheme.tail_size
 
     # ------------------------------------------------------------------ #
     # Construction

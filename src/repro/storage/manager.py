@@ -26,7 +26,7 @@ from repro.core.config import (
     PAGE_HEADER_SIZE,
     IpaScheme,
 )
-from repro.core.delta import DeltaFormatError, DeltaRecord
+from repro.core.delta import DeltaFormatError
 from repro.core.reconstruct import ReconstructionError, reconstruct
 from repro.core.tracker import ChangeTracker
 from repro.flash.latency import HostCostModel
@@ -62,32 +62,32 @@ class ManagerStats:
 
 def compose_append_image(
     flash_image: bytes,
-    records: list[DeltaRecord],
+    payloads: list[bytes],
     scheme: IpaScheme,
     start_slot: int,
-) -> bytes:
+) -> tuple[int, bytes]:
     """The Scenario-2 out-image: Flash content + records in erased slots.
 
-    Because the original body bytes are byte-identical to the Flash copy
-    and the records land in erased slots, the transition is append-legal
-    and an IPA-aware device will program it in place.
+    ``payloads`` are encoded delta-records (``DeltaRecord.encode``), laid
+    contiguously from delta slot ``start_slot``.  Returns the page offset
+    of the first one and the composed image.  Because the original body
+    bytes are byte-identical to the Flash copy and the records land in
+    erased slots, the transition is append-legal and an IPA-aware device
+    will program it in place.
+
+    Raises:
+        ValueError: the payloads run past the N-th slot into the footer.
     """
-    if records and start_slot + len(records) > scheme.n_records:
+    size = len(flash_image)
+    offset = size - scheme.tail_size + start_slot * scheme.record_size
+    data = b"".join(payloads)
+    end = offset + len(data)
+    if end > size - PAGE_FOOTER_SIZE:
         raise ValueError(
-            f"slot {max(start_slot, scheme.n_records)} exceeds "
+            f"{len(payloads)} record(s) from slot {start_slot} exceed "
             f"N={scheme.n_records}"
         )
-    delta_start = len(flash_image) - PAGE_FOOTER_SIZE - scheme.delta_area_size
-    return _splice(
-        flash_image,
-        delta_start + start_slot * scheme.record_size,
-        b"".join([record.encode(scheme) for record in records]),
-    )
-
-
-def _splice(image: bytes, offset: int, data: bytes) -> bytes:
-    """``image`` with ``data`` laid over it at ``offset``."""
-    return b"".join((image[:offset], data, image[offset + len(data) :]))
+    return offset, flash_image[:offset] + data + flash_image[end:]
 
 
 class WritePolicy(abc.ABC):
@@ -142,8 +142,9 @@ class _IpaPolicyBase(WritePolicy):
             return
         scheme = manager.scheme
         payloads = [record.encode(scheme) for record in records]
-        offset = page.delta_start + frame.flash_delta_count * scheme.record_size
-        new_image = _splice(frame.flash_image, offset, b"".join(payloads))
+        offset, new_image = compose_append_image(
+            frame.flash_image, payloads, scheme, frame.flash_delta_count
+        )
         if self._ship(manager, frame, offset, payloads, new_image):
             frame.flash_image = new_image
             frame.flash_delta_count += len(records)
@@ -534,12 +535,6 @@ class StorageManager:
         """Flush the open commit group and release its no-steal pages."""
         if self.wal is not None:
             self.wal.end_group()
-        self.pool.no_steal.clear()
-
-    def abort_wal(self) -> None:
-        """Drop the open transaction's log records and release its pages."""
-        if self.wal is not None:
-            self.wal.discard()
         self.pool.no_steal.clear()
 
     def flush_all(self) -> None:

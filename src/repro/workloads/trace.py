@@ -20,7 +20,7 @@ an eviction a ``write_delta`` run or a ``write_page``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.modes import FlashMode
 from repro.flash.stats import DeviceStats, FlashStats
-from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
+from repro.ftl.noftl import NoFtlDevice
 from repro.ftl.page_mapping import PageMappingFtl
 from repro.stack import StackSpec
 from repro.storage.buffer import Frame
@@ -201,12 +201,55 @@ def _build_phase_lbas(trace: Trace) -> list[int]:
 
 def _page_template(page_size: int, scheme: IpaScheme) -> bytes:
     """A page image whose delta area is erased (appendable)."""
-    buf = bytearray(page_size)
-    footer_start = page_size - PAGE_FOOTER_SIZE
-    delta_start = footer_start - scheme.delta_area_size
-    for i in range(delta_start, footer_start):
-        buf[i] = 0xFF
-    return bytes(buf)
+    return (
+        bytes(page_size - scheme.tail_size)
+        + b"\xff" * scheme.delta_area_size
+        + bytes(PAGE_FOOTER_SIZE)
+    )
+
+
+def _replay(
+    trace: Trace,
+    label: str,
+    device: NoFtlDevice | IplStore,
+    seed: Callable[[int], object],
+    evict: Callable[[TraceEvent, bool], bool],
+) -> ReplayResult:
+    """The replay loop both architectures share.
+
+    ``seed(lba)`` pre-seeds one build-phase page.  ``evict(event,
+    written)`` replays one eviction (``written``: the LBA holds a page)
+    and returns True when it wrote a whole page.  A miss is a
+    ``device.read_page`` of a written LBA; the stats are diffed against
+    a snapshot taken after the pre-seeding.
+    """
+    written: set[int] = set()
+    preseeded = _build_phase_lbas(trace)
+    for lba in preseeded:
+        seed(lba)
+        written.add(lba)
+    device_before = device.stats.snapshot()
+    flash_before = device.chip.stats.snapshot()
+    recorded_misses = replayed_reads = skipped_misses = 0
+    for event in trace.events:
+        if event.kind == "miss":
+            recorded_misses += 1
+            if event.lba in written:
+                replayed_reads += 1
+                device.read_page(event.lba)
+            else:
+                skipped_misses += 1
+        elif evict(event, event.lba in written):
+            written.add(event.lba)
+    return ReplayResult(
+        label=label,
+        device_stats=device.stats.diff(device_before),
+        flash_stats=device.chip.stats.diff(flash_before),
+        recorded_misses=recorded_misses,
+        replayed_reads=replayed_reads,
+        skipped_misses=skipped_misses,
+        preseeded_pages=len(preseeded),
+    )
 
 
 def replay_on_ipa(
@@ -228,60 +271,36 @@ def replay_on_ipa(
     device = NoFtlDevice(
         FlashChip(geometry, mode=mode), over_provisioning=over_provisioning
     )
-    region = device.create_region(
-        "replay",
-        blocks=blocks,
-        ipa=IpaRegionConfig(scheme.n_records, scheme.m_bytes),
-    )
+    region = device.create_region("replay", blocks=blocks, ipa=scheme)
     template = _page_template(trace.page_size, scheme)
-    footer_start = trace.page_size - PAGE_FOOTER_SIZE
-    delta_start = footer_start - scheme.delta_area_size
-    written: set[int] = set()
-    preseeded = _build_phase_lbas(trace)
-    for lba in preseeded:
-        device.write_page(lba, template)
-        written.add(lba)
-    device_before = device.stats.snapshot()
-    flash_before = device.chip.stats.snapshot()
-    recorded_misses = replayed_reads = skipped_misses = 0
-    for event in trace.events:
-        if event.kind == "miss":
-            recorded_misses += 1
-            if event.lba in written:
-                replayed_reads += 1
-                device.read_page(event.lba)
-            else:
-                skipped_misses += 1
-            continue
+    delta_start = trace.page_size - scheme.tail_size
+    payload = b"\x00" * scheme.record_size
+
+    def evict(event: TraceEvent, written: bool) -> bool:
         ops = [s for s in event.op_sizes if s > 0]
-        conformant = (
-            event.lba in written
+        appends = max(len(ops), 1)
+        if (
+            written
             and (ops or event.meta_bytes)
             and all(s <= scheme.m_bytes for s in ops)
-            and region.appends_on(event.lba) + max(len(ops), 1)
-            <= scheme.n_records
-        )
-        if conformant:
-            ok = True
-            for _ in range(max(len(ops), 1)):
+            and region.appends_on(event.lba) + appends <= scheme.n_records
+        ):
+            for _ in range(appends):
                 slot = region.appends_on(event.lba)
                 offset = delta_start + slot * scheme.record_size
-                payload = b"\x00" * scheme.record_size
                 if not device.write_delta(event.lba, offset, payload):
-                    ok = False
                     break
-            if ok:
-                continue
+            else:
+                return False
         device.write_page(event.lba, template)
-        written.add(event.lba)
-    return ReplayResult(
-        label=f"IPA {scheme} {mode.value}",
-        device_stats=device.stats.diff(device_before),
-        flash_stats=device.chip.stats.diff(flash_before),
-        recorded_misses=recorded_misses,
-        replayed_reads=replayed_reads,
-        skipped_misses=skipped_misses,
-        preseeded_pages=len(preseeded),
+        return True
+
+    return _replay(
+        trace,
+        f"IPA {scheme} {mode.value}",
+        device,
+        lambda lba: device.write_page(lba, template),
+        evict,
     )
 
 
@@ -301,37 +320,21 @@ def replay_on_ipl(
     )
     store = IplStore(FlashChip(geometry, mode=FlashMode.SLC), config)
     template = _page_template(trace.page_size, IPA_DISABLED)
-    written: set[int] = set()
-    preseeded = _build_phase_lbas(trace)
-    for lba in preseeded:
-        store.first_write(lba, template)
-        written.add(lba)
-    device_before = store.stats.snapshot()
-    flash_before = store.chip.stats.snapshot()
-    recorded_misses = replayed_reads = skipped_misses = 0
-    for event in trace.events:
-        if event.kind == "miss":
-            recorded_misses += 1
-            if event.lba in written:
-                replayed_reads += 1
-                store.read_page(event.lba)
-            else:
-                skipped_misses += 1
-            continue
-        if event.lba not in written:
+
+    def evict(event: TraceEvent, written: bool) -> bool:
+        if not written:
             store.first_write(event.lba, template)
-            written.add(event.lba)
-            continue
+            return True
         changed = event.net_bytes + event.meta_bytes
         if changed:
             store.log_update(event.lba, [(i, 0) for i in range(changed)])
             store.flush_log_for(event.lba)
-    return ReplayResult(
-        label="IPL",
-        device_stats=store.stats.diff(device_before),
-        flash_stats=store.chip.stats.diff(flash_before),
-        recorded_misses=recorded_misses,
-        replayed_reads=replayed_reads,
-        skipped_misses=skipped_misses,
-        preseeded_pages=len(preseeded),
+        return False
+
+    return _replay(
+        trace,
+        "IPL",
+        store,
+        lambda lba: store.first_write(lba, template),
+        evict,
     )

@@ -58,7 +58,9 @@ def test_track_encode_apply_roundtrip(ops):
         current[:PAGE_HEADER_SIZE], current[page.footer_start :]
     )
 
-    composed = compose_append_image(flash_image, records, scheme, 0)
+    _offset, composed = compose_append_image(
+        flash_image, [record.encode(scheme) for record in records], scheme, 0
+    )
     # The composed image must be programmable over the flash image.
     assert slc_transition_legal(flash_image, composed)
 
@@ -110,6 +112,8 @@ def test_conformance_decision_is_safe(n, m, updates):
         current[:PAGE_HEADER_SIZE], current[page.footer_start :]
     )
     assert len(records) <= n
-    composed = compose_append_image(flash_image, records, scheme, 0)
+    _offset, composed = compose_append_image(
+        flash_image, [record.encode(scheme) for record in records], scheme, 0
+    )
     rebuilt, _count = reconstruct(composed, scheme)
     assert bytes(rebuilt) == current

@@ -9,7 +9,7 @@ from repro.core.config import (
     IpaScheme,
 )
 from repro.core.delta import DeltaRecord
-from repro.core.reconstruct import ReconstructionError, count_records, reconstruct
+from repro.core.reconstruct import ReconstructionError, reconstruct
 
 PAGE_SIZE = 1024
 FOOTER_START = PAGE_SIZE - PAGE_FOOTER_SIZE
@@ -92,11 +92,13 @@ class TestReconstruct:
 
 
 class TestCountRecords:
+    """The record count is ``reconstruct``'s second result."""
+
     def test_counts(self):
         img0 = bytes(base_image())
-        assert count_records(img0, SCHEME_2X4) == 0
+        assert reconstruct(img0, SCHEME_2X4)[1] == 0
         img2 = with_records(base_image(), [rec([(100, 1)]), rec([(200, 2)])])
-        assert count_records(img2, SCHEME_2X4) == 2
+        assert reconstruct(img2, SCHEME_2X4)[1] == 2
 
     def test_disabled_scheme(self):
-        assert count_records(bytes(base_image()), IpaScheme(0, 0)) == 0
+        assert reconstruct(bytes(base_image()), IpaScheme(0, 0))[1] == 0

@@ -8,7 +8,7 @@ from repro.engine.index import DuplicateKeyError, HashIndex
 from repro.engine.schema import Column, ColumnType, Schema
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
-from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
+from repro.ftl.noftl import NoFtlDevice
 from repro.storage.heap import FileFullError, HeapFile, RID
 from repro.storage.manager import IpaNativePolicy, StorageManager
 from repro.storage.verify import verify_table
@@ -18,7 +18,7 @@ GEO = FlashGeometry(page_size=1024, oob_size=128, pages_per_block=8, blocks=64)
 
 def make_manager(buffer_capacity=16):
     device = NoFtlDevice(FlashChip(GEO), over_provisioning=0.2)
-    device.create_region("data", blocks=64, ipa=IpaRegionConfig(2, 4))
+    device.create_region("data", blocks=64, ipa=SCHEME_2X4)
     return StorageManager(
         device, SCHEME_2X4, IpaNativePolicy(), buffer_capacity=buffer_capacity
     )

@@ -6,7 +6,7 @@ from repro.core.config import SCHEME_2X4
 from repro.engine.database import Database
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
-from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
+from repro.ftl.noftl import NoFtlDevice
 from repro.storage.manager import IpaNativePolicy, StorageManager
 
 
@@ -14,7 +14,7 @@ def make_db():
     geo = FlashGeometry(page_size=512, oob_size=128, pages_per_block=8,
                         blocks=16)
     device = NoFtlDevice(FlashChip(geo), over_provisioning=0.25)
-    device.create_region("d", blocks=16, ipa=IpaRegionConfig(2, 4))
+    device.create_region("d", blocks=16, ipa=SCHEME_2X4)
     return Database(StorageManager(device, SCHEME_2X4, IpaNativePolicy(),
                                    buffer_capacity=4))
 

@@ -36,13 +36,6 @@ class TestWalEdges:
             wal.commit()
         assert len(wal.durable_records()) == 10
 
-    def test_discard_drops_buffered(self):
-        wal = tiny_wal()
-        wal.log_update(1, 0, [(10, b"\x01")])
-        wal.discard()
-        wal.commit()
-        assert wal.durable_records() == []
-
     def test_empty_commit_counts(self):
         wal = tiny_wal()
         wal.commit()

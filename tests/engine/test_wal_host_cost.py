@@ -15,7 +15,7 @@ from repro.core.config import SCHEME_2X4
 from repro.engine.wal import WriteAheadLog
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
-from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
+from repro.ftl.noftl import NoFtlDevice
 from repro.storage.manager import IpaNativePolicy, StorageManager
 
 GEO = FlashGeometry(page_size=4096, oob_size=128, pages_per_block=8, blocks=16)
@@ -25,9 +25,7 @@ SLACK = 40
 
 def _manager():
     device = NoFtlDevice(FlashChip(GEO), over_provisioning=0.2)
-    device.create_region(
-        "data", blocks=16, ipa=IpaRegionConfig(SCHEME_2X4.n_records, SCHEME_2X4.m_bytes)
-    )
+    device.create_region("data", blocks=16, ipa=SCHEME_2X4)
     manager = StorageManager(device, SCHEME_2X4, IpaNativePolicy(), buffer_capacity=4)
     manager.wal = WriteAheadLog(FlashChip(GEO, seed=7))
     return manager

@@ -22,7 +22,7 @@ from repro.engine.wal import (
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.ipa_ftl import IpaFtl
-from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
+from repro.ftl.noftl import NoFtlDevice
 from repro.ftl.page_mapping import PageMappingFtl
 from repro.storage.manager import (
     IpaBlockDevicePolicy,
@@ -57,7 +57,7 @@ def make_stack(architecture: str):
         )
     elif architecture == "ipa-native":
         device = NoFtlDevice(FlashChip(DATA_GEO), over_provisioning=0.2)
-        device.create_region("t", blocks=48, ipa=IpaRegionConfig(2, 4))
+        device.create_region("t", blocks=48, ipa=SCHEME_2X4)
         manager = StorageManager(
             device, SCHEME_2X4, IpaNativePolicy(), buffer_capacity=4
         )

@@ -12,6 +12,7 @@ from unittest import mock
 
 import pytest
 
+from repro.core.config import IPA_DISABLED, SCHEME_2X4
 from repro.fault import FaultInjector, PowerLossError
 from repro.flash.chip import FlashChip
 from repro.flash.device import FlashDevice
@@ -19,7 +20,7 @@ from repro.flash.geometry import FlashGeometry
 from repro.flash.page import PageState
 from repro.ftl.gc import BlockManager
 from repro.ftl.ipa_ftl import IpaFtl
-from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
+from repro.ftl.noftl import NoFtlDevice
 from repro.ftl.oob_meta import OOB_META_SIZE, pack_oob_meta, unpack_oob_meta
 from repro.ftl.page_mapping import PageMappingFtl
 
@@ -28,8 +29,8 @@ GEO = FlashGeometry(page_size=256, oob_size=64, pages_per_block=4, blocks=8)
 BUILDERS = {
     "page-mapping": lambda chip: PageMappingFtl(chip, over_provisioning=0.2),
     "ipa-ftl": lambda chip: IpaFtl(chip, over_provisioning=0.2),
-    "noftl-plain": lambda chip: _noftl(chip, ipa=None),
-    "noftl-ipa": lambda chip: _noftl(chip, ipa=IpaRegionConfig(2, 4)),
+    "noftl-plain": lambda chip: _noftl(chip, ipa=IPA_DISABLED),
+    "noftl-ipa": lambda chip: _noftl(chip, ipa=SCHEME_2X4),
 }
 
 

@@ -17,6 +17,7 @@ from types import MethodType
 import numpy as np
 import pytest
 
+from repro.core.config import SCHEME_2X4
 from repro.flash.chip import FlashChip
 from repro.flash.device import FlashDevice
 from repro.flash.errors import FlashError
@@ -26,7 +27,7 @@ from repro.flash.page import PageState
 from repro.flash.sanitize import Sanitizer
 from repro.ftl.interface import DeviceFullError
 from repro.ftl.ipa_ftl import IpaFtl
-from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
+from repro.ftl.noftl import NoFtlDevice
 from repro.ftl.oob_meta import OOB_META_SIZE
 from repro.ftl.page_mapping import PageMappingFtl
 from repro.obs.ledger import WriteLedger
@@ -60,8 +61,8 @@ def _gc_stack(backend, spec, channels, gc_options, ledger, **chip_options):
         managers = [device._blocks]
     else:
         device = NoFtlDevice(chip, over_provisioning=0.2, **gc_options)
-        hot = device.create_region("hot", blocks=20, ipa=IpaRegionConfig(2, 4))
-        cold = device.create_region("cold", blocks=12, ipa=None)
+        hot = device.create_region("hot", blocks=20, ipa=SCHEME_2X4)
+        cold = device.create_region("cold", blocks=12)
         managers = [hot._blocks, cold._blocks]
     if spec:
         for manager in managers:

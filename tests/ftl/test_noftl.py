@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.core.config import DELTA_METADATA_SIZE, PAIR_SIZE
+from repro.core.config import DELTA_METADATA_SIZE, PAIR_SIZE, SCHEME_2X4
 from repro.flash.chip import FlashChip
 from repro.flash.ecc import ECC_SLOT_SIZE, OobLayout, slot_matches
 from repro.flash.geometry import FlashGeometry
 from repro.flash.modes import FlashMode
-from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
+from repro.ftl.noftl import NoFtlDevice
 
 GEO = FlashGeometry(page_size=256, oob_size=64, pages_per_block=8, blocks=32)
-IPA_2x4 = IpaRegionConfig(n_records=2, m_bytes=4)
+IPA_2x4 = SCHEME_2X4
 
 
 def make_device(mode=FlashMode.SLC):

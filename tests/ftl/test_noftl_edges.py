@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.core.config import SCHEME_2X4, IpaScheme
 from repro.flash.chip import FlashChip
 from repro.flash.errors import OobOverflowError
 from repro.flash.geometry import FlashGeometry
-from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
+from repro.ftl.noftl import NoFtlDevice
 
 GEO = FlashGeometry(page_size=256, oob_size=64, pages_per_block=8, blocks=32)
 
@@ -21,28 +22,22 @@ class TestRegionLimits:
         device = make_device()
         remaining = device.blocks_remaining
         with pytest.raises(OobOverflowError):
-            device.create_region("big", blocks=16, ipa=IpaRegionConfig(5, 4))
+            device.create_region("big", blocks=16, ipa=IpaScheme(5, 4))
         with pytest.raises(ValueError, match="need more than 3 blocks"):
             device.create_region("tiny", blocks=3)
         # A refused region claims no blocks: a full-size one still fits.
         assert device.blocks_remaining == remaining
-        device.create_region("all", blocks=remaining, ipa=IpaRegionConfig(4, 4))
+        device.create_region("all", blocks=remaining, ipa=IpaScheme(4, 4))
         assert device.blocks_remaining == 0
 
     def test_n_within_oob_ok(self):
         device = make_device()
-        device.create_region("ok", blocks=16, ipa=IpaRegionConfig(4, 4))
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            IpaRegionConfig(0, 4)
-        with pytest.raises(ValueError):
-            IpaRegionConfig(2, 0)
+        device.create_region("ok", blocks=16, ipa=IpaScheme(4, 4))
 
     def test_logical_cap_respected(self):
         device = make_device()
         region = device.create_region(
-            "capped", blocks=16, ipa=IpaRegionConfig(2, 4), logical_pages=10
+            "capped", blocks=16, ipa=SCHEME_2X4, logical_pages=10
         )
         assert region.logical_pages == 10
         device.write_page(9, b"\xff" * 256)
@@ -52,7 +47,7 @@ class TestRegionLimits:
     def test_cap_above_physical_is_clamped(self):
         device = make_device()
         region = device.create_region(
-            "huge-cap", blocks=16, ipa=None, logical_pages=10**9
+            "huge-cap", blocks=16, logical_pages=10**9
         )
         assert region.logical_pages < 16 * 8
 

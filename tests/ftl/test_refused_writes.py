@@ -20,7 +20,7 @@ from repro.flash.modes import FlashMode
 from repro.flash.stats import DeviceStats
 from repro.ftl.gc import BlockManager
 from repro.ftl.ipa_ftl import IpaFtl
-from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
+from repro.ftl.noftl import NoFtlDevice
 from repro.ftl.page_mapping import PageMappingFtl
 from repro.stack import BACKENDS as BACKEND_NAMES
 from repro.stack import StackSpec
@@ -41,7 +41,7 @@ def _ipa_ftl():
 def _noftl_region():
     device = NoFtlDevice(FlashChip(GEO, mode=FlashMode.PSLC))
     region = device.create_region(
-        "t", blocks=GEO.blocks, ipa=IpaRegionConfig(2, 4)
+        "t", blocks=GEO.blocks, ipa=SCHEME_2X4
     )
     return device, region._blocks
 

@@ -1,15 +1,16 @@
 """Per-region statistics and the device-level aggregate."""
 
+from repro.core.config import SCHEME_2X4
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
-from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
+from repro.ftl.noftl import NoFtlDevice
 
 GEO = FlashGeometry(page_size=256, oob_size=64, pages_per_block=8, blocks=32)
 
 
 def make_device():
     device = NoFtlDevice(FlashChip(GEO), over_provisioning=0.25)
-    hot = device.create_region("hot", blocks=16, ipa=IpaRegionConfig(2, 4))
+    hot = device.create_region("hot", blocks=16, ipa=SCHEME_2X4)
     cold = device.create_region("cold", blocks=16)
     return device, hot, cold
 

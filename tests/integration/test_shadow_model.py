@@ -19,7 +19,7 @@ from repro.engine.schema import Column, ColumnType, Schema
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.ipa_ftl import IpaFtl
-from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
+from repro.ftl.noftl import NoFtlDevice
 from repro.ftl.page_mapping import PageMappingFtl
 from repro.storage.heap import FileFullError
 from repro.storage.manager import (
@@ -54,7 +54,7 @@ def make_db(architecture: str) -> Database:
         )
     elif architecture == "ipa-native":
         device = NoFtlDevice(FlashChip(GEO), over_provisioning=0.2)
-        device.create_region("t", blocks=48, ipa=IpaRegionConfig(2, 4))
+        device.create_region("t", blocks=48, ipa=SCHEME_2X4)
         manager = StorageManager(
             device, SCHEME_2X4, IpaNativePolicy(), buffer_capacity=4
         )

@@ -24,7 +24,7 @@ from repro.flash.device import FlashDevice
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.gc import BlockManager
 from repro.ftl.ipa_ftl import IpaFtl
-from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
+from repro.ftl.noftl import NoFtlDevice
 from repro.ftl.page_mapping import PageMappingFtl
 from repro.obs import Observation
 from repro.obs.ledger import LifetimeTracker, WriteLedger
@@ -58,8 +58,8 @@ def _stack(backend: str, channels: int, wal_channels: int) -> StorageManager:
         device, scheme, policy = IpaFtl(chip), SCHEME_2X4, IpaBlockDevicePolicy()
     elif backend == "noftl":
         device = NoFtlDevice(chip)
-        device.create_region("hot", blocks=8, ipa=IpaRegionConfig(2, 4))
-        device.create_region("cold", blocks=8, ipa=None)
+        device.create_region("hot", blocks=8, ipa=SCHEME_2X4)
+        device.create_region("cold", blocks=8)
         scheme, policy = SCHEME_2X4, IpaNativePolicy()
     else:
         device, scheme, policy = (

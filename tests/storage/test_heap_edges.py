@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import SCHEME_2X4
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
-from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
+from repro.ftl.noftl import NoFtlDevice
 from repro.storage.heap import FileFullError, HeapFile
 from repro.storage.manager import IpaNativePolicy, StorageManager
 from tests.reference.storage import RefHeapFile
@@ -15,7 +15,7 @@ GEO = FlashGeometry(page_size=512, oob_size=128, pages_per_block=8, blocks=32)
 
 def make_manager(geometry=GEO):
     device = NoFtlDevice(FlashChip(geometry), over_provisioning=0.2)
-    device.create_region("d", blocks=32, ipa=IpaRegionConfig(2, 4))
+    device.create_region("d", blocks=32, ipa=SCHEME_2X4)
     return StorageManager(device, SCHEME_2X4, IpaNativePolicy(), buffer_capacity=8)
 
 

@@ -15,7 +15,7 @@ from repro.engine.wal import WriteAheadLog
 from repro.flash import media_digest
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
-from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
+from repro.ftl.noftl import NoFtlDevice
 from repro.storage import manager as manager_module
 from repro.storage.heap import FileFullError, HeapFile
 from repro.storage.layout import PageFullError, SlottedPage
@@ -30,10 +30,9 @@ def _manager(ipa=True, buffer_capacity=4, with_wal=False):
     device = NoFtlDevice(FlashChip(GEO), over_provisioning=0.2)
     if ipa:
         scheme, policy = SCHEME_2X4, IpaNativePolicy()
-        region = IpaRegionConfig(scheme.n_records, scheme.m_bytes)
     else:
-        scheme, policy, region = IPA_DISABLED, TraditionalPolicy(), None
-    device.create_region("data", blocks=32, ipa=region)
+        scheme, policy = IPA_DISABLED, TraditionalPolicy()
+    device.create_region("data", blocks=32, ipa=scheme)
     manager = StorageManager(device, scheme, policy, buffer_capacity=buffer_capacity)
     if with_wal:
         manager.wal = WriteAheadLog(FlashChip(GEO, seed=7))

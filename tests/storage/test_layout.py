@@ -4,19 +4,51 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import IPA_DISABLED, SCHEME_2X4, IpaScheme
+from repro.core.config import IPA_DISABLED, MAX_M, MAX_N, SCHEME_2X4, IpaScheme
+from repro.core.delta import DeltaRecord
+from repro.core.reconstruct import reconstruct
 from repro.storage.layout import (
     MAGIC,
     PageCorruptError,
     PageFullError,
     SlottedPage,
 )
+from repro.storage.manager import compose_append_image
 
 PAGE_SIZE = 1024
 
 
 def fresh(scheme=SCHEME_2X4, page_size=PAGE_SIZE, page_id=7):
     return SlottedPage.fresh(page_id, page_size, scheme, file_id=3)
+
+
+@pytest.mark.parametrize("page_size", [512 << k for k in range(8)])
+def test_delta_area_placed_once_for_every_scheme(page_size):
+    """The page, reconstruction and the Scenario-2 image agree on where
+    the delta area starts: the paper's N x (1 + 3M + delta_metadata)
+    bytes before the 8-byte footer, for every N x M and page size."""
+    meta_only = DeltaRecord(meta_header=bytes(24), meta_footer=bytes(8))
+    for n in range(1, MAX_N + 1):
+        for m in range(1, MAX_M + 1):
+            scheme = IpaScheme(n, m)
+            start = page_size - 8 - n * (1 + 3 * m + 32)
+            if start < 24:  # no room for the header: the page refuses
+                with pytest.raises(ValueError):
+                    SlottedPage(bytearray(page_size), scheme)
+                continue
+            assert SlottedPage(bytearray(page_size), scheme).delta_start == start
+            erased = b"\xff" * (page_size - 8 - start)
+            flash = bytes(start) + erased + bytes(8)
+            offset, image = compose_append_image(
+                flash, [meta_only.encode(scheme)], scheme, 0
+            )
+            assert offset == start
+            page, count = reconstruct(image, scheme)
+            assert count == 1
+            # Everything outside the scrubbed range is zero.
+            assert page.find(b"\xff") == start
+            assert page.count(b"\xff") == len(erased)
+            assert page[start : page_size - 8] == erased
 
 
 class TestFormat:

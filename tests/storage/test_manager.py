@@ -13,7 +13,7 @@ from repro.fault.injector import FaultInjector, PowerLossError
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.ipa_ftl import IpaFtl
-from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
+from repro.ftl.noftl import NoFtlDevice
 from repro.ftl.page_mapping import PageMappingFtl
 from repro.storage.layout import PageCorruptError, PageFullError
 from repro.storage.manager import (
@@ -28,13 +28,7 @@ GEO = FlashGeometry(page_size=1024, oob_size=128, pages_per_block=8, blocks=32)
 
 def native_manager(buffer_capacity=4, scheme=SCHEME_2X4):
     device = NoFtlDevice(FlashChip(GEO), over_provisioning=0.2)
-    device.create_region(
-        "data",
-        blocks=32,
-        ipa=IpaRegionConfig(scheme.n_records, scheme.m_bytes)
-        if scheme.enabled
-        else None,
-    )
+    device.create_region("data", blocks=32, ipa=scheme)
     return StorageManager(
         device, scheme, IpaNativePolicy(), buffer_capacity=buffer_capacity
     )

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.core.config import SCHEME_2X4
+from repro.core.config import IPA_DISABLED, SCHEME_2X4
 from repro.core.delta import DeltaRecord
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
-from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
+from repro.ftl.noftl import NoFtlDevice
 from repro.storage.manager import (
     IpaNativePolicy,
     StorageManager,
@@ -19,7 +19,7 @@ GEO = FlashGeometry(page_size=1024, oob_size=128, pages_per_block=8, blocks=32)
 def native_manager(ipa=True, buffer_capacity=4):
     device = NoFtlDevice(FlashChip(GEO), over_provisioning=0.2)
     device.create_region(
-        "data", blocks=32, ipa=IpaRegionConfig(2, 4) if ipa else None
+        "data", blocks=32, ipa=SCHEME_2X4 if ipa else IPA_DISABLED
     )
     return StorageManager(
         device, SCHEME_2X4, IpaNativePolicy(), buffer_capacity=buffer_capacity
@@ -45,7 +45,10 @@ class TestComposeAppendImage:
         record = DeltaRecord(
             pairs=[(100, 7)], meta_header=b"h" * 24, meta_footer=b"f" * 8
         )
-        image = compose_append_image(bytes(base), [record], SCHEME_2X4, 0)
+        offset, image = compose_append_image(
+            bytes(base), [record.encode(SCHEME_2X4)], SCHEME_2X4, 0
+        )
+        assert offset == delta_start
         slot0 = image[delta_start : delta_start + SCHEME_2X4.record_size]
         assert DeltaRecord.decode(slot0, SCHEME_2X4).pairs == [(100, 7)]
         # Second slot still erased.
@@ -59,7 +62,9 @@ class TestComposeAppendImage:
         base = b"\xff" * 1024
         record = DeltaRecord(meta_header=b"h" * 24, meta_footer=b"f" * 8)
         with pytest.raises(ValueError):
-            compose_append_image(base, [record], SCHEME_2X4, start_slot=2)
+            compose_append_image(
+                base, [record.encode(SCHEME_2X4)], SCHEME_2X4, start_slot=2
+            )
 
 
 class TestFallbacks:

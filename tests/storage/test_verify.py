@@ -5,7 +5,7 @@ from repro.engine.database import Database
 from repro.engine.schema import Column, ColumnType, Schema
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
-from repro.ftl.noftl import IpaRegionConfig, NoFtlDevice
+from repro.ftl.noftl import NoFtlDevice
 from repro.storage.heap import RID
 from repro.storage.manager import IpaNativePolicy, StorageManager
 from repro.storage.verify import verify_database, verify_table
@@ -23,7 +23,7 @@ SCHEMA = Schema(
 
 def make_db():
     device = NoFtlDevice(FlashChip(GEO), over_provisioning=0.2)
-    device.create_region("t", blocks=48, ipa=IpaRegionConfig(2, 4))
+    device.create_region("t", blocks=48, ipa=SCHEME_2X4)
     manager = StorageManager(
         device, SCHEME_2X4, IpaNativePolicy(), buffer_capacity=6
     )

@@ -27,13 +27,7 @@ def _row(manager) -> tuple:
     device = manager.device
     regions = None
     if isinstance(device, NoFtlDevice):
-        regions = [
-            (
-                (r.ipa.n_records, r.ipa.m_bytes) if r.ipa else None,
-                r.logical_pages,
-            )
-            for r in device.regions
-        ]
+        regions = [(str(r.scheme), r.logical_pages) for r in device.regions]
     wal = manager.wal.chip
     return (
         type(device).__name__,
@@ -63,10 +57,10 @@ BENCH_ROWS = {
                      "IpaBlockDevicePolicy", "[2x4]", None, 652,
                      (4096, 128, 64, 12), (4096, 16, 64, 8), 64),
     "ipa-native": ("NoFtlDevice", "FlashDevice", 4, "FlashChip", 1,
-                   "IpaNativePolicy", "[2x4]", [((2, 4), 652)], 652,
+                   "IpaNativePolicy", "[2x4]", [("[2x4]", 652)], 652,
                    (4096, 128, 64, 12), (4096, 16, 64, 8), 64),
     "noftl-plain": ("NoFtlDevice", "FlashDevice", 4, "FlashChip", 1,
-                    "TraditionalPolicy", "[0x0]", [(None, 652)], 652,
+                    "TraditionalPolicy", "[0x0]", [("[0x0]", 652)], 652,
                     (4096, 128, 64, 12), (4096, 16, 64, 8), 64),
     "ipl": ("IplStore", "FlashChip", 1, "FlashChip", 1,
             "IplPolicy", "[0x0]", None, 672,
@@ -83,10 +77,10 @@ FAULT_ROWS = {
                      "IpaBlockDevicePolicy", "[2x4]", None, 51,
                      (1024, 128, 8, 8), (1024, 16, 8, 16), 4),
     "ipa-native": ("NoFtlDevice", "FlashDevice", 4, "FlashDevice", 2,
-                   "IpaNativePolicy", "[2x4]", [((2, 4), 51)], 51,
+                   "IpaNativePolicy", "[2x4]", [("[2x4]", 51)], 51,
                    (1024, 128, 8, 8), (1024, 16, 8, 16), 4),
     "noftl-plain": ("NoFtlDevice", "FlashDevice", 4, "FlashDevice", 2,
-                    "TraditionalPolicy", "[0x0]", [(None, 51)], 51,
+                    "TraditionalPolicy", "[0x0]", [("[0x0]", 51)], 51,
                     (1024, 128, 8, 8), (1024, 16, 8, 16), 4),
 }
 
