@@ -84,7 +84,7 @@ def _sanitizer_roles(ftl):
 
     def attach(sanitizer):
         ftl.chip.sanitizer = sanitizer
-        ftl._blocks.sanitizer = sanitizer
+        ftl.sanitizer = sanitizer
 
     return (lambda: attach(null)), (lambda: attach(off))
 
@@ -95,17 +95,17 @@ def _ledger_roles(ftl):
     Baseline is the shared NULL_LEDGER / NULL_LIFETIMES class defaults;
     the off role attaches real-but-disabled instances, exercising the
     ``lg = self.ledger; if lg.enabled`` guards on the chip program path,
-    the block manager's OOB shift and lifetime hooks.
+    the FTL's OOB shift and lifetime hooks.
     """
     null_ledger = ftl.chip.ledger
-    null_lifetimes = ftl._blocks.lifetimes
+    null_lifetimes = ftl.lifetimes
     off_ledger = _DisabledLedger()
     off_lifetimes = _DisabledLifetimeTracker(ftl.chip.clock)
 
     def attach(ledger, lifetimes):
         ftl.chip.ledger = ledger
-        ftl._blocks.ledger = ledger
-        ftl._blocks.lifetimes = lifetimes
+        ftl.ledger = ledger
+        ftl.lifetimes = lifetimes
 
     return (
         lambda: attach(null_ledger, null_lifetimes),
@@ -116,14 +116,13 @@ def _ledger_roles(ftl):
 def _tracer_roles(ftl):
     """(attach-baseline, attach-off) closures for the span-tracer A/B:
     the shared NULL_TRACER default versus a real Tracer that is attached
-    to the FTL, its block manager and the chip but disabled."""
+    to the FTL and the chip but disabled."""
     null = ftl.chip.tracer
     off = Tracer(clock=ftl.chip.clock)
     off.enabled = False  # instance override: attached but disabled
 
     def attach(tracer):
         ftl.tracer = tracer
-        ftl._blocks.tracer = tracer
         ftl.chip.tracer = tracer
 
     return (lambda: attach(null)), (lambda: attach(off))

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.analysis.advisor import advise, render_advice
 from repro.bench.harness import ExperimentConfig, build_stack
-from repro.core.config import IPA_DISABLED, SCHEME_2X4
+from repro.core.config import SCHEME_2X4
 from repro.engine.database import Database
 from repro.flash import FlashChip, FlashGeometry, FlashMode
 from repro.ftl import NoFtlDevice
@@ -86,7 +86,7 @@ def configured_run(advice_by_table):
         device.create_region(
             table,
             blocks=need_blocks,
-            ipa=advice.scheme or IPA_DISABLED,
+            ipa=advice.scheme,
             logical_pages=pages,
         )
 

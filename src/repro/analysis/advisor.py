@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import MAX_M, IpaScheme
+from repro.core.config import IPA_DISABLED, MAX_M, IpaScheme
 from repro.engine.database import Database
 from repro.obs.export import render_table
 
@@ -39,7 +39,7 @@ class TableAdvice:
     update_ops: int
     median_bytes: float
     p95_bytes: float
-    scheme: IpaScheme | None  # None => leave IPA off for this table
+    scheme: IpaScheme  # IPA_DISABLED => leave IPA off for this table
     reason: str
 
 
@@ -55,7 +55,7 @@ def advise_table(
             update_ops=len(op_sizes),
             median_bytes=0.0,
             p95_bytes=0.0,
-            scheme=None,
+            scheme=IPA_DISABLED,
             reason=(
                 "insufficient update sample"
                 if op_sizes
@@ -71,7 +71,7 @@ def advise_table(
             update_ops=len(op_sizes),
             median_bytes=median,
             p95_bytes=p90,
-            scheme=None,
+            scheme=IPA_DISABLED,
             reason=(
                 f"p95 update of {p90:.0f} B exceeds the delta-record "
                 f"maximum (M <= {MAX_M}); whole-page writes are cheaper"
@@ -113,7 +113,7 @@ def render_advice(advice: list[TableAdvice]) -> str:
                 str(a.update_ops),
                 f"{a.median_bytes:.0f}",
                 f"{a.p95_bytes:.0f}",
-                str(a.scheme) if a.scheme else "IPA off",
+                str(a.scheme) if a.scheme.enabled else "IPA off",
                 a.reason,
             ]
             for a in advice

@@ -207,7 +207,6 @@ def run_experiment(
     committed = db.txn_stats.committed - txns_before
     fetches = pool.stats.fetches - fetches_before
     hits = pool.stats.hits - hits_before
-    total_host_writes = device.host_writes + device.host_delta_writes
 
     result_cls = ObservedResult if obs is not None else ExperimentResult
     result = result_cls(
@@ -217,7 +216,7 @@ def run_experiment(
         elapsed_s=elapsed_s,
         tps=committed / elapsed_s if elapsed_s > 0 else 0.0,
         host_reads=device.host_reads,
-        host_writes=total_host_writes,
+        host_writes=device.total_host_write_ops,
         host_page_writes=device.host_writes,
         host_delta_writes=device.host_delta_writes,
         host_bytes_written=device.host_bytes_written,
@@ -227,14 +226,8 @@ def run_experiment(
         out_of_place_writes=device.out_of_place_writes,
         gc_page_migrations=device.gc_page_migrations,
         gc_erases=device.gc_erases,
-        migrations_per_host_write=(
-            device.gc_page_migrations / total_host_writes
-            if total_host_writes
-            else 0.0
-        ),
-        erases_per_host_write=(
-            device.gc_erases / total_host_writes if total_host_writes else 0.0
-        ),
+        migrations_per_host_write=device.migrations_per_host_write,
+        erases_per_host_write=device.erases_per_host_write,
         flash_programs=flash.page_programs,
         flash_reprograms=flash.page_reprograms,
         flash_erases=flash.block_erases,

@@ -22,7 +22,7 @@ Checked invariants (see ``docs/static_analysis.md``):
   partial_program, including the OOB area.
 * **Erase completeness** — after an erase, every cell of every page in
   the block reads back 0xFF and the pages report ``ERASED`` state.
-* **BlockManager conservation** — the lba->ppn and ppn->lba maps stay
+* **FTL conservation** — the lba->ppn and ppn->lba maps stay
   inverse bijections; per-block valid counts match the reverse map;
   ``valid + invalid + free-page`` counts add up to the usable page count
   of every block; free-pool blocks hold no programmed usable pages.
@@ -47,7 +47,7 @@ from repro.flash.page import PageState, PhysicalPage
 if TYPE_CHECKING:
     from repro.flash.block import EraseBlock
     from repro.flash.ecc import OobLayout
-    from repro.ftl.gc import BlockManager
+    from repro.ftl.page_mapping import PageMappingFtl
     from repro.obs.ledger import WriteLedger
 
 ENV_VAR = "REPRO_SANITIZE"
@@ -72,9 +72,9 @@ NULL_SANITIZER = _NullSanitizer()
 def sanitizer_from_env() -> "Sanitizer | _NullSanitizer":
     """The process-wide switch: a live :class:`Sanitizer` iff REPRO_SANITIZE=1.
 
-    Read at *construction* time of each chip / block manager / region, so
-    tests can flip the environment between stacks without reloading
-    modules.
+    Read at *construction* time of each chip and each FTL (a NoFTL
+    region is one), so tests can flip the environment between stacks
+    without reloading modules.
     """
     if os.environ.get(ENV_VAR, "") == "1":
         return Sanitizer()
@@ -215,22 +215,22 @@ class Sanitizer:
     # ------------------------------------------------------------------ #
 
     def check_mapping_pair(
-        self, manager: "BlockManager", lba: int, ppn: int
+        self, ftl: "PageMappingFtl", lba: int, ppn: int
     ) -> None:
         """Cheap per-write check: the just-written pair is consistent."""
-        if manager.mapping.get(lba) != ppn:
+        if ftl.mapping.get(lba) != ppn:
             _fail(f"sanitize: mapping[{lba}] != freshly written ppn {ppn}")
-        if manager._rmap.get(ppn) != lba:
+        if ftl._rmap.get(ppn) != lba:
             _fail(f"sanitize: rmap[{ppn}] != freshly written lba {lba}")
 
-    def check_block_manager(self, manager: "BlockManager") -> None:
-        """Full conservation + bijectivity audit of one BlockManager.
+    def check_ftl(self, ftl: "PageMappingFtl") -> None:
+        """Full conservation + bijectivity audit of one page-mapping FTL.
 
         O(blocks x pages) — run after victim erases, remounts and trims,
         not on the per-write fast path.
         """
-        mapping = manager.mapping
-        rmap = manager._rmap
+        mapping = ftl.mapping
+        rmap = ftl._rmap
         if len(mapping) != len(rmap):
             _fail(
                 f"sanitize: mapping ({len(mapping)} entries) and reverse "
@@ -242,28 +242,28 @@ class Sanitizer:
                     f"sanitize: mapping bijectivity broken — mapping[{lba}]"
                     f" = {ppn} but rmap[{ppn}] = {rmap.get(ppn)!r}"
                 )
-        ppb = manager.chip.geometry.pages_per_block
-        valid_recount: dict[int, int] = {b: 0 for b in manager.block_ids}
+        ppb = ftl.chip.geometry.pages_per_block
+        valid_recount: dict[int, int] = {b: 0 for b in ftl.block_ids}
         for ppn in rmap:
             block_id = ppn // ppb
             if block_id not in valid_recount:
                 _fail(
                     f"sanitize: mapped ppn {ppn} lives in block {block_id} "
-                    "not owned by this manager"
+                    "not owned by this FTL"
                 )
             valid_recount[block_id] += 1
-        usable = len(manager._usable_offsets)
-        offsets = manager._usable_offsets
+        usable = len(ftl._usable_offsets)
+        offsets = ftl._usable_offsets
         programmed_state = PageState.PROGRAMMED
-        free = set(manager._free)
-        for block_id in manager.block_ids:
-            recorded = manager._valid.get(block_id)
+        free = set(ftl._free)
+        for block_id in ftl.block_ids:
+            recorded = ftl._valid.get(block_id)
             if recorded != valid_recount[block_id]:
                 _fail(
                     f"sanitize: block {block_id} valid-count drift — "
                     f"recorded {recorded}, recounted {valid_recount[block_id]}"
                 )
-            pages = manager.chip.blocks[block_id].pages
+            pages = ftl.chip.blocks[block_id].pages
             programmed = sum(
                 1 for off in offsets if pages[off].state is programmed_state
             )
@@ -281,7 +281,7 @@ class Sanitizer:
                     f"sanitize: free-pool block {block_id} holds "
                     f"{programmed} programmed usable pages"
                 )
-        for ppn in manager.appends_done:
+        for ppn in ftl.appends_done:
             if ppn not in rmap:
                 _fail(
                     f"sanitize: appends_done tracks ppn {ppn} that is not "

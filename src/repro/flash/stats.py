@@ -96,7 +96,7 @@ class DeviceStats(_Counters):
     gc_page_migrations: int = 0
     gc_erases: int = 0
     trims: int = 0
-    # BlockManager (page-mapping, IPA and NoFTL backends)
+    # The page-mapping FTL's GC (page-mapping, IPA and NoFTL backends)
     wear_leveling_moves: int = 0  # static wear-leveling victim picks
     retired_blocks: int = 0  # blocks retired after exceeding endurance
     background_gc_migrations: int = 0  # moves by the incremental collector

@@ -9,6 +9,11 @@
 * :class:`~repro.ftl.noftl.NoFtlDevice` — the NoFTL native-Flash
   architecture [6,7] with regions and the ``write_delta`` command
   (Demo-Scenario 3): only the delta bytes cross the host interface.
+
+The three share one FTL: mapping, allocation, garbage collection and
+remount live in :class:`PageMappingFtl` alone.  ``IpaFtl`` overrides its
+write path, and each NoFTL :class:`~repro.ftl.noftl.Region` is one over
+its slice of the chip's blocks.
 """
 
 from repro.ftl.interface import DeviceFullError, FlashBackend

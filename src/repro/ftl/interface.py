@@ -33,8 +33,7 @@ class FlashBackend(Protocol):
     chip-shaped :class:`~repro.flash.device.FlashDevice` — both answer
     ``chips``, ``channels``, ``attach``, ``sync``, ``quiesce`` and
     ``power_loss``.  :meth:`attach` sets each observer only on the parts
-    that read it (the backend or its regions, its block managers, its
-    chip's leaf chips); :attr:`free_blocks` is the free-pool depth;
+    that read it (the backend or its regions, its chip's leaf chips); :attr:`free_blocks` is the free-pool depth;
     :attr:`stats` holds every counter the backend keeps.
     """
 

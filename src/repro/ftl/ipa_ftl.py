@@ -20,32 +20,15 @@ out-of-place program) stays valid across any number of IPA overwrites.
 from __future__ import annotations
 
 from repro.flash.cellmodel import slc_transition_legal
-from repro.flash.chip import FlashChip
 from repro.ftl.page_mapping import PageMappingFtl
 
 
 class IpaFtl(PageMappingFtl):
     """Conventional block interface with device-side in-place detection.
 
-    Args:
-        chip: NAND chip; run it in PSLC or ODD_MLC mode per the paper's
-            MLC safety configurations.
-        over_provisioning: As for the conventional FTL.
+    Constructed like :class:`PageMappingFtl`; run the chip in PSLC or
+    ODD_MLC mode per the paper's MLC safety configurations.
     """
-
-    def __init__(
-        self,
-        chip: FlashChip,
-        over_provisioning: float = 0.10,
-        background_gc: bool = False,
-        gc_migration_budget: int = 8,
-    ) -> None:
-        super().__init__(
-            chip,
-            over_provisioning,
-            background_gc=background_gc,
-            gc_migration_budget=gc_migration_budget,
-        )
 
     def write_page(self, lba: int, data: bytes) -> None:
         """Write a page; reprogram in place when physically possible."""
@@ -56,23 +39,21 @@ class IpaFtl(PageMappingFtl):
         with tr.span("ftl_write", lba=lba) as span:
             span.set(in_place=self._write_page_inner(lba, data))
 
-    def _write_page_inner(self, lba: int, data: bytes) -> bool:
+    def _write_page_inner(
+        self, lba: int, data: bytes, oob: bytes | None = None
+    ) -> bool:
         """Returns True when the write landed in place (no invalidation)."""
-        blocks = self._blocks
         # Before the compare read: a refused write costs nothing.
-        blocks.check_write(lba, data)
-        ppn = blocks.ppn_of(lba)
-        in_place = ppn is not None and self._try_in_place(ppn, data)
+        self._check_write(lba, data, oob)
+        ppn = self.mapping.get(lba)
+        if ppn is None or not self._try_in_place(ppn, data):
+            return PageMappingFtl._write_page_inner(self, lba, data, oob)
         stats = self.stats
-        if in_place:
-            stats.in_place_appends += 1
-        else:
-            blocks.write(lba, data)
-            stats.out_of_place_writes += 1
+        stats.in_place_appends += 1
         # Counted once it has landed: a refused write is not a host write.
         stats.host_writes += 1
         stats.host_bytes_written += len(data)
-        return in_place
+        return True
 
     def _try_in_place(self, ppn: int, data: bytes) -> bool:
         """Device-internal compare + reprogram; False if not applicable."""

@@ -17,6 +17,8 @@ and writes the delta's ECC into the page's next free OOB slot (Figure 3).
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.core.config import IPA_DISABLED, IpaScheme
 from repro.flash.chip import FlashChip
 from repro.flash.ecc import ECC_SLOT_SIZE, OobLayout, crc_slot
@@ -26,63 +28,54 @@ from repro.flash.errors import (
     OobOverflowError,
 )
 from repro.flash.stats import DeviceStats
-from repro.ftl.gc import BlockManager
 from repro.ftl.oob_meta import OOB_META_SIZE
+from repro.ftl.page_mapping import PageMappingFtl
 from repro.obs.export import render_table
 from repro.obs.ledger import LifetimeTracker, WriteLedger
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
+from repro.obs.trace import NullTracer, Tracer
 
 
-class Region:
-    """A contiguous group of erase blocks with one configuration.
+class Region(PageMappingFtl):
+    """A contiguous group of erase blocks with one configuration: the
+    page-mapping FTL over its block slice, serving device LBAs
+    ``[lba_base, lba_end)``, plus the ``write_delta`` command.
 
     Not constructed directly — use :meth:`NoFtlDevice.create_region`.
-    """
 
-    #: Observability: replaced per-instance by :meth:`attach`.
-    tracer = NULL_TRACER
+    Args:
+        name: Region label (diagnostics and error messages).
+        chip: The device's shared chip.
+        lba_base: First device LBA of the region.
+        scheme: The region's N x M scheme; IPA_DISABLED for a plain
+            region, whose write_delta always refuses.
+        options: As for :class:`PageMappingFtl` (``block_ids`` names the
+            region's blocks).
+    """
 
     def __init__(
         self,
         name: str,
         chip: FlashChip,
-        block_ids: list[int],
-        stats: DeviceStats,
         lba_base: int,
-        ipa: IpaScheme,
-        over_provisioning: float,
-        logical_pages: int | None = None,
-        background_gc: bool = False,
-        gc_migration_budget: int = 8,
+        scheme: IpaScheme,
+        **options: Any,
     ) -> None:
+        super().__init__(chip, **options)
         self.name = name
-        self.chip = chip
-        #: Per-region counters; the device exposes the aggregate.
-        self.stats = stats
-        #: The region's N x M scheme; IPA_DISABLED for a plain region.
-        self.scheme = ipa
-        self._blocks = BlockManager(
-            chip,
-            block_ids,
-            stats,
-            over_provisioning=over_provisioning,
-            logical_cap=logical_pages,
-            background_gc=background_gc,
-            gc_migration_budget=gc_migration_budget,
-        )
-        #: LBAs this region contributes to the device address space, and
-        #: its slice ``[lba_base, lba_end)`` of it: fixed once built.
-        self.logical_pages = self._blocks.logical_pages
+        self._where = f" (region {name})"
+        self.scheme = scheme
+        #: The region's slice ``[lba_base, lba_end)`` of the device
+        #: address space: fixed once built.
         self.lba_base = lba_base
         self.lba_end = lba_base + self.logical_pages
-        self._oob_layout = None
-        if ipa.enabled:
+        self._oob_layout: OobLayout | None = None
+        if scheme.enabled:
             oob_size = chip.geometry.oob_size
-            self._oob_layout = OobLayout(oob_size, ipa.n_records)
-            slots_end = (1 + ipa.n_records) * ECC_SLOT_SIZE
+            self._oob_layout = OobLayout(oob_size, scheme.n_records)
+            slots_end = (1 + scheme.n_records) * ECC_SLOT_SIZE
             if oob_size >= OOB_META_SIZE and slots_end > oob_size - OOB_META_SIZE:
                 raise OobOverflowError(
-                    f"OOB of {oob_size} B cannot hold 1+{ipa.n_records} ECC "
+                    f"OOB of {oob_size} B cannot hold 1+{scheme.n_records} ECC "
                     f"slots plus the {OOB_META_SIZE} B mapping record"
                 )
 
@@ -92,19 +85,10 @@ class Region:
         ledger: WriteLedger,
         lifetimes: LifetimeTracker,
     ) -> None:
-        """Observers onto this region and its block manager."""
+        """Observers onto this region; the device attaches the shared chip."""
         self.tracer = tracer
-        self._blocks.attach(tracer, ledger, lifetimes)
-
-    def read_page(self, lba: int) -> bytes:
-        # The mapping is read at call time: a remount replaces the dict.
-        ppn = self._blocks.mapping.get(lba - self.lba_base)
-        if ppn is None:
-            raise KeyError(f"read of unwritten lba {lba} (region {self.name})")
-        data = self.chip.read_page(ppn)
-        self.stats.host_reads += 1
-        self.stats.host_bytes_read += len(data)
-        return data
+        self.ledger = ledger
+        self.lifetimes = lifetimes
 
     def write_page(self, lba: int, data: bytes) -> None:
         tr = self.tracer
@@ -114,20 +98,16 @@ class Region:
         with tr.span("ftl_write", lba=lba, region=self.name):
             self._write_page_inner(lba, data)
 
-    def _write_page_inner(self, lba: int, data: bytes) -> None:
-        oob = None
+    def _write_page_inner(
+        self, lba: int, data: bytes, oob: bytes | None = None
+    ) -> bool:
         if self._oob_layout is not None:
             # Fresh page image: program slot 0 (initial-data ECC) now;
             # delta slots stay erased for future write_delta calls.
             oob_buf = bytearray(b"\xff" * self.chip.geometry.oob_size)
             self._oob_layout.write_slot(oob_buf, 0, crc_slot(data))
             oob = bytes(oob_buf)
-        self._blocks.write(lba - self.lba_base, data, oob)
-        # Counted once it has landed: a refused write is not a host write.
-        stats = self.stats
-        stats.host_writes += 1
-        stats.host_bytes_written += len(data)
-        stats.out_of_place_writes += 1
+        return PageMappingFtl._write_page_inner(self, lba, data, oob)
 
     def write_delta(self, lba: int, offset: int, payload: bytes) -> bool:
         """The paper's command: append a delta-record to the page in place.
@@ -145,10 +125,10 @@ class Region:
         scheme = self.scheme
         if len(payload) > scheme.record_size:
             return False
-        ppn = self._blocks.mapping.get(lba - self.lba_base)
+        ppn = self.mapping.get(lba - self.lba_base)
         if ppn is None:
             return False
-        used = self._blocks.appends_done.get(ppn, 0)
+        used = self.appends_done.get(ppn, 0)
         if used >= scheme.n_records:
             return False
         slot_start, _end = self._oob_layout.slot_span(used + 1)
@@ -162,8 +142,8 @@ class Region:
             )
         except (IllegalProgramError, ModeViolationError):
             return False
-        self._blocks.appends_done[ppn] = used + 1
-        sz = self._blocks.sanitizer
+        self.appends_done[ppn] = used + 1
+        sz = self.sanitizer
         if sz.enabled:
             sz.check_delta_slots(
                 self.chip.page_at(ppn), self._oob_layout, used + 1
@@ -187,29 +167,24 @@ class Region:
     def rebuild_from_media(self) -> None:
         """Remount: rebuild mapping and delta-slot counts from the chip.
 
-        After the BlockManager reconstructs the mapping from OOB
-        metadata, every mapped page's delta-slot usage is recounted from
-        its OOB ECC slots (Figure 3): a partially programmed slot —
-        a torn ``write_delta`` — counts as used, so the device never
-        appends into a dirty slot.
+        After the mapping is rebuilt from OOB metadata, every mapped
+        page's delta-slot usage is recounted from its OOB ECC slots
+        (Figure 3): a partially programmed slot — a torn
+        ``write_delta`` — counts as used, so the device never appends
+        into a dirty slot.
         """
-        self._blocks.rebuild_from_media()
+        super().rebuild_from_media()
         if self._oob_layout is not None:
-            for ppn in self._blocks.appends_done:
+            for ppn in self.appends_done:
                 oob = self.chip.page_at(ppn).raw_oob()
-                self._blocks.appends_done[ppn] = (
-                    self._oob_layout.used_delta_slots(oob)
-                )
+                self.appends_done[ppn] = self._oob_layout.used_delta_slots(oob)
 
     def appends_on(self, lba: int) -> int:
         """Delta-records appended to the LBA's current physical page."""
-        ppn = self._blocks.mapping.get(lba - self.lba_base)
+        ppn = self.mapping.get(lba - self.lba_base)
         if ppn is None:
             return 0
-        return self._blocks.appends_done.get(ppn, 0)
-
-    def trim(self, lba: int) -> None:
-        self._blocks.trim(lba - self.lba_base)
+        return self.appends_done.get(ppn, 0)
 
 
 class NoFtlDevice:
@@ -281,7 +256,7 @@ class NoFtlDevice:
     def free_blocks(self) -> int:
         """Erased blocks ready for allocation, summed over the regions
         (GC pressure anywhere hurts)."""
-        return sum(r._blocks.free_block_count for r in self.regions)
+        return sum(r.free_blocks for r in self.regions)
 
     def attach(
         self,
@@ -289,8 +264,7 @@ class NoFtlDevice:
         ledger: WriteLedger,
         lifetimes: LifetimeTracker,
     ) -> None:
-        """Observers onto every region (and its block manager) and the
-        shared chip."""
+        """Observers onto every region and, once, the shared chip."""
         for region in self.regions:
             region.attach(tracer, ledger, lifetimes)
         self.chip.attach(tracer, ledger)
@@ -330,17 +304,15 @@ class NoFtlDevice:
                 f"region '{name}' wants {blocks} blocks, only "
                 f"{self.blocks_remaining} remain"
             )
-        block_ids = list(range(self._next_block, self._next_block + blocks))
+        if over_provisioning is None:
+            over_provisioning = self._over_provisioning
         region = Region(
             name,
             self.chip,
-            block_ids,
-            DeviceStats(),
             self.logical_pages,
             ipa,
-            over_provisioning
-            if over_provisioning is not None
-            else self._over_provisioning,
+            block_ids=range(self._next_block, self._next_block + blocks),
+            over_provisioning=over_provisioning,
             logical_pages=logical_pages,
             background_gc=self._background_gc,
             gc_migration_budget=self._gc_migration_budget,

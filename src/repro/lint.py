@@ -4,8 +4,8 @@ Unused imports (F401), f-strings without placeholders (F541) and
 mutable default arguments (B006) — the three codes ``[tool.ruff]``
 selects in ``pyproject.toml`` — checked with the stdlib ``ast`` module,
 so the gate also runs where ruff is not installed.  The repo's other
-invariants (determinism, layering, the metric registry, exception
-hygiene, worker seeding) are plain tests under ``tests/lint/``; see
+invariants (determinism, layering, exception hygiene, worker seeding)
+are plain tests under ``tests/lint/``; see
 ``docs/static_analysis.md``.
 
 ``python -m repro.lint [paths...] [--select R5]`` checks the given

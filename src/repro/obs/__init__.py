@@ -38,10 +38,7 @@ from repro.obs.ledger import (
     WriteLedger,
     erase_count_histogram,
 )
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS_US,
-    MetricsRegistry,
-)
+from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_US, Histogram
 from repro.obs.sampler import TimeSeriesSampler
 from repro.obs.trace import (
     NULL_TRACER,
@@ -62,7 +59,6 @@ __all__ = [
     "LIFETIME_BUCKETS_US",
     "ERASE_COUNT_BUCKETS",
     "erase_count_histogram",
-    "MetricsRegistry",
     "Tracer",
     "NULL_TRACER",
     "TimeSeriesSampler",
@@ -102,7 +98,6 @@ class Observation:
 
     def __init__(
         self,
-        registry: MetricsRegistry,
         tracer: Tracer,
         sampler: TimeSeriesSampler,
         config: ObserveConfig,
@@ -110,12 +105,11 @@ class Observation:
         lifetimes: LifetimeTracker,
         chip,
     ) -> None:
-        self.registry = registry
         self.tracer = tracer
         self.sampler = sampler
         self.config = config
         #: Per-transaction simulated latency (us).
-        self.txn_latency = registry.histogram(
+        self.txn_latency = Histogram(
             "txn_latency_us",
             help="simulated per-transaction latency",
             bounds=DEFAULT_LATENCY_BUCKETS_US,
@@ -132,9 +126,8 @@ class Observation:
 
     @classmethod
     def create(cls, manager, db=None, config: ObserveConfig | None = None) -> "Observation":
-        """Attach a fresh registry + tracer + sampler to a built stack."""
+        """Attach a fresh tracer, ledger and sampler to a built stack."""
         config = config or ObserveConfig()
-        registry = MetricsRegistry()
         tracer = Tracer(clock=manager.clock)
         tracer.trace_channel_ops = config.trace_channel_ops
 
@@ -146,14 +139,7 @@ class Observation:
         multi_channel = isinstance(chip, FlashDevice)
 
         ledger = WriteLedger()
-        lifetimes = LifetimeTracker(
-            manager.clock,
-            aggregate=registry.histogram(
-                "lba_lifetime_us",
-                help="simulated LBA write-to-invalidate lifetime",
-                bounds=LIFETIME_BUCKETS_US,
-            ),
-        )
+        lifetimes = LifetimeTracker(manager.clock)
         manager.attach(tracer, ledger, lifetimes)
 
         collectors = {
@@ -193,7 +179,7 @@ class Observation:
                 "host_writes", "in_place_appends", "flash_reprograms",
             ),
         )
-        return cls(registry, tracer, sampler, config, ledger, lifetimes, chip)
+        return cls(tracer, sampler, config, ledger, lifetimes, chip)
 
     # ------------------------------------------------------------------ #
     # Accessors and the run artefact

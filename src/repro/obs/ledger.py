@@ -27,8 +27,8 @@ re-derived independently by ``repro.flash.sanitize`` under
 ``REPRO_SANITIZE=1``.
 
 The ``oob_meta`` cause is byte-only: the 17-byte durable mapping record
-never owns a program operation (it rides inside one), so the block
-manager *shifts* those bytes from the ambient cause after the program,
+never owns a program operation (it rides inside one), so the FTL
+*shifts* those bytes from the ambient cause after the program,
 keeping byte conservation exact while making FTL metadata overhead
 visible in the WA waterfall.
 
@@ -321,11 +321,10 @@ class LifetimeTracker:
     migrations move data without a logical death, and IPA in-place
     appends extend a page's life rather than ending it — which is
     exactly the asymmetry the paper exploits, and why death times are
-    measured at the block-manager write/trim sites rather than at the
-    chip.
+    measured at the FTL's write/trim sites rather than at the chip.
 
     Memory is bounded: the birth table holds at most one entry per live
-    logical page (keyed by owning block manager, so NoFTL regions with
+    logical page (keyed by owning FTL object, so NoFTL regions with
     overlapping LBA spaces cannot collide), and observations land in
     fixed-bucket histograms per cause plus one aggregate.
     """
@@ -334,11 +333,10 @@ class LifetimeTracker:
 
     enabled = True
 
-    def __init__(self, clock: object, aggregate: Histogram | None = None) -> None:
+    def __init__(self, clock: object) -> None:
         self.clock = clock
-        #: The aggregate histogram (``lba_lifetime_us``; an observed run
-        #: passes its registry's).
-        self.aggregate = aggregate or Histogram(
+        #: Every cause's lifetimes in one histogram.
+        self.aggregate = Histogram(
             "lba_lifetime_us",
             help="simulated LBA write-to-invalidate lifetime",
             bounds=LIFETIME_BUCKETS_US,
@@ -351,7 +349,7 @@ class LifetimeTracker:
             )
             for c in WRITE_CAUSES
         }
-        #: (id(block manager), lba) -> (birth time us, cause at birth).
+        #: (id(FTL), lba) -> (birth time us, cause at birth).
         self._births: dict[tuple[int, int], tuple[float, str]] = {}
 
     def _observe_death(self, key: tuple[int, int]) -> None:
@@ -363,9 +361,9 @@ class LifetimeTracker:
         self.by_cause[cause].observe(lifetime)
         self.aggregate.observe(lifetime)
 
-    def on_write(self, manager: object, lba: int, cause: str) -> None:
+    def on_write(self, ftl: object, lba: int, cause: str) -> None:
         """Host out-of-place write: the old version dies, a new one is born."""
-        key = (id(manager), lba)
+        key = (id(ftl), lba)
         self._observe_death(key)
         if cause not in self.by_cause:
             cause = "unattributed"
@@ -374,9 +372,9 @@ class LifetimeTracker:
             cause,
         )
 
-    def on_trim(self, manager: object, lba: int) -> None:
+    def on_trim(self, ftl: object, lba: int) -> None:
         """Explicit invalidation without a rewrite."""
-        self._observe_death((id(manager), lba))
+        self._observe_death((id(ftl), lba))
 
     @property
     def deaths(self) -> int:
@@ -396,10 +394,10 @@ class _NullLifetimeTracker(LifetimeTracker):
     def __init__(self) -> None:  # noqa: D107 — never initialises state
         pass
 
-    def on_write(self, manager: object, lba: int, cause: str) -> None:
+    def on_write(self, ftl: object, lba: int, cause: str) -> None:
         pass
 
-    def on_trim(self, manager: object, lba: int) -> None:
+    def on_trim(self, ftl: object, lba: int) -> None:
         pass
 
 

@@ -1,11 +1,12 @@
-"""Metrics registry: named fixed-bucket histograms.
+"""Fixed-bucket histograms.
 
-The registry owns no counter.  A counter is a plain number on the object
-where the event happens (``DeviceStats.merges``,
-``AdmissionController.waits``, ...), incremented in place and counted on
-every run; a run artefact (:meth:`repro.obs.Observation.artefact`)
-copies what it needs.  Only histograms keep their values here, and each
-name the registry hands out is declared in :mod:`repro.obs.registry`.
+A counter is a plain number on the object where the event happens
+(``DeviceStats.merges``, ``AdmissionController.waits``, ...), incremented
+in place and counted on every run; a run artefact
+(:meth:`repro.obs.Observation.artefact`) copies what it needs.  Only a
+distribution needs an object of its own: a :class:`Histogram`, built by
+its owner (the observed run's transaction latencies, the lifetime
+tracker's death times).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Sequence
 
 __all__ = [
     "Histogram",
-    "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS_US",
 ]
 
@@ -107,23 +107,3 @@ class Histogram:
         hist.sum = data["sum"]
         hist.count = data["count"]
         return hist
-
-
-class MetricsRegistry:
-    """Get-or-create factory for named histograms."""
-
-    def __init__(self) -> None:
-        self._metrics: dict[str, Histogram] = {}
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS_US,
-    ) -> Histogram:
-        """Get-or-create the histogram ``name``."""
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = self._metrics[name] = Histogram(name, help, bounds=bounds)
-        return metric
-

@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.analysis.advisor import advise, advise_table, render_advice
 from repro.bench.harness import ExperimentConfig, build_stack
-from repro.core.config import IpaScheme
+from repro.core.config import IPA_DISABLED, IpaScheme
 from repro.flash.modes import FlashMode
 from repro.workloads.tpcb import TpcbWorkload
 
@@ -12,23 +12,23 @@ from repro.workloads.tpcb import TpcbWorkload
 class TestAdviseTable:
     def test_small_updates_get_ipa(self):
         advice = advise_table("acct", [2, 3, 1, 4, 2] * 10)
-        assert advice.scheme is not None
+        assert advice.scheme != IPA_DISABLED
         assert advice.scheme.m_bytes >= 4
         assert advice.scheme.n_records in (2, 4)
 
     def test_no_updates_means_no_ipa(self):
         advice = advise_table("history", [])
-        assert advice.scheme is None
+        assert advice.scheme == IPA_DISABLED
         assert "no updates" in advice.reason
 
     def test_small_sample_withheld(self):
         advice = advise_table("rare", [3, 3])
-        assert advice.scheme is None
+        assert advice.scheme == IPA_DISABLED
         assert "insufficient" in advice.reason
 
     def test_huge_updates_rejected(self):
         advice = advise_table("blob", [200] * 50)
-        assert advice.scheme is None
+        assert advice.scheme == IPA_DISABLED
         assert "exceeds" in advice.reason
 
     def test_m_covers_p95(self):
@@ -69,10 +69,10 @@ class TestAdviseDatabase:
             workload.transaction(db, rng)
 
         advice = {a.table: a for a in advise(db)}
-        assert advice["account"].scheme is not None
-        assert advice["teller"].scheme is not None
-        assert advice["branch"].scheme is not None
-        assert advice["history"].scheme is None
+        assert advice["account"].scheme != IPA_DISABLED
+        assert advice["teller"].scheme != IPA_DISABLED
+        assert advice["branch"].scheme != IPA_DISABLED
+        assert advice["history"].scheme == IPA_DISABLED
         # Balance updates are a few bytes: a modest M suffices.
         assert advice["account"].scheme.m_bytes <= 8
 

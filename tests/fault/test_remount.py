@@ -18,7 +18,6 @@ from repro.flash.chip import FlashChip
 from repro.flash.device import FlashDevice
 from repro.flash.geometry import FlashGeometry
 from repro.flash.page import PageState
-from repro.ftl.gc import BlockManager
 from repro.ftl.ipa_ftl import IpaFtl
 from repro.ftl.noftl import NoFtlDevice
 from repro.ftl.oob_meta import OOB_META_SIZE, pack_oob_meta, unpack_oob_meta
@@ -138,13 +137,13 @@ def _relocation_windows(backend, writes):
     device = BUILDERS[backend](chip)
     counter = FaultInjector(crash_after_ops=None).attach(chip)
     windows = []
-    run_moves = BlockManager._run_moves
+    run_moves = PageMappingFtl._run_moves
 
     def spy(self, victim, moves, *rest):
         windows.append((counter.ops_seen, len(moves)))
         return run_moves(self, victim, moves, *rest)
 
-    with mock.patch.object(BlockManager, "_run_moves", spy):
+    with mock.patch.object(PageMappingFtl, "_run_moves", spy):
         for lba, version in writes:
             device.write_page(lba, content(lba, version))
     return windows

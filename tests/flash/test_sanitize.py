@@ -14,8 +14,7 @@ from repro.flash.sanitize import (
     Sanitizer,
     sanitizer_from_env,
 )
-from repro.flash.stats import DeviceStats
-from repro.ftl.gc import BlockManager
+from repro.ftl.page_mapping import PageMappingFtl
 
 GEO = FlashGeometry(page_size=512, oob_size=64, pages_per_block=8, blocks=8)
 
@@ -24,8 +23,8 @@ def _chip() -> FlashChip:
     return FlashChip(GEO)
 
 
-def _manager(chip: FlashChip) -> BlockManager:
-    return BlockManager(chip, list(range(GEO.blocks)), DeviceStats())
+def _manager(chip: FlashChip) -> PageMappingFtl:
+    return PageMappingFtl(chip)
 
 
 class TestEnvGating:
@@ -104,39 +103,40 @@ class TestBlockManagerAudit:
         chip = _chip()
         manager = _manager(chip)
         for lba in range(10):
-            manager.write(lba, bytes([lba]) * GEO.page_size)
-        Sanitizer().check_block_manager(manager)
+            manager.write_page(lba, bytes([lba]) * GEO.page_size)
+        Sanitizer().check_ftl(manager)
 
     def test_detects_valid_count_drift(self):
         chip = _chip()
         manager = _manager(chip)
-        ppn = manager.write(0, b"\xaa" * GEO.page_size)
-        block = ppn // GEO.pages_per_block
+        manager.write_page(0, b"\xaa" * GEO.page_size)
+        block = manager.mapping[0] // GEO.pages_per_block
         manager._valid[block] += 1
         with pytest.raises(PhysicsViolationError, match="valid-count drift"):
-            Sanitizer().check_block_manager(manager)
+            Sanitizer().check_ftl(manager)
 
     def test_detects_broken_bijection(self):
         chip = _chip()
         manager = _manager(chip)
-        manager.write(0, b"\xaa" * GEO.page_size)
-        manager.write(1, b"\xbb" * GEO.page_size)
+        manager.write_page(0, b"\xaa" * GEO.page_size)
+        manager.write_page(1, b"\xbb" * GEO.page_size)
         manager._rmap[manager.mapping[0]] = 1
         with pytest.raises(PhysicsViolationError, match="bijectivity"):
-            Sanitizer().check_block_manager(manager)
+            Sanitizer().check_ftl(manager)
 
     def test_detects_orphan_appends_done(self):
         chip = _chip()
         manager = _manager(chip)
-        manager.write(0, b"\xaa" * GEO.page_size)
+        manager.write_page(0, b"\xaa" * GEO.page_size)
         manager.appends_done[9999] = 1
         with pytest.raises(PhysicsViolationError, match="appends_done"):
-            Sanitizer().check_block_manager(manager)
+            Sanitizer().check_ftl(manager)
 
     def test_mapping_pair_check(self):
         chip = _chip()
         manager = _manager(chip)
-        ppn = manager.write(0, b"\xaa" * GEO.page_size)
+        manager.write_page(0, b"\xaa" * GEO.page_size)
+        ppn = manager.mapping[0]
         Sanitizer().check_mapping_pair(manager, 0, ppn)
         with pytest.raises(PhysicsViolationError):
             Sanitizer().check_mapping_pair(manager, 0, ppn + 1)
@@ -150,7 +150,7 @@ class TestBlockManagerAudit:
         assert manager.sanitizer.enabled
         for round_number in range(8):
             for lba in range(manager.logical_pages // 2):
-                manager.write(lba, bytes([round_number]) * GEO.page_size)
+                manager.write_page(lba, bytes([round_number]) * GEO.page_size)
         assert chip.stats.block_erases > 0
         manager.rebuild_from_media()
-        Sanitizer().check_block_manager(manager)
+        Sanitizer().check_ftl(manager)

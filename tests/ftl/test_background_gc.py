@@ -97,7 +97,6 @@ class TestBackgroundCollector:
     def test_rebuild_resets_partial_victim(self):
         ftl = make_ftl()
         churn(ftl, writes=400)
-        manager = ftl._blocks
-        manager.rebuild_from_media()
-        assert manager._bg_victim is None
-        assert manager._bg_cursor == 0
+        ftl.rebuild_from_media()
+        assert ftl._bg_victim is None
+        assert ftl._bg_cursor == 0

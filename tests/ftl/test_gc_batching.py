@@ -89,12 +89,11 @@ def _filled_ftl(geo: FlashGeometry, **gc_options):
 
 def test_one_batch_per_victim_at_the_workloads_geometry_and_fill():
     chip, ftl, lbas = _filled_ftl(WORKLOAD_GEO)
-    blocks = ftl._blocks
     ppb = WORKLOAD_GEO.pages_per_block
     rng = random.Random(42)
     victims = copies = 0
     for _ in range(WRITES):
-        valid_before = dict(blocks._valid)
+        valid_before = dict(ftl._valid)
         lba = rng.randrange(lbas)
         ftl.write_page(lba, lba.to_bytes(4, "little"))
         events = chip.take()
@@ -199,7 +198,7 @@ def test_a_wrapper_on_the_public_program_page_sees_no_relocation_rows(channels):
 def test_a_dry_pool_then_an_unreadable_page_books_the_moves_that_ran():
     """The free pool runs dry after four moves, and the page left without
     a destination is uncorrectable: its sense, after the moves, raises,
-    and the manager is where the one-page-at-a-time spec leaves it — the
+    and the FTL is where the one-page-at-a-time spec leaves it — the
     four moves booked, the allocation stream on their last destination."""
 
     def dry(spec):
@@ -207,23 +206,22 @@ def test_a_dry_pool_then_an_unreadable_page_books_the_moves_that_ran():
         ftl = PageMappingFtl(chip, over_provisioning=OVER_PROVISIONING)
         for lba in range(12):  # block 0 full; block 1 half, and active
             ftl.write_page(lba, bytes([lba]) * 32)
-        manager = ftl._blocks
-        manager._free.clear()
+        ftl._free.clear()
         counts = np.zeros(chip.page_at(4)._disturb.shape, dtype=np.int64)
         counts[0] = 1_000
         chip.page_at(4).add_disturb(counts)
         if spec:
-            manager._relocate = MethodType(ref_relocate, manager)
-        return chip, ftl, manager
+            ftl._relocate = MethodType(ref_relocate, ftl)
+        return chip, ftl
 
-    def state(chip, ftl, manager):
+    def state(chip, ftl):
         return (
-            list(manager.mapping.items()),
-            list(manager._rmap.items()),
-            list(manager._valid.items()),
-            list(manager.appends_done.items()),
-            manager._active,
-            manager._cursor,
+            list(ftl.mapping.items()),
+            list(ftl._rmap.items()),
+            list(ftl._valid.items()),
+            list(ftl.appends_done.items()),
+            ftl._active,
+            ftl._cursor,
             ftl.stats.snapshot().__dict__,
             chip.stats.snapshot().__dict__,
             repr(chip.clock.now_us),
@@ -231,9 +229,9 @@ def test_a_dry_pool_then_an_unreadable_page_books_the_moves_that_ran():
         )
 
     live, ref = dry(False), dry(True)
-    for _chip, _ftl, manager in (live, ref):
+    for _chip, ftl in (live, ref):
         with pytest.raises(EccUncorrectableError):
-            manager._relocate(0)
+            ftl._relocate(0)
     assert state(*live) == state(*ref)
     assert live[1].stats.gc_page_migrations == 4
-    assert live[2].mapping[3] == SMALL_GEO.pages_per_block + 7
+    assert live[1].mapping[3] == SMALL_GEO.pages_per_block + 7

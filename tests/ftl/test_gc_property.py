@@ -1,4 +1,4 @@
-"""Property-based fuzzing of the BlockManager against a shadow map.
+"""Property-based fuzzing of the page-mapping FTL against a shadow map.
 
 Random sequences of writes and trims with GC firing constantly; after
 every sequence the mapping must agree with a plain dict and the internal
@@ -48,10 +48,10 @@ def test_mapping_matches_shadow(sequence):
     # Full final audit.
     for lba, payload in shadow.items():
         assert ftl.read_page(lba)[:16] == payload
-    assert len(ftl._blocks.mapping) == len(shadow)
+    assert len(ftl.mapping) == len(shadow)
 
     # Internal invariant: per-block valid counts equal the reverse map.
-    manager = ftl._blocks
+    manager = ftl
     from collections import Counter
 
     per_block = Counter(

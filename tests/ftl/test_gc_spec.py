@@ -1,7 +1,7 @@
 """The batched garbage collector against the one-page-at-a-time spec in
 ``tests.reference.ftl``.
 
-``BlockManager._relocate`` moves a victim's valid pages as one
+``PageMappingFtl._relocate`` moves a victim's valid pages as one
 ``execute_batch`` of ``(source, destination)`` pairs; on the spec
 stack it is replaced by ``ref_relocate`` (read with OOB, allocate,
 program, re-map, per page).  Both stacks take the same seeded overwrite
@@ -36,7 +36,7 @@ from tests.reference.ftl import ref_relocate
 #: 32 blocks stripe over 4 channels; 8 pages a block keep reclaims frequent.
 GC_GEO = FlashGeometry(page_size=256, oob_size=128, pages_per_block=8, blocks=32)
 GC_BACKENDS = ("page-mapping", "ipa-ftl", "noftl-2-regions")
-#: name -> BlockManager options of the device under test.
+#: name -> GC options of the device under test.
 GC_MODES = {
     "foreground": {},
     "background-1": {"background_gc": True, "gc_migration_budget": 1},
@@ -45,7 +45,7 @@ GC_MODES = {
 
 
 def _gc_stack(backend, spec, channels, gc_options, ledger, **chip_options):
-    """One device (+ its block managers and ledger), shipped or spec."""
+    """One device (+ its FTLs and ledger), shipped or spec."""
     mode = FlashMode.MLC if backend == "page-mapping" else FlashMode.PSLC
     if channels == 1:
         chip = FlashChip(GC_GEO, mode=mode, **chip_options)
@@ -55,26 +55,26 @@ def _gc_stack(backend, spec, channels, gc_options, ledger, **chip_options):
         leaves = chip.chips
     if backend == "page-mapping":
         device = PageMappingFtl(chip, over_provisioning=0.2, **gc_options)
-        managers = [device._blocks]
+        ftls = [device]
     elif backend == "ipa-ftl":
         device = IpaFtl(chip, over_provisioning=0.2, **gc_options)
-        managers = [device._blocks]
+        ftls = [device]
     else:
         device = NoFtlDevice(chip, over_provisioning=0.2, **gc_options)
         hot = device.create_region("hot", blocks=20, ipa=SCHEME_2X4)
         cold = device.create_region("cold", blocks=12)
-        managers = [hot._blocks, cold._blocks]
+        ftls = [hot, cold]
     if spec:
-        for manager in managers:
-            manager._relocate = MethodType(ref_relocate, manager)
+        for ftl in ftls:
+            ftl._relocate = MethodType(ref_relocate, ftl)
     book = None
     if ledger:
         book = WriteLedger()
-        for target in [device, chip, *leaves, *managers]:
+        for target in [device, chip, *leaves, *ftls]:
             target.ledger = book
         for leaf in leaves:
             book.watch_chip(leaf)
-    return device, chip, managers, book
+    return device, chip, ftls, book
 
 
 def _gc_media_digest(chip):
@@ -98,22 +98,22 @@ def _counters(stats):
     return {f.name: getattr(stats, f.name) for f in fields(stats)}
 
 
-def _gc_state(device, chip, managers, book, full):
+def _gc_state(device, chip, ftls, book, full):
     """What the two collectors must agree on: clock and counters after
     every operation, and after one that reclaimed a block or failed
-    (``full``) the managers' whole state, the ledger and the media as
+    (``full``) the FTLs' whole state, the ledger and the media as
     well."""
     state = {
         "now_us": repr(chip.clock.now_us),
         "breakdown": {k: repr(v) for k, v in chip.clock.breakdown_us.items()},
         "flash": _counters(chip.stats),
         "device": _counters(device.stats),
-        "bg": [(m._bg_victim, m._bg_cursor) for m in managers],
+        "bg": [(m._bg_victim, m._bg_cursor) for m in ftls],
     }
     if not full:
         return state
     state.update({
-        "managers": [
+        "ftls": [
             {
                 # Item lists, not dicts: insertion order is compared too.
                 "mapping": list(m.mapping.items()),
@@ -127,7 +127,7 @@ def _gc_state(device, chip, managers, book, full):
                 "wear_victim": m._wear_victim,
                 "blocks": list(m.block_ids),
             }
-            for m in managers
+            for m in ftls
         ],
         "media": _gc_media_digest(chip),
     })
@@ -269,21 +269,21 @@ class TestGarbageCollector:
         monkeypatch.setenv("REPRO_SANITIZE", "1")
 
         def break_a_page(stack):
-            _device, chip, (manager,), _book = stack
+            _device, chip, (ftl,), _book = stack
             block = 2  # filled in LBA order: every page of it is valid
-            assert manager._valid[block] == len(manager._usable_offsets)
-            ppn = block * GC_GEO.pages_per_block + manager._usable_offsets[3]
+            assert ftl._valid[block] == len(ftl._usable_offsets)
+            ppn = block * GC_GEO.pages_per_block + ftl._usable_offsets[3]
             counts = np.zeros(chip.page_at(ppn)._disturb.shape, dtype=np.int64)
             counts[0] = 1_000
             chip.page_at(ppn).add_disturb(counts)
-            return {manager._rmap[ppn]}  # never rewritten: it stays valid
+            return {ftl._rmap[ppn]}  # never rewritten: it stays valid
 
         # The victim is first collected near op 95; 200 more ops fail.
         live, _ = _gc_lockstep(
             "page-mapping", channels, GC_MODES[gc_mode], ops=300,
             prepare=break_a_page,
         )
-        device, chip, (manager,), _book = live
+        device, chip, (ftl,), _book = live
         failed = chip.stats.ecc_uncorrectable_events
         assert failed > 100
         # Senses that moved nothing: the failed ones only.
@@ -291,15 +291,15 @@ class TestGarbageCollector:
             device.stats.host_reads + device.stats.gc_page_migrations + failed
         )
         # Block 2 is still there with the broken page valid in it.
-        broken = 2 * GC_GEO.pages_per_block + manager._usable_offsets[3]
-        assert broken in manager._rmap and 2 not in manager._free
-        if manager._bg_victim == 2:
-            assert manager._usable_offsets[manager._bg_cursor] == 3
+        broken = 2 * GC_GEO.pages_per_block + ftl._usable_offsets[3]
+        assert broken in ftl._rmap and 2 not in ftl._free
+        if ftl._bg_victim == 2:
+            assert ftl._usable_offsets[ftl._bg_cursor] == 3
         # No page was allocated that nothing was programmed to.
         ppb = GC_GEO.pages_per_block
-        for position, offset in enumerate(manager._usable_offsets):
-            state = chip.page_at(manager._active * ppb + offset).state
-            assert (state is PageState.PROGRAMMED) == (position < manager._cursor)
+        for position, offset in enumerate(ftl._usable_offsets):
+            state = chip.page_at(ftl._active * ppb + offset).state
+            assert (state is PageState.PROGRAMMED) == (position < ftl._cursor)
 
     @pytest.mark.parametrize("gc_mode", sorted(GC_MODES))
     def test_running_out_of_blocks_in_the_middle_of_a_victim(
@@ -317,22 +317,22 @@ class TestGarbageCollector:
         live, _ = _gc_lockstep(
             "page-mapping", 1, GC_MODES[gc_mode], ops=700, endurance_limit=3,
         )
-        device, chip, (manager,), _book = live
+        device, chip, (ftl,), _book = live
         assert device.stats.retired_blocks >= 8
         # Senses that moved nothing: one per relocation that ran dry.
         assert chip.stats.page_reads - (
             device.stats.host_reads + device.stats.gc_page_migrations
         ) >= 2
-        mapping = dict(manager.mapping)
+        mapping = dict(ftl.mapping)
         for lba in range(1, 200, 5):
             op = ("write", lba, 7)
             assert _gc_apply("page-mapping", device, op)[0] is DeviceFullError
-        assert manager.mapping == mapping
+        assert ftl.mapping == mapping
         if gc_mode != "foreground":
-            victim = manager._bg_victim
-            stuck = victim * GC_GEO.pages_per_block + manager._usable_offsets[
-                manager._bg_cursor
+            victim = ftl._bg_victim
+            stuck = victim * GC_GEO.pages_per_block + ftl._usable_offsets[
+                ftl._bg_cursor
             ]
-            assert stuck in manager._rmap and victim not in manager._free
+            assert stuck in ftl._rmap and victim not in ftl._free
             assert chip.page_at(stuck).state is PageState.PROGRAMMED
-        Sanitizer().check_block_manager(manager)
+        Sanitizer().check_ftl(ftl)

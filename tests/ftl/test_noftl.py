@@ -232,7 +232,7 @@ class TestWriteDelta:
         region = dev.create_region("hot", blocks=16, ipa=IPA_2x4)
         dev.write_page(0, image(b"body"))
         dev.write_delta(0, 100, b"DELTA")
-        ppn = region._blocks.ppn_of(0)
+        ppn = region.mapping[0]
         _, oob = dev.chip.read_page_with_oob(ppn)
         layout = OobLayout(GEO.oob_size, IPA_2x4.n_records)
         assert slot_matches(layout.read_slot(oob, 1), b"DELTA")

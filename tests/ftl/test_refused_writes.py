@@ -2,7 +2,7 @@
 anything.
 
 Every backend used to count the host write (and its bytes) before looking
-at it, and ``BlockManager.write`` allocated a physical page and stamped a
+at it, and the FTL's out-of-place write allocated a physical page and stamped a
 sequence number before the chip rejected an over-long or non-bytes
 payload: a refused call moved ``host_writes``, the allocation cursor and
 ``_seq``.  Validation now comes first and the host write is counted once
@@ -17,8 +17,6 @@ from repro.core.config import IPA_DISABLED, SCHEME_2X4
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.modes import FlashMode
-from repro.flash.stats import DeviceStats
-from repro.ftl.gc import BlockManager
 from repro.ftl.ipa_ftl import IpaFtl
 from repro.ftl.noftl import NoFtlDevice
 from repro.ftl.page_mapping import PageMappingFtl
@@ -30,12 +28,12 @@ GEO = FlashGeometry(page_size=512, oob_size=128, pages_per_block=8, blocks=16)
 
 def _page_mapping():
     ftl = PageMappingFtl(FlashChip(GEO))
-    return ftl, ftl._blocks
+    return ftl, ftl
 
 
 def _ipa_ftl():
     ftl = IpaFtl(FlashChip(GEO, mode=FlashMode.PSLC))
-    return ftl, ftl._blocks
+    return ftl, ftl
 
 
 def _noftl_region():
@@ -43,7 +41,7 @@ def _noftl_region():
     region = device.create_region(
         "t", blocks=GEO.blocks, ipa=SCHEME_2X4
     )
-    return device, region._blocks
+    return device, region
 
 
 BACKENDS = {
@@ -60,7 +58,7 @@ REFUSED = {
 }
 
 
-def _state(device, blocks: BlockManager) -> dict:
+def _state(device, blocks: PageMappingFtl) -> dict:
     chip = device.chip
     return {
         "device": asdict(device.stats),
@@ -104,14 +102,14 @@ def test_block_manager_refuses_an_oob_of_the_wrong_size(size):
     """An over-long OOB used to be cut to size without a word, a short one
     was rejected by the chip after a page and a sequence number were spent."""
     chip = FlashChip(GEO)
-    blocks = BlockManager(chip, list(range(GEO.blocks)), DeviceStats())
+    blocks = PageMappingFtl(chip)
     with pytest.raises(ValueError, match=f"exactly {GEO.oob_size} bytes, got {size}"):
-        blocks.write(0, b"data", bytes(size))
+        blocks._write_page_inner(0, b"data", bytes(size))
     assert (blocks._active, blocks._cursor, blocks._seq) == (None, 0, 0)
     assert chip.stats.page_programs == 0 and not blocks.mapping
 
-    ppn = blocks.write(0, b"data", b"\xaa" * GEO.oob_size)
-    oob = chip.page_at(ppn).raw_oob()
+    blocks._write_page_inner(0, b"data", b"\xaa" * GEO.oob_size)
+    oob = chip.page_at(blocks.mapping[0]).raw_oob()
     assert oob[: blocks._meta_off] == b"\xaa" * blocks._meta_off
 
 
@@ -120,7 +118,7 @@ def test_block_ids_are_checked_where_the_manager_is_built():
     from repro.flash.errors import IllegalAddressError
 
     with pytest.raises(IllegalAddressError, match="block 16"):
-        BlockManager(FlashChip(GEO), list(range(8, 17)), DeviceStats())
+        PageMappingFtl(FlashChip(GEO), block_ids=range(8, 17))
 
 
 @pytest.mark.parametrize("lba_at", ["negative", "logical_pages"])

@@ -13,9 +13,8 @@ negative case:
   ``repro.flash`` / ``repro.ftl`` / ``repro.fault``; the flash kernel's
   private bodies and disturb buffers are touched only inside
   ``repro.flash``.
-* **R3 metric registry** — every literal metric name is declared in
-  ``repro.obs.registry.KNOWN_METRIC_KEYS``, and every declared name is
-  used.
+* **R3** (metric registry) is retired: the histograms it policed are
+  each built once, by their owner, and nothing looks one up by name.
 * **R4 exception hygiene** — no handler broad enough to swallow
   ``PowerLossError`` (a ``RuntimeError``) without re-raising, outside
   an allow-list.
@@ -37,7 +36,6 @@ from collections import Counter
 from pathlib import Path
 
 from repro.lint import check, check_paths, main
-from repro.obs.registry import KNOWN_METRIC_KEYS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO = Path(__file__).resolve().parents[2]
@@ -198,65 +196,6 @@ def test_r2_flash_internals_stay_behind_the_chip(repro_modules):
 
 
 # --------------------------------------------------------------------- #
-# R3 — metric registry
-# --------------------------------------------------------------------- #
-
-#: The metric factories and the declarations themselves.
-R3_EXEMPT = frozenset({"repro/obs/metrics.py", "repro/obs/registry.py"})
-
-
-def metric_keys(tree: ast.AST) -> tuple[list[tuple[int, str]], list[int]]:
-    """``(line, key)`` of each literal name passed to ``.histogram``, and
-    the lines of ``.histogram`` calls whose key is not a literal."""
-    keys, dynamic = [], []
-    for node in ast.walk(tree):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "histogram"
-            and node.args
-        ):
-            continue
-        first = node.args[0]
-        if isinstance(first, ast.Constant) and isinstance(first.value, str):
-            keys.append((node.lineno, first.value))
-        else:
-            dynamic.append(node.lineno)
-    return keys, dynamic
-
-
-def registry_drift(modules) -> tuple[list[str], list[str]]:
-    """``(undeclared, unused)``: each use of a name the registry does not
-    declare (and each dynamic histogram key), and each declared name no
-    module uses.  ``modules`` yields ``(where, tree)``."""
-    undeclared, used = [], set()
-    for where, tree in modules:
-        if where in R3_EXEMPT:
-            continue
-        keys, dynamic = metric_keys(tree)
-        used.update(key for _line, key in keys)
-        undeclared += [
-            f"{where}:{line}: '{key}' is not declared"
-            for line, key in keys
-            if key not in KNOWN_METRIC_KEYS
-        ]
-        undeclared += [f"{where}:{line}: dynamic histogram key" for line in dynamic]
-    return undeclared, sorted(set(KNOWN_METRIC_KEYS) - used)
-
-
-def _sources(repro_modules):
-    return [(module.where, module.tree) for module in repro_modules.values()]
-
-
-def test_r3_metric_names_match_the_registry(repro_modules):
-    undeclared, unused = registry_drift(_sources(repro_modules))
-    assert undeclared == [], "declare it in repro.obs.registry:\n" + (
-        "\n".join(undeclared)
-    )
-    assert unused == [], f"declared but never used: {unused}"
-
-
-# --------------------------------------------------------------------- #
 # R4 — exception hygiene
 # --------------------------------------------------------------------- #
 
@@ -371,17 +310,6 @@ class TestFixtures:
     def test_r2_allowed_inside_flash(self):
         assert layering("repro.flash.fixture", _parse("r2_layering.py")) == []
 
-    def test_r3_undeclared_key(self):
-        # One finding for the undeclared literal name, one for the
-        # histogram whose name is built at run time.
-        undeclared, unused = registry_drift(
-            [("r3_counters.py", _parse("r3_counters.py"))]
-        )
-        assert unused == sorted(KNOWN_METRIC_KEYS)
-        assert len(undeclared) == 2
-        assert sum("totally_unregistered_histogram" in u for u in undeclared) == 1
-        assert sum("dynamic histogram key" in u for u in undeclared) == 1
-
     def test_r4_broad_except(self):
         # swallow() fires; reraise_ok() does not.
         found = broad_handlers(_parse("r4_broad_except.py"))
@@ -415,7 +343,6 @@ class TestFixtures:
         tree = _parse("clean.py")
         assert determinism(tree) == []
         assert layering("repro.fixture_ok", tree) == []
-        assert metric_keys(tree) == ([], [])
         assert broad_handlers(tree) == []
         assert worker_entropy(tree) == []
         assert check(tree) == []
@@ -431,16 +358,6 @@ class TestEngine:
         # Below a root, fixtures/ is skipped; named as the root, it is not.
         assert check_paths([Path(__file__).parent]) == []
         assert check_paths([FIXTURES]) != []
-
-    def test_r3_reverse_direction_unused_declared_key(self, repro_modules):
-        # Without the module that asks for the observed run's histograms,
-        # exactly those declared names are unused.
-        dropped = repro_modules["repro.obs"]
-        keys, _dynamic = metric_keys(dropped.tree)
-        rest = [s for s in _sources(repro_modules) if s[0] != dropped.where]
-        undeclared, unused = registry_drift(rest)
-        assert undeclared == []
-        assert unused == sorted(key for _line, key in keys) != []
 
 
 # --------------------------------------------------------------------- #

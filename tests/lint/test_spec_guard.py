@@ -50,14 +50,14 @@ def test_the_walker_sees_every_shape(tmp_path):
     (tmp_path / "reference").mkdir()
     sample = tmp_path / "reference" / "sample.py"
     sample.write_text(
-        "from repro.ftl.gc import BlockManager, _helper\n"
+        "from repro.ftl.page_mapping import PageMappingFtl, _helper\n"
         "from tests.reference import _local\n"
         f"class {CLASS_PREFIX}Tracker:\n"
         f"    def {FUNCTION_PREFIX}fetch(self): ...\n"
         "def ref_fetch(): ...\n"
     )
     assert _violations(sample, tmp_path) == [
-        "reference/sample.py: from repro.ftl.gc import _helper",
+        "reference/sample.py: from repro.ftl.page_mapping import _helper",
         f"reference/sample.py: class {CLASS_PREFIX}Tracker",
         f"reference/sample.py: def {FUNCTION_PREFIX}fetch",
     ]

@@ -22,13 +22,11 @@ from repro.fault.harness import FaultStack, fault_spec, make_plan
 from repro.flash.chip import FlashChip
 from repro.flash.device import FlashDevice
 from repro.flash.geometry import FlashGeometry
-from repro.ftl.gc import BlockManager
 from repro.ftl.ipa_ftl import IpaFtl
 from repro.ftl.noftl import NoFtlDevice
 from repro.ftl.page_mapping import PageMappingFtl
 from repro.obs import Observation
 from repro.obs.ledger import LifetimeTracker, WriteLedger
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.storage.manager import (
     IpaBlockDevicePolicy,
@@ -72,7 +70,7 @@ def _stack(backend: str, channels: int, wal_channels: int) -> StorageManager:
     return manager
 
 
-_OBSERVERS = (Tracer, WriteLedger, LifetimeTracker, MetricsRegistry)
+_OBSERVERS = (Tracer, WriteLedger, LifetimeTracker)
 
 
 def _reach(root: object, observer: object, name: str) -> set[int]:
@@ -115,23 +113,23 @@ def test_observers_reach_exactly_the_parts_that_read_them(
     manager = _stack(backend, channels, wal_channels)
     obs = Observation.create(manager)
     device, chip, wal = manager.device, manager.device.chip, manager.wal
+    # The FTLs are the device itself or each NoFTL region; IPL has none.
     if backend == "noftl":
-        owners = list(device.regions)
-        managers = [region._blocks for region in device.regions]
+        owners = ftls = list(device.regions)
     elif backend == "ipl":
-        owners, managers = [device], []
+        owners, ftls = [device], []
     else:
-        owners, managers = [device], [device._blocks]
-    assert all(type(m) is BlockManager for m in managers)
+        owners = ftls = [device]
+    assert all(isinstance(ftl, PageMappingFtl) for ftl in ftls)
     chips = {chip, *chip.chips}
 
     assert _reach(manager, obs.tracer, "tracer") == _ids(
-        manager, manager.pool, *owners, *managers, *chips
+        manager, manager.pool, *owners, *chips
     )
     assert _reach(manager, obs.ledger, "ledger") == _ids(
-        manager, *managers, wal, *chip.chips, *wal.chip.chips
+        manager, *ftls, wal, *chip.chips, *wal.chip.chips
     )
-    assert _reach(manager, obs.lifetimes, "lifetimes") == _ids(*managers)
+    assert _reach(manager, obs.lifetimes, "lifetimes") == _ids(*ftls)
     watched = [c for c, _baseline in obs.ledger._chips]
     assert watched == [*chip.chips, *wal.chip.chips]
     assert wal.chip.tracer is NULL_TRACER

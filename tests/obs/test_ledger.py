@@ -16,8 +16,7 @@ import pytest
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.sanitize import ENV_VAR, PhysicsViolationError, Sanitizer
-from repro.flash.stats import DeviceStats
-from repro.ftl.gc import BlockManager
+from repro.ftl.page_mapping import PageMappingFtl
 from repro.obs.ledger import (
     ERASE_COUNT_BUCKETS,
     NULL_LEDGER,
@@ -168,7 +167,7 @@ class TestChipConservation:
 class TestBlockManagerAttribution:
     def _stack(self):
         chip = _chip()
-        manager = BlockManager(chip, list(range(GEO.blocks)), DeviceStats())
+        manager = PageMappingFtl(chip)
         ledger = _watched(chip)
         manager.ledger = ledger
         return chip, manager, ledger
@@ -180,7 +179,7 @@ class TestBlockManagerAttribution:
         with ledger.cause("host_heap"):
             for round_number in range(8):
                 for lba in range(manager.logical_pages // 2):
-                    manager.write(lba, bytes([round_number]) * GEO.page_size)
+                    manager.write_page(lba, bytes([round_number]) * GEO.page_size)
         assert chip.stats.block_erases > 0
         gc = ledger.by_cause["gc_migration"]
         assert gc.erases > 0
@@ -195,7 +194,7 @@ class TestBlockManagerAttribution:
         if not manager._oob_meta_enabled:
             pytest.skip("OOB mapping records disabled for this geometry")
         with ledger.cause("host_heap"):
-            manager.write(0, b"\xaa" * GEO.page_size)
+            manager.write_page(0, b"\xaa" * GEO.page_size)
         assert ledger.by_cause["oob_meta"].bytes > 0
         assert ledger.by_cause["oob_meta"].programs == 0
         assert ledger.conservation_errors() == []
@@ -279,17 +278,14 @@ class TestLifetimeTracker:
         assert tracker.live_pages == 2
 
     def test_aggregate_histogram_fed(self):
-        from repro.obs.metrics import Histogram
-
         clock = self._Clock()
-        aggregate = Histogram("lba_lifetime_us", "", bounds=(100.0,))
-        tracker = LifetimeTracker(clock, aggregate=aggregate)
-        manager = object()
-        tracker.on_write(manager, 0, "host_heap")
+        tracker = LifetimeTracker(clock)
+        ftl = object()
+        tracker.on_write(ftl, 0, "host_heap")
         clock.now_us = 42.0
-        tracker.on_trim(manager, 0)
-        assert aggregate.count == 1
-        assert aggregate.sum == 42.0
+        tracker.on_trim(ftl, 0)
+        assert tracker.aggregate.count == 1
+        assert tracker.aggregate.sum == 42.0
 
 
 class TestWearHistogram:

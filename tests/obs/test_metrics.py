@@ -1,26 +1,15 @@
-"""Metrics registry semantics: histograms and their plain-data form."""
+"""Histogram semantics and the histograms' plain-data form."""
 
 import json
 
 import pytest
 
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS_US,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_US, Histogram
 
 
 class TestHistogram:
-    def test_same_name_same_metric(self):
-        registry = MetricsRegistry()
-        a = registry.histogram("x")
-        b = registry.histogram("x")
-        a.observe(1)
-        assert b is a and b.count == 1
-
     def test_bucketing(self):
-        hist = MetricsRegistry().histogram("lat", bounds=(10, 100, 1000))
+        hist = Histogram("lat", "", bounds=(10, 100, 1000))
         for value in (5, 9, 50, 500, 5000, 10):
             hist.observe(value)
         # buckets: <=10, <=100, <=1000, overflow
@@ -29,7 +18,7 @@ class TestHistogram:
         assert hist.sum == 5574
 
     def test_quantile(self):
-        hist = MetricsRegistry().histogram("lat", bounds=(10, 100, 1000))
+        hist = Histogram("lat", "", bounds=(10, 100, 1000))
         for _ in range(99):
             hist.observe(5)
         hist.observe(500)
@@ -37,25 +26,25 @@ class TestHistogram:
         assert hist.quantile(0.999) > 100
 
     def test_empty_quantile(self):
-        hist = MetricsRegistry().histogram("lat", bounds=(1, 2))
+        hist = Histogram("lat", "", bounds=(1, 2))
         assert hist.quantile(0.99) == 0.0
 
     def test_quantile_zero_is_first_observation(self):
         # q=0.0 must land in the bucket of the *first* observation, not
         # in a leading empty bucket (the rank-0 off-by-one).
-        hist = MetricsRegistry().histogram("lat", bounds=(10, 100, 1000))
+        hist = Histogram("lat", "", bounds=(10, 100, 1000))
         hist.observe(50)
         assert hist.quantile(0.0) == 100
         assert hist.quantile(1.0) == 100
 
     def test_quantile_single_observation_all_q_agree(self):
-        hist = MetricsRegistry().histogram("lat", bounds=(10, 100))
+        hist = Histogram("lat", "", bounds=(10, 100))
         hist.observe(7)
         for q in (0.0, 0.25, 0.5, 0.99, 1.0):
             assert hist.quantile(q) == 10
 
     def test_quantile_all_overflow(self):
-        hist = MetricsRegistry().histogram("lat", bounds=(10, 100))
+        hist = Histogram("lat", "", bounds=(10, 100))
         hist.observe(5_000)
         hist.observe(6_000)
         assert hist.quantile(0.0) == float("inf")
@@ -63,7 +52,7 @@ class TestHistogram:
         assert hist.quantile(1.0) == float("inf")
 
     def test_quantile_out_of_range_rejected(self):
-        hist = MetricsRegistry().histogram("lat", bounds=(10,))
+        hist = Histogram("lat", "", bounds=(10,))
         with pytest.raises(ValueError):
             hist.quantile(-0.1)
         with pytest.raises(ValueError):
@@ -76,7 +65,7 @@ class TestHistogram:
             Histogram("lat", "", bounds=(100, 10))
 
     def test_dict_round_trip(self):
-        hist = MetricsRegistry().histogram("lat", bounds=(10, 100))
+        hist = Histogram("lat", "", bounds=(10, 100))
         for value in (5, 50, 500):
             hist.observe(value)
         back = Histogram.from_dict(json.loads(json.dumps(hist.to_dict())))
@@ -120,7 +109,7 @@ class TestHistogramNaN:
         assert h.to_dict()["count"] == 1
 
     def test_registry_histogram_has_nan_count(self):
-        h = MetricsRegistry().histogram("lat", bounds=(1.0,))
+        h = Histogram("lat", "", bounds=(1.0,))
         assert h.nan_count == 0
         h.observe(float("nan"))
         assert h.nan_count == 1 and h.count == 0

@@ -126,7 +126,6 @@ class TestAttribution:
         ftl = PageMappingFtl(FlashChip(geo), over_provisioning=0.25)
         tracer = Tracer(clock=ftl.chip.clock)
         ftl.tracer = tracer
-        ftl._blocks.tracer = tracer
         ftl.chip.tracer = tracer
         payload = b"\xcd" * 64
         txn_id = 0

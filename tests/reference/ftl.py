@@ -1,4 +1,4 @@
-"""Spec model of ``repro.ftl.gc``'s relocation: one page at a time."""
+"""Spec model of ``PageMappingFtl``'s relocation: one page at a time."""
 
 from repro.ftl.oob_meta import OOB_META_SIZE, has_oob_meta
 

@@ -246,7 +246,7 @@ class TestChecksumProtection:
         evict_everything(mgr)
         # Corrupt the physical page body behind the device's back.
         region = mgr.device.regions[0]
-        ppn = region._blocks.ppn_of(0)
+        ppn = region.mapping[0]
         physical = mgr.device.chip.page_at(ppn)
         physical._data[100] ^= 0x01
         with pytest.raises(PageCorruptError):

@@ -110,7 +110,7 @@ class TestVerifyDetectsCorruption:
         table = build_table(db)
         db.manager.pool.drop_all()
         region = db.manager.device.regions[0]
-        ppn = region._blocks.ppn_of(table.heap.base_lba)
+        ppn = region.mapping[table.heap.base_lba]
         db.manager.device.chip.page_at(ppn)._data[200] ^= 0xFF
         report = verify_table(table)
         assert not report.ok

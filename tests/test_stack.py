@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.bench.harness import ExperimentConfig, build_stack
 from repro.core.config import IPA_DISABLED, SCHEME_2X4
 from repro.fault.harness import FaultStack, fault_spec
-from repro.flash.chip import FlashChip
+from repro.flash.chip import FlashChip, media_digest
 from repro.ftl.noftl import NoFtlDevice
 from repro.stack import BACKENDS, MOUNTABLE, StackSpec
 from repro.workloads.tpcb import TpcbWorkload
@@ -117,6 +119,42 @@ class TestMapping:
         manager = spec.mount(stack.data, stack.wal)
         assert manager.device is not stack.manager.device
         assert _row(manager) == _row(stack.manager)
+
+
+class TestOneFtl:
+    @pytest.mark.parametrize(
+        "channels, background_gc",
+        [(1, False), (4, True)],
+        ids=["1-channel-foreground-gc", "4-channels-background-gc"],
+    )
+    def test_a_whole_chip_region_is_the_conventional_device(
+        self, channels, background_gc
+    ):
+        """``noftl-plain`` (one IPA-off region over the whole chip) and
+        ``traditional`` are one page-mapping FTL: the same TPC-B run
+        leaves the same media, counters and clock on both."""
+        outcomes = []
+        for backend in ("traditional", "noftl-plain"):
+            spec = StackSpec(
+                architecture=backend,
+                channels=channels,
+                background_gc=background_gc,
+                with_wal=True,
+                buffer_pages=16,
+            )
+            workload = TpcbWorkload()
+            db, manager, rng = spec.load(workload, seed=7)
+            for _ in range(1500):
+                workload.transaction(db, rng)
+            device = manager.device
+            outcomes.append((
+                media_digest(device.chip, manager.wal.chip),
+                asdict(device.stats),
+                asdict(device.chip.stats),
+                manager.clock.now_us,
+            ))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1]["gc_erases"] > 0
 
 
 class TestRefusals:
