@@ -42,6 +42,9 @@ _EMPTY_LBA = 0xFFFFFFFF
 _ENTRY_HEADER = 6
 _PAIR = 3
 
+#: Physical blocks an IPL store keeps free for merge destinations.
+SPARE_BLOCKS = 2
+
 
 @dataclass(frozen=True)
 class IplConfig:
@@ -50,20 +53,24 @@ class IplConfig:
     Attributes:
         log_pages_per_block: Pages per block reserved for update logs.
         sector_size: Log flush granularity (bytes); 512 B as in [8].
-        spare_blocks: Physical blocks kept free for merge destinations.
+
+    Every store keeps :data:`SPARE_BLOCKS` blocks free for merges.
     """
 
     log_pages_per_block: int = 8
     sector_size: int = 512
-    spare_blocks: int = 2
 
     def __post_init__(self) -> None:
         if self.log_pages_per_block < 1:
             raise ValueError("need at least one log page per block")
         if self.sector_size < _ENTRY_HEADER + _PAIR:
             raise ValueError("sector too small for a single-pair entry")
-        if self.spare_blocks < 1:
-            raise ValueError("need at least one spare block for merges")
+
+    def blocks_for(self, logical_pages: int, pages_per_block: int) -> int:
+        """Blocks a store with this layout needs for ``logical_pages``
+        LBAs (home slots only; the log pages hold none), spares included."""
+        data_fraction = (pages_per_block - self.log_pages_per_block) / pages_per_block
+        return int(logical_pages / (pages_per_block * data_fraction)) + SPARE_BLOCKS
 
 
 @dataclass
@@ -155,7 +162,7 @@ class IplStore:
         if self.config.log_pages_per_block >= geo.pages_per_block:
             raise ValueError("log region swallows the whole block")
         self.data_pages_per_block = geo.pages_per_block - self.config.log_pages_per_block
-        n_logical = geo.blocks - self.config.spare_blocks
+        n_logical = geo.blocks - SPARE_BLOCKS
         if n_logical < 1:
             raise ValueError("no logical blocks left after spares")
         self._blocks = [_BlockState(logical=i, phys=i) for i in range(n_logical)]

@@ -17,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.baselines.ipl import IplStore
 from repro.engine.database import Database
 from repro.flash.stats import DeviceStats, FlashStats
 from repro.obs import Observation, ObserveConfig
@@ -196,8 +195,6 @@ def run_experiment(
             obs.sampler.maybe_sample()
 
     db.checkpoint()
-    if isinstance(manager.device, IplStore):
-        manager.device.flush_log_buffers()
     if obs is not None:
         obs.sampler.sample_now()
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.flash.block import EraseBlock
 from repro.flash.cellmodel import first_illegal_offset
-from repro.flash.ecc import DEFAULT_ECC, EccConfig
+from repro.flash.ecc import DEFAULT_ECC
 from repro.flash.errors import (
     BadBlockError,
     EccUncorrectableError,
@@ -58,7 +58,7 @@ from repro.flash.errors import (
 )
 from repro.flash.geometry import FlashGeometry
 from repro.flash.interference import DisturbModel, victim_table
-from repro.flash.latency import DEFAULT_LATENCY, LatencyModel, SimClock
+from repro.flash.latency import DEFAULT_LATENCY, SimClock
 from repro.flash.modes import FlashMode, ModeRules, rules_for
 from repro.flash.page import PageState, PhysicalPage, erased_image
 from repro.flash.sanitize import NULL_SANITIZER, sanitizer_from_env
@@ -115,9 +115,7 @@ class FlashChip:
     Args:
         geometry: Physical dimensions (see :mod:`repro.flash.geometry`).
         mode: Operating mode — SLC / MLC / pSLC / odd-MLC (Section 3).
-        latency: Per-operation latency table; shares ``clock``.
         clock: Simulated clock; a fresh one is created if omitted.
-        ecc: ECC correction capability per codeword.
         seed: Seed for the deterministic disturb model.
         endurance_limit: Optional block P/E limit (``None`` = unlimited).
     """
@@ -150,22 +148,23 @@ class FlashChip:
     #: Stack protocol: a bare chip is one channel.
     channels = 1
 
+    #: The one latency table and ECC configuration (both frozen).
+    latency = DEFAULT_LATENCY
+    ecc = DEFAULT_ECC
+
     def __init__(
         self,
         geometry: FlashGeometry,
         mode: FlashMode = FlashMode.SLC,
-        latency: LatencyModel = DEFAULT_LATENCY,
         clock: SimClock | None = None,
-        ecc: EccConfig = DEFAULT_ECC,
         seed: int = 0xF1A5,
         endurance_limit: int | None = None,
     ) -> None:
         self.geometry = geometry
         self.mode = mode
         self.rules: ModeRules = rules_for(mode)
-        self.latency = latency
+        latency, ecc = self.latency, self.ecc
         self.clock = clock if clock is not None else SimClock()
-        self.ecc = ecc
         self.stats = FlashStats()
         self.sanitizer = sanitizer_from_env()
         self._disturb = DisturbModel(self.rules, ecc, geometry.page_size, seed=seed)

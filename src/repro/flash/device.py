@@ -50,10 +50,10 @@ from collections import deque
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.flash.chip import FlashChip, copy_pages
-from repro.flash.ecc import DEFAULT_ECC, EccConfig
+from repro.flash.ecc import DEFAULT_ECC
 from repro.flash.errors import IllegalAddressError
 from repro.flash.geometry import FlashGeometry
-from repro.flash.latency import DEFAULT_LATENCY, LatencyModel, SimClock
+from repro.flash.latency import DEFAULT_LATENCY, SimClock
 from repro.flash.modes import FlashMode
 from repro.flash.stats import FlashStats
 from repro.obs.ledger import WriteLedger
@@ -138,12 +138,19 @@ class FlashDevice:
         geometry: *Global* geometry; ``blocks`` must divide evenly into
             ``channels`` (each chip gets ``blocks // channels``).
         channels: Number of channels (= chips), at least 2.
-        mode / latency / ecc / seed / endurance_limit: Forwarded to every
-            chip (per-chip seeds are strided; see module docstring).
+        mode / seed: Forwarded to every chip (per-chip seeds are
+            strided; see module docstring).
         clock: Host clock; a fresh :class:`SimClock` if omitted.
-        queue_depth: In-flight array ops tolerated per channel before a
-            new program stalls the host.
     """
+
+    #: In-flight array ops tolerated per channel before a new program
+    #: stalls the host: a class constant, not a knob (a test that needs
+    #: another depth sets it on the built device).
+    queue_depth = 4
+
+    #: Every chip's latency table and ECC configuration (both frozen).
+    latency = DEFAULT_LATENCY
+    ecc = DEFAULT_ECC
 
     #: Observability: replaced per-instance by :meth:`attach`.
     tracer = NULL_TRACER
@@ -153,12 +160,8 @@ class FlashDevice:
         geometry: FlashGeometry,
         channels: int = 2,
         mode: FlashMode = FlashMode.SLC,
-        latency: LatencyModel = DEFAULT_LATENCY,
         clock: SimClock | None = None,
-        ecc: EccConfig = DEFAULT_ECC,
         seed: int = 0xF1A5,
-        endurance_limit: int | None = None,
-        queue_depth: int = 4,
     ) -> None:
         if channels < 2:
             raise ValueError(
@@ -170,14 +173,9 @@ class FlashDevice:
                 f"{geometry.blocks} blocks do not stripe evenly over "
                 f"{channels} channels"
             )
-        if queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
         self.geometry = geometry
         self.mode = mode
-        self.latency = latency
-        self.ecc = ecc
         self.clock = clock if clock is not None else SimClock()
-        self.queue_depth = queue_depth
         chip_geometry = FlashGeometry(
             page_size=geometry.page_size,
             oob_size=geometry.oob_size,
@@ -188,13 +186,10 @@ class FlashDevice:
             FlashChip(
                 chip_geometry,
                 mode=mode,
-                latency=latency,
                 # Each op is measured on a private per-chip clock and
                 # charged to the host by the scheduler.
                 clock=SimClock(),
-                ecc=ecc,
                 seed=seed + _SEED_STRIDE * i,
-                endurance_limit=endurance_limit,
             )
             for i in range(channels)
         ]

@@ -47,7 +47,9 @@ class IpaFtl(PageMappingFtl):
         self._check_write(lba, data, oob)
         ppn = self.mapping.get(lba)
         if ppn is None or not self._try_in_place(ppn, data):
-            return PageMappingFtl._write_page_inner(self, lba, data, oob)
+            return PageMappingFtl._write_page_inner(
+                self, lba, data, oob, checked=True
+            )
         stats = self.stats
         stats.in_place_appends += 1
         # Counted once it has landed: a refused write is not a host write.

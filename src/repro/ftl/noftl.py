@@ -206,13 +206,11 @@ class NoFtlDevice:
         chip: FlashChip,
         over_provisioning: float = 0.10,
         background_gc: bool = False,
-        gc_migration_budget: int = 8,
     ) -> None:
         self.chip = chip
         self.regions: list[Region] = []
         self._over_provisioning = over_provisioning
         self._background_gc = background_gc
-        self._gc_migration_budget = gc_migration_budget
         self._next_block = 0
 
     @property
@@ -315,7 +313,6 @@ class NoFtlDevice:
             over_provisioning=over_provisioning,
             logical_pages=logical_pages,
             background_gc=self._background_gc,
-            gc_migration_budget=self._gc_migration_budget,
         )
         # Claimed only once the region is built: a refused configuration
         # leaves its blocks to the next request.

@@ -62,10 +62,6 @@ class PageMappingFtl:
             list of ``(source, destination)`` pairs in one call.
         over_provisioning: Fraction of usable pages withheld from the
             logical address space.  GC cannot function at 0.
-        wear_leveling_gap: Static wear leveling: when the most-worn
-            block's erase count exceeds the least-worn *occupied* block's
-            by this gap, GC picks the cold block as victim (moving its
-            data levels the wear).  ``None`` disables it (pure greedy).
         background_gc: Move reclamation off the eviction hot path: every
             foreground allocation performs at most ``gc_migration_budget``
             incremental page migrations (watermark-driven) instead of
@@ -74,8 +70,6 @@ class PageMappingFtl:
             synchronous path remains as an emergency fallback when the
             budgeted collector cannot keep up, so correctness never
             depends on the budget.
-        gc_migration_budget: Page migrations allowed per foreground
-            allocation while the free pool is below the low watermark.
         logical_pages: Cap the LBAs this FTL exposes (the surplus
             physical space becomes extra GC headroom); None exposes all
             the over-provisioning leaves.
@@ -93,6 +87,16 @@ class PageMappingFtl:
     #: victim's migrations across many foreground writes before the pool
     #: hits the synchronous threshold.
     gc_low_watermark = 4
+
+    #: Page migrations the background collector performs per foreground
+    #: allocation while the free pool is below the low watermark.
+    gc_migration_budget = 8
+
+    #: Static wear leveling: when the most-worn block's erase count
+    #: exceeds the least-worn *occupied* block's by this gap, GC picks the
+    #: cold block as victim (moving its data levels the wear).  ``None``
+    #: is pure greedy.
+    wear_leveling_gap: int | None = None
 
     #: First device LBA this FTL serves (a region sets its own).
     lba_base = 0
@@ -119,9 +123,7 @@ class PageMappingFtl:
         self,
         chip: FlashChip,
         over_provisioning: float = 0.10,
-        wear_leveling_gap: int | None = None,
         background_gc: bool = False,
-        gc_migration_budget: int = 8,
         *,
         logical_pages: int | None = None,
         block_ids: Iterable[int] | None = None,
@@ -130,8 +132,6 @@ class PageMappingFtl:
             block_ids = range(chip.geometry.blocks)
         if not 0.0 < over_provisioning < 1.0:
             raise ValueError("over_provisioning must be in (0, 1)")
-        if gc_migration_budget < 1:
-            raise ValueError("gc_migration_budget must be >= 1")
         self.block_ids = list(block_ids)
         if len(self.block_ids) <= self.gc_spare_blocks + 1:
             raise ValueError(
@@ -144,9 +144,7 @@ class PageMappingFtl:
         self.chip = chip
         self.stats = DeviceStats()
         self.sanitizer = sanitizer_from_env()
-        self.wear_leveling_gap = wear_leveling_gap
         self.background_gc = background_gc
-        self.gc_migration_budget = gc_migration_budget
         #: Victim currently being reclaimed incrementally (+ scan cursor
         #: into ``_usable_offsets``).  Lives across foreground ops.
         self._bg_victim: int | None = None
@@ -238,12 +236,17 @@ class PageMappingFtl:
             self._write_page_inner(lba, data)
 
     def _write_page_inner(
-        self, lba: int, data: bytes, oob: bytes | None = None
+        self,
+        lba: int,
+        data: bytes,
+        oob: bytes | None = None,
+        checked: bool = False,
     ) -> bool:
         """Out-of-place write of ``lba``: allocate, program, remap.
 
         Invalidates the previous physical page (if any).  Returns True
-        when the write landed in place (never, here).
+        when the write landed in place (never, here).  ``checked`` skips
+        :meth:`_check_write` for a caller that has just run it.
 
         Raises:
             KeyError / TypeError / ValueError: a write the device must
@@ -251,7 +254,8 @@ class PageMappingFtl:
                 page, sequence number, counter — is touched.
         """
         lba -= self.lba_base
-        self._check_write(lba, data, oob)
+        if not checked:
+            self._check_write(lba, data, oob)
         ppn = self._allocate()
         if self._oob_meta_enabled:
             # The durable mapping record goes into the OOB tail.

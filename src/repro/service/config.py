@@ -5,11 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.core.config import SCHEME_2X4, IpaScheme
-from repro.flash.modes import FlashMode
 from repro.workloads.base import Workload
 
 ADMISSION_POLICIES = ("shed", "wait")
+
+#: Client back-off after a shed before it issues its next request
+#: (simulated µs).
+SHED_BACKOFF_US = 500.0
 
 
 def _default_workload() -> Workload:
@@ -32,21 +34,20 @@ class ServiceConfig:
             is pinned to ``shard_of(tenant, shards)`` for its lifetime.
         txns_per_session: Transactions each session issues (a shed
             attempt consumes one — the client gave up on that request).
-        architecture / mode / scheme / buffer_pages / channels /
-            background_gc: Per-shard stack knobs, the fields of the
-            :class:`repro.stack.StackSpec` each shard builds.  The WAL is
-            always attached — group commit is the point of the tier.
+        buffer_pages / channels: Per-shard stack knobs, the fields of
+            the :class:`repro.stack.StackSpec` each shard builds.  The
+            rest of that stack is fixed: ``ipa-native`` with the [2x4]
+            scheme on SLC, foreground GC, and a WAL always attached —
+            group commit is the point of the tier.
         queue_depth: Admission bound: max requests queued per shard
             (excluding the batch currently executing).
         admission_policy: ``"shed"`` (reject overload; client backs off
-            ``shed_backoff_us`` and issues its next request) or
+            :data:`SHED_BACKOFF_US` and issues its next request) or
             ``"wait"`` (block until a slot frees; the wait is counted).
         group_commit_size: Max requests drained into one WAL commit
             group per batch.
         think_time_us: Client think time between completion and the next
             request (simulated time).
-        shed_backoff_us: Client back-off after a shed before it issues
-            its next request.
         scheduling: Must be ``"deterministic"``, the virtual-time event
             loop (byte-identical media for a given seed) and the only
             scheduler.  See ``docs/service.md``.
@@ -73,17 +74,12 @@ class ServiceConfig:
     shards: int = 4
     sessions: int = 16
     txns_per_session: int = 50
-    architecture: str = "ipa-native"
-    mode: FlashMode = FlashMode.SLC
-    scheme: IpaScheme = SCHEME_2X4
     buffer_pages: int = 64
     channels: int = 1
-    background_gc: bool = False
     queue_depth: int = 8
     admission_policy: str = "shed"
     group_commit_size: int = 4
     think_time_us: float = 100.0
-    shed_backoff_us: float = 500.0
     scheduling: str = "deterministic"
     replication: bool = False
     repl_latency_us: float = 50.0
@@ -114,12 +110,8 @@ class ServiceConfig:
         if self.repl_latency_us < 0:
             raise ValueError("repl_latency_us must be >= 0")
         # A negative delay would schedule a session's next issue before
-        # the completion (or shed) that triggers it.
+        # the completion that triggers it.
         if self.think_time_us < 0:
             raise ValueError(
                 f"think_time_us must be >= 0, got {self.think_time_us}"
-            )
-        if self.shed_backoff_us < 0:
-            raise ValueError(
-                f"shed_backoff_us must be >= 0, got {self.shed_backoff_us}"
             )

@@ -40,13 +40,9 @@ by the failover sweep in :mod:`repro.fault.failover`.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, Dict, Sequence
-
-from repro.service.router import shard_of
+from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from repro.service.config import ServiceConfig
     from repro.service.shard import Shard
 
@@ -112,9 +108,9 @@ class ShardReplica:
     The standby is a full :class:`~repro.service.shard.Shard` built from
     the *same* derived build seed as its primary (identical schema,
     identical initial media) with its own copies of the per-tenant
-    session RNG streams — exactly what
-    :func:`~repro.service.service.replay_shard_stream` derives, applied
-    incrementally instead of after the fact.
+    session RNG streams (:func:`~repro.service.service.shard_session_rngs`,
+    which :func:`~repro.service.service.replay_shard_stream` uses too),
+    applied incrementally instead of after the fact.
 
     Args:
         config: The live service config (``observe`` is forced off for
@@ -132,19 +128,14 @@ class ShardReplica:
         build_seed: int,
         session_seeds: Sequence[int],
     ) -> None:
-        import numpy as np
-
+        from repro.service.service import shard_session_rngs
         from repro.service.shard import Shard
 
         self.index = index
         self.standby: "Shard" = Shard(
             index, replace(config, observe=False), build_seed
         )
-        self._rngs: Dict[int, "np.random.Generator"] = {
-            tenant: np.random.default_rng(session_seeds[tenant])
-            for tenant in range(config.sessions)
-            if shard_of(tenant, config.shards) == index
-        }
+        self._rngs = shard_session_rngs(config, index, session_seeds)
         self.link = ReplicationLink(
             self._apply, latency_us=config.repl_latency_us
         )

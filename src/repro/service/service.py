@@ -34,7 +34,7 @@ from typing import Deque, Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.service.admission import AdmissionDecision
-from repro.service.config import ServiceConfig
+from repro.service.config import SHED_BACKOFF_US, ServiceConfig
 from repro.service.router import shard_of
 from repro.service.session import Request, Session
 from repro.service.shard import Shard
@@ -61,6 +61,22 @@ def _derived_seeds(config: ServiceConfig) -> Tuple[List[int], List[int]]:
     """
     seeds = derive_seeds(config.seed, config.shards + config.sessions)
     return seeds[: config.shards], seeds[config.shards :]
+
+
+def shard_session_rngs(
+    config: ServiceConfig, shard_index: int, session_seeds: Sequence[int]
+) -> Dict[int, np.random.Generator]:
+    """Fresh RNG streams of the sessions routed to ``shard_index``.
+
+    A standby (:class:`~repro.service.replication.ShardReplica`) and
+    :func:`replay_shard_stream` both draw from these, and both must
+    match the live sessions' streams for the digest contract to hold.
+    """
+    return {
+        tenant: np.random.default_rng(session_seeds[tenant])
+        for tenant in range(config.sessions)
+        if shard_of(tenant, config.shards) == shard_index
+    }
 
 
 def _percentile(values: Sequence[float], q: float) -> float:
@@ -185,7 +201,7 @@ class ShardedService:
                     session.shed += 1
                     session.remaining -= 1
                     if session.remaining > 0:
-                        next_us = t_us + config.shed_backoff_us
+                        next_us = t_us + SHED_BACKOFF_US
                         push(next_us, _ISSUE, (session, next_us))
                 else:  # WAIT: park until a drain frees a slot
                     waiters[shard.index].append((session, t_us))
@@ -305,11 +321,7 @@ def replay_shard_stream(
         raise ValueError(f"shard_index {shard_index} out of range")
     shard_seeds, session_seeds = _derived_seeds(config)
     shard = Shard(shard_index, config, shard_seeds[shard_index])
-    rngs = {
-        tenant: np.random.default_rng(session_seeds[tenant])
-        for tenant in range(config.sessions)
-        if shard_of(tenant, config.shards) == shard_index
-    }
+    rngs = shard_session_rngs(config, shard_index, session_seeds)
     for group in dispatch_log:
         shard.execute_tenant_group(group, rngs)
     return shard.media_digest()

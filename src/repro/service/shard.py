@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
+from repro.core.config import SCHEME_2X4
 from repro.flash import media_digest
 from repro.obs import Observation
 from repro.service.admission import AdmissionController
@@ -44,12 +45,10 @@ class Shard:
         self.config = config
         self.workload = config.workload_factory()
         spec = StackSpec(
-            architecture=config.architecture,
-            mode=config.mode,
-            scheme=config.scheme,
+            architecture="ipa-native",
+            scheme=SCHEME_2X4,
             buffer_pages=config.buffer_pages,
             channels=config.channels,
-            background_gc=config.background_gc,
             with_wal=True,
         )
         # Service time starts at zero: build-phase latencies are not the

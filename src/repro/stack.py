@@ -36,7 +36,7 @@ from repro.storage.manager import (
 if TYPE_CHECKING:
     from repro.workloads.base import Workload
 
-__all__ = ["BACKENDS", "MOUNTABLE", "StackSpec"]
+__all__ = ["BACKENDS", "MOUNTABLE", "PAGES_PER_BLOCK", "StackSpec", "sized_geometry"]
 
 #: Backend name -> (device, write policy).  The NoFTL devices get one
 #: region over the whole chip, with IPA on ``ipa-native`` only.
@@ -53,6 +53,21 @@ BACKENDS = tuple(_STACKS)
 #: ``IplStore`` keeps its log buffers in memory and has no
 #: ``rebuild_from_media``.
 MOUNTABLE = tuple(b for b in BACKENDS if b != "ipl")
+
+#: Block shape of every chip sized from a page count
+#: (:meth:`StackSpec.data_geometry`, the trace replays).
+PAGES_PER_BLOCK = 64
+OOB_SIZE = 128
+
+
+def sized_geometry(page_size: int, blocks: int) -> FlashGeometry:
+    """A chip of ``blocks`` blocks in the sized block shape."""
+    return FlashGeometry(
+        page_size=page_size,
+        oob_size=OOB_SIZE,
+        pages_per_block=PAGES_PER_BLOCK,
+        blocks=blocks,
+    )
 
 
 def _flash(
@@ -150,19 +165,12 @@ class StackSpec:
             return self.geometry
         if workload is None:
             raise ValueError("a spec without a geometry is sized from a workload")
-        pages_per_block = 64
         footprint = workload.estimate_pages(self.page_size)
         target_logical = int(footprint / self.device_utilization) + 1
         if self.architecture == "ipl":
-            ipl = IplConfig()
-            data_fraction = (
-                pages_per_block - ipl.log_pages_per_block
-            ) / pages_per_block
-            blocks = int(
-                target_logical / (pages_per_block * data_fraction)
-            ) + ipl.spare_blocks + 2
+            blocks = IplConfig().blocks_for(target_logical, PAGES_PER_BLOCK) + 2
         else:
-            usable = pages_per_block * rules_for(self.mode).capacity_factor
+            usable = PAGES_PER_BLOCK * rules_for(self.mode).capacity_factor
             blocks = int(
                 target_logical / ((1.0 - self.over_provisioning) * usable)
             ) + 2
@@ -170,12 +178,7 @@ class StackSpec:
         if blocks % self.channels:
             # Round up so the blocks stripe evenly over the channels.
             blocks += self.channels - blocks % self.channels
-        return FlashGeometry(
-            page_size=self.page_size,
-            oob_size=128,
-            pages_per_block=pages_per_block,
-            blocks=blocks,
-        )
+        return sized_geometry(self.page_size, blocks)
 
     def build(
         self, workload: Workload | None = None

@@ -287,7 +287,6 @@ class StorageManager:
             :data:`~repro.core.config.IPA_DISABLED` for the baseline).
         policy: The eviction write policy.
         buffer_capacity: Buffer pool size in frames.
-        host_costs: CPU-side latency charges.
 
     Raises:
         ValueError: if the device's pages are larger than
@@ -300,13 +299,17 @@ class StorageManager:
     tracer = NULL_TRACER
     ledger = NULL_LEDGER
 
+    #: CPU-side latency charges, one table for every stack (frozen and
+    #: validated on construction: fetch() and end_update() charge it
+    #: without SimClock.advance's own check).
+    host_costs = HostCostModel()
+
     def __init__(
         self,
         device: FlashBackend,
         scheme: IpaScheme,
         policy: WritePolicy,
         buffer_capacity: int = 128,
-        host_costs: HostCostModel | None = None,
     ) -> None:
         page_size = device.chip.geometry.page_size
         if page_size > MAX_PAGE_SIZE:
@@ -317,9 +320,6 @@ class StorageManager:
         self.device = device
         self.scheme = scheme
         self.policy = policy
-        # Validated on construction: fetch() and end_update() charge it
-        # without SimClock.advance's own check.
-        self.host_costs = host_costs or HostCostModel()
         self.clock = device.chip.clock
         self.stats = ManagerStats()
         self.pool = BufferPool(buffer_capacity, self._flush)

@@ -75,12 +75,16 @@ class TpcbWorkload(Workload):
 
     name = "tpcb"
 
+    #: Balances start well away from zero: a two's-complement sign flip
+    #: would change all 8 INT64 bytes and defeat small-update tracking,
+    #: which is an artifact of starting every balance at exactly 0.
+    initial_balance = 10_000_000
+
     def __init__(
         self,
         scale: int = 1,
         accounts_per_branch: int = 2000,
         history_pages: int = 200,
-        initial_balance: int = 10_000_000,
     ) -> None:
         if scale < 1:
             raise ValueError("scale must be >= 1")
@@ -93,10 +97,6 @@ class TpcbWorkload(Workload):
         self.scale = scale
         self.accounts_per_branch = accounts_per_branch
         self.history_pages = history_pages
-        #: Balances start well away from zero: a two's-complement sign flip
-        #: would change all 8 INT64 bytes and defeat small-update tracking,
-        #: which is an artifact of starting every balance at exactly 0.
-        self.initial_balance = initial_balance
         self._next_history_id = 0
 
     @property

@@ -32,12 +32,11 @@ from repro.core.config import (
 )
 from repro.engine.database import Database
 from repro.flash.chip import FlashChip
-from repro.flash.geometry import FlashGeometry
 from repro.flash.modes import FlashMode
 from repro.flash.stats import DeviceStats, FlashStats
 from repro.ftl.noftl import NoFtlDevice
 from repro.ftl.page_mapping import PageMappingFtl
-from repro.stack import StackSpec
+from repro.stack import PAGES_PER_BLOCK, StackSpec, sized_geometry
 from repro.storage.buffer import Frame
 from repro.storage.manager import StorageManager, TraditionalPolicy
 from repro.workloads.base import Workload
@@ -261,15 +260,13 @@ def replay_on_ipa(
     """Replay the trace against a NoFTL device with IPA."""
     from repro.flash.modes import rules_for
 
-    usable = 64 * rules_for(mode).capacity_factor
+    usable = PAGES_PER_BLOCK * rules_for(mode).capacity_factor
     blocks = max(
         int((trace.max_lba + 1) / ((1.0 - over_provisioning) * usable)) + 3, 8
     )
-    geometry = FlashGeometry(
-        page_size=trace.page_size, oob_size=128, pages_per_block=64, blocks=blocks
-    )
     device = NoFtlDevice(
-        FlashChip(geometry, mode=mode), over_provisioning=over_provisioning
+        FlashChip(sized_geometry(trace.page_size, blocks), mode=mode),
+        over_provisioning=over_provisioning,
     )
     region = device.create_region("replay", blocks=blocks, ipa=scheme)
     template = _page_template(trace.page_size, scheme)
@@ -310,15 +307,11 @@ def replay_on_ipl(
 ) -> ReplayResult:
     """Replay the trace against an In-Page Logging store."""
     config = config or IplConfig()
-    data_fraction = (64 - config.log_pages_per_block) / 64
-    blocks = max(
-        int((trace.max_lba + 1) / (64 * data_fraction)) + config.spare_blocks + 3,
-        8,
+    blocks = max(config.blocks_for(trace.max_lba + 1, PAGES_PER_BLOCK) + 3, 8)
+    store = IplStore(
+        FlashChip(sized_geometry(trace.page_size, blocks), mode=FlashMode.SLC),
+        config,
     )
-    geometry = FlashGeometry(
-        page_size=trace.page_size, oob_size=128, pages_per_block=64, blocks=blocks
-    )
-    store = IplStore(FlashChip(geometry, mode=FlashMode.SLC), config)
     template = _page_template(trace.page_size, IPA_DISABLED)
 
     def evict(event: TraceEvent, written: bool) -> bool:

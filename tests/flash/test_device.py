@@ -129,7 +129,8 @@ class TestOverlapScheduling:
         assert over.clock.now_us < chip.clock.now_us
 
     def test_channel_fifo_windows_stay_disjoint(self):
-        dev = FlashDevice(GEO, channels=2, queue_depth=8)
+        dev = FlashDevice(GEO, channels=2)
+        dev.queue_depth = 8
         ppb = GEO.pages_per_block
         for b in range(GEO.blocks):
             for p in range(3):
@@ -141,7 +142,8 @@ class TestOverlapScheduling:
             assert len(ops) <= dev.queue_depth
 
     def test_full_queue_stalls_host_as_channel_wait(self):
-        dev = FlashDevice(GEO, channels=2, queue_depth=2)
+        dev = FlashDevice(GEO, channels=2)
+        dev.queue_depth = 2
         ppb = GEO.pages_per_block
         # Five programs on channel 0 (blocks 0,2,4,6 are chip 0): the
         # third admit finds the queue full and must stall the host.
@@ -179,7 +181,8 @@ class TestOverlapScheduling:
         assert stats[0]["busy_us"] > 0
 
     def test_quiesce_clears_backlog_after_external_clock_reset(self):
-        dev = FlashDevice(GEO, channels=2, queue_depth=8)
+        dev = FlashDevice(GEO, channels=2)
+        dev.queue_depth = 8
         for p in range(4):
             dev.program_page(p, b"w" * GEO.page_size)  # channel 0 backlog
         dev.clock.reset()  # phase boundary: end times are now all stale
@@ -203,7 +206,8 @@ class TestOverlapScheduling:
 
 class TestPowerLoss:
     def test_not_started_op_fully_reverted(self):
-        dev = FlashDevice(GEO, channels=2, queue_depth=8)
+        dev = FlashDevice(GEO, channels=2)
+        dev.queue_depth = 8
         injector = FaultInjector(crash_after_ops=1000, seed=1)
         injector.attach(dev)
         ppb = GEO.pages_per_block
@@ -235,7 +239,8 @@ class TestPowerLoss:
             assert ch.busy_until_us <= dev.clock.now_us
 
     def test_injector_trip_mid_transfer_then_device_teardown(self):
-        dev = FlashDevice(GEO, channels=2, queue_depth=8)
+        dev = FlashDevice(GEO, channels=2)
+        dev.queue_depth = 8
         injector = FaultInjector(crash_after_ops=3, seed=9)
         injector.attach(dev)
         dev.program_page(0, b"m" * 32)
@@ -259,7 +264,8 @@ class TestCopyAcrossChannels:
     def loaded(self):
         """Source programmed and settled; channel 1's queue full; a pulse
         queued but not started on channel 0, for the sense to jump."""
-        dev = FlashDevice(GEO, channels=4, queue_depth=2)
+        dev = FlashDevice(GEO, channels=4)
+        dev.queue_depth = 2
         injector = FaultInjector(crash_after_ops=1000, seed=5).attach(dev)
         dev.program_page(self.SRC, b"s" * GEO.page_size, b"o" * GEO.oob_size)
         dev.clock.advance(1_000.0, "host")

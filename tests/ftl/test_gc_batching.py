@@ -77,9 +77,16 @@ class CountingChip:
         return events
 
 
-def _filled_ftl(geo: FlashGeometry, **gc_options):
+def _filled_ftl(
+    geo: FlashGeometry,
+    background_gc=False,
+    gc_migration_budget=PageMappingFtl.gc_migration_budget,
+):
     chip = CountingChip(FlashChip(geo, mode=FlashMode.MLC))
-    ftl = PageMappingFtl(chip, over_provisioning=OVER_PROVISIONING, **gc_options)
+    ftl = PageMappingFtl(
+        chip, over_provisioning=OVER_PROVISIONING, background_gc=background_gc
+    )
+    ftl.gc_migration_budget = gc_migration_budget
     lbas = int(ftl.logical_pages * FILL_SHARE)
     for lba in range(lbas):
         ftl.write_page(lba, lba.to_bytes(4, "little"))

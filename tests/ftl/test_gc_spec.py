@@ -36,7 +36,8 @@ from tests.reference.ftl import ref_relocate
 #: 32 blocks stripe over 4 channels; 8 pages a block keep reclaims frequent.
 GC_GEO = FlashGeometry(page_size=256, oob_size=128, pages_per_block=8, blocks=32)
 GC_BACKENDS = ("page-mapping", "ipa-ftl", "noftl-2-regions")
-#: name -> GC options of the device under test.
+#: name -> GC options of the device under test: ``background_gc`` is
+#: built in, the rest are FTL class attributes set on the built FTLs.
 GC_MODES = {
     "foreground": {},
     "background-1": {"background_gc": True, "gc_migration_budget": 1},
@@ -53,17 +54,22 @@ def _gc_stack(backend, spec, channels, gc_options, ledger, **chip_options):
     else:
         chip = FlashDevice(GC_GEO, channels=channels, mode=mode, **chip_options)
         leaves = chip.chips
+    tuning = dict(gc_options)
+    options = {"background_gc": tuning.pop("background_gc", False)}
     if backend == "page-mapping":
-        device = PageMappingFtl(chip, over_provisioning=0.2, **gc_options)
+        device = PageMappingFtl(chip, over_provisioning=0.2, **options)
         ftls = [device]
     elif backend == "ipa-ftl":
-        device = IpaFtl(chip, over_provisioning=0.2, **gc_options)
+        device = IpaFtl(chip, over_provisioning=0.2, **options)
         ftls = [device]
     else:
-        device = NoFtlDevice(chip, over_provisioning=0.2, **gc_options)
+        device = NoFtlDevice(chip, over_provisioning=0.2, **options)
         hot = device.create_region("hot", blocks=20, ipa=SCHEME_2X4)
         cold = device.create_region("cold", blocks=12)
         ftls = [hot, cold]
+    for ftl in ftls:
+        for name, value in tuning.items():
+            setattr(ftl, name, value)
     if spec:
         for ftl in ftls:
             ftl._relocate = MethodType(ref_relocate, ftl)

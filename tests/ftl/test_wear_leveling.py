@@ -12,9 +12,8 @@ GEO = FlashGeometry(page_size=256, oob_size=64, pages_per_block=8, blocks=24)
 def run_skewed(wear_leveling_gap):
     """Cold data + a tiny hot set hammered hard; returns erase counts."""
     chip = FlashChip(GEO)
-    ftl = PageMappingFtl(
-        chip, over_provisioning=0.25, wear_leveling_gap=wear_leveling_gap
-    )
+    ftl = PageMappingFtl(chip, over_provisioning=0.25)
+    ftl.wear_leveling_gap = wear_leveling_gap
     rng = np.random.default_rng(11)
     for lba in range(ftl.logical_pages):
         ftl.write_page(lba, b"cold")

@@ -329,9 +329,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ServiceConfig(group_commit_size=0)
 
-    @pytest.mark.parametrize(
-        "field, value", [("think_time_us", -5.0), ("shed_backoff_us", -1.0)]
-    )
+    @pytest.mark.parametrize("field, value", [("think_time_us", -5.0)])
     def test_negative_delays_rejected(self, field, value):
         """A negative delay would issue a session's next request before
         the completion that triggers it."""

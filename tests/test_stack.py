@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict
+import inspect
+from dataclasses import asdict, fields
 
 import pytest
 
+from repro.baselines.ipl import IplConfig
 from repro.bench.harness import ExperimentConfig, build_stack
 from repro.core.config import IPA_DISABLED, SCHEME_2X4
 from repro.fault.harness import FaultStack, fault_spec
 from repro.flash.chip import FlashChip, media_digest
+from repro.flash.device import FlashDevice
+from repro.ftl.ipa_ftl import IpaFtl
 from repro.ftl.noftl import NoFtlDevice
+from repro.ftl.page_mapping import PageMappingFtl
+from repro.service.config import ServiceConfig
 from repro.stack import BACKENDS, MOUNTABLE, StackSpec
+from repro.storage.manager import StorageManager
 from repro.workloads.tpcb import TpcbWorkload
 
 
@@ -197,3 +204,41 @@ class TestRefusals:
     def test_sizing_needs_a_workload(self):
         with pytest.raises(ValueError, match="workload"):
             StackSpec().build()
+
+
+#: Every value a caller can set on the flash, FTL, storage, IPL, service
+#: and TPC-B objects.  Each one doubles the configurations the tests and
+#: benchmarks must cover, so a new one is an edit here, in review.
+SETTABLE = {
+    FlashChip: ["geometry", "mode", "clock", "seed", "endurance_limit"],
+    FlashDevice: ["geometry", "channels", "mode", "clock", "seed"],
+    PageMappingFtl: [
+        "chip", "over_provisioning", "background_gc", "logical_pages",
+        "block_ids",
+    ],
+    NoFtlDevice: ["chip", "over_provisioning", "background_gc"],
+    StorageManager: ["device", "scheme", "policy", "buffer_capacity"],
+    TpcbWorkload: ["scale", "accounts_per_branch", "history_pages"],
+    IplConfig: ["log_pages_per_block", "sector_size"],
+    ServiceConfig: [
+        "workload_factory", "shards", "sessions", "txns_per_session",
+        "buffer_pages", "channels", "queue_depth", "admission_policy",
+        "group_commit_size", "think_time_us", "scheduling", "replication",
+        "repl_latency_us", "observe", "seed",
+    ],
+}
+
+
+def test_settable_surface():
+    surface = {
+        cls: (
+            [f.name for f in fields(cls)]
+            if cls in (IplConfig, ServiceConfig)
+            else list(inspect.signature(cls).parameters)
+        )
+        for cls in SETTABLE
+    }
+    assert surface == SETTABLE
+    assert sum(map(len, surface.values())) == 42
+    # IpaFtl is built exactly like the FTL it overrides the write path of.
+    assert IpaFtl.__init__ is PageMappingFtl.__init__
