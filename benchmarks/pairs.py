@@ -8,11 +8,13 @@ runs ``python3 benchmarks/e2e/run.py --workload W --seed N --seconds 5
 --trace 0`` once in each checkout for every seed N, back to back: the
 parent first on odd pair numbers, the change first on even ones, so a
 drift of the machine's speed lands on both sides alike.  It prints each
-pair's ``host_ops_per_s`` (change / parent), then the median ratio, the
-win count and both sides' medians with the parent's quartiles — a
-claimed gain stands when the change wins at least nine of ten pairs and
-the medians lie further apart than the parent's quartiles
-(``docs/performance.md``).
+pair's value of one metric (``--metric``, ``host_ops_per_s`` by default)
+and its ratio change / parent, then the median ratio, the win count and
+both sides' medians with the parent's quartiles — a claimed gain stands
+when the change wins at least nine of ten pairs and the medians lie
+further apart than the parent's quartiles (``docs/performance.md``).  A
+win is a ratio above 1 for a metric ``BENCHMARK.json`` marks ``"better":
+"higher"`` and below 1 for one it marks ``"lower"`` (``setup_s``).
 
 Exits 1 if any ``sim_*`` value differs within a pair (simulated
 outcomes may never move), 2 if a run fails.  Standard library only.
@@ -27,6 +29,9 @@ import subprocess
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
+
+#: The benchmark contract: each metric's name and which way is better.
+CONTRACT = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def parse_seeds(text: str) -> List[int]:
@@ -57,6 +62,19 @@ def quartiles(values: List[float]) -> List[float]:
     return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
 
 
+def better_directions(contract: Path = CONTRACT) -> Dict[str, str]:
+    """``{metric: "higher" | "lower"}`` of every end-to-end metric of
+    ``contract``."""
+    declared = json.loads(contract.read_text())
+    return {entry["name"]: entry["better"] for entry in declared["end_to_end"]}
+
+
+def show(value: float) -> str:
+    """``value`` whole from 1 000 up (ops/s), else to four significant
+    digits (seconds, MiB, ratios)."""
+    return f"{value:.0f}" if abs(value) >= 1000 else f"{value:.4g}"
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -65,9 +83,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, type=parse_seeds)
+    parser.add_argument(
+        "--metric", default="host_ops_per_s",
+        help="the end-to-end metric judged, as BENCHMARK.json names it",
+    )
     args = parser.parse_args(argv)
 
-    metric = "host_ops_per_s"
+    metric = args.metric
+    directions = better_directions()
+    if metric not in directions:
+        parser.error(f"{metric!r} is no end-to-end metric of {CONTRACT.name}")
+    higher = directions[metric] == "higher"
     sides: Dict[str, List[float]] = {"parent": [], "change": []}
     ratios: List[float] = []
     moved: List[str] = []
@@ -91,19 +117,21 @@ def main(argv: Optional[List[str]] = None) -> int:
             sides[side].append(runs[side][metric])
         ratios.append(runs["change"][metric] / runs["parent"][metric])
         print(
-            f"{seed:>6} {order[0]:>6} {runs['parent'][metric]:>10.0f} "
-            f"{runs['change'][metric]:>10.0f} {ratios[-1]:>7.3f}",
+            f"{seed:>6} {order[0]:>6} {show(runs['parent'][metric]):>10} "
+            f"{show(runs['change'][metric]):>10} {ratios[-1]:>7.3f}",
             flush=True,
         )
 
-    wins = sum(ratio > 1.0 for ratio in ratios)
+    wins = sum(ratio > 1.0 if higher else ratio < 1.0 for ratio in ratios)
     q1, parent_median, q3 = quartiles(sides["parent"])
     change_median = statistics.median(sides["change"])
     print(f"median ratio {statistics.median(ratios):.3f}, "
-          f"change wins {wins} of {len(ratios)}")
-    print(f"{metric}: parent {parent_median:.0f} [{q1:.0f} .. {q3:.0f}] -> "
-          f"change {change_median:.0f}; gap {change_median - parent_median:.0f}, "
-          f"parent quartile spread {q3 - q1:.0f}")
+          f"change wins {wins} of {len(ratios)} "
+          f"({'higher' if higher else 'lower'} is better)")
+    print(f"{metric}: parent {show(parent_median)} [{show(q1)} .. {show(q3)}] -> "
+          f"change {show(change_median)}; "
+          f"gap {show(change_median - parent_median)}, "
+          f"parent quartile spread {show(q3 - q1)}")
     if moved:
         print("sim_* values differ within a pair:", *moved, sep="\n  ")
         return 1

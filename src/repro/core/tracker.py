@@ -17,12 +17,21 @@ a record-sized span of a bracketed op, ORed into a byte map.  The WAL's
 redo payload, :attr:`ChangeTracker.last_op_runs`, is the last op's
 changed bytes as sorted ``(offset, new bytes)`` runs; a span is cut only
 where its XOR diff is zero, never visited one byte at a time.
+
+The two operations every load and every transaction make most are heard
+whole, before the page changes: a single-field update with its LSN stamp
+(:meth:`ChangeTracker.write_op`) and a record insert with its slot, its
+slot-count stamp and its LSN stamp (:meth:`ChangeTracker.insert_op`).
+Each is defined as its bracket of ``begin_op``, ``on_write`` /
+``on_stamp`` calls and ``end_op``, diffs the written bytes once, and
+builds the WAL runs from that same diff.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import compress
+from operator import xor as xor_
 
 from repro.core.config import IpaScheme
 from repro.core.delta import DeltaRecord
@@ -46,10 +55,22 @@ def _span_runs(offset: int, diff: bytes, new: bytes) -> list:
     """``(offset, bytes)`` runs of ``new`` that ``diff`` marks changed."""
     if 0 not in diff:
         return [(offset, new)]
-    return [
-        (offset + start, new[start:end])
-        for start, end in map(_BOUNDS, _CHANGED(diff))
-    ]
+    if len(diff) > _LOOP_MAX:
+        return [
+            (offset + start, new[start:end])
+            for start, end in map(_BOUNDS, _CHANGED(diff))
+        ]
+    # A field or a stamp: its zero-free pieces, without a regex scan.
+    runs = []
+    start = 0
+    for piece in diff.split(b"\0"):
+        if piece:
+            end = start + len(piece)
+            runs.append((offset + start, new[start:end]))
+            start = end + 1
+        else:
+            start += 1
+    return runs
 
 
 class ChangeTracker:
@@ -58,7 +79,8 @@ class ChangeTracker:
     The page's observer: body bytes arrive via :meth:`on_write`, its own
     integer fields via :meth:`on_stamp`, a field write with its LSN stamp
     whole via :meth:`write_op`, which keeps per-byte pairs only while a
-    delta-record may result or no WAL wants the runs.
+    delta-record may result or no WAL wants the runs, and an insert with
+    its slot and stamps whole via :meth:`insert_op`.
 
     Args:
         scheme: The page's IPA configuration.
@@ -222,6 +244,85 @@ class ChangeTracker:
             out += [(offset, new)] if 0 not in diff else _span_runs(offset, diff, new)
         return count, out
 
+    def insert_op(
+        self, offset: int, old: bytes, new: bytes, slot_at: int, old_slot: bytes,
+        slot: bytes, count_at: int, old_count: int, new_count: int, at: int,
+        old_stamp: int, stamp: int, runs: bool,
+    ) -> tuple[int, list[tuple[int, bytes]] | None]:
+        """``begin_op``, ``on_write(offset, old, new)`` (the record),
+        ``on_write(slot_at, old_slot, slot)``, ``on_stamp(count_at, 4,
+        old_count, new_count)`` (slot count + free lower),
+        ``on_stamp(at, 8, old_stamp, stamp)`` (the LSN) and ``end_op``.
+        Returns ``end_op``'s size and, with ``runs``, :attr:`last_op_runs`.
+
+        A body record whose changed bytes exceed M, beside its slot, is
+        diffed once and its runs cut from that diff; any other insert
+        runs those six calls.
+        """
+        if self._open_raw is not None:
+            self.begin_op()  # refused: an operation is open
+        size = len(new)
+        end = offset + size
+        header_end = self._header_end
+        body_end = self._body_end
+        slot_end = slot_at + len(slot)
+        if (
+            size > _LOOP_MAX
+            and header_end <= offset
+            and end <= body_end
+            and header_end <= slot_at
+            and slot_end <= body_end
+            and (slot_at >= end or slot_end <= offset)
+        ):
+            xor = int.from_bytes(old, "little") ^ int.from_bytes(new, "little")
+            diff = xor.to_bytes(size, "little")
+            changed = size - diff.count(0)
+            if changed > self.scheme.m_bytes:
+                # on_write's record-sized span, its runs cut from this diff.
+                self._map_span(offset, size, xor)
+                raw = {}  # the slot, as on_write's loop takes it
+                pos = slot_at
+                for before, after in zip(old_slot, slot):
+                    if before != after:
+                        raw[pos] = after
+                    pos += 1
+                self._net.update(raw)
+                size = changed + len(raw)
+                self.op_sizes.append(size)
+                # The two stamps, heard as an open op's.
+                self._open_raw = raw
+                self.on_stamp(count_at, 4, old_count, new_count)
+                self.on_stamp(at, 8, old_stamp, stamp)
+                self._last = (raw, self._open_meta, (offset, diff, new))
+                self._open_raw = self._open_meta = None
+                if not runs:
+                    return size, None
+                if at + 8 != count_at or count_at + 4 >= header_end:
+                    # Not a page's LSN + count pair: merge by offset.
+                    return size, self.last_op_runs
+                head = (old_stamp ^ stamp) | (old_count ^ new_count) << 64
+                out = _span_runs(
+                    at,
+                    head.to_bytes(12, "little"),
+                    (stamp | new_count << 64).to_bytes(12, "little"),
+                ) if head else []
+                record = [(offset, new)] if 0 not in diff else _span_runs(
+                    offset, diff, new
+                )
+                if len(raw) == len(slot):
+                    pieces = [(slot_at, slot)]
+                else:
+                    pieces = _span_runs(slot_at, bytes(map(xor_, old_slot, slot)), slot)
+                out += record + pieces if offset < slot_at else pieces + record
+                return size, out
+        self.begin_op()
+        self.on_write(offset, old, new)
+        self.on_write(slot_at, old_slot, slot)
+        self.on_stamp(count_at, 4, old_count, new_count)
+        self.on_stamp(at, 8, old_stamp, stamp)
+        size = self.end_op()
+        return size, self.last_op_runs if runs else None
+
     @property
     def last_op_runs(self) -> list[tuple[int, bytes]]:
         """Every changed byte of the last closed op, INCLUDING header/footer
@@ -283,6 +384,21 @@ class ChangeTracker:
             return self._net
         self._fold_net()
         return set(compress(range(len(net_map)), net_map))
+
+    def _map_span(self, offset: int, size: int, xor: int) -> None:
+        """Count a record-sized span's changed bytes (the nonzero bytes of
+        ``xor``, old XOR new) in the byte map; more than M of them put the
+        residency out of place."""
+        net_map = self._net_map
+        if net_map is None:
+            net_map = self._net_map = bytearray(self._body_end)
+            self._fold_net()
+        end = offset + size
+        net_map[offset:end] = (
+            int.from_bytes(net_map[offset:end], "little") | xor
+        ).to_bytes(size, "little")
+        if not self.out_of_place:
+            self.mark_out_of_place()
 
     def _fold_net(self) -> None:
         """Move the small writes' offsets into the byte map."""
@@ -375,17 +491,9 @@ class ChangeTracker:
                 # More bytes than a delta-record holds, and nothing this op
                 # wrote before could overlap them: only the count matters
                 # now, the runs are cut if the WAL asks.
-                net_map = self._net_map
-                if net_map is None:
-                    net_map = self._net_map = bytearray(body_end)
-                    self._fold_net()
-                net_map[offset:end] = (
-                    int.from_bytes(net_map[offset:end], "little") | xor
-                ).to_bytes(size, "little")
+                self._map_span(offset, size, xor)
                 if self._open_raw is not None:
                     self._open_span = (offset, diff, new)
-                if not self.out_of_place:
-                    self.mark_out_of_place()
                 return
             changed = _pairs(offset, diff, new)
         else:

@@ -14,6 +14,8 @@ import struct
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter, le
 from typing import Any
 
 
@@ -143,16 +145,23 @@ class Schema:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate column names in {names}")
         self._names = tuple(names)
+        # Every value of a row as one tuple, in column order.
+        self._fields_of = (
+            itemgetter(*names)
+            if len(names) > 1
+            else lambda values: (values[names[0]],)
+        )
         self._offsets: dict[str, tuple[int, Column]] = {}
         offset = 0
         for column in self.columns:
             self._offsets[column.name] = (offset, column)
             offset += column.width
         self.record_size = offset
-        # One codec for the whole record.  CHAR columns are raw bytes to
-        # it ("Ns" would pad with NUL and silently truncate, so they are
-        # space-padded and length-checked by Column.encode before packing,
-        # and stripped by the Row when read).
+        # The decoding codec, one field per column.  CHAR columns are raw
+        # bytes to it and to the encoding one below ("Ns" would pad with
+        # NUL and silently truncate, so they are space-padded and
+        # length-checked before packing, and stripped by the Row when
+        # read).
         self._record = struct.Struct(
             "<"
             + "".join(
@@ -160,9 +169,28 @@ class Schema:
                 for c in self.columns
             )
         )
-        self._char_columns = tuple(
-            (i, c) for i, c in enumerate(self.columns) if c._codec is None
-        )
+        # Encoding packs each run of adjacent CHAR columns as one "Ns"
+        # field: one join finds a value that is not text, one isascii()
+        # a non-ASCII one, and one "%-Ns..." format pads the run.  A run
+        # failing a check is encoded column by column (Column.encode),
+        # which raises exactly what it always did.
+        runs = []
+        formats = []
+        start = 0
+        for is_char, group in groupby(self.columns, lambda c: c._codec is None):
+            run = tuple(group)
+            stop = start + len(run)
+            if is_char:
+                widths = tuple(c.size for c in run)
+                runs.append(
+                    (start, stop, "".join(f"%-{w}s" for w in widths), widths, run)
+                )
+                formats.append(f"{sum(widths)}s")
+            else:
+                formats += [c._codec.format[1:] for c in run]
+            start = stop
+        self._char_runs = tuple(runs)
+        self._packer = struct.Struct("<" + "".join(formats))
         self._positions = {
             c.name: (i, c._codec is None) for i, c in enumerate(self.columns)
         }
@@ -179,13 +207,25 @@ class Schema:
     def encode(self, values: Mapping[str, Any]) -> bytes:
         """Serialize a full record from a column-name mapping."""
         try:
-            fields = [values[name] for name in self._names]
+            fields = self._fields_of(values)
         except KeyError:
             missing = [name for name in self._names if name not in values]
             raise ValueError(f"missing columns: {missing}") from None
-        for i, column in self._char_columns:
-            fields[i] = column.encode(fields[i])
-        return self._record.pack(*fields)
+        packed: tuple = ()
+        done = 0
+        for start, stop, pad, widths, columns in self._char_runs:
+            chars = fields[start:stop]
+            try:
+                fits = "".join(chars).isascii()
+            except TypeError:  # a value that is not text
+                fits = False
+            if fits and all(map(le, map(len, chars), widths)):
+                text = (pad % chars).encode("ascii")
+            else:
+                text = b"".join(map(Column.encode, columns, chars))
+            packed += fields[done:start] + (text,)
+            done = stop
+        return self._packer.pack(*packed, *fields[done:])
 
     def decode(self, record: bytes) -> Row:
         """Deserialize a full record into a read-only :class:`Row`."""

@@ -56,10 +56,22 @@ class Transaction:
             raise RuntimeError("transaction already committed")
         self.committed = True
         db = self._db
-        db.manager.commit_wal()
-        db.manager.clock.advance(
-            db.manager.host_costs.per_transaction_us, "host"
-        )
-        db.txn_stats.committed += 1
-        by_type = db.txn_stats.by_type
-        by_type[self.txn_type] = by_type.get(self.txn_type, 0) + 1
+        manager = db.manager
+        manager.commit_wal()
+        # SimClock.advance, inlined as in StorageManager.fetch: the
+        # manager's HostCostModel is checked and frozen.
+        cost = manager.host_costs.per_transaction_us
+        clock = manager.clock
+        clock._now_us += cost
+        breakdown = clock.breakdown_us
+        try:
+            breakdown["host"] += cost
+        except KeyError:
+            breakdown["host"] = cost
+        stats = db.txn_stats
+        stats.committed += 1
+        by_type = stats.by_type
+        try:
+            by_type[self.txn_type] += 1
+        except KeyError:
+            by_type[self.txn_type] = 1

@@ -126,7 +126,8 @@ class HostCostModel:
 
     Every field is checked on construction (finite, >= 0) and frozen
     after it: the storage manager charges ``per_buffer_hit_us`` and
-    ``ipa_tracking_us`` straight onto the clock, past
+    ``ipa_tracking_us``, and a transaction's commit
+    ``per_transaction_us``, straight onto the clock, past
     :meth:`SimClock.advance`'s check.
     """
 

@@ -73,7 +73,9 @@ class HeapFile:
         return lba
 
     def insert(self, record: bytes) -> RID:
-        """Insert a record, allocating pages as needed.
+        """Insert a record, allocating pages as needed.  Each page tried is
+        one operation, made in one pass by
+        :meth:`StorageManager.insert_record` (a full page's is a failed one).
 
         Raises:
             FileFullError: no page in the range can hold the record.  A
@@ -86,15 +88,11 @@ class HeapFile:
         while True:
             lba = self._ensure_page(page_index)
             frame = manager.fetch(lba)
-            manager.begin_update(frame)
-            slot = None
             try:
-                slot = frame.page.insert(record)
+                slot = manager.insert_record(frame, record, self.file_id)
             except PageFullError:
                 pass
-            finally:
-                manager.end_update(frame, slot is not None)
-            if slot is not None:
+            else:
                 self._cursor = page_index
                 self.record_count += 1
                 return RID(lba, slot)

@@ -25,7 +25,9 @@ Two deliberate choices support IPA:
   footer checksum) are written with ``pack_into`` and reported as one
   ``on_stamp(offset, width, old, new)`` of integers, so no byte string
   is built or diffed for them.  :meth:`SlottedPage.update_stamped`
-  reports a field write and its LSN stamp as one ``write_op``.
+  reports a field write and its LSN stamp as one ``write_op``, and
+  :meth:`SlottedPage.insert_stamped` a record, its slot and the two
+  stamps as one ``insert_op``.
 
 Header fields (24 bytes):
   magic(2) page_id(4) lsn(8) slot_count(2) free_lower(2) flags(2)
@@ -88,6 +90,15 @@ class PageObserver(Protocol):
         stamp: int, runs: bool,
     ) -> tuple[int, Optional[list[tuple[int, bytes]]]]:
         """``on_write`` and the 8-byte LSN's ``on_stamp``, as one operation."""
+
+    def insert_op(
+        self, offset: int, old: bytes, new: bytes, slot_at: int, old_slot: bytes,
+        slot: bytes, count_at: int, old_count: int, new_count: int, at: int,
+        old_stamp: int, stamp: int, runs: bool,
+    ) -> tuple[int, Optional[list[tuple[int, bytes]]]]:
+        """The record's and the slot's ``on_write``, then the 4-byte slot
+        count + free lower and the 8-byte LSN ``on_stamp``, as one
+        operation."""
 
 
 class SlottedPage:
@@ -204,26 +215,62 @@ class SlottedPage:
             ValueError: for empty records (indistinguishable from a
                 tombstone).
         """
+        slot_no, offset, slot_pos, slot, old_count, count = self._place(record)
+        self._write(offset, record)
+        self._write(slot_pos, slot)
+        _U32.pack_into(self._buf, _SLOT_COUNT, count)
+        if self._observer is not None:
+            self._observer.on_stamp(_SLOT_COUNT, SLOT_SIZE, old_count, count)
+        return slot_no
+
+    def insert_stamped(
+        self, record: bytes, lsn: int, runs: bool
+    ) -> tuple[int, int, Optional[list[tuple[int, bytes]]]]:
+        """:meth:`insert` and :meth:`set_lsn` as one operation, which the
+        observer's ``insert_op`` hears (and may refuse) before any byte is
+        written; returns the slot number and what ``insert_op`` returns.
+
+        Raises:
+            PageFullError, ValueError: as :meth:`insert`, before the
+                observer hears anything.
+        """
+        observer = self._observer
+        assert observer is not None, "an insert_stamped needs an observer"
+        slot_no, offset, slot_pos, slot, old_count, count = self._place(record)
+        buf = self._buf
+        end = offset + len(record)
+        slot_end = slot_pos + SLOT_SIZE
+        size, out = observer.insert_op(
+            offset, bytes(buf[offset:end]), record,
+            slot_pos, bytes(buf[slot_pos:slot_end]), slot,
+            _SLOT_COUNT, old_count, count,
+            _LSN, _U64.unpack_from(buf, _LSN)[0], lsn, runs,
+        )
+        buf[offset:end] = record
+        buf[slot_pos:slot_end] = slot
+        _U32.pack_into(buf, _SLOT_COUNT, count)
+        _U64.pack_into(buf, _LSN, lsn)
+        return slot_no, size, out
+
+    def _place(self, record: bytes) -> tuple[int, int, int, bytes, int, int]:
+        """Where :meth:`insert` puts ``record``: its slot number, its
+        offset, the slot's offset and bytes, and the slot count + free
+        lower field (adjacent u16s, one 4-byte stamp) before and after."""
         if not record:
             raise ValueError("empty records are not supported")
         size = len(record)
-        buf = self._buf
-        slot_no, offset = _SLOT.unpack_from(buf, _SLOT_COUNT)
+        slot_no, offset = _SLOT.unpack_from(self._buf, _SLOT_COUNT)
         slot_pos = self.delta_start - SLOT_SIZE * (slot_no + 1)
         if size > slot_pos - offset:  # free_space, inlined
             raise PageFullError(f"{size} B record, {self.free_space} B free")
-        self._write(offset, record)
-        self._write(slot_pos, _SLOT.pack(offset, size))
-        # slot_count and free_lower are adjacent: one 4-byte stamp.
-        _SLOT.pack_into(buf, _SLOT_COUNT, slot_no + 1, offset + size)
-        if self._observer is not None:
-            self._observer.on_stamp(
-                _SLOT_COUNT,
-                SLOT_SIZE,
-                slot_no | offset << 16,
-                (slot_no + 1) | (offset + size) << 16,
-            )
-        return slot_no
+        return (
+            slot_no,
+            offset,
+            slot_pos,
+            _SLOT.pack(offset, size),
+            slot_no | offset << 16,
+            (slot_no + 1) | (offset + size) << 16,
+        )
 
     def slot(self, slot_no: int) -> tuple[int, int]:
         """(offset, length) of a slot; length == TOMBSTONE if deleted."""
@@ -425,7 +472,8 @@ class SlottedPage:
         """Attach the change tracker (``None`` detaches): ``on_write`` hears
         every body write, ``on_stamp`` every header/footer field the page
         writes (LSN, slot count + free lower, checksum), ``write_op`` every
-        :meth:`update_stamped`."""
+        :meth:`update_stamped` and ``insert_op`` every
+        :meth:`insert_stamped`."""
         self._observer = observer
 
     def _write(self, offset: int, data: bytes) -> None:

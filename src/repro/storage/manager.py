@@ -34,7 +34,7 @@ from repro.ftl.interface import FlashBackend
 from repro.obs.ledger import NULL_LEDGER, LifetimeTracker, WriteLedger
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.storage.buffer import BufferPool, Frame
-from repro.storage.layout import PageCorruptError, SlottedPage
+from repro.storage.layout import PageCorruptError, PageFullError, SlottedPage
 
 
 @dataclass
@@ -453,6 +453,32 @@ class StorageManager:
             raise
         self._next_lsn = lsn + 1
         self._account(frame, size, lsn, runs, file_id)
+
+    def insert_record(self, frame: Frame, record: bytes, file_id: int) -> int:
+        """An insert into a fetched ``frame`` in one pass
+        (:meth:`SlottedPage.insert_stamped`), accounted and unpinned like
+        every operation; returns the slot number.  ``file_id`` is the
+        page's (its heap file knows).
+
+        Raises:
+            PageFullError, ValueError: the page refused the record; the
+                failed operation is accounted as :meth:`end_update` does
+                one, without an LSN.
+            RuntimeError: an operation is open on the page (pin dropped).
+        """
+        lsn = self._next_lsn
+        try:
+            slot, size, runs = frame.page.insert_stamped(
+                record, lsn, self.wal is not None
+            )
+        except (RuntimeError, PageFullError, ValueError):
+            # Nothing changed: refused again (pin dropped) or a failed op.
+            self.begin_update(frame)
+            self.end_update(frame, False)
+            raise
+        self._next_lsn = lsn + 1
+        self._account(frame, size, lsn, runs, file_id)
+        return slot
 
     def _account(
         self, frame: Frame, size: int, lsn: int, runs: list | None, file_id: int

@@ -84,12 +84,15 @@ class YcsbWorkload(Workload):
             pages_for_rows(db, self.records, self._schema.record_size),
             pk="key",
         )
+        # A row's fields are slices of one draw: the stream carries a
+        # 32-bit half between calls, as numpy's does, so one draw of all
+        # the letters spells what one draw per field would.
         letters, size = draws(rng).letters, self.field_size
+        slices = [slice(i * size, (i + 1) * size) for i in range(self.field_count)]
+        insert, fields = table.insert, self._fields
         for key in range(self.records):
-            row = {"key": key}
-            for field in self._fields:
-                row[field] = letters(size)
-            table.insert(row)
+            text = letters(self.field_count * size)
+            insert(dict(zip(fields, map(text.__getitem__, slices)), key=key))
         db.checkpoint()
 
     def transaction(self, db: Database, rng: np.random.Generator) -> str:

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from benchmarks import pairs
 
 _FAKE_RUN = """\
@@ -17,17 +19,23 @@ assert args[args.index("--trace") + 1] == "0"
 here = Path(__file__).resolve().parents[2]
 with open(here.parent / "order.log", "a") as log:
     log.write(f"{here.name} {seed}\\n")
-metrics = {"host_ops_per_s": HOST, "sim_ops_per_s": SIM + seed}
+metrics = {"host_ops_per_s": HOST, "setup_s": SETUP, "sim_ops_per_s": SIM + seed}
 print("a log line")
 print(json.dumps({"correct": True, "attempted": 10, "failed": 0,
                   "metrics": {k: {"value": v} for k, v in metrics.items()}}))
 """
 
 
-def _checkout(root: Path, name: str, host: float, sim: float) -> Path:
+def _checkout(
+    root: Path, name: str, host: float, sim: float, setup: float = 0.4
+) -> Path:
     run = root / name / "benchmarks" / "e2e" / "run.py"
     run.parent.mkdir(parents=True)
-    run.write_text(_FAKE_RUN.replace("HOST", repr(host)).replace("SIM", repr(sim)))
+    run.write_text(
+        _FAKE_RUN.replace("HOST", repr(host))
+        .replace("SETUP", repr(setup))
+        .replace("SIM", repr(sim))
+    )
     return root / name
 
 
@@ -71,3 +79,45 @@ def test_a_failed_run_stops_the_series(tmp_path, capsys):
 def test_quartiles_of_short_series():
     assert pairs.quartiles([2.0]) == [2.0, 2.0, 2.0]
     assert pairs.quartiles([1.0, 3.0])[1] == 2.0
+
+
+def test_a_lower_is_better_metric_wins_below_one(tmp_path, capsys):
+    """``setup_s`` is ``"better": "lower"`` in BENCHMARK.json: a pair wins
+    when the change's value is the smaller, and sub-second values keep
+    their digits."""
+    parent = _checkout(tmp_path, "parent", 100.0, 5.0, setup=0.405)
+    change = _checkout(tmp_path, "change", 90.0, 5.0, setup=0.321)
+    argv = [str(parent), str(change), "--workload", "w", "--seeds", "1-2",
+            "--metric", "setup_s"]
+    assert pairs.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count("     0.405      0.321   0.793\n") == 2
+    assert "median ratio 0.793, change wins 2 of 2 (lower is better)" in out
+    assert "setup_s: parent 0.405 [0.405 .. 0.405] -> change 0.321;" in out
+    assert "gap -0.084, parent quartile spread 0" in out
+
+
+def test_the_default_metric_is_judged_higher_is_better(tmp_path, capsys):
+    parent = _checkout(tmp_path, "parent", 71000.0, 5.0)
+    change = _checkout(tmp_path, "change", 76900.0, 5.0)
+    argv = [str(parent), str(change), "--workload", "w", "--seeds", "1"]
+    assert pairs.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "change wins 1 of 1 (higher is better)" in out
+    assert "host_ops_per_s: parent 71000 [71000 .. 71000] -> change 76900" in out
+
+
+def test_every_end_to_end_metric_has_a_direction():
+    directions = pairs.better_directions()
+    assert directions["host_ops_per_s"] == "higher"
+    assert directions["setup_s"] == "lower"
+    assert set(directions.values()) == {"higher", "lower"}
+
+
+def test_an_unknown_metric_is_refused(tmp_path, capsys):
+    argv = [str(tmp_path), str(tmp_path), "--workload", "w", "--seeds", "1",
+            "--metric", "setup_ms"]
+    with pytest.raises(SystemExit) as exit_:
+        pairs.main(argv)
+    assert exit_.value.code == 2
+    assert "'setup_ms' is no end-to-end metric" in capsys.readouterr().err

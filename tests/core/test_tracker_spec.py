@@ -3,13 +3,15 @@ the same state after every call, the same delta-records, the same
 errors.  A stamp (``on_stamp``) is, by the spec, one ``on_write`` of the
 field's little-endian bytes."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import PAGE_FOOTER_SIZE, PAGE_HEADER_SIZE, SCHEME_2X4, IpaScheme
-from repro.core.tracker import ChangeTracker
-from tests.reference.core import RefChangeTracker, ref_run_changes
+from repro.core.tracker import ChangeTracker, _span_runs
+from tests.reference.core import RefChangeTracker, ref_run_changes, ref_span_runs
 
 HEADER_END = PAGE_HEADER_SIZE
 # A small page keeps every region and both boundaries within reach of a
@@ -139,7 +141,80 @@ def _whole_ops(draw, body_end):
     return ("op", offset, old, bytes(new), old_lsn, lsn, draw(st.booleans()))
 
 
-def _actions(writes, stamps, ops, max_size):
+_erased_or_any = st.one_of(st.just(b"\xff" * 4), st.binary(min_size=4, max_size=4))
+
+
+@st.composite
+def _insert_ops(draw, body_end, page_end):
+    """A whole insert through ``insert_op``: a record (1-16 bytes or
+    longer; over erased bytes, over any, a few bytes off them or equal to
+    them), its 4-byte slot (after it, beside it, before it, over it or
+    anywhere), the slot count + free lower stamp and the LSN stamp (where
+    a page keeps them, or anywhere in the header or the tail)."""
+    size = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=16),
+            st.integers(min_value=17, max_value=body_end - HEADER_END - 4),
+        )
+    )
+    offset = draw(
+        st.one_of(
+            st.integers(min_value=HEADER_END, max_value=body_end - 4 - size),
+            st.integers(min_value=0, max_value=page_end - size),
+        )
+    )
+    end = offset + size
+    kind = draw(st.sampled_from(["erased", "erased", "few", "equal", "any"]))
+    old = b"\xff" * size
+    if kind == "any":
+        old = bytes(draw(st.lists(_span_bytes, min_size=size, max_size=size)))
+    new = bytes(draw(st.lists(_span_bytes, min_size=size, max_size=size)))
+    if kind == "few":  # at most a handful of changed bytes
+        new = bytearray(old)
+        for _ in range(draw(st.integers(min_value=1, max_value=5))):
+            new[draw(st.integers(min_value=0, max_value=size - 1))] ^= 0x81
+        new = bytes(new)
+    elif kind == "equal":
+        new = old
+    where = draw(st.sampled_from(["after", "after", "beside", "before", "over", "any"]))
+    slot_at = {
+        "after": draw(st.integers(min_value=end, max_value=max(end, body_end - 4))),
+        "beside": end,
+        "before": offset - 4,
+        "over": offset + draw(st.integers(min_value=-3, max_value=size - 1)),
+        "any": draw(st.integers(min_value=0, max_value=page_end - 4)),
+    }[where]
+    slot_at = max(0, min(slot_at, page_end - 4))
+    page_layout = draw(st.booleans()) or draw(st.booleans())
+    count_at = 14 if page_layout else draw(_stamp_offsets(4, body_end, page_end))
+    lsn_at = LSN if page_layout else draw(_stamp_offsets(8, body_end, page_end))
+    return (
+        "insert",
+        offset,
+        old,
+        new,
+        slot_at,
+        draw(_erased_or_any),
+        draw(_erased_or_any),
+        count_at,
+        draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        lsn_at,
+        draw(_lsns),
+        draw(_lsns),
+        draw(st.booleans()),
+    )
+
+
+def _stamp_offsets(width, body_end, page_end):
+    """Where a ``width``-byte field lies wholly in the header or the tail."""
+    return st.one_of(
+        st.integers(min_value=0, max_value=HEADER_END - width),
+        st.integers(min_value=body_end, max_value=page_end - width),
+    )
+
+
+def _actions(writes, stamps, ops, inserts, max_size):
     return st.lists(
         st.one_of(
             writes,
@@ -147,6 +222,7 @@ def _actions(writes, stamps, ops, max_size):
             writes,
             stamps,
             ops,
+            inserts,
             st.just(("begin",)),
             st.just(("end",)),
             st.tuples(st.just("flushed"), st.integers(min_value=0, max_value=2)),
@@ -158,12 +234,18 @@ def _actions(writes, stamps, ops, max_size):
 #: name -> (body end, action strategy): byte-level writes on a tiny page,
 #: and record-sized spans (17-200 B, the long-write path) on a 340-byte
 #: one; both mixed with stamps, which the writes overlap often (the
-#: header is 24 bytes, the delta area + footer 20 and 40), and with
-#: whole one-write operations.
+#: header is 24 bytes, the delta area + footer 20 and 40), with whole
+#: one-write operations and with whole inserts.
 _WRITE_STRATEGIES = {
     "bytes": (
         BODY_END,
-        _actions(_writes(), _stamps(BODY_END, PAGE_END), _whole_ops(BODY_END), 30),
+        _actions(
+            _writes(),
+            _stamps(BODY_END, PAGE_END),
+            _whole_ops(BODY_END),
+            _insert_ops(BODY_END, PAGE_END),
+            30,
+        ),
     ),
     "spans": (
         BIG_BODY_END,
@@ -171,6 +253,7 @@ _WRITE_STRATEGIES = {
             _span_writes(),
             _stamps(BIG_BODY_END, BIG_PAGE_END),
             _whole_ops(BIG_BODY_END),
+            _insert_ops(BIG_BODY_END, BIG_PAGE_END),
             25,
         ),
     ),
@@ -211,6 +294,30 @@ def _whole_op(tracker, offset, old, new, old_lsn, lsn, runs):
     return size, None if cut is None else _run_changes(cut)
 
 
+def _insert_bracket(tracker, offset, old, new, slot_at, old_slot, slot,
+                    count_at, old_count, new_count, at, old_stamp, stamp):
+    """``insert_op``'s definition: the six calls it stands for; returns
+    the size ``end_op`` returns."""
+    tracker.begin_op()
+    tracker.on_write(offset, old, new)
+    tracker.on_write(slot_at, old_slot, slot)
+    tracker.on_stamp(count_at, 4, old_count, new_count)
+    tracker.on_stamp(at, 8, old_stamp, stamp)
+    return tracker.end_op()
+
+
+def _whole_insert(tracker, *args):
+    """``insert_op``, or the spec's six-call bracket; returns the size and,
+    with ``runs`` (the last argument), the op's changes."""
+    *args, runs = args
+    if isinstance(tracker, RefChangeTracker):
+        size = _insert_bracket(tracker, *args)
+        return size, dict(tracker.last_op_changes) if runs else None
+    size, cut = tracker.insert_op(*args, runs)
+    assert (cut is None) is not runs
+    return size, None if cut is None else _run_changes(cut)
+
+
 def _observable(tracker):
     return {
         "records": tracker.records,
@@ -238,6 +345,8 @@ def _apply_action(tracker, action):
             return tracker.on_stamp(*action[1:])
         if action[0] == "op":
             return _whole_op(tracker, *action[1:])
+        if action[0] == "insert":
+            return _whole_insert(tracker, *action[1:])
         if action[0] == "begin":
             return tracker.begin_op()
         if action[0] == "end":
@@ -452,3 +561,147 @@ class TestChangeTracker:
             ("end",),
         )
         assert _observable(trackers[1]) == _observable(trackers[0])
+
+
+def _bracket_insert(tracker, *args):
+    """A ``ChangeTracker`` made to run ``insert_op``'s definition: the size
+    and, with ``runs``, its :attr:`~ChangeTracker.last_op_runs`."""
+    *args, runs = args
+    size = _insert_bracket(tracker, *args)
+    return size, tracker.last_op_runs if runs else None
+
+
+def _one_of_each(tracker, action, bracketed):
+    """Apply ``action``; an insert goes through ``insert_op`` or, with
+    ``bracketed``, through its six calls, and returns its runs as is."""
+    if action[0] != "insert":
+        return _apply_action(tracker, action)
+    try:
+        if bracketed:
+            return _bracket_insert(tracker, *action[1:])
+        return tracker.insert_op(*action[1:])
+    except RuntimeError as error:  # an operation is open
+        return type(error), str(error)
+
+
+#: A record over erased free space, its slot over erased bytes, and the
+#: page's stamps: slot 0 at free lower 24 -> slot 1 at 124, LSN 0 -> 1.
+_RECORD = bytes(range(100))
+_INSERT = (
+    "insert", HEADER_END, b"\xff" * 100, _RECORD, BIG_BODY_END - 4,
+    b"\xff" * 4, b"\x18\x00\x64\x00", 14, 24 << 16, 1 | 124 << 16, LSN, 0, 1,
+)
+
+
+def _insert(**changes):
+    """``_INSERT`` with some arguments replaced (and ``runs`` on)."""
+    names = ("offset", "old", "new", "slot_at", "old_slot", "slot", "count_at",
+             "old_count", "new_count", "at", "old_stamp", "stamp")
+    values = dict(zip(names, _INSERT[1:]))
+    values.update(changes)
+    return ("insert", *values.values(), True)
+
+
+class TestInsertOp:
+    """``insert_op`` is ``begin_op``, the record's and the slot's
+    ``on_write``, the slot count's and the LSN's ``on_stamp`` and
+    ``end_op``: the same tracker state after every call, and the same
+    runs, list for list, as those six calls' ``last_op_runs``."""
+
+    @pytest.mark.parametrize("strategy", sorted(_WRITE_STRATEGIES))
+    @given(
+        scheme=_schemes,
+        existing=st.integers(min_value=0, max_value=2),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_equals_its_bracket(self, strategy, scheme, existing, data):
+        body_end, actions = _WRITE_STRATEGIES[strategy]
+        one_pass = ChangeTracker(scheme, existing, HEADER_END, body_end)
+        bracket = ChangeTracker(scheme, existing, HEADER_END, body_end)
+        for action in data.draw(actions):
+            result = _one_of_each(bracket, action, bracketed=True)
+            assert _one_of_each(one_pass, action, bracketed=False) == result, action
+            assert _observable(one_pass) == _observable(bracket), action
+            assert one_pass.last_op_runs == bracket.last_op_runs, action
+
+    @pytest.mark.parametrize(
+        "scheme", [SCHEME_2X4, IpaScheme(2, 15), IpaScheme(0, 0)],
+        ids=["2x4", "2x15", "out-of-place"],
+    )
+    @pytest.mark.parametrize(
+        "before, action",
+        [
+            ([], _insert()),  # every byte of the record changes
+            ([], _insert(new=b"\xff" * 50 + _RECORD[:50])),  # erased bytes kept
+            ([], _insert(offset=HEADER_END, old=b"\xff" * 16, new=_RECORD[:16])),
+            ([], _insert(old=_RECORD, new=_RECORD[:10] + b"zz" + _RECORD[12:])),
+            ([], _insert(new=b"\xff" * 100)),  # identical to the erased bytes
+            ([], _insert(slot_at=HEADER_END + 100)),  # the slot beside it
+            ([], _insert(old_stamp=0x000100FF, stamp=0x01000000)),  # a zero between
+            ([], _insert(old_count=0, new_count=0, old_stamp=9, stamp=9)),  # no stamp
+            ([_insert()], _insert(offset=HEADER_END + 100)),  # already out of place
+            ([("begin",), ("write", 40, b"\x00", b"\x09")], _insert()),  # refused
+        ],
+        ids=[
+            "all-changed", "erased-kept", "16-bytes", "diff-within-m", "equal",
+            "slot-beside", "lsn-zero-byte", "unstamped", "out-of-place-page",
+            "op-open",
+        ],
+    )
+    def test_directed_inserts(self, scheme, before, action):
+        ref = RefChangeTracker(scheme, 0, HEADER_END, BIG_BODY_END)
+        one_pass = ChangeTracker(scheme, 0, HEADER_END, BIG_BODY_END)
+        bracket = ChangeTracker(scheme, 0, HEADER_END, BIG_BODY_END)
+        _run((ref, one_pass, bracket), *before)
+        got = _one_of_each(one_pass, action, bracketed=False)
+        assert got == _one_of_each(bracket, action, bracketed=True)
+        spec = _apply_action(ref, action)
+        if spec[0] is not RuntimeError:  # the insert ran: its changes
+            got = got[0], _run_changes(got[1])
+        assert got == spec
+        _run((ref, one_pass, bracket), ("end",))  # closes a refused insert's op
+        assert _observable(one_pass) == _observable(bracket) == _observable(ref)
+        assert one_pass.last_op_runs == bracket.last_op_runs
+
+    @pytest.mark.parametrize(
+        "action, one_diff",
+        [
+            (_insert(), True),
+            (_insert(slot_at=HEADER_END + 100), True),
+            (_insert(offset=HEADER_END, old=b"\xff" * 16, new=_RECORD[:16]), False),
+            (_insert(old=_RECORD, new=_RECORD[:10] + b"zz" + _RECORD[12:]), False),
+            (_insert(slot_at=HEADER_END + 99), False),  # the slot over the record
+            (_insert(offset=HEADER_END - 1), False),  # the record in two regions
+        ],
+    )
+    def test_the_one_diff_shortcut_is_taken_where_the_record_exceeds_m(
+        self, action, one_diff
+    ):
+        """The comparisons above only prove the shortcut where they reach
+        it: a record-sized body record beyond M beside its slot."""
+        tracker = ChangeTracker(SCHEME_2X4, 0, HEADER_END, BIG_BODY_END)
+        with mock.patch.object(
+            ChangeTracker, "on_write", autospec=True, side_effect=ChangeTracker.on_write
+        ) as on_write:
+            tracker.insert_op(*action[1:])
+        assert on_write.called is not one_diff
+
+
+class TestSpanRuns:
+    @given(
+        offset=st.integers(min_value=0, max_value=4096),
+        diff=st.one_of(
+            st.binary(min_size=1, max_size=16),
+            st.lists(st.sampled_from([0, 0, 1, 0xFF]), min_size=1, max_size=40).map(
+                bytes
+            ),
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_the_cut_of_a_diff_is_the_regex_cut(self, offset, diff, data):
+        """Short diffs are cut by a plain loop, long ones by a regex: both
+        are the regex's maximal nonzero runs."""
+        new = data.draw(st.binary(min_size=len(diff), max_size=len(diff)))
+        assert _span_runs(offset, diff, new) == ref_span_runs(offset, diff, new)

@@ -120,6 +120,116 @@ class TestSchemaSpec:
         )
 
 
+#: What a CHAR value may be: text that fits, exactly fills or overflows
+#: its column by one byte, the same as bytes, non-ASCII text or bytes, and
+#: values that are no text at all.
+def _char_values(size):
+    fits = st.text(alphabet="ab %", max_size=size)
+    return st.one_of(
+        fits,
+        fits,
+        st.just("x" * size),
+        st.just("x" * (size + 1)),
+        fits.map(lambda text: text.encode("ascii")),
+        fits.map(lambda text: bytearray(text.encode("ascii"))),
+        st.just("é" * min(size, 2)),
+        st.just(b"\x80"),
+        st.sampled_from([7, None, 1.5]),
+    )
+
+
+@st.composite
+def _runs_and_row(draw):
+    """(columns, row): CHAR columns leading, trailing and between INT and
+    FLOAT ones, in runs of one to four; now and then a column missing."""
+    kinds = draw(
+        st.lists(
+            st.sampled_from(
+                [ColumnType.CHAR] * 3
+                + [ColumnType.INT32, ColumnType.INT64, ColumnType.FLOAT64]
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    columns, row = [], {}
+    for i, kind in enumerate(kinds):
+        name = f"c{i}"
+        if kind is ColumnType.CHAR:
+            size = draw(st.integers(min_value=1, max_value=6))
+            columns.append(Column(name, kind, size))
+            row[name] = draw(_char_values(size))
+        else:
+            columns.append(Column(name, kind))
+            row[name] = draw(st.integers(min_value=-(2**31), max_value=2**31 - 1))
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        del row[draw(st.sampled_from(sorted(row)))]
+    return columns, row
+
+
+def _encoded(fn, *args):
+    """``outcome``, with the ``TypeError`` a CHAR column raises for a value
+    that is no text."""
+    try:
+        return outcome(fn, *args)
+    except TypeError as error:
+        return ("raised", TypeError, str(error))
+
+
+class TestRunEncoder:
+    """``Schema.encode`` packs each run of adjacent CHAR columns with one
+    format, and falls back to the column's own encode for a value that
+    fails its checks: the same bytes and the same first error as the
+    spec's column-by-column encode."""
+
+    @given(case=_runs_and_row())
+    @settings(max_examples=400, deadline=None)
+    def test_same_bytes_and_errors_as_the_spec(self, case):
+        columns, row = case
+        assert _encoded(Schema(columns).encode, row) == _encoded(
+            ref_schema_encode, columns, row
+        )
+
+    @pytest.mark.parametrize(
+        "value, error",
+        [
+            (7, (TypeError, "CHAR column 'b' takes str or bytes, got int")),
+            (b"xyz", None),
+            ("é", (ValueError, "CHAR column 'b' takes ASCII only, got 'é'")),
+            ("abcd", (ValueError, "value of 4 bytes exceeds CHAR(3) column 'b'")),
+            (b"abcd", (ValueError, "value of 4 bytes exceeds CHAR(3) column 'b'")),
+        ],
+        ids=["not-text", "bytes", "non-ascii", "one-too-long", "bytes-too-long"],
+    )
+    @pytest.mark.parametrize("layout", ["leading", "trailing", "between"])
+    def test_each_refusal_names_its_column(self, value, error, layout):
+        char_run = [
+            Column("a", ColumnType.CHAR, 2),
+            Column("b", ColumnType.CHAR, 3),
+            Column("c", ColumnType.CHAR, 1),
+        ]
+        number = [Column("n", ColumnType.INT64), Column("f", ColumnType.FLOAT64)]
+        columns = {
+            "leading": char_run + number,
+            "trailing": number + char_run,
+            "between": number[:1] + char_run + number[1:],
+        }[layout]
+        # The later CHAR column is wrong as well: the first one raises.
+        row = {"a": "xy", "b": value, "c": 5, "n": 3, "f": 0.5}
+        expected = _encoded(ref_schema_encode, columns, row)
+        assert _encoded(Schema(columns).encode, row) == expected
+        if error is not None:
+            assert expected == ("raised", *error)
+        else:
+            assert expected == (
+                "raised", TypeError, "CHAR column 'c' takes str or bytes, got int"
+            )
+        del row["n"]
+        assert _encoded(Schema(columns).encode, row) == (
+            "raised", ValueError, "missing columns: ['n']"
+        )
+
+
 class TestRowSpec:
     @given(case=_schema_and_row(text=_padded))
     @settings(max_examples=200, deadline=None)

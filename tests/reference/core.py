@@ -6,6 +6,8 @@ body or delta area + footer) and keeps plain dicts and sets; the codec
 builds and parses a record field by field with ``int.to_bytes``.
 """
 
+import re
+
 from repro.core.config import PAGE_FOOTER_SIZE, PAGE_HEADER_SIZE, PAIR_SIZE
 from repro.core.delta import DeltaFormatError, DeltaRecord
 from repro.core.reconstruct import ReconstructionError
@@ -138,6 +140,15 @@ class RefChangeTracker:
         self.net_changed_offsets = set()
         self.meta_changed_offsets = set()
         self.op_sizes = []
+
+
+def ref_span_runs(offset, diff, new):
+    """``(offset, bytes)`` runs of ``new`` where ``diff`` is nonzero: its
+    maximal nonzero stretches, as a regex finds them."""
+    return [
+        (offset + match.start(), new[match.start() : match.end()])
+        for match in re.finditer(rb"[^\x00]+", diff)
+    ]
 
 
 def ref_run_changes(runs):

@@ -24,6 +24,11 @@ def ref_column_width(column):
 
 def ref_column_encode(column, value):
     if column.type is ColumnType.CHAR:
+        if not isinstance(value, (str, bytes, bytearray)):
+            raise TypeError(
+                f"CHAR column '{column.name}' takes str or bytes, "
+                f"got {type(value).__name__}"
+            )
         if not value.isascii():
             raise ValueError(
                 f"CHAR column '{column.name}' takes ASCII only, got {value!r}"

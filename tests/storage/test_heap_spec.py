@@ -130,6 +130,66 @@ class TestUpdateBracket:
         state = _update_state(new, 0)
         assert state == _update_state(ref, 0) and state["pin_count"] == 0
 
+    @pytest.mark.parametrize("with_wal", [False, True], ids=["no-wal", "wal"])
+    @pytest.mark.parametrize(
+        "record, error",
+        [
+            (b"x" * 100, None),
+            (b"x" * 2000, PageFullError),
+            (b"", ValueError),
+            (b"x" * 10, RuntimeError),  # inside an open operation
+        ],
+        ids=["fits", "page-full", "empty", "op-open"],
+    )
+    def test_an_insert_in_one_pass_is_accounted_as_its_bracket(
+        self, with_wal, record, error
+    ):
+        """``insert_record`` against ``begin_update`` + ``page.insert`` +
+        ``end_update``: the same manager and pool stats, clock, dirty flag,
+        pin count (a refused insert keeps none), LSNs, page, tracker and
+        log — inside an open operation and after it closed."""
+
+        def bracket(manager, frame):
+            manager.begin_update(frame)
+            slot = None
+            try:
+                slot = frame.page.insert(record)
+            finally:
+                manager.end_update(frame, slot is not None)
+
+        def one_pass(manager, frame):
+            manager.insert_record(frame, record, 0)
+
+        states = []
+        for insert in (one_pass, bracket):
+            manager = _manager(with_wal=with_wal)
+            manager.unpin(manager.format_page(0))
+            with manager.update(0) as page:
+                page.insert(b"r" * 400)
+            manager.flush_all()
+            outer = manager.update(0) if error is RuntimeError else nullcontext()
+            with outer:
+                with pytest.raises(error) if error else nullcontext():
+                    insert(manager, manager.fetch(0))
+                inside = _update_state(manager, 0)
+            after = _update_state(manager, 0)
+            manager.commit_wal()  # the log, on its device
+            states.append(
+                (
+                    inside,
+                    after,
+                    asdict(manager.stats),
+                    asdict(manager.pool.stats),
+                    (asdict(manager.wal.stats), media_digest(manager.wal.chip))
+                    if with_wal
+                    else None,
+                )
+            )
+        assert states[0] == states[1]
+        inside, after = states[0][:2]
+        assert after["pin_count"] == 0 and after["dirty"]
+        assert inside["pin_count"] == (1 if error is RuntimeError else 0)
+
     def test_read_access_unpins_when_the_block_raises(self):
         manager = _manager()
         manager.unpin(manager.format_page(0))

@@ -159,6 +159,56 @@ class TestStreamIdentity:
             table = stream._table
 
 
+class TestOneDrawPerRow:
+    """A YCSB row's fields are slices of one ``letters`` draw: exact only
+    if ``letters(a + b)`` spells ``letters(a) + letters(b)`` and leaves the
+    stream where they leave it, as ``rng.integers(0, 26, a + b)`` does
+    (numpy's PCG64 keeps a 32-bit half between calls)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        buffered=st.booleans(),
+        prefetch=st.sampled_from([1, 2, 5, 64]),
+        lead=st.integers(min_value=0, max_value=3),
+        a=st.integers(min_value=0, max_value=41),
+        b=st.integers(min_value=0, max_value=41),
+    )
+    def test_one_draw_spells_two(self, seed, buffered, prefetch, lead, a, b):
+        """Odd sizes, a half carried in (buffered, or left by an odd lead)
+        and, with a small block, draws that straddle a refill."""
+        whole_rng, twin = pair(seed, buffered)
+        split_rng, _ = pair(seed, buffered)
+        with mock.patch.object(base, "PREFETCH", prefetch):
+            whole, split = DrawStream(whole_rng), DrawStream(split_rng)
+            for _ in range(lead):
+                assert whole.letters(1) == split.letters(1) == twin.letters(1)
+            joined = whole.letters(a + b)
+            assert joined == split.letters(a) + split.letters(b)
+            assert joined == twin.letters(a + b)
+            whole.release()
+            split.release()
+        assert position(whole_rng) == position(split_rng) == position(twin.rng)
+
+    @pytest.mark.parametrize("fields, size", [(10, 10), (3, 7)])
+    def test_rows_across_refills(self, fields, size):
+        """Rows of ten ten-letter fields and of three seven-letter ones
+        (a half left over after every row) over many small blocks."""
+        whole_rng, twin = pair(99)
+        split_rng, _ = pair(99)
+        with mock.patch.object(base, "PREFETCH", 8):
+            whole, split = DrawStream(whole_rng), DrawStream(split_rng)
+            for _ in range(200):
+                text = whole.letters(fields * size)
+                assert [text[i * size : (i + 1) * size] for i in range(fields)] == [
+                    split.letters(size) for _ in range(fields)
+                ]
+                assert text == twin.letters(fields * size)
+            whole.release()
+            split.release()
+        assert position(whole_rng) == position(split_rng) == position(twin.rng)
+
+
 # ---------------------------------------------------------------------- #
 # Forged states: every rejection boundary of the bounded sampler
 # ---------------------------------------------------------------------- #

@@ -1,10 +1,13 @@
 """YCSB generator: mixes, determinism, IPA interaction."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.bench.harness import ExperimentConfig, build_stack
-from repro.core.config import SCHEME_2X4
+from repro.core.config import IPA_DISABLED, SCHEME_2X4
+from repro.flash import media_digest
 from repro.flash.modes import FlashMode
 from repro.workloads.base import draws, release
 from repro.workloads.ycsb import MIXES, YcsbWorkload, _value
@@ -39,6 +42,52 @@ class TestFieldValues:
         assert draws(rng).random() == reference.random()
         release(rng)
         assert rng.random() == reference.random()
+
+
+#: (architecture, scheme, WAL, field count, field size, seed) -> the load
+#: of a 1 000-record usertable (no transaction run): sha256 of its rows as
+#: a scan decodes them, sha256 of data (+ WAL) media, both first 16 hex
+#: digits, and the simulated clock.  Recorded while a row was ten
+#: ``letters`` draws, its record a per-column encode and its insert the
+#: whole update bracket.
+LOAD_GOLDEN = {
+    ("ipa-native", "2x4", True, 10, 10, 42): (
+        "7b8c94fe6fba0eaa", "9e9fea52fdf9e080", "64037.480000000556"
+    ),
+    ("traditional", "off", False, 10, 10, 7): (
+        "0915433c07932dc7", "4bf6ab2d5e665649", "15210.887999999966"
+    ),
+    ("ipa-native", "2x4", True, 3, 7, 5): (
+        "112c00148440a132", "2c7b171daec4e0df", "33096.23200000002"
+    ),
+}
+
+
+class TestLoadGolden:
+    @pytest.mark.parametrize("case", sorted(LOAD_GOLDEN))
+    def test_a_loaded_table_and_its_media(self, case):
+        architecture, scheme, with_wal, field_count, field_size, seed = case
+        workload = YcsbWorkload(
+            records=1000, mix="b", field_count=field_count, field_size=field_size
+        )
+        db, manager = build_stack(
+            ExperimentConfig(
+                workload=workload,
+                architecture=architecture,
+                mode=FlashMode.SLC,
+                scheme=SCHEME_2X4 if scheme == "2x4" else IPA_DISABLED,
+                buffer_pages=16,
+                with_wal=with_wal,
+            )
+        )
+        workload.build(db, np.random.default_rng(seed))
+        rows = [dict(row) for row in db.table("usertable").scan()]
+        chips = (manager.device.chip,) + ((manager.wal.chip,) if with_wal else ())
+        assert (
+            hashlib.sha256(repr(rows).encode()).hexdigest()[:16],
+            media_digest(*chips)[:16],
+            repr(manager.clock.now_us),
+        ) == LOAD_GOLDEN[case]
 
 
 class TestYcsb:
