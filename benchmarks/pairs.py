@@ -7,14 +7,16 @@
 runs ``python3 benchmarks/e2e/run.py --workload W --seed N --seconds 5
 --trace 0`` once in each checkout for every seed N, back to back: the
 parent first on odd pair numbers, the change first on even ones, so a
-drift of the machine's speed lands on both sides alike.  It prints each
-pair's value of one metric (``--metric``, ``host_ops_per_s`` by default)
-and its ratio change / parent, then the median ratio, the win count and
-both sides' medians with the parent's quartiles — a claimed gain stands
-when the change wins at least nine of ten pairs and the medians lie
-further apart than the parent's quartiles (``docs/performance.md``).  A
-win is a ratio above 1 for a metric ``BENCHMARK.json`` marks ``"better":
-"higher"`` and below 1 for one it marks ``"lower"`` (``setup_s``).
+drift of the machine's speed lands on both sides alike.  Every
+end-to-end metric of ``BENCHMARK.json`` is judged from the same runs.
+The measured ones (``host_ops_per_s``, ``setup_s``, ``peak_rss_mb``)
+get each pair's ratio change / parent, then per metric the median
+ratio, the win count and both sides' medians with the parent's
+quartiles — a claimed gain stands when the change wins at least nine of
+ten pairs and the medians lie further apart than the parent's quartiles
+(``docs/performance.md``).  A win is a ratio above 1 for a metric marked
+``"better": "higher"`` and below 1 for one marked ``"lower"``.  The
+simulated ones (``sim_*``) are deterministic: they must be equal.
 
 Exits 1 if any ``sim_*`` value differs within a pair (simulated
 outcomes may never move), 2 if a run fails.  Standard library only.
@@ -83,21 +85,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, type=parse_seeds)
-    parser.add_argument(
-        "--metric", default="host_ops_per_s",
-        help="the end-to-end metric judged, as BENCHMARK.json names it",
-    )
     args = parser.parse_args(argv)
 
-    metric = args.metric
     directions = better_directions()
-    if metric not in directions:
-        parser.error(f"{metric!r} is no end-to-end metric of {CONTRACT.name}")
-    higher = directions[metric] == "higher"
-    sides: Dict[str, List[float]] = {"parent": [], "change": []}
-    ratios: List[float] = []
+    measured = [name for name in directions if not name.startswith("sim_")]
+    sides: Dict[str, Dict[str, List[float]]] = {
+        side: {name: [] for name in measured} for side in ("parent", "change")
+    }
+    ratios: Dict[str, List[float]] = {name: [] for name in measured}
     moved: List[str] = []
-    print(f"{'seed':>6} {'first':>6} {'parent':>10} {'change':>10} {'ratio':>7}")
+    print(f"{'seed':>6} {'first':>6}", *(f"{name:>14}" for name in measured))
     for index, seed in enumerate(args.seeds):
         order = ["parent", "change"] if index % 2 == 0 else ["change", "parent"]
         runs = {}
@@ -105,6 +102,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             for side in order:
                 checkout = args.parent if side == "parent" else args.change
                 runs[side] = contract_run(checkout, args.workload, seed)
+                missing = sorted(set(directions) - set(runs[side]))
+                if missing:
+                    raise RuntimeError(f"{checkout}, seed {seed}: no {missing}")
         except RuntimeError as failure:
             print(f"run failed: {failure}", file=sys.stderr)
             return 2
@@ -113,28 +113,29 @@ def main(argv: Optional[List[str]] = None) -> int:
             if name.startswith("sim_") and before[name] != after.get(name):
                 moved.append(f"seed {seed}: {name} {before[name]!r} -> "
                              f"{after.get(name)!r}")
-        for side in sides:
-            sides[side].append(runs[side][metric])
-        ratios.append(runs["change"][metric] / runs["parent"][metric])
-        print(
-            f"{seed:>6} {order[0]:>6} {show(runs['parent'][metric]):>10} "
-            f"{show(runs['change'][metric]):>10} {ratios[-1]:>7.3f}",
-            flush=True,
-        )
+        for name in measured:
+            for side in sides:
+                sides[side][name].append(runs[side][name])
+            ratios[name].append(after[name] / before[name])
+        print(f"{seed:>6} {order[0]:>6}",
+              *(f"{ratios[name][-1]:>14.3f}" for name in measured), flush=True)
 
-    wins = sum(ratio > 1.0 if higher else ratio < 1.0 for ratio in ratios)
-    q1, parent_median, q3 = quartiles(sides["parent"])
-    change_median = statistics.median(sides["change"])
-    print(f"median ratio {statistics.median(ratios):.3f}, "
-          f"change wins {wins} of {len(ratios)} "
-          f"({'higher' if higher else 'lower'} is better)")
-    print(f"{metric}: parent {show(parent_median)} [{show(q1)} .. {show(q3)}] -> "
-          f"change {show(change_median)}; "
-          f"gap {show(change_median - parent_median)}, "
-          f"parent quartile spread {show(q3 - q1)}")
+    for name in measured:
+        higher = directions[name] == "higher"
+        wins = sum(r > 1.0 if higher else r < 1.0 for r in ratios[name])
+        q1, parent_median, q3 = quartiles(sides["parent"][name])
+        change_median = statistics.median(sides["change"][name])
+        print(f"{name} ({'higher' if higher else 'lower'} is better): "
+              f"median ratio {statistics.median(ratios[name]):.3f}, "
+              f"change wins {wins} of {len(ratios[name])}; "
+              f"parent {show(parent_median)} [{show(q1)} .. {show(q3)}] -> "
+              f"change {show(change_median)}; "
+              f"gap {show(change_median - parent_median)}, "
+              f"parent quartile spread {show(q3 - q1)}")
     if moved:
         print("sim_* values differ within a pair:", *moved, sep="\n  ")
         return 1
+    print("sim_*: equal in every pair")
     return 0
 
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import re
 from itertools import compress
-from operator import xor as xor_
 
 from repro.core.config import IpaScheme
 from repro.core.delta import DeltaRecord
@@ -256,8 +255,8 @@ class ChangeTracker:
         Returns ``end_op``'s size and, with ``runs``, :attr:`last_op_runs`.
 
         A body record whose changed bytes exceed M, beside its slot, is
-        diffed once and its runs cut from that diff; any other insert
-        runs those six calls.
+        diffed once, and :attr:`last_op_runs` cuts that same diff; any
+        other insert runs those six calls.
         """
         if self._open_raw is not None:
             self.begin_op()  # refused: an operation is open
@@ -278,7 +277,7 @@ class ChangeTracker:
             diff = xor.to_bytes(size, "little")
             changed = size - diff.count(0)
             if changed > self.scheme.m_bytes:
-                # on_write's record-sized span, its runs cut from this diff.
+                # on_write's record-sized span, kept for last_op_runs.
                 self._map_span(offset, size, xor)
                 raw = {}  # the slot, as on_write's loop takes it
                 pos = slot_at
@@ -295,26 +294,7 @@ class ChangeTracker:
                 self.on_stamp(at, 8, old_stamp, stamp)
                 self._last = (raw, self._open_meta, (offset, diff, new))
                 self._open_raw = self._open_meta = None
-                if not runs:
-                    return size, None
-                if at + 8 != count_at or count_at + 4 >= header_end:
-                    # Not a page's LSN + count pair: merge by offset.
-                    return size, self.last_op_runs
-                head = (old_stamp ^ stamp) | (old_count ^ new_count) << 64
-                out = _span_runs(
-                    at,
-                    head.to_bytes(12, "little"),
-                    (stamp | new_count << 64).to_bytes(12, "little"),
-                ) if head else []
-                record = [(offset, new)] if 0 not in diff else _span_runs(
-                    offset, diff, new
-                )
-                if len(raw) == len(slot):
-                    pieces = [(slot_at, slot)]
-                else:
-                    pieces = _span_runs(slot_at, bytes(map(xor_, old_slot, slot)), slot)
-                out += record + pieces if offset < slot_at else pieces + record
-                return size, out
+                return size, self.last_op_runs if runs else None
         self.begin_op()
         self.on_write(offset, old, new)
         self.on_write(slot_at, old_slot, slot)

@@ -227,6 +227,18 @@ class _Recorder:
         self.on_stamp(at, 8, old_stamp, stamp)
         return len(new), None
 
+    def insert_op(
+        self, offset, old, new, slot_at, old_slot, slot, count_at, old_count,
+        count, at, old_stamp, stamp, runs,
+    ):
+        """The record, its slot, the 4-byte slot count + free lower stamp
+        and the 8-byte LSN stamp, as ``ChangeTracker`` hears them."""
+        self.on_write(offset, old, new)
+        self.on_write(slot_at, old_slot, slot)
+        self.on_stamp(count_at, 4, old_count, count)
+        self.on_stamp(at, 8, old_stamp, stamp)
+        return len(new), None
+
 
 class TestWriteHook:
     def test_hook_sees_every_mutation(self):
@@ -308,6 +320,61 @@ class TestWriteHook:
             page.update_stamped(0, 8, b"42", 9, False)
         assert page.to_bytes() == before
 
+    def test_insert_stamped_is_heard_whole_before_it_is_written(self):
+        page = fresh()
+        page.insert(b"first")
+        page.set_lsn(0x1FF)
+        before = page.to_bytes()
+        recorder = _Recorder()
+
+        def heard(*op):
+            recorder.events.append(("op", *op, page.to_bytes()))
+            return 6, []
+
+        recorder.insert_op = heard
+        page.set_observer(recorder)
+        assert page.insert_stamped(b"second", 0x200, True) == (1, 6, [])
+        slot_at = page.delta_start - 2 * 4
+        assert recorder.events == [(
+            "op",
+            29, before[29:35], b"second",
+            slot_at, before[slot_at : slot_at + 4], bytes([29, 0, 6, 0]),
+            14, 1 | 29 << 16, 2 | 35 << 16,
+            6, 0x1FF, 0x200, True,
+            before,
+        )]
+        assert page.read(1) == b"second" and page.read(0) == b"first"
+        assert page.slot_count == 2 and page.free_lower == 35
+        assert page.lsn == 0x200
+
+    @pytest.mark.parametrize(
+        "record, error", [(b"", ValueError), (b"x" * 1000, PageFullError)]
+    )
+    def test_insert_stamped_that_does_not_fit_reports_nothing(self, record, error):
+        page = fresh()
+        page.insert(b"first")
+        before = page.to_bytes()
+        recorder = _Recorder()
+        page.set_observer(recorder)
+        with pytest.raises(error):
+            page.insert_stamped(record, 9, False)
+        assert recorder.events == [] and page.to_bytes() == before
+
+    def test_insert_stamped_refused_by_the_observer_changes_nothing(self):
+        page = fresh()
+        page.insert(b"first")
+        before = page.to_bytes()
+        recorder = _Recorder()
+
+        def refuse(*_op):
+            raise RuntimeError("nested update operations are not supported")
+
+        recorder.insert_op = refuse
+        page.set_observer(recorder)
+        with pytest.raises(RuntimeError):
+            page.insert_stamped(b"second", 9, False)
+        assert page.to_bytes() == before
+
     def test_detach(self):
         page = fresh()
         recorder = _Recorder()
@@ -333,6 +400,12 @@ _page_calls = st.lists(
             st.integers(min_value=0, max_value=3),
             st.integers(min_value=0, max_value=8),
             st.binary(min_size=1, max_size=8),
+            st.integers(0, 2**64 - 1),
+            st.booleans(),
+        ),
+        st.tuples(
+            st.just("insert_stamped"),  # empty or too long: refused
+            st.binary(max_size=120),
             st.integers(0, 2**64 - 1),
             st.booleans(),
         ),
