@@ -10,21 +10,17 @@ Run:
     python examples/nxm_tuning.py
 """
 
-from repro.bench.ablations import report, sweep_nxm
-from repro.core.config import IpaScheme
+from repro.bench.report import render_rows, run_rows
+from repro.bench.tables import SWEEP_COLUMNS, nxm
 
 
 def main() -> None:
-    schemes = [
-        IpaScheme(1, 4),
-        IpaScheme(2, 4),   # the paper's Table-1 choice
-        IpaScheme(4, 4),
-        IpaScheme(2, 8),
-        IpaScheme(4, 8),
-        IpaScheme(8, 8),
-    ]
-    rows = sweep_nxm(transactions=2000, schemes=schemes)
-    print(report(rows, "N x M sweep on TPC-B (pSLC, write_delta)"))
+    # nxm() sweeps tables.NXM_SCHEMES: [1x4], [2x4] (the paper's
+    # Table-1 choice), [4x4], [2x8], [4x8] and [8x8].
+    rows = run_rows(nxm(transactions=2000))
+    print(render_rows(
+        "N x M sweep on TPC-B (pSLC, write_delta)", SWEEP_COLUMNS, rows
+    ))
     print()
     print("Reading the table:")
     print(" - IPA evictions grows with N (more residencies before an")

@@ -4,18 +4,7 @@ Each experiment command prints its EXPERIMENTS.md section(s) at full
 scale (DESIGN.md's index); the rest run the service, the observed run
 and the demo:
 
-    python -m repro table1            # E1  — the paper's Table 1
-    python -m repro fig1              # E2  — Figure 1
-    python -m repro fig2              # E3  — Figure 2 (ISPP)
-    python -m repro fig3              # E4  — Figure 3 (page format)
-    python -m repro claims            # E5  — headline claims
-    python -m repro ipl               # E6  — IPA vs In-Page Logging
-    python -m repro update-sizes      # E7  — eviction-size analysis
-    python -m repro mlc-modes         # E8  — interference safety
-    python -m repro ablations         # A1-A3, A5 — ablation sweeps
-    python -m repro ipl-sweep         # A4  — IPL sizing sweep
-    python -m repro ycsb              # E10 — YCSB extension
-    python -m repro latency           # E11 — transaction tail latency
+{experiments}
     python -m repro service [...]     # sharded multi-session service tier
     python -m repro obs [report] [--fast]   # observed run: spans, GC
                                             # attribution, WA waterfall
@@ -29,10 +18,23 @@ from __future__ import annotations
 import sys
 
 
+def _help() -> str:
+    """The docstring, listing each experiment command's sections from
+    the section table."""
+    from repro.bench.run_all import COMMANDS
+
+    lines = []
+    for command, experiments in COMMANDS.items():
+        for i, experiment in enumerate(experiments):
+            lead = f"python -m repro {command}" if i == 0 else ""
+            lines.append(f"    {lead:<33} # {experiment.title}")
+    return (__doc__ or "").format(experiments="\n".join(lines))
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or argv[0] in ("-h", "--help"):
-        print(__doc__)
+        print(_help())
         return 0
     command, rest = argv[0], argv[1:]
     sys.argv = [f"repro {command}"] + rest
@@ -51,13 +53,13 @@ def main(argv: list[str] | None = None) -> int:
             print("demo requires running from the repository root")
             return 2
     else:
-        from repro.bench.run_all import COMMANDS, render_section
+        from repro.bench.run_all import COMMANDS, render_section, run_section
 
         if command not in COMMANDS:
             print(f"unknown command {command!r}; try --help")
             return 2
-        for section in COMMANDS[command]:
-            print(render_section(section(False)))
+        for experiment in COMMANDS[command]:
+            print(render_section(run_section(experiment)))
         return 0
     run()
     return 0

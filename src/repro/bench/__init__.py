@@ -1,9 +1,12 @@
 """Benchmark harness: experiment configs, the runner, and reports.
 
-Every table and figure of the paper maps to one module here (see the
-experiment index in DESIGN.md).  ``repro.bench.run_all`` runs each one
-as a report section, with its fast and full scale; the command line
-prints one experiment's section at full scale::
+Every table and figure of the paper is one entry of
+``repro.bench.run_all``'s section table, with its fast and full scale
+(see the experiment index in DESIGN.md).  The tables built from
+experiment configs are data in ``repro.bench.tables`` (labelled configs
+plus a column set, run and rendered by ``repro.bench.report``); each
+figure and the E7, E8 and A4 analyses keep a module of their own.  The
+command line prints one experiment's sections at full scale::
 
     python -m repro table1
     python -m repro fig1

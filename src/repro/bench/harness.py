@@ -111,6 +111,22 @@ class ExperimentResult:
     dirty_eviction_net_bytes: list = field(default_factory=list)
     extra: dict = field(default_factory=dict)
 
+    @property
+    def ipa_share(self) -> float:
+        """Share of dirty flushes written in place (0 when none flushed)."""
+        flushes = self.ipa_flushes + self.oop_flushes
+        return self.ipa_flushes / flushes if flushes else 0.0
+
+    @property
+    def gc_overhead(self) -> int:
+        """GC page migrations plus GC erases."""
+        return self.gc_page_migrations + self.gc_erases
+
+    @property
+    def physical_writes(self) -> int:
+        """Every program operation the chip performed."""
+        return self.flash_programs + self.flash_reprograms
+
 
 @dataclass
 class ObservedResult(ExperimentResult):

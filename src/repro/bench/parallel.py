@@ -44,7 +44,6 @@ __all__ = [
     "WorkerFailure",
     "parallel_map",
     "resolve_jobs",
-    "run_experiments",
 ]
 
 
@@ -154,24 +153,3 @@ def parallel_map(
                     ) from exc
     return results
 
-
-def _run_one_config(config: Any) -> Any:
-    # Module-level (picklable) worker; import inside to keep this module
-    # import-light and cycle-free.
-    from repro.bench.harness import run_experiment
-
-    return run_experiment(config)
-
-
-def run_experiments(configs: Sequence[Any], jobs: int = 0) -> list[Any]:
-    """Run many :class:`ExperimentConfig`\\ s across cores.
-
-    Returns :class:`ExperimentResult`\\ s in ``configs`` order; each
-    config carries its own ``seed``, so the list is identical to a
-    serial ``[run_experiment(c) for c in configs]``.  Observation hooks
-    (``observe=``) are not supported here — an
-    :class:`~repro.obs.Observation` holds live sampler callbacks that
-    do not survive pickling; run those configs serially.
-    """
-    labels = [c.display_label() for c in configs]
-    return parallel_map(_run_one_config, configs, jobs=jobs, labels=labels)

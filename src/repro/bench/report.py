@@ -1,15 +1,26 @@
-"""Paper-style result tables: absolute columns + relative-% columns.
+"""Result tables: one row type, one runner, one renderer.
 
-Mirrors the format of the paper's Table 1, which shows the traditional
-baseline absolutely and each IPA configuration both absolutely and as a
-percentage change against the baseline.
+An experiment's table is data (``repro.bench.tables``): a list of
+labelled :class:`~repro.bench.harness.ExperimentConfig` rows
+(:data:`Spec`) and a column set of ``(header, row -> cell)`` pairs.
+:func:`run_rows` runs the rows in order and :func:`render_rows` prints
+them.  :func:`render_comparison` keeps the paper's transposed Table-1
+layout: one metric per line, the traditional baseline absolutely and
+each IPA configuration both absolutely and as a percentage change.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import math
+from dataclasses import dataclass
+from typing import Any, Callable, Optional, Sequence, Union
 
-from repro.bench.harness import ExperimentResult
+from repro.bench.harness import (
+    ExperimentConfig,
+    ExperimentResult,
+    ObservedResult,
+    run_experiment,
+)
 from repro.obs.export import render_table
 
 Metric = tuple[str, Callable[[ExperimentResult], float], str]
@@ -26,18 +37,99 @@ TABLE1_METRICS: list[Metric] = [
 ]
 
 
+@dataclass
+class Row:
+    """One labelled run of a table.
+
+    A paired table keeps the run it compares against as ``baseline``
+    (E5: the traditional stack, E6: IPL).  A traced row keeps the two
+    numbers its trace gave and drops the observation, so a row pickles.
+    """
+
+    label: str
+    result: ExperimentResult
+    baseline: Optional[ExperimentResult] = None
+    #: Inline ``gc_erase`` spans in the traced run.
+    gc_erase_spans: int = 0
+    #: Share of those spans attributed to a txn-bearing host write.
+    gc_attribution_rate: float = 0.0
+
+    def pair(self, metric: str) -> tuple[Any, Any]:
+        """``metric`` of this row's run and of its baseline."""
+        assert self.baseline is not None, f"{self.label} has no baseline"
+        return getattr(self.result, metric), getattr(self.baseline, metric)
+
+
+#: A row before it runs: its label and config, and for a paired table
+#: the baseline's config.
+Spec = Union[
+    tuple[str, ExperimentConfig],
+    tuple[str, ExperimentConfig, ExperimentConfig],
+]
+
+#: A column: its header and the cell it prints for a row.
+Column = tuple[str, Callable[[Row], str]]
+
+
+def run_rows(specs: Sequence[Spec], observe: bool = False) -> list[Row]:
+    """Run each row's config, then its baseline's, in order.
+
+    ``observe`` traces each row's run: the row keeps the trace's inline
+    ``gc_erase`` span count and their attribution rate.
+    """
+    rows = []
+    for label, config, *baseline in specs:
+        result = run_experiment(config, observe=observe)
+        row = Row(label, result, run_experiment(baseline[0]) if baseline else None)
+        if isinstance(result, ObservedResult):
+            observation, result.observation = result.observation, None
+            assert observation is not None
+            row.gc_erase_spans = len(observation.tracer.by_name("gc_erase"))
+            row.gc_attribution_rate = observation.gc_attribution_rate()
+        rows.append(row)
+    return rows
+
+
+def render_rows(title: str, columns: Sequence[Column], rows: Sequence[Row]) -> str:
+    """``rows`` as a table with one cell per column."""
+    return render_table(
+        [header for header, _ in columns],
+        [[cell(row) for _, cell in columns] for row in rows],
+        title=title,
+    )
+
+
+def relative_pct(value: float, base: float) -> float:
+    """Percent change of ``value`` against ``base``; ``nan`` when the
+    base is zero.
+
+    A zero base makes the change undefined: a baseline that never
+    collected would otherwise print a "+0%" GC-overhead change, which
+    reads as "IPA did not help".  ``nan`` renders as an explicit "n/a".
+    """
+    if base == 0:
+        return math.nan
+    return 100.0 * (value - base) / base
+
+
+def fmt_pct(value: float) -> str:
+    """A signed whole percentage, or "n/a" for ``nan``."""
+    return "n/a" if math.isnan(value) else f"{value:+.0f}%"
+
+
+def fmt_ratio(value: float) -> str:
+    """A ratio with two decimals, "inf", or "n/a" for ``nan``."""
+    if math.isnan(value):
+        return "n/a"
+    if value == float("inf"):
+        return "inf"
+    return f"{value:.2f}x"
+
+
 def _fmt(value: float, spec: str) -> str:
     if spec == "d":
         return f"{int(value):,}".replace(",", " ")
     return format(value, spec)
-
-
-def relative_pct(value: float, base: float) -> str:
-    """Signed percentage change vs a baseline ('-' when base is 0)."""
-    if base == 0:
-        return "-"
-    pct = 100.0 * (value - base) / base
-    return f"{pct:+.0f}"
 
 
 def render_comparison(
@@ -57,8 +149,9 @@ def render_comparison(
         row = [name, _fmt(base_value, spec)]
         for other in others:
             value = getter(other)
+            pct = relative_pct(value, base_value)
             row.append(_fmt(value, spec))
-            row.append(relative_pct(value, base_value))
+            row.append("-" if math.isnan(pct) else f"{pct:+.0f}")
         rows.append(row)
     return render_table(headers, rows, title=title)
 

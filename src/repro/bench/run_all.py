@@ -13,10 +13,13 @@ section is self-seeded, so the report is byte-identical at any job
 count — parallelism only changes host wall-clock (see
 ``repro.bench.parallel`` for the determinism contract).
 
-Each section also returns its plain results; ``tests/bench/
+Every section is one entry of the section table, ``SECTIONS``: its
+title and paper note, its ``python -m repro`` command (``COMMANDS``
+groups the entries by command; the command prints them at the full
+scale), its fast and full scale, and how to run and render it.  Each
+section also returns its plain results; ``tests/bench/
 test_paper_claims.py`` runs every section once at the fast scale and
-asserts the paper's claims on them.  ``python -m repro <experiment>``
-prints the sections of one experiment at the full scale (``COMMANDS``).
+asserts the paper's claims on them.
 """
 
 from __future__ import annotations
@@ -28,20 +31,16 @@ from contextlib import redirect_stdout
 from typing import Any, Callable, NamedTuple
 
 from repro.bench import (
-    ablations,
-    claims,
     fig1,
     fig2_ispp,
     fig3_layout,
-    ipa_vs_ipl,
     ipl_sweep,
     mlc_modes,
-    table1,
-    tail_latency,
+    tables,
     update_size_analysis,
-    ycsb_mixes,
 )
 from repro.bench.parallel import parallel_map
+from repro.bench.report import render_comparison, render_rows, run_rows
 
 
 class Section(NamedTuple):
@@ -53,6 +52,28 @@ class Section(NamedTuple):
     body: str
     paper_note: str
     results: Any
+
+
+class Experiment(NamedTuple):
+    """One entry of the section table: what a report section says, which
+    ``python -m repro`` command prints it, and how to run and render it.
+
+    ``run`` takes the section's ``fast`` or ``full`` scale and returns
+    its plain results; ``report`` renders them.
+    """
+
+    title: str
+    paper_note: str
+    command: str
+    fast: Any
+    full: Any
+    run: Callable[[Any], Any]
+    report: Callable[[Any], str]
+
+    @property
+    def id(self) -> str:
+        """The experiment id that heads the title (``E1``, ``A3``, ...)."""
+        return self.title.split()[0]
 
 
 def _capture(title: str, fn: Callable[[], Section]) -> tuple[Section, str]:
@@ -80,232 +101,196 @@ def _capture(title: str, fn: Callable[[], Section]) -> tuple[Section, str]:
     return result, buffer.getvalue().rstrip()
 
 
-# ---------------------------------------------------------------------------
-# Sections.  Module-level functions (not closures) so that --jobs can ship
-# them to worker processes by name; each takes only `fast` and returns a
-# finished Section, making it an independently schedulable unit of work.
-# Each experiment's one fast/full scale pair is set here.
-# ---------------------------------------------------------------------------
-
-
-def _section_table1(fast: bool) -> Section:
-    results = table1.run(duration_s=4.0 if fast else 12.0)
-    return Section(
+#: The section table, in report order.  Every section is self-seeded
+#: (seeds live in its experiment configs), so any subset can run on any
+#: worker without changing its output; ``--jobs`` ships a section's index,
+#: never the entry.  Each experiment's one fast/full scale pair is set here.
+SECTIONS: tuple[Experiment, ...] = (
+    Experiment(
         "E1 — Table 1 (TPC-B: [0x0] vs [2x4] pSLC vs [2x4] odd-MLC)",
-        table1.report(results),
         "Paper: TPS 260 / 380 (+46%) / 313 (+20%); host reads +47%/+29%; "
         "host writes +50%/+17%; migrations/write -83%/-55%; "
         "erases/write -69%/-59%.",
-        results,
-    )
-
-
-def _section_fig1(fast: bool) -> Section:
-    rows = fig1.run()
-    return Section(
+        "table1", 4.0, 12.0,
+        lambda duration_s: run_rows(tables.table1(duration_s)),
+        lambda rows: render_comparison(
+            rows[0].result,
+            [row.result for row in rows[1:]],
+            title="Table 1 — TPC-B: traditional [0x0] vs IPA [2x4] "
+            "(pSLC, odd-MLC)",
+        ),
+    ),
+    Experiment(
         "E2 — Figure 1 (write-amplification of one small update)",
-        fig1.report(rows),
         "Paper: 10-byte update -> whole 8 KB page + 1-15 invalidations "
         "traditionally; ~100-byte delta-record and no invalidation "
         "with IPA.",
-        rows,
-    )
-
-
-def _section_fig2(fast: bool) -> Section:
-    demo = fig2_ispp.run()
-    return Section(
+        "fig1", None, None,
+        lambda _: fig1.run(),
+        fig1.report,
+    ),
+    Experiment(
         "E3 — Figure 2 (ISPP and the in-place programming rule)",
-        fig2_ispp.report(demo),
         "Paper: ISPP raises charge in incremental loops; charge can only "
         "increase without an erase.",
-        demo,
-    )
-
-
-def _section_fig3(fast: bool) -> Section:
-    rows = fig3_layout.run()
-    return Section(
+        "fig2", None, None,
+        lambda _: fig2_ispp.run(),
+        fig2_ispp.report,
+    ),
+    Experiment(
         "E4 — Figure 3 (page format and delta-area sizing)",
-        fig3_layout.report(rows),
         "Paper: delta-record area = N x (1 + 3M + delta_metadata); "
         "[2x4] is the evaluated configuration.",
-        rows,
-    )
-
-
-def _section_claims(fast: bool) -> Section:
-    rows = claims.run(transactions=2500 if fast else 6000, fast=fast)
-    return Section(
+        "fig3", None, None,
+        lambda _: fig3_layout.run(),
+        fig3_layout.report,
+    ),
+    Experiment(
         "E5 — headline claims (abstract)",
-        claims.report(rows),
         "Paper: -67% invalidations, -80% GC overhead, +45% throughput, "
         "2x longevity (update-intensive workloads; TPC-B is the anchor).",
-        rows,
-    )
-
-
-def _section_ipa_vs_ipl(fast: bool) -> Section:
-    rows = ipa_vs_ipl.run(transactions=2500 if fast else 6000, fast=fast)
-    return Section(
+        "claims", (2500, True), (6000, False),
+        lambda scale: run_rows(tables.claims(*scale)),
+        lambda rows: render_rows(
+            "E5 — headline claims (paper: -67% invalidations, -80% GC, "
+            "+45% TPS, 2x longevity)",
+            tables.CLAIM_COLUMNS,
+            rows,
+        ),
+    ),
+    Experiment(
         "E6 — IPA vs In-Page Logging",
-        ipa_vs_ipl.report(rows),
         "Paper: IPA writes -23..-62%, erases -29..-74% vs IPL; IPL "
         "roughly doubles the read load.",
-        rows,
-    )
-
-
-def _section_update_sizes(fast: bool) -> Section:
-    rows = update_size_analysis.run(transactions=2500 if fast else 6000, fast=fast)
-    return Section(
+        "ipl", (2500, True), (6000, False),
+        lambda scale: run_rows(tables.ipa_vs_ipl(*scale)),
+        lambda rows: render_rows(
+            "E6 — IPA vs IPL (paper: IPA writes -23..-62%, erases "
+            "-29..-74%, IPL ~2x read load)",
+            tables.IPL_COLUMNS,
+            rows,
+        ),
+    ),
+    Experiment(
         "E7 — update-size distribution (Section 1)",
-        update_size_analysis.report(rows),
         "Paper: >70% of evicted dirty 8 KB pages modify <100 bytes; "
         "DBMS write-amplification ~80x.",
-        rows,
-    )
-
-
-def _section_mlc_modes(fast: bool) -> Section:
-    rows = mlc_modes.run()
-    return Section(
+        "update-sizes", (2500, True), (6000, False),
+        lambda scale: update_size_analysis.run(*scale),
+        update_size_analysis.report,
+    ),
+    Experiment(
         "E8 — MLC modes and program interference (Section 3)",
-        mlc_modes.report(rows),
         "Paper: IPA safe on SLC/pSLC/odd-MLC; full-MLC appends risk "
         "program interference beyond ECC.",
-        rows,
-    )
-
-
-def _section_ablation_nxm(fast: bool) -> Section:
-    rows = ablations.sweep_nxm(transactions=1500 if fast else 3000)
-    return Section(
+        "mlc-modes", None, None,
+        lambda _: mlc_modes.run(),
+        mlc_modes.report,
+    ),
+    Experiment(
         "A1 — N x M sweep",
-        ablations.report(rows, "N x M sweep (TPC-B, pSLC)"),
         "Design ablation: delta-area budget vs in-place share.",
-        rows,
-    )
-
-
-def _section_ablation_buffer(fast: bool) -> Section:
-    rows = ablations.sweep_buffer(transactions=1500 if fast else 3000)
-    return Section(
+        "ablations", 1500, 3000,
+        lambda transactions: run_rows(tables.nxm(transactions)),
+        lambda rows: render_rows(
+            "N x M sweep (TPC-B, pSLC)", tables.SWEEP_COLUMNS, rows
+        ),
+    ),
+    Experiment(
         "A2 — buffer-pool sweep",
-        ablations.report(rows, "Buffer sweep (TPC-B, [2x4] pSLC)"),
         "Design ablation: residency length vs conformance.",
-        rows,
-    )
-
-
-def _section_ablation_op(fast: bool) -> Section:
-    rows = ablations.sweep_over_provisioning(transactions=1500 if fast else 3000)
-    return Section(
+        "ablations", 1500, 3000,
+        lambda transactions: run_rows(tables.buffer(transactions)),
+        lambda rows: render_rows(
+            "Buffer sweep (TPC-B, [2x4] pSLC)", tables.SWEEP_COLUMNS, rows
+        ),
+    ),
+    Experiment(
         "A3 — over-provisioning sweep",
-        ablations.report(rows, "Over-provisioning sweep (TPC-B)"),
         "Design ablation: GC pressure under both write paths.",
-        rows,
-    )
-
-
-def _section_ipl_sweep(fast: bool) -> Section:
+        "ablations", 1500, 3000,
+        lambda transactions: run_rows(tables.over_provisioning(transactions)),
+        lambda rows: render_rows(
+            "Over-provisioning sweep (TPC-B)", tables.SWEEP_COLUMNS, rows
+        ),
+    ),
     # One scale: at 1500 transactions the trace is too short for IPA's
     # physical writes to drop below IPL's (E6b's claim).
-    rows = ipl_sweep.run(transactions=3000)
-    return Section(
+    Experiment(
         "A4 — IPL sizing sweep (trace replay)",
-        ipl_sweep.report(rows),
         "The paper's trace-replay method: one TPC-B trace through IPL "
         "at several log-region sizes; no point matches IPA's "
         "write+read profile.",
-        rows,
-    )
-
-
-def _section_ablation_wal(fast: bool) -> Section:
-    rows = ablations.sweep_wal(transactions=1500 if fast else 3000)
-    return Section(
+        "ipl-sweep", 3000, 3000,
+        ipl_sweep.run,
+        ipl_sweep.report,
+    ),
+    Experiment(
         "A5 — write-ahead logging on/off",
-        ablations.report(rows, "Write-ahead logging on/off (TPC-B)"),
         "Design ablation: durable commits vs IPA's advantage (separate "
         "log device).",
-        rows,
-    )
-
-
-def _section_tail_latency(fast: bool) -> Section:
-    rows = tail_latency.run(transactions=2500 if fast else 4000)
-    return Section(
+        "ablations", 1500, 3000,
+        lambda transactions: run_rows(tables.wal(transactions)),
+        lambda rows: render_rows(
+            "Write-ahead logging on/off (TPC-B)", tables.SWEEP_COLUMNS, rows
+        ),
+    ),
+    Experiment(
         "E11 (extension) — transaction tail latency",
-        tail_latency.report(rows),
         "Beyond the paper: GC stalls live in the tail (p99/max); IPA "
         "removes most of them.",
-        rows,
-    )
-
-
-def _section_ycsb_mixes(fast: bool) -> Section:
-    rows = ycsb_mixes.run(transactions=1200 if fast else 2500)
-    return Section(
+        "latency", 2500, 4000,
+        lambda transactions: run_rows(
+            tables.latency(transactions), observe=True
+        ),
+        lambda rows: render_rows(
+            "E11 (extension) — TPC-B transaction latency: GC stalls live "
+            "in the tail; IPA removes most of them",
+            tables.LATENCY_COLUMNS,
+            rows,
+        ),
+    ),
+    Experiment(
         "E10 (extension) — YCSB core mixes",
-        ycsb_mixes.report(rows),
         "Beyond the paper: YCSB rewrites whole fields, so IPA needs "
         "M >= field width ([2x12]) before it engages.",
-        rows,
-    )
-
-
-#: Report order.  Each entry is independent and self-seeded (seeds live in
-#: the section's own experiment configs), so any subset can run on any
-#: worker without changing its output.
-SECTIONS = (
-    _section_table1,
-    _section_fig1,
-    _section_fig2,
-    _section_fig3,
-    _section_claims,
-    _section_ipa_vs_ipl,
-    _section_update_sizes,
-    _section_mlc_modes,
-    _section_ablation_nxm,
-    _section_ablation_buffer,
-    _section_ablation_op,
-    _section_ipl_sweep,
-    _section_ablation_wal,
-    _section_tail_latency,
-    _section_ycsb_mixes,
+        "ycsb", 1200, 2500,
+        lambda transactions: run_rows(tables.ycsb(transactions)),
+        lambda rows: render_rows(
+            "E10 (extension) — YCSB mixes: whole-field updates need M >= "
+            "field width before IPA engages",
+            tables.YCSB_COLUMNS,
+            rows,
+        ),
+    ),
 )
 
 
 #: ``python -m repro <command>``: the sections each experiment command
-#: renders, at full scale.
-COMMANDS = {
-    "table1": (_section_table1,),
-    "fig1": (_section_fig1,),
-    "fig2": (_section_fig2,),
-    "fig3": (_section_fig3,),
-    "claims": (_section_claims,),
-    "ipl": (_section_ipa_vs_ipl,),
-    "update-sizes": (_section_update_sizes,),
-    "mlc-modes": (_section_mlc_modes,),
-    "ablations": (
-        _section_ablation_nxm,
-        _section_ablation_buffer,
-        _section_ablation_op,
-        _section_ablation_wal,
-    ),
-    "ipl-sweep": (_section_ipl_sweep,),
-    "ycsb": (_section_ycsb_mixes,),
-    "latency": (_section_tail_latency,),
-}
+#: renders, at full scale, in report order.
+COMMANDS: dict[str, list[Experiment]] = {}
+for _experiment in SECTIONS:
+    COMMANDS.setdefault(_experiment.command, []).append(_experiment)
+
+
+def run_section(experiment: Experiment, fast: bool = False) -> Section:
+    """Run one section at its fast or full scale."""
+    results = experiment.run(experiment.fast if fast else experiment.full)
+    return Section(
+        experiment.title,
+        experiment.report(results),
+        experiment.paper_note,
+        results,
+    )
 
 
 def _run_section(args: tuple[int, bool]) -> Section:
     """Picklable work unit: run SECTIONS[index] under capture."""
     index, fast = args
-    fn = SECTIONS[index]
-    title = fn.__name__.replace("_section_", "section ")
-    section, _stray = _capture(title, lambda: fn(fast))
+    experiment = SECTIONS[index]
+    section, _stray = _capture(
+        f"section {experiment.id}", lambda: run_section(experiment, fast)
+    )
     return section
 
 
@@ -316,7 +301,7 @@ def run_sections(fast: bool = False, jobs: int = 1) -> list[Section]:
     (0 = all cores).  The sections are identical at any job count.
     """
     work = [(i, fast) for i in range(len(SECTIONS))]
-    labels = [fn.__name__.replace("_section_", "section ") for fn in SECTIONS]
+    labels = [f"section {experiment.id}" for experiment in SECTIONS]
     return parallel_map(_run_section, work, jobs=jobs, labels=labels)
 
 

@@ -1,5 +1,8 @@
 """Experiment harness: config validation, stack building, measurement."""
 
+import math
+from types import SimpleNamespace
+
 import pytest
 
 from repro.baselines.ipl import IplStore
@@ -164,9 +167,16 @@ class TestRunExperiment:
 
 class TestReport:
     def test_relative_pct(self):
-        assert relative_pct(150, 100) == "+50"
-        assert relative_pct(50, 100) == "-50"
-        assert relative_pct(5, 0) == "-"
+        assert relative_pct(150, 100) == 50.0
+        assert relative_pct(50, 100) == -50.0
+        assert math.isnan(relative_pct(5, 0))
+        # Table 1 prints a change against a zero base as "-".
+        base = SimpleNamespace(config_label="a", value=0)
+        other = SimpleNamespace(config_label="b", value=5)
+        text = render_comparison(
+            base, [other], metrics=[("V", lambda r: r.value, "d")]
+        )
+        assert text.splitlines()[-1].split() == ["V", "0", "5", "-"]
 
     def test_render_table_alignment(self):
         out = render_table(["A", "Metric"], [["1", "x"], ["22", "yy"]], title="T")

@@ -8,12 +8,19 @@ section.
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import repro.bench.run_all as run_all
 from repro.bench.fig1 import UPDATE_BYTES
+from repro.bench.report import relative_pct
+from repro.bench.tables import longevity
 from repro.core.config import DELTA_METADATA_SIZE
+
+#: ``python -m repro.bench.run_all --fast``, recorded before the tables
+#: became data: every section's text, byte for byte.
+GOLDEN = Path(__file__).parent / "golden" / "experiments_fast.md"
 
 #: Experiment id -> check of that section's results.
 CLAIMS = {}
@@ -31,6 +38,11 @@ def experiment_id(section):
     return section.title.split()[0]
 
 
+def delta(row, metric):
+    """``metric``'s percent change from a paired row's baseline."""
+    return relative_pct(*row.pair(metric))
+
+
 def check(section):
     """Run the section's claims; an assertion failure names the section."""
     try:
@@ -40,11 +52,12 @@ def check(section):
 
 
 @claim("E1")
-def table1_tpcb(results):
+def table1_tpcb(rows):
     """Paper (2 h on OpenSSD): TPS 260 -> 380 (+46 %) pSLC, 313 (+20 %)
     odd-MLC; GC migrations per host write -83 % / -55 %, erases per host
     write -69 % / -59 %; host reads/writes INCREASE (fixed-duration runs
     do more work)."""
+    results = {row.label: row.result for row in rows}
     base = results["[0x0]"]
     pslc = results["[2x4] pSLC"]
     odd = results["[2x4] odd-MLC"]
@@ -133,22 +146,22 @@ def claims_headline(rows):
     while doubling Flash longevity" under update-intensive workloads;
     TPC-B is the update-intensive anchor, the other mixes show smaller
     but same-direction effects."""
-    by_workload = {r.workload: r for r in rows}
+    by_workload = {r.label: r for r in rows}
 
     # TPC-B (the paper's anchor): all four claims hold with margin.
     tpcb = by_workload["tpcb"]
-    assert tpcb.invalidations_delta_pct < -50  # paper: -67 %
-    assert tpcb.gc_overhead_delta_pct < -60  # paper: -80 %
-    assert tpcb.throughput_delta_pct > +30  # paper: +45 %
-    assert tpcb.longevity_ratio > 2.0  # paper: ~2x
+    assert delta(tpcb, "page_invalidations") < -50  # paper: -67 %
+    assert delta(tpcb, "gc_overhead") < -60  # paper: -80 %
+    assert delta(tpcb, "tps") > +30  # paper: +45 %
+    assert longevity(tpcb) > 2.0  # paper: ~2x
 
     # Every workload moves in the right direction.  Longevity is allowed
     # a small dip on mixes where pSLC's halved erase-block capacity eats
     # the erase-count saving (insert-heavy TPC-C at demo scale).
     for row in rows:
-        assert row.invalidations_delta_pct < 0
-        assert row.throughput_delta_pct > 0
-        assert row.longevity_ratio >= 0.8
+        assert delta(row, "page_invalidations") < 0
+        assert delta(row, "tps") > 0
+        assert longevity(row) >= 0.8
 
 
 @claim("E6")
@@ -157,15 +170,16 @@ def ipa_vs_ipl(rows):
     IPL, and IPL roughly doubles the read load."""
     for row in rows:
         # IPA writes less than IPL on every workload (paper: -23..-62 %).
-        assert row.writes_delta_pct < -10, row.workload
+        assert delta(row, "physical_writes") < -10, row.label
         # IPL pays a structural read overhead (paper: ~2x).
-        assert row.read_overhead_pct > 50, row.workload
+        ipa_reads, ipl_reads = row.pair("host_reads")
+        assert relative_pct(ipl_reads, ipa_reads) > 50, row.label
         # With 70-90 % reads, the read overhead costs IPL its throughput.
-        assert row.ipa_tps > row.ipl_tps, row.workload
+        assert row.result.tps > row.baseline.tps, row.label
 
     # Update-heavy workloads also show the erase gap (paper: -29..-74 %).
-    tpcb = next(r for r in rows if r.workload == "tpcb")
-    assert tpcb.erases_delta_pct < -20
+    tpcb = next(r for r in rows if r.label == "tpcb")
+    assert delta(tpcb, "flash_erases") < -20
 
 
 @claim("E7")
@@ -217,13 +231,15 @@ def ablation_nxm(rows):
     by_label = {r.label: r for r in rows}
 
     # More records per page (N) admits more in-place evictions.
-    assert by_label["[2x4]"].ipa_fraction > by_label["[1x4]"].ipa_fraction
-    assert by_label["[4x4]"].ipa_fraction >= by_label["[2x4]"].ipa_fraction
+    assert by_label["[2x4]"].result.ipa_share > by_label["[1x4]"].result.ipa_share
+    assert (
+        by_label["[4x4]"].result.ipa_share >= by_label["[2x4]"].result.ipa_share
+    )
 
     # Every enabled scheme keeps a sane write path (no catastrophic GC).
     for row in rows:
         assert row.result.transactions > 0
-        assert row.ipa_fraction > 0.10
+        assert row.result.ipa_share > 0.10
 
     # Larger areas invalidate fewer pages per committed transaction.
     small = by_label["[1x4]"].result
@@ -244,7 +260,7 @@ def ablation_buffer(rows):
 
     # ...but very large pools accumulate updates past N x M, so the IPA
     # share of dirty evictions does not keep improving.
-    fractions = [r.ipa_fraction for r in rows]
+    fractions = [r.result.ipa_share for r in rows]
     assert max(fractions) > 0.3
     # Small pools keep residencies short: conformance stays healthy there.
     assert fractions[0] > 0.3
@@ -356,11 +372,14 @@ def tail_latency(rows):
 @claim("E10")
 def ycsb_mixes(rows):
     def pick(mix, label):
-        return next(r for r in rows if r.mix == mix and r.label == label)
+        return next(
+            r for r in rows
+            if r.result.workload == f"ycsb-{mix}" and r.label == label
+        )
 
     # Whole-field updates: [2x4] cannot capture them, [2x12] can.
-    assert pick("a", "[2x4]").ipa_share == 0.0
-    assert pick("a", "[2x12]").ipa_share > 0.3
+    assert pick("a", "[2x4]").result.ipa_share == 0.0
+    assert pick("a", "[2x12]").result.ipa_share > 0.3
 
     # With a fitting M, the update-heavy mix invalidates far less.
     assert (
@@ -392,20 +411,27 @@ def test_every_section_is_rendered_and_claimed(sections):
         assert f"**Paper reference:** {section.paper_note}\n" in report
 
 
+def test_fast_report_is_the_golden(sections):
+    # The whole fast report, every cell of every table: the section
+    # table renders exactly what the per-experiment modules it replaced
+    # rendered.
+    report = run_all.render(list(sections.values()), fast=True)
+    assert report + "\n" == GOLDEN.read_text()
+
+
 @pytest.mark.parametrize("experiment", list(CLAIMS))
 def test_paper_claims(sections, experiment):
     check(sections[experiment])
 
 
 def test_failing_claim_names_its_section(monkeypatch):
-    def _section_fig1(fast):
-        section = run_all._section_fig1(fast)
-        traditional, ipa = section.results
-        return section._replace(
-            results=[traditional, replace(ipa, pages_invalidated=1)]
-        )
+    (fig1,) = run_all.COMMANDS["fig1"]
 
-    monkeypatch.setattr(run_all, "SECTIONS", (_section_fig1,))
+    def run(scale):
+        traditional, ipa = fig1.run(scale)
+        return [traditional, replace(ipa, pages_invalidated=1)]
+
+    monkeypatch.setattr(run_all, "SECTIONS", (fig1._replace(run=run),))
     (section,) = run_all.run_sections(fast=True)
     with pytest.raises(AssertionError, match="E2 — Figure 1"):
         check(section)

@@ -16,12 +16,7 @@ import time
 import pytest
 
 from repro.bench.harness import ExperimentConfig, run_experiment
-from repro.bench.parallel import (
-    WorkerFailure,
-    parallel_map,
-    resolve_jobs,
-    run_experiments,
-)
+from repro.bench.parallel import WorkerFailure, parallel_map, resolve_jobs
 from repro.core.config import IpaScheme
 from repro.fault.harness import run_sweep
 from repro.workloads.base import derive_seeds
@@ -108,7 +103,7 @@ class TestPrimitives:
 class TestExperimentSharding:
     def test_run_experiments_matches_serial(self):
         serial = [run_experiment(c) for c in _configs()]
-        sharded = run_experiments(_configs(), jobs=2)
+        sharded = parallel_map(run_experiment, _configs(), jobs=2)
         for a, b in zip(serial, sharded):
             assert dataclasses.asdict(a) == dataclasses.asdict(b)
 

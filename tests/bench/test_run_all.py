@@ -14,22 +14,20 @@ def test_generate_jobs_parity(monkeypatch):
     # Sections are self-seeded, so the report must be byte-identical at
     # any job count.  Two cheap sections keep this out of @slow; the
     # full set differs only in scale, not mechanism.
-    monkeypatch.setattr(
-        run_all, "SECTIONS", (run_all._section_fig1, run_all._section_fig3)
-    )
+    (fig1,), (fig3,) = run_all.COMMANDS["fig1"], run_all.COMMANDS["fig3"]
+    monkeypatch.setattr(run_all, "SECTIONS", (fig1, fig3))
     assert generate(fast=True, jobs=1) == generate(fast=True, jobs=2)
 
 
 def test_generate_failure_names_section(monkeypatch, capsys):
-    def _broken(fast):
+    def _broken(scale):
         print("partial progress line")
         raise RuntimeError("mid-section crash")
 
-    _broken.__name__ = "_section_broken"
-    monkeypatch.setattr(
-        run_all, "SECTIONS", (run_all._section_fig1, _broken)
-    )
-    with pytest.raises(WorkerFailure, match="section broken"):
+    (fig1,) = run_all.COMMANDS["fig1"]
+    broken = fig1._replace(title="X9 — broken", run=_broken)
+    monkeypatch.setattr(run_all, "SECTIONS", (fig1, broken))
+    with pytest.raises(WorkerFailure, match="section X9"):
         generate(fast=True, jobs=1)
 
 

@@ -22,6 +22,11 @@ class TestCli:
         code, out = run_cli("--help")
         assert code == 0
         assert "table1" in out
+        # The experiment commands are listed from the section table.
+        for command, experiments in run_all.COMMANDS.items():
+            assert f"python -m repro {command} " in out
+            for experiment in experiments:
+                assert f"# {experiment.title}\n" in out
 
     def test_no_args_prints_help(self):
         code, out = run_cli()
@@ -46,7 +51,7 @@ class TestCli:
     def test_fig1_prints_its_report_block(self, monkeypatch):
         # The command renders the same block, paper reference included,
         # that EXPERIMENTS.md carries for E2.
-        monkeypatch.setattr(run_all, "SECTIONS", (run_all._section_fig1,))
+        monkeypatch.setattr(run_all, "SECTIONS", tuple(run_all.COMMANDS["fig1"]))
         report = run_all.generate()
         code, out = run_cli("fig1")
         assert code == 0
