@@ -111,7 +111,7 @@ def main() -> None:
                             title="Scenario comparison (paper Table 1 format)"))
     print()
     saved = (
-        blockdev.host_bytes_written - native.host_bytes_written
+        blockdev.device.host_bytes_written - native.device.host_bytes_written
     )
     print(
         "Scenarios 2 and 3 show the same GC reduction; Scenario 3 "

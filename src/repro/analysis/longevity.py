@@ -6,11 +6,11 @@ erases less often wears the device proportionally slower — so lifetime
 ratios are erase-rate ratios.  The paper: "the reduction of GC overhead
 results in doubling the longevity of Flash SSD."
 
-Wear is counted from **total block erases** (``flash_erases``, straight
-off the chip counters), not only GC-attributed erases: every erase cycle
-consumes endurance no matter which subsystem issued it, and using the
-GC-only counter silently dropped the savings whenever a run's erase
-traffic was not attributed to GC.  A run with zero erases has infinite
+Wear is counted from **total block erases** (``flash.block_erases``,
+straight off the chip counters), not only GC-attributed erases: every
+erase cycle consumes endurance no matter which subsystem issued it, and
+using the GC-only counter silently dropped the savings whenever a run's
+erase traffic was not attributed to GC.  A run with zero erases has infinite
 estimated lifetime; ratios involving an infinite side are reported as
 ``inf`` / ``0.0``, and ``nan`` ("not measurable") when *both* sides are
 infinite — never a fabricated 1.0.
@@ -49,7 +49,7 @@ def estimate_longevity(
     """Wear estimate for one run (erases assumed wear-levelled)."""
     if result.transactions <= 0:
         raise ValueError("run committed no transactions")
-    erases_per_txn = result.flash_erases / result.transactions
+    erases_per_txn = result.flash.block_erases / result.transactions
     txns = (
         endurance_cycles / erases_per_txn if erases_per_txn > 0 else float("inf")
     )

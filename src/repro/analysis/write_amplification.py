@@ -7,7 +7,8 @@ Two amplifications matter:
   writes out the whole 8KB database pages ... about 80x").  IPA's
   ``write_delta`` attacks this directly.
 * **Device write-amplification** — bytes physically programmed divided
-  by bytes the host sent (GC migrations are the culprit).
+  by bytes the host sent (GC migrations are the culprit), both measured
+  over the run.
 """
 
 from __future__ import annotations
@@ -30,31 +31,16 @@ class WriteAmplificationReport:
     net_bytes_modified: int
 
 
-def write_amplification(
-    result: ExperimentResult,
-    flash_bytes_programmed: int | None = None,
-) -> WriteAmplificationReport:
-    """Compute WA factors from an experiment result.
-
-    Args:
-        result: A finished experiment.
-        flash_bytes_programmed: Physical bytes programmed during the run;
-            when None, host bytes + migration traffic are used as a
-            conservative stand-in.
-    """
-    net = max(result.net_bytes_updated, 1)
-    host = result.host_bytes_written
-    if flash_bytes_programmed is None:
-        page_size = (
-            host // max(result.host_page_writes, 1)
-            if result.host_page_writes
-            else 0
-        )
-        flash_bytes_programmed = host + result.gc_page_migrations * page_size
+def write_amplification(result: ExperimentResult) -> WriteAmplificationReport:
+    """Compute WA factors from an experiment result's measured intervals:
+    device WA is ``flash.bytes_programmed / device.host_bytes_written``."""
+    net = max(result.storage.net_bytes_updated, 1)
+    host = result.device.host_bytes_written
+    programmed = result.flash.bytes_programmed
     return WriteAmplificationReport(
         dbms_wa=host / net,
-        device_wa=flash_bytes_programmed / max(host, 1),
-        end_to_end_wa=flash_bytes_programmed / net,
+        device_wa=programmed / max(host, 1),
+        end_to_end_wa=programmed / net,
         host_bytes_written=host,
-        net_bytes_modified=result.net_bytes_updated,
+        net_bytes_modified=result.storage.net_bytes_updated,
     )

@@ -14,10 +14,8 @@ argument in Section 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.baselines.ipl import IplConfig
-from repro.bench.report import render_table
+from repro.bench.report import Row
 from repro.core.config import SCHEME_2X4
 from repro.workloads.tpcb import TpcbWorkload
 from repro.workloads.trace import (
@@ -28,53 +26,20 @@ from repro.workloads.trace import (
 )
 
 
-@dataclass
-class IplSweepRow:
-    """One configuration's replay outcome."""
-
-    label: str
-    result: ReplayResult
-
-
-def run(transactions: int) -> list[IplSweepRow]:
+def run(transactions: int) -> list[Row[ReplayResult]]:
     """Capture one trace; replay across IPL configs + the IPA reference."""
     trace = record_trace(
         TpcbWorkload(scale=1, accounts_per_branch=8000, history_pages=400),
         transactions=transactions,
         buffer_pages=32,
     )
-    rows = [
-        IplSweepRow(
-            label="IPA [2x4] (reference)",
-            result=replay_on_ipa(trace, SCHEME_2X4),
-        )
-    ]
+    rows = [Row("IPA [2x4] (reference)", replay_on_ipa(trace, SCHEME_2X4))]
     for log_pages, sector in ((4, 512), (8, 512), (16, 512), (8, 256)):
         config = IplConfig(log_pages_per_block=log_pages, sector_size=sector)
         rows.append(
-            IplSweepRow(
-                label=f"IPL log={log_pages}p sector={sector}B",
-                result=replay_on_ipl(trace, config),
+            Row(
+                f"IPL log={log_pages}p sector={sector}B",
+                replay_on_ipl(trace, config),
             )
         )
     return rows
-
-
-def report(rows: list[IplSweepRow]) -> str:
-    return render_table(
-        ["Config", "Physical writes", "Erases", "Flash reads"],
-        [
-            [
-                r.label,
-                str(r.result.physical_writes),
-                str(r.result.erases),
-                str(r.result.flash_reads),
-            ]
-            for r in rows
-        ],
-        title=(
-            "A4 — IPL sizing sweep on one TPC-B trace (IPA reference on "
-            "top; paper: no IPL point matches IPA's write/read profile)"
-        ),
-    )
-

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence, Union
+from operator import attrgetter
+from typing import Any, Callable, Generic, Optional, Sequence, TypeVar, Union
 
 from repro.bench.harness import (
     ExperimentConfig,
@@ -22,42 +23,51 @@ from repro.bench.harness import (
     run_experiment,
 )
 from repro.obs.export import render_table
+from repro.workloads.trace import ReplayResult
 
-Metric = tuple[str, Callable[[ExperimentResult], float], str]
+#: A Table-1 row: its name, the result path it reads and its format.
+Metric = tuple[str, str, str]
+
+#: What a row holds: a run, or (A4) a trace replay.
+R = TypeVar("R", ExperimentResult, ReplayResult)
 
 #: The rows of Table 1, in paper order.
 TABLE1_METRICS: list[Metric] = [
-    ("Host Reads", lambda r: r.host_reads, "d"),
-    ("Host Writes", lambda r: r.host_writes, "d"),
-    ("GC Page Migrations", lambda r: r.gc_page_migrations, "d"),
-    ("GC Erases", lambda r: r.gc_erases, "d"),
-    ("Page Migrations per Host Write", lambda r: r.migrations_per_host_write, ".4f"),
-    ("GC Erases per Host Write", lambda r: r.erases_per_host_write, ".4f"),
-    ("Transactional Throughput", lambda r: r.tps, ".1f"),
+    ("Host Reads", "device.host_reads", "d"),
+    ("Host Writes", "device.total_host_write_ops", "d"),
+    ("GC Page Migrations", "device.gc_page_migrations", "d"),
+    ("GC Erases", "device.gc_erases", "d"),
+    ("Page Migrations per Host Write", "device.migrations_per_host_write", ".4f"),
+    ("GC Erases per Host Write", "device.erases_per_host_write", ".4f"),
+    ("Transactional Throughput", "tps", ".1f"),
 ]
 
 
 @dataclass
-class Row:
+class Row(Generic[R]):
     """One labelled run of a table.
 
     A paired table keeps the run it compares against as ``baseline``
     (E5: the traditional stack, E6: IPL).  A traced row keeps the two
     numbers its trace gave and drops the observation, so a row pickles.
+    A4's rows hold trace replays.
     """
 
     label: str
-    result: ExperimentResult
-    baseline: Optional[ExperimentResult] = None
+    result: R
+    baseline: Optional[R] = None
     #: Inline ``gc_erase`` spans in the traced run.
     gc_erase_spans: int = 0
     #: Share of those spans attributed to a txn-bearing host write.
     gc_attribution_rate: float = 0.0
 
     def pair(self, metric: str) -> tuple[Any, Any]:
-        """``metric`` of this row's run and of its baseline."""
+        """``metric`` of this row's run and of its baseline; a dotted
+        ``metric`` (``device.page_invalidations``) reads an interval's
+        counter."""
         assert self.baseline is not None, f"{self.label} has no baseline"
-        return getattr(self.result, metric), getattr(self.baseline, metric)
+        get = attrgetter(metric)
+        return get(self.result), get(self.baseline)
 
 
 #: A row before it runs: its label and config, and for a paired table
@@ -68,10 +78,12 @@ Spec = Union[
 ]
 
 #: A column: its header and the cell it prints for a row.
-Column = tuple[str, Callable[[Row], str]]
+Column = tuple[str, Callable[[Row[Any]], str]]
 
 
-def run_rows(specs: Sequence[Spec], observe: bool = False) -> list[Row]:
+def run_rows(
+    specs: Sequence[Spec], observe: bool = False
+) -> list[Row[ExperimentResult]]:
     """Run each row's config, then its baseline's, in order.
 
     ``observe`` traces each row's run: the row keeps the trace's inline
@@ -90,7 +102,9 @@ def run_rows(specs: Sequence[Spec], observe: bool = False) -> list[Row]:
     return rows
 
 
-def render_rows(title: str, columns: Sequence[Column], rows: Sequence[Row]) -> str:
+def render_rows(
+    title: str, columns: Sequence[Column], rows: Sequence[Row[Any]]
+) -> str:
     """``rows`` as a table with one cell per column."""
     return render_table(
         [header for header, _ in columns],
@@ -135,20 +149,21 @@ def _fmt(value: float, spec: str) -> str:
 def render_comparison(
     baseline: ExperimentResult,
     others: Sequence[ExperimentResult],
-    metrics: Sequence[Metric] = tuple(TABLE1_METRICS),
     title: str = "",
 ) -> str:
-    """Render a Table-1-style comparison (baseline + N variants)."""
+    """Render a Table-1-style comparison (baseline + N variants) of
+    :data:`TABLE1_METRICS`."""
     headers = ["Metric", f"{baseline.config_label} (abs)"]
     for other in others:
         headers.append(f"{other.config_label} (abs)")
         headers.append("rel %")
     rows = []
-    for name, getter, spec in metrics:
-        base_value = getter(baseline)
+    for name, path, spec in TABLE1_METRICS:
+        get = attrgetter(path)
+        base_value = get(baseline)
         row = [name, _fmt(base_value, spec)]
         for other in others:
-            value = getter(other)
+            value = get(other)
             pct = relative_pct(value, base_value)
             row.append(_fmt(value, spec))
             row.append("-" if math.isnan(pct) else f"{pct:+.0f}")
@@ -158,11 +173,13 @@ def render_comparison(
 
 def summarize(result: ExperimentResult) -> str:
     """One-paragraph run summary."""
+    device = result.device
     return (
         f"{result.config_label} on {result.workload}: "
         f"{result.transactions} txns in {result.elapsed_s:.2f} simulated s "
-        f"({result.tps:.0f} TPS); reads={result.host_reads} "
-        f"writes={result.host_writes} (deltas={result.host_delta_writes}) "
-        f"invalidations={result.page_invalidations} "
-        f"migrations={result.gc_page_migrations} erases={result.gc_erases}"
+        f"({result.tps:.0f} TPS); reads={device.host_reads} "
+        f"writes={device.total_host_write_ops} "
+        f"(deltas={device.host_delta_writes}) "
+        f"invalidations={device.page_invalidations} "
+        f"migrations={device.gc_page_migrations} erases={device.gc_erases}"
     )

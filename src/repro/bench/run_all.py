@@ -223,7 +223,12 @@ SECTIONS: tuple[Experiment, ...] = (
         "write+read profile.",
         "ipl-sweep", 3000, 3000,
         ipl_sweep.run,
-        ipl_sweep.report,
+        lambda rows: render_rows(
+            "A4 — IPL sizing sweep on one TPC-B trace (IPA reference on "
+            "top; paper: no IPL point matches IPA's write/read profile)",
+            tables.IPL_SWEEP_COLUMNS,
+            rows,
+        ),
     ),
     Experiment(
         "A5 — write-ahead logging on/off",

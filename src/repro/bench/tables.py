@@ -326,18 +326,18 @@ def _both(metric: str, spec: str = "") -> Callable[[Row], str]:
 #: A1-A3 and A5.
 SWEEP_COLUMNS: list[Column] = [
     ("Config", lambda r: r.label),
-    ("IPA evictions", lambda r: f"{100 * r.result.ipa_share:.0f}%"),
-    ("Invalidations", lambda r: str(r.result.page_invalidations)),
-    ("GC migrations", lambda r: str(r.result.gc_page_migrations)),
-    ("GC erases", lambda r: str(r.result.gc_erases)),
+    ("IPA evictions", lambda r: f"{100 * r.result.storage.ipa_share:.0f}%"),
+    ("Invalidations", lambda r: str(r.result.device.page_invalidations)),
+    ("GC migrations", lambda r: str(r.result.device.gc_page_migrations)),
+    ("GC erases", lambda r: str(r.result.device.gc_erases)),
     ("TPS", lambda r: f"{r.result.tps:.0f}"),
 ]
 
 #: E5.
 CLAIM_COLUMNS: list[Column] = [
     ("Workload", lambda r: r.label),
-    ("Invalidations", _change("page_invalidations")),
-    ("GC overhead", _change("gc_overhead")),
+    ("Invalidations", _change("device.page_invalidations")),
+    ("GC overhead", _change("device.gc_overhead")),
     ("Throughput", _change("tps")),
     ("Longevity", lambda r: fmt_ratio(longevity(r))),
 ]
@@ -345,16 +345,24 @@ CLAIM_COLUMNS: list[Column] = [
 #: E6: IPA's run against IPL's.
 IPL_COLUMNS: list[Column] = [
     ("Workload", lambda r: r.label),
-    ("Writes IPA/IPL", _both("physical_writes")),
-    ("delta", _change("physical_writes")),
-    ("Erases IPA/IPL", _both("flash_erases")),
-    ("delta", _change("flash_erases")),
-    ("Reads IPA/IPL", _both("host_reads")),
+    ("Writes IPA/IPL", _both("flash.program_ops")),
+    ("delta", _change("flash.program_ops")),
+    ("Erases IPA/IPL", _both("flash.block_erases")),
+    ("delta", _change("flash.block_erases")),
+    ("Reads IPA/IPL", _both("device.host_reads")),
     (
         "IPL read overhead",
-        lambda r: fmt_pct(relative_pct(*r.pair("host_reads")[::-1])),
+        lambda r: fmt_pct(relative_pct(*r.pair("device.host_reads")[::-1])),
     ),
     ("TPS IPA/IPL", _both("tps", ".0f")),
+]
+
+#: A4: one trace replayed per row.
+IPL_SWEEP_COLUMNS: list[Column] = [
+    ("Config", lambda r: r.label),
+    ("Physical writes", lambda r: str(r.result.flash.program_ops)),
+    ("Erases", lambda r: str(r.result.flash.block_erases)),
+    ("Flash reads", lambda r: str(r.result.flash.page_reads)),
 ]
 
 #: E10.
@@ -362,9 +370,9 @@ YCSB_COLUMNS: list[Column] = [
     ("Mix", lambda r: r.result.workload),
     ("Config", lambda r: r.label),
     ("TPS", lambda r: f"{r.result.tps:.0f}"),
-    ("IPA evictions", lambda r: f"{100 * r.result.ipa_share:.0f}%"),
-    ("Invalidations", lambda r: str(r.result.page_invalidations)),
-    ("GC erases", lambda r: str(r.result.gc_erases)),
+    ("IPA evictions", lambda r: f"{100 * r.result.storage.ipa_share:.0f}%"),
+    ("Invalidations", lambda r: str(r.result.device.page_invalidations)),
+    ("GC erases", lambda r: str(r.result.device.gc_erases)),
 ]
 
 #: E11.

@@ -73,7 +73,7 @@ def run(transactions: int, fast: bool) -> list[UpdateSizeRow]:
         rows.append(
             UpdateSizeRow(
                 workload=result.workload,
-                report=analyze_update_sizes(result.dirty_eviction_net_bytes),
+                report=analyze_update_sizes(result.pool.dirty_eviction_net_bytes),
                 dbms_wa=write_amplification(result).dbms_wa,
             )
         )

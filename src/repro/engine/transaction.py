@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.flash.stats import Counters
+
 
 @dataclass
-class TransactionStats:
+class TransactionStats(Counters):
     """Per-run transaction counters."""
 
     committed: int = 0

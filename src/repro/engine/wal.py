@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from repro.core.config import MAX_PAGE_SIZE
 from repro.flash.chip import FlashChip
 from repro.flash.errors import IllegalProgramError
+from repro.flash.stats import Counters
 from repro.flash import PageState
 from repro.obs.ledger import NULL_LEDGER, WriteLedger
 from repro.obs.trace import NULL_TRACER
@@ -173,7 +174,7 @@ def _scan_frames(stream: bytes) -> tuple[list[bytes], int]:
 
 
 @dataclass
-class WalStats:
+class WalStats(Counters):
     """Log-side counters."""
 
     records_logged: int = 0

@@ -7,40 +7,70 @@ Every metric of the paper's Table 1 is derived from these counters:
 * ``page_invalidations`` — the quantity IPA attacks (67 % reduction claim);
 * byte counters — DBMS write-amplification (Figure 1).
 
-Every counter is a plain numeric field, incremented in place where the
-event happens and counted on every run, observed or not; an observed
-run's artefact only *reads* them (as the run's ``ExperimentResult``
-fields and the sampler's series).
+Every stats block of a stack (these two, the storage manager's, the
+buffer pool's, the transaction layer's and the log's) is a
+:class:`Counters`: plain fields, incremented in place where the event
+happens and counted on every run, observed or not.  A harness measures
+a phase with one ``snapshot()`` before it and one ``diff()`` after it;
+an observed run's artefact only *reads* the intervals (as the run's
+``ExperimentResult`` and the sampler's series).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Iterable, TypeVar
+from dataclasses import MISSING, dataclass, fields
+from typing import Any, Iterable, TypeVar
 
-_C = TypeVar("_C", bound="_Counters")
+_C = TypeVar("_C", bound="Counters")
 
 
-class _Counters:
-    """Snapshot / interval / reset / sum over a dataclass of numbers."""
+def _interval(now: Any, before: Any) -> Any:
+    """What a container field gained since ``before``: a list's entries
+    appended since, a dict's interval of each key (a key new since
+    ``before`` counts from empty), a number's increase."""
+    if isinstance(now, list):
+        return now[len(before):]
+    if isinstance(now, dict):
+        return {
+            key: _interval(value, before.get(key, type(value)()))
+            for key, value in now.items()
+        }
+    return now - before
+
+
+class Counters:
+    """Snapshot / interval / sum over a dataclass of counters.
+
+    A number field counts events.  A container field (a list, or a dict
+    of numbers or lists) collects them: a list gains one entry per event
+    and a dict keeps one such counter per key.  A container field has a
+    ``default_factory`` (a dataclass allows no mutable default), which
+    is how :meth:`snapshot` and :meth:`diff` tell it from a number
+    without a call per field.
+    """
 
     def snapshot(self: _C) -> _C:
-        """Return an independent copy of the current counters."""
-        return type(self)(**{f.name: getattr(self, f.name) for f in fields(self)})
+        """Return an independent copy of the current counters (a
+        container's copy is its interval since empty)."""
+        return type(self)(
+            **{
+                f.name: getattr(self, f.name)
+                if f.default_factory is MISSING
+                else _interval(getattr(self, f.name), f.default_factory())
+                for f in fields(self)
+            }
+        )
 
     def diff(self: _C, earlier: _C) -> _C:
         """Counters accumulated since ``earlier`` was snapshotted."""
         return type(self)(
             **{
                 f.name: getattr(self, f.name) - getattr(earlier, f.name)
+                if f.default_factory is MISSING
+                else _interval(getattr(self, f.name), getattr(earlier, f.name))
                 for f in fields(self)
             }
         )
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        for f in fields(self):
-            setattr(self, f.name, 0)
 
     @classmethod
     def total(cls: type[_C], parts: Iterable[_C]) -> _C:
@@ -54,7 +84,7 @@ class _Counters:
 
 
 @dataclass
-class FlashStats(_Counters):
+class FlashStats(Counters):
     """Cumulative counters for one chip (device-level events)."""
 
     page_reads: int = 0
@@ -75,14 +105,14 @@ class FlashStats(_Counters):
 
 
 @dataclass
-class DeviceStats(_Counters):
+class DeviceStats(Counters):
     """Counters at the FTL / host-interface level.
 
     ``host_*`` counters describe traffic as the DBMS sees it; ``gc_*``
     counters describe work the device does on its own behalf.  The
     ``per_host_write`` ratios of Table 1 divide the latter by the former.
     The last eight are backend-specific (zero where a backend has no such
-    event); the harness reports them under ``ExperimentResult.extra``.
+    event).
     """
 
     host_reads: int = 0
@@ -111,6 +141,11 @@ class DeviceStats(_Counters):
     def total_host_write_ops(self) -> int:
         """Whole-page writes plus delta writes (the Table-1 denominator)."""
         return self.host_writes + self.host_delta_writes
+
+    @property
+    def gc_overhead(self) -> int:
+        """GC page migrations plus GC erases."""
+        return self.gc_page_migrations + self.gc_erases
 
     @property
     def migrations_per_host_write(self) -> float:

@@ -68,8 +68,8 @@ __all__ = [
 ]
 
 #: Schema version of :meth:`Observation.artefact`; ``load_artefact``
-#: refuses any other.
-ARTEFACT_VERSION = 1
+#: refuses any other.  Version 2 nests the result's counter intervals.
+ARTEFACT_VERSION = 2
 
 
 @dataclass
@@ -207,9 +207,10 @@ class Observation:
         Args:
             build: What rebuilds the run (the ``obs`` CLI stores its
                 ``build_config`` arguments and the seed).
-            result: The run's ``ExperimentResult`` fields (the report
-                reads ``config_label``, ``workload``, ``transactions``
-                and ``tps``).
+            result: The run's ``ExperimentResult`` as plain data, its
+                counter intervals nested (the report reads
+                ``config_label``, ``workload``, ``transactions`` and
+                ``tps``).
         """
         lifetimes = self.lifetimes
         return {

@@ -233,18 +233,12 @@ class WriteLedger:
 
     def physical_totals(self) -> dict[str, int]:
         """Chip-side deltas since :meth:`watch_chip` across watched chips."""
-        programs = reprogram_like = nbytes = erases = 0
-        for chip, baseline in self._chips:
-            stats = chip.stats
-            programs += stats.page_programs - baseline.page_programs
-            reprogram_like += stats.page_reprograms - baseline.page_reprograms
-            nbytes += stats.bytes_programmed - baseline.bytes_programmed
-            erases += stats.block_erases - baseline.block_erases
+        moved = [chip.stats.diff(baseline) for chip, baseline in self._chips]
         return {
-            "programs": programs,
-            "reprogram_like": reprogram_like,
-            "bytes": nbytes,
-            "erases": erases,
+            "programs": sum(d.page_programs for d in moved),
+            "reprogram_like": sum(d.page_reprograms for d in moved),
+            "bytes": sum(d.bytes_programmed for d in moved),
+            "erases": sum(d.block_erases for d in moved),
         }
 
     def conservation_errors(self) -> list[str]:

@@ -36,7 +36,14 @@ from repro.storage.manager import (
 if TYPE_CHECKING:
     from repro.workloads.base import Workload
 
-__all__ = ["BACKENDS", "MOUNTABLE", "PAGES_PER_BLOCK", "StackSpec", "sized_geometry"]
+__all__ = [
+    "BACKENDS",
+    "MOUNTABLE",
+    "PAGES_PER_BLOCK",
+    "StackSpec",
+    "data_blocks",
+    "sized_geometry",
+]
 
 #: Backend name -> (device, write policy).  The NoFTL devices get one
 #: region over the whole chip, with IPA on ``ipa-native`` only.
@@ -68,6 +75,29 @@ def sized_geometry(page_size: int, blocks: int) -> FlashGeometry:
         pages_per_block=PAGES_PER_BLOCK,
         blocks=blocks,
     )
+
+
+def data_blocks(
+    logical_pages: int,
+    headroom: int,
+    *,
+    mode: FlashMode = FlashMode.SLC,
+    over_provisioning: float = 0.15,
+    ipl: IplConfig | None = None,
+) -> int:
+    """Blocks of a chip that holds ``logical_pages`` LBAs, plus
+    ``headroom`` blocks, at least 8.
+
+    The page-mapping backends need the LBAs over the mode's usable pages
+    (pSLC halves them) less the over-provisioning; an IPL store (``ipl``)
+    needs its layout's home slots (:meth:`IplConfig.blocks_for`).
+    """
+    if ipl is not None:
+        blocks = ipl.blocks_for(logical_pages, PAGES_PER_BLOCK)
+    else:
+        usable = PAGES_PER_BLOCK * rules_for(mode).capacity_factor
+        blocks = int(logical_pages / ((1.0 - over_provisioning) * usable))
+    return max(blocks + headroom, 8)
 
 
 def _flash(
@@ -166,15 +196,13 @@ class StackSpec:
         if workload is None:
             raise ValueError("a spec without a geometry is sized from a workload")
         footprint = workload.estimate_pages(self.page_size)
-        target_logical = int(footprint / self.device_utilization) + 1
-        if self.architecture == "ipl":
-            blocks = IplConfig().blocks_for(target_logical, PAGES_PER_BLOCK) + 2
-        else:
-            usable = PAGES_PER_BLOCK * rules_for(self.mode).capacity_factor
-            blocks = int(
-                target_logical / ((1.0 - self.over_provisioning) * usable)
-            ) + 2
-        blocks = max(blocks, 8)
+        blocks = data_blocks(
+            int(footprint / self.device_utilization) + 1,
+            headroom=2,
+            mode=self.mode,
+            over_provisioning=self.over_provisioning,
+            ipl=IplConfig() if self.architecture == "ipl" else None,
+        )
         if blocks % self.channels:
             # Round up so the blocks stripe evenly over the channels.
             blocks += self.channels - blocks % self.channels

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.core.tracker import ChangeTracker
+from repro.flash.stats import Counters
 from repro.obs.trace import NULL_TRACER
 from repro.storage.layout import SlottedPage
 
@@ -69,7 +70,7 @@ class Frame:
 
 
 @dataclass
-class BufferStats:
+class BufferStats(Counters):
     """Pool-level counters (several feed the paper's analyses)."""
 
     fetches: int = 0

@@ -30,6 +30,7 @@ from repro.core.delta import DeltaFormatError
 from repro.core.reconstruct import ReconstructionError, reconstruct
 from repro.core.tracker import ChangeTracker
 from repro.flash.latency import HostCostModel
+from repro.flash.stats import Counters
 from repro.ftl.interface import FlashBackend
 from repro.obs.ledger import NULL_LEDGER, LifetimeTracker, WriteLedger
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
@@ -38,7 +39,7 @@ from repro.storage.layout import PageCorruptError, PageFullError, SlottedPage
 
 
 @dataclass
-class ManagerStats:
+class ManagerStats(Counters):
     """Eviction-path counters (DBMS side of Table 1)."""
 
     ipa_flushes: int = 0
@@ -58,6 +59,12 @@ class ManagerStats:
     #: Per-file-id changed-byte sizes of update operations — raw material
     #: for the region advisor (repro.analysis.advisor).
     per_file_op_sizes: dict = field(default_factory=dict)
+
+    @property
+    def ipa_share(self) -> float:
+        """Share of dirty flushes written in place (0 when none flushed)."""
+        flushes = self.ipa_flushes + self.oop_flushes
+        return self.ipa_flushes / flushes if flushes else 0.0
 
 
 def compose_append_image(

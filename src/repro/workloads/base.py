@@ -211,7 +211,8 @@ class DrawStream:
 
     def letters(self, size: int) -> str:
         """``size`` lowercase letters, as ``rng.integers(0, 26, size)`` spells
-        them: one slice of the block's letter table."""
+        them: one slice of the block's letter table, or the block's tail
+        and then the next block's head for a value straddling a refill."""
         if size < 1:
             if size < 0:
                 raise ValueError("negative dimensions are not allowed")
@@ -220,23 +221,30 @@ class DrawStream:
         while self._half >= 0 and size:
             head += _ALPHABET[self.integers(0, 26)]
             size -= 1
-        table = self._table
-        if table is None:
-            table = self._table = self._letter_table()
-        cursor = self._cursor
-        stop = cursor + ((size + 1) >> 1)
-        if not table or stop > len(self._words):
-            # A half numpy would reject, or a value straddling a refill:
-            # walk letter by letter through the exact scalar sampler.
-            integers = self.integers
-            return head + "".join(
-                [_ALPHABET[integers(0, 26)] for _ in range(size)]
-            )
-        self._cursor = stop
-        if size & 1:
-            self._half = self._words[stop - 1] >> 32
-        start = cursor << 1
-        return head + table[start : start + size]
+        while size:
+            table = self._table
+            if table is None:
+                table = self._table = self._letter_table()
+            if not table:
+                # A half numpy would reject (or no block yet): walk letter
+                # by letter through the exact scalar sampler.
+                integers = self.integers
+                return head + "".join(
+                    [_ALPHABET[integers(0, 26)] for _ in range(size)]
+                )
+            cursor = self._cursor
+            words = len(self._words)
+            stop = cursor + ((size + 1) >> 1)
+            if stop <= words:
+                self._cursor = stop
+                if size & 1:
+                    self._half = self._words[stop - 1] >> 32
+                start = cursor << 1
+                return head + table[start : start + size]
+            head += table[cursor << 1 :]
+            size -= (words - cursor) << 1
+            self._refill()
+        return head
 
     def _letter_table(self) -> str:
         """The letter each 32-bit half of the block maps to, low half

@@ -36,10 +36,14 @@ from repro.flash.modes import FlashMode
 from repro.flash.stats import DeviceStats, FlashStats
 from repro.ftl.noftl import NoFtlDevice
 from repro.ftl.page_mapping import PageMappingFtl
-from repro.stack import PAGES_PER_BLOCK, StackSpec, sized_geometry
+from repro.stack import StackSpec, data_blocks, sized_geometry
 from repro.storage.buffer import Frame
 from repro.storage.manager import StorageManager, TraditionalPolicy
 from repro.workloads.base import Workload
+
+#: Blocks a replay device gets beyond those its LBAs need
+#: (:func:`repro.stack.data_blocks`; a built stack gets 2).
+REPLAY_HEADROOM = 3
 
 
 @dataclass(frozen=True)
@@ -149,8 +153,8 @@ class ReplayResult:
     """
 
     label: str
-    device_stats: DeviceStats
-    flash_stats: FlashStats
+    device: DeviceStats
+    flash: FlashStats
     #: "miss" events in the trace (the read stream being reproduced).
     recorded_misses: int = 0
     #: Misses actually issued as device reads during replay.
@@ -161,18 +165,6 @@ class ReplayResult:
     skipped_misses: int = 0
     #: Build-phase pages written to the device before replay started.
     preseeded_pages: int = 0
-
-    @property
-    def physical_writes(self) -> int:
-        return self.flash_stats.page_programs + self.flash_stats.page_reprograms
-
-    @property
-    def erases(self) -> int:
-        return self.flash_stats.block_erases
-
-    @property
-    def flash_reads(self) -> int:
-        return self.flash_stats.page_reads
 
 
 def _build_phase_lbas(trace: Trace) -> list[int]:
@@ -242,8 +234,8 @@ def _replay(
             written.add(event.lba)
     return ReplayResult(
         label=label,
-        device_stats=device.stats.diff(device_before),
-        flash_stats=device.chip.stats.diff(flash_before),
+        device=device.stats.diff(device_before),
+        flash=device.chip.stats.diff(flash_before),
         recorded_misses=recorded_misses,
         replayed_reads=replayed_reads,
         skipped_misses=skipped_misses,
@@ -258,11 +250,11 @@ def replay_on_ipa(
     over_provisioning: float = 0.15,
 ) -> ReplayResult:
     """Replay the trace against a NoFTL device with IPA."""
-    from repro.flash.modes import rules_for
-
-    usable = PAGES_PER_BLOCK * rules_for(mode).capacity_factor
-    blocks = max(
-        int((trace.max_lba + 1) / ((1.0 - over_provisioning) * usable)) + 3, 8
+    blocks = data_blocks(
+        trace.max_lba + 1,
+        headroom=REPLAY_HEADROOM,
+        mode=mode,
+        over_provisioning=over_provisioning,
     )
     device = NoFtlDevice(
         FlashChip(sized_geometry(trace.page_size, blocks), mode=mode),
@@ -307,7 +299,7 @@ def replay_on_ipl(
 ) -> ReplayResult:
     """Replay the trace against an In-Page Logging store."""
     config = config or IplConfig()
-    blocks = max(config.blocks_for(trace.max_lba + 1, PAGES_PER_BLOCK) + 3, 8)
+    blocks = data_blocks(trace.max_lba + 1, headroom=REPLAY_HEADROOM, ipl=config)
     store = IplStore(
         FlashChip(sized_geometry(trace.page_size, blocks), mode=FlashMode.SLC),
         config,

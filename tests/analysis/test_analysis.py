@@ -12,39 +12,41 @@ from repro.analysis.longevity import (
 from repro.analysis.update_sizes import analyze_update_sizes
 from repro.analysis.write_amplification import write_amplification
 from repro.bench.harness import ExperimentResult
+from repro.flash.stats import DeviceStats, FlashStats
+from repro.storage.buffer import BufferStats
+from repro.storage.manager import ManagerStats
 
 
-def result_stub(**overrides) -> ExperimentResult:
-    base = dict(
-        config_label="stub",
-        workload="stub",
-        transactions=1000,
-        elapsed_s=1.0,
-        tps=1000.0,
-        host_reads=0,
-        host_writes=100,
-        host_page_writes=100,
-        host_delta_writes=0,
-        host_bytes_written=100 * 8192,
-        host_bytes_read=0,
-        page_invalidations=0,
-        in_place_appends=0,
-        out_of_place_writes=100,
-        gc_page_migrations=20,
-        gc_erases=10,
-        migrations_per_host_write=0.2,
-        erases_per_host_write=0.1,
-        flash_programs=120,
-        flash_reprograms=0,
-        flash_erases=10,
-        buffer_hit_rate=0.9,
-        dirty_evictions=100,
-        ipa_flushes=0,
-        oop_flushes=100,
-        net_bytes_updated=10_000,
+def result_stub(
+    transactions=1000, flash_erases=10, gc_erases=10, **device
+) -> ExperimentResult:
+    """A run of 100 whole-page host writes of 8 KiB, 20 GC page
+    migrations on top (120 pages programmed) and 10 000 net bytes
+    modified; ``device`` overrides :class:`DeviceStats` fields."""
+    return ExperimentResult(
+        "stub",
+        "stub",
+        transactions,
+        1.0,
+        1000.0,
+        device=DeviceStats(
+            **{
+                "host_writes": 100,
+                "host_bytes_written": 100 * 8192,
+                "out_of_place_writes": 100,
+                "gc_page_migrations": 20,
+                "gc_erases": gc_erases,
+                **device,
+            }
+        ),
+        flash=FlashStats(
+            page_programs=120,
+            bytes_programmed=120 * 8192,
+            block_erases=flash_erases,
+        ),
+        storage=ManagerStats(oop_flushes=100, net_bytes_updated=10_000),
+        pool=BufferStats(dirty_evictions=100),
     )
-    base.update(overrides)
-    return ExperimentResult(**base)
 
 
 class TestUpdateSizes:
@@ -78,7 +80,7 @@ class TestUpdateSizes:
 
 class TestWriteAmplification:
     def test_dbms_wa(self):
-        result = result_stub(host_bytes_written=819200, net_bytes_updated=10_000)
+        result = result_stub(host_bytes_written=819200)
         report = write_amplification(result)
         assert report.dbms_wa == pytest.approx(81.92)
 
@@ -89,9 +91,13 @@ class TestWriteAmplification:
         assert report.device_wa == pytest.approx(1.2)
 
     def test_explicit_flash_bytes(self):
+        # Device WA is the measured flash bytes over the host's bytes,
+        # whatever the page count suggests.
         result = result_stub()
-        report = write_amplification(result, flash_bytes_programmed=2 * 100 * 8192)
+        result.flash.bytes_programmed = 2 * 100 * 8192
+        report = write_amplification(result)
         assert report.device_wa == pytest.approx(2.0)
+        assert report.end_to_end_wa == pytest.approx(2 * 100 * 8192 / 10_000)
 
 
 class TestLongevity:

@@ -4,7 +4,7 @@ The E5 report used to print exactly ``1.0x`` for tpcc and tatp.  Two
 distinct bugs conspired:
 
 * wear was computed from ``gc_erases`` (GC-attributed only) instead of
-  ``flash_erases`` (total block erases), dropping savings whenever a
+  ``flash.block_erases`` (total block erases), dropping savings whenever a
   run's erase traffic was not attributed to GC, and
 * zero-erase runs were clamped to a fabricated ratio of 1.0 instead of
   being reported as not-measurable.
@@ -15,7 +15,6 @@ cannot produce them by accident.
 """
 
 import math
-from dataclasses import fields
 
 import pytest
 
@@ -26,27 +25,20 @@ from repro.analysis.longevity import (
     lifetime_ratio,
 )
 from repro.bench.harness import ExperimentResult
+from repro.flash.stats import DeviceStats, FlashStats
 
 
 def synthetic_result(transactions, flash_erases, gc_erases=0):
-    """An ExperimentResult with only the wear-relevant fields set."""
-    values = {}
-    for f in fields(ExperimentResult):
-        if f.name in ("config_label", "workload"):
-            values[f.name] = "synthetic"
-        elif f.name == "transactions":
-            values[f.name] = transactions
-        elif f.name == "flash_erases":
-            values[f.name] = flash_erases
-        elif f.name == "gc_erases":
-            values[f.name] = gc_erases
-        elif f.name == "dirty_eviction_net_bytes":
-            values[f.name] = []
-        elif f.name == "extra":
-            values[f.name] = {}
-        else:
-            values[f.name] = 0
-    return ExperimentResult(**values)
+    """An ExperimentResult with only the wear-relevant counters set."""
+    return ExperimentResult(
+        "synthetic",
+        "synthetic",
+        transactions,
+        0.0,
+        0.0,
+        device=DeviceStats(gc_erases=gc_erases),
+        flash=FlashStats(block_erases=flash_erases),
+    )
 
 
 class TestEstimate:

@@ -9,10 +9,11 @@ negative read overhead keeps its sign.
 """
 
 import math
-from types import SimpleNamespace
 
+from repro.bench.harness import ExperimentResult
 from repro.bench.report import Row, fmt_pct, fmt_ratio, relative_pct
 from repro.bench.tables import IPL_COLUMNS
+from repro.flash.stats import DeviceStats, FlashStats
 
 
 def e6_cells(ipa, ipl):
@@ -20,9 +21,10 @@ def e6_cells(ipa, ipl):
     writes, erases, page reads, TPS)."""
 
     def run(writes, erases, reads, tps):
-        return SimpleNamespace(
-            physical_writes=writes, flash_erases=erases, host_reads=reads,
-            tps=tps,
+        return ExperimentResult(
+            "run", "tpcb", 1, 1.0, tps,
+            device=DeviceStats(host_reads=reads),
+            flash=FlashStats(page_programs=writes, block_erases=erases),
         )
 
     row = Row("tpcb", run(*ipa), run(*ipl))

@@ -1,12 +1,16 @@
 """Experiment harness: config validation, stack building, measurement."""
 
 import math
-from types import SimpleNamespace
 
 import pytest
 
 from repro.baselines.ipl import IplStore
-from repro.bench.harness import ExperimentConfig, build_stack, run_experiment
+from repro.bench.harness import (
+    ExperimentConfig,
+    ExperimentResult,
+    build_stack,
+    run_experiment,
+)
 from repro.bench.report import (
     relative_pct,
     render_comparison,
@@ -14,6 +18,7 @@ from repro.bench.report import (
     summarize,
 )
 from repro.core.config import IPA_DISABLED, SCHEME_2X4
+from repro.flash.stats import DeviceStats
 from repro.flash.modes import FlashMode
 from repro.ftl.ipa_ftl import IpaFtl
 from repro.ftl.noftl import NoFtlDevice
@@ -116,7 +121,7 @@ class TestRunExperiment:
         assert result.transactions == 120
         assert result.elapsed_s > 0
         assert result.tps > 0
-        assert result.host_writes > 0
+        assert result.device.total_host_write_ops > 0
 
     def test_fixed_duration(self):
         result = run_experiment(
@@ -143,7 +148,7 @@ class TestRunExperiment:
         )
         # One transaction cannot generate hundreds of page writes; if the
         # load phase leaked into the counters this would be large.
-        assert result.host_writes < 50
+        assert result.device.total_host_write_ops < 50
 
     def test_deterministic(self):
         def one():
@@ -160,8 +165,8 @@ class TestRunExperiment:
             )
 
         a, b = one(), one()
-        assert a.host_writes == b.host_writes
-        assert a.gc_erases == b.gc_erases
+        assert a.device == b.device
+        assert a.flash == b.flash
         assert a.tps == b.tps
 
 
@@ -171,12 +176,12 @@ class TestReport:
         assert relative_pct(50, 100) == -50.0
         assert math.isnan(relative_pct(5, 0))
         # Table 1 prints a change against a zero base as "-".
-        base = SimpleNamespace(config_label="a", value=0)
-        other = SimpleNamespace(config_label="b", value=5)
-        text = render_comparison(
-            base, [other], metrics=[("V", lambda r: r.value, "d")]
+        base = ExperimentResult("a", "tpcb", 10, 1.0, 10.0)
+        other = ExperimentResult(
+            "b", "tpcb", 10, 1.0, 10.0, device=DeviceStats(gc_erases=5)
         )
-        assert text.splitlines()[-1].split() == ["V", "0", "5", "-"]
+        lines = render_comparison(base, [other]).splitlines()
+        assert ["GC", "Erases", "0", "5", "-"] in [line.split() for line in lines]
 
     def test_render_table_alignment(self):
         out = render_table(["A", "Metric"], [["1", "x"], ["22", "yy"]], title="T")

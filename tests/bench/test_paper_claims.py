@@ -69,19 +69,23 @@ def table1_tpcb(rows):
     assert odd.tps > base.tps * 1.05
 
     # Fixed-duration runs: faster configs do MORE host I/O (paper rows 1-2).
-    assert pslc.host_reads > base.host_reads
-    assert pslc.host_writes > base.host_writes
+    assert pslc.device.host_reads > base.device.host_reads
+    assert pslc.device.total_host_write_ops > base.device.total_host_write_ops
 
     # GC overhead per host write drops sharply (paper rows 5-6).
-    assert pslc.migrations_per_host_write < base.migrations_per_host_write * 0.6
-    assert odd.migrations_per_host_write < base.migrations_per_host_write * 0.8
-    assert odd.erases_per_host_write < base.erases_per_host_write * 0.7
+    base_migrations = base.device.migrations_per_host_write
+    assert pslc.device.migrations_per_host_write < base_migrations * 0.6
+    assert odd.device.migrations_per_host_write < base_migrations * 0.8
+    assert (
+        odd.device.erases_per_host_write
+        < base.device.erases_per_host_write * 0.7
+    )
 
     # IPA actually happened: delta writes on the native interface.
-    assert pslc.host_delta_writes > 0
-    assert odd.host_delta_writes > 0
+    assert pslc.device.host_delta_writes > 0
+    assert odd.device.host_delta_writes > 0
     # odd-MLC can only append on LSB-resident pages: fewer deltas than pSLC.
-    assert odd.host_delta_writes < pslc.host_delta_writes
+    assert odd.device.host_delta_writes < pslc.device.host_delta_writes
 
 
 @claim("E2")
@@ -150,8 +154,8 @@ def claims_headline(rows):
 
     # TPC-B (the paper's anchor): all four claims hold with margin.
     tpcb = by_workload["tpcb"]
-    assert delta(tpcb, "page_invalidations") < -50  # paper: -67 %
-    assert delta(tpcb, "gc_overhead") < -60  # paper: -80 %
+    assert delta(tpcb, "device.page_invalidations") < -50  # paper: -67 %
+    assert delta(tpcb, "device.gc_overhead") < -60  # paper: -80 %
     assert delta(tpcb, "tps") > +30  # paper: +45 %
     assert longevity(tpcb) > 2.0  # paper: ~2x
 
@@ -159,7 +163,7 @@ def claims_headline(rows):
     # a small dip on mixes where pSLC's halved erase-block capacity eats
     # the erase-count saving (insert-heavy TPC-C at demo scale).
     for row in rows:
-        assert delta(row, "page_invalidations") < 0
+        assert delta(row, "device.page_invalidations") < 0
         assert delta(row, "tps") > 0
         assert longevity(row) >= 0.8
 
@@ -170,16 +174,16 @@ def ipa_vs_ipl(rows):
     IPL, and IPL roughly doubles the read load."""
     for row in rows:
         # IPA writes less than IPL on every workload (paper: -23..-62 %).
-        assert delta(row, "physical_writes") < -10, row.label
+        assert delta(row, "flash.program_ops") < -10, row.label
         # IPL pays a structural read overhead (paper: ~2x).
-        ipa_reads, ipl_reads = row.pair("host_reads")
+        ipa_reads, ipl_reads = row.pair("device.host_reads")
         assert relative_pct(ipl_reads, ipa_reads) > 50, row.label
         # With 70-90 % reads, the read overhead costs IPL its throughput.
         assert row.result.tps > row.baseline.tps, row.label
 
     # Update-heavy workloads also show the erase gap (paper: -29..-74 %).
     tpcb = next(r for r in rows if r.label == "tpcb")
-    assert delta(tpcb, "flash_erases") < -20
+    assert delta(tpcb, "flash.block_erases") < -20
 
 
 @claim("E7")
@@ -231,22 +235,23 @@ def ablation_nxm(rows):
     by_label = {r.label: r for r in rows}
 
     # More records per page (N) admits more in-place evictions.
-    assert by_label["[2x4]"].result.ipa_share > by_label["[1x4]"].result.ipa_share
-    assert (
-        by_label["[4x4]"].result.ipa_share >= by_label["[2x4]"].result.ipa_share
-    )
+    def share(label):
+        return by_label[label].result.storage.ipa_share
+
+    assert share("[2x4]") > share("[1x4]")
+    assert share("[4x4]") >= share("[2x4]")
 
     # Every enabled scheme keeps a sane write path (no catastrophic GC).
     for row in rows:
         assert row.result.transactions > 0
-        assert row.result.ipa_share > 0.10
+        assert row.result.storage.ipa_share > 0.10
 
     # Larger areas invalidate fewer pages per committed transaction.
     small = by_label["[1x4]"].result
     large = by_label["[4x8]"].result
     assert (
-        large.page_invalidations / large.transactions
-        < small.page_invalidations / small.transactions
+        large.device.page_invalidations / large.transactions
+        < small.device.page_invalidations / small.transactions
     )
 
 
@@ -254,13 +259,14 @@ def ablation_nxm(rows):
 def ablation_buffer(rows):
     # Bigger pools hit more, so fewer device writes overall...
     writes = [
-        r.result.host_writes + r.result.host_delta_writes for r in rows
+        r.result.device.total_host_write_ops + r.result.device.host_delta_writes
+        for r in rows
     ]
     assert writes[0] > writes[-1]
 
     # ...but very large pools accumulate updates past N x M, so the IPA
     # share of dirty evictions does not keep improving.
-    fractions = [r.result.ipa_share for r in rows]
+    fractions = [r.result.storage.ipa_share for r in rows]
     assert max(fractions) > 0.3
     # Small pools keep residencies short: conformance stays healthy there.
     assert fractions[0] > 0.3
@@ -272,14 +278,13 @@ def ablation_op(rows):
     ipa = [r for r in rows if r.label.startswith("ipa")]
 
     # More OP => emptier victims => fewer migrations (baseline).
-    migrations = [r.result.gc_page_migrations for r in traditional]
+    migrations = [r.result.device.gc_page_migrations for r in traditional]
     assert migrations[0] >= migrations[-1]
 
     # IPA's GC load sits below the baseline at the same OP point.
     for base_row, ipa_row in zip(traditional, ipa):
-        base_gc = base_row.result.gc_page_migrations + base_row.result.gc_erases
-        ipa_gc = ipa_row.result.gc_page_migrations + ipa_row.result.gc_erases
-        assert ipa_gc <= base_gc
+        ipa_gc = ipa_row.result.device.gc_overhead
+        assert ipa_gc <= base_row.result.device.gc_overhead
 
 
 @claim("A4")
@@ -287,34 +292,33 @@ def ipl_sweep(rows):
     """One TPC-B trace replayed through IPA and IPL at several log-region
     sizes: the paper's trace-driven method (E6b), identical logical I/O,
     different physical outcome."""
-    ipa = rows[0].result
-    ipl_rows = [r.result for r in rows[1:]]
+    ipa = rows[0].result.flash
+    ipl_rows = [r.result.flash for r in rows[1:]]
 
     # IPA reads less than every IPL configuration (log pages hurt reads).
-    assert all(ipa.flash_reads < r.flash_reads for r in ipl_rows)
+    assert all(ipa.page_reads < r.page_reads for r in ipl_rows)
 
     # Larger log regions trade erases for reads.
-    by_label = {r.label: r.result for r in rows}
+    by_label = {r.label: r.result.flash for r in rows}
     small = by_label["IPL log=4p sector=512B"]
     large = by_label["IPL log=16p sector=512B"]
-    assert large.erases <= small.erases
-    assert large.flash_reads >= small.flash_reads
+    assert large.block_erases <= small.block_erases
+    assert large.page_reads >= small.page_reads
 
     # No IPL point matches IPA on both axes at once.
     for r in ipl_rows:
         assert not (
-            r.physical_writes <= ipa.physical_writes
-            and r.flash_reads <= ipa.flash_reads
+            r.program_ops <= ipa.program_ops and r.page_reads <= ipa.page_reads
         )
 
     # E6b, against IPL's default layout: same trace, fewer physical
     # writes under IPA (paper: -23..-62 %).
     ipl = by_label["IPL log=8p sector=512B"]
-    assert ipa.physical_writes < ipl.physical_writes
+    assert ipa.program_ops < ipl.program_ops
     # IPL's structural read overhead: log pages on every logical read.
-    assert ipl.flash_reads > ipa.flash_reads * 1.5
+    assert ipl.page_reads > ipa.page_reads * 1.5
     # IPA actually used the append path.
-    assert ipa.device_stats.in_place_appends > 0
+    assert rows[0].result.device.in_place_appends > 0
 
 
 @claim("A5")
@@ -332,10 +336,13 @@ def ablation_wal(rows):
 
     # IPA's advantage survives durable commits.
     assert ipa_on.tps > base_on.tps
-    assert ipa_on.gc_erases <= base_on.gc_erases
+    assert ipa_on.device.gc_erases <= base_on.device.gc_erases
 
     # The GC profile is unchanged by logging (separate log device).
-    assert ipa_on.page_invalidations <= ipa_off.page_invalidations * 1.2
+    assert (
+        ipa_on.device.page_invalidations
+        <= ipa_off.device.page_invalidations * 1.2
+    )
 
 
 @claim("E11")
@@ -378,17 +385,17 @@ def ycsb_mixes(rows):
         )
 
     # Whole-field updates: [2x4] cannot capture them, [2x12] can.
-    assert pick("a", "[2x4]").result.ipa_share == 0.0
-    assert pick("a", "[2x12]").result.ipa_share > 0.3
+    assert pick("a", "[2x4]").result.storage.ipa_share == 0.0
+    assert pick("a", "[2x12]").result.storage.ipa_share > 0.3
 
     # With a fitting M, the update-heavy mix invalidates far less.
     assert (
-        pick("a", "[2x12]").result.page_invalidations
-        < pick("a", "[0x0]").result.page_invalidations * 0.8
+        pick("a", "[2x12]").result.device.page_invalidations
+        < pick("a", "[0x0]").result.device.page_invalidations * 0.8
     )
 
     # Read-only mix: nothing to append anywhere.
-    assert pick("c", "[2x12]").result.host_delta_writes == 0
+    assert pick("c", "[2x12]").result.device.host_delta_writes == 0
 
 
 @pytest.fixture(scope="module")

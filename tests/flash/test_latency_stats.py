@@ -1,6 +1,6 @@
 """SimClock categories, latency model, stats snapshot/diff machinery."""
 
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import pytest
 
@@ -8,8 +8,12 @@ from repro.baselines.ipl import IplConfig, IplStore
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.latency import HostCostModel, LatencyModel, SimClock
+from repro.engine.transaction import TransactionStats
+from repro.engine.wal import WalStats
 from repro.flash.stats import DeviceStats, FlashStats
 from repro.ftl.noftl import NoFtlDevice
+from repro.storage.buffer import BufferStats
+from repro.storage.manager import ManagerStats
 
 GEO = FlashGeometry(page_size=512, oob_size=64, pages_per_block=8, blocks=8)
 
@@ -119,34 +123,60 @@ class TestStats:
         assert diff.block_erases == 1
         assert before.page_reads == 10  # snapshot is independent
 
-    def test_flash_reset(self):
-        stats = FlashStats(page_reads=10)
-        stats.reset()
-        assert stats.page_reads == 0
-
     def test_device_snapshot_diff_extra(self):
-        """Every field of both stats classes is an interval counter.
+        """Every field of every stats block is an interval counter.
 
         Includes the backend-specific counters (merges / log_page_reads /
         wear moves / background GC ...) that were once extra keys in an
-        untyped dict: snapshot, diff and reset cover each of them, and a
-        snapshot is an independent copy.
+        untyped dict, and the container fields: a list's interval is the
+        entries appended since the snapshot, a dict's is each key's
+        interval (a new key counts from empty).  A snapshot is an
+        independent copy, containers included.
         """
-        for cls in (DeviceStats, FlashStats):
-            names = [f.name for f in fields(cls)]
-            stats = cls(**{name: i + 1 for i, name in enumerate(names)})
-            before = stats.snapshot()
-            for i, name in enumerate(names):
-                setattr(stats, name, getattr(stats, name) + 10 * (i + 1))
-            diff = stats.diff(before)
-            assert [getattr(diff, n) for n in names] == [
-                10 * (i + 1) for i in range(len(names))
-            ]
-            assert [getattr(before, n) for n in names] == list(
-                range(1, len(names) + 1)
-            )  # the snapshot is independent
-            stats.reset()
-            assert all(getattr(stats, n) == 0 for n in names)
+        for cls in (
+            DeviceStats, FlashStats, ManagerStats, BufferStats,
+            TransactionStats, WalStats,
+        ):
+            self._check_snapshot_diff(cls)
+
+    @staticmethod
+    def _check_snapshot_diff(cls):
+        numbers = [f.name for f in fields(cls) if f.default_factory is MISSING]
+        lists = [f.name for f in fields(cls) if f.default_factory is list]
+        dicts = [f.name for f in fields(cls) if f.default_factory is dict]
+        assert len(numbers) + len(lists) + len(dicts) == len(fields(cls))
+        stats = cls(
+            **{name: i + 1 for i, name in enumerate(numbers)},
+            **{name: [1, 2] for name in lists},
+            **{name: {"n": 1, "l": [1], "gone": 3} for name in dicts},
+        )
+        before = stats.snapshot()
+        for i, name in enumerate(numbers):
+            setattr(stats, name, getattr(stats, name) + 10 * (i + 1))
+        for name in lists:
+            getattr(stats, name).extend([3, 4])
+        for name in dicts:
+            counters = getattr(stats, name)
+            counters["n"] += 5
+            counters["l"].append(7)
+            counters["new"] = [8]
+            del counters["gone"]
+        diff = stats.diff(before)
+        assert [getattr(diff, n) for n in numbers] == [
+            10 * (i + 1) for i in range(len(numbers))
+        ], cls
+        assert all(getattr(diff, n) == [3, 4] for n in lists), cls
+        assert all(
+            getattr(diff, n) == {"n": 5, "l": [7], "new": [8]} for n in dicts
+        ), cls
+        # The snapshot is independent.
+        assert [getattr(before, n) for n in numbers] == list(
+            range(1, len(numbers) + 1)
+        ), cls
+        assert all(getattr(before, n) == [1, 2] for n in lists), cls
+        assert all(
+            getattr(before, n) == {"n": 1, "l": [1], "gone": 3} for n in dicts
+        ), cls
 
     def test_device_diff_subtracts_numeric_extra(self):
         """Regression: interval diffs subtract the backend counters too.
@@ -196,9 +226,3 @@ class TestStats:
     def test_total_host_write_ops_includes_deltas(self):
         stats = DeviceStats(host_writes=10, host_delta_writes=5)
         assert stats.total_host_write_ops == 15
-
-    def test_device_reset(self):
-        stats = DeviceStats(host_writes=3, merges=1)
-        stats.reset()
-        assert stats.host_writes == 0
-        assert stats.merges == 0

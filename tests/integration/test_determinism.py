@@ -47,10 +47,7 @@ def _config(architecture: str, seed: int = SEED) -> ExperimentConfig:
 
 
 def _digest(result: ExperimentResult) -> str:
-    payload = asdict(result)
-    # 'extra' is a plain dict of counters; sort for a stable encoding.
-    payload["extra"] = dict(sorted(payload["extra"].items()))
-    encoded = json.dumps(payload, sort_keys=True).encode()
+    encoded = json.dumps(asdict(result), sort_keys=True).encode()
     return hashlib.sha256(encoded).hexdigest()
 
 

@@ -86,6 +86,7 @@ class TestHistoryLimit:
 class TestLoadArtefact:
     def test_other_version_is_refused(self, tmp_path):
         path = tmp_path / "run.json"
-        path.write_text(json.dumps({"version": 2}))
-        with pytest.raises(ValueError, match="version 2.*reads version 1"):
+        # Version 1 held the result's counters as flat fields.
+        path.write_text(json.dumps({"version": 1}))
+        with pytest.raises(ValueError, match="version 1.*reads version 2"):
             load_artefact(str(path))

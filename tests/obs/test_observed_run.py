@@ -6,7 +6,7 @@ inline GC erases to a transaction-bearing host write, the sampler must
 produce a dense time series, and the run artefact must hold the run.
 """
 
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -61,8 +61,8 @@ class TestObservedRun:
     def test_gc_erases_attributed(self, observed):
         result, _ = observed
         obs = result.observation
-        assert result.gc_erases > 0, "config no longer produces GC pressure"
-        assert len(obs.tracer.by_name("gc_erase")) == result.gc_erases
+        assert result.device.gc_erases > 0, "config no longer produces GC pressure"
+        assert len(obs.tracer.by_name("gc_erase")) == result.device.gc_erases
         assert obs.gc_attribution_rate() >= 0.95
         for rec in obs.gc_attribution():
             if rec["host_write"] is not None:
@@ -76,7 +76,7 @@ class TestObservedRun:
         # cumulative collectors are monotonic
         erase_series = [row["gc_erases"] for row in samples]
         assert erase_series == sorted(erase_series)
-        assert erase_series[-1] == result.gc_erases
+        assert erase_series[-1] == result.device.gc_erases
 
     def test_artefact_holds_the_samples(self, observed):
         result, artefact = observed
@@ -87,16 +87,17 @@ class TestObservedRun:
 
     def test_artefact_holds_result_and_histograms(self, observed):
         result, artefact = observed
-        assert artefact["version"] == 1
+        assert artefact["version"] == 2
         assert artefact["build"] == {"seed": 42}
-        assert artefact["result"]["gc_erases"] == result.gc_erases
+        assert artefact["result"]["device"] == asdict(result.device)
+        assert artefact["result"]["flash"] == asdict(result.flash)
         assert artefact["histograms"]["txn_latency_us"]["count"] == 1500
-        assert sum(artefact["erase_counts"]) >= result.gc_erases
-        assert artefact["result"]["extra"]["time_breakdown_us"]["erase"] > 0
+        assert sum(artefact["erase_counts"]) >= result.device.gc_erases
+        assert artefact["result"]["time_breakdown_us"]["erase"] > 0
         assert artefact["ledger"]["conservation_errors"] == []
         assert (
             artefact["ledger"]["causes"]["gc_migration"]["erases"]
-            == result.gc_erases
+            == result.device.gc_erases
         )
 
     def test_artefact_holds_the_spans(self, observed):

@@ -54,28 +54,28 @@ class TestReplay:
     def test_ipa_replay_appends(self):
         trace = small_trace()
         result = replay_on_ipa(trace, SCHEME_2X4)
-        assert result.device_stats.in_place_appends > 0
-        assert result.physical_writes > 0
+        assert result.device.in_place_appends > 0
+        assert result.flash.program_ops > 0
 
     def test_ipl_replay_logs(self):
         trace = small_trace()
         result = replay_on_ipl(trace)
-        assert result.device_stats.log_sector_flushes > 0
+        assert result.device.log_sector_flushes > 0
 
     def test_ipa_beats_ipl_on_writes(self):
         trace = small_trace(800)
         ipa = replay_on_ipa(trace, SCHEME_2X4)
         ipl = replay_on_ipl(trace)
-        assert ipa.physical_writes < ipl.physical_writes
-        assert ipl.flash_reads > ipa.flash_reads
+        assert ipa.flash.program_ops < ipl.flash.program_ops
+        assert ipl.flash.page_reads > ipa.flash.page_reads
 
     def test_bigger_scheme_appends_more(self):
         trace = small_trace(800)
         small = replay_on_ipa(trace, IpaScheme(1, 4))
         large = replay_on_ipa(trace, IpaScheme(4, 8))
         assert (
-            large.device_stats.in_place_appends
-            > small.device_stats.in_place_appends
+            large.device.in_place_appends
+            > small.device.in_place_appends
         )
 
     def test_replay_of_synthetic_trace(self):
@@ -89,8 +89,8 @@ class TestReplay:
             TraceEvent(kind="miss", lba=0),
         ]
         result = replay_on_ipa(trace, SCHEME_2X4)
-        assert result.device_stats.in_place_appends == 1
-        assert result.device_stats.host_reads == 1
+        assert result.device.in_place_appends == 1
+        assert result.device.host_reads == 1
 
 
 class TestReplayReadAccounting:
@@ -134,7 +134,7 @@ class TestReplayReadAccounting:
         assert result.recorded_misses == 1
         assert result.replayed_reads == 1
         assert result.skipped_misses == 0
-        assert result.device_stats.host_reads == 1
+        assert result.device.host_reads == 1
 
     def test_preseeding_excluded_from_replay_stats(self):
         # Stats are diffed from a post-seeding snapshot: a trace that is
@@ -143,5 +143,5 @@ class TestReplayReadAccounting:
         trace = Trace(page_size=2048, max_lba=3)
         trace.events = [TraceEvent(kind="miss", lba=3)]
         result = replay_on_ipa(trace, SCHEME_2X4)
-        assert result.device_stats.host_reads == 1
-        assert result.device_stats.host_writes == 0
+        assert result.device.host_reads == 1
+        assert result.device.host_writes == 0
